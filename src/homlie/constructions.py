@@ -331,6 +331,9 @@ class PartialAlgebra:
             return None
         return tuple((k, -c) for k, c in rev)
 
+    # the name AlgebraSpec uses, so the row compiler reads both algebra types
+    product_on_basis = bracket
+
     def expand(self, terms: Sequence[tuple[int, Fraction]]) -> Vector:
         out = [Fraction(0)] * self.dim
         for k, c in terms:
@@ -356,9 +359,6 @@ class PartialAlgebra:
     def out_of_window_pairs(self) -> list[tuple[int, int]]:
         out = [pair for pair, terms in self.products.items() if terms is None]
         return sorted(out)
-
-    def identity_map(self) -> Matrix:
-        return Matrix.identity(self.dim)
 
 
 def km_window(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -29,27 +29,8 @@ def as_scalar(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
-def as_vector(xs: Iterable, dim: int | None = None) -> Vector:
-    v = tuple(as_scalar(x) for x in xs)
-    if dim is not None and len(v) != dim:
-        raise ValueError(f"expected a vector of length {dim}, got {len(v)}")
-    return v
-
-
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
 
 
 def is_zero_vector(v: Vector) -> bool:
@@ -393,9 +374,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def basis_vectors(self) -> Iterator[Vector]:
-        return iter(self.basis.data)
 
     def _pivot_cols(self) -> list[int]:
         out = []

@@ -11,7 +11,7 @@ from typing import Any, Mapping
 
 from .algebra import AlgebraSpec, make_algebra
 from .constructions import PartialAlgebra
-from .linalg import Matrix, Subspace, as_scalar
+from .linalg import Subspace, as_scalar
 
 
 def format_scalar(x: Fraction) -> str:
@@ -21,7 +21,10 @@ def format_scalar(x: Fraction) -> str:
 def parse_scalar(text) -> Fraction:
     if isinstance(text, float):
         raise TypeError("floats are not exact; pass rationals as strings 'p/q'")
-    return as_scalar(text)
+    try:
+        return as_scalar(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {text!r}") from None
 
 
 def algebra_to_json(alg: AlgebraSpec) -> dict:
@@ -42,7 +45,10 @@ def algebra_from_json(doc: Mapping[str, Any]) -> AlgebraSpec:
     dim = int(doc["dim"])
     raw: dict = {}
     for i, j, terms in doc.get("table", []):
-        raw[(int(i), int(j))] = [(int(k), parse_scalar(c)) for k, c in terms]
+        pair = (int(i), int(j))
+        if pair in raw:
+            raise ValueError(f"duplicate table entry for pair {pair}")
+        raw[pair] = [(int(k), parse_scalar(c)) for k, c in terms]
     return make_algebra(
         dim,
         raw,
@@ -70,10 +76,6 @@ def partial_to_json(pa: PartialAlgebra) -> dict:
         "kinds": [lab.kind for lab in pa.labels],
         "out_of_window": [list(p) for p in pa.out_of_window_pairs()],
     }
-
-
-def matrix_to_json(m: Matrix) -> list[list[str]]:
-    return [[format_scalar(x) for x in row] for row in m.data]
 
 
 def subspace_to_json(s: Subspace) -> dict:

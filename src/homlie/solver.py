@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations, product
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import AlgebraSpec, BilinearForm, _require_lie, builtin
 from .linalg import (
@@ -24,7 +25,6 @@ from .linalg import (
     as_scalar,
     nullspace_of_rows,
     vec_add,
-    zero_vector,
 )
 
 # -- structure kinds --------------------------------------------------------
@@ -95,57 +95,88 @@ class HomSolution:
 
 # -- row assembly helpers ----------------------------------------------------
 
+# One equation group as (row key, column, coefficient) terms: the terms that
+# share a row key sum to one sparse row.
+_Terms = Iterable[tuple[object, int, Fraction]]
 
-def _left_products(alg: AlgebraSpec) -> dict[int, list[tuple[int, int, Fraction]]]:
-    """p -> [(q, m, coeff)] with e_p * e_q = sum coeff e_m."""
-    out: dict[int, list[tuple[int, int, Fraction]]] = {}
-    for (p, q), terms in alg.table.items():
-        lst = out.setdefault(p, [])
-        for m, c in terms:
-            lst.append((q, m, c))
-    return out
+
+def _sparse_rows(groups: Iterable[_Terms]) -> Iterator[dict[int, Fraction]]:
+    """Sum each group's terms by row key; yield the nonzero rows of every
+    group in the order their keys were first touched."""
+    for terms in groups:
+        rows: dict[object, dict[int, Fraction]] = {}
+        for key, col, val in terms:
+            row = rows.setdefault(key, {})
+            if col in row:
+                row[col] += val
+            else:
+                row[col] = val
+        for row in rows.values():
+            nonzero = {col: val for col, val in row.items() if val}
+            if nonzero:
+                yield nonzero
 
 
 def _hom_generic_rows(
-    alg: AlgebraSpec, triples: Iterable[tuple[int, int, int]], pattern: str
+    alg,
+    triples: Iterable[tuple[int, int, int]],
+    pattern: str,
+    block: tuple[Callable[[int], int], int, Mapping[tuple[int, int], int]] | None = None,
 ) -> Iterator[dict[int, Fraction]]:
     """Rows of (ab)phi(c) [+ cyclic terms | - (ca)phi(b)] over given triples.
 
     pattern 'jacobi': (ab)phi(c) + (ca)phi(b) + (bc)phi(a) = 0
     pattern 'cyclic': (ab)phi(c) - (ca)phi(b) = 0
     pattern '2nilp' : (ab)phi(c) = 0
+
+    Without ``block`` the unknown is all of End with phi(e_c) -> e_q at
+    column q*dim + c.  A block ``(degree, shift, cols)`` restricts it to the
+    maps sending degree d into degree d + shift, with phi(e_c) -> e_q at
+    column cols[(q, c)].  ``alg.product_on_basis`` may return None for an
+    undefined product (a windowed algebra); a triple's equations are emitted
+    only when every product they read is defined.
     """
+    signs = {"jacobi": (1, 1, 1), "cyclic": (1, -1), "2nilp": (1,)}.get(pattern)
+    if signs is None:
+        raise ValueError(pattern)
     n = alg.dim
-    left = _left_products(alg)
-    for (a, b, c) in triples:
-        rows: dict[int, dict[int, Fraction]] = {}
+    if block is None:  # one block: degree 0, shift 0, all of End
+        block = (lambda i: 0), 0, {(q, c): q * n + c for q in range(n) for c in range(n)}
+    degree, shift, cols = block
+    deg = [degree(i) for i in range(n)]
+    target = [d + shift for d in deg]
+    col_of: list[dict[int, int]] = [{} for _ in range(n)]  # col_of[c][q] = column of phi(e_c) -> e_q
+    for (q, c), col in cols.items():
+        col_of[c][q] = col
+    # left[p][d] = [(q, m, coeff)] with e_p e_q = sum coeff e_m and deg q = d;
+    # gaps[p] = the degrees d of the q with e_p e_q undefined
+    left: list[dict[int, list[tuple[int, int, Fraction]]]] = [{} for _ in range(n)]
+    gaps: list[set[int]] = [set() for _ in range(n)]
+    for p in range(n):
+        for q in range(n):
+            terms = alg.product_on_basis(p, q)
+            if terms is None:
+                gaps[p].add(deg[q])
+            else:
+                left[p].setdefault(deg[q], []).extend((q, m, c) for m, c in terms)
 
-        def emit(i: int, j: int, col_src: int, sign: int) -> None:
-            # sign * (e_i e_j) phi(e_col_src) contribution
-            for p, cab in alg.product_on_basis(i, j):
-                for q, m, cpq in left.get(p, ()):  # e_p e_q = sum cpq e_m
-                    col = q * n + col_src
-                    row = rows.setdefault(m, {})
-                    val = row.get(col, Fraction(0)) + sign * cab * cpq
-                    if val:
-                        row[col] = val
-                    else:
-                        row.pop(col, None)
+    def groups():
+        for (a, b, c) in triples:
+            reads = []
+            for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), signs):
+                w = alg.product_on_basis(x, y)
+                if w is None or any(target[z] in gaps[p] for p, _ in w):
+                    break
+                reads.append((w if sign > 0 else [(p, -cw) for p, cw in w], z))
+            else:
+                yield (
+                    (m, col_of[z][q], cw * cpq)
+                    for w, z in reads
+                    for p, cw in w
+                    for q, m, cpq in left[p].get(target[z], ())
+                )
 
-        if pattern == "jacobi":
-            emit(a, b, c, 1)
-            emit(c, a, b, 1)
-            emit(b, c, a, 1)
-        elif pattern == "cyclic":
-            emit(a, b, c, 1)
-            emit(c, a, b, -1)
-        elif pattern == "2nilp":
-            emit(a, b, c, 1)
-        else:
-            raise ValueError(pattern)
-        for row in rows.values():
-            if row:
-                yield row
+    return _sparse_rows(groups())
 
 
 def _delta_rows(alg: AlgebraSpec, delta: Fraction) -> Iterator[dict[int, Fraction]]:
@@ -153,35 +184,25 @@ def _delta_rows(alg: AlgebraSpec, delta: Fraction) -> Iterator[dict[int, Fractio
     n = alg.dim
     pairs: Iterable[tuple[int, int]]
     if alg.is_anticommutative():
-        pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+        pairs = combinations(range(n), 2)
     else:
-        pairs = ((i, j) for i in range(n) for j in range(n))
-    for (i, j) in pairs:
-        rows: dict[int, dict[int, Fraction]] = {}
+        pairs = product(range(n), repeat=2)
 
-        def add(m: int, col: int, val: Fraction) -> None:
-            row = rows.setdefault(m, {})
-            new = row.get(col, Fraction(0)) + val
-            if new:
-                row[col] = new
-            else:
-                row.pop(col, None)
-
+    def terms(i: int, j: int) -> _Terms:
         # D applied to the product e_i e_j
         for k, c in alg.product_on_basis(i, j):
             for m in range(n):
-                add(m, m * n + k, c)
+                yield m, m * n + k, c
         # - delta * (D(e_i) e_j): D(e_i) = sum_q M[q][i] e_q
         for q in range(n):
             for k, c in alg.product_on_basis(q, j):
-                add(k, q * n + i, -delta * c)
+                yield k, q * n + i, -delta * c
         # - delta * (e_i D(e_j))
         for q in range(n):
             for k, c in alg.product_on_basis(i, q):
-                add(k, q * n + j, -delta * c)
-        for row in rows.values():
-            if row:
-                yield row
+                yield k, q * n + j, -delta * c
+
+    return _sparse_rows(terms(i, j) for i, j in pairs)
 
 
 def _structure_rows(alg: AlgebraSpec, kind: StructureKind) -> Iterator[dict[int, Fraction]]:
@@ -275,25 +296,14 @@ def structure_residual(
 def _cocycle_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:
     """f(xy, z) + f(zx, y) + f(yz, x) = 0 over i<j<k (alternating)."""
     n = alg.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                row: dict[int, Fraction] = {}
-
-                def add(pair: tuple[int, int], c: int) -> None:
-                    for p, coeff in alg.product_on_basis(*pair):
-                        col = p * n + c
-                        val = row.get(col, Fraction(0)) + coeff
-                        if val:
-                            row[col] = val
-                        else:
-                            row.pop(col, None)
-
-                add((i, j), k)
-                add((k, i), j)
-                add((j, k), i)
-                if row:
-                    yield row
+    return _sparse_rows(
+        (
+            (0, p * n + z, c)
+            for x, y, z in ((i, j, k), (k, i, j), (j, k, i))
+            for p, c in alg.product_on_basis(x, y)
+        )
+        for i, j, k in combinations(range(n), 3)
+    )
 
 
 def _symmetry_rows(n: int, sign: int) -> Iterator[dict[int, Fraction]]:
@@ -310,51 +320,25 @@ def _symmetry_rows(n: int, sign: int) -> Iterator[dict[int, Fraction]]:
 def _b_space_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:
     """f(xy, z) - f(zx, y) = 0 over all ordered triples."""
     n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row: dict[int, Fraction] = {}
-                for p, coeff in alg.product_on_basis(i, j):
-                    col = p * n + k
-                    val = row.get(col, Fraction(0)) + coeff
-                    if val:
-                        row[col] = val
-                    else:
-                        row.pop(col, None)
-                for p, coeff in alg.product_on_basis(k, i):
-                    col = p * n + j
-                    val = row.get(col, Fraction(0)) - coeff
-                    if val:
-                        row[col] = val
-                    else:
-                        row.pop(col, None)
-                if row:
-                    yield row
+    return _sparse_rows(
+        chain(
+            ((0, p * n + k, c) for p, c in alg.product_on_basis(i, j)),
+            ((0, p * n + j, -c) for p, c in alg.product_on_basis(k, i)),
+        )
+        for i, j, k in product(range(n), repeat=3)
+    )
 
 
 def _invariance_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:
     """f(xy, z) - f(x, yz) = 0 over all ordered triples."""
     n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row: dict[int, Fraction] = {}
-                for p, coeff in alg.product_on_basis(i, j):
-                    col = p * n + k
-                    val = row.get(col, Fraction(0)) + coeff
-                    if val:
-                        row[col] = val
-                    else:
-                        row.pop(col, None)
-                for p, coeff in alg.product_on_basis(j, k):
-                    col = i * n + p
-                    val = row.get(col, Fraction(0)) - coeff
-                    if val:
-                        row[col] = val
-                    else:
-                        row.pop(col, None)
-                if row:
-                    yield row
+    return _sparse_rows(
+        chain(
+            ((0, p * n + k, c) for p, c in alg.product_on_basis(i, j)),
+            ((0, i * n + p, -c) for p, c in alg.product_on_basis(j, k)),
+        )
+        for i, j, k in product(range(n), repeat=3)
+    )
 
 
 def coboundary_space(alg: AlgebraSpec) -> Subspace:
@@ -422,44 +406,33 @@ class QDerSolution:
 def _qder_rows(alg: AlgebraSpec, module: str) -> Iterator[dict[int, Fraction]]:
     n = alg.dim
     n2 = n * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows: dict[int, dict[int, Fraction]] = {}
+    if module not in ("adjoint", "coadjoint"):
+        raise ValueError(f"unknown module {module!r}")
 
-            def add(m: int, col: int, val: Fraction) -> None:
-                row = rows.setdefault(m, {})
-                new = row.get(col, Fraction(0)) + val
-                if new:
-                    row[col] = new
-                else:
-                    row.pop(col, None)
-
-            if module == "adjoint":
-                # D([e_i,e_j]) - [F(e_i), e_j] - [e_i, F(e_j)] = 0
-                for k, c in alg.product_on_basis(i, j):
-                    for m in range(n):
-                        add(m, m * n + k, c)
-                for q in range(n):
-                    for k, c in alg.product_on_basis(q, j):
-                        add(k, n2 + q * n + i, -c)
-                    for k, c in alg.product_on_basis(i, q):
-                        add(k, n2 + q * n + j, -c)
-            elif module == "coadjoint":
-                # maps L -> L*; (y.f)(m) = -f([m,y]).  Evaluated at e_m:
-                # D(e_i e_j)(e_m) + F(e_i)([e_m, e_j]) - F(e_j)([e_m, e_i]) = 0
-                for k, c in alg.product_on_basis(i, j):
-                    for m in range(n):
-                        add(m, k * n + m, c)
+    def terms(i: int, j: int) -> _Terms:
+        if module == "adjoint":
+            # D([e_i,e_j]) - [F(e_i), e_j] - [e_i, F(e_j)] = 0
+            for k, c in alg.product_on_basis(i, j):
                 for m in range(n):
-                    for p, c in alg.product_on_basis(m, j):
-                        add(m, n2 + i * n + p, c)
-                    for p, c in alg.product_on_basis(m, i):
-                        add(m, n2 + j * n + p, -c)
-            else:
-                raise ValueError(f"unknown module {module!r}")
-            for row in rows.values():
-                if row:
-                    yield row
+                    yield m, m * n + k, c
+            for q in range(n):
+                for k, c in alg.product_on_basis(q, j):
+                    yield k, n2 + q * n + i, -c
+                for k, c in alg.product_on_basis(i, q):
+                    yield k, n2 + q * n + j, -c
+        else:
+            # maps L -> L*; (y.f)(m) = -f([m,y]).  Evaluated at e_m:
+            # D(e_i e_j)(e_m) + F(e_i)([e_m, e_j]) - F(e_j)([e_m, e_i]) = 0
+            for k, c in alg.product_on_basis(i, j):
+                for m in range(n):
+                    yield m, k * n + m, c
+            for m in range(n):
+                for p, c in alg.product_on_basis(m, j):
+                    yield m, n2 + i * n + p, c
+                for p, c in alg.product_on_basis(m, i):
+                    yield m, n2 + j * n + p, -c
+
+    return _sparse_rows(terms(i, j) for i, j in combinations(range(n), 2))
 
 
 def solve_qder(alg: AlgebraSpec, module: str = "adjoint") -> QDerSolution:
@@ -542,20 +515,19 @@ def is_multiplicative(alg, phi: Matrix) -> bool | MultiplicativityWitness:
     """phi(xy) == phi(x)phi(y) on basis pairs; True or a witness pair.
 
     Works for both total algebras and degree-windowed partial algebras; for
-    the latter only pairs whose brackets (including those of the images) are
-    inside the window are checked.
+    the latter a pair is skipped when its product or the product of its
+    images leaves the window (``multiply`` returns None).
     """
-    from .constructions import PartialAlgebra  # local import to avoid a cycle
-
-    if isinstance(alg, PartialAlgebra):
-        return _is_multiplicative_partial(alg, phi)
     n = alg.dim
     if phi.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
     for i in range(n):
         for j in range(n):
-            lhs = phi.apply(alg.multiply(alg.basis_vector(i), alg.basis_vector(j)))
+            xy = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
             rhs = alg.multiply(phi.apply(alg.basis_vector(i)), phi.apply(alg.basis_vector(j)))
+            if xy is None or rhs is None:
+                continue
+            lhs = phi.apply(xy)
             if lhs != rhs:
                 return MultiplicativityWitness((i, j), lhs, rhs)
     return True
@@ -584,32 +556,15 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
 
     hl = solve_structures(l, HOM_LIE)
 
-    def compat_rows() -> Iterator[dict[int, Fraction]]:
+    def compat_terms(i: int, j: int, k: int) -> _Terms:
         # xi([x,y], psi(t)) + xi([t,x], psi(y)) + xi([y,t], psi(x)) = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    row: dict[int, Fraction] = {}
+        for x, y, t in ((i, j, k), (k, i, j), (j, k, i)):
+            w = l.multiply(basis[x], basis[y])
+            for q in range(n):
+                yield 0, q * n + t, xi.form(w, basis[q])
 
-                    def add(pair: tuple[int, int], c: int) -> None:
-                        w = l.multiply(basis[pair[0]], basis[pair[1]])
-                        for q in range(n):
-                            val = xi.form(w, basis[q])
-                            if val:
-                                col = q * n + c
-                                new = row.get(col, Fraction(0)) + val
-                                if new:
-                                    row[col] = new
-                                else:
-                                    row.pop(col, None)
-
-                    add((i, j), k)
-                    add((k, i), j)
-                    add((j, k), i)
-                    if row:
-                        yield row
-
-    psi_space = hl.space.intersect(nullspace_of_rows(n * n, compat_rows()))
+    compat_rows = _sparse_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
+    psi_space = hl.space.intersect(nullspace_of_rows(n * n, compat_rows))
 
     derived = Subspace.from_spanning(
         [l.multiply(basis[i], basis[j]) for i in range(n) for j in range(i + 1, n)], n
@@ -724,37 +679,3 @@ def tensor_formula_span(a: AlgebraSpec, b: AlgebraSpec) -> SpanAssembly:
         ("End(a)(x)Hom2Nilp(b)", _tensor_block(end_basis(a.dim), h2_b)),
     ]
     return _assemble(blocks, (a.dim * b.dim) ** 2)
-
-
-def _is_multiplicative_partial(pa, phi: Matrix) -> bool | MultiplicativityWitness:
-    n = pa.dim
-    if phi.shape != (n, n):
-        raise ValueError("map shape does not match the algebra")
-    for i in range(n):
-        for j in range(n):
-            br = pa.bracket(i, j)
-            if br is None:
-                continue
-            lhs = phi.apply(pa.expand(br))
-            fi = phi.apply(pa.basis_vector(i))
-            fj = phi.apply(pa.basis_vector(j))
-            rhs = zero_vector(n)
-            defined = True
-            for u in range(n):
-                if not fi[u]:
-                    continue
-                for v in range(n):
-                    if not fj[v]:
-                        continue
-                    bruv = pa.bracket(u, v)
-                    if bruv is None:
-                        defined = False
-                        break
-                    rhs = vec_add(rhs, tuple(fi[u] * fj[v] * x for x in pa.expand(bruv)))
-                if not defined:
-                    break
-            if not defined:
-                continue
-            if lhs != rhs:
-                return MultiplicativityWitness((i, j), lhs, rhs)
-    return True

@@ -1,9 +1,10 @@
-"""Solver for the degree-windowed loop model.
+"""Shift-block driver for the degree-windowed loop model.
 
 The window space is graded by loop degree (the Euler and central generators
 sit in degree zero), so an unknown endomorphism splits into shift-graded
-blocks and each constraint component touches exactly one block.  Equations
-are imposed per basis triple and per shift: a component is emitted only
+blocks and each constraint component touches exactly one block.  Each
+block's rows come from the solver's Hom-identity compiler: equations are
+imposed per basis triple and per shift, and a component is emitted only
 when the triple's inner brackets and every outer bracket pairing the
 bracket support with the whole target degree component are defined inside
 the window.  Solutions supported near the degree boundary that satisfy all
@@ -15,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from .constructions import PartialAlgebra
 from .linalg import Matrix, Subspace, Vector, nullspace_of_rows
-from .solver import HOM_LIE, HomSolution
+from .solver import HOM_LIE, HomSolution, _hom_generic_rows
 
 
 @dataclass(frozen=True)
@@ -61,15 +63,6 @@ def _degree_components(pa: PartialAlgebra) -> dict[int, list[int]]:
     return comps
 
 
-def _block_columns(pa: PartialAlgebra, shift: int) -> list[tuple[int, int]]:
-    comps = _degree_components(pa)
-    cols = []
-    for c in range(pa.dim):
-        for u in comps.get(pa.degree(c) + shift, ()):
-            cols.append((u, c))
-    return cols
-
-
 def _component_brackets_defined(pa: PartialAlgebra, support: Sequence[int], component: Sequence[int]) -> bool:
     for p in support:
         for u in component:
@@ -78,61 +71,22 @@ def _component_brackets_defined(pa: PartialAlgebra, support: Sequence[int], comp
     return True
 
 
-def _block_rows(pa: PartialAlgebra, shift: int, col_index: dict[tuple[int, int], int]) -> Iterator[dict[int, Fraction]]:
-    comps = _degree_components(pa)
-    n = pa.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            w_ij = pa.bracket(i, j)
-            if w_ij is None:
-                continue
-            for k in range(j + 1, n):
-                w_ki = pa.bracket(k, i)
-                w_jk = pa.bracket(j, k)
-                if w_ki is None or w_jk is None:
-                    continue
-                terms = ((w_ij, k), (w_ki, j), (w_jk, i))
-                ok = True
-                for w, c in terms:
-                    component = comps.get(pa.degree(c) + shift, ())
-                    if not _component_brackets_defined(pa, [p for p, _ in w], component):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                rows: dict[int, dict[int, Fraction]] = {}
-                for w, c in terms:
-                    component = comps.get(pa.degree(c) + shift, ())
-                    for p, cw in w:
-                        for u in component:
-                            br = pa.bracket(p, u)
-                            for m, cb in br:
-                                col = col_index[(u, c)]
-                                row = rows.setdefault(m, {})
-                                val = row.get(col, Fraction(0)) + cw * cb
-                                if val:
-                                    row[col] = val
-                                else:
-                                    row.pop(col, None)
-                for row in rows.values():
-                    if row:
-                        yield row
-
-
 def _solve_block(pa: PartialAlgebra, shift: int) -> list[Vector]:
     """Solution vectors of the shift block, embedded in End coordinates."""
-    cols = _block_columns(pa, shift)
+    comps = _degree_components(pa)
+    n = pa.dim
+    cols = [(u, c) for c in range(n) for u in comps.get(pa.degree(c) + shift, ())]
     if not cols:
         return []
     col_index = {pair: idx for idx, pair in enumerate(cols)}
-    block = nullspace_of_rows(len(cols), _block_rows(pa, shift, col_index))
-    n = pa.dim
+    triples = combinations(range(n), 3)
+    block = nullspace_of_rows(len(cols), _hom_generic_rows(pa, triples, "jacobi", (pa.degree, shift, col_index)))
     out = []
     for b in block.basis.data:
         dense = [Fraction(0)] * (n * n)
-        for (u, c), idx in col_index.items():
-            if b[idx]:
-                dense[u * n + c] = b[idx]
+        for (u, c), v in zip(cols, b):
+            if v:
+                dense[u * n + c] = v
         out.append(tuple(dense))
     return out
 

@@ -117,6 +117,33 @@ def test_solve_from_file(capsys, tmp_path):
     assert code == 0 and doc["dim"] == 4
 
 
+def _algebra_file(tmp_path, table):
+    f = tmp_path / "alg.json"
+    f.write_text(json.dumps({"dim": 2, "flavor": "lie", "table": table}))
+    return str(f)
+
+
+def test_validate_zero_denominator_is_usage_error(capsys, tmp_path):
+    path = _algebra_file(tmp_path, [[0, 1, [[0, "1/0"]]], [1, 0, [[0, "-1/1"]]]])
+    code, out, err = run_cli(capsys, "validate", "--algebra", path)
+    assert code == 2
+    assert err.startswith("error:") and "'1/0'" in err
+
+
+def test_solve_zero_denominator_is_usage_error(capsys, tmp_path):
+    path = _algebra_file(tmp_path, [[0, 1, [[0, "1/0"]]], [1, 0, [[0, "-1/1"]]]])
+    code, out, err = run_cli(capsys, "solve", "--algebra", path)
+    assert code == 2
+    assert err.startswith("error:") and "'1/0'" in err
+
+
+def test_validate_duplicate_table_entry_is_usage_error(capsys, tmp_path):
+    path = _algebra_file(tmp_path, [[0, 1, [[0, "1"]]], [0, 1, [[1, "1"]]], [1, 0, [[0, "-1"]]]])
+    code, out, err = run_cli(capsys, "validate", "--algebra", path)
+    assert code == 2
+    assert err.startswith("error:") and "(0, 1)" in err
+
+
 def test_reproduce_single(capsys):
     code, doc = run_json(capsys, "reproduce", "prop-2.1")
     assert code == 0

@@ -47,6 +47,17 @@ def test_omitted_pairs_mean_zero():
     assert alg.multiply(alg.basis_vector(0), alg.basis_vector(1)) == (F(0), F(0))
 
 
+def test_duplicate_table_entry_is_rejected():
+    doc = {"dim": 2, "flavor": "unchecked", "table": [[0, 1, [[0, "1"]]], [0, 1, [[1, "1"]]]]}
+    with pytest.raises(ValueError, match=r"duplicate table entry for pair \(0, 1\)"):
+        algebra_from_json(doc)
+
+
+def test_zero_denominator_is_rejected():
+    with pytest.raises(ValueError, match="'1/0'"):
+        parse_scalar("1/0")
+
+
 def test_fractional_coefficients_survive():
     alg = make_algebra(2, {(0, 0): [(1, F(2, 3))]}, flavor="generic-commutative")
     doc = algebra_to_json(alg)

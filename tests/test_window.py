@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from homlie.algebra import builtin, killing_form
-from homlie.constructions import km_window
-from homlie.linalg import Matrix, Subspace
+from homlie.constructions import BasisLabel, PartialAlgebra, km_window
+from homlie.linalg import Matrix, Subspace, nullspace_of_rows
 from homlie.solver import is_multiplicative
 from homlie.window import (
     beta_map,
@@ -82,8 +82,16 @@ def test_shifted_solve_is_a_block_of_the_full_solve():
         assert block.full.space.is_subspace_of(full.full.space)
 
 
-def test_shift_blocks_sum_to_full():
-    pa = _untwisted(2)
+WINDOW_MODELS = [
+    pytest.param(_untwisted, 2, id="untwisted-2"),
+    pytest.param(_untwisted, 3, id="untwisted-3"),
+    pytest.param(_twisted, 3, id="twisted-3"),
+]
+
+
+@pytest.mark.parametrize("model, n_window", WINDOW_MODELS)
+def test_shift_blocks_sum_to_full(model, n_window):
+    pa = model(n_window)
     full = solve_window(pa)
     total = 0
     for shift in window_shifts(pa):
@@ -91,8 +99,9 @@ def test_shift_blocks_sum_to_full():
     assert total == full.full.dim
 
 
-def test_block_solutions_have_zero_residuals():
-    pa = _untwisted(2)
+@pytest.mark.parametrize("model, n_window", WINDOW_MODELS)
+def test_block_solutions_have_zero_residuals(model, n_window):
+    pa = model(n_window)
     n = pa.dim
     for shift in window_shifts(pa):
         for vec in _solve_block(pa, shift):
@@ -100,6 +109,24 @@ def test_block_solutions_have_zero_residuals():
             for tri in itertools.combinations(range(n), 3):
                 r = window_jacobi_residual(pa, phi, tri, shift)
                 assert r is None or not any(r)
+
+
+def test_block_is_the_kernel_of_the_imposable_residuals():
+    # one degree, so shift 0 is all of End; [e2, e3] is undefined, and every
+    # triple whose equations read it must impose nothing
+    labels = tuple(BasisLabel("loop", 0, None, f"e{i}") for i in range(4))
+    products = {(0, 1): ((2, F(1)),), (0, 2): ((3, F(1)),), (1, 2): ((1, F(1)),), (2, 3): None}
+    pa = PartialAlgebra(4, labels, 2, products)
+    n = pa.dim
+    units = [(u, c) for u in range(n) for c in range(n)]
+    rows = []
+    for tri in itertools.combinations(range(n), 3):
+        per_unit = [window_jacobi_residual(pa, Matrix.from_sparse(n, n, {uc: 1}), tri, 0) for uc in units]
+        if per_unit[0] is None:
+            continue
+        for m in range(n):
+            rows.append({u * n + c: r[m] for (u, c), r in zip(units, per_unit) if r[m]})
+    assert Subspace.from_spanning(_solve_block(pa, 0), n * n) == nullspace_of_rows(n * n, rows)
 
 
 def test_central_maps_always_solve():
