@@ -43,7 +43,8 @@ class LawViolation(ValueError):
         self.law = law
         self.witness = witness
         self.residual = residual
-        super().__init__(f"{law} fails on basis tuple {witness}: residual {residual}")
+        shown = ", ".join(f"{x.numerator}/{x.denominator}" for x in residual)
+        super().__init__(f"{law} fails on basis tuple {witness}: residual ({shown})")
 
 
 Table = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
@@ -436,18 +437,26 @@ def _require_lie(alg: AlgebraSpec, op: str) -> None:
         raise ValueError(f"{op} requires a lie-flavor algebra, got {alg.flavor!r}")
 
 
+def right_annihilator(alg: AlgebraSpec) -> Subspace:
+    """{z : e_j z = 0 for every j}, read straight from the product table."""
+    n = alg.dim
+    acc = RowAccumulator(n)
+    for j in range(n):
+        rows: dict[int, dict[int, Fraction]] = {}  # m -> coefficients of e_j z at e_m
+        for q in range(n):
+            for m, c in alg.product_on_basis(j, q):
+                rows.setdefault(m, {})[q] = c
+        for row in rows.values():
+            acc.add(row)
+    return acc.nullspace()
+
+
 def structural_subspaces(alg: AlgebraSpec) -> tuple[Subspace, Subspace, Subspace]:
     """(center, derived subalgebra, annihilator of the derived subalgebra)."""
     _require_lie(alg, "structural_subspaces")
     n = alg.dim
     basis = [alg.basis_vector(i) for i in range(n)]
-    # center: x with [x, e_j] = 0 for all j
-    acc = RowAccumulator(n)
-    for j in range(n):
-        rm = alg.right_mul_matrix(basis[j])
-        for row in rm.data:
-            acc.add_dense(row)
-    center = acc.nullspace()
+    center = right_annihilator(alg)  # [e_j, z] = 0 for all j
     derived = Subspace.from_spanning(
         [alg.multiply(basis[i], basis[j]) for i in range(n) for j in range(i + 1, n)], n
     )

@@ -55,8 +55,6 @@ def _resolve_algebra(spec: str) -> AlgebraSpec:
             return algebra_from_json(doc)
         except FileNotFoundError:
             raise UsageError(f"algebra file not found: {spec}")
-        except LawViolation:
-            raise
         except (KeyError, TypeError, ValueError) as e:
             raise UsageError(f"cannot read algebra file {spec}: {e}")
     try:

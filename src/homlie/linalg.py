@@ -330,10 +330,15 @@ def nullspace(m: Matrix) -> "Subspace":
 
 
 def nullspace_of_rows(ncols: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
-    """Kernel of a (possibly huge) system given as a stream of sparse rows."""
+    """Kernel of a (possibly huge) system given as a stream of sparse rows.
+
+    Stops pulling rows once the rank reaches ``ncols``: a full-rank system
+    has kernel 0 whatever rows remain.
+    """
     acc = RowAccumulator(ncols)
     for r in rows:
-        acc.add(r)
+        if acc.add(r) and acc.rank == ncols:
+            return Subspace.zero(ncols)
     return acc.nullspace()
 
 
@@ -375,7 +380,7 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def _pivot_cols(self) -> list[int]:
+    def pivot_cols(self) -> list[int]:
         out = []
         for r in self.basis.data:
             for j, v in enumerate(r):
@@ -390,7 +395,7 @@ class Subspace:
             raise ValueError("vector has wrong ambient dimension")
         residual = list(v)
         coeffs = []
-        for r, p in zip(self.basis.data, self._pivot_cols()):
+        for r, p in zip(self.basis.data, self.pivot_cols()):
             c = residual[p]
             coeffs.append(c)
             if c:

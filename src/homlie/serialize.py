@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .algebra import AlgebraSpec, make_algebra
+from .algebra import FLAVORS, AlgebraSpec, make_algebra
 from .constructions import PartialAlgebra
 from .linalg import Subspace, as_scalar
 
@@ -42,7 +42,14 @@ def algebra_to_json(alg: AlgebraSpec) -> dict:
 
 
 def algebra_from_json(doc: Mapping[str, Any]) -> AlgebraSpec:
-    dim = int(doc["dim"])
+    if not isinstance(doc, Mapping):
+        raise ValueError("an algebra document must be a JSON object")
+    dim = doc.get("dim")
+    if type(dim) is not int or dim < 0:  # bool is a subclass of int
+        raise ValueError(f"field 'dim' must be an integer >= 0, got {dim!r}")
+    flavor = doc.get("flavor")
+    if flavor not in FLAVORS:
+        raise ValueError(f"field 'flavor' must be one of {', '.join(FLAVORS)}; got {flavor!r}")
     raw: dict = {}
     for i, j, terms in doc.get("table", []):
         pair = (int(i), int(j))
@@ -53,7 +60,7 @@ def algebra_from_json(doc: Mapping[str, Any]) -> AlgebraSpec:
         dim,
         raw,
         basis_names=doc.get("basis"),
-        flavor=doc.get("flavor", "unchecked"),
+        flavor=flavor,
         grading=doc.get("grading"),
     )
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import AlgebraSpec, BilinearForm, _require_lie, builtin
+from .algebra import AlgebraSpec, BilinearForm, _require_lie, builtin, right_annihilator
 from .linalg import (
     Matrix,
     RowAccumulator,
@@ -250,8 +250,45 @@ def _alternation_reduction_is_sound() -> bool:
     return reduced == full
 
 
+def _known_solutions(alg: AlgebraSpec, kind: StructureKind) -> Subspace:
+    """A subspace K of the kind's solution space, known without solving.
+
+    For hom-lie, hom-cyclic and hom-2nilp, K contains Hom(L, Ann_r(L)): every
+    term of those identities has the form (xy)phi(z), which vanishes when
+    phi(z) lies in the right annihilator.  For hom-lie on a lie-flavor
+    algebra K also contains the identity, whose Hom-Jacobi identity is the
+    Jacobi identity that ``make_algebra`` validated.  For delta kinds K = 0.
+    """
+    n = alg.dim
+    if kind.tag not in ("hom-lie", "hom-cyclic", "hom-2nilp"):
+        return Subspace.zero(n * n)
+    gens = []
+    for z in right_annihilator(alg).basis.data:
+        for c in range(n):  # the map e_c -> z, other basis vectors -> 0
+            dense = [Fraction(0)] * (n * n)
+            for q, zq in enumerate(z):
+                dense[q * n + c] = zq
+            gens.append(tuple(dense))
+    if kind.tag == "hom-lie" and alg.flavor == "lie":
+        gens.append(Matrix.identity(n).flatten())
+    return Subspace.from_spanning(gens, n * n)
+
+
 def solve_structures(alg: AlgebraSpec, kind: StructureKind) -> HomSolution:
-    """Exact space of maps satisfying the kind's defining identity."""
+    """Exact space of maps satisfying the kind's defining identity.
+
+    The system is solved modulo the known solutions K (``_known_solutions``):
+    one unit row x_p = 0 is put in front of the compiled rows for each pivot
+    column p of K's echelon basis.  W = {x : x_p = 0 for every such p} is a
+    complement of K (K's echelon basis is the identity on its pivot
+    columns, so K meet W = 0 and dim W = ncols - dim K).  K lies inside the
+    solution space S, so every s in S splits as k + w with w = s - k in
+    S meet W: S = K + (S meet W) as a direct sum, and the kernel of the cut
+    system is exactly S meet W.  The result K + (S meet W) is therefore the
+    same canonical subspace S as the kernel of the uncut system.  Once the
+    cut system has full rank, S meet W = 0 and ``nullspace_of_rows`` stops
+    reading rows.
+    """
     if kind.tag == "multiplicative-check-only":
         raise ValueError(
             "the multiplicativity condition is not linear; use is_multiplicative "
@@ -260,7 +297,15 @@ def solve_structures(alg: AlgebraSpec, kind: StructureKind) -> HomSolution:
     if kind.tag == "hom-lie" and alg.is_anticommutative():
         if not _alternation_reduction_is_sound():
             raise AssertionError("triple-reduction self-check failed")  # pragma: no cover
-    space = nullspace_of_rows(alg.dim * alg.dim, _structure_rows(alg, kind))
+    known = _known_solutions(alg, kind)
+    cuts = ({p: Fraction(1)} for p in known.pivot_cols())
+    rest = nullspace_of_rows(alg.dim * alg.dim, chain(cuts, _structure_rows(alg, kind)))
+    if not rest.dim:
+        space = known
+    elif not known.dim:
+        space = rest
+    else:
+        space = known.sum(rest)
     return HomSolution(alg, kind, space)
 
 

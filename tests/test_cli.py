@@ -144,6 +144,28 @@ def test_validate_duplicate_table_entry_is_usage_error(capsys, tmp_path):
     assert err.startswith("error:") and "(0, 1)" in err
 
 
+def test_solve_on_law_violating_file_is_usage_error(capsys, tmp_path):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"dim": 1, "flavor": "lie", "table": [[0, 0, [[0, "1/1"]]]]}))
+    code, out, err = run_cli(capsys, "solve", "--algebra", str(f))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "anticommutativity fails on basis tuple (0, 0): residual (2/1)" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize(
+    "doc,field",
+    [({"dim": "2", "flavor": "lie", "table": []}, "'dim'"), ({"dim": 2, "table": []}, "'flavor'")],
+)
+def test_bad_dim_or_missing_flavor_is_usage_error(capsys, tmp_path, command, doc, field):
+    f = tmp_path / "alg.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--algebra", str(f))
+    assert code == 2
+    assert err.startswith("error:") and field in err
+
+
 def test_reproduce_single(capsys):
     code, doc = run_json(capsys, "reproduce", "prop-2.1")
     assert code == 0

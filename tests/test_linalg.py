@@ -113,6 +113,24 @@ def test_streamed_rows_match_matrix_nullspace():
     assert nullspace_of_rows(3, iter(rows)) == nullspace(dense)
 
 
+def _rows_then_raise(rows):
+    yield from rows
+    raise AssertionError("a row past full rank was pulled")
+
+
+def test_streamed_rows_stop_at_full_rank():
+    rows = [{0: F(1), 1: F(1)}, {0: F(1), 1: F(1)}, {1: F(2)}]  # full rank at the third row
+    assert nullspace_of_rows(2, _rows_then_raise(rows)) == Subspace.zero(2)
+
+
+def test_rank_deficient_stream_is_read_to_the_end():
+    pulled = []
+    rows = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}, {0: F(-1), 1: F(-1)}]
+    ns = nullspace_of_rows(2, (pulled.append(r) or r for r in rows))
+    assert pulled == rows
+    assert ns == Subspace.from_spanning([[1, -1]], 2)
+
+
 @st.composite
 def subspace_pairs(draw):
     n = draw(st.integers(min_value=1, max_value=4))

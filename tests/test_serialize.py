@@ -53,6 +53,22 @@ def test_duplicate_table_entry_is_rejected():
         algebra_from_json(doc)
 
 
+@pytest.mark.parametrize("dim", ["2", 2.0, True, -1, None])
+def test_dim_must_be_a_nonnegative_integer(dim):
+    doc = {"dim": dim, "flavor": "lie", "table": []}
+    with pytest.raises(ValueError, match="'dim'"):
+        algebra_from_json(doc)
+
+
+@pytest.mark.parametrize("flavor", [None, "partial-anticommutative", "Lie"])
+def test_flavor_must_be_declared_and_known(flavor):
+    doc = {"dim": 2, "table": []}
+    if flavor is not None:
+        doc["flavor"] = flavor
+    with pytest.raises(ValueError, match="'flavor'"):
+        algebra_from_json(doc)
+
+
 def test_zero_denominator_is_rejected():
     with pytest.raises(ValueError, match="'1/0'"):
         parse_scalar("1/0")

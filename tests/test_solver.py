@@ -1,11 +1,13 @@
 import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from homlie.algebra import builtin, killing_form
+from homlie.algebra import builtin, killing_form, make_algebra
+from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import central_extension, cocycle2, tensor_lie
-from homlie.linalg import Matrix, Subspace
+from homlie.linalg import Matrix, RowAccumulator, Subspace
 from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
@@ -24,9 +26,27 @@ from homlie.solver import (
     solve_structures,
     structure_residual,
     tensor_formula_span,
+    _known_solutions,
+    _structure_rows,
 )
 
 F = Fraction
+
+
+def _full_consumption(alg, kind):
+    """Reference solve: eliminate every compiled row, with no known solutions."""
+    acc = RowAccumulator(alg.dim ** 2)
+    for row in _structure_rows(alg, kind):
+        acc.add(row)
+    return acc.nullspace()
+
+
+@cache
+def _battery():
+    # e0 e1 = e0 has different left and right annihilators (e1 and e0), which
+    # no (anti)commutative algebra of the batteries tells apart
+    one_sided = make_algebra(2, {(0, 1): [(0, 1)]})
+    return builtin_battery() + random_lie_battery() + [("one-sided", one_sided)]
 
 
 # -- structure solves ---------------------------------------------------------
@@ -38,12 +58,37 @@ def test_homlie_sl2_dimension():
     assert sol.contains_map(Matrix.identity(3))
 
 
-@pytest.mark.parametrize("name,param", [("sl", 3), ("so", 5), ("sp", 4)])
+@pytest.mark.parametrize(
+    "name,param",
+    [("sl", 3), ("so", 5), ("sp", 4), ("sl", 5), ("sl", 6), ("so", 7), ("sp", 6)],
+)
 def test_homlie_trivial_on_larger_classical(name, param):
     alg = builtin(name, param)
     sol = solve_structures(alg, HOM_LIE)
     assert sol.dim == 1
     assert sol.contains_map(Matrix.identity(alg.dim))
+    assert sol.space == _full_consumption(alg, HOM_LIE)
+
+
+@pytest.mark.parametrize("kind", [HOM_LIE, HOM_CYCLIC, HOM_2NILP], ids=str)
+def test_known_solutions_have_zero_residual_everywhere(kind):
+    # the certificate is checked by the independent evaluator, not assumed
+    for name, alg in _battery():
+        n = alg.dim
+        for v in _known_solutions(alg, kind).basis.data:
+            phi = Matrix.unflatten(v, n, n)
+            for triple in itertools.product(range(n), repeat=3):
+                assert not any(structure_residual(alg, phi, kind, triple)), (name, triple)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [HOM_LIE, HOM_CYCLIC, HOM_2NILP] + [delta_derivation(d) for d in ("-1", "1/2", "1", "2")],
+    ids=str,
+)
+def test_solve_matches_full_consumption(kind):
+    for name, alg in _battery():
+        assert solve_structures(alg, kind).space == _full_consumption(alg, kind), name
 
 
 def test_homlie_abelian_unconstrained():

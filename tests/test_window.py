@@ -5,8 +5,8 @@ import pytest
 
 from homlie.algebra import builtin, killing_form
 from homlie.constructions import BasisLabel, PartialAlgebra, km_window
-from homlie.linalg import Matrix, Subspace, nullspace_of_rows
-from homlie.solver import is_multiplicative
+from homlie.linalg import Matrix, RowAccumulator, Subspace, nullspace_of_rows
+from homlie.solver import _hom_generic_rows, is_multiplicative
 from homlie.window import (
     beta_map,
     central_maps,
@@ -109,6 +109,26 @@ def test_block_solutions_have_zero_residuals(model, n_window):
             for tri in itertools.combinations(range(n), 3):
                 r = window_jacobi_residual(pa, phi, tri, shift)
                 assert r is None or not any(r)
+
+
+@pytest.mark.parametrize("model, n_window", WINDOW_MODELS)
+def test_blocks_match_full_consumption(model, n_window):
+    # reference: every compiled row of the block eliminated, no early exit
+    pa = model(n_window)
+    n = pa.dim
+    for shift in window_shifts(pa):
+        cols = [(u, c) for u in range(n) for c in range(n) if pa.degree(u) == pa.degree(c) + shift]
+        block = (pa.degree, shift, {uc: i for i, uc in enumerate(cols)})
+        acc = RowAccumulator(len(cols))
+        for row in _hom_generic_rows(pa, itertools.combinations(range(n), 3), "jacobi", block):
+            acc.add(row)
+        embedded = []
+        for v in acc.nullspace().basis.data:
+            dense = [F(0)] * (n * n)
+            for (u, c), x in zip(cols, v):
+                dense[u * n + c] = x
+            embedded.append(dense)
+        assert Subspace.from_spanning(_solve_block(pa, shift), n * n) == Subspace.from_spanning(embedded, n * n)
 
 
 def test_block_is_the_kernel_of_the_imposable_residuals():
