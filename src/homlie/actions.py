@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt, lcm
 from typing import Sequence
 
 from .algebra import AlgebraSpec, _require_lie
-from .linalg import Matrix, Subspace, Vector, as_scalar, nullspace
+from .linalg import Matrix, Subspace, Vector, as_scalar, minimal_polynomial, nullspace
 
 
 class NotSubmodule(ValueError):
@@ -80,22 +80,35 @@ def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace) -> Matri
     return Matrix(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)), k)
 
 
-def rational_eigenvalues(m: Matrix) -> dict[Fraction, int]:
-    """Rational roots of the characteristic polynomial with multiplicities.
+def rational_eigenvalues(m: Matrix) -> list[Fraction]:
+    """Distinct rational eigenvalues of a square matrix, ascending.
 
-    Uses sympy's exact ground-root extraction; imported lazily so the rest
-    of the package has no heavyweight import cost.
+    With D the lcm of the entries' denominators, the minimal polynomial of
+    D*m is monic with integer coefficients (it divides the characteristic
+    polynomial, Gauss's lemma), so its rational roots are integers r.  Each
+    divides the lowest nonzero coefficient c and has |r| at most the largest
+    absolute row sum B of D*m; the candidates are found by trial division up
+    to min(B, sqrt|c|), checked by exact evaluation, and returned as r/D.
+    That search bounds the reach: eigenvalues (times D) near 10^6 take a
+    fraction of a second, near 10^12 they are out of reach.
     """
-    import sympy
+    denom = lcm(*(v.denominator for r in m.data for v in r))
+    scaled = m.scale(denom)
+    poly = [c.numerator for c in minimal_polynomial(scaled)]
+    low = next(i for i, c in enumerate(poly) if c)
+    c = abs(poly[low])
+    bound = max((sum(abs(v.numerator) for v in r) for r in scaled.data), default=0)
+    divisors = [r for r in range(1, min(bound, isqrt(c)) + 1) if not c % r]
+    candidates = {s * x for r in divisors for x in (r, c // r) if x <= bound for s in (1, -1)}
 
-    n = m.rows
-    sm = sympy.Matrix(n, n, [sympy.Rational(v.numerator, v.denominator) for r in m.data for v in r])
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sm.charpoly(x).as_expr(), x)
-    roots = {}
-    for root, mult in poly.ground_roots().items():
-        roots[Fraction(int(root.p), int(root.q))] = int(mult)
-    return roots
+    def value(x: int) -> int:
+        acc = 0
+        for coeff in reversed(poly):
+            acc = acc * x + coeff
+        return acc
+
+    roots = [x for x in candidates if value(x) == 0] + ([0] if low else [])
+    return sorted(Fraction(x, denom) for x in roots)
 
 
 def _eigen_subspaces(alg: AlgebraSpec, h: Vector, s: Subspace) -> list[tuple[Fraction, Subspace]]:
@@ -106,11 +119,9 @@ def _eigen_subspaces(alg: AlgebraSpec, h: Vector, s: Subspace) -> list[tuple[Fra
     a = action_matrix(alg, h, s)
     pieces = []
     covered = 0
-    for lam in sorted(rational_eigenvalues(a)):
+    for lam in rational_eigenvalues(a):
         shifted = a - Matrix.identity(a.rows).scale(lam)
         kern = nullspace(shifted)
-        if kern.dim == 0:
-            continue
         vectors = []
         for c in kern.basis.data:
             dense = [Fraction(0)] * s.ambient

@@ -70,9 +70,16 @@ def _emit(doc, as_json: bool, human: str) -> None:
         print(human)
 
 
+def _parse_kind(text: str):
+    try:
+        return parse_kind(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"--kind: {e}")
+
+
 def _cmd_solve(args) -> int:
     alg = _resolve_algebra(args.algebra)
-    kind = parse_kind(args.kind)
+    kind = _parse_kind(args.kind)
     sol = solve_structures(alg, kind)
     doc = solution_to_json(str(kind), algebra_to_json(alg), sol.space, alg.dim)
     _emit(doc, args.json, f"{args.kind} on {args.algebra}: solution space of dim {sol.dim}")
@@ -104,29 +111,33 @@ def _cmd_qder(args) -> int:
     return 0
 
 
-def _parse_indices(text: str) -> list[int]:
+def _parse_indices(flag: str, text: str, dim: int) -> list[int]:
     try:
-        return [int(p) for p in text.split(",") if p != ""]
+        idx = [int(p) for p in text.split(",") if p != ""]
     except ValueError:
-        raise UsageError(f"expected comma-separated indices, got {text!r}")
+        raise UsageError(f"{flag}: expected comma-separated indices, got {text!r}")
+    bad = [i for i in idx if not 0 <= i < dim]
+    if bad:
+        raise UsageError(f"{flag}: basis index {bad[0]} out of range for dim {dim}")
+    return idx
 
 
 def _cmd_decompose(args) -> int:
     alg = _resolve_algebra(args.algebra)
-    sol = solve_structures(alg, parse_kind(args.kind))
+    sol = solve_structures(alg, _parse_kind(args.kind))
     doc: dict = {"algebra": algebra_to_json(alg), "kind": args.kind, "space_dim": sol.dim}
     lines = [f"{args.kind} space on {args.algebra}: dim {sol.dim}"]
     if args.torus is None and args.triple is None:
         raise UsageError("decompose needs --torus and/or --triple")
     if args.torus is not None:
-        torus = [alg.basis_vector(i) for i in _parse_indices(args.torus)]
+        torus = [alg.basis_vector(i) for i in _parse_indices("--torus", args.torus, alg.dim)]
         comps = weight_decompose(alg, torus, sol.space)
         doc["weights"] = [
             {"weight": [format_scalar(w) for w in c.weight], "dim": c.component.dim} for c in comps
         ]
         lines += [f"  weight {tuple(str(w) for w in c.weight)}: dim {c.component.dim}" for c in comps]
     if args.triple is not None:
-        idx = _parse_indices(args.triple)
+        idx = _parse_indices("--triple", args.triple, alg.dim)
         if len(idx) != 3:
             raise UsageError("--triple needs exactly three indices")
         triple = tuple(alg.basis_vector(i) for i in idx)
@@ -195,6 +206,8 @@ def _load_twist(path: str, dim: int):
 
 
 def _cmd_window(args) -> int:
+    if args.window < 2:
+        raise UsageError(f"--window must be at least 2, got {args.window}")
     alg = _resolve_algebra(args.algebra)
     twist = _load_twist(args.twist, alg.dim) if args.twist else None
     pa = km_window(alg, killing_form(alg), args.window, twist=twist)

@@ -18,7 +18,6 @@ from .algebra import (
     BilinearForm,
     LawViolation,
     _require_lie,
-    jacobi_residual,
     make_algebra,
 )
 from .linalg import (
@@ -127,29 +126,14 @@ def tensor_lie(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
     names = tuple(
         f"{an}(x){bn}" for an in a.basis_names for bn in b.basis_names
     )
-    candidate = make_algebra(dim, table, basis_names=names, flavor="generic-anticommutative")
-    witness = None
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                r = jacobi_residual(
-                    candidate,
-                    candidate.basis_vector(i),
-                    candidate.basis_vector(j),
-                    candidate.basis_vector(k),
-                )
-                if not is_zero_vector(r):
-                    witness = (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    if witness is None:
+    try:
         return make_algebra(dim, table, basis_names=names, flavor="lie")
-    return make_algebra(
-        dim, table, basis_names=names, flavor="generic-anticommutative", jacobi_witness=witness
-    )
+    except LawViolation as e:
+        if e.law != "jacobi":
+            raise
+        return make_algebra(
+            dim, table, basis_names=names, flavor="generic-anticommutative", jacobi_witness=e.witness
+        )
 
 
 def derivation_defect(a: AlgebraSpec, d: Matrix) -> tuple[tuple[int, int], Vector] | None:

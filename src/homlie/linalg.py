@@ -90,12 +90,6 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.data)
-
     def transpose(self) -> "Matrix":
         return Matrix(tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)), self.rows)
 
@@ -494,3 +488,21 @@ class SpanSolver:
         if residual:
             return None
         return tuple(combo.get(i, Fraction(0)) for i in range(self.k))
+
+
+def minimal_polynomial(m: Matrix) -> Vector:
+    """Coefficients c_0, ..., c_(d-1), 1 of the monic minimal polynomial of
+    a square matrix: d is the smallest power with m^d in span(I, ..., m^(d-1)).
+    """
+    if m.rows != m.cols:
+        raise ValueError("minimal polynomial of a non-square matrix")
+    n = m.rows
+    acc = RowAccumulator(n * n)
+    powers: list[Vector] = []
+    power = Matrix.identity(n)
+    while acc.add_dense(power.flatten()):
+        powers.append(power.flatten())
+        power = power @ m
+    coeffs = SpanSolver(powers, n * n).express(power.flatten())
+    assert coeffs is not None  # m^d is dependent on the lower powers
+    return tuple(-c for c in coeffs) + (Fraction(1),)

@@ -50,18 +50,42 @@ def algebra_from_json(doc: Mapping[str, Any]) -> AlgebraSpec:
     flavor = doc.get("flavor")
     if flavor not in FLAVORS:
         raise ValueError(f"field 'flavor' must be one of {', '.join(FLAVORS)}; got {flavor!r}")
+    basis = doc.get("basis")
+    if basis is not None and not _is_list_of(basis, str, dim):
+        raise ValueError(f"field 'basis' must be null or a list of {dim} strings, got {basis!r}")
+    grading = doc.get("grading")
+    if grading is not None and not _is_list_of(grading, int, dim):
+        raise ValueError(f"field 'grading' must be null or a list of {dim} integers, got {grading!r}")
+    table = doc.get("table", [])
+    if not isinstance(table, list):
+        raise ValueError(f"field 'table' must be a list, got {table!r}")
     raw: dict = {}
-    for i, j, terms in doc.get("table", []):
-        pair = (int(i), int(j))
-        if pair in raw:
-            raise ValueError(f"duplicate table entry for pair {pair}")
-        raw[pair] = [(int(k), parse_scalar(c)) for k, c in terms]
-    return make_algebra(
-        dim,
-        raw,
-        basis_names=doc.get("basis"),
-        flavor=flavor,
-        grading=doc.get("grading"),
+    for entry in table:
+        if not _is_table_entry(entry):
+            raise ValueError(f"field 'table': entry {entry!r} is not [int, int, [[int, scalar], ...]]")
+        i, j, terms = entry
+        if (i, j) in raw:
+            raise ValueError(f"duplicate table entry for pair {(i, j)}")
+        raw[(i, j)] = [(k, parse_scalar(c)) for k, c in terms]
+    return make_algebra(dim, raw, basis_names=basis, flavor=flavor, grading=grading)
+
+
+def _is_list_of(value, kind: type, length: int) -> bool:
+    """A JSON list of ``length`` values of exactly ``kind`` (no bool for int)."""
+    return isinstance(value, list) and len(value) == length and all(type(x) is kind for x in value)
+
+
+def _is_table_entry(entry) -> bool:
+    """[i, j, [[k, scalar], ...]] with integer indices and int or string scalars."""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 3
+        and _is_list_of(entry[:2], int, 2)
+        and isinstance(entry[2], list)
+        and all(
+            isinstance(t, list) and len(t) == 2 and type(t[0]) is int and type(t[1]) in (int, str)
+            for t in entry[2]
+        )
     )
 
 

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from homlie.actions import (
+    NonSplitAction,
     NotSubmodule,
     act,
     conjugate,
@@ -93,9 +95,73 @@ def test_weight_decompose_rejects_non_submodules():
 
 def test_rational_eigenvalues():
     m = Matrix.from_rows([[2, 1], [0, F(1, 2)]])
-    assert rational_eigenvalues(m) == {F(2): 1, F(1, 2): 1}
+    assert rational_eigenvalues(m) == [F(1, 2), F(2)]
     rotation = Matrix.from_rows([[0, -1], [1, 0]])  # eigenvalues +-i
-    assert rational_eigenvalues(rotation) == {}
+    assert rational_eigenvalues(rotation) == []
+
+
+def _conjugated(rng, rows):
+    """rows conjugated by random elementary matrices E = I + c e_ij:
+    E A E^-1 adds c * row j to row i, then -c * column i to column j."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = F(rng.randint(-2, 2), rng.choice([1, 2]))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for r in a:
+            r[j] -= c * r[i]
+    return Matrix.from_rows(a)
+
+
+def _battery_matrix(rng, style, n):
+    if style == "random":  # mostly irrational or complex spectrum
+        return Matrix.from_rows(
+            [[F(rng.randint(-4, 4), rng.choice([1, 2, 3])) if rng.random() < 0.6 else 0 for _ in range(n)]
+             for _ in range(n)]
+        )
+    eig = [F(rng.randint(-5, 5), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+    rows = [[eig[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    if style == "jordan":  # repeat an eigenvalue and chain it: not diagonalizable
+        for i in range(1, n):
+            if rng.random() < 0.5:
+                rows[i][i] = rows[i - 1][i - 1]
+                rows[i - 1][i] = 1
+    return _conjugated(rng, rows)
+
+
+def test_rational_eigenvalues_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    x = sympy.Symbol("x")
+    seen = {"non-diagonalizable": 0, "irrational spectrum": 0}
+    for trial in range(240):
+        n = rng.randint(1, 6)
+        m = _battery_matrix(rng, ("random", "split", "jordan")[trial % 3], n)
+        sm = sympy.Matrix(n, n, [sympy.Rational(v.numerator, v.denominator) for r in m.data for v in r])
+        roots = sympy.Poly(sm.charpoly(x).as_expr(), x).ground_roots()
+        assert rational_eigenvalues(m) == sorted(F(int(r.p), int(r.q)) for r in roots), m
+        seen["irrational spectrum"] += sum(roots.values()) < n
+        seen["non-diagonalizable"] += sum(roots.values()) == n and not sm.is_diagonalizable()
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_rational_eigenvalues_near_a_million():
+    m = Matrix.from_rows([[10**6, 0, 0], [0, -(10**6) + 3, 0], [0, 0, F(1, 7)]])
+    start = time.process_time()
+    assert rational_eigenvalues(m) == [F(-(10**6) + 3), F(1, 7), F(10**6)]
+    assert time.process_time() - start < 1.0
+
+
+def test_non_split_actions_fail_loudly():
+    assert rational_eigenvalues(Matrix.from_rows([[2, 1], [0, 2]])) == [F(2)]
+    sl2 = builtin("sl", 2)
+    raiser = sl2.basis_vector(2)  # ad-nilpotent: its action on End is a sum of Jordan blocks
+    with pytest.raises(NonSplitAction):
+        weight_decompose(sl2, [raiser], Subspace.full(9))
+    rotation = tuple(a - b for a, b in zip(sl2.basis_vector(2), sl2.basis_vector(0)))  # eigenvalues +-2i
+    with pytest.raises(NonSplitAction):
+        weight_decompose(sl2, [rotation], Subspace.full(9))
 
 
 def test_sl2_decompose_values():

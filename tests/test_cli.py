@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import homlie
 from homlie.cli import main
 
 
@@ -164,6 +169,62 @@ def test_bad_dim_or_missing_flavor_is_usage_error(capsys, tmp_path, command, doc
     code, out, err = run_cli(capsys, command, "--algebra", str(f))
     assert code == 2
     assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("basis", [1, 2]),
+        ("basis", 5),
+        ("basis", ["only-one"]),
+        ("grading", "ab"),
+        ("grading", [0, True]),
+        ("grading", [0]),
+        ("table", {}),
+        ("table", [[0, 1]]),
+        ("table", [["0", 1, [[0, "1"]]]]),
+        ("table", [[0, 1, [[0]]]]),
+        ("table", [[0, 1, [[0, 0.5]]]]),
+    ],
+)
+def test_malformed_field_is_usage_error(capsys, tmp_path, command, field, value):
+    f = tmp_path / "alg.json"
+    f.write_text(json.dumps({"dim": 2, "flavor": "lie", "table": [], field: value}))
+    code, out, err = run_cli(capsys, command, "--algebra", str(f))
+    assert code == 2
+    assert err.startswith("error:") and f"'{field}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["solve", "--algebra", "sl2", "--kind", "bogus"], "--kind"),
+        (["solve", "--algebra", "sl2", "--kind", "delta:1/0"], "--kind"),
+        (["decompose", "--algebra", "sl2", "--torus", "7"], "--torus"),
+        (["decompose", "--algebra", "sl2", "--triple", "0,1,9"], "--triple"),
+        (["window", "--algebra", "sl2", "--window", "1"], "--window"),
+    ],
+)
+def test_bad_argument_is_usage_error(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and flag in err
+
+
+def test_decompose_and_reproduce_do_not_import_sympy():
+    script = (
+        "import sys\n"
+        "from homlie.cli import main\n"
+        "assert main(['decompose', '--algebra', 'sl2', '--triple', '0,1,2']) == 0\n"
+        "assert main(['reproduce', 'prop-2.1']) == 0\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = str(Path(homlie.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert "irreducible dims: [5, 1]" in result.stdout
 
 
 def test_reproduce_single(capsys):

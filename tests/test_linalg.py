@@ -8,6 +8,7 @@ from homlie.linalg import (
     RowAccumulator,
     SpanSolver,
     Subspace,
+    minimal_polynomial,
     nullspace,
     nullspace_of_rows,
     rref,
@@ -225,3 +226,15 @@ def test_accumulator_deduplicates_and_ranks():
     assert not acc.add({0: F(2), 1: F(2)})  # scalar multiple
     assert acc.add({1: F(1)})
     assert acc.rank == 2
+
+
+def test_minimal_polynomial():
+    assert minimal_polynomial(Matrix((), 0)) == (F(1),)
+    assert minimal_polynomial(Matrix.identity(3)) == (F(-1), F(1))
+    assert minimal_polynomial(Matrix.zeros(2, 2)) == (F(0), F(1))
+    # (x - 1)(x - 2) for diag(1, 1, 2); (x - 2)^2 for a Jordan block
+    assert minimal_polynomial(Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]])) == (F(2), F(-3), F(1))
+    assert minimal_polynomial(Matrix.from_rows([[2, 1], [0, 2]])) == (F(4), F(-4), F(1))
+    assert minimal_polynomial(Matrix.from_rows([[0, -1], [1, 0]])) == (F(1), F(0), F(1))
+    with pytest.raises(ValueError):
+        minimal_polynomial(Matrix.zeros(2, 3))

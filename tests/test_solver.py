@@ -7,7 +7,7 @@ import pytest
 from homlie.algebra import builtin, killing_form, make_algebra
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import central_extension, cocycle2, tensor_lie
-from homlie.linalg import Matrix, RowAccumulator, Subspace
+from homlie.linalg import Matrix, RowAccumulator, Subspace, nullspace_of_rows
 from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
@@ -26,6 +26,7 @@ from homlie.solver import (
     solve_structures,
     structure_residual,
     tensor_formula_span,
+    _hom_generic_rows,
     _known_solutions,
     _structure_rows,
 )
@@ -50,6 +51,22 @@ def _battery():
 
 
 # -- structure solves ---------------------------------------------------------
+
+
+def test_sorted_triples_solve_the_ordered_hom_jacobi_system():
+    # the proof is in _structure_rows' docstring; the tensor has a Jacobi defect
+    defect = make_algebra(
+        3,
+        {(0, 1): [(2, 1)], (1, 0): [(2, -1)], (1, 2): [(1, 1)], (2, 1): [(1, -1)]},
+        flavor="generic-anticommutative",
+    )
+    tensor = tensor_lie(builtin("trunc_poly", 2), defect)
+    assert tensor.jacobi_witness is not None
+    algebras = [(name, alg) for name, alg in _battery() if alg.is_anticommutative()]
+    for name, alg in algebras + [("trunc_poly:2 (x) defect", tensor)]:
+        n = alg.dim
+        ordered = _hom_generic_rows(alg, itertools.product(range(n), repeat=3), "jacobi")
+        assert _full_consumption(alg, HOM_LIE) == nullspace_of_rows(n * n, ordered), name
 
 
 def test_homlie_sl2_dimension():
