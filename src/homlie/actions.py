@@ -166,7 +166,7 @@ def weight_decompose(
     return [WeightComponent(w, c) for w, c in sorted(components, key=lambda wc: wc[0])]
 
 
-def _is_sl2_triple(alg: AlgebraSpec, lower: Vector, h: Vector, raiser: Vector) -> bool:
+def is_sl2_triple(alg: AlgebraSpec, lower: Vector, h: Vector, raiser: Vector) -> bool:
     """Relations of the 3-dimensional simple algebra in the fixed convention:
     [lower, h] = -lower, [raiser, h] = raiser, [lower, raiser] = h."""
     neg = tuple(-a for a in lower)
@@ -190,7 +190,7 @@ def sl2_decompose(
     m consecutive weights centred at zero, each with multiplicity one.
     """
     lower, h, raiser = (tuple(as_scalar(a) for a in v) for v in triple)
-    if not _is_sl2_triple(alg, lower, h, raiser):
+    if not is_sl2_triple(alg, lower, h, raiser):
         raise ValueError("supplied vectors do not satisfy the triple relations")
     comps = weight_decompose(alg, [h], s)
     mult: dict[Fraction, int] = {c.weight[0]: c.component.dim for c in comps}

@@ -17,11 +17,14 @@ from .linalg import (
     Matrix,
     RowAccumulator,
     SpanSolver,
+    SparseVector,
     Subspace,
     Vector,
     as_scalar,
-    is_zero_vector,
-    vec_add,
+    dense_vector,
+    int_if_integral,
+    sparse_lincomb,
+    sparse_vector,
 )
 
 FLAVORS = (
@@ -48,6 +51,24 @@ class LawViolation(ValueError):
 
 
 Table = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+
+
+def int_table(table: Table) -> dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]:
+    """The table with integral constants as ints (``int_if_integral``), for
+    loops that multiply many of them."""
+    return {pair: tuple((k, int_if_integral(c)) for k, c in terms) for pair, terms in table.items()}
+
+
+def sparse_product(table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]], u: Mapping[int, Fraction],
+                   v: Mapping[int, Fraction]) -> SparseVector:
+    """u*v for sparse vectors, read straight from a structure table: each
+    pair of nonzero coordinates (i, j) contributes ``table[(i, j)]``."""
+    out: dict[int, Fraction] = {}
+    for i, ui in u.items():
+        for j, vj in v.items():
+            for k, c in table.get((i, j), ()):
+                out[k] = out.get(k, 0) + ui * vj * c
+    return {k: c for k, c in out.items() if c}
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +104,7 @@ class AlgebraSpec:
         return tuple(out)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return _basis_vector(i, self.dim)
 
     def is_anticommutative(self) -> bool:
         return self.flavor in ANTICOMMUTATIVE_FLAVORS
@@ -93,13 +114,22 @@ class AlgebraSpec:
 
     def right_mul_matrix(self, v: Sequence[Fraction]) -> Matrix:
         """Matrix of x -> x*v in the basis."""
-        cols = [self.multiply(self.basis_vector(j), v) for j in range(self.dim)]
-        return Matrix(tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim)), self.dim)
+        sv = sparse_vector(v)
+        return self._columns_matrix(sparse_product(self.table, {j: 1}, sv) for j in range(self.dim))
 
     def left_mul_matrix(self, v: Sequence[Fraction]) -> Matrix:
         """Matrix of x -> v*x in the basis (``ad v`` for Lie flavors)."""
-        cols = [self.multiply(v, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix(tuple(tuple(cols[j][i] for j in range(self.dim)) for i in range(self.dim)), self.dim)
+        sv = sparse_vector(v)
+        return self._columns_matrix(sparse_product(self.table, sv, {j: 1}) for j in range(self.dim))
+
+    def _columns_matrix(self, cols: Iterable[Mapping[int, Fraction]]) -> Matrix:
+        return Matrix.from_sparse(self.dim, self.dim, {(i, j): c for j, col in enumerate(cols) for i, c in col.items()})
+
+
+def _basis_vector(i: int, dim: int) -> Vector:
+    if not 0 <= i < dim:
+        raise IndexError(f"basis index {i} out of range for dim {dim}")
+    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
 def _clean_table(dim: int, raw: Mapping[tuple[int, int], Iterable]) -> Table:
@@ -121,58 +151,62 @@ def _clean_table(dim: int, raw: Mapping[tuple[int, int], Iterable]) -> Table:
 
 
 def _check_laws(alg: AlgebraSpec) -> None:
-    n = alg.dim
-    basis = [alg.basis_vector(i) for i in range(n)]
+    """Check the flavor's laws on every basis tuple, walking the table; the
+    first failing tuple (in lexicographic order) is the witness."""
+    n, table = alg.dim, int_table(alg.table)
+    unit = [{i: 1} for i in range(n)]
+    prod = {pair: dict(terms) for pair, terms in table.items()}
+
+    def e(i: int, j: int) -> SparseVector:  # e_i e_j
+        return prod.get((i, j), {})
+
+    def require(law: str, witness: tuple[int, ...], residual: SparseVector) -> None:
+        if residual:
+            raise LawViolation(law, witness, dense_vector(residual, n))
+
     if alg.flavor in ANTICOMMUTATIVE_FLAVORS:
         for i in range(n):
             for j in range(i, n):
-                lhs = alg.multiply(basis[i], basis[j])
-                rhs = alg.multiply(basis[j], basis[i])
-                residual = vec_add(lhs, rhs)
-                if not is_zero_vector(residual):
-                    raise LawViolation("anticommutativity", (i, j), residual)
+                require("anticommutativity", (i, j), sparse_lincomb((1, e(i, j)), (1, e(j, i))))
     if alg.flavor in COMMUTATIVE_FLAVORS:
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = alg.multiply(basis[i], basis[j])
-                rhs = alg.multiply(basis[j], basis[i])
-                residual = tuple(a - b for a, b in zip(lhs, rhs))
-                if not is_zero_vector(residual):
-                    raise LawViolation("commutativity", (i, j), residual)
+                require("commutativity", (i, j), sparse_lincomb((1, e(i, j)), (-1, e(j, i))))
     if alg.flavor == "lie":
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    residual = jacobi_residual(alg, basis[i], basis[j], basis[k])
-                    if not is_zero_vector(residual):
-                        raise LawViolation("jacobi", (i, j, k), residual)
+                    require("jacobi", (i, j, k), jacobi_residual(table, unit[i], unit[j], unit[k]))
     if alg.flavor == "commutative-associative":
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = alg.multiply(alg.multiply(basis[i], basis[j]), basis[k])
-                    rhs = alg.multiply(basis[i], alg.multiply(basis[j], basis[k]))
-                    residual = tuple(a - b for a, b in zip(lhs, rhs))
-                    if not is_zero_vector(residual):
-                        raise LawViolation("associativity", (i, j, k), residual)
+                    lhs = sparse_product(table, e(i, j), unit[k])
+                    rhs = sparse_product(table, unit[i], e(j, k))
+                    require("associativity", (i, j, k), sparse_lincomb((1, lhs), (-1, rhs)))
     if alg.grading is not None:
         if len(alg.grading) != n:
             raise ValueError("grading must assign a degree to every basis vector")
-        for (i, j), terms in alg.table.items():
+        for (i, j), terms in table.items():
             want = alg.grading[i] + alg.grading[j]
             for k, _ in terms:
                 if alg.grading[k] != want:
-                    raise LawViolation(
-                        "grading", (i, j, k), alg.multiply(basis[i], basis[j])
-                    )
+                    require("grading", (i, j, k), e(i, j))
 
 
-def jacobi_residual(alg: AlgebraSpec, x: Vector, y: Vector, z: Vector) -> Vector:
-    """(xy)z + (zx)y + (yz)x, the Jacobi defect for anticommutative products."""
-    t1 = alg.multiply(alg.multiply(x, y), z)
-    t2 = alg.multiply(alg.multiply(z, x), y)
-    t3 = alg.multiply(alg.multiply(y, z), x)
-    return tuple(a + b + c for a, b, c in zip(t1, t2, t3))
+def jacobi_residual(
+    t: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]],
+    x: Mapping[int, Fraction],
+    y: Mapping[int, Fraction],
+    z: Mapping[int, Fraction],
+) -> SparseVector:
+    """(xy)z + (zx)y + (yz)x for sparse vectors over the table ``t``, the
+    Jacobi defect for anticommutative products."""
+    return sparse_lincomb(
+        (1, sparse_product(t, sparse_product(t, x, y), z)),
+        (1, sparse_product(t, sparse_product(t, z, x), y)),
+        (1, sparse_product(t, sparse_product(t, y, z), x)),
+    )
 
 
 def make_algebra(
@@ -209,24 +243,33 @@ def make_algebra(
 # ---------------------------------------------------------------------------
 
 
-def _from_matrices(mats: Sequence[Matrix], names: Sequence[str], *, bracket: bool = True) -> AlgebraSpec:
+def _from_matrices(mats: Sequence[Matrix], names: Sequence[str]) -> AlgebraSpec:
     """Structure constants of a span of matrices closed under commutator."""
     n = len(mats)
     size = mats[0].rows
+    flat = [sparse_vector(m.flatten()) for m in mats]
     solver = SpanSolver([m.flatten() for m in mats], size * size)
+    # E_rk E_kc = E_rc: the matrix product of flattened matrices is the
+    # sparse product over the table of the matrix units
+    units = {
+        (r * size + k, k * size + c): ((r * size + c, 1),)
+        for r in range(size)
+        for k in range(size)
+        for c in range(size)
+    }
     table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for i in range(n):
         for j in range(n):
-            prod = mats[i] @ mats[j]
-            if bracket:
-                prod = prod - (mats[j] @ mats[i])
-            coords = solver.express(prod.flatten())
+            bracket = sparse_lincomb(
+                (1, sparse_product(units, flat[i], flat[j])), (-1, sparse_product(units, flat[j], flat[i]))
+            )
+            coords = solver.express(bracket)
             if coords is None:
                 raise ValueError(f"matrix span is not closed at pair ({i},{j})")
             entry = [(k, c) for k, c in enumerate(coords) if c]
             if entry:
                 table[(i, j)] = entry
-    return make_algebra(n, table, basis_names=names, flavor="lie" if bracket else "unchecked")
+    return make_algebra(n, table, basis_names=names, flavor="lie")
 
 
 def _unit_matrix(size: int, i: int, j: int) -> Matrix:
@@ -411,12 +454,12 @@ class BilinearForm:
     def is_invariant(self, alg: AlgebraSpec) -> bool:
         """f(xy, z) == f(x, yz) on all basis triples."""
         n = alg.dim
-        basis = [alg.basis_vector(i) for i in range(n)]
+        f = self.matrix.data
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = _eval_form(self.matrix, alg.multiply(basis[i], basis[j]), basis[k])
-                    rhs = _eval_form(self.matrix, basis[i], alg.multiply(basis[j], basis[k]))
+                    lhs = sum((c * f[p][k] for p, c in alg.product_on_basis(i, j)), Fraction(0))
+                    rhs = sum((c * f[i][p] for p, c in alg.product_on_basis(j, k)), Fraction(0))
                     if lhs != rhs:
                         return False
         return True
@@ -455,11 +498,8 @@ def structural_subspaces(alg: AlgebraSpec) -> tuple[Subspace, Subspace, Subspace
     """(center, derived subalgebra, annihilator of the derived subalgebra)."""
     _require_lie(alg, "structural_subspaces")
     n = alg.dim
-    basis = [alg.basis_vector(i) for i in range(n)]
     center = right_annihilator(alg)  # [e_j, z] = 0 for all j
-    derived = Subspace.from_spanning(
-        [alg.multiply(basis[i], basis[j]) for i in range(n) for j in range(i + 1, n)], n
-    )
+    derived = Subspace.from_spanning([dense_vector(dict(terms), n) for terms in alg.table.values()], n)
     acc = RowAccumulator(n)
     for w in derived.basis.data:
         lm = alg.left_mul_matrix(w)
@@ -470,11 +510,19 @@ def structural_subspaces(alg: AlgebraSpec) -> tuple[Subspace, Subspace, Subspace
 
 
 def killing_form(alg: AlgebraSpec) -> BilinearForm:
-    """trace(ad e_i . ad e_j); symmetric and invariant for Lie algebras."""
+    """trace(ad e_i . ad e_j); symmetric and invariant for Lie algebras.
+
+    With e_i e_m = sum_k c_im^k e_k, ``ad e_i`` has entry c_im^k at (k, m),
+    so the trace is the sum of c_im^k c_jk^m over m and k.
+    """
     _require_lie(alg, "killing_form")
     n = alg.dim
-    ads = [alg.left_mul_matrix(alg.basis_vector(i)) for i in range(n)]
-    rows = []
-    for i in range(n):
-        rows.append(tuple((ads[i] @ ads[j]).trace() for j in range(n)))
-    return BilinearForm(Matrix(tuple(rows), n))
+    prod = [[dict(alg.product_on_basis(j, k)) for k in range(n)] for j in range(n)]
+    rows = tuple(
+        tuple(
+            sum((a * prod[j][k].get(m, 0) for m in range(n) for k, a in alg.product_on_basis(i, m)), Fraction(0))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return BilinearForm(Matrix(rows, n))

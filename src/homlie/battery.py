@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .actions import act, conjugate, is_submodule
-from .algebra import AlgebraSpec, builtin, killing_form
+from .algebra import AlgebraSpec, Table, builtin, int_table, killing_form, sparse_product
 from .constructions import adjoin_map, central_extension, cocycle2, derivation_defect, semidirect_derivation
-from .linalg import Matrix, Vector
+from .linalg import Matrix, SparseVector, Vector, int_if_integral, sparse_columns, sparse_lincomb
 from .solver import (
     HOM_LIE,
     delta_derivation,
@@ -139,35 +139,57 @@ def check_submodule_property(alg: AlgebraSpec) -> str | None:
     return None
 
 
-def _jacobiator(alg: AlgebraSpec, phi: Matrix, x: Vector, y: Vector, z: Vector) -> Vector:
-    t1 = alg.multiply(alg.multiply(x, y), phi.apply(z))
-    t2 = alg.multiply(alg.multiply(z, x), phi.apply(y))
-    t3 = alg.multiply(alg.multiply(y, z), phi.apply(x))
-    return tuple(a + b + c for a, b, c in zip(t1, t2, t3))
+def _columns(m: Matrix) -> list[SparseVector]:
+    """The columns m(e_c) as sparse vectors, integral entries as ints."""
+    return [{q: int_if_integral(x) for q, x in col.items()} for col in sparse_columns(m)]
+
+
+def _jacobiator(t: Table, phi: Matrix) -> dict[tuple[int, int, int], SparseVector]:
+    """J_phi(e_i, e_j, e_k) = (e_i e_j)phi(e_k) + (e_k e_i)phi(e_j) + (e_j e_k)phi(e_i)
+    on every ordered basis triple."""
+    n = phi.rows
+    cols = _columns(phi)
+    # terms[(x, y)][z] = (e_x e_y)phi(e_z)
+    terms = {(x, y): [sparse_product(t, dict(w), cols[z]) for z in range(n)] for (x, y), w in t.items()}
+    zero = [{}] * n
+    return {
+        (i, j, k): sparse_lincomb(
+            (1, terms.get((i, j), zero)[k]), (1, terms.get((k, i), zero)[j]), (1, terms.get((j, k), zero)[i])
+        )
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    }
 
 
 def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) -> str | None:
     """J_{h.phi}(x,y,z) == h . J_phi(x,y,z) on all basis triples for random
-    h and phi (the invariance computation behind the submodule property)."""
+    h and phi (the invariance computation behind the submodule property).
+
+    Both Jacobiators are tabulated once per draw; the terms of h . J_phi
+    with an argument replaced by [e_s, h] = sum_t R[t][s] e_t (R the matrix
+    of right multiplication by h) follow by linearity in that argument."""
     n = alg.dim
-    basis = [alg.basis_vector(i) for i in range(n)]
+    table = int_table(alg.table)
     for _ in range(3):
         h = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
         phi = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         hphi = act(alg, h, phi)
+        j_hphi = _jacobiator(table, hphi)
+        j_phi = _jacobiator(table, phi)
+        sh = {q: int_if_integral(x) for q, x in enumerate(h) if x}
+        rcols = [list(col.items()) for col in _columns(alg.right_mul_matrix(h))]  # [e_s, h]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = _jacobiator(alg, hphi, basis[i], basis[j], basis[k])
-                    jv = _jacobiator(alg, phi, basis[i], basis[j], basis[k])
                     # (h . J)(x,y,z) = [J(x,y,z), h] - J([x,h],y,z) - J(x,[y,h],z) - J(x,y,[z,h])
-                    rhs = alg.multiply(jv, h)
-                    for slot in range(3):
-                        args = [basis[i], basis[j], basis[k]]
-                        args[slot] = alg.multiply(args[slot], h)
-                        term = _jacobiator(alg, phi, *args)
-                        rhs = tuple(a - b for a, b in zip(rhs, term))
-                    if lhs != rhs:
+                    rhs = sparse_lincomb(
+                        (1, sparse_product(table, j_phi[(i, j, k)], sh)),
+                        *((-c, j_phi[(t, j, k)]) for t, c in rcols[i]),
+                        *((-c, j_phi[(i, t, k)]) for t, c in rcols[j]),
+                        *((-c, j_phi[(i, j, t)]) for t, c in rcols[k]),
+                    )
+                    if j_hphi[(i, j, k)] != rhs:
                         return f"intertwining fails at triple ({i},{j},{k})"
     return None
 

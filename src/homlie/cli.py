@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .actions import sl2_decompose, weight_decompose
+from .actions import is_sl2_triple, sl2_decompose, weight_decompose
 from .algebra import AlgebraSpec, LawViolation, builtin_names, parse_builtin
 from .constructions import km_window
 from .algebra import killing_form
@@ -32,6 +32,7 @@ from .serialize import (
 from .solver import (
     BILINEAR_KINDS,
     HOM_LIE,
+    MULTIPLICATIVE_CHECK_ONLY,
     parse_kind,
     solve_bilinear,
     solve_qder,
@@ -72,9 +73,12 @@ def _emit(doc, as_json: bool, human: str) -> None:
 
 def _parse_kind(text: str):
     try:
-        return parse_kind(text)
+        kind = parse_kind(text)
     except (ValueError, ZeroDivisionError) as e:
         raise UsageError(f"--kind: {e}")
+    if kind == MULTIPLICATIVE_CHECK_ONLY:
+        raise UsageError(f"--kind: {text} is not a linear identity, so it has no solution space to solve for")
+    return kind
 
 
 def _cmd_solve(args) -> int:
@@ -124,23 +128,31 @@ def _parse_indices(flag: str, text: str, dim: int) -> list[int]:
 
 def _cmd_decompose(args) -> int:
     alg = _resolve_algebra(args.algebra)
-    sol = solve_structures(alg, _parse_kind(args.kind))
-    doc: dict = {"algebra": algebra_to_json(alg), "kind": args.kind, "space_dim": sol.dim}
-    lines = [f"{args.kind} space on {args.algebra}: dim {sol.dim}"]
+    kind = _parse_kind(args.kind)
     if args.torus is None and args.triple is None:
         raise UsageError("decompose needs --torus and/or --triple")
     if args.torus is not None:
         torus = [alg.basis_vector(i) for i in _parse_indices("--torus", args.torus, alg.dim)]
+    if args.triple is not None:
+        idx = _parse_indices("--triple", args.triple, alg.dim)
+        if len(idx) != 3:
+            raise UsageError("--triple needs exactly three indices")
+        triple = tuple(alg.basis_vector(i) for i in idx)
+        if not is_sl2_triple(alg, *triple):
+            raise UsageError(
+                f"--triple: basis vectors {args.triple} are not a triple (lower, h, raiser) with "
+                "[lower, h] = -lower, [raiser, h] = raiser, [lower, raiser] = h"
+            )
+    sol = solve_structures(alg, kind)
+    doc: dict = {"algebra": algebra_to_json(alg), "kind": args.kind, "space_dim": sol.dim}
+    lines = [f"{args.kind} space on {args.algebra}: dim {sol.dim}"]
+    if args.torus is not None:
         comps = weight_decompose(alg, torus, sol.space)
         doc["weights"] = [
             {"weight": [format_scalar(w) for w in c.weight], "dim": c.component.dim} for c in comps
         ]
         lines += [f"  weight {tuple(str(w) for w in c.weight)}: dim {c.component.dim}" for c in comps]
     if args.triple is not None:
-        idx = _parse_indices("--triple", args.triple, alg.dim)
-        if len(idx) != 3:
-            raise UsageError("--triple needs exactly three indices")
-        triple = tuple(alg.basis_vector(i) for i in idx)
         dims = sl2_decompose(alg, triple, sol.space)  # type: ignore[arg-type]
         doc["irreducible_dims"] = dims
         lines.append(f"  irreducible dims: {dims}")
@@ -280,7 +292,7 @@ def _cmd_validate(args) -> int:
 def _cmd_list(args) -> int:
     doc = {
         "builtins": builtin_names(),
-        "structure_kinds": ["hom-lie", "hom-cyclic", "hom-2nilp", "delta:<p/q>", "multiplicative-check-only"],
+        "structure_kinds": ["hom-lie", "hom-cyclic", "hom-2nilp", "delta:<p/q>"],
         "bilinear_kinds": list(BILINEAR_KINDS),
         "scenarios": scenario_ids(),
     }

@@ -17,16 +17,20 @@ from .algebra import (
     AlgebraSpec,
     BilinearForm,
     LawViolation,
+    _basis_vector,
     _require_lie,
     make_algebra,
+    sparse_product,
 )
 from .linalg import (
     Matrix,
     SpanSolver,
     Subspace,
     Vector,
+    dense_vector,
     is_zero_vector,
-    vec_add,
+    sparse_columns,
+    sparse_lincomb,
 )
 
 
@@ -55,14 +59,17 @@ def cocycle2(alg: AlgebraSpec, matrix: Matrix) -> Cocycle2:
     if not form.is_skew():
         raise LawViolation("cocycle-skewness", (), ())
     n = alg.dim
-    basis = [alg.basis_vector(i) for i in range(n)]
+    f = matrix.data
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                val = (
-                    form(alg.multiply(basis[i], basis[j]), basis[k])
-                    + form(alg.multiply(basis[k], basis[i]), basis[j])
-                    + form(alg.multiply(basis[j], basis[k]), basis[i])
+                val = sum(
+                    (
+                        c * f[p][z]
+                        for x, y, z in ((i, j, k), (k, i, j), (j, k, i))
+                        for p, c in alg.product_on_basis(x, y)
+                    ),
+                    Fraction(0),
                 )
                 if val:
                     raise LawViolation("cocycle-equation", (i, j, k), (val,))
@@ -78,10 +85,9 @@ def central_extension(l: AlgebraSpec, xi: Cocycle2) -> AlgebraSpec:
     table: dict = {}
     for (i, j), terms in l.table.items():
         table[(i, j)] = list(terms)
-    basis = [l.basis_vector(i) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            val = xi.form(basis[i], basis[j])
+            val = xi.form.matrix.entry(i, j)
             if val:
                 table.setdefault((i, j), [])
                 table[(i, j)] = list(table[(i, j)]) + [(n, val)]
@@ -139,13 +145,18 @@ def tensor_lie(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
 def derivation_defect(a: AlgebraSpec, d: Matrix) -> tuple[tuple[int, int], Vector] | None:
     """First basis pair where d(xy) != d(x)y + x d(y), or None."""
     n = a.dim
-    basis = [a.basis_vector(i) for i in range(n)]
+    if d.shape != (n, n):
+        raise ValueError("map shape does not match the algebra")
+    cols = sparse_columns(d)  # d(e_c)
     for i in range(n):
         for j in range(n):
-            lhs = d.apply(a.multiply(basis[i], basis[j]))
-            rhs = vec_add(a.multiply(d.apply(basis[i]), basis[j]), a.multiply(basis[i], d.apply(basis[j])))
-            if lhs != rhs:
-                return (i, j), tuple(x - y for x, y in zip(lhs, rhs))
+            defect = sparse_lincomb(
+                *((c, cols[p]) for p, c in a.product_on_basis(i, j)),
+                (-1, sparse_product(a.table, cols[i], {j: 1})),
+                (-1, sparse_product(a.table, {i: 1}, cols[j])),
+            )
+            if defect:
+                return (i, j), dense_vector(defect, n)
     return None
 
 
@@ -302,7 +313,7 @@ class PartialAlgebra:
         return self.labels[i].degree
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return _basis_vector(i, self.dim)
 
     def bracket(self, i: int, j: int):
         """Structure constants of [b_i, b_j], or None when out of window."""

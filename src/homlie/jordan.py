@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .algebra import AlgebraSpec, builtin, make_algebra
+from .algebra import AlgebraSpec, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
-from .linalg import Matrix, Vector, is_zero_vector
+from .linalg import Matrix, Vector, dense_vector, is_zero_vector, sparse_lincomb
 from .solver import HOM_LIE, HomSolution, solve_structures, structure_residual
 
 
@@ -86,17 +86,15 @@ def jordan_structure_constants(sol: HomSolution, verdict: ClosureVerdict) -> Alg
 
 def jordan_identity_defect(alg: AlgebraSpec) -> tuple[tuple[int, int], Vector] | None:
     """(x^2 o (y o x)) - ((x^2 o y) o x) on basis pairs; None when it holds."""
-    n = alg.dim
+    n, t = alg.dim, alg.table
     for i in range(n):
-        x = alg.basis_vector(i)
-        xx = alg.multiply(x, x)
+        xx = dict(alg.product_on_basis(i, i))
         for j in range(n):
-            y = alg.basis_vector(j)
-            lhs = alg.multiply(xx, alg.multiply(y, x))
-            rhs = alg.multiply(alg.multiply(xx, y), x)
-            diff = tuple(a - b for a, b in zip(lhs, rhs))
-            if not is_zero_vector(diff):
-                return (i, j), diff
+            lhs = sparse_product(t, xx, dict(alg.product_on_basis(j, i)))
+            rhs = sparse_product(t, sparse_product(t, xx, {j: 1}), {i: 1})
+            diff = sparse_lincomb((1, lhs), (-1, rhs))
+            if diff:
+                return (i, j), dense_vector(diff, n)
     return None
 
 

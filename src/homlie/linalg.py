@@ -29,12 +29,40 @@ def as_scalar(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
+
+
+def int_if_integral(x: Fraction) -> int | Fraction:
+    """x as an int when integral: int arithmetic is far cheaper than
+    Fraction's, and the two compare and hash equal."""
+    return x.numerator if x.denominator == 1 else x
+
+
+# A sparse vector maps an index to a nonzero scalar; absent indices are zero.
+SparseVector = dict[int, Fraction]
+
+
+def sparse_vector(v: Sequence[Fraction]) -> SparseVector:
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def dense_vector(v: Mapping[int, Fraction], n: int) -> Vector:
+    return tuple(Fraction(v.get(j, 0)) for j in range(n))
+
+
+def sparse_columns(m: "Matrix") -> list[SparseVector]:
+    """The columns of ``m`` as sparse vectors (the images of the unit vectors)."""
+    return [{i: r[c] for i, r in enumerate(m.data) if r[c]} for c in range(m.cols)]
+
+
+def sparse_lincomb(*terms: tuple[Fraction | int, Mapping[int, Fraction]]) -> SparseVector:
+    """The sum of c * v over the (c, v) terms, zero entries dropped."""
+    out: dict[int, Fraction] = {}
+    for c, v in terms:
+        for j, x in v.items():
+            out[j] = out.get(j, 0) + c * x
+    return {j: x for j, x in out.items() if x}
 
 
 @dataclass(frozen=True)
@@ -444,15 +472,6 @@ def subspace_combine(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:
     return s1.combine(s2)
 
 
-def sum_of_subspaces(spaces: Iterable[Subspace], ambient: int) -> Subspace:
-    vectors: list[Vector] = []
-    for s in spaces:
-        if s.ambient != ambient:
-            raise ValueError("ambient dimension mismatch")
-        vectors.extend(s.basis.data)
-    return Subspace.from_spanning(vectors, ambient)
-
-
 class SpanSolver:
     """Expresses vectors in terms of a fixed (independent) spanning list."""
 
@@ -466,9 +485,12 @@ class SpanSolver:
             acc.add({j: x for j, x in enumerate(v) if x} | {ambient + i: Fraction(1)})
         self._rows = acc._reduced_rows()
 
-    def express(self, target: Sequence[Fraction]) -> Vector | None:
-        """Coefficients c with sum(c_i * v_i) == target, or None."""
-        residual = {j: as_scalar(x) for j, x in enumerate(target) if x}
+    def express(self, target: Sequence[Fraction] | Mapping[int, Fraction]) -> Vector | None:
+        """Coefficients c with sum(c_i * v_i) == target, or None; the target
+        is a dense vector or a sparse one (index -> scalar)."""
+        entries = target.items() if isinstance(target, Mapping) else enumerate(target)
+        residual = {j: as_scalar(x) for j, x in entries if x}
+        zero = Fraction(0)
         combo: dict[int, Fraction] = {}
         for p, row in self._rows:
             if p >= self.ambient:
@@ -478,16 +500,16 @@ class SpanSolver:
                 continue
             for j, x in row.items():
                 if j < self.ambient:
-                    n = residual.get(j, Fraction(0)) - c * x
+                    n = residual.get(j, zero) - c * x
                     if n:
                         residual[j] = n
                     else:
                         residual.pop(j, None)
                 else:
-                    combo[j - self.ambient] = combo.get(j - self.ambient, Fraction(0)) + c * x
+                    combo[j - self.ambient] = combo.get(j - self.ambient, zero) + c * x
         if residual:
             return None
-        return tuple(combo.get(i, Fraction(0)) for i in range(self.k))
+        return tuple(combo.get(i, zero) for i in range(self.k))
 
 
 def minimal_polynomial(m: Matrix) -> Vector:

@@ -15,15 +15,18 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import AlgebraSpec, BilinearForm, _require_lie, right_annihilator
+from .algebra import AlgebraSpec, BilinearForm, _require_lie, right_annihilator, sparse_product
 from .linalg import (
     Matrix,
     RowAccumulator,
     Subspace,
     Vector,
     as_scalar,
+    dense_vector,
     nullspace_of_rows,
-    vec_add,
+    sparse_columns,
+    sparse_lincomb,
+    sparse_vector,
 )
 
 # -- structure kinds --------------------------------------------------------
@@ -299,25 +302,25 @@ def structure_residual(
 ) -> Vector:
     """Defining-identity defect of ``phi`` at a basis triple (independent of
     the row compiler; used to re-verify solver output)."""
-    a, b, c = (alg.basis_vector(i) for i in triple)
-    fa, fb, fc = (phi.apply(v) for v in (a, b, c))
+    t = alg.table
+    a, b, c = (sparse_vector(alg.basis_vector(i)) for i in triple)
+    cols = sparse_columns(phi)
+    fa, fb, fc = (cols[i] for i in triple)
+    ab = sparse_product(t, a, b)
     if kind.tag == "hom-lie":
-        return vec_add(
-            vec_add(alg.multiply(alg.multiply(a, b), fc), alg.multiply(alg.multiply(c, a), fb)),
-            alg.multiply(alg.multiply(b, c), fa),
-        )
-    if kind.tag == "hom-cyclic":
-        lhs = alg.multiply(alg.multiply(a, b), fc)
-        rhs = alg.multiply(alg.multiply(c, a), fb)
-        return tuple(x - y for x, y in zip(lhs, rhs))
-    if kind.tag == "hom-2nilp":
-        return alg.multiply(alg.multiply(a, b), fc)
-    if kind.tag == "delta-derivation":
+        terms = [(1, sparse_product(t, ab, fc)), (1, sparse_product(t, sparse_product(t, c, a), fb)),
+                 (1, sparse_product(t, sparse_product(t, b, c), fa))]
+    elif kind.tag == "hom-cyclic":
+        terms = [(1, sparse_product(t, ab, fc)), (-1, sparse_product(t, sparse_product(t, c, a), fb))]
+    elif kind.tag == "hom-2nilp":
+        terms = [(1, sparse_product(t, ab, fc))]
+    elif kind.tag == "delta-derivation":
         assert kind.delta is not None
-        lhs = phi.apply(alg.multiply(a, b))
-        rhs = vec_add(alg.multiply(fa, b), alg.multiply(a, fb))
-        return tuple(x - kind.delta * y for x, y in zip(lhs, rhs))
-    raise ValueError(kind.tag)
+        terms = [(x, cols[k]) for k, x in ab.items()]  # phi(ab)
+        terms += [(-kind.delta, sparse_product(t, fa, b)), (-kind.delta, sparse_product(t, a, fb))]
+    else:
+        raise ValueError(kind.tag)
+    return dense_vector(sparse_lincomb(*terms), alg.dim)
 
 
 # -- bilinear solvers --------------------------------------------------------
@@ -546,20 +549,22 @@ def is_multiplicative(alg, phi: Matrix) -> bool | MultiplicativityWitness:
 
     Works for both total algebras and degree-windowed partial algebras; for
     the latter a pair is skipped when its product or the product of its
-    images leaves the window (``multiply`` returns None).
+    images leaves the window (some basis product they need is None).
     """
     n = alg.dim
     if phi.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
+    table = {(i, j): alg.product_on_basis(i, j) for i in range(n) for j in range(n)}
+    undefined = {pair for pair, terms in table.items() if terms is None}
+    cols = sparse_columns(phi)  # phi(e_c)
     for i in range(n):
         for j in range(n):
-            xy = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
-            rhs = alg.multiply(phi.apply(alg.basis_vector(i)), phi.apply(alg.basis_vector(j)))
-            if xy is None or rhs is None:
+            if undefined and ((i, j) in undefined or any((p, q) in undefined for p in cols[i] for q in cols[j])):
                 continue
-            lhs = phi.apply(xy)
+            lhs = sparse_lincomb(*((c, cols[k]) for k, c in table[(i, j)]))
+            rhs = sparse_product(table, cols[i], cols[j])
             if lhs != rhs:
-                return MultiplicativityWitness((i, j), lhs, rhs)
+                return MultiplicativityWitness((i, j), dense_vector(lhs, n), dense_vector(rhs, n))
     return True
 
 
@@ -582,28 +587,26 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
     _require_lie(l, "central_ext_homlie_decomposed")
     n = l.dim
     ext = central_extension(l, xi)
-    basis = [l.basis_vector(i) for i in range(n)]
+    f = xi.form.matrix.data
 
     hl = solve_structures(l, HOM_LIE)
 
     def compat_terms(i: int, j: int, k: int) -> _Terms:
         # xi([x,y], psi(t)) + xi([t,x], psi(y)) + xi([y,t], psi(x)) = 0
         for x, y, t in ((i, j, k), (k, i, j), (j, k, i)):
-            w = l.multiply(basis[x], basis[y])
-            for q in range(n):
-                yield 0, q * n + t, xi.form(w, basis[q])
+            for p, c in l.product_on_basis(x, y):
+                for q in range(n):
+                    yield 0, q * n + t, c * f[p][q]
 
     compat_rows = _sparse_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
     psi_space = hl.space.intersect(nullspace_of_rows(n * n, compat_rows))
 
-    derived = Subspace.from_spanning(
-        [l.multiply(basis[i], basis[j]) for i in range(n) for j in range(i + 1, n)], n
-    )
+    derived = Subspace.from_spanning([dense_vector(dict(terms), n) for terms in l.table.values()], n)
     acc = RowAccumulator(n)
     for w in derived.basis.data:
         for r in l.left_mul_matrix(w).data:
             acc.add_dense(r)
-        acc.add_dense(tuple(xi.form(w, basis[q]) for q in range(n)))
+        acc.add_dense(tuple(xi.form(w, l.basis_vector(q)) for q in range(n)))
     s_space = acc.nullspace()
 
     m = n + 1

@@ -221,4 +221,4 @@ def test_c13_property_suites():
     for f in failures:
         print(f"  [criterion 13] FAILURE: {f}")
     _record(13, f"property battery ({len(rows)} checks over {len(battery)} algebras)",
-            not failures, time.time() - t0, 900)
+            not failures, time.time() - t0, 120)

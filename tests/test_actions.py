@@ -21,6 +21,10 @@ from homlie.solver import HOM_LIE, solve_structures
 F = Fraction
 
 
+def sum_of_subspaces(spaces, ambient):
+    return Subspace.from_spanning([v for s in spaces for v in s.basis.data], ambient)
+
+
 def test_identity_is_invariant():
     sl2 = builtin("sl", 2)
     assert act(sl2, sl2.basis_vector(1), Matrix.identity(3)).is_zero()
@@ -71,8 +75,6 @@ def test_weight_decompose_homlie_sl2():
     mult = {c.weight[0]: c.component.dim for c in comps}
     assert mult == {F(-2): 1, F(-1): 1, F(0): 2, F(1): 1, F(2): 1}
     # components direct-sum to the space
-    from homlie.linalg import sum_of_subspaces
-
     assert sum_of_subspaces([c.component for c in comps], 9) == hl.space
     assert sum(c.component.dim for c in comps) == hl.dim
 

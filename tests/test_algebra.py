@@ -11,6 +11,7 @@ from homlie.algebra import (
     parse_builtin,
     structural_subspaces,
 )
+from homlie.constructions import km_window
 from homlie.linalg import Matrix, Subspace
 
 F = Fraction
@@ -60,6 +61,15 @@ def test_associativity_rejected():
     table = {(0, 0): [(1, 1)], (0, 1): [(0, 1)], (1, 0): [(0, 1)]}
     with pytest.raises(LawViolation):
         make_algebra(2, table, flavor="commutative-associative")
+
+
+def test_basis_vector_index_out_of_range():
+    sl2 = builtin("sl", 2)
+    for alg in (sl2, km_window(sl2, killing_form(sl2), 2)):
+        assert alg.basis_vector(alg.dim - 1)[-1] == 1
+        for index in (-1, alg.dim, alg.dim + 4):
+            with pytest.raises(IndexError, match=f"basis index {index} out of range for dim {alg.dim}"):
+                alg.basis_vector(index)
 
 
 def test_index_out_of_range():

@@ -204,6 +204,9 @@ def test_malformed_field_is_usage_error(capsys, tmp_path, command, field, value)
         (["decompose", "--algebra", "sl2", "--torus", "7"], "--torus"),
         (["decompose", "--algebra", "sl2", "--triple", "0,1,9"], "--triple"),
         (["window", "--algebra", "sl2", "--window", "1"], "--window"),
+        (["solve", "--algebra", "sl2", "--kind", "multiplicative-check-only"], "--kind"),
+        (["decompose", "--algebra", "sl2", "--kind", "multiplicative-check-only", "--torus", "1"], "--kind"),
+        (["decompose", "--algebra", "sl2", "--triple", "1,0,2"], "--triple"),
     ],
 )
 def test_bad_argument_is_usage_error(capsys, argv, flag):
@@ -249,6 +252,13 @@ def test_list(capsys):
     assert code == 0
     assert "sl" in doc["builtins"]
     assert "prop-2.1" in doc["scenarios"]
+
+
+def test_listed_structure_kinds_solve(capsys):
+    _, doc = run_json(capsys, "list")
+    for kind in doc["structure_kinds"]:
+        kind = kind.replace("<p/q>", "1/2")
+        assert run_cli(capsys, "solve", "--algebra", "sl2", "--kind", kind)[0] == 0, kind
 
 
 def test_window_shift_flag(capsys):

@@ -77,7 +77,7 @@ def test_homlie_sl2_dimension():
 
 @pytest.mark.parametrize(
     "name,param",
-    [("sl", 3), ("so", 5), ("sp", 4), ("sl", 5), ("sl", 6), ("so", 7), ("sp", 6)],
+    [("sl", 3), ("so", 5), ("sp", 4), ("sl", 5), ("sl", 6), ("so", 7), ("sp", 6), ("sl", 7), ("so", 8), ("so", 9), ("sp", 8)],
 )
 def test_homlie_trivial_on_larger_classical(name, param):
     alg = builtin(name, param)
