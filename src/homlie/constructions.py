@@ -28,9 +28,9 @@ from .linalg import (
     Subspace,
     Vector,
     dense_vector,
-    is_zero_vector,
     sparse_columns,
     sparse_lincomb,
+    sparse_vector,
 )
 
 
@@ -241,12 +241,13 @@ def check_cyclic_grading(g: AlgebraSpec, grading: Sequence[Subspace]) -> None:
     )
     if stacked.dim != g.dim:
         raise LawViolation("grading-direct-sum", (stacked.dim, g.dim), ())
-    for i, si in enumerate(grading):
-        for j, sj in enumerate(grading):
+    sparse_bases = [[sparse_vector(u) for u in s.basis.data] for s in grading]
+    for i, si in enumerate(sparse_bases):
+        for j, sj in enumerate(sparse_bases):
             target = grading[(i + j) % n]
-            for u in si.basis.data:
-                for v in sj.basis.data:
-                    w = g.multiply(u, v)
+            for u in si:
+                for v in sj:
+                    w = dense_vector(sparse_product(g.table, u, v), g.dim)
                     if not target.contains(w):
                         raise LawViolation("grading-compatibility", (i, j), w)
 
@@ -260,6 +261,7 @@ def twisted_cyclic(g: AlgebraSpec, grading: Sequence[Subspace], m: int) -> Algeb
     check_cyclic_grading(g, grading)
     # basis: for each degree i, the chosen basis of g_{i mod n}
     comp_bases = [list(s.basis.data) for s in grading]
+    sparse_bases = [[sparse_vector(u) for u in b] for b in comp_bases]
     labels: list[tuple[int, int]] = []  # (degree, index inside component)
     for deg in range(m):
         for s in range(len(comp_bases[deg % n])):
@@ -269,10 +271,8 @@ def twisted_cyclic(g: AlgebraSpec, grading: Sequence[Subspace], m: int) -> Algeb
     table: dict = {}
     for p1, (d1, s1) in enumerate(labels):
         for p2, (d2, s2) in enumerate(labels):
-            u = comp_bases[d1 % n][s1]
-            v = comp_bases[d2 % n][s2]
-            w = g.multiply(u, v)
-            if is_zero_vector(w):
+            w = sparse_product(g.table, sparse_bases[d1 % n][s1], sparse_bases[d2 % n][s2])
+            if not w:
                 continue
             deg = (d1 + d2) % m
             solver = solvers[deg % n]
@@ -302,12 +302,19 @@ class BasisLabel:
 @dataclass(frozen=True, eq=False)
 class PartialAlgebra:
     """A degree-windowed graded bracket; pairs outside the window are
-    undefined (None) rather than zero, and generate no constraints."""
+    undefined (None) rather than zero, and generate no constraints.
+
+    ``flavor`` is ``"lie"`` only when every defined product is a bracket of
+    one Lie algebra, so that each imposed Hom-Jacobi equation of the
+    identity map is a Jacobi identity (``km_window`` certifies this); any
+    other value certifies nothing.
+    """
 
     dim: int
     labels: tuple[BasisLabel, ...]
     window: int
     products: Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...] | None] = field(repr=False)
+    flavor: str = "unchecked"
 
     def degree(self, i: int) -> int:
         return self.labels[i].degree
@@ -328,12 +335,6 @@ class PartialAlgebra:
 
     # the name AlgebraSpec uses, so the row compiler reads both algebra types
     product_on_basis = bracket
-
-    def expand(self, terms: Sequence[tuple[int, Fraction]]) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for k, c in terms:
-            out[k] += c
-        return tuple(out)
 
     def multiply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector | None:
         """Bilinear bracket; None if any contributing pair is undefined."""
@@ -369,6 +370,16 @@ def km_window(
     stay inside the window and carry the residue-pairing central term
     i * delta_{i+j,0} <x,y> z.  A twist restricts degree-i loop vectors to
     the grading component i mod n.
+
+    The result is certified ``flavor="lie"``.  Every defined product is the
+    bracket of the affine algebra L(g) + Kz + Kd (of its twisted subalgebra
+    under a twist): the loop brackets with their residue term, the action
+    of d, and z central.  That algebra is Lie, because g is validated as
+    Lie, the form is validated symmetric and invariant (so the residue term
+    is a 2-cocycle), d acts as a derivation, and a twist is validated as a
+    grading.  An equation the row compiler imposes reads only defined
+    products, so for the identity map it is a coordinate of the Jacobi
+    identity of that algebra, and holds.
     """
     _require_lie(g, "km_window")
     if n_window < 2:
@@ -407,6 +418,7 @@ def km_window(
 
     products: dict[tuple[int, int], tuple[tuple[int, Fraction], ...] | None] = {}
     loop_count = dim - 2
+    sparse = [sparse_vector(lab.vector) for lab in labels[:loop_count]]
     for p1 in range(loop_count):
         lab1 = labels[p1]
         for p2 in range(p1 + 1, loop_count):
@@ -415,9 +427,9 @@ def km_window(
             if abs(i + j) > n_window:
                 products[(p1, p2)] = None
                 continue
-            w = g.multiply(lab1.vector, lab2.vector)
+            w = sparse_product(g.table, sparse[p1], sparse[p2])
             entry: list[tuple[int, Fraction]] = []
-            if not is_zero_vector(w):
+            if w:
                 solver = comp_solvers[(i + j) % n_twist]
                 coords = solver.express(w) if solver else None
                 if coords is None:
@@ -436,7 +448,7 @@ def km_window(
         deg = labels[p].degree
         if deg:
             products[(d_idx, p)] = ((p, Fraction(deg)),)
-    return PartialAlgebra(dim=dim, labels=tuple(labels), window=n_window, products=products)
+    return PartialAlgebra(dim=dim, labels=tuple(labels), window=n_window, products=products, flavor="lie")
 
 
 def _single_basis_index(vec: Vector) -> int | None:

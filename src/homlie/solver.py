@@ -265,35 +265,44 @@ def _known_solutions(alg: AlgebraSpec, kind: StructureKind) -> Subspace:
     return Subspace.from_spanning(gens, n * n)
 
 
-def solve_structures(alg: AlgebraSpec, kind: StructureKind) -> HomSolution:
-    """Exact space of maps satisfying the kind's defining identity.
+def _solve_modulo(
+    known: Subspace,
+    rows: Iterable[Mapping[int, Fraction]],
+    kernel: Callable[[int, Iterable[Mapping[int, Fraction]]], Subspace],
+) -> Subspace:
+    """Kernel S of ``rows``, given a subspace K of S known without solving.
 
-    The system is solved modulo the known solutions K (``_known_solutions``):
-    one unit row x_p = 0 is put in front of the compiled rows for each pivot
-    column p of K's echelon basis.  W = {x : x_p = 0 for every such p} is a
+    One unit row x_p = 0 is put in front of the rows for each pivot column
+    p of K's echelon basis.  W = {x : x_p = 0 for every such p} is a
     complement of K (K's echelon basis is the identity on its pivot
-    columns, so K meet W = 0 and dim W = ncols - dim K).  K lies inside the
-    solution space S, so every s in S splits as k + w with w = s - k in
-    S meet W: S = K + (S meet W) as a direct sum, and the kernel of the cut
-    system is exactly S meet W.  The result K + (S meet W) is therefore the
-    same canonical subspace S as the kernel of the uncut system.  Once the
-    cut system has full rank, S meet W = 0 and ``nullspace_of_rows`` stops
-    reading rows.
+    columns, so K meet W = 0 and dim W = ncols - dim K).  K lies inside S,
+    so every s in S splits as k + w with w = s - k in S meet W:
+    S = K + (S meet W) as a direct sum, and the kernel of the cut system is
+    exactly S meet W.  The result K + (S meet W) is therefore the same
+    canonical subspace S as the kernel of the uncut system.  Once the cut
+    system has full rank, S meet W = 0 and ``kernel`` stops reading rows.
+
+    ``kernel`` is ``nullspace_of_rows`` as the caller's module names it, so
+    that perfbench's tracer charges the rows to the compiler that made them.
     """
+    cuts = ({p: Fraction(1)} for p in known.pivot_cols())
+    rest = kernel(known.ambient, chain(cuts, rows))
+    if not rest.dim:
+        return known
+    if not known.dim:
+        return rest
+    return known.sum(rest)
+
+
+def solve_structures(alg: AlgebraSpec, kind: StructureKind) -> HomSolution:
+    """Exact space of maps satisfying the kind's defining identity, solved
+    modulo the known solutions of ``_known_solutions`` (``_solve_modulo``)."""
     if kind.tag == "multiplicative-check-only":
         raise ValueError(
             "the multiplicativity condition is not linear; use is_multiplicative "
             "to test candidate maps"
         )
-    known = _known_solutions(alg, kind)
-    cuts = ({p: Fraction(1)} for p in known.pivot_cols())
-    rest = nullspace_of_rows(alg.dim * alg.dim, chain(cuts, _structure_rows(alg, kind)))
-    if not rest.dim:
-        space = known
-    elif not known.dim:
-        space = rest
-    else:
-        space = known.sum(rest)
+    space = _solve_modulo(_known_solutions(alg, kind), _structure_rows(alg, kind), nullspace_of_rows)
     return HomSolution(alg, kind, space)
 
 

@@ -20,8 +20,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .constructions import PartialAlgebra
-from .linalg import Matrix, Subspace, Vector, nullspace_of_rows
-from .solver import HOM_LIE, HomSolution, _hom_generic_rows
+from .linalg import Matrix, Subspace, Vector, dense_vector, nullspace_of_rows
+from .solver import HOM_LIE, HomSolution, _hom_generic_rows, _solve_modulo
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,42 @@ def _component_brackets_defined(pa: PartialAlgebra, support: Sequence[int], comp
 
 
 def _solve_block(pa: PartialAlgebra, shift: int) -> list[Vector]:
-    """Solution vectors of the shift block, embedded in End coordinates."""
+    """Solution vectors of the shift block, embedded in End coordinates.
+
+    The block is solved modulo a subspace K of its solutions known without
+    solving (``solver._solve_modulo``), spanned by two kinds of map:
+
+    - the unit maps e_c -> e_u (deg u = deg c + shift) with u in the right
+      annihilator, that is, every product e_p e_u is defined and zero.  No
+      compiled row has a term in the column of such a map.  An undefined
+      product keeps u out.  In ``km_window`` these are the maps e_c -> z
+      with deg c + shift = 0.
+    - the identity, at shift 0 on a window certified ``flavor="lie"``.  An
+      imposed equation reads only defined products, so for the identity it
+      is a coordinate of the Jacobi identity of the Lie algebra those
+      products are brackets of (the certificate; see ``km_window``).
+
+    The triples are read by |deg a + deg b + deg c| ascending, stable by
+    index: from the centre of the window outward.  A triple of total degree
+    D is imposable at shift s only when |D + s| stays inside the window, so
+    central triples are imposed in every block and bring the cut system to
+    full rank early.  Row order does not change a kernel.
+    """
     comps = _degree_components(pa)
     n = pa.dim
-    cols = [(u, c) for c in range(n) for u in comps.get(pa.degree(c) + shift, ())]
+    deg = [pa.degree(i) for i in range(n)]
+    cols = [(u, c) for c in range(n) for u in comps.get(deg[c] + shift, ())]
     if not cols:
         return []
     col_index = {pair: idx for idx, pair in enumerate(cols)}
-    triples = combinations(range(n), 3)
-    block = nullspace_of_rows(len(cols), _hom_generic_rows(pa, triples, "jacobi", (pa.degree, shift, col_index)))
+    annihilator = [u for u in range(n) if all(pa.bracket(p, u) == () for p in range(n))]
+    gens = [{col_index[(u, c)]: 1} for u in annihilator for c in range(n) if deg[c] + shift == deg[u]]
+    if shift == 0 and pa.flavor == "lie":
+        gens.append({col_index[(c, c)]: 1 for c in range(n)})
+    known = Subspace.from_spanning([dense_vector(g, len(cols)) for g in gens], len(cols))
+    triples = sorted(combinations(range(n), 3), key=lambda t: abs(deg[t[0]] + deg[t[1]] + deg[t[2]]))
+    rows = _hom_generic_rows(pa, triples, "jacobi", (pa.degree, shift, col_index))
+    block = _solve_modulo(known, rows, nullspace_of_rows)
     out = []
     for b in block.basis.data:
         dense = [Fraction(0)] * (n * n)
@@ -100,8 +127,12 @@ def solve_window(pa: PartialAlgebra, degree_shift: int | None = None) -> WindowS
     """Exact solution space of the Hom-Jacobi constraints over the window."""
     if pa.window < 2:
         raise ValueError("window must be at least 2")
+    shifts = window_shifts(pa)
+    if degree_shift is not None:
+        if degree_shift not in shifts:
+            raise ValueError(f"degree shift {degree_shift} is outside the window's shifts {shifts[0]}..{shifts[-1]}")
+        shifts = [degree_shift]
     vectors: list[Vector] = []
-    shifts = [degree_shift] if degree_shift is not None else window_shifts(pa)
     for shift in shifts:
         vectors.extend(_solve_block(pa, shift))
     space = Subspace.from_spanning(vectors, pa.dim ** 2)

@@ -207,6 +207,8 @@ def test_malformed_field_is_usage_error(capsys, tmp_path, command, field, value)
         (["solve", "--algebra", "sl2", "--kind", "multiplicative-check-only"], "--kind"),
         (["decompose", "--algebra", "sl2", "--kind", "multiplicative-check-only", "--torus", "1"], "--kind"),
         (["decompose", "--algebra", "sl2", "--triple", "1,0,2"], "--triple"),
+        (["window", "--algebra", "sl2", "--window", "2", "--shift", "100"], "--shift"),
+        (["window", "--algebra", "sl2", "--window", "2", "--shift", "-5"], "--shift"),
     ],
 )
 def test_bad_argument_is_usage_error(capsys, argv, flag):

@@ -183,10 +183,19 @@ def test_twisted_cyclic_bad_grading_witness():
         twisted_cyclic(sl2, [g0, g1], 5)  # not a multiple of 2
 
 
+def _expand(pa, terms):
+    """The dense vector of a bracket's sparse terms."""
+    out = [F(0)] * pa.dim
+    for k, c in terms:
+        out[k] += c
+    return tuple(out)
+
+
 def test_km_window_shape_and_brackets():
     sl2 = builtin("sl", 2)
     pa = km_window(sl2, killing_form(sl2), 2)
     assert pa.dim == 3 * 5 + 2
+    assert pa.flavor == "lie"  # the certificate the shift-0 block relies on
     deg2 = [i for i, lab in enumerate(pa.labels) if lab.degree == 2 and lab.kind == "loop"]
     assert pa.bracket(deg2[0], deg2[1]) is None  # leaves the window
     em_t = next(i for i, lab in enumerate(pa.labels)
@@ -195,7 +204,7 @@ def test_km_window_shape_and_brackets():
                    if lab.kind == "loop" and lab.degree == -1 and lab.vector == sl2.basis_vector(2))
     h_0 = next(i for i, lab in enumerate(pa.labels)
                if lab.kind == "loop" and lab.degree == 0 and lab.vector == sl2.basis_vector(1))
-    vec = pa.expand(pa.bracket(em_t, ep_tinv))
+    vec = _expand(pa, pa.bracket(em_t, ep_tinv))
     expected = [F(0)] * pa.dim
     expected[h_0] = F(1)       # [e-, e+] = h at degree 0
     expected[pa.dim - 1] = F(2)  # residue pairing: 1 * <e-, e+> = 2
@@ -226,9 +235,9 @@ def test_km_window_jacobi_where_defined():
             if any(t is None for t in inner):
                 continue
             outer = [
-                pa.multiply(pa.expand(inner[0]), pa.basis_vector(k)),
-                pa.multiply(pa.expand(inner[1]), pa.basis_vector(j)),
-                pa.multiply(pa.expand(inner[2]), pa.basis_vector(i)),
+                pa.multiply(_expand(pa, inner[0]), pa.basis_vector(k)),
+                pa.multiply(_expand(pa, inner[1]), pa.basis_vector(j)),
+                pa.multiply(_expand(pa, inner[2]), pa.basis_vector(i)),
             ]
             if any(t is None for t in outer):
                 continue

@@ -25,8 +25,8 @@ from homlie.algebra import (
     make_algebra,
 )
 from homlie.battery import builtin_battery, check_action_intertwines_jacobiator, random_lie_battery
-from homlie.constructions import cocycle2, derivation_defect, km_window
-from homlie.linalg import Matrix
+from homlie.constructions import PartialAlgebra, cocycle2, derivation_defect, km_window, twisted_cyclic
+from homlie.linalg import Matrix, Subspace
 from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
@@ -81,6 +81,33 @@ DENSE_BUILD_DIGESTS = [
 def test_builtin_matches_the_dense_build(name, param, digest):
     a = builtin(name, param)
     text = repr((a.dim, a.basis_names, a.flavor, sorted((k, [(m, str(c)) for m, c in v]) for k, v in a.table.items())))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _cartan_grading():
+    return (Subspace.from_spanning([[0, 1, 0]], 3), Subspace.from_spanning([[1, 0, 0], [0, 0, 1]], 3))
+
+
+# sha256 prefixes of the labels and products of km_window, and of the table of
+# twisted_cyclic, as built by the dense path (``g.multiply`` on component
+# basis vectors), which this replaced.
+DENSE_WINDOW_DIGESTS = [
+    ("untwisted-2", lambda g: km_window(g, killing_form(g), 2), "281d245228c59343"),
+    ("untwisted-3", lambda g: km_window(g, killing_form(g), 3), "ebe051978624770b"),
+    ("untwisted-4", lambda g: km_window(g, killing_form(g), 4), "449ed571867f54f2"),
+    ("twisted-3", lambda g: km_window(g, killing_form(g), 3, twist=(list(_cartan_grading()), 2)), "56cb337a7433297a"),
+    ("twisted-cyclic-4", lambda g: twisted_cyclic(g, _cartan_grading(), 4), "69bc2561c4ce195a"),
+]
+
+
+@pytest.mark.parametrize("build,digest", [pytest.param(b, d, id=i) for i, b, d in DENSE_WINDOW_DIGESTS])
+def test_window_build_matches_the_dense_build(build, digest):
+    a = build(builtin("sl", 2))
+    if isinstance(a, PartialAlgebra):
+        products = sorted((k, None if v is None else [(m, str(c)) for m, c in v]) for k, v in a.products.items())
+        text = repr((a.dim, [(lab.kind, lab.degree, lab.name) for lab in a.labels], products))
+    else:
+        text = repr((a.dim, a.basis_names, a.flavor, sorted((k, [(m, str(c)) for m, c in v]) for k, v in a.table.items())))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 

@@ -24,6 +24,11 @@ def _untwisted(n):
     return km_window(g, killing_form(g), n)
 
 
+def _sl3(n):
+    g = builtin("sl", 3)
+    return km_window(g, killing_form(g), n)
+
+
 def _twisted(n):
     g = builtin("sl", 2)
     g0 = Subspace.from_spanning([[0, 1, 0]], 3)
@@ -38,8 +43,29 @@ def test_window_too_small():
         solve_window(pa)
 
 
+@pytest.mark.parametrize("shift", [-5, 5, 100])
+def test_shift_outside_the_window_is_rejected(shift):
+    with pytest.raises(ValueError, match=r"-4\.\.4"):
+        solve_window(_untwisted(2), degree_shift=shift)
+
+
 def test_untwisted_solution_is_central_plus_identity():
     pa = _untwisted(2)
+    sol = solve_window(pa)
+    predicted = Subspace.from_spanning(
+        [Matrix.identity(pa.dim).flatten()] + [c.flatten() for c in central_maps(pa)],
+        pa.dim ** 2,
+    )
+    assert sol.full.space == predicted
+    assert sol.full.dim == pa.dim + 1
+    assert sol.inner.predicted_included
+    assert sol.inner.excess_dim == 0
+
+
+@pytest.mark.parametrize("name, rank, n_window", [("sl", 3, 2), ("sl", 3, 3), ("so", 5, 2), ("sp", 4, 2)])
+def test_affine_window_is_identity_plus_central(name, rank, n_window):
+    g = builtin(name, rank)
+    pa = km_window(g, killing_form(g), n_window)
     sol = solve_window(pa)
     predicted = Subspace.from_spanning(
         [Matrix.identity(pa.dim).flatten()] + [c.flatten() for c in central_maps(pa)],
@@ -86,6 +112,7 @@ WINDOW_MODELS = [
     pytest.param(_untwisted, 2, id="untwisted-2"),
     pytest.param(_untwisted, 3, id="untwisted-3"),
     pytest.param(_twisted, 3, id="twisted-3"),
+    pytest.param(_sl3, 2, id="sl3-2"),
 ]
 
 
@@ -111,24 +138,42 @@ def test_block_solutions_have_zero_residuals(model, n_window):
                 assert r is None or not any(r)
 
 
+def _full_consumption(pa, shift):
+    """The block's kernel with every compiled row eliminated in index order:
+    no known solutions, no cut rows, no early exit."""
+    n = pa.dim
+    cols = [(u, c) for u in range(n) for c in range(n) if pa.degree(u) == pa.degree(c) + shift]
+    block = (pa.degree, shift, {uc: i for i, uc in enumerate(cols)})
+    acc = RowAccumulator(len(cols))
+    for row in _hom_generic_rows(pa, itertools.combinations(range(n), 3), "jacobi", block):
+        acc.add(row)
+    embedded = []
+    for v in acc.nullspace().basis.data:
+        dense = [F(0)] * (n * n)
+        for (u, c), x in zip(cols, v):
+            dense[u * n + c] = x
+        embedded.append(dense)
+    return Subspace.from_spanning(embedded, n * n)
+
+
 @pytest.mark.parametrize("model, n_window", WINDOW_MODELS)
 def test_blocks_match_full_consumption(model, n_window):
-    # reference: every compiled row of the block eliminated, no early exit
     pa = model(n_window)
-    n = pa.dim
     for shift in window_shifts(pa):
-        cols = [(u, c) for u in range(n) for c in range(n) if pa.degree(u) == pa.degree(c) + shift]
-        block = (pa.degree, shift, {uc: i for i, uc in enumerate(cols)})
-        acc = RowAccumulator(len(cols))
-        for row in _hom_generic_rows(pa, itertools.combinations(range(n), 3), "jacobi", block):
-            acc.add(row)
-        embedded = []
-        for v in acc.nullspace().basis.data:
-            dense = [F(0)] * (n * n)
-            for (u, c), x in zip(cols, v):
-                dense[u * n + c] = x
-            embedded.append(dense)
-        assert Subspace.from_spanning(_solve_block(pa, shift), n * n) == Subspace.from_spanning(embedded, n * n)
+        assert Subspace.from_spanning(_solve_block(pa, shift), pa.dim ** 2) == _full_consumption(pa, shift)
+
+
+def test_uncertified_block_does_not_assume_the_identity():
+    # a degree-0 anticommutative bracket with every product defined whose
+    # one triple breaks Jacobi: J(e0, e1, e2) = e1
+    labels = tuple(BasisLabel("loop", 0, None, f"e{i}") for i in range(3))
+    products = {(0, 1): ((1, F(1)),), (0, 2): ((2, F(1)),), (1, 2): ((1, F(1)),)}
+    pa = PartialAlgebra(3, labels, 2, products)
+    ident = Matrix.identity(3)
+    assert window_jacobi_residual(pa, ident, (0, 1, 2), 0) == (0, 1, 0)
+    block = Subspace.from_spanning(_solve_block(pa, 0), 9)
+    assert not block.contains(ident.flatten())
+    assert block == _full_consumption(pa, 0)
 
 
 def test_block_is_the_kernel_of_the_imposable_residuals():
