@@ -5,6 +5,10 @@ An :class:`AlgebraSpec` is a bilinear product on Q^dim recorded as a table
 declared flavor.  Construction validates the laws the flavor promises
 (anticommutativity and Jacobi for ``lie``, commutativity and associativity
 for ``commutative-associative``, ...), so downstream code can rely on them.
+
+In a degree window (``constructions.km_window``) the table maps undefined
+products to None; a walk over the table that does not test for None fails
+loudly on it instead of reading an undefined product as zero.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ class LawViolation(ValueError):
         super().__init__(f"{law} fails on basis tuple {witness}: residual ({shown})")
 
 
-Table = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+Table = dict[tuple[int, int], tuple[tuple[int, Fraction], ...] | None]  # None: undefined
 
 
 def int_table(table: Table) -> dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]:
@@ -73,7 +77,8 @@ def sparse_product(table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]
 
 @dataclass(frozen=True, eq=False)
 class AlgebraSpec:
-    """A validated structure-constant algebra."""
+    """A structure-constant algebra, validated by ``make_algebra`` (a degree
+    window is certified by ``km_window`` instead)."""
 
     dim: int
     basis_names: tuple[str, ...]
@@ -481,14 +486,19 @@ def _require_lie(alg: AlgebraSpec, op: str) -> None:
 
 
 def right_annihilator(alg: AlgebraSpec) -> Subspace:
-    """{z : e_j z = 0 for every j}, read straight from the product table."""
+    """{z : e_j z = 0 for every j}, read straight from the product table; a
+    basis vector e_q with an undefined product e_j e_q is excluded (z_q = 0)."""
     n = alg.dim
     acc = RowAccumulator(n)
+    undefined = {q for (_, q), terms in alg.table.items() if terms is None}
+    for q in undefined:
+        acc.add({q: Fraction(1)})
     for j in range(n):
         rows: dict[int, dict[int, Fraction]] = {}  # m -> coefficients of e_j z at e_m
         for q in range(n):
-            for m, c in alg.product_on_basis(j, q):
-                rows.setdefault(m, {})[q] = c
+            if q not in undefined:
+                for m, c in alg.product_on_basis(j, q):
+                    rows.setdefault(m, {})[q] = c
         for row in rows.values():
             acc.add(row)
     return acc.nullspace()

@@ -38,7 +38,7 @@ from .solver import (
     solve_qder,
     solve_structures,
 )
-from .window import solve_window, window_shifts
+from .window import solve_window
 
 USAGE_ERROR = 2
 EXPECTATION_FAILURE = 1
@@ -223,10 +223,10 @@ def _cmd_window(args) -> int:
     alg = _resolve_algebra(args.algebra)
     twist = _load_twist(args.twist, alg.dim) if args.twist else None
     pa = km_window(alg, killing_form(alg), args.window, twist=twist)
-    shifts = window_shifts(pa)
-    if args.shift is not None and args.shift not in shifts:
-        raise UsageError(f"--shift: {args.shift} is outside the window's shifts {shifts[0]}..{shifts[-1]}")
-    sol = solve_window(pa, args.shift)
+    try:
+        sol = solve_window(pa, args.shift)
+    except ValueError as e:
+        raise UsageError(f"--shift: {e}")
     ident_in = sol.full.space.contains(Matrix.identity(pa.dim).flatten())
     doc = {
         "window_algebra": partial_to_json(pa),

@@ -1,23 +1,21 @@
 """Composite algebras: tensor brackets, extensions, and degree windows.
 
-The constructors here produce either ordinary validated :class:`AlgebraSpec`
-instances (tensor products, semidirect and central extensions, cyclic
-twisted currents) or a :class:`PartialAlgebra` for the degree-truncated loop
-model, where products leaving the window are marked undefined rather than
-wrongly set to zero.
+The constructors here produce :class:`AlgebraSpec` instances: validated
+tensor products, semidirect and central extensions and cyclic twisted
+currents, and the degree-truncated loop model, whose products leaving the
+window are marked undefined (None) rather than wrongly set to zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import (
     AlgebraSpec,
     BilinearForm,
     LawViolation,
-    _basis_vector,
     _require_lie,
     make_algebra,
     sparse_product,
@@ -291,78 +289,12 @@ def twisted_cyclic(g: AlgebraSpec, grading: Sequence[Subspace], m: int) -> Algeb
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisLabel:
-    kind: str  # 'loop' | 'euler' | 'central'
-    degree: int
-    vector: Vector | None  # coordinates in g for loop labels
-    name: str
-
-
-@dataclass(frozen=True, eq=False)
-class PartialAlgebra:
-    """A degree-windowed graded bracket; pairs outside the window are
-    undefined (None) rather than zero, and generate no constraints.
-
-    ``flavor`` is ``"lie"`` only when every defined product is a bracket of
-    one Lie algebra, so that each imposed Hom-Jacobi equation of the
-    identity map is a Jacobi identity (``km_window`` certifies this); any
-    other value certifies nothing.
-    """
-
-    dim: int
-    labels: tuple[BasisLabel, ...]
-    window: int
-    products: Mapping[tuple[int, int], tuple[tuple[int, Fraction], ...] | None] = field(repr=False)
-    flavor: str = "unchecked"
-
-    def degree(self, i: int) -> int:
-        return self.labels[i].degree
-
-    def basis_vector(self, i: int) -> Vector:
-        return _basis_vector(i, self.dim)
-
-    def bracket(self, i: int, j: int):
-        """Structure constants of [b_i, b_j], or None when out of window."""
-        if i == j:
-            return ()
-        if (i, j) in self.products:
-            return self.products[(i, j)]
-        rev = self.products.get((j, i), ())
-        if rev is None:
-            return None
-        return tuple((k, -c) for k, c in rev)
-
-    # the name AlgebraSpec uses, so the row compiler reads both algebra types
-    product_on_basis = bracket
-
-    def multiply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector | None:
-        """Bilinear bracket; None if any contributing pair is undefined."""
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                br = self.bracket(i, j)
-                if br is None:
-                    return None
-                for k, c in br:
-                    out[k] += ui * vj * c
-        return tuple(out)
-
-    def out_of_window_pairs(self) -> list[tuple[int, int]]:
-        out = [pair for pair, terms in self.products.items() if terms is None]
-        return sorted(out)
-
-
 def km_window(
     g: AlgebraSpec,
     invariant_form: BilinearForm,
     n_window: int,
     twist: tuple[Sequence[Subspace], int] | None = None,
-) -> PartialAlgebra:
+) -> AlgebraSpec:
     """Window model of the loop algebra of g with Euler element and center.
 
     Loop vectors x (x) t^i for |i| <= N, plus d with [d, x (x) t^i] =
@@ -370,6 +302,10 @@ def km_window(
     stay inside the window and carry the residue-pairing central term
     i * delta_{i+j,0} <x,y> z.  A twist restricts degree-i loop vectors to
     the grading component i mod n.
+
+    The table holds both orders of every bracket and None for a pair whose
+    degrees leave the window; ``grading`` is the loop degree (d, z: 0).  N
+    is read back as max |grading|, and d and z by their basis names.
 
     The result is certified ``flavor="lie"``.  Every defined product is the
     bracket of the affine algebra L(g) + Kz + Kd (of its twisted subalgebra
@@ -393,39 +329,35 @@ def km_window(
         check_cyclic_grading(g, grading)
         comp_bases = [list(s.basis.data) for s in grading]
         comp_solvers = [SpanSolver(b, g.dim) if b else None for b in comp_bases]
+        if not (comp_bases[n_window % n_twist] or comp_bases[-n_window % n_twist]):
+            raise ValueError("the twist leaves degrees -N and N empty, so N cannot be read back from the window")
     else:
         n_twist = 1
         comp_bases = [[g.basis_vector(i) for i in range(g.dim)]]
         comp_solvers = [SpanSolver(comp_bases[0], g.dim)]
 
-    labels: list[BasisLabel] = []
+    names: list[str] = []
+    degrees: list[int] = []
+    vectors: list[Vector] = []
+    starts: dict[int, int] = {}  # degree -> index of its first loop vector
     for deg in range(-n_window, n_window + 1):
-        comp = comp_bases[deg % n_twist]
-        for s, vec in enumerate(comp):
-            name = f"{g.basis_names[_single_basis_index(vec)]}(x)t^{deg}" if _single_basis_index(vec) is not None else f"g[{s}](x)t^{deg}"
-            labels.append(BasisLabel("loop", deg, vec, name))
-    labels.append(BasisLabel("euler", 0, None, "d"))
-    labels.append(BasisLabel("central", 0, None, "z"))
-    dim = len(labels)
-    d_idx, z_idx = dim - 2, dim - 1
+        starts[deg] = len(names)
+        for s, vec in enumerate(comp_bases[deg % n_twist]):
+            k = _single_basis_index(vec)
+            names.append(f"{g.basis_names[k]}(x)t^{deg}" if k is not None else f"g[{s}](x)t^{deg}")
+            degrees.append(deg)
+            vectors.append(vec)
+    loop_count = len(names)
+    d_idx, z_idx = loop_count, loop_count + 1
 
-    index_of: dict[tuple[int, int], int] = {}
-    pos = 0
-    for deg in range(-n_window, n_window + 1):
-        for s in range(len(comp_bases[deg % n_twist])):
-            index_of[(deg, s)] = pos
-            pos += 1
-
-    products: dict[tuple[int, int], tuple[tuple[int, Fraction], ...] | None] = {}
-    loop_count = dim - 2
-    sparse = [sparse_vector(lab.vector) for lab in labels[:loop_count]]
+    table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...] | None] = {}
+    sparse = [sparse_vector(v) for v in vectors]
     for p1 in range(loop_count):
-        lab1 = labels[p1]
+        i = degrees[p1]
         for p2 in range(p1 + 1, loop_count):
-            lab2 = labels[p2]
-            i, j = lab1.degree, lab2.degree
+            j = degrees[p2]
             if abs(i + j) > n_window:
-                products[(p1, p2)] = None
+                table[(p1, p2)] = table[(p2, p1)] = None
                 continue
             w = sparse_product(g.table, sparse[p1], sparse[p2])
             entry: list[tuple[int, Fraction]] = []
@@ -434,21 +366,26 @@ def km_window(
                 coords = solver.express(w) if solver else None
                 if coords is None:
                     raise LawViolation("grading-compatibility", (p1, p2), w)  # pragma: no cover
-                entry.extend(
-                    (index_of[(i + j, s)], c) for s, c in enumerate(coords) if c
-                )
+                entry.extend((starts[i + j] + s, c) for s, c in enumerate(coords) if c)
             if i + j == 0:
-                central = i * invariant_form(lab1.vector, lab2.vector)
+                central = i * invariant_form(vectors[p1], vectors[p2])
                 if central:
                     entry.append((z_idx, Fraction(central)))
             if entry:
-                products[(p1, p2)] = tuple(sorted(entry))
+                table[(p1, p2)] = tuple(sorted(entry))
+                table[(p2, p1)] = tuple((k, -c) for k, c in table[(p1, p2)])
     # Euler action: [d, x (x) t^i] = i * x (x) t^i
-    for p in range(loop_count):
-        deg = labels[p].degree
+    for p, deg in enumerate(degrees):
         if deg:
-            products[(d_idx, p)] = ((p, Fraction(deg)),)
-    return PartialAlgebra(dim=dim, labels=tuple(labels), window=n_window, products=products, flavor="lie")
+            table[(d_idx, p)] = ((p, Fraction(deg)),)
+            table[(p, d_idx)] = ((p, Fraction(-deg)),)
+    return AlgebraSpec(
+        dim=loop_count + 2,
+        basis_names=(*names, "d", "z"),
+        table=table,
+        flavor="lie",
+        grading=(*degrees, 0, 0),
+    )
 
 
 def _single_basis_index(vec: Vector) -> int | None:

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+
 from .algebra import AlgebraSpec, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
 from .linalg import Matrix, Vector, dense_vector, is_zero_vector, sparse_lincomb
 from .solver import HOM_LIE, HomSolution, solve_structures, structure_residual
+from .window import window_jacobi_residual
 
 
 def jordan_product(phi: Matrix, psi: Matrix) -> Matrix:
@@ -41,13 +44,19 @@ class ClosureVerdict:
 
 
 def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int], Vector] | None:
+    """The first triple i < j < k with a nonzero Hom-Jacobi residual; on a
+    window, of an imposed equation (``window_jacobi_residual``) at a shift of phi."""
     n = alg.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                r = structure_residual(alg, phi, HOM_LIE, (i, j, k))
-                if not is_zero_vector(r):
-                    return (i, j, k), r
+    if None in alg.table.values():
+        shifts = sorted({alg.grading[u] - alg.grading[c] for u in range(n) for c in range(n) if phi.entry(u, c)})
+        checks = [lambda t, s=s: window_jacobi_residual(alg, phi, t, s) for s in shifts]
+    else:
+        checks = [lambda t: structure_residual(alg, phi, HOM_LIE, t)]
+    for check in checks:
+        for triple in combinations(range(n), 3):
+            r = check(triple)
+            if r is not None and not is_zero_vector(r):
+                return triple, r
     return None
 
 

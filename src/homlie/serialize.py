@@ -10,8 +10,8 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .algebra import FLAVORS, AlgebraSpec, make_algebra
-from .constructions import PartialAlgebra
 from .linalg import Subspace, as_scalar
+from .window import window_size
 
 
 def format_scalar(x: Fraction) -> str:
@@ -89,23 +89,26 @@ def _is_table_entry(entry) -> bool:
     )
 
 
-def partial_to_json(pa: PartialAlgebra) -> dict:
+def partial_to_json(pa: AlgebraSpec) -> dict:
+    """A degree window (``km_window``): each bracket once, the Euler action
+    as [d, x], and the undefined pairs i < j listed in ``out_of_window``."""
+    kinds = ["euler" if name == "d" else "central" if name == "z" else "loop" for name in pa.basis_names]
+    first = [-1 if kind == "euler" else i for i, kind in enumerate(kinds)]  # d is written first
     table = []
-    for (i, j) in sorted(pa.products):
-        terms = pa.products[(i, j)]
-        if terms is None:
-            continue
-        table.append([i, j, [[k, format_scalar(c)] for k, c in terms]])
+    for (i, j) in sorted(pa.table):
+        terms = pa.table[(i, j)]
+        if terms is not None and first[i] < first[j]:
+            table.append([i, j, [[k, format_scalar(c)] for k, c in terms]])
     return {
         "dim": pa.dim,
-        "basis": [lab.name for lab in pa.labels],
+        "basis": list(pa.basis_names),
         "flavor": "partial-anticommutative",
-        "grading": [lab.degree for lab in pa.labels],
+        "grading": list(pa.grading),
         "table": table,
         "partial": True,
-        "window": pa.window,
-        "kinds": [lab.kind for lab in pa.labels],
-        "out_of_window": [list(p) for p in pa.out_of_window_pairs()],
+        "window": window_size(pa),
+        "kinds": kinds,
+        "out_of_window": [[i, j] for (i, j), terms in sorted(pa.table.items()) if terms is None and i < j],
     }
 
 

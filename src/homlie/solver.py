@@ -119,11 +119,30 @@ def _sparse_rows(groups: Iterable[_Terms]) -> Iterator[dict[int, Fraction]]:
                 yield nonzero
 
 
+Block = tuple[Sequence[int], int, Mapping[tuple[int, int], int]]  # (degrees, shift, cols)
+
+
+def _shift_block(deg: Sequence[int], shift: int) -> Block:
+    """The maps sending degree d into d + shift, phi(e_c) -> e_q at column
+    cols[(q, c)], numbered by (q, c) ascending: with one degree and shift 0,
+    all of End with phi(e_c) -> e_q at column q*dim + c."""
+    pairs = [(q, c) for q in range(len(deg)) for c in range(len(deg)) if deg[q] == deg[c] + shift]
+    return deg, shift, {pair: k for k, pair in enumerate(pairs)}
+
+
+def _columns_of(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, int]]:
+    """col_of[c][q] = the column of phi(e_c) -> e_q, q ascending."""
+    col_of: list[dict[int, int]] = [{} for _ in range(n)]
+    for (q, c), col in cols.items():
+        col_of[c][q] = col
+    return col_of
+
+
 def _hom_generic_rows(
-    alg,
+    alg: AlgebraSpec,
     triples: Iterable[tuple[int, int, int]],
     pattern: str,
-    block: tuple[Callable[[int], int], int, Mapping[tuple[int, int], int]] | None = None,
+    block: Block | None = None,
 ) -> Iterator[dict[int, Fraction]]:
     """Rows of (ab)phi(c) [+ cyclic terms | - (ca)phi(b)] over given triples.
 
@@ -131,25 +150,17 @@ def _hom_generic_rows(
     pattern 'cyclic': (ab)phi(c) - (ca)phi(b) = 0
     pattern '2nilp' : (ab)phi(c) = 0
 
-    Without ``block`` the unknown is all of End with phi(e_c) -> e_q at
-    column q*dim + c.  A block ``(degree, shift, cols)`` restricts it to the
-    maps sending degree d into degree d + shift, with phi(e_c) -> e_q at
-    column cols[(q, c)].  ``alg.product_on_basis`` may return None for an
-    undefined product (a windowed algebra); a triple's equations are emitted
-    only when every product they read is defined.
+    The unknown is the block's maps, all of End without one.  A product
+    may be undefined (None, in a degree window); a triple's equations are
+    emitted only when every product they read is defined.
     """
     signs = {"jacobi": (1, 1, 1), "cyclic": (1, -1), "2nilp": (1,)}.get(pattern)
     if signs is None:
         raise ValueError(pattern)
     n = alg.dim
-    if block is None:  # one block: degree 0, shift 0, all of End
-        block = (lambda i: 0), 0, {(q, c): q * n + c for q in range(n) for c in range(n)}
-    degree, shift, cols = block
-    deg = [degree(i) for i in range(n)]
+    deg, shift, cols = block or _shift_block((0,) * n, 0)
     target = [d + shift for d in deg]
-    col_of: list[dict[int, int]] = [{} for _ in range(n)]  # col_of[c][q] = column of phi(e_c) -> e_q
-    for (q, c), col in cols.items():
-        col_of[c][q] = col
+    col_of = _columns_of(cols, n)
     # left[p][d] = [(q, m, coeff)] with e_p e_q = sum coeff e_m and deg q = d;
     # gaps[p] = the degrees d of the q with e_p e_q undefined
     left: list[dict[int, list[tuple[int, int, Fraction]]]] = [{} for _ in range(n)]
@@ -181,9 +192,11 @@ def _hom_generic_rows(
     return _sparse_rows(groups())
 
 
-def _delta_rows(alg: AlgebraSpec, delta: Fraction) -> Iterator[dict[int, Fraction]]:
-    """D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs."""
+def _delta_rows(alg: AlgebraSpec, delta: Fraction, block: Block | None = None) -> Iterator[dict[int, Fraction]]:
+    """D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs, for the block's
+    maps D (all of End without one)."""
     n = alg.dim
+    col_of = _columns_of((block or _shift_block((0,) * n, 0))[2], n)
     pairs: Iterable[tuple[int, int]]
     if alg.is_anticommutative():
         pairs = combinations(range(n), 2)
@@ -193,22 +206,22 @@ def _delta_rows(alg: AlgebraSpec, delta: Fraction) -> Iterator[dict[int, Fractio
     def terms(i: int, j: int) -> _Terms:
         # D applied to the product e_i e_j
         for k, c in alg.product_on_basis(i, j):
-            for m in range(n):
-                yield m, m * n + k, c
+            for m, col in col_of[k].items():
+                yield m, col, c
         # - delta * (D(e_i) e_j): D(e_i) = sum_q M[q][i] e_q
-        for q in range(n):
+        for q, col in col_of[i].items():
             for k, c in alg.product_on_basis(q, j):
-                yield k, q * n + i, -delta * c
+                yield k, col, -delta * c
         # - delta * (e_i D(e_j))
-        for q in range(n):
+        for q, col in col_of[j].items():
             for k, c in alg.product_on_basis(i, q):
-                yield k, q * n + j, -delta * c
+                yield k, col, -delta * c
 
     return _sparse_rows(terms(i, j) for i, j in pairs)
 
 
-def _structure_rows(alg: AlgebraSpec, kind: StructureKind) -> Iterator[dict[int, Fraction]]:
-    """Compiled rows of the kind's defining identity over basis triples.
+def _triples(alg: AlgebraSpec, kind: StructureKind, deg: Sequence[int]) -> Iterable[tuple[int, int, int]]:
+    """The basis triples the kind's identity is imposed on.
 
     On an anticommutative algebra the hom-lie rows come from the triples
     i < j < k only, and they span the rows of all ordered triples.  Write
@@ -218,51 +231,108 @@ def _structure_rows(alg: AlgebraSpec, kind: StructureKind) -> Iterator[dict[int,
     other transpositions follow the same way, so J changes sign under every
     swap.  With two equal arguments, J(a, a, c) = (aa)phi(c) + (ca)phi(a) +
     (ac)phi(a) = 0, because e_i e_i = 0 and e_c e_a = -e_a e_c hold on the
-    basis (``make_algebra`` validates both for anticommutative flavors).  So
-    the row of any ordered triple is zero or plus or minus the row of its
-    sorted triple.
+    basis (``make_algebra`` validates both for anticommutative flavors, and
+    ``km_window`` builds both), so the row of any ordered triple is zero or
+    plus or minus the row of its sorted triple.
+
+    With one degree the triples come lazily in index order; with several,
+    as one list by |deg a + deg b + deg c| ascending, stable by index.  In a
+    window, central triples are imposable in every block, so they bring a
+    cut system to full rank early.  Row order does not change a kernel.
     """
     n = alg.dim
-    if kind.tag == "hom-lie":
-        if alg.is_anticommutative():
-            triples = ((i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
-        else:
-            triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-        return _hom_generic_rows(alg, triples, "jacobi")
-    if kind.tag == "hom-cyclic":
-        triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-        return _hom_generic_rows(alg, triples, "cyclic")
-    if kind.tag == "hom-2nilp":
-        triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-        return _hom_generic_rows(alg, triples, "2nilp")
+    if kind.tag == "hom-lie" and alg.is_anticommutative():
+        triples: Iterable[tuple[int, int, int]] = combinations(range(n), 3)
+    else:
+        triples = product(range(n), repeat=3)
+    if len(set(deg)) < 2:
+        return triples
+    return sorted(triples, key=lambda t: abs(deg[t[0]] + deg[t[1]] + deg[t[2]]))
+
+
+_PATTERNS = {"hom-lie": "jacobi", "hom-cyclic": "cyclic", "hom-2nilp": "2nilp"}
+
+
+def _structure_rows(
+    alg: AlgebraSpec,
+    kind: StructureKind,
+    block: Block | None = None,
+    triples: Iterable[tuple[int, int, int]] | None = None,
+) -> Iterator[dict[int, Fraction]]:
+    """Compiled rows of the kind's defining identity for the block's maps
+    (all of End without one), over ``triples`` (default ``_triples``)."""
     if kind.tag == "delta-derivation":
         assert kind.delta is not None
-        return _delta_rows(alg, kind.delta)
-    raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
+        return _delta_rows(alg, kind.delta, block)
+    if kind.tag not in _PATTERNS:
+        raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
+    if triples is None:
+        triples = _triples(alg, kind, (0,) * alg.dim)
+    return _hom_generic_rows(alg, triples, _PATTERNS[kind.tag], block)
 
 
-def _known_solutions(alg: AlgebraSpec, kind: StructureKind) -> Subspace:
-    """A subspace K of the kind's solution space, known without solving.
+def _known_block(alg: AlgebraSpec, kind: StructureKind, block: Block, annihilator: Sequence[Vector]) -> Subspace:
+    """A subspace K of the block's solutions, known without solving.
 
-    For hom-lie, hom-cyclic and hom-2nilp, K contains Hom(L, Ann_r(L)): every
-    term of those identities has the form (xy)phi(z), which vanishes when
-    phi(z) lies in the right annihilator.  For hom-lie on a lie-flavor
-    algebra K also contains the identity, whose Hom-Jacobi identity is the
-    Jacobi identity that ``make_algebra`` validated.  For delta kinds K = 0.
+    For hom-lie, hom-cyclic and hom-2nilp, K holds the block's maps e_c -> z
+    for z in the echelon basis ``annihilator`` of the right annihilator
+    (homogeneous, as the annihilator is graded): every term of those
+    identities has the form (xy)phi(w), which vanishes when phi(w) lies in
+    it.  For hom-lie on a lie-flavor algebra K also holds the identity at
+    shift 0: its Hom-Jacobi identity is the Jacobi identity that
+    ``make_algebra`` validated (``km_window`` certifies each imposed one).
+    """
+    _, shift, cols = block
+    n = alg.dim
+    acc = RowAccumulator(len(cols))
+    if kind.tag in _PATTERNS:
+        for z in annihilator:
+            pivot = next(q for q, x in enumerate(z) if x)
+            for c in range(n):
+                if (pivot, c) in cols:
+                    acc.add({cols[(q, c)]: x for q, x in enumerate(z) if x})
+    if kind.tag == "hom-lie" and alg.flavor == "lie" and shift == 0:
+        acc.add({cols[(c, c)]: 1 for c in range(n)})
+    return Subspace(len(cols), acc.rref_matrix())
+
+
+def grading_shifts(alg: AlgebraSpec) -> list[int]:
+    """Every difference of two degrees of ``alg.grading``, ascending ([0] ungraded)."""
+    lo, hi = min(alg.grading or (0,)), max(alg.grading or (0,))
+    return list(range(lo - hi, hi - lo + 1))
+
+
+def _solve_shift_blocks(
+    alg: AlgebraSpec,
+    kind: StructureKind,
+    shifts: Iterable[int],
+    kernel: Callable[[int, Iterable[Mapping[int, Fraction]]], Subspace],
+) -> Subspace:
+    """The kind's solutions in the shift blocks ``shifts``, in End.
+
+    Every term of the kind's identity at basis vectors of total degree D,
+    for a map of shift s, lies in degree D + s, so the solution space is the
+    direct sum of its shift blocks; ungraded, the one block is all of End.
+    Each block is solved modulo ``_known_block`` with ``kernel``.
     """
     n = alg.dim
-    if kind.tag not in ("hom-lie", "hom-cyclic", "hom-2nilp"):
-        return Subspace.zero(n * n)
-    gens = []
-    for z in right_annihilator(alg).basis.data:
-        for c in range(n):  # the map e_c -> z, other basis vectors -> 0
-            dense = [Fraction(0)] * (n * n)
-            for q, zq in enumerate(z):
-                dense[q * n + c] = zq
-            gens.append(tuple(dense))
-    if kind.tag == "hom-lie" and alg.flavor == "lie":
-        gens.append(Matrix.identity(n).flatten())
-    return Subspace.from_spanning(gens, n * n)
+    if kind.tag not in _PATTERNS and None in alg.table.values():
+        raise ValueError(f"{kind} needs every product defined; this algebra has undefined products")
+    deg = alg.grading or (0,) * n
+    annihilator = right_annihilator(alg).basis.data if kind.tag in _PATTERNS else ()
+    triples = _triples(alg, kind, deg)
+    vectors: list[Vector] = []
+    for shift in shifts:
+        block = _shift_block(deg, shift)
+        cols = block[2]
+        if not cols:
+            continue
+        known = _known_block(alg, kind, block, annihilator)
+        space = _solve_modulo(known, _structure_rows(alg, kind, block, triples), kernel)
+        if len(cols) == n * n:  # the block is all of End, in its coordinates
+            return space
+        vectors.extend(Matrix.from_sparse(n, n, dict(zip(cols, b))).flatten() for b in space.basis.data)
+    return Subspace.from_spanning(vectors, n * n)
 
 
 def _solve_modulo(
@@ -296,14 +366,13 @@ def _solve_modulo(
 
 def solve_structures(alg: AlgebraSpec, kind: StructureKind) -> HomSolution:
     """Exact space of maps satisfying the kind's defining identity, solved
-    modulo the known solutions of ``_known_solutions`` (``_solve_modulo``)."""
+    over every shift block of ``alg.grading`` (``_solve_shift_blocks``)."""
     if kind.tag == "multiplicative-check-only":
         raise ValueError(
             "the multiplicativity condition is not linear; use is_multiplicative "
             "to test candidate maps"
         )
-    space = _solve_modulo(_known_solutions(alg, kind), _structure_rows(alg, kind), nullspace_of_rows)
-    return HomSolution(alg, kind, space)
+    return HomSolution(alg, kind, _solve_shift_blocks(alg, kind, grading_shifts(alg), nullspace_of_rows))
 
 
 def structure_residual(
@@ -553,24 +622,23 @@ class MultiplicativityWitness:
     rhs: Vector
 
 
-def is_multiplicative(alg, phi: Matrix) -> bool | MultiplicativityWitness:
+def is_multiplicative(alg: AlgebraSpec, phi: Matrix) -> bool | MultiplicativityWitness:
     """phi(xy) == phi(x)phi(y) on basis pairs; True or a witness pair.
 
-    Works for both total algebras and degree-windowed partial algebras; for
-    the latter a pair is skipped when its product or the product of its
-    images leaves the window (some basis product they need is None).
+    On a degree window a pair is skipped when its product or the product of
+    its images reads an undefined (None) basis product.
     """
     n = alg.dim
     if phi.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
-    table = {(i, j): alg.product_on_basis(i, j) for i in range(n) for j in range(n)}
+    table = alg.table
     undefined = {pair for pair, terms in table.items() if terms is None}
     cols = sparse_columns(phi)  # phi(e_c)
     for i in range(n):
         for j in range(n):
             if undefined and ((i, j) in undefined or any((p, q) in undefined for p in cols[i] for q in cols[j])):
                 continue
-            lhs = sparse_lincomb(*((c, cols[k]) for k, c in table[(i, j)]))
+            lhs = sparse_lincomb(*((c, cols[k]) for k, c in alg.product_on_basis(i, j)))
             rhs = sparse_product(table, cols[i], cols[j])
             if lhs != rhs:
                 return MultiplicativityWitness((i, j), dense_vector(lhs, n), dense_vector(rhs, n))

@@ -184,11 +184,23 @@ def test_twisted_cyclic_bad_grading_witness():
 
 
 def _expand(pa, terms):
-    """The dense vector of a bracket's sparse terms."""
+    """The dense vector of a product's sparse terms."""
     out = [F(0)] * pa.dim
     for k, c in terms:
         out[k] += c
     return tuple(out)
+
+
+def _window_multiply(pa, u, v):
+    """``pa.multiply``, or None when the product reads an undefined basis product."""
+    if any(pa.table.get((i, j), ()) is None for i, x in enumerate(u) if x for j, y in enumerate(v) if y):
+        return None
+    return pa.multiply(u, v)
+
+
+def _loop_index(pa, sl2, degree, basis_index):
+    name = f"{sl2.basis_names[basis_index]}(x)t^{degree}"
+    return pa.basis_names.index(name)
 
 
 def test_km_window_shape_and_brackets():
@@ -196,19 +208,31 @@ def test_km_window_shape_and_brackets():
     pa = km_window(sl2, killing_form(sl2), 2)
     assert pa.dim == 3 * 5 + 2
     assert pa.flavor == "lie"  # the certificate the shift-0 block relies on
-    deg2 = [i for i, lab in enumerate(pa.labels) if lab.degree == 2 and lab.kind == "loop"]
-    assert pa.bracket(deg2[0], deg2[1]) is None  # leaves the window
-    em_t = next(i for i, lab in enumerate(pa.labels)
-                if lab.kind == "loop" and lab.degree == 1 and lab.vector == sl2.basis_vector(0))
-    ep_tinv = next(i for i, lab in enumerate(pa.labels)
-                   if lab.kind == "loop" and lab.degree == -1 and lab.vector == sl2.basis_vector(2))
-    h_0 = next(i for i, lab in enumerate(pa.labels)
-               if lab.kind == "loop" and lab.degree == 0 and lab.vector == sl2.basis_vector(1))
-    vec = _expand(pa, pa.bracket(em_t, ep_tinv))
+    assert pa.basis_names[-2:] == ("d", "z") and max(map(abs, pa.grading)) == 2
+    deg2 = [i for i, d in enumerate(pa.grading) if d == 2]
+    assert pa.product_on_basis(deg2[0], deg2[1]) is None  # leaves the window
+    assert pa.product_on_basis(deg2[1], deg2[0]) is None
+    em_t = _loop_index(pa, sl2, 1, 0)
+    ep_tinv = _loop_index(pa, sl2, -1, 2)
+    h_0 = _loop_index(pa, sl2, 0, 1)
+    vec = _expand(pa, pa.product_on_basis(em_t, ep_tinv))
     expected = [F(0)] * pa.dim
     expected[h_0] = F(1)       # [e-, e+] = h at degree 0
     expected[pa.dim - 1] = F(2)  # residue pairing: 1 * <e-, e+> = 2
     assert list(vec) == expected
+    assert _expand(pa, pa.product_on_basis(ep_tinv, em_t)) == tuple(-x for x in expected)
+
+
+def test_km_window_table_holds_both_orders():
+    sl2 = builtin("sl", 2)
+    pa = km_window(sl2, killing_form(sl2), 3)
+    for (i, j), terms in pa.table.items():
+        back = pa.table[(j, i)]
+        assert (back is None) == (terms is None)
+        if terms is not None:
+            assert back == tuple((k, -c) for k, c in terms)
+    with pytest.raises(TypeError):  # a walk that does not know about windows fails loudly
+        pa.multiply(pa.basis_vector(0), pa.basis_vector(1))  # degrees -3 + -3
 
 
 def test_km_window_euler_and_center():
@@ -216,14 +240,14 @@ def test_km_window_euler_and_center():
     pa = km_window(sl2, killing_form(sl2), 2)
     d = pa.dim - 2
     z = pa.dim - 1
-    for i, lab in enumerate(pa.labels):
-        if lab.kind == "loop":
-            br = pa.bracket(d, i)
-            if lab.degree == 0:
-                assert br == ()
-            else:
-                assert br == ((i, F(lab.degree)),)
-        assert pa.bracket(z, i) == ()
+    for i in range(d):
+        br = pa.product_on_basis(d, i)
+        if pa.grading[i] == 0:
+            assert br == ()
+        else:
+            assert br == ((i, F(pa.grading[i])),)
+    for i in range(pa.dim):
+        assert pa.product_on_basis(z, i) == ()
 
 
 def test_km_window_jacobi_where_defined():
@@ -231,13 +255,13 @@ def test_km_window_jacobi_where_defined():
     for twist in (None, (_cartan_grading(), 2)):
         pa = km_window(sl2, killing_form(sl2), 2, twist=([*twist[0]], twist[1]) if twist else None)
         for i, j, k in itertools.combinations(range(pa.dim), 3):
-            inner = [pa.bracket(i, j), pa.bracket(k, i), pa.bracket(j, k)]
+            inner = [pa.product_on_basis(i, j), pa.product_on_basis(k, i), pa.product_on_basis(j, k)]
             if any(t is None for t in inner):
                 continue
             outer = [
-                pa.multiply(_expand(pa, inner[0]), pa.basis_vector(k)),
-                pa.multiply(_expand(pa, inner[1]), pa.basis_vector(j)),
-                pa.multiply(_expand(pa, inner[2]), pa.basis_vector(i)),
+                _window_multiply(pa, _expand(pa, inner[0]), pa.basis_vector(k)),
+                _window_multiply(pa, _expand(pa, inner[1]), pa.basis_vector(j)),
+                _window_multiply(pa, _expand(pa, inner[2]), pa.basis_vector(i)),
             ]
             if any(t is None for t in outer):
                 continue
@@ -262,6 +286,11 @@ def test_km_window_rejects_bad_inputs():
     skew = BilinearForm(Matrix.from_rows([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
     with pytest.raises(ValueError):
         km_window(sl2, skew, 2)
+    # a Z/4 grading with g_2 = 0 leaves degrees -2 and 2 of an N=2 window empty
+    z4 = [Subspace.from_spanning(v, 3) for v in ([[0, 1, 0]], [[0, 0, 1]], [], [[1, 0, 0]])]
+    with pytest.raises(ValueError, match="cannot be read back"):
+        km_window(sl2, killing_form(sl2), 2, twist=(z4, 4))
+    assert km_window(sl2, killing_form(sl2), 3, twist=(z4, 4)).grading[0] == -3
 
 
 def test_adjoin_map():

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from homlie.algebra import builtin
-from homlie.constructions import tensor_lie
+from homlie.algebra import builtin, killing_form
+from homlie.constructions import km_window, tensor_lie
 from homlie.jordan import (
     closure_check,
     counterexample_suite,
@@ -11,8 +11,9 @@ from homlie.jordan import (
     jordan_product,
     jordan_structure_constants,
 )
-from homlie.linalg import Matrix
+from homlie.linalg import Matrix, Subspace
 from homlie.solver import HOM_LIE, solve_structures, structure_residual
+from homlie.window import solve_window, window_jacobi_residual
 
 F = Fraction
 
@@ -113,3 +114,32 @@ def test_counterexample_witness_is_independently_verifiable():
     residual = structure_residual(tensor, prod, HOM_LIE, rep.violating_triple)
     assert residual == tuple(rep.residual)
     assert any(residual)
+
+
+# -- the Jordan question on the affine window spaces --------------------------
+
+
+@pytest.mark.parametrize("n_window, dim", [(2, 18), (3, 24)])
+def test_untwisted_window_space_is_jordan_closed(n_window, dim):
+    g = builtin("sl", 2)
+    sol = solve_window(km_window(g, killing_form(g), n_window)).full
+    assert sol.dim == dim
+    assert closure_check(sol).closed
+
+
+def test_twisted_window_space_is_not_jordan_closed():
+    g = builtin("sl", 2)
+    g0 = Subspace.from_spanning([[0, 1, 0]], 3)
+    g1 = Subspace.from_spanning([[1, 0, 0], [0, 0, 1]], 3)
+    pa = km_window(g, killing_form(g), 3, twist=([g0, g1], 2))
+    sol = solve_window(pa).full
+    assert sol.dim == 22
+    verdict = closure_check(sol)
+    assert not verdict.closed
+    w = verdict.witness
+    # the witness is an imposed equation of the shift-0 block, re-evaluated
+    # by the window's own residual
+    assert (w.phi_index, w.psi_index, w.violating_triple) == (1, 5, (0, 5, 7))
+    assert w.product == jordan_product(*(sol.basis_maps()[i] for i in (1, 5)))
+    residual = window_jacobi_residual(pa, w.product, w.violating_triple, 0)
+    assert residual == w.residual == tuple(F(1, 2) if m == 2 else F(0) for m in range(pa.dim))

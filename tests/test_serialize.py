@@ -92,7 +92,7 @@ def test_partial_serialization():
     assert all(len(pair) == 2 for pair in doc["out_of_window"])
     # out-of-window pairs are exactly the loop pairs whose degrees escape
     for i, j in doc["out_of_window"]:
-        assert abs(pa.degree(i) + pa.degree(j)) > 2
+        assert abs(pa.grading[i] + pa.grading[j]) > 2
 
 
 def test_solution_serialization():

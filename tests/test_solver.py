@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
-from homlie.algebra import builtin, killing_form, make_algebra
+from homlie.algebra import builtin, killing_form, make_algebra, right_annihilator
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import central_extension, cocycle2, tensor_lie
 from homlie.linalg import Matrix, RowAccumulator, Subspace, nullspace_of_rows
@@ -27,8 +28,10 @@ from homlie.solver import (
     structure_residual,
     tensor_formula_span,
     _hom_generic_rows,
-    _known_solutions,
+    _known_block,
+    _shift_block,
     _structure_rows,
+    grading_shifts,
 )
 
 F = Fraction
@@ -54,7 +57,7 @@ def _battery():
 
 
 def test_sorted_triples_solve_the_ordered_hom_jacobi_system():
-    # the proof is in _structure_rows' docstring; the tensor has a Jacobi defect
+    # the proof is in _triples' docstring; the tensor has a Jacobi defect
     defect = make_algebra(
         3,
         {(0, 1): [(2, 1)], (1, 0): [(2, -1)], (1, 2): [(1, 1)], (2, 1): [(1, -1)]},
@@ -92,10 +95,13 @@ def test_known_solutions_have_zero_residual_everywhere(kind):
     # the certificate is checked by the independent evaluator, not assumed
     for name, alg in _battery():
         n = alg.dim
-        for v in _known_solutions(alg, kind).basis.data:
-            phi = Matrix.unflatten(v, n, n)
-            for triple in itertools.product(range(n), repeat=3):
-                assert not any(structure_residual(alg, phi, kind, triple)), (name, triple)
+        annihilator = right_annihilator(alg).basis.data
+        for shift in grading_shifts(alg):
+            block = _shift_block(alg.grading or (0,) * n, shift)
+            for v in _known_block(alg, kind, block, annihilator).basis.data:
+                phi = Matrix.from_sparse(n, n, {qc: x for qc, x in zip(block[2], v) if x})
+                for triple in itertools.product(range(n), repeat=3):
+                    assert not any(structure_residual(alg, phi, kind, triple)), (name, shift, triple)
 
 
 @pytest.mark.parametrize(
@@ -106,6 +112,21 @@ def test_known_solutions_have_zero_residual_everywhere(kind):
 def test_solve_matches_full_consumption(kind):
     for name, alg in _battery():
         assert solve_structures(alg, kind).space == _full_consumption(alg, kind), name
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [HOM_LIE, HOM_CYCLIC, HOM_2NILP] + [delta_derivation(d) for d in ("-1", "1/2", "1", "2")],
+    ids=str,
+)
+def test_grading_split_is_exact(kind):
+    # trunc_poly is graded by degree, so its solve runs shift block by shift
+    # block; a copy without the grading is one block, all of End
+    for m in range(2, 6):
+        graded = builtin("trunc_poly", m)
+        assert graded.grading == tuple(range(m))
+        ungraded = dataclasses.replace(graded, grading=None)
+        assert solve_structures(graded, kind).space == solve_structures(ungraded, kind).space, m
 
 
 def test_homlie_abelian_unconstrained():

@@ -25,7 +25,7 @@ from homlie.algebra import (
     make_algebra,
 )
 from homlie.battery import builtin_battery, check_action_intertwines_jacobiator, random_lie_battery
-from homlie.constructions import PartialAlgebra, cocycle2, derivation_defect, km_window, twisted_cyclic
+from homlie.constructions import cocycle2, derivation_defect, km_window, twisted_cyclic
 from homlie.linalg import Matrix, Subspace
 from homlie.solver import (
     HOM_2NILP,
@@ -103,9 +103,13 @@ DENSE_WINDOW_DIGESTS = [
 @pytest.mark.parametrize("build,digest", [pytest.param(b, d, id=i) for i, b, d in DENSE_WINDOW_DIGESTS])
 def test_window_build_matches_the_dense_build(build, digest):
     a = build(builtin("sl", 2))
-    if isinstance(a, PartialAlgebra):
-        products = sorted((k, None if v is None else [(m, str(c)) for m, c in v]) for k, v in a.products.items())
-        text = repr((a.dim, [(lab.kind, lab.degree, lab.name) for lab in a.labels], products))
+    if None in a.table.values():
+        # the hashed text of a window lists each loop bracket once (i < j)
+        # and the Euler action as [d, x], with kinds read from the names
+        kinds = ["euler" if x == "d" else "central" if x == "z" else "loop" for x in a.basis_names]
+        once = {(i, j): v for (i, j), v in a.table.items() if kinds[j] == "loop" and (i < j or kinds[i] == "euler")}
+        products = sorted((k, None if v is None else [(m, str(c)) for m, c in v]) for k, v in once.items())
+        text = repr((a.dim, list(zip(kinds, a.grading, a.basis_names)), products))
     else:
         text = repr((a.dim, a.basis_names, a.flavor, sorted((k, [(m, str(c)) for m, c in v]) for k, v in a.table.items())))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
@@ -221,12 +225,21 @@ def test_multiplication_matrices_and_killing_form_match_dense(name, alg):
         assert killing_form(alg).matrix == dense
 
 
+def _dense_multiply(alg, u, v):
+    """``alg.multiply``, or None when the product reads an undefined basis
+    product of a window."""
+    support_u, support_v = [i for i, x in enumerate(u) if x], [j for j, x in enumerate(v) if x]
+    if any(alg.table.get((i, j), ()) is None for i in support_u for j in support_v):
+        return None
+    return alg.multiply(u, v)
+
+
 def _dense_is_multiplicative(alg, phi):
     n = alg.dim
     for i in range(n):
         for j in range(n):
-            xy = alg.multiply(alg.basis_vector(i), alg.basis_vector(j))
-            rhs = alg.multiply(phi.apply(alg.basis_vector(i)), phi.apply(alg.basis_vector(j)))
+            xy = _dense_multiply(alg, alg.basis_vector(i), alg.basis_vector(j))
+            rhs = _dense_multiply(alg, phi.apply(alg.basis_vector(i)), phi.apply(alg.basis_vector(j)))
             if xy is None or rhs is None:
                 continue
             lhs = phi.apply(xy)

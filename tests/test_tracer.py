@@ -1,0 +1,36 @@
+"""The benchmark's span tracer patches names inside the package; a refactor
+that drops one of them must fail here, not in a later traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+from homlie import algebra, builtin, killing_form, km_window, linalg, serialize, solver, window
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_tracer_installs_and_uninstalls():
+    originals = (window.nullspace_of_rows, window._inner_report, algebra.AlgebraSpec.multiply,
+                 serialize.partial_to_json, solver.solve_structures)
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert window.nullspace_of_rows is not linalg.nullspace_of_rows
+        assert solver.nullspace_of_rows is not linalg.nullspace_of_rows
+        g = builtin("sl", 2)
+        window.solve_window(km_window(g, killing_form(g), 2), 0)
+    finally:
+        tracer.uninstall()
+    assert (window.nullspace_of_rows, window._inner_report, algebra.AlgebraSpec.multiply,
+            serialize.partial_to_json, solver.solve_structures) == originals
+    # the shift block's rows are charged to the window's compiler
+    assert tracer.counts["window.blocks"] == 1
+    assert tracer.counts["linalg.rows_in"] > 0
+    assert tracer.agg["window.compile"][0] > 0 and "solver.compile" not in tracer.agg

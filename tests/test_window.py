@@ -1,22 +1,35 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from homlie.algebra import builtin, killing_form
-from homlie.constructions import BasisLabel, PartialAlgebra, km_window
+from homlie.algebra import AlgebraSpec, builtin, killing_form
+from homlie.constructions import km_window
 from homlie.linalg import Matrix, RowAccumulator, Subspace, nullspace_of_rows
-from homlie.solver import _hom_generic_rows, is_multiplicative
+from homlie.solver import HOM_LIE, _hom_generic_rows, _solve_shift_blocks, delta_derivation, is_multiplicative, solve_structures
 from homlie.window import (
     beta_map,
     central_maps,
     solve_window,
     window_jacobi_residual,
     window_shifts,
-    _solve_block,
 )
 
 F = Fraction
+
+
+def _solve_block(pa, shift):
+    """Basis of the kernel of one shift block, in End coordinates."""
+    return _solve_shift_blocks(pa, HOM_LIE, [shift], nullspace_of_rows).basis.data
+
+
+def _bracket_table(dim, products):
+    """A full table from one order of each bracket: [e_j, e_i] = -[e_i, e_j]."""
+    table = dict(products)
+    for (i, j), terms in products.items():
+        table[(j, i)] = None if terms is None else tuple((k, -c) for k, c in terms)
+    return table
 
 
 def _untwisted(n):
@@ -37,10 +50,21 @@ def _twisted(n):
 
 
 def test_window_too_small():
+    # N is read back as max |grading|: clamp the degrees of an N=2 window to N=1
     pa = _untwisted(2)
-    object.__setattr__(pa, "window", 1)
-    with pytest.raises(ValueError):
+    pa = dataclasses.replace(pa, grading=tuple(max(-1, min(1, d)) for d in pa.grading))
+    with pytest.raises(ValueError, match="at least 2"):
         solve_window(pa)
+
+
+def test_delta_on_a_window_is_rejected():
+    with pytest.raises(ValueError, match="undefined products"):
+        solve_structures(_untwisted(2), delta_derivation(1))
+
+
+def test_window_solve_is_the_graded_structure_solve():
+    pa = _twisted(3)
+    assert solve_structures(pa, HOM_LIE).space == solve_window(pa).full.space
 
 
 @pytest.mark.parametrize("shift", [-5, 5, 100])
@@ -142,8 +166,8 @@ def _full_consumption(pa, shift):
     """The block's kernel with every compiled row eliminated in index order:
     no known solutions, no cut rows, no early exit."""
     n = pa.dim
-    cols = [(u, c) for u in range(n) for c in range(n) if pa.degree(u) == pa.degree(c) + shift]
-    block = (pa.degree, shift, {uc: i for i, uc in enumerate(cols)})
+    cols = [(u, c) for u in range(n) for c in range(n) if pa.grading[u] == pa.grading[c] + shift]
+    block = (pa.grading, shift, {uc: i for i, uc in enumerate(cols)})
     acc = RowAccumulator(len(cols))
     for row in _hom_generic_rows(pa, itertools.combinations(range(n), 3), "jacobi", block):
         acc.add(row)
@@ -166,9 +190,8 @@ def test_blocks_match_full_consumption(model, n_window):
 def test_uncertified_block_does_not_assume_the_identity():
     # a degree-0 anticommutative bracket with every product defined whose
     # one triple breaks Jacobi: J(e0, e1, e2) = e1
-    labels = tuple(BasisLabel("loop", 0, None, f"e{i}") for i in range(3))
     products = {(0, 1): ((1, F(1)),), (0, 2): ((2, F(1)),), (1, 2): ((1, F(1)),)}
-    pa = PartialAlgebra(3, labels, 2, products)
+    pa = AlgebraSpec(3, ("e0", "e1", "e2"), _bracket_table(3, products), "unchecked", grading=(0, 0, 0))
     ident = Matrix.identity(3)
     assert window_jacobi_residual(pa, ident, (0, 1, 2), 0) == (0, 1, 0)
     block = Subspace.from_spanning(_solve_block(pa, 0), 9)
@@ -179,9 +202,8 @@ def test_uncertified_block_does_not_assume_the_identity():
 def test_block_is_the_kernel_of_the_imposable_residuals():
     # one degree, so shift 0 is all of End; [e2, e3] is undefined, and every
     # triple whose equations read it must impose nothing
-    labels = tuple(BasisLabel("loop", 0, None, f"e{i}") for i in range(4))
     products = {(0, 1): ((2, F(1)),), (0, 2): ((3, F(1)),), (1, 2): ((1, F(1)),), (2, 3): None}
-    pa = PartialAlgebra(4, labels, 2, products)
+    pa = AlgebraSpec(4, ("e0", "e1", "e2", "e3"), _bracket_table(4, products), "unchecked", grading=(0, 0, 0, 0))
     n = pa.dim
     units = [(u, c) for u in range(n) for c in range(n)]
     rows = []
