@@ -14,7 +14,7 @@ from math import factorial, isqrt, lcm
 from typing import Sequence
 
 from .algebra import AlgebraSpec, _require_lie
-from .linalg import Matrix, Subspace, Vector, as_scalar, minimal_polynomial, nullspace
+from .linalg import Matrix, Subspace, Vector, as_scalar, minimal_polynomial, nullspace, sparse_lincomb
 
 
 class NotSubmodule(ValueError):
@@ -52,27 +52,30 @@ def act(alg: AlgebraSpec, h: Sequence[Fraction], phi: Matrix) -> Matrix:
     return (rh @ phi) - (phi @ rh)
 
 
+def _maps(s: Subspace, n: int) -> list[Matrix]:
+    """The echelon basis of a subspace of End as n x n matrices."""
+    return [Matrix.from_sparse(n, n, {divmod(c, n): x for c, x in r.items()}) for _, r in s.rows]
+
+
 def is_submodule(alg: AlgebraSpec, s: Subspace) -> bool | SubmoduleWitness:
     """True iff e_i . phi stays in s for every generator and basis map."""
     n = alg.dim
     if s.ambient != n * n:
         raise ValueError("subspace must live in the endomorphism space")
+    maps = _maps(s, n)
     for i in range(n):
         h = alg.basis_vector(i)
-        for j, b in enumerate(s.basis.data):
-            moved = act(alg, h, Matrix.unflatten(b, n, n))
-            if not s.contains(moved.flatten()):
+        for j, phi in enumerate(maps):
+            if not s.contains(act(alg, h, phi).flatten()):
                 return SubmoduleWitness(i, j)
     return True
 
 
 def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace) -> Matrix:
     """Matrix of phi -> h . phi on s, in the echelon-basis coordinates."""
-    n = alg.dim
     cols = []
-    for b in s.basis.data:
-        moved = act(alg, h, Matrix.unflatten(b, n, n)).flatten()
-        coords = s.coords(moved)
+    for phi in _maps(s, alg.dim):
+        coords = s.coords(act(alg, h, phi).flatten())
         if coords is None:
             raise NotSubmodule(-1, len(cols))
         cols.append(coords)
@@ -120,18 +123,13 @@ def _eigen_subspaces(alg: AlgebraSpec, h: Vector, s: Subspace) -> list[tuple[Fra
     pieces = []
     covered = 0
     for lam in rational_eigenvalues(a):
-        shifted = a - Matrix.identity(a.rows).scale(lam)
-        kern = nullspace(shifted)
-        vectors = []
-        for c in kern.basis.data:
-            dense = [Fraction(0)] * s.ambient
-            for coeff, b in zip(c, s.basis.data):
-                if coeff:
-                    for idx, v in enumerate(b):
-                        if v:
-                            dense[idx] += coeff * v
-            vectors.append(tuple(dense))
-        pieces.append((lam, Subspace.from_spanning(vectors, s.ambient)))
+        kern = nullspace(a - Matrix.identity(a.rows).scale(lam))
+        # kern's rows combine s's rows into a reduced basis of the eigenspace:
+        # on s's pivot columns a combination is kern's row, and s's row j is
+        # zero before its pivot, so the combination's pivot is s's pivot at
+        # kern's pivot, with entry 1
+        rows = [(s.rows[p][0], sparse_lincomb(*((c, s.rows[j][1]) for j, c in r.items()))) for p, r in kern.rows]
+        pieces.append((lam, Subspace(s.ambient, rows)))
         covered += kern.dim
     if covered != s.dim:
         raise NonSplitAction(
@@ -210,26 +208,25 @@ def sl2_decompose(
     return sorted(dims, reverse=True)
 
 
+def _exp_ad(alg: AlgebraSpec, x: Sequence[Fraction]) -> tuple[Matrix, Matrix] | None:
+    """(exp(ad x), exp(-ad x)) as exact finite sums, or None when ad x is not
+    nilpotent (ad x ** dim != 0)."""
+    ad = alg.left_mul_matrix(x)
+    plus = minus = power = Matrix.identity(alg.dim)
+    for k in range(1, alg.dim + 1):
+        power = power @ ad
+        if power.is_zero():
+            return plus, minus
+        term = power.scale(Fraction(1, factorial(k)))
+        plus, minus = plus + term, minus + term.scale(-1 if k % 2 else 1)
+    return None
+
+
 def conjugate(alg: AlgebraSpec, phi: Matrix, x: Sequence[Fraction]) -> Matrix:
     """exp(-ad x) . phi . exp(ad x) for ad-nilpotent x (exact finite sums)."""
     _require_lie(alg, "conjugate")
-    ad = alg.left_mul_matrix(tuple(as_scalar(a) for a in x))
-    n = alg.dim
-    terms = [Matrix.identity(n)]
-    power = Matrix.identity(n)
-    for k in range(1, n + 1):
-        power = power @ ad
-        if power.is_zero():
-            break
-        terms.append(power.scale(Fraction(1, factorial(k))))
-    else:
+    pair = _exp_ad(alg, tuple(as_scalar(a) for a in x))
+    if pair is None:
         raise ValueError("ad(x) is not nilpotent within dim iterations")
-    alpha = terms[0]
-    for t in terms[1:]:
-        alpha = alpha + t
-    inv = terms[0]
-    sign_power = Matrix.identity(n)
-    for k in range(1, len(terms)):
-        sign_power = sign_power @ ad
-        inv = inv + sign_power.scale(Fraction((-1) ** k, factorial(k)))
+    alpha, inv = pair
     return inv @ phi @ alpha

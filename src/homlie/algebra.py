@@ -117,12 +117,12 @@ class AlgebraSpec:
     def is_commutative(self) -> bool:
         return self.flavor in COMMUTATIVE_FLAVORS
 
-    def right_mul_matrix(self, v: Sequence[Fraction]) -> Matrix:
+    def right_mul_matrix(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> Matrix:
         """Matrix of x -> x*v in the basis."""
         sv = sparse_vector(v)
         return self._columns_matrix(sparse_product(self.table, {j: 1}, sv) for j in range(self.dim))
 
-    def left_mul_matrix(self, v: Sequence[Fraction]) -> Matrix:
+    def left_mul_matrix(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> Matrix:
         """Matrix of x -> v*x in the basis (``ad v`` for Lie flavors)."""
         sv = sparse_vector(v)
         return self._columns_matrix(sparse_product(self.table, sv, {j: 1}) for j in range(self.dim))
@@ -447,8 +447,11 @@ class BilinearForm:
 
     matrix: Matrix
 
-    def __call__(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return _eval_form(self.matrix, u, v)
+    def __call__(self, u: Sequence[Fraction] | Mapping[int, Fraction],
+                 v: Sequence[Fraction] | Mapping[int, Fraction]) -> Fraction:
+        """f(u, v) for dense vectors or sparse ones (index -> scalar)."""
+        f, sv = self.matrix.data, sparse_vector(v)
+        return sum((x * y * f[i][j] for i, x in sparse_vector(u).items() for j, y in sv.items()), Fraction(0))
 
     def is_symmetric(self) -> bool:
         return self.matrix == self.matrix.transpose()
@@ -468,16 +471,6 @@ class BilinearForm:
                     if lhs != rhs:
                         return False
         return True
-
-
-def _eval_form(m: Matrix, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        row = m.data[i]
-        total += ui * sum((row[j] * vj for j, vj in enumerate(v) if vj and row[j]), Fraction(0))
-    return total
 
 
 def _require_lie(alg: AlgebraSpec, op: str) -> None:
@@ -509,9 +502,9 @@ def structural_subspaces(alg: AlgebraSpec) -> tuple[Subspace, Subspace, Subspace
     _require_lie(alg, "structural_subspaces")
     n = alg.dim
     center = right_annihilator(alg)  # [e_j, z] = 0 for all j
-    derived = Subspace.from_spanning([dense_vector(dict(terms), n) for terms in alg.table.values()], n)
+    derived = Subspace.from_spanning(map(dict, alg.table.values()), n)
     acc = RowAccumulator(n)
-    for w in derived.basis.data:
+    for _, w in derived.rows:
         lm = alg.left_mul_matrix(w)
         for row in lm.data:
             acc.add_dense(row)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .actions import act, conjugate, is_submodule
+from .actions import _exp_ad, act, is_submodule
 from .algebra import AlgebraSpec, Table, builtin, int_table, killing_form, sparse_product
 from .constructions import adjoin_map, central_extension, cocycle2, derivation_defect, semidirect_derivation
 from .linalg import Matrix, SparseVector, Vector, int_if_integral, sparse_columns, sparse_lincomb
@@ -102,12 +102,10 @@ def random_lie_battery(count: int = 25, seed: int = 20250810) -> list[tuple[str,
         if rng.random() < 0.5:
             base = rng.choice([s for s in seeds if s.dim <= 4])
             sk = solve_bilinear(base, "skew-cocycle")
-            vec = [Fraction(0)] * base.dim ** 2
-            for b in sk.basis.data:
-                c = Fraction(rng.randint(-2, 2))
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, b)]
-            xi = cocycle2(base, Matrix.unflatten(tuple(vec), base.dim, base.dim))
+            coeffs = [Fraction(rng.randint(-2, 2)) for _ in sk.rows]
+            vec = sparse_lincomb(*((c, b) for c, (_, b) in zip(coeffs, sk.rows)))
+            n = base.dim
+            xi = cocycle2(base, Matrix.from_sparse(n, n, {divmod(j, n): x for j, x in vec.items()}))
             alg = central_extension(base, xi)
             out.append((f"central#{attempt}", alg))
         else:
@@ -219,23 +217,14 @@ def check_f_t_membership(alg: AlgebraSpec, rng: random.Random) -> str | None:
 
 def check_conjugation_stability(alg: AlgebraSpec) -> str | None:
     sol = solve_structures(alg, HOM_LIE)
-    n = alg.dim
-    for i in range(n):
-        x = alg.basis_vector(i)
-        ad = alg.left_mul_matrix(x)
-        power = ad
-        nilpotent = False
-        for _ in range(n):
-            if power.is_zero():
-                nilpotent = True
-                break
-            power = power @ ad
-        if power.is_zero():
-            nilpotent = True
-        if not nilpotent:
+    maps = sol.basis_maps()
+    for i in range(alg.dim):
+        pair = _exp_ad(alg, alg.basis_vector(i))
+        if pair is None:
             continue
-        for phi in sol.basis_maps():
-            if not sol.contains_map(conjugate(alg, phi, x)):
+        alpha, inv = pair  # conjugate(alg, phi, e_i) is inv @ phi @ alpha
+        for phi in maps:
+            if not sol.contains_map(inv @ phi @ alpha):
                 return f"conjugation by basis vector {i} leaves the space"
     return None
 

@@ -64,6 +64,13 @@ def _resolve_algebra(spec: str) -> AlgebraSpec:
         raise UsageError(str(e))
 
 
+def _resolve_lie(spec: str, command: str) -> AlgebraSpec:
+    alg = _resolve_algebra(spec)
+    if alg.flavor != "lie":
+        raise UsageError(f"--algebra: {command} needs a lie algebra, and {spec} has flavor {alg.flavor!r}")
+    return alg
+
+
 def _emit(doc, as_json: bool, human: str) -> None:
     if as_json:
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -91,7 +98,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bilinear(args) -> int:
-    alg = _resolve_algebra(args.algebra)
+    alg = _resolve_lie(args.algebra, "bilinear")
     if args.kind not in BILINEAR_KINDS:
         raise UsageError(f"unknown bilinear kind {args.kind!r}; choose from {', '.join(BILINEAR_KINDS)}")
     space = solve_bilinear(alg, args.kind)
@@ -101,7 +108,7 @@ def _cmd_bilinear(args) -> int:
 
 
 def _cmd_qder(args) -> int:
-    alg = _resolve_algebra(args.algebra)
+    alg = _resolve_lie(args.algebra, "qder")
     sol = solve_qder(alg, args.module)
     doc = {
         "algebra": algebra_to_json(alg),
@@ -127,7 +134,7 @@ def _parse_indices(flag: str, text: str, dim: int) -> list[int]:
 
 
 def _cmd_decompose(args) -> int:
-    alg = _resolve_algebra(args.algebra)
+    alg = _resolve_lie(args.algebra, "decompose")
     kind = _parse_kind(args.kind)
     if args.torus is None and args.triple is None:
         raise UsageError("decompose needs --torus and/or --triple")
@@ -220,7 +227,7 @@ def _load_twist(path: str, dim: int):
 def _cmd_window(args) -> int:
     if args.window < 2:
         raise UsageError(f"--window must be at least 2, got {args.window}")
-    alg = _resolve_algebra(args.algebra)
+    alg = _resolve_lie(args.algebra, "window")
     twist = _load_twist(args.twist, alg.dim) if args.twist else None
     pa = km_window(alg, killing_form(alg), args.window, twist=twist)
     try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .algebra import (
     AlgebraSpec,
@@ -22,13 +22,11 @@ from .algebra import (
 )
 from .linalg import (
     Matrix,
-    SpanSolver,
     Subspace,
     Vector,
     dense_vector,
     sparse_columns,
     sparse_lincomb,
-    sparse_vector,
 )
 
 
@@ -234,20 +232,17 @@ def check_cyclic_grading(g: AlgebraSpec, grading: Sequence[Subspace]) -> None:
         total += s.dim
     if total != g.dim:
         raise LawViolation("grading-direct-sum", (total, g.dim), ())
-    stacked = Subspace.from_spanning(
-        [v for s in grading for v in s.basis.data], g.dim
-    )
+    stacked = Subspace.from_spanning((r for s in grading for _, r in s.rows), g.dim)
     if stacked.dim != g.dim:
         raise LawViolation("grading-direct-sum", (stacked.dim, g.dim), ())
-    sparse_bases = [[sparse_vector(u) for u in s.basis.data] for s in grading]
-    for i, si in enumerate(sparse_bases):
-        for j, sj in enumerate(sparse_bases):
+    for i, si in enumerate(grading):
+        for j, sj in enumerate(grading):
             target = grading[(i + j) % n]
-            for u in si:
-                for v in sj:
-                    w = dense_vector(sparse_product(g.table, u, v), g.dim)
+            for _, u in si.rows:
+                for _, v in sj.rows:
+                    w = sparse_product(g.table, u, v)
                     if not target.contains(w):
-                        raise LawViolation("grading-compatibility", (i, j), w)
+                        raise LawViolation("grading-compatibility", (i, j), dense_vector(w, g.dim))
 
 
 def twisted_cyclic(g: AlgebraSpec, grading: Sequence[Subspace], m: int) -> AlgebraSpec:
@@ -257,24 +252,18 @@ def twisted_cyclic(g: AlgebraSpec, grading: Sequence[Subspace], m: int) -> Algeb
     if m % n:
         raise ValueError("m must be a multiple of the grading order")
     check_cyclic_grading(g, grading)
-    # basis: for each degree i, the chosen basis of g_{i mod n}
-    comp_bases = [list(s.basis.data) for s in grading]
-    sparse_bases = [[sparse_vector(u) for u in b] for b in comp_bases]
-    labels: list[tuple[int, int]] = []  # (degree, index inside component)
-    for deg in range(m):
-        for s in range(len(comp_bases[deg % n])):
-            labels.append((deg, s))
+    # basis: for each degree i, the echelon basis of g_{i mod n}, labelled
+    # (degree, index inside the component)
+    labels = [(deg, s) for deg in range(m) for s in range(grading[deg % n].dim)]
     index = {lab: pos for pos, lab in enumerate(labels)}
-    solvers = [SpanSolver(comp_bases[r], g.dim) if comp_bases[r] else None for r in range(n)]
     table: dict = {}
     for p1, (d1, s1) in enumerate(labels):
         for p2, (d2, s2) in enumerate(labels):
-            w = sparse_product(g.table, sparse_bases[d1 % n][s1], sparse_bases[d2 % n][s2])
+            w = sparse_product(g.table, grading[d1 % n].rows[s1][1], grading[d2 % n].rows[s2][1])
             if not w:
                 continue
             deg = (d1 + d2) % m
-            solver = solvers[deg % n]
-            coords = solver.express(w) if solver else None
+            coords = grading[deg % n].coords(w)
             if coords is None:
                 raise LawViolation("grading-compatibility", (d1, d2), w)  # pragma: no cover
             entry = [(index[(deg, s)], c) for s, c in enumerate(coords) if c]
@@ -327,31 +316,26 @@ def km_window(
         if len(grading) != n_twist:
             raise ValueError("twist grading must have one component per residue")
         check_cyclic_grading(g, grading)
-        comp_bases = [list(s.basis.data) for s in grading]
-        comp_solvers = [SpanSolver(b, g.dim) if b else None for b in comp_bases]
-        if not (comp_bases[n_window % n_twist] or comp_bases[-n_window % n_twist]):
+        if not (grading[n_window % n_twist].dim or grading[-n_window % n_twist].dim):
             raise ValueError("the twist leaves degrees -N and N empty, so N cannot be read back from the window")
     else:
-        n_twist = 1
-        comp_bases = [[g.basis_vector(i) for i in range(g.dim)]]
-        comp_solvers = [SpanSolver(comp_bases[0], g.dim)]
+        grading, n_twist = [Subspace.full(g.dim)], 1
 
     names: list[str] = []
     degrees: list[int] = []
-    vectors: list[Vector] = []
+    vectors: list[Mapping[int, Fraction]] = []  # echelon basis vectors of the components
     starts: dict[int, int] = {}  # degree -> index of its first loop vector
     for deg in range(-n_window, n_window + 1):
         starts[deg] = len(names)
-        for s, vec in enumerate(comp_bases[deg % n_twist]):
-            k = _single_basis_index(vec)
-            names.append(f"{g.basis_names[k]}(x)t^{deg}" if k is not None else f"g[{s}](x)t^{deg}")
+        for s, (k, vec) in enumerate(grading[deg % n_twist].rows):
+            unit = len(vec) == 1  # then vec = e_k, k its pivot
+            names.append(f"{g.basis_names[k]}(x)t^{deg}" if unit else f"g[{s}](x)t^{deg}")
             degrees.append(deg)
             vectors.append(vec)
     loop_count = len(names)
     d_idx, z_idx = loop_count, loop_count + 1
 
     table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...] | None] = {}
-    sparse = [sparse_vector(v) for v in vectors]
     for p1 in range(loop_count):
         i = degrees[p1]
         for p2 in range(p1 + 1, loop_count):
@@ -359,11 +343,10 @@ def km_window(
             if abs(i + j) > n_window:
                 table[(p1, p2)] = table[(p2, p1)] = None
                 continue
-            w = sparse_product(g.table, sparse[p1], sparse[p2])
+            w = sparse_product(g.table, vectors[p1], vectors[p2])
             entry: list[tuple[int, Fraction]] = []
             if w:
-                solver = comp_solvers[(i + j) % n_twist]
-                coords = solver.express(w) if solver else None
+                coords = grading[(i + j) % n_twist].coords(w)
                 if coords is None:
                     raise LawViolation("grading-compatibility", (p1, p2), w)  # pragma: no cover
                 entry.extend((starts[i + j] + s, c) for s, c in enumerate(coords) if c)
@@ -386,10 +369,3 @@ def km_window(
         flavor="lie",
         grading=(*degrees, 0, 0),
     )
-
-
-def _single_basis_index(vec: Vector) -> int | None:
-    nz = [i for i, v in enumerate(vec) if v]
-    if len(nz) == 1 and vec[nz[0]] == 1:
-        return nz[0]
-    return None

@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
+_ZERO = Fraction(0)
 
 
 def as_scalar(x) -> Fraction:
@@ -43,8 +45,9 @@ def int_if_integral(x: Fraction) -> int | Fraction:
 SparseVector = dict[int, Fraction]
 
 
-def sparse_vector(v: Sequence[Fraction]) -> SparseVector:
-    return {j: x for j, x in enumerate(v) if x}
+def sparse_vector(v: Sequence[Fraction] | Mapping[int, Fraction]) -> SparseVector:
+    """The nonzero entries of a dense vector or of a sparse one."""
+    return {j: x for j, x in (v.items() if isinstance(v, Mapping) else enumerate(v)) if x}
 
 
 def dense_vector(v: Mapping[int, Fraction], n: int) -> Vector:
@@ -282,7 +285,7 @@ class RowAccumulator:
         return False
 
     def add_dense(self, row: Sequence[Fraction]) -> bool:
-        return self.add({j: v for j, v in enumerate(row) if v})
+        return self.add(sparse_vector(row))
 
     def _reduced_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
         """Back-substituted rows with unit pivots, ordered by pivot column."""
@@ -306,29 +309,17 @@ class RowAccumulator:
         return [(p, reduced[p]) for p in order]
 
     def rref_matrix(self, extra_zero_rows: int = 0) -> Matrix:
-        rows = []
-        for _, row in self._reduced_rows():
-            dense = [Fraction(0)] * self.ncols
-            for c, v in row.items():
-                dense[c] = v
-            rows.append(tuple(dense))
-        for _ in range(extra_zero_rows):
-            rows.append((Fraction(0),) * self.ncols)
-        return Matrix(tuple(rows), self.ncols)
+        reduced = Subspace(self.ncols, self._reduced_rows()).basis.data
+        return Matrix(reduced + ((_ZERO,) * self.ncols,) * extra_zero_rows, self.ncols)
 
     def nullspace(self) -> "Subspace":
-        reduced = self._reduced_rows()
-        pivot_cols = [p for p, _ in reduced]
-        free_cols = [c for c in range(self.ncols) if c not in self.pivots]
-        basis = []
-        for f in free_cols:
-            dense = [Fraction(0)] * self.ncols
-            dense[f] = Fraction(1)
-            for p, row in reduced:
-                if f in row:
-                    dense[p] = -row[f]
-            basis.append(tuple(dense))
-        return Subspace.from_spanning(basis, self.ncols)
+        # one kernel vector per free column f: e_f - sum of row_p[f] e_p
+        kernel = {f: {f: Fraction(1)} for f in range(self.ncols) if f not in self.pivots}
+        for p, row in self._reduced_rows():
+            for c, v in row.items():
+                if c != p:
+                    kernel[c][p] = -v
+        return Subspace.from_spanning(kernel.values(), self.ncols)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -373,93 +364,113 @@ def nullspace_of_rows(ncols: int, rows: Iterable[Mapping[int, Fraction]]) -> "Su
 class Subspace:
     """A subspace of Q^ambient stored by its reduced row-echelon basis.
 
-    Two subspaces are equal as sets exactly when their ``basis`` matrices are
-    identical, which makes ``==`` a decision procedure for equality of
-    spaces.
+    ``rows`` holds (pivot, row) pairs in ascending pivot order; each row is
+    sparse, has entry 1 at its pivot and 0 at every other pivot, and cannot
+    be changed.  The reduced basis is unique, so two subspaces are equal as
+    sets exactly when their rows are equal, which makes ``==`` a decision
+    procedure for equality of spaces.  ``basis`` is the same basis as a
+    dense matrix.
     """
 
     ambient: int
-    basis: Matrix
+    rows: tuple[tuple[int, Mapping[int, Fraction]], ...]
+
+    def __post_init__(self):
+        rows = tuple((p, r if isinstance(r, MappingProxyType) else MappingProxyType(r)) for p, r in self.rows)
+        object.__setattr__(self, "rows", rows)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, tuple((p, frozenset(r.items())) for p, r in self.rows)))
 
     @classmethod
-    def from_spanning(cls, vectors: Iterable[Sequence[Fraction]], ambient: int) -> "Subspace":
+    def from_spanning(cls, vectors: Iterable[Sequence[Fraction] | Mapping[int, Fraction]], ambient: int) -> "Subspace":
+        """Span of dense vectors or sparse ones (index -> scalar)."""
         acc = RowAccumulator(ambient)
         for v in vectors:
-            if len(v) != ambient:
+            if not isinstance(v, Mapping) and len(v) != ambient:
                 raise ValueError("spanning vector has wrong length")
-            acc.add_dense(v)
-        return cls(ambient, acc.rref_matrix())
+            acc.add(sparse_vector(v))
+        return cls(ambient, acc._reduced_rows())
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, Matrix((), ambient))
+        return cls(ambient, ())
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, Matrix.identity(ambient))
+        return cls(ambient, tuple((i, {i: Fraction(1)}) for i in range(ambient)))
+
+    @property
+    def basis(self) -> Matrix:
+        """The reduced basis as a dense matrix, one row per basis vector."""
+        n = self.ambient
+        return Matrix(tuple(tuple(r.get(j, _ZERO) for j in range(n)) for _, r in self.rows), n)
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     def pivot_cols(self) -> list[int]:
-        out = []
-        for r in self.basis.data:
-            for j, v in enumerate(r):
-                if v:
-                    out.append(j)
-                    break
-        return out
+        return [p for p, _ in self.rows]
 
-    def coords(self, v: Sequence[Fraction]) -> Vector | None:
-        """Coefficients of ``v`` in the echelon basis, or None if outside."""
-        if len(v) != self.ambient:
-            raise ValueError("vector has wrong ambient dimension")
-        residual = list(v)
+    def _reduce(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> tuple[list[Fraction], SparseVector]:
+        """The coefficient of each row in v, and the residual v minus their
+        combination, which is empty exactly when v lies in the space."""
+        residual = sparse_vector(v)
         coeffs = []
-        for r, p in zip(self.basis.data, self.pivot_cols()):
-            c = residual[p]
+        for p, r in self.rows:
+            c = residual.get(p, _ZERO)
             coeffs.append(c)
             if c:
-                for j, x in enumerate(r):
-                    if x:
-                        residual[j] -= c * x
-        if any(residual):
-            return None
-        return tuple(coeffs)
+                for j, x in r.items():
+                    n = residual.get(j, 0) - c * x
+                    if n:
+                        residual[j] = n
+                    else:
+                        del residual[j]
+        return coeffs, residual
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def coords(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> Vector | None:
+        """Coefficients of ``v`` (dense, or sparse as index -> scalar) in the
+        echelon basis, or None if outside."""
+        if not isinstance(v, Mapping) and len(v) != self.ambient:
+            raise ValueError("vector has wrong ambient dimension")
+        coeffs, residual = self._reduce(v)
+        return None if residual else tuple(coeffs)
+
+    def contains(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
         return self.coords(v) is not None
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        return all(other.contains(b) for b in self.basis.data)
+        return all(not other._reduce(r)[1] for _, r in self.rows)
 
     def combine(self, other: "Subspace") -> tuple["Subspace", "Subspace"]:
-        """Sum and intersection in one elimination (Zassenhaus block trick)."""
+        """Sum and intersection in one elimination (Zassenhaus block trick).
+
+        The rows (a, a) for a in self and (b, 0) for b in other are reduced
+        in 2n columns.  A reduced row with pivot p < n, cut to its first n
+        columns, is a row of the sum's reduced basis; a row with pivot
+        p >= n is zero on the first n columns, and shifted down by n it is a
+        row of the intersection's.  Both sets are already reduced, because
+        the whole system is.
+        """
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
         n = self.ambient
         acc = RowAccumulator(2 * n)
-        for b in self.basis.data:
-            acc.add({j: v for j, v in enumerate(b) if v} | {n + j: v for j, v in enumerate(b) if v})
-        for b in other.basis.data:
-            acc.add({j: v for j, v in enumerate(b) if v})
-        sum_rows: list[Vector] = []
-        int_rows: list[Vector] = []
-        for p, row in acc._reduced_rows():
-            dense = [Fraction(0)] * (2 * n)
-            for c, v in row.items():
-                dense[c] = v
+        for _, r in self.rows:
+            acc.add({**r, **{n + j: v for j, v in r.items()}})
+        for _, r in other.rows:
+            acc.add(r)
+        sum_rows, int_rows = [], []
+        for p, r in acc._reduced_rows():
             if p < n:
-                sum_rows.append(tuple(dense[:n]))
+                sum_rows.append((p, {j: v for j, v in r.items() if j < n}))
             else:
-                int_rows.append(tuple(dense[n:]))
-        return (
-            Subspace.from_spanning(sum_rows, n),
-            Subspace.from_spanning(int_rows, n),
-        )
+                int_rows.append((p - n, {j - n: v for j, v in r.items()}))
+        return Subspace(n, sum_rows), Subspace(n, int_rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         return self.combine(other)[0]

@@ -233,8 +233,9 @@ def _sc_central_ext_oracle() -> tuple[bool | None, dict]:
     ]
     cur = tensor_lie(builtin("trunc_poly", 2), builtin("sl", 2))
     sk = solve_bilinear(cur, "skew-cocycle")
-    nonzero = next(v for v in sk.basis.data if any(v))
-    cases.append(("sl2(x)tp2+computed", cur, Matrix.unflatten(nonzero, cur.dim, cur.dim)))
+    n = cur.dim
+    first = sk.rows[0][1]
+    cases.append(("sl2(x)tp2+computed", cur, Matrix.from_sparse(n, n, {divmod(c, n): x for c, x in first.items()})))
     for label, base, mat in cases:
         xi = cocycle2(base, mat)
         dec = central_ext_homlie_decomposed(base, xi)

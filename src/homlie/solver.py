@@ -271,29 +271,32 @@ def _structure_rows(
     return _hom_generic_rows(alg, triples, _PATTERNS[kind.tag], block)
 
 
-def _known_block(alg: AlgebraSpec, kind: StructureKind, block: Block, annihilator: Sequence[Vector]) -> Subspace:
+def _known_block(
+    alg: AlgebraSpec, kind: StructureKind, block: Block, annihilator: Iterable[Vector | Mapping[int, Fraction]]
+) -> Subspace:
     """A subspace K of the block's solutions, known without solving.
 
     For hom-lie, hom-cyclic and hom-2nilp, K holds the block's maps e_c -> z
-    for z in the echelon basis ``annihilator`` of the right annihilator
-    (homogeneous, as the annihilator is graded): every term of those
-    identities has the form (xy)phi(w), which vanishes when phi(w) lies in
-    it.  For hom-lie on a lie-flavor algebra K also holds the identity at
-    shift 0: its Hom-Jacobi identity is the Jacobi identity that
-    ``make_algebra`` validated (``km_window`` certifies each imposed one).
+    for z in the echelon basis ``annihilator`` of the right annihilator,
+    given as dense or sparse vectors (homogeneous, as the annihilator is
+    graded): every term of those identities has the form (xy)phi(w), which
+    vanishes when phi(w) lies in it.  For hom-lie on a lie-flavor algebra K
+    also holds the identity at shift 0: its Hom-Jacobi identity is the
+    Jacobi identity that ``make_algebra`` validated (``km_window``
+    certifies each imposed one).
     """
     _, shift, cols = block
     n = alg.dim
     acc = RowAccumulator(len(cols))
     if kind.tag in _PATTERNS:
-        for z in annihilator:
-            pivot = next(q for q, x in enumerate(z) if x)
+        for z in map(sparse_vector, annihilator):
+            pivot = min(z)
             for c in range(n):
                 if (pivot, c) in cols:
-                    acc.add({cols[(q, c)]: x for q, x in enumerate(z) if x})
+                    acc.add({cols[(q, c)]: x for q, x in z.items()})
     if kind.tag == "hom-lie" and alg.flavor == "lie" and shift == 0:
         acc.add({cols[(c, c)]: 1 for c in range(n)})
-    return Subspace(len(cols), acc.rref_matrix())
+    return Subspace(len(cols), acc._reduced_rows())
 
 
 def grading_shifts(alg: AlgebraSpec) -> list[int]:
@@ -314,14 +317,21 @@ def _solve_shift_blocks(
     for a map of shift s, lies in degree D + s, so the solution space is the
     direct sum of its shift blocks; ungraded, the one block is all of End.
     Each block is solved modulo ``_known_block`` with ``kernel``.
+
+    A block's reduced rows map into End by (q, c) -> q*n + c.  That map is
+    increasing on the block's columns, which are numbered by (q, c)
+    ascending, so each mapped row keeps its pivot first and stays reduced;
+    the blocks have disjoint columns, so a row is zero on every other
+    block's pivots.  The mapped rows, sorted by pivot, are therefore the
+    reduced basis of the direct sum, with no further elimination.
     """
     n = alg.dim
     if kind.tag not in _PATTERNS and None in alg.table.values():
         raise ValueError(f"{kind} needs every product defined; this algebra has undefined products")
     deg = alg.grading or (0,) * n
-    annihilator = right_annihilator(alg).basis.data if kind.tag in _PATTERNS else ()
+    annihilator = [z for _, z in right_annihilator(alg).rows] if kind.tag in _PATTERNS else ()
     triples = _triples(alg, kind, deg)
-    vectors: list[Vector] = []
+    rows: list[tuple[int, dict[int, Fraction]]] = []
     for shift in shifts:
         block = _shift_block(deg, shift)
         cols = block[2]
@@ -331,8 +341,9 @@ def _solve_shift_blocks(
         space = _solve_modulo(known, _structure_rows(alg, kind, block, triples), kernel)
         if len(cols) == n * n:  # the block is all of End, in its coordinates
             return space
-        vectors.extend(Matrix.from_sparse(n, n, dict(zip(cols, b))).flatten() for b in space.basis.data)
-    return Subspace.from_spanning(vectors, n * n)
+        end = [q * n + c for q, c in cols]  # block column -> End coordinate
+        rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)
+    return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))
 
 
 def _solve_modulo(
@@ -455,14 +466,10 @@ def _invariance_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:
 def coboundary_space(alg: AlgebraSpec) -> Subspace:
     """Span of the forms (x, y) -> f(xy) for functionals f."""
     n = alg.dim
-    gens = []
-    for m in range(n):
-        dense = [Fraction(0)] * (n * n)
-        for (i, j), terms in alg.table.items():
-            for k, c in terms:
-                if k == m:
-                    dense[i * n + j] += c
-        gens.append(tuple(dense))
+    gens: list[dict[int, Fraction]] = [{} for _ in range(n)]  # gens[m][(i, j)]: e_m in e_i e_j
+    for (i, j), terms in alg.table.items():
+        for m, c in terms:
+            gens[m][i * n + j] = c
     return Subspace.from_spanning(gens, n * n)
 
 
@@ -511,7 +518,7 @@ class QDerSolution:
 
     def d_component(self) -> Subspace:
         n2 = self.algebra.dim ** 2
-        return Subspace.from_spanning([v[:n2] for v in self.space.basis.data], n2)
+        return Subspace.from_spanning(({c: x for c, x in r.items() if c < n2} for _, r in self.space.rows), n2)
 
 
 def _qder_rows(alg: AlgebraSpec, module: str) -> Iterator[dict[int, Fraction]]:
@@ -575,11 +582,10 @@ def seq_uv(alg: AlgebraSpec) -> ExactnessReport:
     n = alg.dim
     n2 = n * n
     z2 = solve_bilinear(alg, "asym-cocycle")
-    u_gens = []
-    for f in z2.basis.data:
-        fm = Matrix.unflatten(f, n, n)
-        u_gens.append(fm.flatten() + fm.transpose().scale(-1).flatten())
-    u_image = Subspace.from_spanning(u_gens, 2 * n2)
+    # u(f) at D[i][j] = f[i][j] and at F[j][i] = -f[i][j]
+    u_image = Subspace.from_spanning(
+        ({**f, **{n2 + (c % n) * n + c // n: -x for c, x in f.items()}} for _, f in z2.rows), 2 * n2
+    )
 
     def kernel_rows() -> Iterator[dict[int, Fraction]]:
         yield from _qder_rows(alg, "coadjoint")
@@ -678,34 +684,23 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
     compat_rows = _sparse_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
     psi_space = hl.space.intersect(nullspace_of_rows(n * n, compat_rows))
 
-    derived = Subspace.from_spanning([dense_vector(dict(terms), n) for terms in l.table.values()], n)
+    derived = Subspace.from_spanning(map(dict, l.table.values()), n)
     acc = RowAccumulator(n)
-    for w in derived.basis.data:
+    for _, w in derived.rows:
         for r in l.left_mul_matrix(w).data:
             acc.add_dense(r)
         acc.add_dense(tuple(xi.form(w, l.basis_vector(q)) for q in range(n)))
     s_space = acc.nullspace()
 
     m = n + 1
-    gens: list[Vector] = []
-    for p in psi_space.basis.data:
-        mat = Matrix.unflatten(p, n, n)
-        gens.append(_embed_block(mat, m, 0, 0))
-    for j in range(n):  # lambda: row z
-        gens.append(Matrix.from_sparse(m, m, {(n, j): 1}).flatten())
-    gens.append(Matrix.from_sparse(m, m, {(n, n): 1}).flatten())  # mu
-    for s in s_space.basis.data:  # phi(z) = s
-        gens.append(Matrix.from_sparse(m, m, {(i, n): v for i, v in enumerate(s) if v}).flatten())
+    gens: list[dict[int, Fraction]] = []
+    for _, p in psi_space.rows:  # psi in the top-left block
+        gens.append({(c // n) * m + c % n: x for c, x in p.items()})
+    for j in range(n + 1):  # lambda: row z; then mu
+        gens.append({n * m + j: Fraction(1)})
+    for _, s in s_space.rows:  # phi(z) = s
+        gens.append({i * m + n: v for i, v in s.items()})
     return HomSolution(ext, HOM_LIE, Subspace.from_spanning(gens, m * m))
-
-
-def _embed_block(mat: Matrix, size: int, row0: int, col0: int) -> Vector:
-    dense = [Fraction(0)] * (size * size)
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            if mat.data[i][j]:
-                dense[(row0 + i) * size + (col0 + j)] = mat.data[i][j]
-    return tuple(dense)
 
 
 # -- tensor-product span assemblies -------------------------------------------

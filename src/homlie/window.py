@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import Mapping
 
 from .algebra import AlgebraSpec
 from .linalg import Matrix, Subspace, Vector, nullspace_of_rows
@@ -87,18 +88,23 @@ def _inner_report(pa: AlgebraSpec, space: Subspace, shift: int | None = None) ->
     pos = {i: p for p, i in enumerate(inner)}
     n = pa.dim
 
-    def restrict(flat: Sequence[Fraction]) -> Vector:
-        return tuple(flat[i * n + j] for i in inner for j in inner)
+    def restrict(row: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        out = {}
+        for j, x in row.items():
+            u, c = divmod(j, n)
+            if u in pos and c in pos:
+                out[pos[u] * k + pos[c]] = x
+        return out
 
-    restricted = Subspace.from_spanning([restrict(b) for b in space.basis.data], k * k)
-    z = pa.basis_names.index("z")
+    restricted = Subspace.from_spanning((restrict(r) for _, r in space.rows), k * k)
+    z = pos[pa.basis_names.index("z")]
     # prediction: identity (shift 0 only) plus central maps of the matching shift
     preds = []
     if shift is None or shift == 0:
-        preds.append(Matrix.identity(k).flatten())
+        preds.append({p * k + p: Fraction(1) for p in range(k)})
     for c in inner:
         if shift is None or pa.grading[c] + shift == 0:
-            preds.append(Matrix.from_sparse(k, k, {(pos[z], pos[c]): 1}).flatten())
+            preds.append({z * k + pos[c]: Fraction(1)})
     predicted = Subspace.from_spanning(preds, k * k)
     included = predicted.is_subspace_of(restricted)
     joined = restricted.sum(predicted)
@@ -125,12 +131,11 @@ def window_jacobi_residual(
     reads = [(pa.product_on_basis(a, b), c) for a, b, c in ((i, j, k), (k, i, j), (j, k, i))]
     if any(w is None for w, _ in reads):
         return None
+    components = _degree_components(pa.grading)
     total = [Fraction(0)] * pa.dim
     for w, c in reads:
-        target = pa.grading[c] + shift
-        component = [u for u, d in enumerate(pa.grading) if d == target]
         for p, cw in w:
-            for u in component:
+            for u in components.get(pa.grading[c] + shift, ()):
                 bracket = pa.product_on_basis(p, u)
                 if bracket is None:
                     return None
@@ -139,3 +144,12 @@ def window_jacobi_residual(
                     for m, cb in bracket:
                         total[m] += cw * coeff * cb
     return tuple(total)
+
+
+@lru_cache(maxsize=8)
+def _degree_components(grading: tuple[int, ...]) -> dict[int, list[int]]:
+    """degree -> the basis indices of that degree, ascending."""
+    components: dict[int, list[int]] = {}
+    for u, d in enumerate(grading):
+        components.setdefault(d, []).append(u)
+    return components

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -15,6 +16,7 @@ from homlie.actions import (
     weight_decompose,
 )
 from homlie.algebra import builtin
+from homlie.battery import check_conjugation_stability, lie_battery, random_lie_battery
 from homlie.linalg import Matrix, Subspace
 from homlie.solver import HOM_LIE, solve_structures
 
@@ -202,3 +204,37 @@ def test_conjugate_rejects_non_nilpotent():
     sl2 = builtin("sl", 2)
     with pytest.raises(ValueError):
         conjugate(sl2, Matrix.identity(3), sl2.basis_vector(1))  # ad h is semisimple
+
+
+def _conjugate_reference(alg, phi, x):
+    """exp(-ad x) . phi . exp(ad x) from two separately summed series; exact
+    for ad-nilpotent x, whose powers vanish from the dim-th on."""
+    n = alg.dim
+
+    def series(ad):
+        total = power = Matrix.identity(n)
+        for k in range(1, n + 1):
+            power = power @ ad
+            total = total + power.scale(F(1, math.factorial(k)))
+        return total
+
+    ad = alg.left_mul_matrix(x)
+    return series(ad.scale(-1)) @ phi @ series(ad)
+
+
+def test_conjugates_and_verdicts_on_the_battery():
+    for name, alg in lie_battery(max_dim=5) + random_lie_battery(count=6, seed=7):
+        n = alg.dim
+        maps = solve_structures(alg, HOM_LIE).basis_maps()
+        for i in range(n):
+            x = alg.basis_vector(i)
+            power = Matrix.identity(n)
+            for _ in range(n):
+                power = power @ alg.left_mul_matrix(x)
+            if not power.is_zero():
+                with pytest.raises(ValueError):
+                    conjugate(alg, Matrix.identity(n), x)
+                continue
+            for phi in maps:
+                assert conjugate(alg, phi, x) == _conjugate_reference(alg, phi, x), (name, i)
+        assert check_conjugation_stability(alg) is None, name

@@ -209,6 +209,10 @@ def test_malformed_field_is_usage_error(capsys, tmp_path, command, field, value)
         (["decompose", "--algebra", "sl2", "--triple", "1,0,2"], "--triple"),
         (["window", "--algebra", "sl2", "--window", "2", "--shift", "100"], "--shift"),
         (["window", "--algebra", "sl2", "--window", "2", "--shift", "-5"], "--shift"),
+        (["bilinear", "--algebra", "trunc_poly:3"], "--algebra"),
+        (["qder", "--algebra", "trunc_poly:3"], "--algebra"),
+        (["decompose", "--algebra", "trunc_poly:3", "--torus", "0"], "--algebra"),
+        (["window", "--algebra", "trunc_poly:3", "--window", "2"], "--algebra"),
     ],
 )
 def test_bad_argument_is_usage_error(capsys, argv, flag):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,68 @@ def test_coords_reconstruct():
         rebuilt = [x + c * y for x, y in zip(rebuilt, b)]
     assert tuple(rebuilt) == v
 
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_matrices())
+def test_subspace_rows_are_the_naive_rref(m):
+    s = Subspace.from_spanning(m.data, m.cols)
+    naive, rank = naive_rref(m.data)
+    assert [list(r) for r in s.basis.data] == naive[:rank]
+    assert s.dim == rank
+    assert s.pivot_cols() == [next(j for j, x in enumerate(r) if x) for r in naive[:rank]]
+    for (p, row), dense in zip(s.rows, naive):
+        assert row == {j: x for j, x in enumerate(dense) if x} and row[p] == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(subspace_pairs())
+def test_sum_and_intersection_from_rows(pair):
+    s1, s2 = pair
+    n = s1.ambient
+    total, inter = s1.sum(s2), s1.intersect(s2)
+    assert total == Subspace.from_spanning(s1.basis.data + s2.basis.data, n)
+    assert inter.is_subspace_of(s1) and inter.is_subspace_of(s2)
+    assert total.dim + inter.dim == s1.dim + s2.dim
+
+
+@settings(max_examples=120, deadline=None)
+@given(subspace_pairs(), *[st.lists(small_entries, min_size=4, max_size=4)] * 2)
+def test_coords_reconstruct_and_decide_membership(pair, coeffs, probe):
+    s, _ = pair
+    n = s.ambient
+    v = tuple(sum((F(c) * b[j] for c, b in zip(coeffs, s.basis.data)), F(0)) for j in range(n))
+    assert s.coords(v) == tuple(F(c) for c in coeffs[: s.dim])
+    assert s.coords({j: x for j, x in enumerate(v) if x}) == s.coords(v)
+    w = tuple(F(x) for x in probe[:n])
+    inside = Subspace.from_spanning(s.basis.data + (w,), n) == s
+    assert (s.coords(w) is not None) == inside == s.contains(w)
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_matrices(), st.randoms(use_true_random=False))
+def test_equal_spaces_hash_equal(m, rnd):
+    rows = list(m.data)
+    rnd.shuffle(rows)
+    # another spanning set of the same space, eliminated in another order
+    other = [tuple(3 * x for x in r) for r in rows]
+    other += [tuple(a + b for a, b in zip(r, t)) for r, t in zip(rows, rows[1:])]
+    a, b = Subspace.from_spanning(m.data, m.cols), Subspace.from_spanning(other, m.cols)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Subspace.from_spanning(a.basis.data, m.cols)}) == 1
+
+
+def test_rows_cannot_be_changed_from_outside():
+    s = Subspace.from_spanning([[1, 2, 0], [0, 0, 1]], 3)
+    with pytest.raises(TypeError):
+        s.rows[0][1][1] = F(5)
+    with pytest.raises(TypeError):
+        del s.rows[1][1][2]
+    with pytest.raises(TypeError):
+        s.rows[0] = (0, {0: F(1)})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.rows = ()
+    assert s.basis == Matrix.from_rows([[1, 2, 0], [0, 0, 1]])
 
 def test_span_solver():
     solver = SpanSolver([[1, 0, 1], [0, 1, 1]], 3)

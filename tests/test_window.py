@@ -162,6 +162,18 @@ def test_block_solutions_have_zero_residuals(model, n_window):
                 assert r is None or not any(r)
 
 
+def test_residual_reads_the_component_of_the_map_shift():
+    # phi = e_c -> e_u raises degrees by 1 and is not a solution: the shift-1
+    # equations see it, the shift -1 equations read only zero entries of phi
+    pa = _untwisted(2)
+    n = pa.dim
+    c, u = pa.grading.index(0), pa.grading.index(1)
+    phi = Matrix.from_sparse(n, n, {(u, c): 1})
+    residuals = {s: [window_jacobi_residual(pa, phi, tri, s) for tri in itertools.combinations(range(n), 3)]
+                 for s in (1, -1)}
+    assert any(r is not None and any(r) for r in residuals[1])
+    assert all(r is None or not any(r) for r in residuals[-1])
+
 def _full_consumption(pa, shift):
     """The block's kernel with every compiled row eliminated in index order:
     no known solutions, no cut rows, no early exit."""
