@@ -14,7 +14,19 @@ from math import factorial, isqrt, lcm
 from typing import Sequence
 
 from .algebra import AlgebraSpec, _require_lie
-from .linalg import Matrix, Subspace, Vector, as_scalar, minimal_polynomial, nullspace, sparse_lincomb
+from .linalg import (
+    Matrix,
+    SparseVector,
+    Subspace,
+    Vector,
+    as_scalar,
+    map_rows,
+    minimal_polynomial,
+    nullspace,
+    sparse_compose,
+    sparse_lincomb,
+    sparse_vector,
+)
 
 
 class NotSubmodule(ValueError):
@@ -45,16 +57,24 @@ class WeightComponent:
 
 def act(alg: AlgebraSpec, h: Sequence[Fraction], phi: Matrix) -> Matrix:
     """(h . phi)(x) = [phi(x), h] - phi([x, h])."""
-    _require_lie(alg, "act")
-    if phi.shape != (alg.dim, alg.dim):
+    right = _right_mul(alg, h)
+    n = alg.dim
+    if phi.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
-    rh = alg.right_mul_matrix(tuple(as_scalar(a) for a in h))
-    return (rh @ phi) - (phi @ rh)
+    image = _act(right, [sparse_vector(r) for r in phi.data])
+    return Matrix.from_sparse(n, n, {divmod(j, n): x for j, x in image.items()})
 
 
-def _maps(s: Subspace, n: int) -> list[Matrix]:
-    """The echelon basis of a subspace of End as n x n matrices."""
-    return [Matrix.from_sparse(n, n, {divmod(c, n): x for c, x in r.items()}) for _, r in s.rows]
+def _right_mul(alg: AlgebraSpec, h: Sequence[Fraction]) -> list[SparseVector]:
+    """The sparse rows of x -> [x, h], built once per generator h."""
+    _require_lie(alg, "act")
+    return [sparse_vector(r) for r in alg.right_mul_matrix(tuple(as_scalar(a) for a in h)).data]
+
+
+def _act(right: list[SparseVector], phi: list[SparseVector]) -> SparseVector:
+    """h . phi = R phi - phi R in End coordinates, for R = ``_right_mul(alg, h)``
+    and phi given by its sparse rows."""
+    return sparse_lincomb((1, sparse_compose(right, phi)), (-1, sparse_compose(phi, right)))
 
 
 def is_submodule(alg: AlgebraSpec, s: Subspace) -> bool | SubmoduleWitness:
@@ -62,20 +82,23 @@ def is_submodule(alg: AlgebraSpec, s: Subspace) -> bool | SubmoduleWitness:
     n = alg.dim
     if s.ambient != n * n:
         raise ValueError("subspace must live in the endomorphism space")
-    maps = _maps(s, n)
+    if not s.rows:
+        return True
+    maps = [map_rows(r, n) for _, r in s.rows]
     for i in range(n):
-        h = alg.basis_vector(i)
+        right = _right_mul(alg, alg.basis_vector(i))
         for j, phi in enumerate(maps):
-            if not s.contains(act(alg, h, phi).flatten()):
+            if not s.contains(_act(right, phi)):
                 return SubmoduleWitness(i, j)
     return True
 
 
 def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace) -> Matrix:
     """Matrix of phi -> h . phi on s, in the echelon-basis coordinates."""
+    right = _right_mul(alg, h) if s.rows else []
     cols = []
-    for phi in _maps(s, alg.dim):
-        coords = s.coords(act(alg, h, phi).flatten())
+    for _, phi in s.rows:
+        coords = s.coords(_act(right, map_rows(phi, alg.dim)))
         if coords is None:
             raise NotSubmodule(-1, len(cols))
         cols.append(coords)

@@ -54,13 +54,7 @@ class LawViolation(ValueError):
         super().__init__(f"{law} fails on basis tuple {witness}: residual ({shown})")
 
 
-Table = dict[tuple[int, int], tuple[tuple[int, Fraction], ...] | None]  # None: undefined
-
-
-def int_table(table: Table) -> dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...]]:
-    """The table with integral constants as ints (``int_if_integral``), for
-    loops that multiply many of them."""
-    return {pair: tuple((k, int_if_integral(c)) for k, c in terms) for pair, terms in table.items()}
+Table = dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...] | None]  # None: undefined
 
 
 def sparse_product(table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]], u: Mapping[int, Fraction],
@@ -96,17 +90,7 @@ class AlgebraSpec:
         """Bilinear extension of the table to arbitrary vectors."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("vector dimension mismatch")
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                c = ui * vj
-                for k, coeff in self.table.get((i, j), ()):
-                    out[k] += c * coeff
-        return tuple(out)
+        return dense_vector(sparse_product(self.table, sparse_vector(u), sparse_vector(v)), self.dim)
 
     def basis_vector(self, i: int) -> Vector:
         return _basis_vector(i, self.dim)
@@ -149,7 +133,8 @@ def _clean_table(dim: int, raw: Mapping[tuple[int, int], Iterable]) -> Table:
             c = as_scalar(coeff)
             if c:
                 acc[int(k)] = acc.get(int(k), Fraction(0)) + c
-        entry = tuple(sorted((k, c) for k, c in acc.items() if c))
+        # integral constants as ints, so rows compiled from the table are integral
+        entry = tuple(sorted((k, int_if_integral(c)) for k, c in acc.items() if c))
         if entry:
             table[(i, j)] = entry
     return table
@@ -158,7 +143,7 @@ def _clean_table(dim: int, raw: Mapping[tuple[int, int], Iterable]) -> Table:
 def _check_laws(alg: AlgebraSpec) -> None:
     """Check the flavor's laws on every basis tuple, walking the table; the
     first failing tuple (in lexicographic order) is the witness."""
-    n, table = alg.dim, int_table(alg.table)
+    n, table = alg.dim, alg.table
     unit = [{i: 1} for i in range(n)]
     prod = {pair: dict(terms) for pair, terms in table.items()}
 
@@ -485,7 +470,7 @@ def right_annihilator(alg: AlgebraSpec) -> Subspace:
     acc = RowAccumulator(n)
     undefined = {q for (_, q), terms in alg.table.items() if terms is None}
     for q in undefined:
-        acc.add({q: Fraction(1)})
+        acc.add({q: 1})
     for j in range(n):
         rows: dict[int, dict[int, Fraction]] = {}  # m -> coefficients of e_j z at e_m
         for q in range(n):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .actions import _exp_ad, act, is_submodule
-from .algebra import AlgebraSpec, Table, builtin, int_table, killing_form, sparse_product
+from .algebra import AlgebraSpec, Table, builtin, killing_form, sparse_product
 from .constructions import adjoin_map, central_extension, cocycle2, derivation_defect, semidirect_derivation
 from .linalg import Matrix, SparseVector, Vector, int_if_integral, sparse_columns, sparse_lincomb
 from .solver import (
@@ -167,8 +167,7 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
     Both Jacobiators are tabulated once per draw; the terms of h . J_phi
     with an argument replaced by [e_s, h] = sum_t R[t][s] e_t (R the matrix
     of right multiplication by h) follow by linearity in that argument."""
-    n = alg.dim
-    table = int_table(alg.table)
+    n, table = alg.dim, alg.table
     for _ in range(3):
         h = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
         phi = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])

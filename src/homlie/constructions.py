@@ -25,6 +25,7 @@ from .linalg import (
     Subspace,
     Vector,
     dense_vector,
+    int_if_integral,
     sparse_columns,
     sparse_lincomb,
 )
@@ -292,8 +293,9 @@ def km_window(
     i * delta_{i+j,0} <x,y> z.  A twist restricts degree-i loop vectors to
     the grading component i mod n.
 
-    The table holds both orders of every bracket and None for a pair whose
-    degrees leave the window; ``grading`` is the loop degree (d, z: 0).  N
+    The table holds both orders of every bracket, integral constants as
+    ints as ``make_algebra`` stores them, and None for a pair whose degrees
+    leave the window; ``grading`` is the loop degree (d, z: 0).  N
     is read back as max |grading|, and d and z by their basis names.
 
     The result is certified ``flavor="lie"``.  Every defined product is the
@@ -331,11 +333,11 @@ def km_window(
             unit = len(vec) == 1  # then vec = e_k, k its pivot
             names.append(f"{g.basis_names[k]}(x)t^{deg}" if unit else f"g[{s}](x)t^{deg}")
             degrees.append(deg)
-            vectors.append(vec)
+            vectors.append({k: int_if_integral(x) for k, x in vec.items()})
     loop_count = len(names)
     d_idx, z_idx = loop_count, loop_count + 1
 
-    table: dict[tuple[int, int], tuple[tuple[int, Fraction], ...] | None] = {}
+    table: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...] | None] = {}
     for p1 in range(loop_count):
         i = degrees[p1]
         for p2 in range(p1 + 1, loop_count):
@@ -349,19 +351,19 @@ def km_window(
                 coords = grading[(i + j) % n_twist].coords(w)
                 if coords is None:
                     raise LawViolation("grading-compatibility", (p1, p2), w)  # pragma: no cover
-                entry.extend((starts[i + j] + s, c) for s, c in enumerate(coords) if c)
+                entry.extend((starts[i + j] + s, int_if_integral(c)) for s, c in enumerate(coords) if c)
             if i + j == 0:
                 central = i * invariant_form(vectors[p1], vectors[p2])
                 if central:
-                    entry.append((z_idx, Fraction(central)))
+                    entry.append((z_idx, int_if_integral(central)))
             if entry:
                 table[(p1, p2)] = tuple(sorted(entry))
                 table[(p2, p1)] = tuple((k, -c) for k, c in table[(p1, p2)])
     # Euler action: [d, x (x) t^i] = i * x (x) t^i
     for p, deg in enumerate(degrees):
         if deg:
-            table[(d_idx, p)] = ((p, Fraction(deg)),)
-            table[(p, d_idx)] = ((p, Fraction(-deg)),)
+            table[(d_idx, p)] = ((p, deg),)
+            table[(p, d_idx)] = ((p, -deg),)
     return AlgebraSpec(
         dim=loop_count + 2,
         basis_names=(*names, "d", "z"),

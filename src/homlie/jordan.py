@@ -13,10 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping, Sequence
 
 from .algebra import AlgebraSpec, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
-from .linalg import Matrix, Vector, dense_vector, is_zero_vector, sparse_lincomb
+from .linalg import (
+    Matrix,
+    SparseVector,
+    Vector,
+    dense_vector,
+    is_zero_vector,
+    map_rows,
+    sparse_compose,
+    sparse_lincomb,
+    sparse_vector,
+)
 from .solver import HOM_LIE, HomSolution, solve_structures, structure_residual
 from .window import window_jacobi_residual
 
@@ -25,7 +36,17 @@ def jordan_product(phi: Matrix, psi: Matrix) -> Matrix:
     """(phi psi + psi phi) / 2."""
     if phi.shape != psi.shape or phi.rows != phi.cols:
         raise ValueError("jordan_product needs two square maps of equal size")
-    return ((phi @ psi) + (psi @ phi)).scale(Fraction(1, 2))
+    return _as_matrix(_jordan([sparse_vector(r) for r in phi.data], [sparse_vector(r) for r in psi.data]), phi.rows)
+
+
+def _jordan(phi: Sequence[Mapping[int, Fraction]], psi: Sequence[Mapping[int, Fraction]]) -> SparseVector:
+    """(phi psi + psi phi) / 2 in End coordinates, for maps given by their sparse rows."""
+    both = sparse_lincomb((1, sparse_compose(phi, psi)), (1, sparse_compose(psi, phi)))
+    return {j: Fraction(x, 2) for j, x in both.items()}
+
+
+def _as_matrix(v: Mapping[int, Fraction], n: int) -> Matrix:
+    return Matrix.from_sparse(n, n, {divmod(j, n): x for j, x in v.items()})
 
 
 @dataclass(frozen=True)
@@ -62,18 +83,20 @@ def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int
 
 def closure_check(sol: HomSolution) -> ClosureVerdict:
     """Is the solved space closed under the Jordan product of basis maps?"""
-    maps = sol.basis_maps()
+    n = sol.algebra.dim
+    maps = [map_rows(r, n) for _, r in sol.space.rows]
     for i, phi in enumerate(maps):
         for j in range(i, len(maps)):
-            prod = jordan_product(phi, maps[j])
-            if not sol.space.contains(prod.flatten()):
-                violation = _first_violation(sol.algebra, prod)
+            prod = _jordan(phi, maps[j])
+            if not sol.space.contains(prod):
+                prod_map = _as_matrix(prod, n)
+                violation = _first_violation(sol.algebra, prod_map)
                 if violation is None:
                     # outside the span yet satisfying the identity cannot
                     # happen: the space is the exact solution set
                     raise AssertionError("non-member with zero residual")  # pragma: no cover
                 triple, residual = violation
-                return ClosureVerdict(False, ClosureWitness(i, j, prod, triple, residual))
+                return ClosureVerdict(False, ClosureWitness(i, j, prod_map, triple, residual))
     return ClosureVerdict(True)
 
 
@@ -81,11 +104,11 @@ def jordan_structure_constants(sol: HomSolution, verdict: ClosureVerdict) -> Alg
     """Commutative algebra structure induced on a closed solution space."""
     if not verdict.closed:
         raise ValueError("structure constants exist only for closed spaces")
-    maps = sol.basis_maps()
+    maps = [map_rows(r, sol.algebra.dim) for _, r in sol.space.rows]
     table: dict = {}
     for i, phi in enumerate(maps):
         for j, psi in enumerate(maps):
-            coords = sol.space.coords(jordan_product(phi, psi).flatten())
+            coords = sol.space.coords(_jordan(phi, psi))
             assert coords is not None
             entry = [(k, c) for k, c in enumerate(coords) if c]
             if entry:

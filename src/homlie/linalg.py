@@ -68,6 +68,27 @@ def sparse_lincomb(*terms: tuple[Fraction | int, Mapping[int, Fraction]]) -> Spa
     return {j: x for j, x in out.items() if x}
 
 
+def map_rows(v: Mapping[int, Fraction], n: int) -> list[SparseVector]:
+    """The sparse rows of the n x n map whose entry (q, c) is v[q*n + c]."""
+    rows: list[SparseVector] = [{} for _ in range(n)]
+    for j, x in v.items():
+        q, c = divmod(j, n)
+        rows[q][c] = x
+    return rows
+
+
+def sparse_compose(a: Sequence[Mapping[int, Fraction]], b: Sequence[Mapping[int, Fraction]]) -> SparseVector:
+    """The product a b of two n x n maps given by their sparse rows, with
+    entry (q, c) = sum over t of a[q][t] b[t][c] at q*n + c."""
+    n = len(a)
+    out: dict[int, Fraction] = {}
+    for q, row in enumerate(a):
+        for t, x in row.items():
+            for c, y in b[t].items():
+                out[q * n + c] = out.get(q * n + c, 0) + x * y
+    return {j: x for j, x in out.items() if x}
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix of exact scalars.

@@ -10,6 +10,7 @@ the exact nullspace.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -23,6 +24,7 @@ from .linalg import (
     Vector,
     as_scalar,
     dense_vector,
+    int_if_integral,
     nullspace_of_rows,
     sparse_columns,
     sparse_lincomb,
@@ -165,9 +167,10 @@ def _hom_generic_rows(
     # gaps[p] = the degrees d of the q with e_p e_q undefined
     left: list[dict[int, list[tuple[int, int, Fraction]]]] = [{} for _ in range(n)]
     gaps: list[set[int]] = [set() for _ in range(n)]
+    product_of = alg.table.get
     for p in range(n):
         for q in range(n):
-            terms = alg.product_on_basis(p, q)
+            terms = product_of((p, q), ())
             if terms is None:
                 gaps[p].add(deg[q])
             else:
@@ -177,7 +180,7 @@ def _hom_generic_rows(
         for (a, b, c) in triples:
             reads = []
             for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), signs):
-                w = alg.product_on_basis(x, y)
+                w = product_of((x, y), ())
                 if w is None or any(target[z] in gaps[p] for p, _ in w):
                     break
                 reads.append((w if sign > 0 else [(p, -cw) for p, cw in w], z))
@@ -195,7 +198,7 @@ def _hom_generic_rows(
 def _delta_rows(alg: AlgebraSpec, delta: Fraction, block: Block | None = None) -> Iterator[dict[int, Fraction]]:
     """D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs, for the block's
     maps D (all of End without one)."""
-    n = alg.dim
+    n, delta = alg.dim, int_if_integral(delta)
     col_of = _columns_of((block or _shift_block((0,) * n, 0))[2], n)
     pairs: Iterable[tuple[int, int]]
     if alg.is_anticommutative():
@@ -220,7 +223,7 @@ def _delta_rows(alg: AlgebraSpec, delta: Fraction, block: Block | None = None) -
     return _sparse_rows(terms(i, j) for i, j in pairs)
 
 
-def _triples(alg: AlgebraSpec, kind: StructureKind, deg: Sequence[int]) -> Iterable[tuple[int, int, int]]:
+def _triples(alg: AlgebraSpec, kind: StructureKind, deg: Sequence[int]) -> Iterator[tuple[int, int, int]]:
     """The basis triples the kind's identity is imposed on.
 
     On an anticommutative algebra the hom-lie rows come from the triples
@@ -235,39 +238,42 @@ def _triples(alg: AlgebraSpec, kind: StructureKind, deg: Sequence[int]) -> Itera
     ``km_window`` builds both), so the row of any ordered triple is zero or
     plus or minus the row of its sorted triple.
 
-    With one degree the triples come lazily in index order; with several,
-    as one list by |deg a + deg b + deg c| ascending, stable by index.  In a
-    window, central triples are imposable in every block, so they bring a
-    cut system to full rank early.  Row order does not change a kernel.
+    The triples come by total degree D = deg a + deg b + deg c, in the order
+    0, -1, 1, -2, 2, ... (index order with one degree), straight from the
+    degree components: pairs (a, b) grouped once by degree sum s, the sums
+    of least |s| + |D - s| first, and c in the component of degree D - s.
+    Nothing is built or sorted up front, so a block stops generating at
+    full rank, and central triples, imposable in every block of a window,
+    bring a cut system there early.  Row order does not change a kernel.
     """
-    n = alg.dim
-    if kind.tag == "hom-lie" and alg.is_anticommutative():
-        triples: Iterable[tuple[int, int, int]] = combinations(range(n), 3)
-    else:
-        triples = product(range(n), repeat=3)
-    if len(set(deg)) < 2:
-        return triples
-    return sorted(triples, key=lambda t: abs(deg[t[0]] + deg[t[1]] + deg[t[2]]))
+    sorted_only = kind.tag == "hom-lie" and alg.is_anticommutative()
+    components: dict[int, list[int]] = {}  # degree -> its indices, ascending
+    for u, d in enumerate(deg):
+        components.setdefault(d, []).append(u)
+    by_sum: dict[int, list[tuple[int, int]]] = {}
+    for a, b in combinations(range(alg.dim), 2) if sorted_only else product(range(alg.dim), repeat=2):
+        by_sum.setdefault(deg[a] + deg[b], []).append((a, b))
+    for total in sorted(range(3 * min(deg, default=0), 3 * max(deg, default=0) + 1), key=abs):
+        for s in sorted(by_sum, key=lambda s: abs(s) + abs(total - s)):
+            third = components.get(total - s)
+            if third:
+                for a, b in by_sum[s]:
+                    for c in third[bisect_right(third, b):] if sorted_only else third:
+                        yield a, b, c
 
 
 _PATTERNS = {"hom-lie": "jacobi", "hom-cyclic": "cyclic", "hom-2nilp": "2nilp"}
 
 
-def _structure_rows(
-    alg: AlgebraSpec,
-    kind: StructureKind,
-    block: Block | None = None,
-    triples: Iterable[tuple[int, int, int]] | None = None,
-) -> Iterator[dict[int, Fraction]]:
+def _structure_rows(alg: AlgebraSpec, kind: StructureKind, block: Block | None = None) -> Iterator[dict[int, Fraction]]:
     """Compiled rows of the kind's defining identity for the block's maps
-    (all of End without one), over ``triples`` (default ``_triples``)."""
+    (all of End without one), over ``_triples``."""
     if kind.tag == "delta-derivation":
         assert kind.delta is not None
         return _delta_rows(alg, kind.delta, block)
     if kind.tag not in _PATTERNS:
         raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
-    if triples is None:
-        triples = _triples(alg, kind, (0,) * alg.dim)
+    triples = _triples(alg, kind, block[0] if block else (0,) * alg.dim)
     return _hom_generic_rows(alg, triples, _PATTERNS[kind.tag], block)
 
 
@@ -330,7 +336,6 @@ def _solve_shift_blocks(
         raise ValueError(f"{kind} needs every product defined; this algebra has undefined products")
     deg = alg.grading or (0,) * n
     annihilator = [z for _, z in right_annihilator(alg).rows] if kind.tag in _PATTERNS else ()
-    triples = _triples(alg, kind, deg)
     rows: list[tuple[int, dict[int, Fraction]]] = []
     for shift in shifts:
         block = _shift_block(deg, shift)
@@ -338,7 +343,7 @@ def _solve_shift_blocks(
         if not cols:
             continue
         known = _known_block(alg, kind, block, annihilator)
-        space = _solve_modulo(known, _structure_rows(alg, kind, block, triples), kernel)
+        space = _solve_modulo(known, _structure_rows(alg, kind, block), kernel)
         if len(cols) == n * n:  # the block is all of End, in its coordinates
             return space
         end = [q * n + c for q, c in cols]  # block column -> End coordinate
@@ -366,7 +371,7 @@ def _solve_modulo(
     ``kernel`` is ``nullspace_of_rows`` as the caller's module names it, so
     that perfbench's tracer charges the rows to the compiler that made them.
     """
-    cuts = ({p: Fraction(1)} for p in known.pivot_cols())
+    cuts = ({p: 1} for p in known.pivot_cols())
     rest = kernel(known.ambient, chain(cuts, rows))
     if not rest.dim:
         return known

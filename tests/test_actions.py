@@ -8,7 +8,9 @@ import pytest
 from homlie.actions import (
     NonSplitAction,
     NotSubmodule,
+    SubmoduleWitness,
     act,
+    action_matrix,
     conjugate,
     is_submodule,
     rational_eigenvalues,
@@ -18,7 +20,7 @@ from homlie.actions import (
 from homlie.algebra import builtin
 from homlie.battery import check_conjugation_stability, lie_battery, random_lie_battery
 from homlie.linalg import Matrix, Subspace
-from homlie.solver import HOM_LIE, solve_structures
+from homlie.solver import HOM_2NILP, HOM_LIE, solve_structures
 
 F = Fraction
 
@@ -238,3 +240,34 @@ def test_conjugates_and_verdicts_on_the_battery():
             for phi in maps:
                 assert conjugate(alg, phi, x) == _conjugate_reference(alg, phi, x), (name, i)
         assert check_conjugation_stability(alg) is None, name
+
+
+def _dense_act(alg, h, phi):
+    rh = alg.right_mul_matrix(h)
+    return (rh @ phi) - (phi @ rh)
+
+
+def _dense_is_submodule(alg, s):
+    n = alg.dim
+    for i in range(n):
+        for j, v in enumerate(s.basis.data):
+            if not s.contains(_dense_act(alg, alg.basis_vector(i), Matrix.unflatten(v, n, n)).flatten()):
+                return SubmoduleWitness(i, j)
+    return True
+
+
+@pytest.mark.parametrize("name,alg", lie_battery(max_dim=8) + random_lie_battery(count=6, seed=31),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_sparse_action_matches_the_dense_products(name, alg):
+    rng = random.Random(name)
+    n = alg.dim
+    h = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+    phi = Matrix.from_rows([[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)])
+    assert act(alg, h, phi) == _dense_act(alg, h, phi)
+    line = Subspace.from_spanning([phi.flatten()], n * n)
+    for s in (solve_structures(alg, HOM_LIE).space, solve_structures(alg, HOM_2NILP).space, line):
+        assert is_submodule(alg, s) == _dense_is_submodule(alg, s)
+    hl = solve_structures(alg, HOM_LIE).space
+    expected = [hl.coords(_dense_act(alg, h, Matrix.unflatten(v, n, n)).flatten()) for v in hl.basis.data]
+    k = hl.dim
+    assert action_matrix(alg, h, hl) == Matrix(tuple(tuple(expected[j][i] for j in range(k)) for i in range(k)), k)

@@ -208,3 +208,41 @@ def test_killing_symmetry_invariance(name, params):
     kf = killing_form(alg)
     assert kf.is_symmetric()
     assert kf.is_invariant(alg)
+
+
+def _constants(alg):
+    return [c for terms in alg.table.values() if terms is not None for _, c in terms]
+
+
+@pytest.mark.parametrize(
+    "name", ["sl2", "sl3", "sl4", "gl2", "so3", "so5", "sp4", "heisenberg", "abelian2", "nonabelian2",
+             "trunc_poly:3", "cyclic_group_alg:3"]
+)
+def test_integral_builtin_constants_are_ints(name):
+    assert all(type(c) is int for c in _constants(parse_builtin(name)))
+
+
+def _sl2_twist():
+    g0 = Subspace.from_spanning([[0, 1, 0]], 3)
+    g1 = Subspace.from_spanning([[1, 0, 0], [0, 0, 1]], 3)
+    return [g0, g1], 2
+
+
+@pytest.mark.parametrize(
+    "name, n_window, twisted", [("sl2", 2, False), ("sl2", 4, False), ("sl2", 3, True), ("sl3", 2, False),
+                                ("so5", 2, False)]
+)
+def test_integral_window_constants_are_ints(name, n_window, twisted):
+    # the Killing forms of these algebras are integral, so is every constant
+    g = parse_builtin(name)
+    pa = km_window(g, killing_form(g), n_window, twist=_sl2_twist() if twisted else None)
+    assert all(type(c) is int for c in _constants(pa))
+
+
+def test_half_constant_from_json_stays_a_fraction():
+    from homlie.serialize import algebra_from_json
+
+    alg = algebra_from_json({"dim": 2, "flavor": "unchecked", "table": [[0, 1, [[0, "1/2"], [1, "4/2"]]]]})
+    (_, half), (_, two) = alg.table[(0, 1)]
+    assert (type(half), half) == (Fraction, F(1, 2))
+    assert (type(two), two) == (int, 2)

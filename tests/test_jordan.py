@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,17 @@ def test_jordan_product_unit_and_symmetry():
     phi = Matrix.from_rows([[0, 1], [5, 0]])
     assert jordan_product(phi, psi) == jordan_product(psi, phi)
     assert jordan_product(phi, phi) == phi @ phi
+
+
+def test_jordan_product_matches_the_dense_products():
+    rng = random.Random(3)
+    for n in (1, 2, 5):
+        for _ in range(20):
+            phi, psi = (
+                Matrix.from_rows([[F(rng.choice((0, 0, 1, -2)), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)])
+                for _ in range(2)
+            )
+            assert jordan_product(phi, psi) == ((phi @ psi) + (psi @ phi)).scale(F(1, 2))
 
 
 def test_jordan_product_matrix_units():

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homlie.algebra import builtin, killing_form, make_algebra
 from homlie.constructions import km_window
@@ -103,3 +104,32 @@ def test_solution_serialization():
     assert len(doc["basis_maps"]) == 6
     assert all(len(row) == 9 for row in doc["basis_maps"])
     json.dumps(doc)  # must be serializable as-is
+
+
+@st.composite
+def small_tables(draw):
+    """A dimension and a table of int and p/q constants (some p/q integral)."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    index = st.integers(min_value=0, max_value=dim - 1)
+    scalar = st.one_of(
+        st.integers(min_value=-4, max_value=4),
+        st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=6)),
+    ).filter(bool)
+    terms = st.dictionaries(index, scalar, min_size=1, max_size=dim).map(lambda d: sorted(d.items()))
+    return dim, draw(st.dictionaries(st.tuples(index, index), terms, max_size=dim * dim))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_tables())
+def test_algebra_json_round_trip_keeps_bytes_and_scalar_kinds(dim_table):
+    dim, table = dim_table
+    alg = make_algebra(dim, table, flavor="unchecked")
+    text = json.dumps(algebra_to_json(alg))
+    redone = algebra_from_json(json.loads(text))
+    assert json.dumps(algebra_to_json(redone)) == text
+
+    def kinds(a):
+        return {pair: [(k, type(c)) for k, c in terms] for pair, terms in a.table.items()}
+
+    assert kinds(redone) == kinds(alg)
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for terms in alg.table.values() for _, c in terms)

@@ -5,7 +5,7 @@ from functools import cache
 
 import pytest
 
-from homlie.algebra import builtin, killing_form, make_algebra, right_annihilator
+from homlie.algebra import builtin, killing_form, make_algebra, parse_builtin, right_annihilator
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import central_extension, cocycle2, tensor_lie
 from homlie.linalg import Matrix, RowAccumulator, Subspace, nullspace_of_rows
@@ -70,6 +70,23 @@ def test_sorted_triples_solve_the_ordered_hom_jacobi_system():
         n = alg.dim
         ordered = _hom_generic_rows(alg, itertools.product(range(n), repeat=3), "jacobi")
         assert _full_consumption(alg, HOM_LIE) == nullspace_of_rows(n * n, ordered), name
+
+
+@pytest.mark.parametrize("name, kinds", [("sl3", {int, Fraction}), ("so5", {Fraction}), ("trunc_poly:3", {Fraction})])
+def test_halved_table_keeps_the_structure_spaces(name, kinds):
+    # every term (ab)phi(c) reads the product twice, so halving the table
+    # scales each row by 1/4; on sl3 the halved constants mix 1/2 and ints
+    alg = parse_builtin(name)
+    half = make_algebra(
+        alg.dim,
+        {pair: [(k, F(c, 2)) for k, c in terms] for pair, terms in alg.table.items()},
+        basis_names=alg.basis_names,
+        flavor=alg.flavor,
+        grading=alg.grading,
+    )
+    assert {type(c) for terms in half.table.values() for _, c in terms} == kinds
+    for kind in (HOM_LIE, HOM_CYCLIC, HOM_2NILP):
+        assert solve_structures(half, kind).space == solve_structures(alg, kind).space, kind
 
 
 def test_homlie_sl2_dimension():

@@ -1,13 +1,24 @@
 import dataclasses
 import itertools
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from homlie.algebra import AlgebraSpec, builtin, killing_form
 from homlie.constructions import km_window
-from homlie.linalg import Matrix, RowAccumulator, Subspace, nullspace_of_rows
-from homlie.solver import HOM_LIE, _hom_generic_rows, _solve_shift_blocks, delta_derivation, is_multiplicative, solve_structures
+from homlie.linalg import Matrix, RowAccumulator, SpanSolver, Subspace, nullspace, nullspace_of_rows
+from homlie.solver import (
+    HOM_CYCLIC,
+    HOM_LIE,
+    _hom_generic_rows,
+    _solve_shift_blocks,
+    _triples,
+    delta_derivation,
+    is_multiplicative,
+    solve_structures,
+)
 from homlie.window import (
     beta_map,
     central_maps,
@@ -86,7 +97,9 @@ def test_untwisted_solution_is_central_plus_identity():
     assert sol.inner.excess_dim == 0
 
 
-@pytest.mark.parametrize("name, rank, n_window", [("sl", 3, 2), ("sl", 3, 3), ("so", 5, 2), ("sp", 4, 2)])
+@pytest.mark.parametrize(
+    "name, rank, n_window", [("sl", 3, 2), ("sl", 3, 3), ("so", 5, 2), ("so", 5, 3), ("sp", 4, 2), ("sp", 4, 3)]
+)
 def test_affine_window_is_identity_plus_central(name, rank, n_window):
     g = builtin(name, rank)
     pa = km_window(g, killing_form(g), n_window)
@@ -99,6 +112,49 @@ def test_affine_window_is_identity_plus_central(name, rank, n_window):
     assert sol.full.dim == pa.dim + 1
     assert sol.inner.predicted_included
     assert sol.inner.excess_dim == 0
+
+
+def _a22_grading():
+    """The eigenspaces of the involution x -> -J x^T J^-1 of sl3, with
+    J = antidiag(1, -1, 1) = J^-1, in the basis H1, H2, E12, E13, E21,
+    E23, E31, E32 of ``builtin("sl", 3)``: fixed (eigenvalue 1) and negated."""
+    units = [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+    units += [{(i, j): 1} for i in range(3) for j in range(3) if i != j]
+    basis = [Matrix.from_sparse(3, 3, u) for u in units]
+    j = Matrix.from_sparse(3, 3, {(0, 2): 1, (1, 1): -1, (2, 0): 1})
+    coords = SpanSolver([b.flatten() for b in basis], 9)
+    images = [coords.express((j @ b.transpose() @ j).scale(-1).flatten()) for b in basis]
+    sigma = Matrix(tuple(tuple(images[c][r] for c in range(8)) for r in range(8)), 8)
+    return nullspace(sigma - Matrix.identity(8)), nullspace(sigma + Matrix.identity(8))
+
+
+def _sl3_twisted(n):
+    """The twisted A2(2) window."""
+    g = builtin("sl", 3)
+    return km_window(g, killing_form(g), n, twist=(list(_a22_grading()), 2))
+
+
+def test_a22_grading_splits_sl3_into_3_plus_5():
+    fixed, negated = _a22_grading()
+    assert (fixed.dim, negated.dim) == (3, 5)
+
+
+@pytest.mark.parametrize("n_window, dim", [(2, 21), (3, 31)])
+def test_twisted_a22_window_is_identity_plus_central(n_window, dim):
+    pa = _sl3_twisted(n_window)
+    assert pa.dim == dim
+    start = time.perf_counter()
+    sol = solve_window(pa)
+    elapsed = time.perf_counter() - start
+    predicted = Subspace.from_spanning(
+        [Matrix.identity(pa.dim).flatten()] + [c.flatten() for c in central_maps(pa)],
+        pa.dim ** 2,
+    )
+    assert sol.full.space == predicted
+    assert sol.full.dim == dim + 1
+    assert sol.inner.predicted_included
+    assert sol.inner.excess_dim == 0
+    assert elapsed < 5  # about 0.1 s on a 2-core machine; far larger means a lost exit
 
 
 def test_untwisted_n3_members_and_report():
@@ -138,6 +194,26 @@ WINDOW_MODELS = [
     pytest.param(_twisted, 3, id="twisted-3"),
     pytest.param(_sl3, 2, id="sl3-2"),
 ]
+
+
+TRIPLE_MODELS = WINDOW_MODELS + [
+    pytest.param(lambda m: builtin("trunc_poly", m), m, id=f"trunc_poly-{m}") for m in range(2, 6)
+]
+
+
+@pytest.mark.parametrize("kind", [HOM_LIE, HOM_CYCLIC], ids=str)
+@pytest.mark.parametrize("model, size", TRIPLE_MODELS)
+def test_lazy_triples_are_every_triple_once_centre_out(model, size, kind):
+    alg = model(size)
+    n, deg = alg.dim, alg.grading
+    triples = list(_triples(alg, kind, deg))
+    if kind == HOM_LIE and alg.is_anticommutative():
+        expected = itertools.combinations(range(n), 3)
+    else:
+        expected = itertools.product(range(n), repeat=3)
+    assert Counter(triples) == Counter(expected)
+    totals = [abs(deg[a] + deg[b] + deg[c]) for a, b, c in triples]
+    assert totals == sorted(totals)
 
 
 @pytest.mark.parametrize("model, n_window", WINDOW_MODELS)
