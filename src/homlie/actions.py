@@ -14,19 +14,7 @@ from math import factorial, isqrt, lcm
 from typing import Sequence
 
 from .algebra import AlgebraSpec, _require_lie
-from .linalg import (
-    Matrix,
-    SparseVector,
-    Subspace,
-    Vector,
-    as_scalar,
-    map_rows,
-    minimal_polynomial,
-    nullspace,
-    sparse_compose,
-    sparse_lincomb,
-    sparse_vector,
-)
+from .linalg import Matrix, Subspace, Vector, as_scalar, minimal_polynomial, nullspace, sparse_lincomb
 
 
 class NotSubmodule(ValueError):
@@ -56,25 +44,13 @@ class WeightComponent:
 
 
 def act(alg: AlgebraSpec, h: Sequence[Fraction], phi: Matrix) -> Matrix:
-    """(h . phi)(x) = [phi(x), h] - phi([x, h])."""
-    right = _right_mul(alg, h)
-    n = alg.dim
-    if phi.shape != (n, n):
-        raise ValueError("map shape does not match the algebra")
-    image = _act(right, [sparse_vector(r) for r in phi.data])
-    return Matrix.from_sparse(n, n, {divmod(j, n): x for j, x in image.items()})
-
-
-def _right_mul(alg: AlgebraSpec, h: Sequence[Fraction]) -> list[SparseVector]:
-    """The sparse rows of x -> [x, h], built once per generator h."""
+    """(h . phi)(x) = [phi(x), h] - phi([x, h]), that is R phi - phi R for R
+    the right multiplication by h."""
     _require_lie(alg, "act")
-    return [sparse_vector(r) for r in alg.right_mul_matrix(tuple(as_scalar(a) for a in h)).data]
-
-
-def _act(right: list[SparseVector], phi: list[SparseVector]) -> SparseVector:
-    """h . phi = R phi - phi R in End coordinates, for R = ``_right_mul(alg, h)``
-    and phi given by its sparse rows."""
-    return sparse_lincomb((1, sparse_compose(right, phi)), (-1, sparse_compose(phi, right)))
+    right = alg.right_mul_matrix(tuple(as_scalar(a) for a in h))
+    if phi.shape != (alg.dim, alg.dim):
+        raise ValueError("map shape does not match the algebra")
+    return right @ phi - phi @ right
 
 
 def is_submodule(alg: AlgebraSpec, s: Subspace) -> bool | SubmoduleWitness:
@@ -84,26 +60,30 @@ def is_submodule(alg: AlgebraSpec, s: Subspace) -> bool | SubmoduleWitness:
         raise ValueError("subspace must live in the endomorphism space")
     if not s.rows:
         return True
-    maps = [map_rows(r, n) for _, r in s.rows]
+    _require_lie(alg, "act")
+    maps = [Matrix.unflatten(r, n, n) for _, r in s.rows]
     for i in range(n):
-        right = _right_mul(alg, alg.basis_vector(i))
+        right = alg.right_mul_matrix({i: 1})  # h . phi = R phi - phi R for h = e_i
         for j, phi in enumerate(maps):
-            if not s.contains(_act(right, phi)):
+            if not s.contains((right @ phi - phi @ right).sparse_flatten()):
                 return SubmoduleWitness(i, j)
     return True
 
 
 def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace) -> Matrix:
     """Matrix of phi -> h . phi on s, in the echelon-basis coordinates."""
-    right = _right_mul(alg, h) if s.rows else []
+    n = alg.dim
+    if s.rows:
+        _require_lie(alg, "act")
+        right = alg.right_mul_matrix(tuple(as_scalar(a) for a in h))
     cols = []
-    for _, phi in s.rows:
-        coords = s.coords(_act(right, map_rows(phi, alg.dim)))
+    for _, r in s.rows:
+        phi = Matrix.unflatten(r, n, n)
+        coords = s.coords((right @ phi - phi @ right).sparse_flatten())
         if coords is None:
             raise NotSubmodule(-1, len(cols))
         cols.append(coords)
-    k = s.dim
-    return Matrix(tuple(tuple(cols[j][i] for j in range(k)) for i in range(k)), k)
+    return Matrix(cols, s.dim).transpose()
 
 
 def rational_eigenvalues(m: Matrix) -> list[Fraction]:
@@ -118,12 +98,12 @@ def rational_eigenvalues(m: Matrix) -> list[Fraction]:
     That search bounds the reach: eigenvalues (times D) near 10^6 take a
     fraction of a second, near 10^12 they are out of reach.
     """
-    denom = lcm(*(v.denominator for r in m.data for v in r))
+    denom = lcm(*(v.denominator for r in m.sparse_rows for v in r.values()))
     scaled = m.scale(denom)
     poly = [c.numerator for c in minimal_polynomial(scaled)]
     low = next(i for i, c in enumerate(poly) if c)
     c = abs(poly[low])
-    bound = max((sum(abs(v.numerator) for v in r) for r in scaled.data), default=0)
+    bound = max((sum(abs(v) for v in r.values()) for r in scaled.sparse_rows), default=0)
     divisors = [r for r in range(1, min(bound, isqrt(c)) + 1) if not c % r]
     candidates = {s * x for r in divisors for x in (r, c // r) if x <= bound for s in (1, -1)}
 

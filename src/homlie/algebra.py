@@ -237,8 +237,8 @@ def _from_matrices(mats: Sequence[Matrix], names: Sequence[str]) -> AlgebraSpec:
     """Structure constants of a span of matrices closed under commutator."""
     n = len(mats)
     size = mats[0].rows
-    flat = [sparse_vector(m.flatten()) for m in mats]
-    solver = SpanSolver([m.flatten() for m in mats], size * size)
+    flat = [m.sparse_flatten() for m in mats]
+    solver = SpanSolver(flat, size * size)
     # E_rk E_kc = E_rc: the matrix product of flattened matrices is the
     # sparse product over the table of the matrix units
     units = {
@@ -435,8 +435,8 @@ class BilinearForm:
     def __call__(self, u: Sequence[Fraction] | Mapping[int, Fraction],
                  v: Sequence[Fraction] | Mapping[int, Fraction]) -> Fraction:
         """f(u, v) for dense vectors or sparse ones (index -> scalar)."""
-        f, sv = self.matrix.data, sparse_vector(v)
-        return sum((x * y * f[i][j] for i, x in sparse_vector(u).items() for j, y in sv.items()), Fraction(0))
+        f, su, sv = self.matrix.sparse_rows, sparse_vector(u), sparse_vector(v)
+        return sum((x * c * sv[j] for i, x in su.items() for j, c in f[i].items() if j in sv), Fraction(0))
 
     def is_symmetric(self) -> bool:
         return self.matrix == self.matrix.transpose()
@@ -447,12 +447,12 @@ class BilinearForm:
     def is_invariant(self, alg: AlgebraSpec) -> bool:
         """f(xy, z) == f(x, yz) on all basis triples."""
         n = alg.dim
-        f = self.matrix.data
+        f = self.matrix.sparse_rows
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = sum((c * f[p][k] for p, c in alg.product_on_basis(i, j)), Fraction(0))
-                    rhs = sum((c * f[i][p] for p, c in alg.product_on_basis(j, k)), Fraction(0))
+                    lhs = sum(c * f[p].get(k, 0) for p, c in alg.product_on_basis(i, j))
+                    rhs = sum(c * f[i].get(p, 0) for p, c in alg.product_on_basis(j, k))
                     if lhs != rhs:
                         return False
         return True
@@ -490,9 +490,8 @@ def structural_subspaces(alg: AlgebraSpec) -> tuple[Subspace, Subspace, Subspace
     derived = Subspace.from_spanning(map(dict, alg.table.values()), n)
     acc = RowAccumulator(n)
     for _, w in derived.rows:
-        lm = alg.left_mul_matrix(w)
-        for row in lm.data:
-            acc.add_dense(row)
+        for row in alg.left_mul_matrix(w).sparse_rows:
+            acc.add(row)
     ann_derived = acc.nullspace()
     return center, derived, ann_derived
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .actions import _exp_ad, act, is_submodule
 from .algebra import AlgebraSpec, Table, builtin, killing_form, sparse_product
 from .constructions import adjoin_map, central_extension, cocycle2, derivation_defect, semidirect_derivation
-from .linalg import Matrix, SparseVector, Vector, int_if_integral, sparse_columns, sparse_lincomb
+from .linalg import Matrix, SparseVector, Vector, int_if_integral, sparse_lincomb
 from .solver import (
     HOM_LIE,
     delta_derivation,
@@ -70,7 +70,7 @@ def _random_derivation(a: AlgebraSpec, rng: random.Random) -> Matrix:
         if j - 1 < m:
             power[j - 1] = Fraction(j)
         cols.append(a.multiply(tuple(power), tuple(img_t)))
-    mat = Matrix(tuple(tuple(cols[j][i] for j in range(m)) for i in range(m)), m)
+    mat = Matrix(cols, m).transpose()
     assert derivation_defect(a, mat) is None
     return mat
 
@@ -104,8 +104,7 @@ def random_lie_battery(count: int = 25, seed: int = 20250810) -> list[tuple[str,
             sk = solve_bilinear(base, "skew-cocycle")
             coeffs = [Fraction(rng.randint(-2, 2)) for _ in sk.rows]
             vec = sparse_lincomb(*((c, b) for c, (_, b) in zip(coeffs, sk.rows)))
-            n = base.dim
-            xi = cocycle2(base, Matrix.from_sparse(n, n, {divmod(j, n): x for j, x in vec.items()}))
+            xi = cocycle2(base, Matrix.unflatten(vec, base.dim, base.dim))
             alg = central_extension(base, xi)
             out.append((f"central#{attempt}", alg))
         else:
@@ -137,16 +136,11 @@ def check_submodule_property(alg: AlgebraSpec) -> str | None:
     return None
 
 
-def _columns(m: Matrix) -> list[SparseVector]:
-    """The columns m(e_c) as sparse vectors, integral entries as ints."""
-    return [{q: int_if_integral(x) for q, x in col.items()} for col in sparse_columns(m)]
-
-
 def _jacobiator(t: Table, phi: Matrix) -> dict[tuple[int, int, int], SparseVector]:
     """J_phi(e_i, e_j, e_k) = (e_i e_j)phi(e_k) + (e_k e_i)phi(e_j) + (e_j e_k)phi(e_i)
     on every ordered basis triple."""
     n = phi.rows
-    cols = _columns(phi)
+    cols = phi.transpose().sparse_rows  # phi(e_c)
     # terms[(x, y)][z] = (e_x e_y)phi(e_z)
     terms = {(x, y): [sparse_product(t, dict(w), cols[z]) for z in range(n)] for (x, y), w in t.items()}
     zero = [{}] * n
@@ -175,7 +169,7 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
         j_hphi = _jacobiator(table, hphi)
         j_phi = _jacobiator(table, phi)
         sh = {q: int_if_integral(x) for q, x in enumerate(h) if x}
-        rcols = [list(col.items()) for col in _columns(alg.right_mul_matrix(h))]  # [e_s, h]
+        rcols = [list(col.items()) for col in alg.right_mul_matrix(h).transpose().sparse_rows]  # [e_s, h]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -209,7 +203,7 @@ def check_f_t_membership(alg: AlgebraSpec, rng: random.Random) -> str | None:
         phi = rng.choice(maps)
         t = tuple(Fraction(rng.randint(-2, 2)) for _ in range(alg.dim))
         built = f_t(alg, form, phi, t)
-        if not cocycles.contains(built.matrix.flatten()):
+        if not cocycles.contains(built.matrix.sparse_flatten()):
             return "f_t output violates the cocycle equation"  # pragma: no cover
     return None
 

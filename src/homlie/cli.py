@@ -21,6 +21,7 @@ from .jordan import closure_check, counterexample_suite, jordan_identity_defect,
 from .linalg import Matrix, Subspace
 from .scenarios import run_all, run_scenario, scenario_ids
 from .serialize import (
+    MAX_DIM,
     algebra_from_json,
     algebra_to_json,
     format_scalar,
@@ -224,17 +225,30 @@ def _load_twist(path: str, dim: int):
         raise UsageError(f"cannot read twist file {path}: {e}")
 
 
+def _window_dim(dim: int, n_window: int, twist: tuple[list[Subspace], int] | None) -> int:
+    """The dim of ``km_window``'s window, without building it: d and z, plus
+    for each degree i in -N..N the twist component of degree i mod n (all
+    of g untwisted), of which -N..N holds (N - r) // n - (-N - 1 - r) // n
+    copies of residue r."""
+    dims = [c.dim for c in twist[0]] if twist else [dim]
+    n = len(dims)
+    return 2 + sum(d * ((n_window - r) // n - (-n_window - 1 - r) // n) for r, d in enumerate(dims))
+
+
 def _cmd_window(args) -> int:
     if args.window < 2:
         raise UsageError(f"--window must be at least 2, got {args.window}")
     alg = _resolve_lie(args.algebra, "window")
     twist = _load_twist(args.twist, alg.dim) if args.twist else None
+    dim = _window_dim(alg.dim, args.window, twist)
+    if dim > MAX_DIM:
+        raise UsageError(f"--window: the window has dim {dim}, above the bound of {MAX_DIM}")
     pa = km_window(alg, killing_form(alg), args.window, twist=twist)
     try:
         sol = solve_window(pa, args.shift)
     except ValueError as e:
         raise UsageError(f"--shift: {e}")
-    ident_in = sol.full.space.contains(Matrix.identity(pa.dim).flatten())
+    ident_in = sol.full.space.contains(Matrix.identity(pa.dim).sparse_flatten())
     doc = {
         "window_algebra": partial_to_json(pa),
         "shift": args.shift,

@@ -26,7 +26,6 @@ from .linalg import (
     Vector,
     dense_vector,
     int_if_integral,
-    sparse_columns,
     sparse_lincomb,
 )
 
@@ -56,13 +55,13 @@ def cocycle2(alg: AlgebraSpec, matrix: Matrix) -> Cocycle2:
     if not form.is_skew():
         raise LawViolation("cocycle-skewness", (), ())
     n = alg.dim
-    f = matrix.data
+    f = matrix.sparse_rows
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 val = sum(
                     (
-                        c * f[p][z]
+                        c * f[p].get(z, 0)
                         for x, y, z in ((i, j, k), (k, i, j), (j, k, i))
                         for p, c in alg.product_on_basis(x, y)
                     ),
@@ -144,7 +143,7 @@ def derivation_defect(a: AlgebraSpec, d: Matrix) -> tuple[tuple[int, int], Vecto
     n = a.dim
     if d.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
-    cols = sparse_columns(d)  # d(e_c)
+    cols = d.transpose().sparse_rows  # d(e_c)
     for i in range(n):
         for j in range(n):
             defect = sparse_lincomb(

@@ -13,21 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
 
 from .algebra import AlgebraSpec, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
-from .linalg import (
-    Matrix,
-    SparseVector,
-    Vector,
-    dense_vector,
-    is_zero_vector,
-    map_rows,
-    sparse_compose,
-    sparse_lincomb,
-    sparse_vector,
-)
+from .linalg import Matrix, Vector, dense_vector, is_zero_vector, sparse_lincomb
 from .solver import HOM_LIE, HomSolution, solve_structures, structure_residual
 from .window import window_jacobi_residual
 
@@ -36,17 +25,7 @@ def jordan_product(phi: Matrix, psi: Matrix) -> Matrix:
     """(phi psi + psi phi) / 2."""
     if phi.shape != psi.shape or phi.rows != phi.cols:
         raise ValueError("jordan_product needs two square maps of equal size")
-    return _as_matrix(_jordan([sparse_vector(r) for r in phi.data], [sparse_vector(r) for r in psi.data]), phi.rows)
-
-
-def _jordan(phi: Sequence[Mapping[int, Fraction]], psi: Sequence[Mapping[int, Fraction]]) -> SparseVector:
-    """(phi psi + psi phi) / 2 in End coordinates, for maps given by their sparse rows."""
-    both = sparse_lincomb((1, sparse_compose(phi, psi)), (1, sparse_compose(psi, phi)))
-    return {j: Fraction(x, 2) for j, x in both.items()}
-
-
-def _as_matrix(v: Mapping[int, Fraction], n: int) -> Matrix:
-    return Matrix.from_sparse(n, n, {divmod(j, n): x for j, x in v.items()})
+    return (phi @ psi + psi @ phi).scale(Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -69,7 +48,7 @@ def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int
     window, of an imposed equation (``window_jacobi_residual``) at a shift of phi."""
     n = alg.dim
     if None in alg.table.values():
-        shifts = sorted({alg.grading[u] - alg.grading[c] for u in range(n) for c in range(n) if phi.entry(u, c)})
+        shifts = sorted({alg.grading[u] - alg.grading[c] for u, r in enumerate(phi.sparse_rows) for c in r})
         checks = [lambda t, s=s: window_jacobi_residual(alg, phi, t, s) for s in shifts]
     else:
         checks = [lambda t: structure_residual(alg, phi, HOM_LIE, t)]
@@ -84,19 +63,18 @@ def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int
 def closure_check(sol: HomSolution) -> ClosureVerdict:
     """Is the solved space closed under the Jordan product of basis maps?"""
     n = sol.algebra.dim
-    maps = [map_rows(r, n) for _, r in sol.space.rows]
+    maps = [Matrix.unflatten(r, n, n) for _, r in sol.space.rows]
     for i, phi in enumerate(maps):
         for j in range(i, len(maps)):
-            prod = _jordan(phi, maps[j])
-            if not sol.space.contains(prod):
-                prod_map = _as_matrix(prod, n)
-                violation = _first_violation(sol.algebra, prod_map)
+            prod = jordan_product(phi, maps[j])
+            if not sol.space.contains(prod.sparse_flatten()):
+                violation = _first_violation(sol.algebra, prod)
                 if violation is None:
                     # outside the span yet satisfying the identity cannot
                     # happen: the space is the exact solution set
                     raise AssertionError("non-member with zero residual")  # pragma: no cover
                 triple, residual = violation
-                return ClosureVerdict(False, ClosureWitness(i, j, prod_map, triple, residual))
+                return ClosureVerdict(False, ClosureWitness(i, j, prod, triple, residual))
     return ClosureVerdict(True)
 
 
@@ -104,11 +82,12 @@ def jordan_structure_constants(sol: HomSolution, verdict: ClosureVerdict) -> Alg
     """Commutative algebra structure induced on a closed solution space."""
     if not verdict.closed:
         raise ValueError("structure constants exist only for closed spaces")
-    maps = [map_rows(r, sol.algebra.dim) for _, r in sol.space.rows]
+    n = sol.algebra.dim
+    maps = [Matrix.unflatten(r, n, n) for _, r in sol.space.rows]
     table: dict = {}
     for i, phi in enumerate(maps):
         for j, psi in enumerate(maps):
-            coords = sol.space.coords(_jordan(phi, psi))
+            coords = sol.space.coords(jordan_product(phi, psi).sparse_flatten())
             assert coords is not None
             entry = [(k, c) for k, c in enumerate(coords) if c]
             if entry:
@@ -184,7 +163,7 @@ def counterexample_suite(max_order: int = 8) -> CounterexampleReport:
                 alpha = Matrix.from_sparse(a.dim, a.dim, {(dst, src): 1})
                 psi_big = alpha.kron(psi_l)
                 prod = jordan_product(phi_big, psi_big)
-                if sol.space.contains(prod.flatten()):
+                if sol.space.contains(prod.sparse_flatten()):
                     continue
                 violation = _first_violation(tensor, prod)
                 if violation is None:
@@ -193,8 +172,8 @@ def counterexample_suite(max_order: int = 8) -> CounterexampleReport:
                 return CounterexampleReport(
                     truncation_order=m,
                     alpha_monomial=(src, dst),
-                    phi_member=sol.space.contains(phi_big.flatten()),
-                    psi_member=sol.space.contains(psi_big.flatten()),
+                    phi_member=sol.space.contains(phi_big.sparse_flatten()),
+                    psi_member=sol.space.contains(psi_big.sparse_flatten()),
                     product_member=False,
                     violating_triple=triple,
                     residual=residual,

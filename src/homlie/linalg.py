@@ -10,6 +10,7 @@ basis matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
@@ -54,11 +55,6 @@ def dense_vector(v: Mapping[int, Fraction], n: int) -> Vector:
     return tuple(Fraction(v.get(j, 0)) for j in range(n))
 
 
-def sparse_columns(m: "Matrix") -> list[SparseVector]:
-    """The columns of ``m`` as sparse vectors (the images of the unit vectors)."""
-    return [{i: r[c] for i, r in enumerate(m.data) if r[c]} for c in range(m.cols)]
-
-
 def sparse_lincomb(*terms: tuple[Fraction | int, Mapping[int, Fraction]]) -> SparseVector:
     """The sum of c * v over the (c, v) terms, zero entries dropped."""
     out: dict[int, Fraction] = {}
@@ -68,41 +64,43 @@ def sparse_lincomb(*terms: tuple[Fraction | int, Mapping[int, Fraction]]) -> Spa
     return {j: x for j, x in out.items() if x}
 
 
-def map_rows(v: Mapping[int, Fraction], n: int) -> list[SparseVector]:
-    """The sparse rows of the n x n map whose entry (q, c) is v[q*n + c]."""
-    rows: list[SparseVector] = [{} for _ in range(n)]
-    for j, x in v.items():
-        q, c = divmod(j, n)
-        rows[q][c] = x
-    return rows
-
-
-def sparse_compose(a: Sequence[Mapping[int, Fraction]], b: Sequence[Mapping[int, Fraction]]) -> SparseVector:
-    """The product a b of two n x n maps given by their sparse rows, with
-    entry (q, c) = sum over t of a[q][t] b[t][c] at q*n + c."""
-    n = len(a)
-    out: dict[int, Fraction] = {}
-    for q, row in enumerate(a):
-        for t, x in row.items():
-            for c, y in b[t].items():
-                out[q * n + c] = out.get(q * n + c, 0) + x * y
-    return {j: x for j, x in out.items() if x}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """Immutable dense matrix of exact scalars.
+    """Immutable matrix of exact scalars, stored as sparse rows.
 
-    ``data`` is a tuple of row tuples; ``cols`` is stored explicitly so that
-    matrices with zero rows keep their width.
+    ``sparse_rows[i]`` maps a column to the nonzero entry of row i, an int
+    when integral (int arithmetic is far cheaper than Fraction's, and the
+    two compare and hash equal), and cannot be changed.  ``cols`` is stored
+    explicitly so that matrices with zero rows keep their width.  ``data``
+    is the dense tuple of row tuples of Fractions, built on first use.
     """
 
-    data: tuple[tuple[Fraction, ...], ...]
+    sparse_rows: tuple[Mapping[int, int | Fraction], ...]
     cols: int
+
+    def __init__(self, data: Iterable[Iterable], cols: int):
+        """The matrix with dense rows ``data``; entries are coerced by ``as_scalar``."""
+        self._store((enumerate(map(as_scalar, r)) for r in data), cols)
+
+    def _store(self, rows: Iterable[Iterable[tuple[int, int | Fraction]]], cols: int) -> None:
+        """Set the fields from (column, entry) pairs per row, zeros dropped."""
+        frozen = tuple(MappingProxyType({j: x.numerator if x.denominator == 1 else x for j, x in r if x}) for r in rows)
+        object.__setattr__(self, "sparse_rows", frozen)
+        object.__setattr__(self, "cols", cols)
+
+    @classmethod
+    def _of(cls, rows: Iterable[Mapping[int, int | Fraction]], cols: int) -> "Matrix":
+        """The matrix with these sparse rows of exact scalars (zeros allowed)."""
+        m = cls.__new__(cls)
+        m._store((r.items() for r in rows), cols)
+        return m
+
+    def __hash__(self) -> int:
+        return hash((self.cols, tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None) -> "Matrix":
-        data = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+        data = [[as_scalar(x) for x in row] for row in rows]
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
@@ -116,98 +114,113 @@ class Matrix:
 
     @classmethod
     def from_sparse(cls, rows: int, cols: int, entries: Mapping[tuple[int, int], object]) -> "Matrix":
-        table = [[Fraction(0)] * cols for _ in range(rows)]
+        table: list[dict[int, Fraction]] = [{} for _ in range(rows)]
         for (i, j), x in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) out of bounds for {rows}x{cols}")
             table[i][j] = as_scalar(x)
-        return cls.from_rows(table, cols)
+        return cls._of(table, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)), n)
+        return cls._of(({i: 1} for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(tuple((Fraction(0),) * cols for _ in range(rows)), cols)
+        return cls._of([{}] * rows, cols)
+
+    @cached_property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(r[j]) if j in r else _ZERO for j in range(self.cols)) for r in self.sparse_rows)
 
     @property
     def rows(self) -> int:
-        return len(self.data)
+        return len(self.sparse_rows)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.data), self.cols)
+        return (len(self.sparse_rows), self.cols)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
+        x = self.sparse_rows[i].get(range(self.cols)[j], _ZERO)
+        return x if type(x) is Fraction else Fraction(x)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)), self.rows)
+        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.sparse_rows):
+            for j, x in r.items():
+                out[j][i] = x
+        return Matrix._of(out, self.rows)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols) if v[j]), Fraction(0)) for r in self.data)
+        sv = sparse_vector(v)
+        return tuple(Fraction(sum(x * sv[j] for j, x in r.items() if j in sv)) for r in self.sparse_rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        ot = other.transpose()
-        return Matrix(
-            tuple(
-                tuple(sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in ot.data)
-                for r in self.data
-            ),
-            other.cols,
-        )
+        b = other.sparse_rows
+        out = []
+        for r in self.sparse_rows:
+            row: dict[int, int | Fraction] = {}
+            for t, x in r.items():
+                for c, y in b[t].items():
+                    row[c] = row.get(c, 0) + x * y
+            out.append(row)
+        return Matrix._of(out, other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Matrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.data, other.data)), self.cols)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other."""
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Matrix(tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.data, other.data)), self.cols)
+        pairs = zip(self.sparse_rows, other.sparse_rows)
+        return Matrix._of((sparse_lincomb((1, r), (sign, s)) for r, s in pairs), self.cols)
 
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
-        return Matrix(tuple(tuple(c * a for a in r) for r in self.data), self.cols)
+        return Matrix._of(({j: c * x for j, x in r.items()} for r in self.sparse_rows), self.cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product; block (i,j) is self[i][j] * other."""
-        rows = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                rows.append(
-                    tuple(
-                        self.data[i][j] * other.data[p][q]
-                        for j in range(self.cols)
-                        for q in range(other.cols)
-                    )
-                )
-        return Matrix(tuple(rows), self.cols * other.cols)
+        w = other.cols
+        rows = ({j * w + q: x * y for j, x in r.items() for q, y in s.items()}
+                for r in self.sparse_rows for s in other.sparse_rows)
+        return Matrix._of(rows, self.cols * w)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(r.get(i, 0) for i, r in enumerate(self.sparse_rows)))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.data for a in r)
+        return not any(self.sparse_rows)
 
     def flatten(self) -> Vector:
         """Row-major vectorization."""
         return tuple(a for r in self.data for a in r)
 
+    def sparse_flatten(self) -> SparseVector:
+        """``flatten`` as a sparse vector: entry (i, j) at index i * cols + j."""
+        w = self.cols
+        return {i * w + j: x for i, r in enumerate(self.sparse_rows) for j, x in r.items()}
+
     @classmethod
-    def unflatten(cls, v: Sequence[Fraction], rows: int, cols: int) -> "Matrix":
-        if len(v) != rows * cols:
-            raise ValueError("vector length does not match shape")
-        return cls(tuple(tuple(as_scalar(x) for x in v[i * cols : (i + 1) * cols]) for i in range(rows)), cols)
+    def unflatten(cls, v: Sequence[Fraction] | Mapping[int, Fraction], rows: int, cols: int) -> "Matrix":
+        """The matrix whose ``flatten`` is v, given dense or sparse (index -> scalar)."""
+        if not isinstance(v, Mapping):
+            if len(v) != rows * cols:
+                raise ValueError("vector length does not match shape")
+            v = dict(enumerate(v))
+        return cls.from_sparse(rows, cols, {divmod(j, cols): x for j, x in v.items()})
 
     def __str__(self) -> str:
         return "\n".join("[" + "  ".join(str(a) for a in r) + "]" for r in self.data)
@@ -305,9 +318,6 @@ class RowAccumulator:
             work = merged
         return False
 
-    def add_dense(self, row: Sequence[Fraction]) -> bool:
-        return self.add(sparse_vector(row))
-
     def _reduced_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
         """Back-substituted rows with unit pivots, ordered by pivot column."""
         order = sorted(self.pivots)
@@ -330,8 +340,7 @@ class RowAccumulator:
         return [(p, reduced[p]) for p in order]
 
     def rref_matrix(self, extra_zero_rows: int = 0) -> Matrix:
-        reduced = Subspace(self.ncols, self._reduced_rows()).basis.data
-        return Matrix(reduced + ((_ZERO,) * self.ncols,) * extra_zero_rows, self.ncols)
+        return Matrix._of([r for _, r in self._reduced_rows()] + [{}] * extra_zero_rows, self.ncols)
 
     def nullspace(self) -> "Subspace":
         # one kernel vector per free column f: e_f - sum of row_p[f] e_p
@@ -350,16 +359,16 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     bottom), so ``rref(rref(m)) == rref(m)``.
     """
     acc = RowAccumulator(m.cols)
-    for r in m.data:
-        acc.add_dense(r)
+    for r in m.sparse_rows:
+        acc.add(r)
     return acc.rref_matrix(extra_zero_rows=m.rows - acc.rank), acc.rank
 
 
 def nullspace(m: Matrix) -> "Subspace":
     """Exact kernel of ``m`` as a canonical subspace of the column space."""
     acc = RowAccumulator(m.cols)
-    for r in m.data:
-        acc.add_dense(r)
+    for r in m.sparse_rows:
+        acc.add(r)
     return acc.nullspace()
 
 
@@ -423,9 +432,8 @@ class Subspace:
 
     @property
     def basis(self) -> Matrix:
-        """The reduced basis as a dense matrix, one row per basis vector."""
-        n = self.ambient
-        return Matrix(tuple(tuple(r.get(j, _ZERO) for j in range(n)) for _, r in self.rows), n)
+        """The reduced basis as a matrix, one row per basis vector."""
+        return Matrix._of((r for _, r in self.rows), self.ambient)
 
     @property
     def dim(self) -> int:
@@ -507,14 +515,15 @@ def subspace_combine(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:
 class SpanSolver:
     """Expresses vectors in terms of a fixed (independent) spanning list."""
 
-    def __init__(self, vectors: Sequence[Sequence[Fraction]], ambient: int):
+    def __init__(self, vectors: Sequence[Sequence[Fraction] | Mapping[int, Fraction]], ambient: int):
+        """The spanning list is given as dense vectors or sparse ones (index -> scalar)."""
         self.ambient = ambient
         self.k = len(vectors)
         acc = RowAccumulator(ambient + self.k)
         for i, v in enumerate(vectors):
-            if len(v) != ambient:
+            if not isinstance(v, Mapping) and len(v) != ambient:
                 raise ValueError("spanning vector has wrong length")
-            acc.add({j: x for j, x in enumerate(v) if x} | {ambient + i: Fraction(1)})
+            acc.add(sparse_vector(v) | {ambient + i: Fraction(1)})
         self._rows = acc._reduced_rows()
 
     def express(self, target: Sequence[Fraction] | Mapping[int, Fraction]) -> Vector | None:
@@ -552,11 +561,11 @@ def minimal_polynomial(m: Matrix) -> Vector:
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.rows
     acc = RowAccumulator(n * n)
-    powers: list[Vector] = []
+    powers: list[SparseVector] = []
     power = Matrix.identity(n)
-    while acc.add_dense(power.flatten()):
-        powers.append(power.flatten())
+    while acc.add(power.sparse_flatten()):
+        powers.append(power.sparse_flatten())
         power = power @ m
-    coeffs = SpanSolver(powers, n * n).express(power.flatten())
+    coeffs = SpanSolver(powers, n * n).express(power.sparse_flatten())
     assert coeffs is not None  # m^d is dependent on the lower powers
     return tuple(-c for c in coeffs) + (Fraction(1),)

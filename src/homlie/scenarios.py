@@ -233,9 +233,7 @@ def _sc_central_ext_oracle() -> tuple[bool | None, dict]:
     ]
     cur = tensor_lie(builtin("trunc_poly", 2), builtin("sl", 2))
     sk = solve_bilinear(cur, "skew-cocycle")
-    n = cur.dim
-    first = sk.rows[0][1]
-    cases.append(("sl2(x)tp2+computed", cur, Matrix.from_sparse(n, n, {divmod(c, n): x for c, x in first.items()})))
+    cases.append(("sl2(x)tp2+computed", cur, Matrix.unflatten(sk.rows[0][1], cur.dim, cur.dim)))
     for label, base, mat in cases:
         xi = cocycle2(base, mat)
         dec = central_ext_homlie_decomposed(base, xi)
@@ -261,8 +259,8 @@ def _window_scenario(twisted: bool) -> Callable[[], tuple[bool | None, dict]]:
         for n, twist in windows:
             pa = km_window(g, kf, n, twist=twist)
             sol = solve_window(pa)
-            ident_in = sol.full.space.contains(Matrix.identity(pa.dim).flatten())
-            central_in = all(sol.full.space.contains(c.flatten()) for c in central_maps(pa))
+            ident_in = sol.full.space.contains(Matrix.identity(pa.dim).sparse_flatten())
+            central_in = all(sol.full.space.contains(c.sparse_flatten()) for c in central_maps(pa))
             details[f"N={n}"] = {
                 "window_dim": pa.dim,
                 "solution_dim": sol.full.dim,

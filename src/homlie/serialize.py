@@ -13,6 +13,10 @@ from .algebra import FLAVORS, AlgebraSpec, make_algebra
 from .linalg import Subspace, as_scalar
 from .window import window_size
 
+# The largest algebra dim accepted from input: a law check visits C(dim, 3)
+# basis triples and a solve has dim^2 unknowns, and E8 (dim 248) still fits.
+MAX_DIM = 256
+
 
 def format_scalar(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -47,6 +51,8 @@ def algebra_from_json(doc: Mapping[str, Any]) -> AlgebraSpec:
     dim = doc.get("dim")
     if type(dim) is not int or dim < 0:  # bool is a subclass of int
         raise ValueError(f"field 'dim' must be an integer >= 0, got {dim!r}")
+    if dim > MAX_DIM:
+        raise ValueError(f"field 'dim' is {dim}, above the bound of {MAX_DIM}")
     flavor = doc.get("flavor")
     if flavor not in FLAVORS:
         raise ValueError(f"field 'flavor' must be one of {', '.join(FLAVORS)}; got {flavor!r}")

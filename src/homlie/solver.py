@@ -20,13 +20,13 @@ from .algebra import AlgebraSpec, BilinearForm, _require_lie, right_annihilator,
 from .linalg import (
     Matrix,
     RowAccumulator,
+    SparseVector,
     Subspace,
     Vector,
     as_scalar,
     dense_vector,
     int_if_integral,
     nullspace_of_rows,
-    sparse_columns,
     sparse_lincomb,
     sparse_vector,
 )
@@ -91,10 +91,10 @@ class HomSolution:
 
     def basis_maps(self) -> list[Matrix]:
         n = self.algebra.dim
-        return [Matrix.unflatten(v, n, n) for v in self.space.basis.data]
+        return [Matrix.unflatten(r, n, n) for _, r in self.space.rows]
 
     def contains_map(self, phi: Matrix) -> bool:
-        return self.space.contains(phi.flatten())
+        return self.space.contains(phi.sparse_flatten())
 
 
 # -- row assembly helpers ----------------------------------------------------
@@ -398,7 +398,7 @@ def structure_residual(
     the row compiler; used to re-verify solver output)."""
     t = alg.table
     a, b, c = (sparse_vector(alg.basis_vector(i)) for i in triple)
-    cols = sparse_columns(phi)
+    cols = phi.transpose().sparse_rows  # phi(e_c)
     fa, fb, fc = (cols[i] for i in triple)
     ab = sparse_product(t, a, b)
     if kind.tag == "hom-lie":
@@ -621,7 +621,7 @@ def f_t(alg: AlgebraSpec, form: BilinearForm, phi: Matrix, t: Sequence[Fraction]
         xi_t = alg.multiply(alg.basis_vector(i), tuple(as_scalar(a) for a in t))
         rows.append(tuple(form(phi.apply(alg.basis_vector(j)), xi_t) for j in range(n)))
     out = BilinearForm(Matrix(tuple(rows), n))
-    if not solve_bilinear(alg, "asym-cocycle").contains(out.matrix.flatten()):
+    if not solve_bilinear(alg, "asym-cocycle").contains(out.matrix.sparse_flatten()):
         raise AssertionError("constructed form violates the cocycle equation")  # pragma: no cover
     return out
 
@@ -644,7 +644,7 @@ def is_multiplicative(alg: AlgebraSpec, phi: Matrix) -> bool | MultiplicativityW
         raise ValueError("map shape does not match the algebra")
     table = alg.table
     undefined = {pair for pair, terms in table.items() if terms is None}
-    cols = sparse_columns(phi)  # phi(e_c)
+    cols = phi.transpose().sparse_rows  # phi(e_c)
     for i in range(n):
         for j in range(n):
             if undefined and ((i, j) in undefined or any((p, q) in undefined for p in cols[i] for q in cols[j])):
@@ -675,7 +675,7 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
     _require_lie(l, "central_ext_homlie_decomposed")
     n = l.dim
     ext = central_extension(l, xi)
-    f = xi.form.matrix.data
+    f = xi.form.matrix.sparse_rows
 
     hl = solve_structures(l, HOM_LIE)
 
@@ -683,8 +683,8 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
         # xi([x,y], psi(t)) + xi([t,x], psi(y)) + xi([y,t], psi(x)) = 0
         for x, y, t in ((i, j, k), (k, i, j), (j, k, i)):
             for p, c in l.product_on_basis(x, y):
-                for q in range(n):
-                    yield 0, q * n + t, c * f[p][q]
+                for q, x in f[p].items():
+                    yield 0, q * n + t, c * x
 
     compat_rows = _sparse_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
     psi_space = hl.space.intersect(nullspace_of_rows(n * n, compat_rows))
@@ -692,9 +692,9 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
     derived = Subspace.from_spanning(map(dict, l.table.values()), n)
     acc = RowAccumulator(n)
     for _, w in derived.rows:
-        for r in l.left_mul_matrix(w).data:
-            acc.add_dense(r)
-        acc.add_dense(tuple(xi.form(w, l.basis_vector(q)) for q in range(n)))
+        for r in l.left_mul_matrix(w).sparse_rows:
+            acc.add(r)
+        acc.add({q: xi.form(w, {q: 1}) for q in range(n)})
     s_space = acc.nullspace()
 
     m = n + 1
@@ -727,8 +727,8 @@ class SpanAssembly:
         }
 
 
-def _tensor_block(a_maps: Sequence[Matrix], b_maps: Sequence[Matrix]) -> list[Vector]:
-    return [pa.kron(pb).flatten() for pa in a_maps for pb in b_maps]
+def _tensor_block(a_maps: Sequence[Matrix], b_maps: Sequence[Matrix]) -> list[SparseVector]:
+    return [pa.kron(pb).sparse_flatten() for pa in a_maps for pb in b_maps]
 
 
 def multiplication_operators(a: AlgebraSpec) -> list[Matrix]:
@@ -740,7 +740,7 @@ def end_basis(n: int) -> list[Matrix]:
     return [Matrix.from_sparse(n, n, {(i, j): 1}) for i in range(n) for j in range(n)]
 
 
-def _assemble(blocks: Sequence[tuple[str, list[Vector]]], ambient: int) -> SpanAssembly:
+def _assemble(blocks: Sequence[tuple[str, list[SparseVector]]], ambient: int) -> SpanAssembly:
     summands = []
     inter_dims = []
     running: Subspace | None = None

@@ -139,7 +139,7 @@ def window_jacobi_residual(
                 bracket = pa.product_on_basis(p, u)
                 if bracket is None:
                     return None
-                coeff = phi.entry(u, c)
+                coeff = phi.sparse_rows[u].get(c)
                 if coeff:
                     for m, cb in bracket:
                         total[m] += cw * coeff * cb

@@ -1,0 +1,41 @@
+"""The package's public names, and where dense matrix rows may be read."""
+
+import ast
+from pathlib import Path
+
+import homlie
+
+PUBLIC = [
+    "AlgebraSpec", "BilinearForm", "ClosureVerdict", "Cocycle2", "HOM_2NILP", "HOM_CYCLIC", "HOM_LIE",
+    "HomSolution", "LawViolation", "Matrix", "NonSplitAction", "NotSubmodule", "Scalar", "StructureKind",
+    "Subspace", "WeightComponent", "WindowSolution", "act", "adjoin_map", "beta_map", "builtin",
+    "builtin_names", "central_ext_homlie_decomposed", "central_extension", "central_maps", "closure_check",
+    "coboundary_space", "cocycle2", "conjugate", "counterexample_suite", "current_formula_span",
+    "delta_derivation", "f_t", "is_multiplicative", "is_submodule", "jordan_product",
+    "jordan_structure_constants", "killing_form", "km_window", "make_algebra", "nullspace", "parse_builtin",
+    "rref", "semidirect_derivation", "seq_uv", "sl2_decompose", "solve_bilinear", "solve_qder",
+    "solve_structures", "solve_window", "structural_subspaces", "subspace_combine", "tensor_formula_span",
+    "tensor_lie", "twisted_cyclic", "weight_decompose",
+]
+
+
+def test_public_names_are_pinned():
+    assert homlie.__all__ == PUBLIC
+    assert all(hasattr(homlie, name) for name in PUBLIC)
+
+
+# linalg owns the matrix storage; serialize writes the dense rows as JSON.
+DENSE_READERS = {"linalg.py", "serialize.py"}
+
+
+def test_dense_rows_are_read_only_at_the_boundary():
+    """A map travels as a Matrix (or a Subspace row) between modules; only
+    the modules above read its dense ``data`` rows."""
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(homlie.__file__).parent.glob("*.py"))
+        if path.name not in DENSE_READERS
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "data"
+    ]
+    assert reads == []

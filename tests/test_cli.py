@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import homlie
-from homlie.cli import main
+from homlie import builtin, cli, killing_form, km_window, serialize
+from homlie.cli import _window_dim, main
+from homlie.linalg import Subspace
+from homlie.serialize import MAX_DIM
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +222,37 @@ def test_bad_argument_is_usage_error(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and flag in err
+
+
+def _must_not_build(*args, **kwargs):
+    raise AssertionError("an oversized input reached the builder")
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 3000])
+def test_oversized_algebra_is_rejected_before_it_is_built(capsys, monkeypatch, tmp_path, command, dim):
+    monkeypatch.setattr(serialize, "make_algebra", _must_not_build)
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"dim": dim, "flavor": "lie", "table": []}))
+    code, out, err = run_cli(capsys, command, "--algebra", str(f))
+    assert code == 2
+    assert err.startswith("error:") and "'dim'" in err and f"bound of {MAX_DIM}" in err
+
+
+@pytest.mark.parametrize("n_window", [42, 100])  # sl2 windows of dim 257 and 605
+def test_oversized_window_is_rejected_before_it_is_built(capsys, monkeypatch, n_window):
+    monkeypatch.setattr(cli, "km_window", _must_not_build)
+    code, out, err = run_cli(capsys, "window", "--algebra", "sl2", "--window", str(n_window))
+    assert code == 2
+    assert err.startswith("error: --window:") and f"dim {3 * (2 * n_window + 1) + 2}" in err
+    assert f"bound of {MAX_DIM}" in err
+
+
+def test_window_dim_is_the_built_dim():
+    sl2, sl3 = builtin("sl", 2), builtin("sl", 3)
+    twist = ([Subspace.from_spanning([[0, 1, 0]], 3), Subspace.from_spanning([[1, 0, 0], [0, 0, 1]], 3)], 2)
+    for g, n_window, tw in ((sl2, 2, None), (sl2, 5, None), (sl3, 2, None), (sl2, 2, twist), (sl2, 3, twist)):
+        assert _window_dim(g.dim, n_window, tw) == km_window(g, killing_form(g), n_window, twist=tw).dim
 
 
 def test_decompose_and_reproduce_do_not_import_sympy():

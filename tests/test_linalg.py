@@ -301,3 +301,93 @@ def test_minimal_polynomial():
     assert minimal_polynomial(Matrix.from_rows([[0, -1], [1, 0]])) == (F(1), F(0), F(1))
     with pytest.raises(ValueError):
         minimal_polynomial(Matrix.zeros(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# Matrix against nested-list arithmetic
+# ---------------------------------------------------------------------------
+
+scalars = st.one_of(st.just(0), small_entries, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _grid(draw, rows, cols):
+    return draw(st.lists(st.lists(scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@st.composite
+def matrix_cases(draw):
+    """a and b of shape r x c, e of shape c x k, a vector of length c and a scalar."""
+    r, c, k = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    return _grid(draw, r, c), _grid(draw, r, c), _grid(draw, c, k), _grid(draw, 1, c)[0], draw(scalars), (r, c, k)
+
+
+def _dense(rows):
+    return tuple(tuple(F(x) for x in r) for r in rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrix_cases())
+def test_matrix_matches_nested_list_arithmetic(case):
+    a, b, e, v, s, (r, c, k) = case
+    ma, mb, me = Matrix(a, c), Matrix(b, c), Matrix(e, k)
+    assert ma.data == _dense(a) and ma.shape == (r, c)
+    assert (ma @ me).data == _dense([[sum(a[i][t] * e[t][j] for t in range(c)) for j in range(k)] for i in range(r)])
+    assert (ma + mb).data == _dense([[x + y for x, y in zip(p, q)] for p, q in zip(a, b)])
+    assert (ma - mb).data == _dense([[x - y for x, y in zip(p, q)] for p, q in zip(a, b)])
+    assert ma.scale(s).data == _dense([[s * x for x in p] for p in a])
+    assert ma.kron(me).data == _dense(
+        [[a[i][j] * e[p][q] for j in range(c) for q in range(k)] for i in range(r) for p in range(c)]
+    )
+    assert ma.transpose().data == _dense([[a[i][j] for i in range(r)] for j in range(c)])
+    assert ma.apply(tuple(map(F, v))) == tuple(F(sum(x * y for x, y in zip(p, v))) for p in a)
+    assert ma.is_zero() == all(x == 0 for p in a for x in p)
+    flat = [x for p in a for x in p]
+    assert ma.flatten() == tuple(map(F, flat))
+    assert Matrix.unflatten(flat, r, c) == ma
+    assert Matrix.unflatten({j: x for j, x in enumerate(flat) if x}, r, c) == ma
+    square = Matrix([p[:r] for p in a[: min(r, c)]], min(r, c))
+    assert square.trace() == sum(a[i][i] for i in range(min(r, c)))
+    assert type(square.trace()) is F
+
+
+def test_matrix_value_contract():
+    plain = Matrix.from_rows([[1, 3], [0, 2]])
+    fractions = Matrix.from_rows([[F(1), F(3)], [F(0), F(2)]])
+    with_zero = Matrix.from_sparse(2, 2, {(0, 1): 3, (0, 0): 1, (1, 0): 0, (1, 1): F(4, 2)})
+    without_zero = Matrix.from_sparse(2, 2, {(0, 0): 1, (0, 1): 3, (1, 1): 2})
+    unflattened = Matrix.unflatten({3: 2, 1: F(3), 0: F(1)}, 2, 2)
+    same = [plain, fractions, with_zero, without_zero, unflattened, Matrix(((1, 3), (0, 2)), 2)]
+    assert all(m == plain and hash(m) == hash(plain) for m in same)
+    assert len(set(same)) == 1
+    assert plain != Matrix.from_rows([[1, 3], [0, 3]]) and plain != Matrix.zeros(2, 3)
+    assert all(type(x) is F for m in same for row in m.data for x in row)
+    assert all(type(m.entry(i, j)) is F for m in same for i in range(2) for j in range(2))
+    assert plain.entry(1, 1) == 2 and plain.entry(1, 0) == 0
+    for i, j in ((2, 0), (0, 2), (5, 5)):
+        with pytest.raises(IndexError):
+            plain.entry(i, j)
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix.from_rows([[1, 2]], cols=3)
+    with pytest.raises(ValueError):
+        Matrix.from_rows([])
+    with pytest.raises(ValueError, match="out of bounds"):
+        Matrix.from_sparse(2, 2, {(2, 0): 1})
+    with pytest.raises(ValueError):
+        Matrix.unflatten([1, 2, 3], 2, 2)
+    with pytest.raises(ValueError):
+        Matrix.unflatten({4: 1}, 2, 2)
+    with pytest.raises(TypeError):
+        plain.sparse_rows[0][1] = F(5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plain.cols = 3
+
+
+def test_sparse_matrix_builds_no_dense_rows_until_read():
+    m = Matrix.from_sparse(3, 3, {(0, 1): 1, (2, 0): F(1, 2)})
+    product = (m @ m.transpose() + Matrix.identity(3)).scale(2)
+    assert product.sparse_rows == ({0: 4}, {1: 2}, {2: F(5, 2)})  # 2 (m m^T + I), m m^T = diag(1, 0, 1/4)
+    assert "data" not in vars(m) and "data" not in vars(product)
+    assert product.data[2] == (F(0), F(0), F(5, 2))
+    assert "data" in vars(product)
