@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
@@ -38,6 +39,11 @@ FLAVORS = (
     "generic-commutative",
     "unchecked",
 )
+
+# The largest algebra dim accepted from input, a builtin name or a file: a
+# law check visits C(dim, 3) basis triples and a solve has dim^2 unknowns,
+# and E8 (dim 248) still fits.
+MAX_DIM = 256
 
 ANTICOMMUTATIVE_FLAVORS = ("lie", "generic-anticommutative")
 COMMUTATIVE_FLAVORS = ("commutative-associative", "generic-commutative")
@@ -82,6 +88,13 @@ class AlgebraSpec:
     # present when tensor_lie demotes a would-be Lie algebra: a basis triple
     # with nonzero Jacobi residual
     jacobi_witness: tuple[int, int, int] | None = None
+
+    @cached_property
+    def _solved(self) -> dict:
+        """What the solver keeps for this algebra: its compile plan and the
+        spaces it solved.  An algebra is immutable, so they stay valid, and
+        they go with the algebra."""
+        return {}
 
     def product_on_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         return self.table.get((i, j), ())
@@ -381,26 +394,32 @@ def _cyclic_group_alg(m: int) -> AlgebraSpec:
     return make_algebra(m, table, basis_names=names, flavor="commutative-associative")
 
 
+# name -> (constructor, parameter count, the dim it builds)
 _BUILTINS = {
-    "sl": (_sl, 1),
-    "gl": (_gl, 1),
-    "so": (_so, 1),
-    "sp": (_sp, 1),
-    "heisenberg": (_heisenberg, 0),
-    "abelian": (_abelian, 1),
-    "nonabelian2": (_nonabelian2, 0),
-    "trunc_poly": (_trunc_poly, 1),
-    "cyclic_group_alg": (_cyclic_group_alg, 1),
+    "sl": (_sl, 1, lambda n: n * n - 1),
+    "gl": (_gl, 1, lambda n: n * n),
+    "so": (_so, 1, lambda n: n * (n - 1) // 2),
+    "sp": (_sp, 1, lambda n: n * (n + 1) // 2),
+    "heisenberg": (_heisenberg, 0, lambda: 3),
+    "abelian": (_abelian, 1, lambda n: n),
+    "nonabelian2": (_nonabelian2, 0, lambda: 2),
+    "trunc_poly": (_trunc_poly, 1, lambda m: m),
+    "cyclic_group_alg": (_cyclic_group_alg, 1, lambda m: m),
 }
 
 
 def builtin(name: str, *params: int) -> AlgebraSpec:
-    """Named algebra families; e.g. builtin('sl', 3) or builtin('heisenberg')."""
+    """Named algebra families; e.g. builtin('sl', 3) or builtin('heisenberg').
+    A parameter whose algebra would have dim above ``MAX_DIM`` is rejected
+    before anything is built."""
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin algebra {name!r}")
-    fn, arity = _BUILTINS[name]
+    fn, arity, dim_of = _BUILTINS[name]
     if len(params) != arity:
         raise ValueError(f"builtin {name!r} takes {arity} parameter(s), got {len(params)}")
+    if all(p >= 0 for p in params) and dim_of(*params) > MAX_DIM:
+        shown = ", ".join(map(str, params))
+        raise ValueError(f"builtin {name}({shown}) has dim {dim_of(*params)}, above the bound of {MAX_DIM}")
     return fn(*params)
 
 

@@ -9,12 +9,12 @@ basis matrices.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -443,8 +443,11 @@ class Subspace:
         return [p for p, _ in self.rows]
 
     def _reduce(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> tuple[list[Fraction], SparseVector]:
-        """The coefficient of each row in v, and the residual v minus their
-        combination, which is empty exactly when v lies in the space."""
+        """The coefficient of each row in v (dense, or sparse as index ->
+        scalar), and the residual v minus their combination, which is empty
+        exactly when v lies in the space."""
+        if not isinstance(v, Mapping) and len(v) != self.ambient:
+            raise ValueError("vector has wrong ambient dimension")
         residual = sparse_vector(v)
         coeffs = []
         for p, r in self.rows:
@@ -461,14 +464,12 @@ class Subspace:
 
     def coords(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> Vector | None:
         """Coefficients of ``v`` (dense, or sparse as index -> scalar) in the
-        echelon basis, or None if outside."""
-        if not isinstance(v, Mapping) and len(v) != self.ambient:
-            raise ValueError("vector has wrong ambient dimension")
+        echelon basis as Fractions, or None if outside."""
         coeffs, residual = self._reduce(v)
-        return None if residual else tuple(coeffs)
+        return None if residual else tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
     def contains(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
-        return self.coords(v) is not None
+        return not self._reduce(v)[1]
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:

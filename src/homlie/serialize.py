@@ -9,13 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .algebra import FLAVORS, AlgebraSpec, make_algebra
+from .algebra import FLAVORS, MAX_DIM, AlgebraSpec, make_algebra
 from .linalg import Subspace, as_scalar
 from .window import window_size
-
-# The largest algebra dim accepted from input: a law check visits C(dim, 3)
-# basis triples and a solve has dim^2 unknowns, and E8 (dim 248) still fits.
-MAX_DIM = 256
 
 
 def format_scalar(x: Fraction) -> str:

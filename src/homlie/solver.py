@@ -11,6 +11,7 @@ the exact nullspace.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -121,92 +122,186 @@ def _sparse_rows(groups: Iterable[_Terms]) -> Iterator[dict[int, Fraction]]:
                 yield nonzero
 
 
-Block = tuple[Sequence[int], int, Mapping[tuple[int, int], int]]  # (degrees, shift, cols)
+# -- the compile plan and the one pass over the triples -----------------------
+
+# The kind's identity, one sign per term in the order (ab)phi(c), (ca)phi(b),
+# (bc)phi(a): hom-lie has all three, hom-cyclic the first minus the second,
+# hom-2nilp the first alone.
+_SIGNS = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}
+
+_NO_READ: tuple[tuple, frozenset[int]] = ((), frozenset())  # a zero product reads nothing
 
 
-def _shift_block(deg: Sequence[int], shift: int) -> Block:
-    """The maps sending degree d into d + shift, phi(e_c) -> e_q at column
-    cols[(q, c)], numbered by (q, c) ascending: with one degree and shift 0,
-    all of End with phi(e_c) -> e_q at column q*dim + c."""
-    pairs = [(q, c) for q in range(len(deg)) for c in range(len(deg)) if deg[q] == deg[c] + shift]
-    return deg, shift, {pair: k for k, pair in enumerate(pairs)}
+def _kept(alg: AlgebraSpec, key: object, build: Callable[[], object]):
+    """The value kept on ``alg`` under ``key``, built on first use."""
+    kept = alg._solved
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
 
 
-def _columns_of(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, int]]:
-    """col_of[c][q] = the column of phi(e_c) -> e_q, q ascending."""
-    col_of: list[dict[int, int]] = [{} for _ in range(n)]
-    for (q, c), col in cols.items():
-        col_of[c][q] = col
-    return col_of
+class _Plan:
+    """The tables every structure solve on one algebra compiles from.  They
+    depend on the algebra alone, so ``_plan`` builds them once per algebra
+    and keeps them on it.
 
-
-def _hom_generic_rows(
-    alg: AlgebraSpec,
-    triples: Iterable[tuple[int, int, int]],
-    pattern: str,
-    block: Block | None = None,
-) -> Iterator[dict[int, Fraction]]:
-    """Rows of (ab)phi(c) [+ cyclic terms | - (ca)phi(b)] over given triples.
-
-    pattern 'jacobi': (ab)phi(c) + (ca)phi(b) + (bc)phi(a) = 0
-    pattern 'cyclic': (ab)phi(c) - (ca)phi(b) = 0
-    pattern '2nilp' : (ab)phi(c) = 0
-
-    The unknown is the block's maps, all of End without one.  A product
-    may be undefined (None, in a degree window); a triple's equations are
-    emitted only when every product they read is defined.
+    - ``components``: each degree's indices, ascending, the degrees in the
+      order 0, -1, 1, -2, 2, ...
+    - ``left[p][t]``: the (q, m, coeff) with e_p e_q = sum coeff e_m and
+      deg q = t.
+    - ``reads[(x, y)]``: the terms of e_x e_y and the degrees t at which
+      (e_x e_y)phi(e_z), phi(e_z) of degree t, reads an undefined product;
+      None when e_x e_y is undefined itself, absent when it is zero.
+    - ``annihilator``: the echelon rows of ``right_annihilator``.
     """
-    signs = {"jacobi": (1, 1, 1), "cyclic": (1, -1), "2nilp": (1,)}.get(pattern)
-    if signs is None:
-        raise ValueError(pattern)
-    n = alg.dim
-    deg, shift, cols = block or _shift_block((0,) * n, 0)
-    target = [d + shift for d in deg]
-    col_of = _columns_of(cols, n)
-    # left[p][d] = [(q, m, coeff)] with e_p e_q = sum coeff e_m and deg q = d;
-    # gaps[p] = the degrees d of the q with e_p e_q undefined
-    left: list[dict[int, list[tuple[int, int, Fraction]]]] = [{} for _ in range(n)]
-    gaps: list[set[int]] = [set() for _ in range(n)]
-    product_of = alg.table.get
-    for p in range(n):
-        for q in range(n):
-            terms = product_of((p, q), ())
+
+    def __init__(self, alg: AlgebraSpec):
+        n, table = alg.dim, alg.table
+        self.alg = alg
+        self.deg = deg = alg.grading or (0,) * n
+        self.components: dict[int, list[int]] = {d: [] for d in sorted(set(deg), key=lambda d: (abs(d), d))}
+        for u, d in enumerate(deg):
+            self.components[d].append(u)
+        self.left: list[dict[int, list[tuple[int, int, int | Fraction]]]] = [{} for _ in range(n)]
+        gaps: list[set[int]] = [set() for _ in range(n)]  # the degrees of the q with e_p e_q undefined
+        for (p, q), terms in sorted(table.items()):
             if terms is None:
                 gaps[p].add(deg[q])
             else:
-                left[p].setdefault(deg[q], []).extend((q, m, c) for m, c in terms)
-
-    def groups():
-        for (a, b, c) in triples:
-            reads = []
-            for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), signs):
-                w = product_of((x, y), ())
-                if w is None or any(target[z] in gaps[p] for p, _ in w):
-                    break
-                reads.append((w if sign > 0 else [(p, -cw) for p, cw in w], z))
+                self.left[p].setdefault(deg[q], []).extend((q, m, c) for m, c in terms)
+        self.reads: dict[tuple[int, int], tuple[tuple, frozenset[int]] | None] = {}
+        shared: dict[frozenset[int], frozenset[int]] = {}  # one copy of each set of degrees
+        for pair, terms in table.items():
+            if terms is None:
+                self.reads[pair] = None
             else:
-                yield (
-                    (m, col_of[z][q], cw * cpq)
-                    for w, z in reads
-                    for p, cw in w
-                    for q, m, cpq in left[p].get(target[z], ())
-                )
+                blocked = frozenset().union(*(gaps[p] for p, _ in terms))
+                self.reads[pair] = terms, shared.setdefault(blocked, blocked)
+        self.annihilator = [z for _, z in right_annihilator(alg).rows]
 
-    return _sparse_rows(groups())
+    def block(self, shift: int) -> dict[tuple[int, int], int]:
+        """The columns of the maps sending degree d into d + shift: phi(e_c)
+        -> e_q at column cols[(q, c)], numbered by (q, c) ascending; with
+        one degree and shift 0, all of End with phi(e_c) -> e_q at column
+        q*dim + c."""
+        pairs = ((q, c) for q, d in enumerate(self.deg) for c in self.components.get(d - shift, ()))
+        return {pair: k for k, pair in enumerate(pairs)}
 
 
-def _delta_rows(alg: AlgebraSpec, delta: Fraction, block: Block | None = None) -> Iterator[dict[int, Fraction]]:
-    """D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs, for the block's
-    maps D (all of End without one)."""
-    n, delta = alg.dim, int_if_integral(delta)
-    col_of = _columns_of((block or _shift_block((0,) * n, 0))[2], n)
+def _plan(alg: AlgebraSpec) -> _Plan:
+    return _kept(alg, "plan", lambda: _Plan(alg))
+
+
+def _triples(plan: _Plan, sorted_only: bool) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """The basis triples a structure identity is imposed on, as runs
+    (a, b, cs): the triples (a, b, c) for c in cs, which share deg c.
+
+    The basis elements of degree 0 come first, then the others, each part
+    in index order (plain index order with one degree).  The pairs (a, b)
+    come in the lexicographic order of that basis order, and for each pair
+    the third index runs through the degree components in the order 0, -1,
+    1, -2, 2, ...  Elements of degree 0 act diagonally on the grading (the
+    Cartan elements of a principally graded sl_n; the Euler element d and
+    the centre z of a window), so the triples that lead with them give
+    every shift block rows early, and one pass reaches full rank in all the
+    blocks about as soon as the ungraded solve would.  Nothing is built or
+    sorted up front, so a solve stops generating at full rank.  Row order
+    does not change a kernel.
+
+    On an anticommutative algebra the hom-lie rows come from the triples
+    a < b < c in that basis order only (``sorted_only``), and they span the
+    rows of all ordered triples.  Write J(a, b, c) = (ab)phi(c) +
+    (ca)phi(b) + (bc)phi(a), linear in each argument for a fixed phi.
+    Swapping a and b gives (ba)phi(c) + (cb)phi(a) + (ac)phi(b) =
+    -J(a, b, c) by xy = -yx, and the other transpositions follow the same
+    way, so J changes sign under every swap.  With two equal arguments,
+    J(a, a, c) = (aa)phi(c) + (ca)phi(a) + (ac)phi(a) = 0, because
+    e_i e_i = 0 and e_c e_a = -e_a e_c hold on the basis (``make_algebra``
+    validates both for anticommutative flavors, and ``km_window`` builds
+    both), so the row of any ordered triple is zero or plus or minus the row
+    of its sorted triple.
+    """
+    deg, components = plan.deg, plan.components
+    basis = sorted(range(len(deg)), key=lambda u: (deg[u] != 0, u))
+    for i, a in enumerate(basis):
+        for b in basis[i + 1:] if sorted_only else basis:
+            for d, component in components.items():
+                if not sorted_only:
+                    cs = component
+                elif d == 0 and deg[b] != 0:
+                    continue  # every element of degree 0 comes before b
+                elif d != 0 and deg[b] == 0:
+                    cs = component  # every element of degree d comes after b
+                else:
+                    cs = component[bisect_right(component, b):]
+                if cs:
+                    yield a, b, cs
+
+
+# An open block: shift -> col_of, col_of[c][q] the column of phi(e_c) -> e_q.
+_Open = Mapping[int, list[dict[int, int]]]
+
+
+def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
+    """(shift, row) for the rows of the kind's identity in the blocks
+    ``live``, from one pass over ``_triples``; a block that leaves ``live``
+    gets no further rows.
+
+    The terms of a triple of total degree D for a map of shift s lie in
+    degree D + s, so the row of key m belongs to the block deg m - D alone.
+    The equations at shift s are imposed only when every product they read
+    is defined: a term (xy)phi(e_z) reads e_p e_q for the p in xy and the q
+    of degree deg z + s, and ``reads`` keeps the degrees where that fails.
+    The test of the first term does not depend on c, so a run of triples
+    passes or fails it together.
+    """
+    signs = _SIGNS[kind.tag]
+    left, reads, deg = plan.left, plan.reads, plan.deg
+    sorted_only = kind.tag == "hom-lie" and plan.alg.is_anticommutative()
+    for a, b, cs in _triples(plan, sorted_only):
+        first = reads.get((a, b), _NO_READ)
+        if first is None:
+            continue
+        shifts = [s for s in live if deg[cs[0]] + s not in first[1]]
+        if not shifts:
+            continue
+        for c in cs:
+            terms = [(first[0], c)]
+            blocked = []  # (deg z, the degrees where the term reads an undefined product)
+            for (x, y, z), sign in zip(((c, a, b), (b, c, a)), signs[1:]):
+                read = reads.get((x, y), _NO_READ)
+                if read is None:
+                    break
+                terms.append((read[0] if sign > 0 else tuple((p, -cw) for p, cw in read[0]), z))
+                if read[1]:
+                    blocked.append((deg[z], read[1]))
+            else:
+                for s in shifts:
+                    col_of = live.get(s)
+                    if col_of is None or blocked and any(d + s in gaps for d, gaps in blocked):
+                        continue
+                    group = (
+                        (m, col_of[z][q], cw * cpq)
+                        for w, z in terms
+                        for p, cw in w
+                        for q, m, cpq in left[p].get(deg[z] + s, ())
+                    )
+                    for row in _sparse_rows([group]):
+                        yield s, row
+
+
+def _delta_rows(plan: _Plan, delta: Fraction, live: _Open) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
+    """(shift, row) for D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs,
+    for the maps D of the blocks ``live``, as ``_hom_rows`` does."""
+    alg, delta = plan.alg, int_if_integral(delta)
+    n = alg.dim
     pairs: Iterable[tuple[int, int]]
     if alg.is_anticommutative():
         pairs = combinations(range(n), 2)
     else:
         pairs = product(range(n), repeat=2)
 
-    def terms(i: int, j: int) -> _Terms:
+    def terms(i: int, j: int, col_of: list[dict[int, int]]) -> _Terms:
         # D applied to the product e_i e_j
         for k, c in alg.product_on_basis(i, j):
             for m, col in col_of[k].items():
@@ -220,67 +315,22 @@ def _delta_rows(alg: AlgebraSpec, delta: Fraction, block: Block | None = None) -
             for k, c in alg.product_on_basis(i, q):
                 yield k, col, -delta * c
 
-    return _sparse_rows(terms(i, j) for i, j in pairs)
-
-
-def _triples(alg: AlgebraSpec, kind: StructureKind, deg: Sequence[int]) -> Iterator[tuple[int, int, int]]:
-    """The basis triples the kind's identity is imposed on.
-
-    On an anticommutative algebra the hom-lie rows come from the triples
-    i < j < k only, and they span the rows of all ordered triples.  Write
-    J(a, b, c) = (ab)phi(c) + (ca)phi(b) + (bc)phi(a), linear in each
-    argument for a fixed phi.  Swapping a and b gives
-    (ba)phi(c) + (cb)phi(a) + (ac)phi(b) = -J(a, b, c) by xy = -yx, and the
-    other transpositions follow the same way, so J changes sign under every
-    swap.  With two equal arguments, J(a, a, c) = (aa)phi(c) + (ca)phi(a) +
-    (ac)phi(a) = 0, because e_i e_i = 0 and e_c e_a = -e_a e_c hold on the
-    basis (``make_algebra`` validates both for anticommutative flavors, and
-    ``km_window`` builds both), so the row of any ordered triple is zero or
-    plus or minus the row of its sorted triple.
-
-    The triples come by total degree D = deg a + deg b + deg c, in the order
-    0, -1, 1, -2, 2, ... (index order with one degree), straight from the
-    degree components: pairs (a, b) grouped once by degree sum s, the sums
-    of least |s| + |D - s| first, and c in the component of degree D - s.
-    Nothing is built or sorted up front, so a block stops generating at
-    full rank, and central triples, imposable in every block of a window,
-    bring a cut system there early.  Row order does not change a kernel.
-    """
-    sorted_only = kind.tag == "hom-lie" and alg.is_anticommutative()
-    components: dict[int, list[int]] = {}  # degree -> its indices, ascending
-    for u, d in enumerate(deg):
-        components.setdefault(d, []).append(u)
-    by_sum: dict[int, list[tuple[int, int]]] = {}
-    for a, b in combinations(range(alg.dim), 2) if sorted_only else product(range(alg.dim), repeat=2):
-        by_sum.setdefault(deg[a] + deg[b], []).append((a, b))
-    for total in sorted(range(3 * min(deg, default=0), 3 * max(deg, default=0) + 1), key=abs):
-        for s in sorted(by_sum, key=lambda s: abs(s) + abs(total - s)):
-            third = components.get(total - s)
-            if third:
-                for a, b in by_sum[s]:
-                    for c in third[bisect_right(third, b):] if sorted_only else third:
-                        yield a, b, c
-
-
-_PATTERNS = {"hom-lie": "jacobi", "hom-cyclic": "cyclic", "hom-2nilp": "2nilp"}
-
-
-def _structure_rows(alg: AlgebraSpec, kind: StructureKind, block: Block | None = None) -> Iterator[dict[int, Fraction]]:
-    """Compiled rows of the kind's defining identity for the block's maps
-    (all of End without one), over ``_triples``."""
-    if kind.tag == "delta-derivation":
-        assert kind.delta is not None
-        return _delta_rows(alg, kind.delta, block)
-    if kind.tag not in _PATTERNS:
-        raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
-    triples = _triples(alg, kind, block[0] if block else (0,) * alg.dim)
-    return _hom_generic_rows(alg, triples, _PATTERNS[kind.tag], block)
+    for i, j in pairs:
+        for s in list(live):
+            col_of = live.get(s)
+            if col_of is not None:
+                yield from ((s, row) for row in _sparse_rows([terms(i, j, col_of)]))
 
 
 def _known_block(
-    alg: AlgebraSpec, kind: StructureKind, block: Block, annihilator: Iterable[Vector | Mapping[int, Fraction]]
+    alg: AlgebraSpec,
+    kind: StructureKind,
+    shift: int,
+    cols: Mapping[tuple[int, int], int],
+    annihilator: Iterable[Vector | Mapping[int, Fraction]],
 ) -> Subspace:
-    """A subspace K of the block's solutions, known without solving.
+    """A subspace K of the solutions in the shift block with columns
+    ``cols`` (``_Plan.block``), known without solving.
 
     For hom-lie, hom-cyclic and hom-2nilp, K holds the block's maps e_c -> z
     for z in the echelon basis ``annihilator`` of the right annihilator,
@@ -291,10 +341,9 @@ def _known_block(
     Jacobi identity that ``make_algebra`` validated (``km_window``
     certifies each imposed one).
     """
-    _, shift, cols = block
     n = alg.dim
     acc = RowAccumulator(len(cols))
-    if kind.tag in _PATTERNS:
+    if kind.tag in _SIGNS:
         for z in map(sparse_vector, annihilator):
             pivot = min(z)
             for c in range(n):
@@ -324,6 +373,15 @@ def _solve_shift_blocks(
     direct sum of its shift blocks; ungraded, the one block is all of End.
     Each block is solved modulo ``_known_block`` with ``kernel``.
 
+    One pass (``_hom_rows``, or ``_delta_rows``) compiles the rows of every
+    block, each triple once.  ``kernel`` reads one block at a time, and a
+    row the pass makes for a block that is still waiting joins that block's
+    queue.  A block leaves the pass once it is solved: at full rank
+    ``kernel`` stops reading, and the pass compiles nothing more for it.  A
+    block that K already fills never enters the pass, and the pass stops
+    when no block is left in it.  The smallest blocks go first: they reach
+    full rank after few rows, so the queues of the others stay short.
+
     A block's reduced rows map into End by (q, c) -> q*n + c.  That map is
     increasing on the block's columns, which are numbered by (q, c)
     ascending, so each mapped row keeps its pivot first and stays reduced;
@@ -332,18 +390,41 @@ def _solve_shift_blocks(
     reduced basis of the direct sum, with no further elimination.
     """
     n = alg.dim
-    if kind.tag not in _PATTERNS and None in alg.table.values():
+    if kind.tag not in _SIGNS and kind.tag != "delta-derivation":
+        raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
+    if kind.tag not in _SIGNS and None in alg.table.values():
         raise ValueError(f"{kind} needs every product defined; this algebra has undefined products")
-    deg = alg.grading or (0,) * n
-    annihilator = [z for _, z in right_annihilator(alg).rows] if kind.tag in _PATTERNS else ()
-    rows: list[tuple[int, dict[int, Fraction]]] = []
+    plan = _plan(alg)
+    annihilator = plan.annihilator if kind.tag in _SIGNS else ()
+    blocks: dict[int, tuple[dict[tuple[int, int], int], Subspace]] = {}
+    live: dict[int, list[dict[int, int]]] = {}
     for shift in shifts:
-        block = _shift_block(deg, shift)
-        cols = block[2]
+        cols = plan.block(shift)
         if not cols:
             continue
-        known = _known_block(alg, kind, block, annihilator)
-        space = _solve_modulo(known, _structure_rows(alg, kind, block), kernel)
+        blocks[shift] = cols, _known_block(alg, kind, shift, cols, annihilator)
+        if blocks[shift][1].dim < len(cols):
+            col_of: list[dict[int, int]] = [{} for _ in range(n)]
+            for (q, c), k in cols.items():
+                col_of[c][q] = k
+            live[shift] = col_of
+    queues: dict[int, deque[dict[int, int | Fraction]]] = {shift: deque() for shift in live}
+    routed = _delta_rows(plan, kind.delta, live) if kind.delta is not None else _hom_rows(plan, kind, live)
+
+    def block_rows(shift: int) -> Iterator[dict[int, int | Fraction]]:
+        yield from queues[shift]  # only rows for other blocks are queued from here on
+        for s, row in routed:
+            if s == shift:
+                yield row
+            elif s in queues:
+                queues[s].append(row)
+
+    rows: list[tuple[int, Mapping[int, Fraction]]] = []
+    for shift, (cols, known) in sorted(blocks.items(), key=lambda item: len(item[1][0])):
+        space = known
+        if shift in live:
+            space = _solve_modulo(known, block_rows(shift), kernel)
+            del live[shift], queues[shift]
         if len(cols) == n * n:  # the block is all of End, in its coordinates
             return space
         end = [q * n + c for q, c in cols]  # block column -> End coordinate
@@ -382,13 +463,18 @@ def _solve_modulo(
 
 def solve_structures(alg: AlgebraSpec, kind: StructureKind) -> HomSolution:
     """Exact space of maps satisfying the kind's defining identity, solved
-    over every shift block of ``alg.grading`` (``_solve_shift_blocks``)."""
+    over every shift block of ``alg.grading`` (``_solve_shift_blocks``) once
+    per algebra and kept on it."""
     if kind.tag == "multiplicative-check-only":
         raise ValueError(
             "the multiplicativity condition is not linear; use is_multiplicative "
             "to test candidate maps"
         )
-    return HomSolution(alg, kind, _solve_shift_blocks(alg, kind, grading_shifts(alg), nullspace_of_rows))
+    return _kept(
+        alg,
+        ("structures", kind),
+        lambda: HomSolution(alg, kind, _solve_shift_blocks(alg, kind, grading_shifts(alg), nullspace_of_rows)),
+    )
 
 
 def structure_residual(
@@ -479,11 +565,12 @@ def coboundary_space(alg: AlgebraSpec) -> Subspace:
 
 
 def solve_bilinear(alg: AlgebraSpec, kind: str) -> Subspace:
-    """Exact space of bilinear forms of the requested kind."""
+    """Exact space of bilinear forms of the requested kind, solved once per
+    algebra and kept on it."""
     _require_lie(alg, "solve_bilinear")
+    if kind not in BILINEAR_KINDS:
+        raise ValueError(f"unknown bilinear kind {kind!r}")
     n = alg.dim
-    if kind == "coboundary":
-        return coboundary_space(alg)
 
     def rows() -> Iterator[dict[int, Fraction]]:
         if kind == "asym-cocycle":
@@ -496,13 +583,14 @@ def solve_bilinear(alg: AlgebraSpec, kind: str) -> Subspace:
             yield from _symmetry_rows(n, 1)
         elif kind == "b-space":
             yield from _b_space_rows(alg)
-        elif kind == "sym-invariant":
+        else:  # sym-invariant
             yield from _invariance_rows(alg)
             yield from _symmetry_rows(n, 1)
-        else:
-            raise ValueError(f"unknown bilinear kind {kind!r}")
 
-    return nullspace_of_rows(n * n, rows())
+    def solve() -> Subspace:
+        return coboundary_space(alg) if kind == "coboundary" else nullspace_of_rows(n * n, rows())
+
+    return _kept(alg, ("bilinear", kind), solve)
 
 
 # -- quasiderivations and the cocycle/quasiderivation sequence ---------------
@@ -789,3 +877,4 @@ def tensor_formula_span(a: AlgebraSpec, b: AlgebraSpec) -> SpanAssembly:
         ("End(a)(x)Hom2Nilp(b)", _tensor_block(end_basis(a.dim), h2_b)),
     ]
     return _assemble(blocks, (a.dim * b.dim) ** 2)
+

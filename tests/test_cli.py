@@ -248,6 +248,31 @@ def test_oversized_window_is_rejected_before_it_is_built(capsys, monkeypatch, n_
     assert f"bound of {MAX_DIM}" in err
 
 
+@pytest.mark.parametrize(
+    "spec, dim",
+    [("sl300", 89999), ("sl17", 288), ("gl17", 289), ("so24", 276), ("sp:24", 300), ("abelian257", 257),
+     ("trunc_poly:257", 257), ("cyclic_group_alg:1000", 1000)],
+)
+def test_oversized_builtin_is_rejected_before_it_is_built(capsys, monkeypatch, spec, dim):
+    from homlie import algebra
+
+    for name, (_, arity, dim_of) in list(algebra._BUILTINS.items()):
+        monkeypatch.setitem(algebra._BUILTINS, name, (_must_not_build, arity, dim_of))
+    code, out, err = run_cli(capsys, "solve", "--algebra", spec)
+    assert code == 2
+    assert err.startswith("error:") and f"dim {dim}" in err and f"bound of {MAX_DIM}" in err
+
+
+def test_largest_builtins_within_the_bound_are_built(monkeypatch):
+    from homlie import algebra
+
+    for name, (_, arity, dim_of) in list(algebra._BUILTINS.items()):
+        monkeypatch.setitem(algebra._BUILTINS, name, (lambda *params, name=name: (name, params), arity, dim_of))
+    for spec, built in (("sl16", ("sl", (16,))), ("gl16", ("gl", (16,))), ("so23", ("so", (23,))),
+                        ("sp22", ("sp", (22,))), ("abelian256", ("abelian", (256,)))):
+        assert algebra.parse_builtin(spec) == built
+
+
 def test_window_dim_is_the_built_dim():
     sl2, sl3 = builtin("sl", 2), builtin("sl", 3)
     twist = ([Subspace.from_spanning([[0, 1, 0]], 3), Subspace.from_spanning([[1, 0, 0], [0, 0, 1]], 3)], 2)

@@ -187,6 +187,13 @@ def test_canonical_equality_is_set_equality():
     assert a == b
 
 
+def test_coords_are_fractions_for_integral_input():
+    s = Subspace.from_spanning([[1, 0], [0, 1]], 2)
+    for v in ((1, 2), {0: 1, 1: 2}, (F(1), 2)):
+        coords = s.coords(v)
+        assert coords == (1, 2) and all(type(c) is F for c in coords)
+
+
 def test_coords_reconstruct():
     s = Subspace.from_spanning([[1, 0, 2], [0, 1, -1]], 3)
     v = (F(3), F(-2), F(8))

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import itertools
+import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -27,21 +30,59 @@ from homlie.solver import (
     solve_structures,
     structure_residual,
     tensor_formula_span,
-    _hom_generic_rows,
     _known_block,
-    _shift_block,
-    _structure_rows,
+    _plan,
     grading_shifts,
 )
 
 F = Fraction
 
 
-def _full_consumption(alg, kind):
-    """Reference solve: eliminate every compiled row, with no known solutions."""
+_SIGNS = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}
+
+
+def _reference_rows(alg, kind, triples=None):
+    """The rows of the kind's identity on all of End (phi(e_c) -> e_q at
+    column q*n + c), compiled term by term from the table, independently of
+    the solver's plan and pass.  Hom kinds run over ``triples``, by default
+    the sorted ones for hom-lie on an anticommutative algebra and the
+    ordered ones otherwise; delta-derivations over every ordered pair."""
+    n, table = alg.dim, alg.table
+    left = [[] for _ in range(n)]  # left[p] = [(q, m, c)]: e_p e_q = sum c e_m
+    for (p, q), terms in table.items():
+        left[p].extend((q, m, c) for m, c in terms)
+    if kind.tag == "delta-derivation":
+        for i, j in itertools.product(range(n), repeat=2):
+            rows = {}  # output coordinate k -> row
+            for m, c in table.get((i, j), ()):  # D(e_i e_j)
+                for k in range(n):
+                    rows.setdefault(k, Counter())[k * n + m] += c
+            for q in range(n):  # - delta * (D(e_i) e_j + e_i D(e_j))
+                for k, c in table.get((q, j), ()):
+                    rows.setdefault(k, Counter())[q * n + i] -= kind.delta * c
+                for k, c in table.get((i, q), ()):
+                    rows.setdefault(k, Counter())[q * n + j] -= kind.delta * c
+            yield from rows.values()
+        return
+    if triples is None:
+        if kind == HOM_LIE and alg.is_anticommutative():
+            triples = itertools.combinations(range(n), 3)
+        else:
+            triples = itertools.product(range(n), repeat=3)
+    for a, b, c in triples:
+        rows = {}  # key m -> row
+        for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), _SIGNS[kind.tag]):
+            for p, cw in table.get((x, y), ()):
+                for q, m, cpq in left[p]:  # phi(e_z) -> e_q, then e_p e_q
+                    rows.setdefault(m, Counter())[q * n + z] += sign * cw * cpq
+        yield from rows.values()
+
+
+def _full_consumption(alg, kind, triples=None):
+    """Reference solve: eliminate every reference row, with no known solutions."""
     acc = RowAccumulator(alg.dim ** 2)
-    for row in _structure_rows(alg, kind):
-        acc.add(row)
+    for row in _reference_rows(alg, kind, triples):
+        acc.add({col: x for col, x in row.items() if x})
     return acc.nullspace()
 
 
@@ -67,9 +108,8 @@ def test_sorted_triples_solve_the_ordered_hom_jacobi_system():
     assert tensor.jacobi_witness is not None
     algebras = [(name, alg) for name, alg in _battery() if alg.is_anticommutative()]
     for name, alg in algebras + [("trunc_poly:2 (x) defect", tensor)]:
-        n = alg.dim
-        ordered = _hom_generic_rows(alg, itertools.product(range(n), repeat=3), "jacobi")
-        assert _full_consumption(alg, HOM_LIE) == nullspace_of_rows(n * n, ordered), name
+        ordered = _full_consumption(alg, HOM_LIE, itertools.product(range(alg.dim), repeat=3))
+        assert solve_structures(alg, HOM_LIE).space == _full_consumption(alg, HOM_LIE) == ordered, name
 
 
 @pytest.mark.parametrize("name, kinds", [("sl3", {int, Fraction}), ("so5", {Fraction}), ("trunc_poly:3", {Fraction})])
@@ -114,9 +154,9 @@ def test_known_solutions_have_zero_residual_everywhere(kind):
         n = alg.dim
         annihilator = right_annihilator(alg).basis.data
         for shift in grading_shifts(alg):
-            block = _shift_block(alg.grading or (0,) * n, shift)
-            for v in _known_block(alg, kind, block, annihilator).basis.data:
-                phi = Matrix.from_sparse(n, n, {qc: x for qc, x in zip(block[2], v) if x})
+            cols = _plan(alg).block(shift)
+            for v in _known_block(alg, kind, shift, cols, annihilator).basis.data:
+                phi = Matrix.from_sparse(n, n, {qc: x for qc, x in zip(cols, v) if x})
                 for triple in itertools.product(range(n), repeat=3):
                     assert not any(structure_residual(alg, phi, kind, triple)), (name, shift, triple)
 
@@ -137,13 +177,60 @@ def test_solve_matches_full_consumption(kind):
     ids=str,
 )
 def test_grading_split_is_exact(kind):
-    # trunc_poly is graded by degree, so its solve runs shift block by shift
-    # block; a copy without the grading is one block, all of End
-    for m in range(2, 6):
-        graded = builtin("trunc_poly", m)
-        assert graded.grading == tuple(range(m))
-        ungraded = dataclasses.replace(graded, grading=None)
-        assert solve_structures(graded, kind).space == solve_structures(ungraded, kind).space, m
+    # a graded solve runs one pass over the shift blocks; the same table
+    # without the grading is one block, all of End.  trunc_poly is graded by
+    # degree, sl_n principally (deg E_ij = j - i, the Cartan part in degree
+    # 0), and sp_2m by its blocks (A -> 0, B -> 1, C -> -1); make_algebra
+    # validates each grading
+    graded = [builtin("trunc_poly", m) for m in range(2, 6)]
+    assert [alg.grading for alg in graded] == [tuple(range(m)) for m in range(2, 6)]
+    for n in range(3, 7):
+        graded.append(_regraded(builtin("sl", n), lambda name: int(name[2]) - int(name[1]) if name[0] == "E" else 0))
+    for n in (4, 6):
+        graded.append(_regraded(builtin("sp", n), lambda name: {"A": 0, "B": 1, "C": -1}[name[0]]))
+    for alg in graded:
+        ungraded = dataclasses.replace(alg, grading=None)
+        assert solve_structures(alg, kind).space == solve_structures(ungraded, kind).space, alg.basis_names
+
+
+def _regraded(alg, degree_of):
+    """``alg`` graded by the degree of each basis name."""
+    grading = [degree_of(name) for name in alg.basis_names]
+    return make_algebra(alg.dim, alg.table, basis_names=alg.basis_names, flavor=alg.flavor, grading=grading)
+
+
+def test_one_pass_compiles_each_triple_at_most_once(monkeypatch):
+    from homlie import solver
+
+    runs = []
+
+    def counted(plan, sorted_only):
+        for run in triples(plan, sorted_only):
+            runs.append(run)
+            yield run
+
+    triples = solver._triples
+    monkeypatch.setattr(solver, "_triples", counted)
+    sl4 = _regraded(builtin("sl", 4), lambda name: int(name[2]) - int(name[1]) if name[0] == "E" else 0)
+    for kind in (HOM_LIE, HOM_CYCLIC, HOM_2NILP):
+        runs.clear()
+        space = solver._solve_shift_blocks(sl4, kind, grading_shifts(sl4), nullspace_of_rows)
+        compiled = Counter((a, b, c) for a, b, cs in runs for c in cs)
+        assert compiled and max(compiled.values()) == 1, kind
+        assert space == _full_consumption(sl4, kind), kind
+
+
+def test_solves_are_kept_on_the_algebra_and_go_with_it():
+    alg = builtin("sl", 3)
+    for kind in (HOM_LIE, HOM_CYCLIC, delta_derivation(1)):
+        assert solve_structures(alg, kind) is solve_structures(alg, kind)
+    for kind in ("asym-cocycle", "coboundary"):
+        assert solve_bilinear(alg, kind) is solve_bilinear(alg, kind)
+    assert solve_structures(builtin("sl", 3), HOM_LIE) is not solve_structures(alg, HOM_LIE)
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
 
 
 def test_homlie_abelian_unconstrained():

@@ -12,7 +12,7 @@ from homlie.linalg import Matrix, RowAccumulator, SpanSolver, Subspace, nullspac
 from homlie.solver import (
     HOM_CYCLIC,
     HOM_LIE,
-    _hom_generic_rows,
+    _plan,
     _solve_shift_blocks,
     _triples,
     delta_derivation,
@@ -204,16 +204,26 @@ TRIPLE_MODELS = WINDOW_MODELS + [
 @pytest.mark.parametrize("kind", [HOM_LIE, HOM_CYCLIC], ids=str)
 @pytest.mark.parametrize("model, size", TRIPLE_MODELS)
 def test_lazy_triples_are_every_triple_once_centre_out(model, size, kind):
+    # degree 0 leads: the pairs come in the order of a basis with the
+    # elements of degree 0 first, and each pair's third index runs through
+    # the degrees 0, -1, 1, -2, 2, ... one component per run
     alg = model(size)
     n, deg = alg.dim, alg.grading
-    triples = list(_triples(alg, kind, deg))
-    if kind == HOM_LIE and alg.is_anticommutative():
-        expected = itertools.combinations(range(n), 3)
+    sorted_only = kind == HOM_LIE and alg.is_anticommutative()
+    runs = list(_triples(_plan(alg), sorted_only))
+    triples = [(a, b, c) for a, b, cs in runs for c in cs]
+    if sorted_only:
+        assert Counter(frozenset(t) for t in triples) == Counter(map(frozenset, itertools.combinations(range(n), 3)))
     else:
-        expected = itertools.product(range(n), repeat=3)
-    assert Counter(triples) == Counter(expected)
-    totals = [abs(deg[a] + deg[b] + deg[c]) for a, b, c in triples]
-    assert totals == sorted(totals)
+        assert Counter(triples) == Counter(itertools.product(range(n), repeat=3))
+    position = {u: i for i, u in enumerate(sorted(range(n), key=lambda u: (deg[u] != 0, u)))}
+    pairs = [(position[a], position[b]) for a, b, _ in runs]
+    assert pairs == sorted(pairs)
+    for a, b, cs in runs:
+        assert len({deg[c] for c in cs}) == 1
+        assert not sorted_only or position[a] < position[b] < min(position[c] for c in cs)
+    degrees = [(abs(deg[cs[0]]), deg[cs[0]]) for a, b, cs in runs if (a, b) == runs[0][:2]]
+    assert degrees == sorted(degrees)
 
 
 @pytest.mark.parametrize("model, n_window", WINDOW_MODELS)
@@ -250,14 +260,37 @@ def test_residual_reads_the_component_of_the_map_shift():
     assert any(r is not None and any(r) for r in residuals[1])
     assert all(r is None or not any(r) for r in residuals[-1])
 
+
+def _reference_rows(pa, shift, cols):
+    """The block's Hom-Jacobi rows over the triples i < j < k, compiled term
+    by term from the table, independently of the solver's plan and pass:
+    phi(e_c) -> e_u at column cols[(u, c)], and a triple imposes nothing
+    when a product it reads, e_x e_y or e_p e_u for the u of the target
+    degree, is undefined."""
+    n, deg, table = pa.dim, pa.grading, pa.table
+    for i, j, k in itertools.combinations(range(n), 3):
+        reads = [(table.get((x, y), ()), z) for x, y, z in ((i, j, k), (k, i, j), (j, k, i))]
+        targets = [[u for u in range(n) if deg[u] == deg[z] + shift] for _, z in reads]
+        if any(w is None or any(table.get((p, u), ()) is None for p, _ in w for u in us)
+               for (w, _), us in zip(reads, targets)):
+            continue
+        rows = {}  # key m -> row
+        for (w, z), us in zip(reads, targets):
+            for p, cw in w:
+                for u in us:
+                    for m, c in table.get((p, u), ()):
+                        row = rows.setdefault(m, Counter())
+                        row[cols[(u, z)]] += cw * c
+        yield from ({col: x for col, x in row.items() if x} for row in rows.values())
+
+
 def _full_consumption(pa, shift):
-    """The block's kernel with every compiled row eliminated in index order:
+    """The block's kernel with every reference row eliminated in index order:
     no known solutions, no cut rows, no early exit."""
     n = pa.dim
     cols = [(u, c) for u in range(n) for c in range(n) if pa.grading[u] == pa.grading[c] + shift]
-    block = (pa.grading, shift, {uc: i for i, uc in enumerate(cols)})
     acc = RowAccumulator(len(cols))
-    for row in _hom_generic_rows(pa, itertools.combinations(range(n), 3), "jacobi", block):
+    for row in _reference_rows(pa, shift, {uc: i for i, uc in enumerate(cols)}):
         acc.add(row)
     embedded = []
     for v in acc.nullspace().basis.data:
