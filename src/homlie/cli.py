@@ -243,7 +243,10 @@ def _cmd_window(args) -> int:
     dim = _window_dim(alg.dim, args.window, twist)
     if dim > MAX_DIM:
         raise UsageError(f"--window: the window has dim {dim}, above the bound of {MAX_DIM}")
-    pa = km_window(alg, killing_form(alg), args.window, twist=twist)
+    try:
+        pa = km_window(alg, killing_form(alg), args.window, twist=twist)
+    except ValueError as e:
+        raise UsageError(f"{'--twist' if twist else '--algebra'}: {e}")
     try:
         sol = solve_window(pa, args.shift)
     except ValueError as e:

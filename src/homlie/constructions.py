@@ -170,26 +170,10 @@ def semidirect_derivation(l: AlgebraSpec, a: AlgebraSpec, d: Matrix) -> AlgebraS
     if defect is not None:
         pair, residual = defect
         raise LawViolation("leibniz", pair, residual)
-    base = tensor_lie(a, l)
-    if base.flavor != "lie":
-        raise AssertionError("current algebra failed the Jacobi validator")  # pragma: no cover
-    n = base.dim
-    table: dict = {k: list(v) for k, v in base.table.items()}
-
-    def tidx(ai: int, li: int) -> int:
-        return tensor_index(a, l, ai, li)
-
-    # [D, a_i (x) l_j] = d(a_i) (x) l_j
-    for ai in range(a.dim):
-        img = d.apply(a.basis_vector(ai))
-        for li in range(l.dim):
-            entry = [(tidx(k, li), c) for k, c in enumerate(img) if c]
-            if entry:
-                table[(n, tidx(ai, li))] = entry
-                table[(tidx(ai, li), n)] = [(k, -c) for k, c in entry]
-    return make_algebra(
-        n + 1, table, basis_names=base.basis_names + ("D",), flavor="lie"
-    )
+    ext = adjoin_map(tensor_lie(a, l), d.kron(Matrix.identity(l.dim)))
+    if ext.flavor != "lie":
+        raise AssertionError("a derivation of a adjoined to a (x) l failed the Jacobi validator")  # pragma: no cover
+    return ext
 
 
 def adjoin_map(l: AlgebraSpec, d: Matrix, name: str = "D") -> AlgebraSpec:
@@ -201,6 +185,8 @@ def adjoin_map(l: AlgebraSpec, d: Matrix, name: str = "D") -> AlgebraSpec:
     """
     _require_lie(l, "adjoin_map")
     n = l.dim
+    if d.shape != (n, n):
+        raise ValueError("map shape does not match the algebra")
     table: dict = {k: list(v) for k, v in l.table.items()}
     for i in range(n):
         img = d.apply(l.basis_vector(i))
@@ -317,10 +303,10 @@ def km_window(
         if len(grading) != n_twist:
             raise ValueError("twist grading must have one component per residue")
         check_cyclic_grading(g, grading)
-        if not (grading[n_window % n_twist].dim or grading[-n_window % n_twist].dim):
-            raise ValueError("the twist leaves degrees -N and N empty, so N cannot be read back from the window")
     else:
         grading, n_twist = [Subspace.full(g.dim)], 1
+    if not (grading[n_window % n_twist].dim or grading[-n_window % n_twist].dim):
+        raise ValueError("degrees -N and N of the window are empty, so N cannot be read back from it")
 
     names: list[str] = []
     degrees: list[int] = []

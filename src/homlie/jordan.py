@@ -17,8 +17,7 @@ from itertools import combinations
 from .algebra import AlgebraSpec, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
 from .linalg import Matrix, Vector, dense_vector, is_zero_vector, sparse_lincomb
-from .solver import HOM_LIE, HomSolution, solve_structures, structure_residual
-from .window import window_jacobi_residual
+from .solver import HOM_LIE, HomSolution, grading_shifts, solve_structures, structure_residual
 
 
 def jordan_product(phi: Matrix, psi: Matrix) -> Matrix:
@@ -45,16 +44,11 @@ class ClosureVerdict:
 
 def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int], Vector] | None:
     """The first triple i < j < k with a nonzero Hom-Jacobi residual; on a
-    window, of an imposed equation (``window_jacobi_residual``) at a shift of phi."""
-    n = alg.dim
-    if None in alg.table.values():
-        shifts = sorted({alg.grading[u] - alg.grading[c] for u, r in enumerate(phi.sparse_rows) for c in r})
-        checks = [lambda t, s=s: window_jacobi_residual(alg, phi, t, s) for s in shifts]
-    else:
-        checks = [lambda t: structure_residual(alg, phi, HOM_LIE, t)]
-    for check in checks:
-        for triple in combinations(range(n), 3):
-            r = check(triple)
+    table with undefined products (a window), of an imposed equation, the
+    shifts taken in ascending order."""
+    for shift in grading_shifts(alg) if None in alg.table.values() else [None]:
+        for triple in combinations(range(alg.dim), 3):
+            r = structure_residual(alg, phi, HOM_LIE, triple, shift)
             if r is not None and not is_zero_vector(r):
                 return triple, r
     return None
@@ -62,8 +56,7 @@ def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int
 
 def closure_check(sol: HomSolution) -> ClosureVerdict:
     """Is the solved space closed under the Jordan product of basis maps?"""
-    n = sol.algebra.dim
-    maps = [Matrix.unflatten(r, n, n) for _, r in sol.space.rows]
+    maps = sol.basis_maps()
     for i, phi in enumerate(maps):
         for j in range(i, len(maps)):
             prod = jordan_product(phi, maps[j])
@@ -82,8 +75,7 @@ def jordan_structure_constants(sol: HomSolution, verdict: ClosureVerdict) -> Alg
     """Commutative algebra structure induced on a closed solution space."""
     if not verdict.closed:
         raise ValueError("structure constants exist only for closed spaces")
-    n = sol.algebra.dim
-    maps = [Matrix.unflatten(r, n, n) for _, r in sol.space.rows]
+    maps = sol.basis_maps()
     table: dict = {}
     for i, phi in enumerate(maps):
         for j, psi in enumerate(maps):

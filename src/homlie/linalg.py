@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 Scalar = Fraction
@@ -51,8 +51,20 @@ def sparse_vector(v: Sequence[Fraction] | Mapping[int, Fraction]) -> SparseVecto
     return {j: x for j, x in (v.items() if isinstance(v, Mapping) else enumerate(v)) if x}
 
 
+def _spanning_vector(v: Sequence[Fraction] | Mapping[int, Fraction], ambient: int) -> SparseVector:
+    """``sparse_vector(v)`` for a vector of Q^ambient, checked to have its length or its indices in range."""
+    if isinstance(v, Mapping) and v and not (0 <= min(v) and max(v) < ambient):
+        raise ValueError(f"spanning vector has an index outside range({ambient})")
+    if not isinstance(v, Mapping) and len(v) != ambient:
+        raise ValueError("spanning vector has wrong length")
+    return sparse_vector(v)
+
+
 def dense_vector(v: Mapping[int, Fraction], n: int) -> Vector:
-    return tuple(Fraction(v.get(j, 0)) for j in range(n))
+    out = [_ZERO] * n
+    for j, x in v.items():
+        out[j] = Fraction(x)
+    return tuple(out)
 
 
 def sparse_lincomb(*terms: tuple[Fraction | int, Mapping[int, Fraction]]) -> SparseVector:
@@ -233,25 +245,6 @@ class Matrix:
 IntRow = dict  # column -> nonzero int
 
 
-def _scale_to_int(row: Mapping[int, Fraction]) -> IntRow:
-    """Clear denominators and divide out the content."""
-    denom = 1
-    for v in row.values():
-        if v:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    out: IntRow = {}
-    content = 0
-    for c, v in row.items():
-        if v:
-            n = int(v * denom)
-            out[c] = n
-            content = gcd(content, n)
-    if content > 1:
-        for c in out:
-            out[c] //= content
-    return out
-
-
 def _normalize_content(row: IntRow) -> None:
     content = 0
     for v in row.values():
@@ -283,12 +276,10 @@ class RowAccumulator:
 
     def add(self, row: Mapping[int, Fraction] | IntRow) -> bool:
         """Insert one row; returns True if the rank grew."""
-        work: IntRow
-        if any(isinstance(v, Fraction) for v in row.values()):
-            work = _scale_to_int(row)  # type: ignore[arg-type]
-        else:
-            work = {c: v for c, v in row.items() if v}
-            _normalize_content(work)
+        # an int's denominator is 1, so one expression clears both kinds of entry
+        denom = lcm(*[v.denominator for v in row.values()])
+        work: IntRow = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
+        _normalize_content(work)
         if not work:
             return False
         key = tuple(sorted(work.items()))
@@ -366,10 +357,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 def nullspace(m: Matrix) -> "Subspace":
     """Exact kernel of ``m`` as a canonical subspace of the column space."""
-    acc = RowAccumulator(m.cols)
-    for r in m.sparse_rows:
-        acc.add(r)
-    return acc.nullspace()
+    return nullspace_of_rows(m.cols, m.sparse_rows)
 
 
 def nullspace_of_rows(ncols: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
@@ -417,9 +405,7 @@ class Subspace:
         """Span of dense vectors or sparse ones (index -> scalar)."""
         acc = RowAccumulator(ambient)
         for v in vectors:
-            if not isinstance(v, Mapping) and len(v) != ambient:
-                raise ValueError("spanning vector has wrong length")
-            acc.add(sparse_vector(v))
+            acc.add(_spanning_vector(v, ambient))
         return cls(ambient, acc._reduced_rows())
 
     @classmethod
@@ -522,9 +508,7 @@ class SpanSolver:
         self.k = len(vectors)
         acc = RowAccumulator(ambient + self.k)
         for i, v in enumerate(vectors):
-            if not isinstance(v, Mapping) and len(v) != ambient:
-                raise ValueError("spanning vector has wrong length")
-            acc.add(sparse_vector(v) | {ambient + i: Fraction(1)})
+            acc.add(_spanning_vector(v, ambient) | {ambient + i: Fraction(1)})
         self._rows = acc._reduced_rows()
 
     def express(self, target: Sequence[Fraction] | Mapping[int, Fraction]) -> Vector | None:

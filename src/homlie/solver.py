@@ -14,10 +14,10 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import AlgebraSpec, BilinearForm, _require_lie, right_annihilator, sparse_product
+from .algebra import AlgebraSpec, BilinearForm, _require_lie, right_annihilator, sparse_product, structural_subspaces
 from .linalg import (
     Matrix,
     RowAccumulator,
@@ -153,11 +153,13 @@ class _Plan:
       (e_x e_y)phi(e_z), phi(e_z) of degree t, reads an undefined product;
       None when e_x e_y is undefined itself, absent when it is zero.
     - ``annihilator``: the echelon rows of ``right_annihilator``.
+    - ``complete``: whether every product is defined.
     """
 
     def __init__(self, alg: AlgebraSpec):
         n, table = alg.dim, alg.table
         self.alg = alg
+        self.complete = None not in table.values()
         self.deg = deg = alg.grading or (0,) * n
         self.components: dict[int, list[int]] = {d: [] for d in sorted(set(deg), key=lambda d: (abs(d), d))}
         for u, d in enumerate(deg):
@@ -392,9 +394,9 @@ def _solve_shift_blocks(
     n = alg.dim
     if kind.tag not in _SIGNS and kind.tag != "delta-derivation":
         raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
-    if kind.tag not in _SIGNS and None in alg.table.values():
-        raise ValueError(f"{kind} needs every product defined; this algebra has undefined products")
     plan = _plan(alg)
+    if kind.tag not in _SIGNS and not plan.complete:
+        raise ValueError(f"{kind} needs every product defined; this algebra has undefined products")
     annihilator = plan.annihilator if kind.tag in _SIGNS else ()
     blocks: dict[int, tuple[dict[tuple[int, int], int], Subspace]] = {}
     live: dict[int, list[dict[int, int]]] = {}
@@ -478,26 +480,47 @@ def solve_structures(alg: AlgebraSpec, kind: StructureKind) -> HomSolution:
 
 
 def structure_residual(
-    alg: AlgebraSpec, phi: Matrix, kind: StructureKind, triple: tuple[int, int, int]
-) -> Vector:
-    """Defining-identity defect of ``phi`` at a basis triple (independent of
-    the row compiler; used to re-verify solver output)."""
-    t = alg.table
-    a, b, c = (sparse_vector(alg.basis_vector(i)) for i in triple)
-    cols = phi.transpose().sparse_rows  # phi(e_c)
-    fa, fb, fc = (cols[i] for i in triple)
-    ab = sparse_product(t, a, b)
-    if kind.tag == "hom-lie":
-        terms = [(1, sparse_product(t, ab, fc)), (1, sparse_product(t, sparse_product(t, c, a), fb)),
-                 (1, sparse_product(t, sparse_product(t, b, c), fa))]
-    elif kind.tag == "hom-cyclic":
-        terms = [(1, sparse_product(t, ab, fc)), (-1, sparse_product(t, sparse_product(t, c, a), fb))]
-    elif kind.tag == "hom-2nilp":
-        terms = [(1, sparse_product(t, ab, fc))]
+    alg: AlgebraSpec, phi: Matrix, kind: StructureKind, triple: tuple[int, int, int], shift: int | None = None
+) -> Vector | None:
+    """Defining-identity defect of ``phi`` at a basis triple, read straight
+    from the table (independent of the row compiler; used to re-verify
+    solver output).  Without a ``shift`` every product must be defined.
+    With one, only the part of phi sending degree d to d + shift is read,
+    and the result is None when the equation reads an undefined product:
+    e_x e_y, or e_p e_q for a p in it and any q of the degree phi sends the
+    other factor to (the equations a degree window does not impose).
+    """
+    t, plan = alg.table, _plan(alg)
+    if shift is None and not plan.complete:
+        raise ValueError("this algebra has undefined products, so a residual needs a degree shift")
+    deg, rows = plan.deg, phi.sparse_rows
+
+    def target(z: int) -> Sequence[int]:
+        """The q at which phi(e_z) is read: all, or those of degree deg z + shift."""
+        return range(alg.dim) if shift is None else plan.components.get(deg[z] + shift, ())
+
+    def image(z: int) -> dict[int, int | Fraction]:
+        return {q: rows[q][z] for q in target(z) if z in rows[q]}
+
+    def undefined(us: Iterable[int], vs: Iterable[int]) -> bool:
+        """Whether some e_p e_q, p in us and q in vs, is undefined (None; a zero product is absent)."""
+        return not plan.complete and None in map(t.get, product(us, vs), repeat(()))
+
+    a, b, c = triple
+    terms: list[tuple[int | Fraction, Mapping[int, Fraction]]] = []
+    if kind.tag in _SIGNS:
+        for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), _SIGNS[kind.tag]):
+            xy = t.get((x, y), ())
+            if xy is None or undefined((p for p, _ in xy), target(z)):
+                return None
+            terms.append((sign, sparse_product(t, dict(xy), image(z))))
     elif kind.tag == "delta-derivation":
         assert kind.delta is not None
-        terms = [(x, cols[k]) for k, x in ab.items()]  # phi(ab)
-        terms += [(-kind.delta, sparse_product(t, fa, b)), (-kind.delta, sparse_product(t, a, fb))]
+        if undefined((a,), (b,)) or undefined(target(a), (b,)) or undefined((a,), target(b)):
+            return None
+        terms = [(x, image(k)) for k, x in sparse_product(t, {a: 1}, {b: 1}).items()]  # phi(ab)
+        terms += [(-kind.delta, sparse_product(t, image(a), {b: 1})),
+                  (-kind.delta, sparse_product(t, {a: 1}, image(b)))]
     else:
         raise ValueError(kind.tag)
     return dense_vector(sparse_lincomb(*terms), alg.dim)
@@ -777,13 +800,9 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
     compat_rows = _sparse_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
     psi_space = hl.space.intersect(nullspace_of_rows(n * n, compat_rows))
 
-    derived = Subspace.from_spanning(map(dict, l.table.values()), n)
-    acc = RowAccumulator(n)
-    for _, w in derived.rows:
-        for r in l.left_mul_matrix(w).sparse_rows:
-            acc.add(r)
-        acc.add({q: xi.form(w, {q: 1}) for q in range(n)})
-    s_space = acc.nullspace()
+    _, derived, ann_derived = structural_subspaces(l)
+    cocycle_rows = ({q: xi.form(w, {q: 1}) for q in range(n)} for _, w in derived.rows)  # xi(w, .)
+    s_space = ann_derived.intersect(nullspace_of_rows(n, cocycle_rows))
 
     m = n + 1
     gens: list[dict[int, Fraction]] = []

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from .algebra import AlgebraSpec
-from .linalg import Matrix, Subspace, Vector, nullspace_of_rows
+from .linalg import Matrix, Subspace, nullspace_of_rows
 from .solver import HOM_LIE, HomSolution, _solve_shift_blocks
 from .solver import grading_shifts as window_shifts
 
@@ -116,40 +115,3 @@ def _inner_report(pa: AlgebraSpec, space: Subspace, shift: int | None = None) ->
         predicted_included=included,
         excess_dim=joined.dim - predicted.dim,
     )
-
-
-def window_jacobi_residual(
-    pa: AlgebraSpec, phi: Matrix, triple: tuple[int, int, int], shift: int
-) -> Vector | None:
-    """Independent evaluator for one imposed component equation.
-
-    Returns None when the component is not imposable for this shift (some
-    needed product leaves the window), otherwise the exact residual of the
-    shift-component of the identity at the triple.
-    """
-    i, j, k = triple
-    reads = [(pa.product_on_basis(a, b), c) for a, b, c in ((i, j, k), (k, i, j), (j, k, i))]
-    if any(w is None for w, _ in reads):
-        return None
-    components = _degree_components(pa.grading)
-    total = [Fraction(0)] * pa.dim
-    for w, c in reads:
-        for p, cw in w:
-            for u in components.get(pa.grading[c] + shift, ()):
-                bracket = pa.product_on_basis(p, u)
-                if bracket is None:
-                    return None
-                coeff = phi.sparse_rows[u].get(c)
-                if coeff:
-                    for m, cb in bracket:
-                        total[m] += cw * coeff * cb
-    return tuple(total)
-
-
-@lru_cache(maxsize=8)
-def _degree_components(grading: tuple[int, ...]) -> dict[int, list[int]]:
-    """degree -> the basis indices of that degree, ascending."""
-    components: dict[int, list[int]] = {}
-    for u, d in enumerate(grading):
-        components.setdefault(d, []).append(u)
-    return components

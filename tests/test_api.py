@@ -39,3 +39,18 @@ def test_dense_rows_are_read_only_at_the_boundary():
         if isinstance(node, ast.Attribute) and node.attr == "data"
     ]
     assert reads == []
+
+
+def test_no_module_level_caches():
+    """State a solve keeps lives on the algebra (``AlgebraSpec._solved``) and
+    goes with it; a ``functools`` cache would outlive it."""
+    cached = []
+    for path in sorted(Path(homlie.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("lru_cache", "cache"):
+                        cached.append(f"{path.name}:{node.name}")
+    assert cached == []

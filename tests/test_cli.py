@@ -249,6 +249,30 @@ def test_oversized_window_is_rejected_before_it_is_built(capsys, monkeypatch, n_
 
 
 @pytest.mark.parametrize(
+    "twist",
+    [
+        {"n": 2, "components": [[[0, 1, 0]], [[1, 0, 0]]]},  # not a direct sum
+        {"n": 2, "components": [[[1, 0, 0]], [[0, 1, 0], [0, 0, 1]]]},  # not compatible with the bracket
+        {"n": 3, "components": [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]},  # n disagrees with the components
+        {"n": 2, "components": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], []]},  # degrees -3 and 3 empty
+    ],
+    ids=["direct-sum", "compatibility", "order", "empty-ends"],
+)
+def test_invalid_twist_is_a_usage_error(capsys, tmp_path, twist):
+    tw_file = tmp_path / "twist.json"
+    tw_file.write_text(json.dumps(twist))
+    code, out, err = run_cli(capsys, "window", "--algebra", "sl2", "--window", "3", "--twist", str(tw_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --twist:") and "--shift" not in err
+
+
+def test_window_over_a_zero_algebra_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "window", "--algebra", "abelian0", "--window", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --algebra:") and "--shift" not in err and "twist" not in err
+
+
+@pytest.mark.parametrize(
     "spec, dim",
     [("sl300", 89999), ("sl17", 288), ("gl17", 289), ("so24", 276), ("sp:24", 300), ("abelian257", 257),
      ("trunc_poly:257", 257), ("cyclic_group_alg:1000", 1000)],

@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from homlie.algebra import LawViolation, builtin, killing_form
+from homlie.algebra import LawViolation, builtin, killing_form, make_algebra
+from homlie.battery import _random_derivation
 from homlie.constructions import (
     adjoin_map,
     central_extension,
@@ -141,6 +143,38 @@ def test_semidirect_zero_derivation_central_contribution():
     d = ext.basis_vector(6)
     for i in range(7):
         assert ext.multiply(d, ext.basis_vector(i)) == (F(0),) * 7
+
+
+def _semidirect_by_bracket_loop(l, a, d):
+    """The extension table written out bracket by bracket, as
+    ``semidirect_derivation`` built it before it went through ``adjoin_map``:
+    [D, a_i (x) l_j] = d(a_i) (x) l_j."""
+    base = tensor_lie(a, l)
+    n = base.dim
+    table = {k: list(v) for k, v in base.table.items()}
+    for ai in range(a.dim):
+        img = d.apply(a.basis_vector(ai))
+        for li in range(l.dim):
+            entry = [(k * l.dim + li, c) for k, c in enumerate(img) if c]
+            if entry:
+                table[(n, ai * l.dim + li)] = entry
+                table[(ai * l.dim + li, n)] = [(k, -c) for k, c in entry]
+    return make_algebra(n + 1, table, basis_names=base.basis_names + ("D",), flavor="lie")
+
+
+def test_semidirect_matches_the_bracket_loop():
+    rng = random.Random(1)
+    cases = [
+        (builtin("sl", 2), builtin("trunc_poly", 3), Matrix.from_sparse(3, 3, {(1, 1): 1, (2, 2): 2})),
+        (builtin("heisenberg"), builtin("trunc_poly", 2), Matrix.zeros(2, 2)),
+        # pairs of the random battery, with its random derivations
+        (builtin("nonabelian2"), builtin("trunc_poly", 2), _random_derivation(builtin("trunc_poly", 2), rng)),
+        (builtin("abelian", 1), builtin("trunc_poly", 4), _random_derivation(builtin("trunc_poly", 4), rng)),
+    ]
+    assert not any(d.is_zero() for _, _, d in cases[2:])
+    for l, a, d in cases:
+        ext, ref = semidirect_derivation(l, a, d), _semidirect_by_bracket_loop(l, a, d)
+        assert (ext.dim, ext.basis_names, ext.flavor, ext.table) == (ref.dim, ref.basis_names, ref.flavor, ref.table)
 
 
 def test_semidirect_rejects_non_derivation():
@@ -291,6 +325,17 @@ def test_km_window_rejects_bad_inputs():
     with pytest.raises(ValueError, match="cannot be read back"):
         km_window(sl2, killing_form(sl2), 2, twist=(z4, 4))
     assert km_window(sl2, killing_form(sl2), 3, twist=(z4, 4)).grading[0] == -3
+    # untwisted, a zero g leaves every loop degree empty
+    zero = builtin("abelian", 0)
+    with pytest.raises(ValueError, match="cannot be read back"):
+        km_window(zero, killing_form(zero), 2)
+
+
+def test_adjoin_map_rejects_a_map_of_the_wrong_shape():
+    sl2 = builtin("sl", 2)
+    for d in (Matrix.from_sparse(4, 3, {(3, 0): 1}), Matrix.zeros(3, 4), Matrix.identity(2)):
+        with pytest.raises(ValueError, match="shape"):
+            adjoin_map(sl2, d)
 
 
 def test_adjoin_map():

@@ -14,7 +14,7 @@ from homlie.jordan import (
 )
 from homlie.linalg import Matrix, Subspace
 from homlie.solver import HOM_LIE, solve_structures, structure_residual
-from homlie.window import solve_window, window_jacobi_residual
+from homlie.window import solve_window
 
 F = Fraction
 
@@ -150,8 +150,8 @@ def test_twisted_window_space_is_not_jordan_closed():
     assert not verdict.closed
     w = verdict.witness
     # the witness is an imposed equation of the shift-0 block, re-evaluated
-    # by the window's own residual
+    # by the residual at shift 0
     assert (w.phi_index, w.psi_index, w.violating_triple) == (1, 5, (0, 5, 7))
     assert w.product == jordan_product(*(sol.basis_maps()[i] for i in (1, 5)))
-    residual = window_jacobi_residual(pa, w.product, w.violating_triple, 0)
+    residual = structure_residual(pa, w.product, HOM_LIE, w.violating_triple, 0)
     assert residual == w.residual == tuple(F(1, 2) if m == 2 else F(0) for m in range(pa.dim))

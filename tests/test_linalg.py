@@ -290,6 +290,28 @@ def test_matrix_operations():
     assert Matrix.unflatten(a.flatten(), 2, 2) == a
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.one_of(st.just(0), small_entries,
+                                                             st.fractions(-3, 3, max_denominator=4))), max_size=8))
+def test_accumulator_clears_ints_and_fractions_alike(rows):
+    # the rows as drawn, ints and Fractions mixed, and the same rows as Fractions
+    mixed, fractions = RowAccumulator(6), RowAccumulator(6)
+    for r in rows:
+        assert mixed.add(r) == fractions.add({c: F(v) for c, v in r.items()})
+    assert mixed.pivots == fractions.pivots
+    assert mixed._reduced_rows() == fractions._reduced_rows()
+
+
+def test_sparse_vectors_with_indices_outside_the_space_are_rejected():
+    for bad in ({5: 1}, {3: 1}, {-1: 1}, {0: 1, 3: F(1, 2)}):
+        with pytest.raises(ValueError, match="outside"):
+            Subspace.from_spanning([bad], 3)
+        with pytest.raises(ValueError, match="outside"):
+            SpanSolver([{0: 1}, bad], 3)
+    assert Subspace.from_spanning([{2: 1}, {}], 3).rows == ((2, {2: 1}),)
+    assert SpanSolver([{2: 1}, {0: 1, 1: 1}], 3).express({0: 2, 1: 2, 2: 4}) == (F(4), F(2))
+
+
 def test_accumulator_deduplicates_and_ranks():
     acc = RowAccumulator(3)
     assert acc.add({0: F(1), 1: F(1)})

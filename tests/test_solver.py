@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import random
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -191,6 +192,27 @@ def test_grading_split_is_exact(kind):
     for alg in graded:
         ungraded = dataclasses.replace(alg, grading=None)
         assert solve_structures(alg, kind).space == solve_structures(ungraded, kind).space, alg.basis_names
+
+
+@pytest.mark.parametrize("kind", [HOM_LIE, HOM_CYCLIC, HOM_2NILP, delta_derivation("2")], ids=str)
+def test_shift_residuals_sum_to_the_residual(kind):
+    # on principal-graded sl4 each shift's residual is the residual of the
+    # part of phi of that shift, and phi is the sum of its parts
+    alg = _regraded(builtin("sl", 4), lambda name: int(name[2]) - int(name[1]) if name[0] == "E" else 0)
+    n, deg, rng = alg.dim, alg.grading, random.Random(13)
+    entries = {(rng.randrange(n), rng.randrange(n)): F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(40)}
+    phi = Matrix.from_sparse(n, n, entries)
+    parts = {s: Matrix.from_sparse(n, n, {(u, c): x for (u, c), x in entries.items() if deg[u] - deg[c] == s})
+             for s in grading_shifts(alg)}
+    assert sum(not part.is_zero() for part in parts.values()) > 3
+    nonzero = 0
+    for triple in rng.sample(list(itertools.permutations(range(n), 3)), 300):
+        shifted = {s: structure_residual(alg, phi, kind, triple, s) for s in parts}
+        assert shifted == {s: structure_residual(alg, part, kind, triple) for s, part in parts.items()}, triple
+        whole = structure_residual(alg, phi, kind, triple)
+        assert tuple(map(sum, zip(*shifted.values()))) == whole, triple
+        nonzero += any(whole)
+    assert nonzero > 30
 
 
 def _regraded(alg, degree_of):
@@ -548,3 +570,8 @@ def test_central_ext_decomposed_nonabelian_base():
     dec = central_ext_homlie_decomposed(sl2, xi0)
     direct = solve_structures(central_extension(sl2, xi0), HOM_LIE)
     assert dec.space == direct.space
+    # xi(z, x) = 1 with z = [x, y] central: phi(z) = x is killed by the
+    # derived subalgebra under the bracket but not under the cocycle
+    heis = builtin("heisenberg")
+    xi = cocycle2(heis, Matrix.from_sparse(3, 3, {(2, 0): 1, (0, 2): -1}))
+    assert central_ext_homlie_decomposed(heis, xi).space == solve_structures(central_extension(heis, xi), HOM_LIE).space

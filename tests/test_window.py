@@ -18,12 +18,12 @@ from homlie.solver import (
     delta_derivation,
     is_multiplicative,
     solve_structures,
+    structure_residual,
 )
 from homlie.window import (
     beta_map,
     central_maps,
     solve_window,
-    window_jacobi_residual,
     window_shifts,
 )
 
@@ -244,7 +244,7 @@ def test_block_solutions_have_zero_residuals(model, n_window):
         for vec in _solve_block(pa, shift):
             phi = Matrix.unflatten(vec, n, n)
             for tri in itertools.combinations(range(n), 3):
-                r = window_jacobi_residual(pa, phi, tri, shift)
+                r = structure_residual(pa, phi, HOM_LIE, tri, shift)
                 assert r is None or not any(r)
 
 
@@ -255,7 +255,7 @@ def test_residual_reads_the_component_of_the_map_shift():
     n = pa.dim
     c, u = pa.grading.index(0), pa.grading.index(1)
     phi = Matrix.from_sparse(n, n, {(u, c): 1})
-    residuals = {s: [window_jacobi_residual(pa, phi, tri, s) for tri in itertools.combinations(range(n), 3)]
+    residuals = {s: [structure_residual(pa, phi, HOM_LIE, tri, s) for tri in itertools.combinations(range(n), 3)]
                  for s in (1, -1)}
     assert any(r is not None and any(r) for r in residuals[1])
     assert all(r is None or not any(r) for r in residuals[-1])
@@ -314,7 +314,7 @@ def test_uncertified_block_does_not_assume_the_identity():
     products = {(0, 1): ((1, F(1)),), (0, 2): ((2, F(1)),), (1, 2): ((1, F(1)),)}
     pa = AlgebraSpec(3, ("e0", "e1", "e2"), _bracket_table(3, products), "unchecked", grading=(0, 0, 0))
     ident = Matrix.identity(3)
-    assert window_jacobi_residual(pa, ident, (0, 1, 2), 0) == (0, 1, 0)
+    assert structure_residual(pa, ident, HOM_LIE, (0, 1, 2), 0) == (0, 1, 0)
     block = Subspace.from_spanning(_solve_block(pa, 0), 9)
     assert not block.contains(ident.flatten())
     assert block == _full_consumption(pa, 0)
@@ -329,12 +329,22 @@ def test_block_is_the_kernel_of_the_imposable_residuals():
     units = [(u, c) for u in range(n) for c in range(n)]
     rows = []
     for tri in itertools.combinations(range(n), 3):
-        per_unit = [window_jacobi_residual(pa, Matrix.from_sparse(n, n, {uc: 1}), tri, 0) for uc in units]
+        per_unit = [structure_residual(pa, Matrix.from_sparse(n, n, {uc: 1}), HOM_LIE, tri, 0) for uc in units]
         if per_unit[0] is None:
             continue
         for m in range(n):
             rows.append({u * n + c: r[m] for (u, c), r in zip(units, per_unit) if r[m]})
     assert Subspace.from_spanning(_solve_block(pa, 0), n * n) == nullspace_of_rows(n * n, rows)
+
+
+def test_unshifted_residual_on_a_window_is_refused():
+    # a window's table has undefined products, so only a shift's equations can be read
+    pa = _untwisted(2)
+    n = pa.dim
+    ident, triple = Matrix.identity(n), (0, n - 2, n - 1)  # e_0 of degree -2, d, z
+    with pytest.raises(ValueError, match="shift"):
+        structure_residual(pa, ident, HOM_LIE, triple)
+    assert structure_residual(pa, ident, HOM_LIE, triple, 0) == (F(0),) * n
 
 
 def test_central_maps_always_solve():
