@@ -7,8 +7,8 @@ declared flavor.  Construction validates the laws the flavor promises
 for ``commutative-associative``, ...), so downstream code can rely on them.
 
 In a degree window (``constructions.km_window``) the table maps undefined
-products to None; a walk over the table that does not test for None fails
-loudly on it instead of reading an undefined product as zero.
+products to None; ``product_on_basis`` and ``sparse_product`` raise a
+ValueError naming the pair instead of reading such a product as zero.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import (
     Matrix,
-    RowAccumulator,
     SpanSolver,
     SparseVector,
     Subspace,
@@ -28,6 +28,7 @@ from .linalg import (
     as_scalar,
     dense_vector,
     int_if_integral,
+    nullspace_of_rows,
     sparse_lincomb,
     sparse_vector,
 )
@@ -63,14 +64,22 @@ class LawViolation(ValueError):
 Table = dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...] | None]  # None: undefined
 
 
-def sparse_product(table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]], u: Mapping[int, Fraction],
+def _undefined(i: int, j: int) -> ValueError:
+    return ValueError(f"the basis product ({i}, {j}) is undefined: it leaves the degree window")
+
+
+def sparse_product(table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]] | None], u: Mapping[int, Fraction],
                    v: Mapping[int, Fraction]) -> SparseVector:
     """u*v for sparse vectors, read straight from a structure table: each
-    pair of nonzero coordinates (i, j) contributes ``table[(i, j)]``."""
+    pair of nonzero coordinates (i, j) contributes ``table[(i, j)]``.
+    Reading an undefined product (None) raises ValueError."""
     out: dict[int, Fraction] = {}
     for i, ui in u.items():
         for j, vj in v.items():
-            for k, c in table.get((i, j), ()):
+            terms = table.get((i, j), ())
+            if terms is None:
+                raise _undefined(i, j)
+            for k, c in terms:
                 out[k] = out.get(k, 0) + ui * vj * c
     return {k: c for k, c in out.items() if c}
 
@@ -97,7 +106,11 @@ class AlgebraSpec:
         return {}
 
     def product_on_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        return self.table.get((i, j), ())
+        """The terms of e_i e_j; ValueError when it is undefined (None)."""
+        terms = self.table.get((i, j), ())
+        if terms is None:
+            raise _undefined(i, j)
+        return terms
 
     def multiply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         """Bilinear extension of the table to arbitrary vectors."""
@@ -485,20 +498,13 @@ def _require_lie(alg: AlgebraSpec, op: str) -> None:
 def right_annihilator(alg: AlgebraSpec) -> Subspace:
     """{z : e_j z = 0 for every j}, read straight from the product table; a
     basis vector e_q with an undefined product e_j e_q is excluded (z_q = 0)."""
-    n = alg.dim
-    acc = RowAccumulator(n)
     undefined = {q for (_, q), terms in alg.table.items() if terms is None}
-    for q in undefined:
-        acc.add({q: 1})
-    for j in range(n):
-        rows: dict[int, dict[int, Fraction]] = {}  # m -> coefficients of e_j z at e_m
-        for q in range(n):
-            if q not in undefined:
-                for m, c in alg.product_on_basis(j, q):
-                    rows.setdefault(m, {})[q] = c
-        for row in rows.values():
-            acc.add(row)
-    return acc.nullspace()
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}  # (j, m) -> coefficients of e_j z at e_m
+    for (j, q), terms in sorted(alg.table.items()):
+        if q not in undefined:
+            for m, c in terms:
+                rows.setdefault((j, m), {})[q] = c
+    return nullspace_of_rows(alg.dim, chain(({q: 1} for q in undefined), rows.values()))
 
 
 def structural_subspaces(alg: AlgebraSpec) -> tuple[Subspace, Subspace, Subspace]:
@@ -506,12 +512,8 @@ def structural_subspaces(alg: AlgebraSpec) -> tuple[Subspace, Subspace, Subspace
     _require_lie(alg, "structural_subspaces")
     n = alg.dim
     center = right_annihilator(alg)  # [e_j, z] = 0 for all j
-    derived = Subspace.from_spanning(map(dict, alg.table.values()), n)
-    acc = RowAccumulator(n)
-    for _, w in derived.rows:
-        for row in alg.left_mul_matrix(w).sparse_rows:
-            acc.add(row)
-    ann_derived = acc.nullspace()
+    derived = Subspace.from_spanning((dict(alg.product_on_basis(i, j)) for i, j in alg.table), n)
+    ann_derived = nullspace_of_rows(n, (row for _, w in derived.rows for row in alg.left_mul_matrix(w).sparse_rows))
     return center, derived, ann_derived
 
 

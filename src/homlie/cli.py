@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 
 from .actions import is_sl2_triple, sl2_decompose, weight_decompose
-from .algebra import AlgebraSpec, LawViolation, builtin_names, parse_builtin
+from .algebra import AlgebraSpec, LawViolation, builtin_names, killing_form, parse_builtin
 from .constructions import km_window
-from .algebra import killing_form
 from .jordan import closure_check, counterexample_suite, jordan_identity_defect, jordan_structure_constants
 from .linalg import Matrix, Subspace
 from .scenarios import run_all, run_scenario, scenario_ids
@@ -33,7 +32,6 @@ from .serialize import (
 from .solver import (
     BILINEAR_KINDS,
     HOM_LIE,
-    MULTIPLICATIVE_CHECK_ONLY,
     parse_kind,
     solve_bilinear,
     solve_qder,
@@ -49,14 +47,20 @@ class UsageError(Exception):
     pass
 
 
+def _read_json(path: str, flag: str):
+    """The JSON document in the file ``path``, given with ``flag``; a file
+    that cannot be read or parsed is a usage error."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise UsageError(f"{flag}: cannot read JSON file {path}: {e}")
+
+
 def _resolve_algebra(spec: str) -> AlgebraSpec:
-    path = Path(spec)
-    if spec.endswith(".json") or path.is_file():
+    if spec.endswith(".json") or Path(spec).is_file():
+        doc = _read_json(spec, "--algebra")
         try:
-            doc = json.loads(path.read_text())
             return algebra_from_json(doc)
-        except FileNotFoundError:
-            raise UsageError(f"algebra file not found: {spec}")
         except (KeyError, TypeError, ValueError) as e:
             raise UsageError(f"cannot read algebra file {spec}: {e}")
     try:
@@ -81,12 +85,9 @@ def _emit(doc, as_json: bool, human: str) -> None:
 
 def _parse_kind(text: str):
     try:
-        kind = parse_kind(text)
-    except (ValueError, ZeroDivisionError) as e:
+        return parse_kind(text)
+    except ValueError as e:
         raise UsageError(f"--kind: {e}")
-    if kind == MULTIPLICATIVE_CHECK_ONLY:
-        raise UsageError(f"--kind: {text} is not a linear identity, so it has no solution space to solve for")
-    return kind
 
 
 def _cmd_solve(args) -> int:
@@ -208,8 +209,8 @@ def _cmd_jordan(args) -> int:
 
 
 def _load_twist(path: str, dim: int):
+    doc = _read_json(path, "--twist")
     try:
-        doc = json.loads(Path(path).read_text())
         n = int(doc["n"])
         comps = []
         for vectors in doc["components"]:
@@ -219,9 +220,7 @@ def _load_twist(path: str, dim: int):
                 )
             )
         return comps, n
-    except FileNotFoundError:
-        raise UsageError(f"twist file not found: {path}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise UsageError(f"cannot read twist file {path}: {e}")
 
 
@@ -289,13 +288,7 @@ def run_scenario_checked(scenario_id: str):
 
 
 def _cmd_validate(args) -> int:
-    path = Path(args.algebra)
-    if not path.is_file():
-        raise UsageError(f"validate needs an algebra file, not found: {args.algebra}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise UsageError(f"not valid JSON: {e}")
+    doc = _read_json(args.algebra, "--algebra")
     try:
         alg = algebra_from_json(doc)
     except LawViolation as e:

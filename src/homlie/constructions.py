@@ -78,15 +78,10 @@ def central_extension(l: AlgebraSpec, xi: Cocycle2) -> AlgebraSpec:
     if xi.algebra is not l and xi.algebra.table != l.table:
         raise ValueError("cocycle was verified on a different algebra")
     n = l.dim
-    table: dict = {}
-    for (i, j), terms in l.table.items():
-        table[(i, j)] = list(terms)
-    for i in range(n):
-        for j in range(n):
-            val = xi.form.matrix.entry(i, j)
-            if val:
-                table.setdefault((i, j), [])
-                table[(i, j)] = list(table[(i, j)]) + [(n, val)]
+    table: dict = {(i, j): list(l.product_on_basis(i, j)) for i, j in l.table}
+    for i, row in enumerate(xi.form.matrix.sparse_rows):
+        for j, val in row.items():
+            table.setdefault((i, j), []).append((n, val))
     return make_algebra(
         n + 1, table, basis_names=l.basis_names + ("z",), flavor="lie"
     )
@@ -116,12 +111,12 @@ def tensor_lie(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
         raise ValueError("second tensor factor must have an anticommutative flavor")
     dim = a.dim * b.dim
     table: dict = {}
-    for (i1, i2), terms_a in a.table.items():
-        for (j1, j2), terms_b in b.table.items():
+    for i1, i2 in a.table:
+        for j1, j2 in b.table:
             entry = [
                 (tensor_index(a, b, k1, k2), c1 * c2)
-                for k1, c1 in terms_a
-                for k2, c2 in terms_b
+                for k1, c1 in a.product_on_basis(i1, i2)
+                for k2, c2 in b.product_on_basis(j1, j2)
             ]
             if entry:
                 table[(tensor_index(a, b, i1, j1), tensor_index(a, b, i2, j2))] = entry
@@ -187,7 +182,7 @@ def adjoin_map(l: AlgebraSpec, d: Matrix, name: str = "D") -> AlgebraSpec:
     n = l.dim
     if d.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
-    table: dict = {k: list(v) for k, v in l.table.items()}
+    table: dict = {(i, j): list(l.product_on_basis(i, j)) for i, j in l.table}
     for i in range(n):
         img = d.apply(l.basis_vector(i))
         entry = [(k, c) for k, c in enumerate(img) if c]

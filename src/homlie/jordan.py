@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .algebra import AlgebraSpec, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
-from .linalg import Matrix, Vector, dense_vector, is_zero_vector, sparse_lincomb
+from .linalg import Matrix, Vector, dense_vector, sparse_lincomb
 from .solver import HOM_LIE, HomSolution, grading_shifts, solve_structures, structure_residual
 
 
@@ -49,7 +49,7 @@ def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int
     for shift in grading_shifts(alg) if None in alg.table.values() else [None]:
         for triple in combinations(range(alg.dim), 3):
             r = structure_residual(alg, phi, HOM_LIE, triple, shift)
-            if r is not None and not is_zero_vector(r):
+            if r is not None and any(r):
                 return triple, r
     return None
 

@@ -9,6 +9,7 @@ basis matrices.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,19 +22,21 @@ Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 
 
+# A scalar written as text: "p/q" or "p" in decimal digits, p may be negative, q > 0.
+_SCALAR_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def as_scalar(x) -> Fraction:
-    """Coerce ints, strings like '2/3' and Fractions to an exact scalar."""
+    """Coerce ints, Fractions and strings "p/q" or "p" (no other text) to an exact scalar."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _SCALAR_TEXT.fullmatch(x):
+            raise ValueError(f"scalar {x!r} is not of the form 'p/q' (q > 0) or 'p'")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
-
-
-def is_zero_vector(v: Vector) -> bool:
-    return all(a == 0 for a in v)
 
 
 def int_if_integral(x: Fraction) -> int | Fraction:

@@ -1,7 +1,8 @@
 """JSON formats for algebras, windowed algebras, subspaces and solutions.
 
-Rationals travel as strings "p/q" with positive q (plain "p" accepted on
-input); a missing (i, j) table entry means the zero product.
+Rationals travel as strings "p/q" with positive q; on input a JSON int or
+a string "p" is accepted too, and nothing else (no decimals, exponents or
+bools).  A missing (i, j) table entry means the zero product.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ def format_scalar(x: Fraction) -> str:
 
 
 def parse_scalar(text) -> Fraction:
-    if isinstance(text, float):
-        raise TypeError("floats are not exact; pass rationals as strings 'p/q'")
-    try:
-        return as_scalar(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar {text!r}") from None
+    """A JSON int, or a string "p/q" or "p" (``as_scalar``); not a float or a bool."""
+    if isinstance(text, (float, bool)):
+        raise TypeError(f"{text!r} is not an exact scalar; pass rationals as ints or strings 'p/q'")
+    return as_scalar(text)
 
 
 def algebra_to_json(alg: AlgebraSpec) -> dict:

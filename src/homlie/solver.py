@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .algebra import AlgebraSpec, BilinearForm, _require_lie, right_annihilator, sparse_product, structural_subspaces
 from .linalg import (
     Matrix,
-    RowAccumulator,
     SparseVector,
     Subspace,
     Vector,
@@ -53,7 +52,6 @@ class StructureKind:
 HOM_LIE = StructureKind("hom-lie")
 HOM_CYCLIC = StructureKind("hom-cyclic")
 HOM_2NILP = StructureKind("hom-2nilp")
-MULTIPLICATIVE_CHECK_ONLY = StructureKind("multiplicative-check-only")
 
 
 def delta_derivation(delta) -> StructureKind:
@@ -61,7 +59,7 @@ def delta_derivation(delta) -> StructureKind:
 
 
 def parse_kind(text: str) -> StructureKind:
-    if text in ("hom-lie", "hom-cyclic", "hom-2nilp", "multiplicative-check-only"):
+    if text in _SIGNS:
         return StructureKind(text)
     if text.startswith("delta:"):
         return delta_derivation(text.removeprefix("delta:"))
@@ -292,36 +290,35 @@ def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[i
                         yield s, row
 
 
+def _leibniz_terms(
+    alg: AlgebraSpec, i: int, j: int, outer: Sequence[Mapping[int, int]], inner: Sequence[Mapping[int, int]],
+    delta: int | Fraction,
+) -> _Terms:
+    """The terms of X(e_i e_j) - delta*(Y(e_i) e_j + e_i Y(e_j)) by output
+    coordinate, for unknown maps X and Y with X(e_c) -> e_q at column
+    ``outer[c][q]`` and Y(e_c) -> e_q at column ``inner[c][q]``."""
+    for k, c in alg.product_on_basis(i, j):
+        for m, col in outer[k].items():
+            yield m, col, c
+    for q, col in inner[i].items():  # Y(e_i) = sum_q Y[q][i] e_q
+        for k, c in alg.product_on_basis(q, j):
+            yield k, col, -delta * c
+    for q, col in inner[j].items():
+        for k, c in alg.product_on_basis(i, q):
+            yield k, col, -delta * c
+
+
 def _delta_rows(plan: _Plan, delta: Fraction, live: _Open) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
     """(shift, row) for D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs,
     for the maps D of the blocks ``live``, as ``_hom_rows`` does."""
     alg, delta = plan.alg, int_if_integral(delta)
     n = alg.dim
-    pairs: Iterable[tuple[int, int]]
-    if alg.is_anticommutative():
-        pairs = combinations(range(n), 2)
-    else:
-        pairs = product(range(n), repeat=2)
-
-    def terms(i: int, j: int, col_of: list[dict[int, int]]) -> _Terms:
-        # D applied to the product e_i e_j
-        for k, c in alg.product_on_basis(i, j):
-            for m, col in col_of[k].items():
-                yield m, col, c
-        # - delta * (D(e_i) e_j): D(e_i) = sum_q M[q][i] e_q
-        for q, col in col_of[i].items():
-            for k, c in alg.product_on_basis(q, j):
-                yield k, col, -delta * c
-        # - delta * (e_i D(e_j))
-        for q, col in col_of[j].items():
-            for k, c in alg.product_on_basis(i, q):
-                yield k, col, -delta * c
-
+    pairs = combinations(range(n), 2) if alg.is_anticommutative() else product(range(n), repeat=2)
     for i, j in pairs:
         for s in list(live):
             col_of = live.get(s)
             if col_of is not None:
-                yield from ((s, row) for row in _sparse_rows([terms(i, j, col_of)]))
+                yield from ((s, row) for row in _sparse_rows([_leibniz_terms(alg, i, j, col_of, col_of, delta)]))
 
 
 def _known_block(
@@ -344,16 +341,14 @@ def _known_block(
     certifies each imposed one).
     """
     n = alg.dim
-    acc = RowAccumulator(len(cols))
+    gens = []
     if kind.tag in _SIGNS:
         for z in map(sparse_vector, annihilator):
             pivot = min(z)
-            for c in range(n):
-                if (pivot, c) in cols:
-                    acc.add({cols[(q, c)]: x for q, x in z.items()})
+            gens.extend({cols[(q, c)]: x for q, x in z.items()} for c in range(n) if (pivot, c) in cols)
     if kind.tag == "hom-lie" and alg.flavor == "lie" and shift == 0:
-        acc.add({cols[(c, c)]: 1 for c in range(n)})
-    return Subspace(len(cols), acc._reduced_rows())
+        gens.append({cols[(c, c)]: 1 for c in range(n)})
+    return Subspace.from_spanning(gens, len(cols))
 
 
 def grading_shifts(alg: AlgebraSpec) -> list[int]:
@@ -467,11 +462,6 @@ def solve_structures(alg: AlgebraSpec, kind: StructureKind) -> HomSolution:
     """Exact space of maps satisfying the kind's defining identity, solved
     over every shift block of ``alg.grading`` (``_solve_shift_blocks``) once
     per algebra and kept on it."""
-    if kind.tag == "multiplicative-check-only":
-        raise ValueError(
-            "the multiplicativity condition is not linear; use is_multiplicative "
-            "to test candidate maps"
-        )
     return _kept(
         alg,
         ("structures", kind),
@@ -529,14 +519,19 @@ def structure_residual(
 # -- bilinear solvers --------------------------------------------------------
 
 
-def _cocycle_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:
-    """f(xy, z) + f(zx, y) + f(yz, x) = 0 over i<j<k (alternating)."""
+def _cocycle_rows(alg: AlgebraSpec, xi: Sequence[Mapping[int, int | Fraction]]) -> Iterator[dict[int, Fraction]]:
+    """xi(xy, f(z)) + xi(zx, f(y)) + xi(yz, f(x)) = 0 over i<j<k, for the
+    form xi with sparse rows ``xi`` (xi(e_p, e_q) = xi[p][q]) and an unknown
+    map f with f(e_z) -> e_q at column q*n + z.  With xi the identity pairing
+    (rows {p: 1}) these are the rows of f(xy, z) + f(zx, y) + f(yz, x) = 0
+    for an unknown form f (alternating)."""
     n = alg.dim
     return _sparse_rows(
         (
-            (0, p * n + z, c)
+            (0, q * n + z, c * w)
             for x, y, z in ((i, j, k), (k, i, j), (j, k, i))
             for p, c in alg.product_on_basis(x, y)
+            for q, w in xi[p].items()
         )
         for i, j, k in combinations(range(n), 3)
     )
@@ -581,8 +576,8 @@ def coboundary_space(alg: AlgebraSpec) -> Subspace:
     """Span of the forms (x, y) -> f(xy) for functionals f."""
     n = alg.dim
     gens: list[dict[int, Fraction]] = [{} for _ in range(n)]  # gens[m][(i, j)]: e_m in e_i e_j
-    for (i, j), terms in alg.table.items():
-        for m, c in terms:
+    for i, j in alg.table:
+        for m, c in alg.product_on_basis(i, j):
             gens[m][i * n + j] = c
     return Subspace.from_spanning(gens, n * n)
 
@@ -596,14 +591,10 @@ def solve_bilinear(alg: AlgebraSpec, kind: str) -> Subspace:
     n = alg.dim
 
     def rows() -> Iterator[dict[int, Fraction]]:
-        if kind == "asym-cocycle":
-            yield from _cocycle_rows(alg)
-        elif kind == "skew-cocycle":
-            yield from _cocycle_rows(alg)
-            yield from _symmetry_rows(n, -1)
-        elif kind == "sym-cocycle":
-            yield from _cocycle_rows(alg)
-            yield from _symmetry_rows(n, 1)
+        if kind.endswith("-cocycle"):
+            yield from _cocycle_rows(alg, [{p: 1} for p in range(n)])  # the identity pairing
+            if kind != "asym-cocycle":
+                yield from _symmetry_rows(n, -1 if kind == "skew-cocycle" else 1)
         elif kind == "b-space":
             yield from _b_space_rows(alg)
         else:  # sym-invariant
@@ -642,31 +633,27 @@ def _qder_rows(alg: AlgebraSpec, module: str) -> Iterator[dict[int, Fraction]]:
     n2 = n * n
     if module not in ("adjoint", "coadjoint"):
         raise ValueError(f"unknown module {module!r}")
+    pairs = combinations(range(n), 2)
+    if module == "adjoint":
+        # D([e_i,e_j]) - [F(e_i), e_j] - [e_i, F(e_j)] = 0, with D(e_c) -> e_q
+        # at column q*n + c and F(e_c) -> e_q at n2 + q*n + c
+        d_cols = [{q: q * n + c for q in range(n)} for c in range(n)]
+        f_cols = [{q: n2 + q * n + c for q in range(n)} for c in range(n)]
+        return _sparse_rows(_leibniz_terms(alg, i, j, d_cols, f_cols, 1) for i, j in pairs)
 
     def terms(i: int, j: int) -> _Terms:
-        if module == "adjoint":
-            # D([e_i,e_j]) - [F(e_i), e_j] - [e_i, F(e_j)] = 0
-            for k, c in alg.product_on_basis(i, j):
-                for m in range(n):
-                    yield m, m * n + k, c
-            for q in range(n):
-                for k, c in alg.product_on_basis(q, j):
-                    yield k, n2 + q * n + i, -c
-                for k, c in alg.product_on_basis(i, q):
-                    yield k, n2 + q * n + j, -c
-        else:
-            # maps L -> L*; (y.f)(m) = -f([m,y]).  Evaluated at e_m:
-            # D(e_i e_j)(e_m) + F(e_i)([e_m, e_j]) - F(e_j)([e_m, e_i]) = 0
-            for k, c in alg.product_on_basis(i, j):
-                for m in range(n):
-                    yield m, k * n + m, c
+        # maps L -> L*; (y.f)(m) = -f([m,y]).  Evaluated at e_m:
+        # D(e_i e_j)(e_m) + F(e_i)([e_m, e_j]) - F(e_j)([e_m, e_i]) = 0
+        for k, c in alg.product_on_basis(i, j):
             for m in range(n):
-                for p, c in alg.product_on_basis(m, j):
-                    yield m, n2 + i * n + p, c
-                for p, c in alg.product_on_basis(m, i):
-                    yield m, n2 + j * n + p, -c
+                yield m, k * n + m, c
+        for m in range(n):
+            for p, c in alg.product_on_basis(m, j):
+                yield m, n2 + i * n + p, c
+            for p, c in alg.product_on_basis(m, i):
+                yield m, n2 + j * n + p, -c
 
-    return _sparse_rows(terms(i, j) for i, j in combinations(range(n), 2))
+    return _sparse_rows(terms(i, j) for i, j in pairs)
 
 
 def solve_qder(alg: AlgebraSpec, module: str = "adjoint") -> QDerSolution:
@@ -786,19 +773,11 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
     _require_lie(l, "central_ext_homlie_decomposed")
     n = l.dim
     ext = central_extension(l, xi)
-    f = xi.form.matrix.sparse_rows
 
     hl = solve_structures(l, HOM_LIE)
 
-    def compat_terms(i: int, j: int, k: int) -> _Terms:
-        # xi([x,y], psi(t)) + xi([t,x], psi(y)) + xi([y,t], psi(x)) = 0
-        for x, y, t in ((i, j, k), (k, i, j), (j, k, i)):
-            for p, c in l.product_on_basis(x, y):
-                for q, x in f[p].items():
-                    yield 0, q * n + t, c * x
-
-    compat_rows = _sparse_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
-    psi_space = hl.space.intersect(nullspace_of_rows(n * n, compat_rows))
+    # xi([x,y], psi(t)) + xi([t,x], psi(y)) + xi([y,t], psi(x)) = 0
+    psi_space = hl.space.intersect(nullspace_of_rows(n * n, _cocycle_rows(l, xi.form.matrix.sparse_rows)))
 
     _, derived, ann_derived = structural_subspaces(l)
     cocycle_rows = ({q: xi.form(w, {q: 1}) for q in range(n)} for _, w in derived.rows)  # xi(w, .)

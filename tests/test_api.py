@@ -54,3 +54,19 @@ def test_no_module_level_caches():
                     if name in ("lru_cache", "cache"):
                         cached.append(f"{path.name}:{node.name}")
     assert cached == []
+
+
+def test_elimination_runs_only_through_linalg():
+    """Every module outside ``linalg`` eliminates through its front-ends
+    (``nullspace_of_rows``, ``Subspace``, ``SpanSolver``), never through a
+    ``RowAccumulator`` of its own or its private ``_reduced_rows``."""
+    uses = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(homlie.__file__).parent.glob("*.py"))
+        if path.name != "linalg.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "RowAccumulator"
+        or isinstance(node, ast.alias) and node.name == "RowAccumulator"
+        or isinstance(node, ast.Attribute) and node.attr in ("RowAccumulator", "_reduced_rows")
+    ]
+    assert uses == []

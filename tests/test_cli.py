@@ -5,11 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import homlie
 from homlie import builtin, cli, killing_form, km_window, serialize
 from homlie.cli import _window_dim, main
 from homlie.linalg import Subspace
+from homlie.algebra import FLAVORS
 from homlie.serialize import MAX_DIM
 
 
@@ -369,3 +371,108 @@ def test_reproduce_all_is_deterministic_and_flags_the_known_failure(capsys):
     failing = [r["id"] for r in doc["results"] if r["status"] == "fail"]
     assert failing == ["lemma-2.5-sl2"]
     assert code1 == code2 == 1
+
+
+def _json_file_cases(tmp_path):
+    """(name, path) of files no command can read as JSON."""
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000 + "]" * 200000)
+    directory = tmp_path / "x.json"
+    directory.mkdir()
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(bytes(range(256)) * 4)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"dim": 2,')
+    return {"nested": nested, "directory": directory, "binary": binary, "truncated": truncated,
+            "missing": tmp_path / "missing.json"}
+
+
+@pytest.mark.parametrize("case", ["nested", "directory", "binary", "truncated", "missing"])
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["validate", "--algebra"], "--algebra"),
+        (["solve", "--algebra"], "--algebra"),
+        (["window", "--algebra", "sl2", "--window", "2", "--twist"], "--twist"),
+    ],
+    ids=["validate", "solve", "window"],
+)
+def test_unreadable_json_file_is_a_usage_error(capsys, tmp_path, case, argv, flag):
+    path = str(_json_file_cases(tmp_path)[case])
+    code, out, err = run_cli(capsys, *argv, path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag}:") and path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scalar", ["1e999999999", "1.5", True, " 2", "+3", "1/-2"])
+def test_scalar_outside_the_grammar_is_a_usage_error(capsys, tmp_path, scalar):
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"dim": 2, "flavor": "lie", "table": [[0, 1, [[0, scalar]]], [1, 0, [[0, "-1"]]]]}))
+    twist = tmp_path / "twist.json"
+    twist.write_text(json.dumps({"n": 2, "components": [[[0, scalar, 0]], [[1, 0, 0], [0, 0, 1]]]}))
+    for argv in (["validate", "--algebra", str(alg)], ["solve", "--algebra", str(alg)],
+                 ["window", "--algebra", "sl2", "--window", "2", "--twist", str(twist)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and repr(scalar) in err, argv
+    code, out, err = run_cli(capsys, "solve", "--algebra", "sl2", "--kind", f"delta:{scalar}")
+    assert code == 2 and err.startswith("error: --kind:")
+
+
+@pytest.mark.parametrize("scalar,negated", [("-3/7", "3/7"), ("5", "-5"), (4, -4)])
+def test_scalar_in_the_grammar_is_read(capsys, tmp_path, scalar, negated):
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"dim": 2, "flavor": "lie", "table": [[0, 1, [[0, scalar]]], [1, 0, [[0, negated]]]]}))
+    code, doc = run_json(capsys, "validate", "--algebra", str(alg))
+    assert code == 0 and doc == {"valid": True, "dim": 2, "flavor": "lie"}
+
+
+# Small JSON documents (dim <= 6, a few table entries): mostly well formed,
+# with a field of the wrong type now and then, or any JSON value, or text
+# that is not JSON.
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 7) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _sometimes(good, bad=_ANY_JSON):
+    """``good`` nine times in ten, else ``bad``."""
+    return st.integers(0, 9).flatmap(lambda k: good if k else bad)
+
+
+def _algebra_doc(dim):
+    index = st.integers(0, max(dim - 1, 0))
+    scalar = _sometimes(st.integers(-2, 2) | st.sampled_from(["1", "-1", "1/2", "-3/4"]),
+                        st.sampled_from(["2/0", "1.5", "1e3", "", True]) | _ANY_JSON)
+    terms = st.lists(st.tuples(_sometimes(index), scalar).map(list), max_size=3)
+    table = st.dictionaries(st.tuples(index, index), terms, max_size=6)
+    return st.fixed_dictionaries(
+        {"dim": _sometimes(st.just(dim)), "flavor": _sometimes(st.sampled_from(FLAVORS))},
+        optional={
+            "basis": _sometimes(st.lists(st.text(max_size=3), min_size=dim, max_size=dim)),
+            "grading": _sometimes(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)),
+            "table": _sometimes(table.map(lambda t: [[i, j, ts] for (i, j), ts in t.items()])),
+        },
+    )
+
+
+_FILE_TEXT = st.one_of(
+    st.integers(0, 6).flatmap(_algebra_doc).map(json.dumps),
+    st.integers(0, 6).flatmap(_algebra_doc).map(json.dumps),
+    _ANY_JSON.map(json.dumps),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_FILE_TEXT, kind=st.sampled_from(["hom-lie", "hom-cyclic", "hom-2nilp", "delta:2"]))
+def test_validate_and_solve_exit_0_1_or_2_on_any_document(capsys, tmp_path, text, kind):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    for argv in (["validate", "--algebra", str(path)], ["solve", "--algebra", str(path), "--kind", kind]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        event(f"{argv[0]} exit {code}")

@@ -244,8 +244,10 @@ def test_km_window_shape_and_brackets():
     assert pa.flavor == "lie"  # the certificate the shift-0 block relies on
     assert pa.basis_names[-2:] == ("d", "z") and max(map(abs, pa.grading)) == 2
     deg2 = [i for i, d in enumerate(pa.grading) if d == 2]
-    assert pa.product_on_basis(deg2[0], deg2[1]) is None  # leaves the window
-    assert pa.product_on_basis(deg2[1], deg2[0]) is None
+    assert pa.table[(deg2[0], deg2[1])] is None  # leaves the window
+    assert pa.table[(deg2[1], deg2[0])] is None
+    with pytest.raises(ValueError, match=rf"\({deg2[0]}, {deg2[1]}\) is undefined"):
+        pa.product_on_basis(deg2[0], deg2[1])
     em_t = _loop_index(pa, sl2, 1, 0)
     ep_tinv = _loop_index(pa, sl2, -1, 2)
     h_0 = _loop_index(pa, sl2, 0, 1)
@@ -265,7 +267,7 @@ def test_km_window_table_holds_both_orders():
         assert (back is None) == (terms is None)
         if terms is not None:
             assert back == tuple((k, -c) for k, c in terms)
-    with pytest.raises(TypeError):  # a walk that does not know about windows fails loudly
+    with pytest.raises(ValueError, match=r"\(0, 1\) is undefined"):  # reading an undefined product fails loudly
         pa.multiply(pa.basis_vector(0), pa.basis_vector(1))  # degrees -3 + -3
 
 
@@ -289,7 +291,7 @@ def test_km_window_jacobi_where_defined():
     for twist in (None, (_cartan_grading(), 2)):
         pa = km_window(sl2, killing_form(sl2), 2, twist=([*twist[0]], twist[1]) if twist else None)
         for i, j, k in itertools.combinations(range(pa.dim), 3):
-            inner = [pa.product_on_basis(i, j), pa.product_on_basis(k, i), pa.product_on_basis(j, k)]
+            inner = [pa.table.get(pair, ()) for pair in ((i, j), (k, i), (j, k))]
             if any(t is None for t in inner):
                 continue
             outer = [
@@ -346,3 +348,46 @@ def test_adjoin_map():
     half = Matrix.identity(3)
     anti = adjoin_map(sl2, half.scale(F(1, 2)))
     assert anti.flavor in ("lie", "generic-anticommutative")
+
+
+def _window_calls():
+    """Library calls that read an undefined product of the sl2 window N = 2."""
+    from homlie.actions import is_submodule
+    from homlie.algebra import structural_subspaces
+    from homlie.solver import coboundary_space, seq_uv, solve_bilinear, solve_qder
+
+    sl2 = builtin("sl", 2)
+    pa = km_window(sl2, killing_form(sl2), 2)
+    i, j = next(pair for pair, terms in pa.table.items() if terms is None)
+    return pa, {
+        "solve_bilinear": lambda: solve_bilinear(pa, "asym-cocycle"),
+        "coboundary_space": lambda: coboundary_space(pa),
+        "solve_qder": lambda: solve_qder(pa),
+        "seq_uv": lambda: seq_uv(pa),
+        "killing_form": lambda: killing_form(pa),
+        "structural_subspaces": lambda: structural_subspaces(pa),
+        "is_submodule": lambda: is_submodule(pa, Subspace.full(pa.dim ** 2)),
+        "left_mul_matrix": lambda: pa.left_mul_matrix(pa.basis_vector(i)),
+        "multiply": lambda: pa.multiply(pa.basis_vector(i), pa.basis_vector(j)),
+        "tensor_lie": lambda: tensor_lie(builtin("trunc_poly", 2), pa),
+        "adjoin_map": lambda: adjoin_map(pa, Matrix.identity(pa.dim)),
+        "km_window": lambda: km_window(pa, killing_form(sl2), 2),
+    }
+
+
+@pytest.mark.parametrize("call", list(_window_calls()[1]))
+def test_reading_an_undefined_product_raises_a_value_error(call):
+    with pytest.raises(ValueError, match=r"basis product \(\d+, \d+\) is undefined"):
+        _window_calls()[1][call]()
+
+
+def test_calls_that_read_defined_products_work_on_a_window():
+    from homlie.actions import act
+
+    pa, _ = _window_calls()
+    d = pa.basis_names.index("d")
+    phi = Matrix.from_sparse(pa.dim, pa.dim, {(0, 0): 1})
+    grading = pa.grading
+    assert act(pa, pa.basis_vector(d), phi) == Matrix.zeros(pa.dim, pa.dim)  # phi has degree 0
+    psi = Matrix.from_sparse(pa.dim, pa.dim, {(0, 3): 1})  # degree -2 <- -1
+    assert act(pa, pa.basis_vector(d), psi) == psi.scale(grading[3] - grading[0])

@@ -17,7 +17,7 @@ from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
     HOM_LIE,
-    MULTIPLICATIVE_CHECK_ONLY,
+    StructureKind,
     central_ext_homlie_decomposed,
     coboundary_space,
     current_formula_span,
@@ -294,7 +294,7 @@ def test_delta_derivations():
 
 def test_multiplicative_kind_is_not_solvable():
     with pytest.raises(ValueError):
-        solve_structures(builtin("sl", 2), MULTIPLICATIVE_CHECK_ONLY)
+        solve_structures(builtin("sl", 2), StructureKind("multiplicative-check-only"))
 
 
 def test_parse_kind():

@@ -1,0 +1,258 @@
+"""The Leibniz and cyclic-cocycle term builders against the row compilers
+they replaced, kept here as references: every system gets the same set of
+rows (the order may differ; row order does not change a kernel)."""
+
+from fractions import Fraction
+from itertools import combinations, product
+
+import pytest
+
+from homlie import solver
+from homlie.battery import builtin_battery, random_lie_battery
+from homlie.constructions import cocycle2
+from homlie.linalg import Matrix, Subspace
+from homlie.solver import (
+    BILINEAR_KINDS,
+    HOM_LIE,
+    _b_space_rows,
+    _delta_rows,
+    _invariance_rows,
+    _plan,
+    _sparse_rows,
+    _symmetry_rows,
+    central_ext_homlie_decomposed,
+    coboundary_space,
+    grading_shifts,
+    seq_uv,
+    solve_bilinear,
+    solve_qder,
+    solve_structures,
+)
+
+F = Fraction
+
+
+# -- the replaced compilers ---------------------------------------------------
+
+
+def ref_cocycle_rows(alg):
+    """f(xy, z) + f(zx, y) + f(yz, x) = 0 over i<j<k."""
+    n = alg.dim
+    return _sparse_rows(
+        (
+            (0, p * n + z, c)
+            for x, y, z in ((i, j, k), (k, i, j), (j, k, i))
+            for p, c in alg.product_on_basis(x, y)
+        )
+        for i, j, k in combinations(range(n), 3)
+    )
+
+
+def ref_bilinear_rows(alg, kind):
+    n = alg.dim
+    if kind == "asym-cocycle":
+        yield from ref_cocycle_rows(alg)
+    elif kind == "skew-cocycle":
+        yield from ref_cocycle_rows(alg)
+        yield from _symmetry_rows(n, -1)
+    elif kind == "sym-cocycle":
+        yield from ref_cocycle_rows(alg)
+        yield from _symmetry_rows(n, 1)
+    elif kind == "b-space":
+        yield from _b_space_rows(alg)
+    else:
+        yield from _invariance_rows(alg)
+        yield from _symmetry_rows(n, 1)
+
+
+def ref_coboundary_space(alg):
+    n = alg.dim
+    gens = [{} for _ in range(n)]
+    for (i, j), terms in alg.table.items():
+        for m, c in terms:
+            gens[m][i * n + j] = c
+    return Subspace.from_spanning(gens, n * n)
+
+
+def ref_qder_rows(alg, module):
+    n = alg.dim
+    n2 = n * n
+
+    def terms(i, j):
+        if module == "adjoint":
+            for k, c in alg.product_on_basis(i, j):
+                for m in range(n):
+                    yield m, m * n + k, c
+            for q in range(n):
+                for k, c in alg.product_on_basis(q, j):
+                    yield k, n2 + q * n + i, -c
+                for k, c in alg.product_on_basis(i, q):
+                    yield k, n2 + q * n + j, -c
+        else:
+            for k, c in alg.product_on_basis(i, j):
+                for m in range(n):
+                    yield m, k * n + m, c
+            for m in range(n):
+                for p, c in alg.product_on_basis(m, j):
+                    yield m, n2 + i * n + p, c
+                for p, c in alg.product_on_basis(m, i):
+                    yield m, n2 + j * n + p, -c
+
+    return _sparse_rows(terms(i, j) for i, j in combinations(range(n), 2))
+
+
+def ref_seq_kernel_rows(alg):
+    n = alg.dim
+    n2 = n * n
+    yield from ref_qder_rows(alg, "coadjoint")
+    for i in range(n):
+        for j in range(n):
+            yield {i * n + j: F(1), n2 + j * n + i: F(1)}
+
+
+def ref_compat_rows(l, xi):
+    n = l.dim
+    f = xi.form.matrix.sparse_rows
+
+    def compat_terms(i, j, k):
+        for x, y, t in ((i, j, k), (k, i, j), (j, k, i)):
+            for p, c in l.product_on_basis(x, y):
+                for q, x in f[p].items():
+                    yield 0, q * n + t, c * x
+
+    return _sparse_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
+
+
+def ref_delta_rows(plan, delta, live):
+    alg = plan.alg
+    n = alg.dim
+    pairs = combinations(range(n), 2) if alg.is_anticommutative() else product(range(n), repeat=2)
+
+    def terms(i, j, col_of):
+        for k, c in alg.product_on_basis(i, j):
+            for m, col in col_of[k].items():
+                yield m, col, c
+        for q, col in col_of[i].items():
+            for k, c in alg.product_on_basis(q, j):
+                yield k, col, -delta * c
+        for q, col in col_of[j].items():
+            for k, c in alg.product_on_basis(i, q):
+                yield k, col, -delta * c
+
+    for i, j in pairs:
+        for s, col_of in live.items():
+            yield from ((s, row) for row in _sparse_rows([terms(i, j, col_of)]))
+
+
+# -- helpers ---------------------------------------------------------------------
+
+
+def row_set(rows):
+    return {frozenset(row.items()) for row in rows}
+
+
+def shift_row_set(rows):
+    return {(s, frozenset(row.items())) for s, row in rows}
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """The (ncols, rows) of every system ``solver`` hands to ``nullspace_of_rows``."""
+    systems = []
+    original = solver.nullspace_of_rows
+
+    def record(ncols, rows):
+        rows = list(rows)
+        systems.append((ncols, rows))
+        return original(ncols, rows)
+
+    monkeypatch.setattr(solver, "nullspace_of_rows", record)
+    return systems
+
+
+def algebras():
+    return builtin_battery() + random_lie_battery()
+
+
+def lie_algebras():
+    return [(name, a) for name, a in algebras() if a.flavor == "lie"]
+
+
+def live_blocks(alg):
+    """Every nonempty shift block as ``_solve_shift_blocks`` opens it."""
+    plan = _plan(alg)
+    live = {}
+    for shift in grading_shifts(alg):
+        cols = plan.block(shift)
+        if cols:
+            col_of = [{} for _ in range(alg.dim)]
+            for (q, c), k in cols.items():
+                col_of[c][q] = k
+            live[shift] = col_of
+    return plan, live
+
+
+# -- the tests ---------------------------------------------------------------------
+
+
+def test_bilinear_kinds_compile_the_replaced_rows(captured):
+    for name, alg in lie_algebras():
+        for kind in BILINEAR_KINDS:
+            captured.clear()
+            space = solve_bilinear(alg, kind)
+            if kind == "coboundary":
+                assert captured == [] and space == ref_coboundary_space(alg), name
+                continue
+            [(ncols, rows)] = captured
+            assert ncols == alg.dim ** 2
+            assert row_set(rows) == row_set(ref_bilinear_rows(alg, kind)), (name, kind)
+        assert coboundary_space(alg) == ref_coboundary_space(alg), name
+
+
+@pytest.mark.parametrize("module", ["adjoint", "coadjoint"])
+def test_qder_modules_compile_the_replaced_rows(captured, module):
+    for name, alg in lie_algebras():
+        captured.clear()
+        solve_qder(alg, module)
+        [(ncols, rows)] = captured
+        assert ncols == 2 * alg.dim ** 2
+        assert row_set(rows) == row_set(ref_qder_rows(alg, module)), name
+
+
+def test_seq_uv_kernel_compiles_the_replaced_rows(captured):
+    for name, alg in lie_algebras():
+        solve_bilinear(alg, "asym-cocycle")  # kept on the algebra, so seq_uv's only system is its kernel
+        captured.clear()
+        seq_uv(alg)
+        [(ncols, rows)] = captured
+        assert ncols == 2 * alg.dim ** 2
+        assert row_set(rows) == row_set(ref_seq_kernel_rows(alg)), name
+
+
+def test_central_extension_compatibility_compiles_the_replaced_rows(captured):
+    checked = 0
+    for name, l in lie_algebras():
+        n = l.dim
+        skew = solve_bilinear(l, "skew-cocycle")
+        if not skew.dim or n > 5:
+            continue
+        forms = [r for _, r in skew.rows[:2]]
+        forms.append({c: sum(r.get(c, 0) for r in forms) for c in range(n * n)})
+        solve_structures(l, HOM_LIE)  # kept, so the systems below are the decomposed route's own
+        for form in forms:
+            xi = cocycle2(l, Matrix.unflatten(form, n, n))
+            captured.clear()
+            central_ext_homlie_decomposed(l, xi)
+            compat = [rows for ncols, rows in captured if ncols == n * n]
+            assert len(compat) == 1
+            assert row_set(compat[0]) == row_set(ref_compat_rows(l, xi)), name
+            checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("delta", [F(-1), F(1, 2), F(1), F(2)], ids=str)
+def test_delta_kinds_compile_the_replaced_rows(delta):
+    for name, alg in algebras():
+        plan, live = live_blocks(alg)
+        new = shift_row_set(_delta_rows(plan, delta, live))
+        assert new == shift_row_set(ref_delta_rows(plan, delta, live)), name
