@@ -55,18 +55,13 @@ def act(alg: AlgebraSpec, h: Sequence[Fraction], phi: Matrix) -> Matrix:
 
 def is_submodule(alg: AlgebraSpec, s: Subspace) -> bool | SubmoduleWitness:
     """True iff e_i . phi stays in s for every generator and basis map."""
-    n = alg.dim
-    if s.ambient != n * n:
+    if s.ambient != alg.dim ** 2:
         raise ValueError("subspace must live in the endomorphism space")
-    if not s.rows:
-        return True
-    _require_lie(alg, "act")
-    maps = [Matrix.unflatten(r, n, n) for _, r in s.rows]
-    for i in range(n):
-        right = alg.right_mul_matrix({i: 1})  # h . phi = R phi - phi R for h = e_i
-        for j, phi in enumerate(maps):
-            if not s.contains((right @ phi - phi @ right).sparse_flatten()):
-                return SubmoduleWitness(i, j)
+    for i in range(alg.dim):
+        try:
+            action_matrix(alg, alg.basis_vector(i), s)
+        except NotSubmodule as e:
+            return SubmoduleWitness(i, e.basis_index)
     return True
 
 
@@ -83,7 +78,7 @@ def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace) -> Matri
         if coords is None:
             raise NotSubmodule(-1, len(cols))
         cols.append(coords)
-    return Matrix(cols, s.dim).transpose()
+    return Matrix.from_sparse(s.dim, s.dim, {(r, k): c for k, col in enumerate(cols) for r, c in enumerate(col) if c})
 
 
 def rational_eigenvalues(m: Matrix) -> list[Fraction]:

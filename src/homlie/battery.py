@@ -185,9 +185,9 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
     return None
 
 
-def check_filippov_inclusion(alg: AlgebraSpec, deltas: Sequence[Fraction] = FILIPPOV_DELTAS) -> str | None:
+def check_filippov_inclusion(alg: AlgebraSpec) -> str | None:
     hom = solve_structures(alg, HOM_LIE)
-    for d in deltas:
+    for d in FILIPPOV_DELTAS:
         dd = solve_structures(alg, delta_derivation(d))
         if not dd.space.is_subspace_of(hom.space):
             return f"delta={d} derivations not contained in the structure space"
@@ -195,16 +195,13 @@ def check_filippov_inclusion(alg: AlgebraSpec, deltas: Sequence[Fraction] = FILI
 
 
 def check_f_t_membership(alg: AlgebraSpec, rng: random.Random) -> str | None:
+    """f_t on random structures and elements t; f_t itself asserts that
+    each form it builds is an asymmetric cocycle."""
     form = killing_form(alg)
-    sol = solve_structures(alg, HOM_LIE)
-    cocycles = solve_bilinear(alg, "asym-cocycle")
-    maps = sol.basis_maps() or [Matrix.identity(alg.dim)]
+    maps = solve_structures(alg, HOM_LIE).basis_maps() or [Matrix.identity(alg.dim)]
     for _ in range(3):
         phi = rng.choice(maps)
-        t = tuple(Fraction(rng.randint(-2, 2)) for _ in range(alg.dim))
-        built = f_t(alg, form, phi, t)
-        if not cocycles.contains(built.matrix.sparse_flatten()):
-            return "f_t output violates the cocycle equation"  # pragma: no cover
+        f_t(alg, form, phi, tuple(Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)))
     return None
 
 

@@ -94,7 +94,7 @@ def _cmd_solve(args) -> int:
     alg = _resolve_algebra(args.algebra)
     kind = _parse_kind(args.kind)
     sol = solve_structures(alg, kind)
-    doc = solution_to_json(str(kind), algebra_to_json(alg), sol.space, alg.dim)
+    doc = solution_to_json(str(kind), algebra_to_json(alg), sol.space)
     _emit(doc, args.json, f"{args.kind} on {args.algebra}: solution space of dim {sol.dim}")
     return 0
 
@@ -104,7 +104,7 @@ def _cmd_bilinear(args) -> int:
     if args.kind not in BILINEAR_KINDS:
         raise UsageError(f"unknown bilinear kind {args.kind!r}; choose from {', '.join(BILINEAR_KINDS)}")
     space = solve_bilinear(alg, args.kind)
-    doc = solution_to_json(args.kind, algebra_to_json(alg), space, alg.dim)
+    doc = solution_to_json(args.kind, algebra_to_json(alg), space)
     _emit(doc, args.json, f"{args.kind} forms on {args.algebra}: dim {space.dim}")
     return 0
 
@@ -112,15 +112,16 @@ def _cmd_bilinear(args) -> int:
 def _cmd_qder(args) -> int:
     alg = _resolve_lie(args.algebra, "qder")
     sol = solve_qder(alg, args.module)
+    d_dim = sol.d_component().dim
     doc = {
         "algebra": algebra_to_json(alg),
         "module": args.module,
         "pairs_dim": sol.dim,
-        "d_component_dim": sol.d_component().dim,
+        "d_component_dim": d_dim,
         "pairs_basis": subspace_to_json(sol.space)["basis"],
     }
     _emit(doc, args.json, f"quasiderivation pairs on {args.algebra} ({args.module}): dim {sol.dim}, "
-                          f"D-component dim {sol.d_component().dim}")
+                          f"D-component dim {d_dim}")
     return 0
 
 
@@ -210,8 +211,10 @@ def _cmd_jordan(args) -> int:
 
 def _load_twist(path: str, dim: int):
     doc = _read_json(path, "--twist")
+    n = doc.get("n") if isinstance(doc, dict) else None
+    if type(n) is not int or n < 1:  # bool is a subclass of int
+        raise UsageError(f"--twist: field 'n' of {path} must be an integer >= 1, got {n!r}")
     try:
-        n = int(doc["n"])
         comps = []
         for vectors in doc["components"]:
             comps.append(
@@ -221,7 +224,7 @@ def _load_twist(path: str, dim: int):
             )
         return comps, n
     except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"cannot read twist file {path}: {e}")
+        raise UsageError(f"--twist: cannot read twist file {path}: {e}")
 
 
 def _window_dim(dim: int, n_window: int, twist: tuple[list[Subspace], int] | None) -> int:

@@ -42,9 +42,6 @@ class Cocycle2:
     algebra: AlgebraSpec
     form: BilinearForm
 
-    def __call__(self, u, v) -> Fraction:
-        return self.form(u, v)
-
 
 def cocycle2(alg: AlgebraSpec, matrix: Matrix) -> Cocycle2:
     """Wrap and verify a skew 2-cocycle given by its Gram matrix."""
@@ -171,7 +168,7 @@ def semidirect_derivation(l: AlgebraSpec, a: AlgebraSpec, d: Matrix) -> AlgebraS
     return ext
 
 
-def adjoin_map(l: AlgebraSpec, d: Matrix, name: str = "D") -> AlgebraSpec:
+def adjoin_map(l: AlgebraSpec, d: Matrix) -> AlgebraSpec:
     """Anticommutative extension l + K.D with [D, x] = d(x).
 
     Lie when the Jacobi identity survives (d a derivation), otherwise
@@ -189,7 +186,7 @@ def adjoin_map(l: AlgebraSpec, d: Matrix, name: str = "D") -> AlgebraSpec:
         if entry:
             table[(n, i)] = entry
             table[(i, n)] = [(k, -c) for k, c in entry]
-    names = l.basis_names + (name,)
+    names = l.basis_names + ("D",)
     try:
         return make_algebra(n + 1, table, basis_names=names, flavor="lie")
     except LawViolation:
@@ -201,8 +198,10 @@ def adjoin_map(l: AlgebraSpec, d: Matrix, name: str = "D") -> AlgebraSpec:
 # ---------------------------------------------------------------------------
 
 
-def check_cyclic_grading(g: AlgebraSpec, grading: Sequence[Subspace]) -> None:
-    """Components must direct-sum to g with [g_i, g_j] inside g_{i+j mod n}."""
+def check_cyclic_grading(g: AlgebraSpec, grading: Sequence[Subspace]) -> dict[tuple[int, int, int, int], tuple]:
+    """Components must direct-sum to g with [g_i, g_j] inside g_{i+j mod n}.  Returns the
+    constants found: at (i, a, j, b) the coordinates (s, c) of (row a of g_i)(row b of g_j)
+    in the echelon basis of g_{i+j mod n}, integral c as ints."""
     n = len(grading)
     if n < 1:
         raise ValueError("grading needs at least one component")
@@ -216,14 +215,18 @@ def check_cyclic_grading(g: AlgebraSpec, grading: Sequence[Subspace]) -> None:
     stacked = Subspace.from_spanning((r for s in grading for _, r in s.rows), g.dim)
     if stacked.dim != g.dim:
         raise LawViolation("grading-direct-sum", (stacked.dim, g.dim), ())
+    constants = {}
     for i, si in enumerate(grading):
         for j, sj in enumerate(grading):
             target = grading[(i + j) % n]
-            for _, u in si.rows:
-                for _, v in sj.rows:
+            for a, (_, u) in enumerate(si.rows):
+                for b, (_, v) in enumerate(sj.rows):
                     w = sparse_product(g.table, u, v)
-                    if not target.contains(w):
+                    coords = target.coords(w)
+                    if coords is None:
                         raise LawViolation("grading-compatibility", (i, j), dense_vector(w, g.dim))
+                    constants[(i, a, j, b)] = tuple((s, int_if_integral(c)) for s, c in enumerate(coords) if c)
+    return constants
 
 
 def twisted_cyclic(g: AlgebraSpec, grading: Sequence[Subspace], m: int) -> AlgebraSpec:
@@ -232,7 +235,7 @@ def twisted_cyclic(g: AlgebraSpec, grading: Sequence[Subspace], m: int) -> Algeb
     n = len(grading)
     if m % n:
         raise ValueError("m must be a multiple of the grading order")
-    check_cyclic_grading(g, grading)
+    constants = check_cyclic_grading(g, grading)
     # basis: for each degree i, the echelon basis of g_{i mod n}, labelled
     # (degree, index inside the component)
     labels = [(deg, s) for deg in range(m) for s in range(grading[deg % n].dim)]
@@ -240,14 +243,8 @@ def twisted_cyclic(g: AlgebraSpec, grading: Sequence[Subspace], m: int) -> Algeb
     table: dict = {}
     for p1, (d1, s1) in enumerate(labels):
         for p2, (d2, s2) in enumerate(labels):
-            w = sparse_product(g.table, grading[d1 % n].rows[s1][1], grading[d2 % n].rows[s2][1])
-            if not w:
-                continue
             deg = (d1 + d2) % m
-            coords = grading[deg % n].coords(w)
-            if coords is None:
-                raise LawViolation("grading-compatibility", (d1, d2), w)  # pragma: no cover
-            entry = [(index[(deg, s)], c) for s, c in enumerate(coords) if c]
+            entry = [(index[(deg, s)], c) for s, c in constants[(d1 % n, s1, d2 % n, s2)]]
             if entry:
                 table[(p1, p2)] = entry
     names = tuple(f"g{d % n}[{s}](x)t^{d}" for d, s in labels)
@@ -297,9 +294,9 @@ def km_window(
         grading, n_twist = twist
         if len(grading) != n_twist:
             raise ValueError("twist grading must have one component per residue")
-        check_cyclic_grading(g, grading)
     else:
         grading, n_twist = [Subspace.full(g.dim)], 1
+    constants = check_cyclic_grading(g, grading)
     if not (grading[n_window % n_twist].dim or grading[-n_window % n_twist].dim):
         raise ValueError("degrees -N and N of the window are empty, so N cannot be read back from it")
 
@@ -325,13 +322,8 @@ def km_window(
             if abs(i + j) > n_window:
                 table[(p1, p2)] = table[(p2, p1)] = None
                 continue
-            w = sparse_product(g.table, vectors[p1], vectors[p2])
-            entry: list[tuple[int, Fraction]] = []
-            if w:
-                coords = grading[(i + j) % n_twist].coords(w)
-                if coords is None:
-                    raise LawViolation("grading-compatibility", (p1, p2), w)  # pragma: no cover
-                entry.extend((starts[i + j] + s, int_if_integral(c)) for s, c in enumerate(coords) if c)
+            bracket = constants[(i % n_twist, p1 - starts[i], j % n_twist, p2 - starts[j])]
+            entry = [(starts[i + j] + s, c) for s, c in bracket]
             if i + j == 0:
                 central = i * invariant_form(vectors[p1], vectors[p2])
                 if central:

@@ -2,10 +2,10 @@
 
 The symmetrized composition (phi o psi + psi o phi)/2 turns End(L) into a
 Jordan algebra; solved structure spaces may or may not be closed under it.
-closure_check decides this exactly, jordan_structure_constants extracts the
-induced commutative algebra when closed, and counterexample_suite rebuilds
-the non-closure example on the two-dimensional nonabelian algebra tensored
-with a truncated polynomial ring.
+closure_check decides this exactly and keeps each product's coordinates, from
+which jordan_structure_constants builds the induced commutative algebra;
+counterexample_suite rebuilds the non-closure example on the two-dimensional
+nonabelian algebra tensored with a truncated polynomial ring.
 """
 
 from __future__ import annotations
@@ -40,51 +40,46 @@ class ClosureWitness:
 class ClosureVerdict:
     closed: bool
     witness: ClosureWitness | None = None
+    constants: dict[tuple[int, int], Vector] | None = None  # when closed, at i <= j: coordinates of map i o map j
 
 
-def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int], Vector] | None:
+def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int], Vector]:
     """The first triple i < j < k with a nonzero Hom-Jacobi residual; on a
     table with undefined products (a window), of an imposed equation, the
-    shifts taken in ascending order."""
+    shifts in ascending order.  phi lies outside a solved space, so one exists."""
     for shift in grading_shifts(alg) if None in alg.table.values() else [None]:
         for triple in combinations(range(alg.dim), 3):
             r = structure_residual(alg, phi, HOM_LIE, triple, shift)
             if r is not None and any(r):
                 return triple, r
-    return None
+    raise AssertionError("non-member with zero residual")  # pragma: no cover
 
 
 def closure_check(sol: HomSolution) -> ClosureVerdict:
     """Is the solved space closed under the Jordan product of basis maps?"""
     maps = sol.basis_maps()
+    constants = {}
     for i, phi in enumerate(maps):
         for j in range(i, len(maps)):
             prod = jordan_product(phi, maps[j])
-            if not sol.space.contains(prod.sparse_flatten()):
-                violation = _first_violation(sol.algebra, prod)
-                if violation is None:
-                    # outside the span yet satisfying the identity cannot
-                    # happen: the space is the exact solution set
-                    raise AssertionError("non-member with zero residual")  # pragma: no cover
-                triple, residual = violation
-                return ClosureVerdict(False, ClosureWitness(i, j, prod, triple, residual))
-    return ClosureVerdict(True)
+            coords = sol.space.coords(prod.sparse_flatten())
+            if coords is None:
+                return ClosureVerdict(False, ClosureWitness(i, j, prod, *_first_violation(sol.algebra, prod)))
+            constants[(i, j)] = coords
+    return ClosureVerdict(True, constants=constants)
 
 
 def jordan_structure_constants(sol: HomSolution, verdict: ClosureVerdict) -> AlgebraSpec:
-    """Commutative algebra structure induced on a closed solution space."""
-    if not verdict.closed:
-        raise ValueError("structure constants exist only for closed spaces")
-    maps = sol.basis_maps()
+    """Commutative algebra induced on a closed solution space, from ``closure_check``'s coordinates."""
+    if not verdict.closed or verdict.constants is None:
+        raise ValueError("structure constants exist only for closed spaces checked by closure_check")
     table: dict = {}
-    for i, phi in enumerate(maps):
-        for j, psi in enumerate(maps):
-            coords = sol.space.coords(jordan_product(phi, psi).sparse_flatten())
-            assert coords is not None
-            entry = [(k, c) for k, c in enumerate(coords) if c]
+    for i in range(sol.dim):
+        for j in range(sol.dim):
+            entry = [(k, c) for k, c in enumerate(verdict.constants[min(i, j), max(i, j)]) if c]
             if entry:
                 table[(i, j)] = entry
-    return make_algebra(len(maps), table, flavor="generic-commutative")
+    return make_algebra(sol.dim, table, flavor="generic-commutative")
 
 
 def jordan_identity_defect(alg: AlgebraSpec) -> tuple[tuple[int, int], Vector] | None:
@@ -130,22 +125,22 @@ class CounterexampleReport:
         }
 
 
-def counterexample_suite(max_order: int = 8) -> CounterexampleReport:
+def counterexample_suite() -> CounterexampleReport:
     """Find a Jordan product of two solved structures that leaves the space.
 
     On L = <x, y | [x,y] = x>, take phi: x -> y, y -> 0 (a structure, since
     every endomorphism of L is one) and psi: x -> x, y -> 0 (image inside
     the line killed by the derived subalgebra).  Tensoring with K[t]/(t^m),
-    phi (x) id and psi (x) alpha are structures on the tensor algebra for
-    any alpha; a monomial alpha separating degrees makes their Jordan
-    product fail, because phi o psi = phi does not have image in that line.
+    3 <= m <= 8, phi (x) id and psi (x) alpha are structures on the tensor
+    algebra for any alpha; a monomial alpha separating degrees makes their
+    Jordan product fail, because phi o psi = phi has image outside that line.
     """
     l = builtin("nonabelian2")
     phi_l = Matrix.from_rows([[0, 0], [1, 0]])  # x -> y
     psi_l = Matrix.from_rows([[1, 0], [0, 0]])  # x -> x
     comp = phi_l @ psi_l
     composition_is_phi = comp == phi_l
-    for m in range(3, max_order + 1):
+    for m in range(3, 9):
         a = builtin("trunc_poly", m)
         tensor = tensor_lie(a, l)
         sol = solve_structures(tensor, HOM_LIE)
@@ -157,10 +152,7 @@ def counterexample_suite(max_order: int = 8) -> CounterexampleReport:
                 prod = jordan_product(phi_big, psi_big)
                 if sol.space.contains(prod.sparse_flatten()):
                     continue
-                violation = _first_violation(tensor, prod)
-                if violation is None:
-                    continue  # pragma: no cover
-                triple, residual = violation
+                triple, residual = _first_violation(tensor, prod)
                 return CounterexampleReport(
                     truncation_order=m,
                     alpha_monomial=(src, dst),
@@ -171,4 +163,4 @@ def counterexample_suite(max_order: int = 8) -> CounterexampleReport:
                     residual=residual,
                     composition_is_phi=composition_is_phi,
                 )
-    raise RuntimeError(f"no non-closure witness found up to truncation order {max_order}")
+    raise RuntimeError("no non-closure witness found up to truncation order 8")

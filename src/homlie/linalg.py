@@ -94,8 +94,11 @@ class Matrix:
     cols: int
 
     def __init__(self, data: Iterable[Iterable], cols: int):
-        """The matrix with dense rows ``data``; entries are coerced by ``as_scalar``."""
-        self._store((enumerate(map(as_scalar, r)) for r in data), cols)
+        """The matrix with dense rows ``data`` of length ``cols``; entries are coerced by ``as_scalar``."""
+        rows = [tuple(map(as_scalar, r)) for r in data]
+        if any(len(r) != cols for r in rows):
+            raise ValueError(f"ragged rows: a row's length is not {cols}")
+        self._store(map(enumerate, rows), cols)
 
     def _store(self, rows: Iterable[Iterable[tuple[int, int | Fraction]]], cols: int) -> None:
         """Set the fields from (column, entry) pairs per row, zeros dropped."""
@@ -115,14 +118,11 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None) -> "Matrix":
-        data = [[as_scalar(x) for x in row] for row in rows]
+        data = [tuple(row) for row in rows]
         if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
+            if cols is not None and cols != len(data[0]):
                 raise ValueError("explicit cols disagrees with row width")
-            cols = width
+            cols = len(data[0])
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         return cls(data, cols)

@@ -121,13 +121,11 @@ def subspace_to_json(s: Subspace) -> dict:
     }
 
 
-def solution_to_json(kind: str, algebra_doc: dict, space: Subspace, maps_shape: int | None = None) -> dict:
-    doc = {
+def solution_to_json(kind: str, algebra_doc: dict, space: Subspace) -> dict:
+    return {
         "kind": kind,
         "algebra": algebra_doc,
         "dim": space.dim,
         "basis_maps": [[format_scalar(x) for x in row] for row in space.basis.data],
+        "map_rows": algebra_doc["dim"],
     }
-    if maps_shape is not None:
-        doc["map_rows"] = maps_shape
-    return doc

@@ -803,13 +803,11 @@ class SpanAssembly:
 
     space: Subspace
     summands: tuple[tuple[str, int], ...]
-    running_intersections: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
             "dim": self.space.dim,
             "summands": [{"name": n, "dim": d} for n, d in self.summands],
-            "running_intersection_dims": list(self.running_intersections),
         }
 
 
@@ -827,21 +825,9 @@ def end_basis(n: int) -> list[Matrix]:
 
 
 def _assemble(blocks: Sequence[tuple[str, list[SparseVector]]], ambient: int) -> SpanAssembly:
-    summands = []
-    inter_dims = []
-    running: Subspace | None = None
-    for name, gens in blocks:
-        block_space = Subspace.from_spanning(gens, ambient)
-        summands.append((name, block_space.dim))
-        if running is None:
-            running = block_space
-            inter_dims.append(0)
-        else:
-            s, it = running.combine(block_space)
-            inter_dims.append(it.dim)
-            running = s
-    assert running is not None
-    return SpanAssembly(running, tuple(summands), tuple(inter_dims))
+    spaces = [(name, Subspace.from_spanning(gens, ambient)) for name, gens in blocks]
+    total = Subspace.from_spanning((r for _, s in spaces for _, r in s.rows), ambient)
+    return SpanAssembly(total, tuple((name, s.dim) for name, s in spaces))
 
 
 def current_formula_span(l: AlgebraSpec, a: AlgebraSpec) -> SpanAssembly:

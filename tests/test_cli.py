@@ -257,8 +257,16 @@ def test_oversized_window_is_rejected_before_it_is_built(capsys, monkeypatch, n_
         {"n": 2, "components": [[[1, 0, 0]], [[0, 1, 0], [0, 0, 1]]]},  # not compatible with the bracket
         {"n": 3, "components": [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]},  # n disagrees with the components
         {"n": 2, "components": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], []]},  # degrees -3 and 3 empty
+        {"n": 2.9, "components": [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]},  # the order is not an integer
+        {"n": "2", "components": [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]},
+        {"n": True, "components": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]]]},
+        {"n": 0, "components": []},
+        {"n": -2, "components": [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]},
+        {"components": [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]},
+        [2, [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]],
     ],
-    ids=["direct-sum", "compatibility", "order", "empty-ends"],
+    ids=["direct-sum", "compatibility", "order", "empty-ends", "float-order", "string-order", "bool-order",
+         "zero-order", "negative-order", "missing-order", "not-an-object"],
 )
 def test_invalid_twist_is_a_usage_error(capsys, tmp_path, twist):
     tw_file = tmp_path / "twist.json"
@@ -472,6 +480,51 @@ def test_validate_and_solve_exit_0_1_or_2_on_any_document(capsys, tmp_path, text
     path = tmp_path / "doc.json"
     path.write_text(text)
     for argv in (["validate", "--algebra", str(path)], ["solve", "--algebra", str(path), "--kind", kind]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        event(f"{argv[0]} exit {code}")
+
+
+# Inputs for the commands that read a twist file, basis indices or an
+# algebra of dim <= 4: the valid sl2 twists of orders 1, 2 and 3, generated
+# twist documents, index lists and algebra documents.
+_SL2_TWISTS = [
+    {"n": 1, "components": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+    {"n": 2, "components": [[[0, 1, 0]], [[1, 0, 0], [0, 0, 1]]]},
+    {"n": 3, "components": [[[0, 1, 0]], [[1, 0, 0]], [[0, 0, 1]]]},
+]
+_VECTOR = st.lists(_sometimes(st.integers(-1, 1) | st.just("1/2")), min_size=3, max_size=3)
+_TWIST_DOC = st.one_of(
+    st.sampled_from(_SL2_TWISTS),
+    st.fixed_dictionaries({
+        "n": _sometimes(st.integers(0, 4)),
+        "components": _sometimes(st.lists(st.lists(_sometimes(_VECTOR), max_size=3), max_size=4)),
+    }),
+    _ANY_JSON,
+)
+_INDICES = st.lists(st.integers(-1, 4), max_size=4).map(lambda xs: ",".join(map(str, xs))) | st.text(max_size=6)
+_SMALL_ALGEBRA = st.one_of(
+    st.sampled_from(["sl2", "gl2", "heisenberg", "nonabelian2", "abelian2"]).map(
+        lambda name: serialize.algebra_to_json(homlie.parse_builtin(name))),
+    st.integers(0, 4).flatmap(_algebra_doc),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(twist=_TWIST_DOC, shift=st.sampled_from([None, 0, 1, 5]), algebra=st.sampled_from(["sl2", "gl2", "heisenberg"]),
+       torus=_INDICES, triple=_INDICES, doc=_SMALL_ALGEBRA)
+def test_window_decompose_bilinear_qder_exit_0_1_or_2_on_any_input(capsys, tmp_path, twist, shift, algebra, torus,
+                                                                    triple, doc):
+    twist_path, alg_path = tmp_path / "twist.json", tmp_path / "alg.json"
+    twist_path.write_text(json.dumps(twist))
+    alg_path.write_text(json.dumps(doc))
+    shift_args = [] if shift is None else ["--shift", str(shift)]
+    for argv in (["window", "--algebra", "sl2", "--window", "2", "--twist", str(twist_path), *shift_args],
+                 ["decompose", "--algebra", algebra, "--torus", torus],
+                 ["decompose", "--algebra", algebra, "--triple", triple],
+                 ["bilinear", "--algebra", str(alg_path)],
+                 ["qder", "--algebra", str(alg_path)]):
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err

@@ -397,6 +397,9 @@ def test_matrix_value_contract():
             plain.entry(i, j)
     with pytest.raises(ValueError, match="ragged"):
         Matrix.from_rows([[1, 2], [3]])
+    for data in ([[1, 2, 3]], [[1, 2], [3]]):  # a row wider or narrower than cols
+        with pytest.raises(ValueError, match="ragged"):
+            Matrix(data, 2)
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2]], cols=3)
     with pytest.raises(ValueError):

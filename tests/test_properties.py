@@ -48,7 +48,7 @@ def test_action_intertwines_the_jacobiator(name, alg):
 
 @pytest.mark.parametrize("name,alg", SMALL_LIE + RANDOM_LIE, ids=lambda v: v if isinstance(v, str) else "")
 def test_filippov_inclusion(name, alg):
-    assert check_filippov_inclusion(alg, FILIPPOV_DELTAS) is None
+    assert check_filippov_inclusion(alg) is None
 
 
 @pytest.mark.parametrize("name,alg", SMALL_LIE + RANDOM_LIE[:4], ids=lambda v: v if isinstance(v, str) else "")
