@@ -57,23 +57,28 @@ def is_submodule(alg: AlgebraSpec, s: Subspace) -> bool | SubmoduleWitness:
     """True iff e_i . phi stays in s for every generator and basis map."""
     if s.ambient != alg.dim ** 2:
         raise ValueError("subspace must live in the endomorphism space")
+    maps = _basis_maps(alg, s)
     for i in range(alg.dim):
         try:
-            action_matrix(alg, alg.basis_vector(i), s)
+            action_matrix(alg, alg.basis_vector(i), s, maps)
         except NotSubmodule as e:
             return SubmoduleWitness(i, e.basis_index)
     return True
 
 
-def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace) -> Matrix:
-    """Matrix of phi -> h . phi on s, in the echelon-basis coordinates."""
-    n = alg.dim
+def _basis_maps(alg: AlgebraSpec, s: Subspace) -> list[Matrix]:
+    """The echelon basis of s as maps of the algebra."""
+    return [Matrix.unflatten(r, alg.dim, alg.dim) for _, r in s.rows]
+
+
+def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace, maps: Sequence[Matrix] | None = None) -> Matrix:
+    """Matrix of phi -> h . phi on s, in the echelon-basis coordinates;
+    ``maps``, when given, is s's echelon basis as maps (``_basis_maps``)."""
     if s.rows:
         _require_lie(alg, "act")
         right = alg.right_mul_matrix(tuple(as_scalar(a) for a in h))
     cols = []
-    for _, r in s.rows:
-        phi = Matrix.unflatten(r, n, n)
+    for phi in _basis_maps(alg, s) if maps is None else maps:
         coords = s.coords((right @ phi - phi @ right).sparse_flatten())
         if coords is None:
             raise NotSubmodule(-1, len(cols))

@@ -5,6 +5,10 @@ An :class:`AlgebraSpec` is a bilinear product on Q^dim recorded as a table
 declared flavor.  Construction validates the laws the flavor promises
 (anticommutativity and Jacobi for ``lie``, commutativity and associativity
 for ``commutative-associative``, ...), so downstream code can rely on them.
+A build whose laws follow from a theorem about its validated inputs (a span
+of matrices closed under the commutator, a central extension by a verified
+cocycle, ...) is certified by that proof instead of a scan of every basis
+triple.
 
 In a degree window (``constructions.km_window``) the table maps undefined
 products to None; ``product_on_basis`` and ``sparse_product`` raise a
@@ -86,8 +90,8 @@ def sparse_product(table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]
 
 @dataclass(frozen=True, eq=False)
 class AlgebraSpec:
-    """A structure-constant algebra, validated by ``make_algebra`` (a degree
-    window is certified by ``km_window`` instead)."""
+    """A structure-constant algebra, validated by ``make_algebra`` or
+    certified Lie by a theorem (``_lie_by_theorem``, ``km_window``)."""
 
     dim: int
     basis_names: tuple[str, ...]
@@ -254,17 +258,44 @@ def make_algebra(
     return alg
 
 
+def _lie_by_theorem(dim: int, table: Mapping[tuple[int, int], Iterable], names: Sequence[str]) -> AlgebraSpec:
+    """A ``lie`` algebra whose laws a theorem guarantees: the table is
+    cleaned as ``make_algebra`` cleans it, and the law scan is skipped.
+
+    Each caller proves in its docstring that its table is anticommutative
+    and satisfies Jacobi, from inputs it has validated.  These callers and
+    ``km_window`` are the only builds that skip the scan (a tier-1 test
+    keeps that set closed); user tables, hand tables and tensor products
+    with a generic factor go through ``make_algebra``.
+    """
+    return AlgebraSpec(dim=dim, basis_names=tuple(names), table=_clean_table(dim, table), flavor="lie")
+
+
 # ---------------------------------------------------------------------------
 # builtin families
 # ---------------------------------------------------------------------------
 
 
 def _from_matrices(mats: Sequence[Matrix], names: Sequence[str]) -> AlgebraSpec:
-    """Structure constants of a span of matrices closed under commutator."""
+    """Structure constants of an independent list of matrices whose span is
+    closed under the commutator, certified Lie by theorem.
+
+    Proof.  The list is checked independent (its rank is its length), so
+    the coordinate map c from the span onto Q^n is a linear isomorphism.
+    Every bracket [m_i, m_j] is checked to lie in the span, so the span is
+    a subalgebra of gl_N and the table, the coordinates of the brackets, is
+    its commutator carried over by c.  The commutator of matrices is
+    anticommutative and satisfies Jacobi, and a linear isomorphism keeps
+    both, so the table is Lie and the triple scan of ``make_algebra`` would
+    find nothing.  For the same reason [m_j, m_i] = -[m_i, m_j] exactly,
+    so only the brackets with i < j are computed.
+    """
     n = len(mats)
     size = mats[0].rows
     flat = [m.sparse_flatten() for m in mats]
     solver = SpanSolver(flat, size * size)
+    if solver.rank < n:
+        raise ValueError(f"the {n} matrices are linearly dependent: their span has dim {solver.rank}")
     # E_rk E_kc = E_rc: the matrix product of flattened matrices is the
     # sparse product over the table of the matrix units
     units = {
@@ -273,9 +304,9 @@ def _from_matrices(mats: Sequence[Matrix], names: Sequence[str]) -> AlgebraSpec:
         for k in range(size)
         for c in range(size)
     }
-    table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    upper: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             bracket = sparse_lincomb(
                 (1, sparse_product(units, flat[i], flat[j])), (-1, sparse_product(units, flat[j], flat[i]))
             )
@@ -284,8 +315,13 @@ def _from_matrices(mats: Sequence[Matrix], names: Sequence[str]) -> AlgebraSpec:
                 raise ValueError(f"matrix span is not closed at pair ({i},{j})")
             entry = [(k, c) for k, c in enumerate(coords) if c]
             if entry:
-                table[(i, j)] = entry
-    return make_algebra(n, table, basis_names=names, flavor="lie")
+                upper[(i, j)] = entry
+    # both orders of every pair, listed in lexicographic order
+    table = {
+        (i, j): upper[(i, j)] if i < j else [(k, -c) for k, c in upper[(j, i)]]
+        for i, j in sorted(chain(upper, ((j, i) for i, j in upper)))
+    }
+    return _lie_by_theorem(n, table, names)
 
 
 def _unit_matrix(size: int, i: int, j: int) -> Matrix:

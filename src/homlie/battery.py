@@ -140,7 +140,7 @@ def _jacobiator(t: Table, phi: Matrix) -> dict[tuple[int, int, int], SparseVecto
     """J_phi(e_i, e_j, e_k) = (e_i e_j)phi(e_k) + (e_k e_i)phi(e_j) + (e_j e_k)phi(e_i)
     on every ordered basis triple."""
     n = phi.rows
-    cols = phi.transpose().sparse_rows  # phi(e_c)
+    cols = phi.sparse_cols  # phi(e_c)
     # terms[(x, y)][z] = (e_x e_y)phi(e_z)
     terms = {(x, y): [sparse_product(t, dict(w), cols[z]) for z in range(n)] for (x, y), w in t.items()}
     zero = [{}] * n
@@ -169,7 +169,7 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
         j_hphi = _jacobiator(table, hphi)
         j_phi = _jacobiator(table, phi)
         sh = {q: int_if_integral(x) for q, x in enumerate(h) if x}
-        rcols = [list(col.items()) for col in alg.right_mul_matrix(h).transpose().sparse_rows]  # [e_s, h]
+        rcols = [list(col.items()) for col in alg.right_mul_matrix(h).sparse_cols]  # [e_s, h]
         for i in range(n):
             for j in range(n):
                 for k in range(n):

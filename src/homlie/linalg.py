@@ -148,6 +148,11 @@ class Matrix:
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(r[j]) if j in r else _ZERO for j in range(self.cols)) for r in self.sparse_rows)
 
+    @cached_property
+    def sparse_cols(self) -> tuple[Mapping[int, int | Fraction], ...]:
+        """The sparse rows of the transpose: column j as row -> entry, built on first use."""
+        return self.transpose().sparse_rows
+
     @property
     def rows(self) -> int:
         return len(self.sparse_rows)
@@ -503,7 +508,8 @@ def subspace_combine(s1: Subspace, s2: Subspace) -> tuple[Subspace, Subspace]:
 
 
 class SpanSolver:
-    """Expresses vectors in terms of a fixed (independent) spanning list."""
+    """Expresses vectors in terms of a fixed spanning list; the coefficients
+    are unique when the list is independent (``rank`` equals its length)."""
 
     def __init__(self, vectors: Sequence[Sequence[Fraction] | Mapping[int, Fraction]], ambient: int):
         """The spanning list is given as dense vectors or sparse ones (index -> scalar)."""
@@ -513,6 +519,8 @@ class SpanSolver:
         for i, v in enumerate(vectors):
             acc.add(_spanning_vector(v, ambient) | {ambient + i: Fraction(1)})
         self._rows = acc._reduced_rows()
+        # a row with its pivot past the ambient coordinates is a relation among the vectors
+        self.rank = sum(p < ambient for p, _ in self._rows)
 
     def express(self, target: Sequence[Fraction] | Mapping[int, Fraction]) -> Vector | None:
         """Coefficients c with sum(c_i * v_i) == target, or None; the target

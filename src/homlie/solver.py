@@ -478,42 +478,55 @@ def structure_residual(
     With one, only the part of phi sending degree d to d + shift is read,
     and the result is None when the equation reads an undefined product:
     e_x e_y, or e_p e_q for a p in it and any q of the degree phi sends the
-    other factor to (the equations a degree window does not impose).
+    other factor to (the equations a degree window does not impose).  For
+    the hom kinds the plan's ``reads`` hold those degrees, so the test is a
+    lookup.
     """
-    t, plan = alg.table, _plan(alg)
+    plan = _plan(alg)
     if shift is None and not plan.complete:
         raise ValueError("this algebra has undefined products, so a residual needs a degree shift")
-    deg, rows = plan.deg, phi.sparse_rows
-
-    def target(z: int) -> Sequence[int]:
-        """The q at which phi(e_z) is read: all, or those of degree deg z + shift."""
-        return range(alg.dim) if shift is None else plan.components.get(deg[z] + shift, ())
-
-    def image(z: int) -> dict[int, int | Fraction]:
-        return {q: rows[q][z] for q in target(z) if z in rows[q]}
-
-    def undefined(us: Iterable[int], vs: Iterable[int]) -> bool:
-        """Whether some e_p e_q, p in us and q in vs, is undefined (None; a zero product is absent)."""
-        return not plan.complete and None in map(t.get, product(us, vs), repeat(()))
-
+    t, deg, cols = alg.table, plan.deg, phi.sparse_cols
     a, b, c = triple
-    terms: list[tuple[int | Fraction, Mapping[int, Fraction]]] = []
+    out: dict[int, int | Fraction] = {}
     if kind.tag in _SIGNS:
         for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), _SIGNS[kind.tag]):
-            xy = t.get((x, y), ())
-            if xy is None or undefined((p for p, _ in xy), target(z)):
+            read = plan.reads.get((x, y), _NO_READ)
+            if read is None or shift is not None and deg[z] + shift in read[1]:
                 return None
-            terms.append((sign, sparse_product(t, dict(xy), image(z))))
+            _add_product(out, t, sign, read[0], _image(cols, deg, z, shift))
     elif kind.tag == "delta-derivation":
         assert kind.delta is not None
-        if undefined((a,), (b,)) or undefined(target(a), (b,)) or undefined((a,), target(b)):
-            return None
-        terms = [(x, image(k)) for k, x in sparse_product(t, {a: 1}, {b: 1}).items()]  # phi(ab)
-        terms += [(-kind.delta, sparse_product(t, image(a), {b: 1})),
-                  (-kind.delta, sparse_product(t, {a: 1}, image(b)))]
+        if shift is not None and not plan.complete:
+            qa, qb = (plan.components.get(deg[z] + shift, ()) for z in (a, b))
+            if None in map(t.get, chain([(a, b)], product(qa, [b]), product([a], qb)), repeat(())):
+                return None
+        for k, x in t.get((a, b), ()):  # phi(ab)
+            for q, y in _image(cols, deg, k, shift).items():
+                out[q] = out.get(q, 0) + x * y
+        _add_product(out, t, -kind.delta, _image(cols, deg, a, shift).items(), {b: 1})
+        _add_product(out, t, -kind.delta, ((a, 1),), _image(cols, deg, b, shift))
     else:
         raise ValueError(kind.tag)
-    return dense_vector(sparse_lincomb(*terms), alg.dim)
+    return dense_vector(out, alg.dim)
+
+
+def _image(cols: Sequence[Mapping[int, int | Fraction]], deg: Sequence[int], z: int,
+           shift: int | None) -> Mapping[int, int | Fraction]:
+    """phi(e_z) from phi's sparse columns, or its part of degree deg z + shift."""
+    if shift is None:
+        return cols[z]
+    want = deg[z] + shift
+    return {q: x for q, x in cols[z].items() if deg[q] == want}
+
+
+def _add_product(out: dict[int, int | Fraction], t: Mapping, scale: int | Fraction,
+                 u: Iterable[tuple[int, int | Fraction]], v: Mapping[int, int | Fraction]) -> None:
+    """out += scale * uv for u given by its (index, coefficient) pairs, over
+    the table t, whose products the caller has checked to be defined."""
+    for p, up in u:
+        for q, vq in v.items():
+            for m, coeff in t.get((p, q), ()):
+                out[m] = out.get(m, 0) + scale * up * vq * coeff
 
 
 # -- bilinear solvers --------------------------------------------------------
@@ -742,7 +755,7 @@ def is_multiplicative(alg: AlgebraSpec, phi: Matrix) -> bool | MultiplicativityW
         raise ValueError("map shape does not match the algebra")
     table = alg.table
     undefined = {pair for pair, terms in table.items() if terms is None}
-    cols = phi.transpose().sparse_rows  # phi(e_c)
+    cols = phi.sparse_cols  # phi(e_c)
     for i in range(n):
         for j in range(n):
             if undefined and ((i, j) in undefined or any((p, q) in undefined for p in cols[i] for q in cols[j])):

@@ -70,3 +70,39 @@ def test_elimination_runs_only_through_linalg():
         or isinstance(node, ast.Attribute) and node.attr in ("RowAccumulator", "_reduced_rows")
     ]
     assert uses == []
+
+
+# The builds that may make an AlgebraSpec: make_algebra scans the laws, and
+# the others prove them in their docstrings.
+ALGEBRA_BUILDERS = {("algebra.py", "make_algebra"), ("algebra.py", "_lie_by_theorem"), ("constructions.py", "km_window")}
+# The builds certified through _lie_by_theorem, each with a docstring proof.
+CERTIFIED_BUILDS = {("algebra.py", "_from_matrices"), ("constructions.py", "adjoin_map"),
+                    ("constructions.py", "central_extension"), ("constructions.py", "tensor_lie"),
+                    ("constructions.py", "twisted_cyclic")}
+
+
+def test_only_the_law_scan_and_certified_builds_make_algebras():
+    """Every ``AlgebraSpec(...)`` in the package is made inside
+    ``make_algebra`` or a certified build, and every call of
+    ``_lie_by_theorem`` comes from a build whose docstring gives the proof,
+    so the set of builds that skip the law scan stays closed and reviewable."""
+    calls: dict[str, set] = {"AlgebraSpec": set(), "_lie_by_theorem": set()}
+    proofs = set()
+    for path in sorted(Path(homlie.__file__).parent.glob("*.py")):
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+                if "Proof." in (ast.get_docstring(node) or ""):
+                    proofs.add((path.name, owner))
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in calls:
+                    calls[name].add((path.name, owner))
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), None)
+    assert calls["AlgebraSpec"] == ALGEBRA_BUILDERS
+    assert calls["_lie_by_theorem"] == CERTIFIED_BUILDS
+    assert CERTIFIED_BUILDS <= proofs

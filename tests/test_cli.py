@@ -13,6 +13,7 @@ from homlie.cli import _window_dim, main
 from homlie.linalg import Subspace
 from homlie.algebra import FLAVORS
 from homlie.serialize import MAX_DIM
+from homlie.solver import BILINEAR_KINDS
 
 
 def run_cli(capsys, *argv):
@@ -528,4 +529,38 @@ def test_window_decompose_bilinear_qder_exit_0_1_or_2_on_any_input(capsys, tmp_p
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err
+        event(f"{argv[0]} exit {code}")
+
+
+# The flag values the properties above leave fixed: structure kinds for
+# decompose, bilinear kinds and the qder module, mostly valid, else
+# near-valid or any text, on algebra documents of dim <= 4 (builtin Lie
+# algebras three times in four, else generated).
+_KIND_TEXT = _sometimes(
+    st.sampled_from(["hom-lie", "hom-cyclic", "hom-2nilp", "delta:2", "delta:-1", "delta:1/2", "delta:0"]),
+    st.sampled_from(["delta:", "delta:x", "delta:1/0", "delta:1.5", "hom-lie ", "multiplicative-check-only"])
+    | st.text(max_size=8),
+)
+_BILINEAR_KIND = _sometimes(st.sampled_from(BILINEAR_KINDS), st.sampled_from(["cocycle", "skew", ""]) | st.text(max_size=8))
+_MODULE = _sometimes(st.just("coadjoint"), st.sampled_from(["adjoint", "co-adjoint", ""]) | st.text(max_size=8))
+_TORUS = _sometimes(st.lists(st.integers(0, 2), min_size=1, max_size=2).map(lambda xs: ",".join(map(str, xs))), _INDICES)
+_LIE_DOC = st.sampled_from(["sl2", "gl2", "heisenberg", "nonabelian2", "abelian2"]).map(
+    lambda name: serialize.algebra_to_json(homlie.parse_builtin(name)))
+_MOSTLY_LIE_DOC = st.one_of(_LIE_DOC, _LIE_DOC, _LIE_DOC, st.integers(0, 4).flatmap(_algebra_doc))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_MOSTLY_LIE_DOC, kind=_KIND_TEXT, bilinear=_BILINEAR_KIND, module=_MODULE, torus=_TORUS)
+def test_decompose_bilinear_qder_flags_exit_0_1_or_2_on_any_document(capsys, tmp_path, doc, kind, bilinear, module,
+                                                                     torus):
+    alg_path = tmp_path / "alg.json"
+    alg_path.write_text(json.dumps(doc))
+    for argv in (["decompose", "--algebra", str(alg_path), "--kind", kind, "--torus", torus],
+                 ["bilinear", "--algebra", str(alg_path), "--kind", bilinear],
+                 ["qder", "--algebra", str(alg_path), "--module", module]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if code:
+            assert err.strip(), argv  # a refusal says why
         event(f"{argv[0]} exit {code}")

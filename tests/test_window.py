@@ -1,21 +1,33 @@
 import dataclasses
 import itertools
+import random
 import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from homlie.algebra import AlgebraSpec, builtin, killing_form
+from homlie.algebra import AlgebraSpec, builtin, killing_form, sparse_product
 from homlie.constructions import km_window
-from homlie.linalg import Matrix, RowAccumulator, SpanSolver, Subspace, nullspace, nullspace_of_rows
+from homlie.linalg import (
+    Matrix,
+    RowAccumulator,
+    SpanSolver,
+    Subspace,
+    dense_vector,
+    nullspace,
+    nullspace_of_rows,
+    sparse_lincomb,
+)
 from homlie.solver import (
+    HOM_2NILP,
     HOM_CYCLIC,
     HOM_LIE,
     _plan,
     _solve_shift_blocks,
     _triples,
     delta_derivation,
+    grading_shifts,
     is_multiplicative,
     solve_structures,
     structure_residual,
@@ -335,6 +347,65 @@ def test_block_is_the_kernel_of_the_imposable_residuals():
         for m in range(n):
             rows.append({u * n + c: r[m] for (u, c), r in zip(units, per_unit) if r[m]})
     assert Subspace.from_spanning(_solve_block(pa, 0), n * n) == nullspace_of_rows(n * n, rows)
+
+
+def _closure_structure_residual(alg, phi, kind, triple, shift):
+    """``structure_residual`` as it was written before the plan's ``reads``
+    and ``gaps`` held the undefined degrees: definedness read product by
+    product through closures; the reference for the lookup."""
+    t, plan = alg.table, _plan(alg)
+    deg, rows = plan.deg, phi.sparse_rows
+
+    def target(z):
+        return range(alg.dim) if shift is None else plan.components.get(deg[z] + shift, ())
+
+    def image(z):
+        return {q: rows[q][z] for q in target(z) if z in rows[q]}
+
+    def undefined(us, vs):
+        return not plan.complete and None in map(t.get, itertools.product(us, vs), itertools.repeat(()))
+
+    a, b, c = triple
+    terms = []
+    if kind.tag == "delta-derivation":
+        if undefined((a,), (b,)) or undefined(target(a), (b,)) or undefined((a,), target(b)):
+            return None
+        terms = [(x, image(k)) for k, x in sparse_product(t, {a: 1}, {b: 1}).items()]
+        terms += [(-kind.delta, sparse_product(t, image(a), {b: 1})), (-kind.delta, sparse_product(t, {a: 1}, image(b)))]
+    else:
+        signs = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}[kind.tag]
+        for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), signs):
+            xy = t.get((x, y), ())
+            if xy is None or undefined((p for p, _ in xy), target(z)):
+                return None
+            terms.append((sign, sparse_product(t, dict(xy), image(z))))
+    return dense_vector(sparse_lincomb(*terms), alg.dim)
+
+
+def _one_sided_gap():
+    """Undefined e_2 e_3 while e_3 e_2 is defined, and e_0 e_3 undefined, so
+    the left and the right undefined degrees of a basis element differ."""
+    table = {(0, 1): ((2, 1),), (1, 0): ((2, -1),), (2, 3): None, (3, 2): ((1, 1),), (0, 3): None, (1, 2): ((3, 1),)}
+    return AlgebraSpec(4, ("e0", "e1", "e2", "e3"), table, "unchecked", grading=(0, 1, 1, 2))
+
+
+@pytest.mark.parametrize("build", [lambda: _untwisted(2), lambda: _twisted(3), _one_sided_gap],
+                         ids=["untwisted-2", "twisted-3", "one-sided-gap"])
+def test_residual_lookup_matches_the_closure_reference(build):
+    """Same values and the same None cases as the reference, for every kind,
+    every shift, and maps whose parts reach every shift."""
+    pa = build()
+    n, rng = pa.dim, random.Random(29)
+    maps = [Matrix.identity(n), Matrix.from_sparse(n, n, {(rng.randrange(n), rng.randrange(n)): rng.randint(-2, 2)
+                                                          for _ in range(3 * n)})]
+    triples = list(itertools.permutations(range(n), 3) if n < 6 else itertools.combinations(range(n), 3))
+    kinds = [HOM_LIE, HOM_CYCLIC, HOM_2NILP, delta_derivation(2), delta_derivation(-1)]
+    nones = 0
+    for phi, kind, shift, tri in itertools.product(maps, kinds, sorted(set(grading_shifts(pa))), triples):
+        got = structure_residual(pa, phi, kind, tri, shift)
+        assert got == _closure_structure_residual(pa, phi, kind, tri, shift), (kind, shift, tri)
+        nones += got is None
+    assert 0 < nones < len(maps) * len(kinds) * len(set(grading_shifts(pa))) * len(triples)
 
 
 def test_unshifted_residual_on_a_window_is_refused():
