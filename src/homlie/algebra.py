@@ -313,9 +313,8 @@ def _from_matrices(mats: Sequence[Matrix], names: Sequence[str]) -> AlgebraSpec:
             coords = solver.express(bracket)
             if coords is None:
                 raise ValueError(f"matrix span is not closed at pair ({i},{j})")
-            entry = [(k, c) for k, c in enumerate(coords) if c]
-            if entry:
-                upper[(i, j)] = entry
+            if coords:
+                upper[(i, j)] = list(coords.items())
     # both orders of every pair, listed in lexicographic order
     table = {
         (i, j): upper[(i, j)] if i < j else [(k, -c) for k, c in upper[(j, i)]]

@@ -271,72 +271,124 @@ class RowAccumulator:
     are indexed by their leading column; when a cheaper pivot (smaller
     leading magnitude) arrives for an occupied column, it replaces the
     stored one, which keeps coefficient growth down on large systems.
+
+    The pivot dicts belong to the accumulator: a row is reduced in place,
+    and a pivot that a cheaper one replaces becomes the row being reduced.
+    Nothing outside this module reads them.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivots: dict[int, IntRow] = {}
-        self._seen: set[tuple] = set()
+        self._seen: set[frozenset] = set()
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def add(self, row: Mapping[int, Fraction] | IntRow) -> bool:
-        """Insert one row; returns True if the rank grew."""
-        # an int's denominator is 1, so one expression clears both kinds of entry
-        denom = lcm(*[v.denominator for v in row.values()])
-        work: IntRow = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
-        _normalize_content(work)
+        """Insert one row (never changed); returns True if the rank grew.
+
+        A row with one nonzero entry, at c, is e_c up to scale.  A pivot
+        with one entry at c is e_c too, so the pivot at c decides the
+        repeats that ``_seen`` decides for other rows.  A longer pivot at c
+        is e_c plus its tail beyond c; e_c takes its place, and the rank
+        grows exactly when that tail is independent of the other pivots.
+        """
+        work: IntRow = {c: v for c, v in row.items() if v}
+        if len(work) == 1:
+            (c,) = work
+            piv = self.pivots.get(c)
+            if piv is not None and len(piv) == 1:
+                return False
+            self.pivots[c] = {c: 1}
+            if piv is None:
+                return True
+            del piv[c]
+            return self._insert(piv)
         if not work:
             return False
-        key = tuple(sorted(work.items()))
+        for v in work.values():
+            if type(v) is not int:
+                # an int's denominator is 1, so one expression clears both kinds of entry
+                denom = lcm(*[v.denominator for v in work.values()])
+                work = {c: v.numerator * (denom // v.denominator) for c, v in work.items()}
+                break
+        _normalize_content(work)
+        key = frozenset(work.items())
         if key in self._seen:
             return False
         self._seen.add(key)
+        return self._insert(work)
+
+    def _insert(self, work: IntRow) -> bool:
+        """Reduce ``work``, a nonzero integer row this accumulator owns, in
+        place by the pivots; True if it ends as a new pivot."""
+        pivots = self.pivots
         while work:
             lead = min(work)
-            piv = self.pivots.get(lead)
+            piv = pivots.get(lead)
             if piv is None:
                 _normalize_content(work)
-                self.pivots[lead] = work
+                pivots[lead] = work
                 return True
-            if abs(work[lead]) < abs(piv[lead]):
-                self.pivots[lead] = work
-                work, piv = piv, work
             a, b = piv[lead], work[lead]
-            g = gcd(a, b)
+            if abs(b) < abs(a):
+                _normalize_content(work)
+                pivots[lead] = work
+                work, piv = piv, work
+                a, b = piv[lead], work[lead]
+            # work is kept only up to scale: g takes a's sign so that ca > 0,
+            # and ca is 1 whenever the pivot entry divides work's
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
             ca, cb = a // g, b // g
-            merged: IntRow = {c: v * ca for c, v in work.items()}
+            if ca != 1:
+                for c in work:
+                    work[c] *= ca
             for c, v in piv.items():
-                n = merged.get(c, 0) - v * cb
+                n = work.get(c, 0) - v * cb
                 if n:
-                    merged[c] = n
+                    work[c] = n
                 else:
-                    merged.pop(c, None)
-            work = merged
+                    del work[c]
         return False
 
     def _reduced_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
-        """Back-substituted rows with unit pivots, ordered by pivot column."""
-        order = sorted(self.pivots)
-        reduced: dict[int, dict[int, Fraction]] = {}
-        for p in reversed(order):
-            row = {c: Fraction(v) for c, v in self.pivots[p].items()}
-            for q in order:
-                if q > p and q in row:
-                    coeff = row.pop(q)
-                    for c, v in reduced[q].items():
-                        if c == q:
-                            continue
-                        n = row.get(c, Fraction(0)) - coeff * v
+        """Back-substituted rows with unit pivots, ordered by pivot column.
+
+        Row p is cleared at each later pivot column q it holds by the
+        already reduced row q, in integers: row q is zero at every other
+        pivot column, so no step brings back a pivot column cleared before.
+        Each row is divided by its pivot entry once, at the end.
+        """
+        pivots = self.pivots
+        reduced: dict[int, IntRow] = {}
+        for p in sorted(pivots, reverse=True):
+            row = pivots[p]
+            later = [q for q in row if q in reduced]
+            if later:
+                row = dict(row)
+                for q in later:
+                    rq = reduced[q]
+                    a, b = rq[q], row[q]
+                    g = gcd(a, b) if a > 0 else -gcd(a, b)
+                    ca, cb = a // g, b // g
+                    if ca != 1:
+                        for c in row:
+                            row[c] *= ca
+                    for c, v in rq.items():
+                        n = row.get(c, 0) - v * cb
                         if n:
                             row[c] = n
                         else:
-                            row.pop(c, None)
-            lead = row[p]
-            reduced[p] = {c: v / lead for c, v in row.items()}
-        return [(p, reduced[p]) for p in order]
+                            del row[c]
+                _normalize_content(row)
+            reduced[p] = row
+        out = []
+        for p in sorted(reduced):
+            row, lead = reduced[p], reduced[p][p]
+            out.append((p, {c: Fraction(v, lead) for c, v in row.items()}))
+        return out
 
     def rref_matrix(self, extra_zero_rows: int = 0) -> Matrix:
         return Matrix._of([r for _, r in self._reduced_rows()] + [{}] * extra_zero_rows, self.ncols)
@@ -436,31 +488,41 @@ class Subspace:
     def pivot_cols(self) -> list[int]:
         return [p for p, _ in self.rows]
 
-    def _reduce(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> tuple[list[Fraction], SparseVector]:
-        """The coefficient of each row in v (dense, or sparse as index ->
-        scalar), and the residual v minus their combination, which is empty
-        exactly when v lies in the space."""
+    @cached_property
+    def _by_pivot(self) -> dict[int, tuple[int, Mapping[int, Fraction]]]:
+        """Pivot column -> (index of its row, the row)."""
+        return {p: (i, r) for i, (p, r) in enumerate(self.rows)}
+
+    def _reduce(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> tuple[dict[int, Fraction], SparseVector]:
+        """The nonzero coefficients of the rows in v (dense, or sparse as
+        index -> scalar), keyed by row index, and the residual v minus their
+        combination, which is empty exactly when v lies in the space.
+
+        Every row is zero at the other rows' pivots, so the coefficient of
+        the row with pivot p is v's own entry at p, and only the rows whose
+        pivots v holds take part.
+        """
         if not isinstance(v, Mapping) and len(v) != self.ambient:
             raise ValueError("vector has wrong ambient dimension")
         residual = sparse_vector(v)
-        coeffs = []
-        for p, r in self.rows:
-            c = residual.get(p, _ZERO)
-            coeffs.append(c)
-            if c:
-                for j, x in r.items():
-                    n = residual.get(j, 0) - c * x
-                    if n:
-                        residual[j] = n
-                    else:
-                        del residual[j]
+        by_pivot = self._by_pivot
+        coeffs = {}
+        for p in [p for p in residual if p in by_pivot]:
+            i, r = by_pivot[p]
+            c = coeffs[i] = residual[p]
+            for j, x in r.items():
+                n = residual.get(j, 0) - c * x
+                if n:
+                    residual[j] = n
+                else:
+                    del residual[j]
         return coeffs, residual
 
     def coords(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> Vector | None:
         """Coefficients of ``v`` (dense, or sparse as index -> scalar) in the
         echelon basis as Fractions, or None if outside."""
         coeffs, residual = self._reduce(v)
-        return None if residual else tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        return None if residual else dense_vector(coeffs, self.dim)
 
     def contains(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
         return not self._reduce(v)[1]
@@ -518,35 +580,37 @@ class SpanSolver:
         acc = RowAccumulator(ambient + self.k)
         for i, v in enumerate(vectors):
             acc.add(_spanning_vector(v, ambient) | {ambient + i: Fraction(1)})
-        self._rows = acc._reduced_rows()
         # a row with its pivot past the ambient coordinates is a relation among the vectors
-        self.rank = sum(p < ambient for p, _ in self._rows)
+        self._by_pivot = {p: r for p, r in acc._reduced_rows() if p < ambient}
+        self.rank = len(self._by_pivot)
 
-    def express(self, target: Sequence[Fraction] | Mapping[int, Fraction]) -> Vector | None:
-        """Coefficients c with sum(c_i * v_i) == target, or None; the target
-        is a dense vector or a sparse one (index -> scalar)."""
+    def express(self, target: Sequence[Fraction] | Mapping[int, Fraction]) -> dict[int, Fraction] | None:
+        """Coefficients c with sum(c_i * v_i) == target, as the sparse map
+        i -> c_i (nonzero only, ascending i), or None; the target is a dense
+        vector or a sparse one (index -> scalar).
+
+        The rows are reduced, so the row with pivot p < ambient enters with
+        the target's own entry at p, and only the rows whose pivots the
+        target holds are read.
+        """
         entries = target.items() if isinstance(target, Mapping) else enumerate(target)
         residual = {j: as_scalar(x) for j, x in entries if x}
-        zero = Fraction(0)
+        ambient, by_pivot = self.ambient, self._by_pivot
         combo: dict[int, Fraction] = {}
-        for p, row in self._rows:
-            if p >= self.ambient:
-                break
-            c = residual.get(p)
-            if not c:
-                continue
-            for j, x in row.items():
-                if j < self.ambient:
-                    n = residual.get(j, zero) - c * x
+        for p in [p for p in residual if p in by_pivot]:
+            c = residual[p]
+            for j, x in by_pivot[p].items():
+                if j < ambient:
+                    n = residual.get(j, 0) - c * x
                     if n:
                         residual[j] = n
                     else:
-                        residual.pop(j, None)
+                        del residual[j]
                 else:
-                    combo[j - self.ambient] = combo.get(j - self.ambient, zero) + c * x
+                    combo[j - ambient] = combo.get(j - ambient, 0) + c * x
         if residual:
             return None
-        return tuple(combo.get(i, zero) for i in range(self.k))
+        return {i: combo[i] for i in sorted(combo) if combo[i]}
 
 
 def minimal_polynomial(m: Matrix) -> Vector:
@@ -564,4 +628,4 @@ def minimal_polynomial(m: Matrix) -> Vector:
         power = power @ m
     coeffs = SpanSolver(powers, n * n).express(power.sparse_flatten())
     assert coeffs is not None  # m^d is dependent on the lower powers
-    return tuple(-c for c in coeffs) + (Fraction(1),)
+    return tuple(-coeffs.get(i, _ZERO) for i in range(len(powers))) + (Fraction(1),)

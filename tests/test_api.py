@@ -59,7 +59,9 @@ def test_no_module_level_caches():
 def test_elimination_runs_only_through_linalg():
     """Every module outside ``linalg`` eliminates through its front-ends
     (``nullspace_of_rows``, ``Subspace``, ``SpanSolver``), never through a
-    ``RowAccumulator`` of its own or its private ``_reduced_rows``."""
+    ``RowAccumulator`` of its own or its private ``_reduced_rows``, and
+    never reads or writes an accumulator's ``pivots`` or ``_seen``: rows are
+    reduced in place, so a dict that was a pivot may be changed later."""
     uses = [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(homlie.__file__).parent.glob("*.py"))
@@ -67,7 +69,7 @@ def test_elimination_runs_only_through_linalg():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Name) and node.id == "RowAccumulator"
         or isinstance(node, ast.alias) and node.name == "RowAccumulator"
-        or isinstance(node, ast.Attribute) and node.attr in ("RowAccumulator", "_reduced_rows")
+        or isinstance(node, ast.Attribute) and node.attr in ("RowAccumulator", "_reduced_rows", "pivots", "_seen")
     ]
     assert uses == []
 

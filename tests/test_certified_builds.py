@@ -45,9 +45,8 @@ def _all_pairs_table(mats):
                                  (-1, sparse_product(units, flat[j], flat[i])))
         coords = solver.express(bracket)
         assert coords is not None
-        entry = [(k, c) for k, c in enumerate(coords) if c]
-        if entry:
-            table[(i, j)] = entry
+        if coords:
+            table[(i, j)] = list(coords.items())
     return _clean_table(len(mats), table)
 
 

@@ -269,7 +269,7 @@ def test_rows_cannot_be_changed_from_outside():
 
 def test_span_solver():
     solver = SpanSolver([[1, 0, 1], [0, 1, 1]], 3)
-    assert solver.express([2, 3, 5]) == (F(2), F(3))
+    assert solver.express([2, 3, 5]) == {0: F(2), 1: F(3)}
     assert solver.express([0, 0, 1]) is None
 
 
@@ -309,7 +309,7 @@ def test_sparse_vectors_with_indices_outside_the_space_are_rejected():
         with pytest.raises(ValueError, match="outside"):
             SpanSolver([{0: 1}, bad], 3)
     assert Subspace.from_spanning([{2: 1}, {}], 3).rows == ((2, {2: 1}),)
-    assert SpanSolver([{2: 1}, {0: 1, 1: 1}], 3).express({0: 2, 1: 2, 2: 4}) == (F(4), F(2))
+    assert SpanSolver([{2: 1}, {0: 1, 1: 1}], 3).express({0: 2, 1: 2, 2: 4}) == {0: F(4), 1: F(2)}
 
 
 def test_accumulator_deduplicates_and_ranks():

@@ -136,7 +136,7 @@ def _a22_grading():
     j = Matrix.from_sparse(3, 3, {(0, 2): 1, (1, 1): -1, (2, 0): 1})
     coords = SpanSolver([b.flatten() for b in basis], 9)
     images = [coords.express((j @ b.transpose() @ j).scale(-1).flatten()) for b in basis]
-    sigma = Matrix(tuple(tuple(images[c][r] for c in range(8)) for r in range(8)), 8)
+    sigma = Matrix(tuple(tuple(images[c].get(r, 0) for c in range(8)) for r in range(8)), 8)
     return nullspace(sigma - Matrix.identity(8)), nullspace(sigma + Matrix.identity(8))
 
 
