@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, combinations, product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
     Matrix,
@@ -227,6 +227,73 @@ def jacobi_residual(
         (1, sparse_product(t, sparse_product(t, z, x), y)),
         (1, sparse_product(t, sparse_product(t, y, z), x)),
     )
+
+
+# The identities' terms: the solver compiles them into rows, the validators
+# evaluate them.  One equation group is a run of (row key, column, coefficient)
+# terms, and the terms that share a row key sum to one linear form.
+_Terms = Iterable[tuple[object, int, Fraction]]
+
+
+def _evaluate(terms: _Terms, x: Mapping[int, int | Fraction]) -> dict[object, int | Fraction]:
+    """The forms ``terms`` sum to at the point x (column -> value, absent
+    columns 0): the sum of coeff * x[col] per row key, zero sums dropped."""
+    out: dict[object, int | Fraction] = {}
+    for key, col, c in terms:
+        if col in x:
+            out[key] = out.get(key, 0) + c * x[col]
+    return {key: v for key, v in out.items() if v}
+
+
+def _leibniz_pairs(alg: AlgebraSpec) -> Iterator[tuple[int, int]]:
+    """The basis pairs the Leibniz identity is imposed on: i < j on an
+    anticommutative table, every ordered pair otherwise.  Proof that i < j
+    suffices when e_j e_i = -e_i e_j: every product in the defect
+    X(e_i e_j) - delta (Y(e_i) e_j + e_i Y(e_j)) changes sign when its
+    factors swap, so the defect at (j, i) is minus the one at (i, j), and
+    at (i, i) it is 0.  So the first failing ordered pair has i < j."""
+    n = alg.dim
+    return combinations(range(n), 2) if alg.is_anticommutative() else product(range(n), repeat=2)
+
+
+def _leibniz_terms(
+    alg: AlgebraSpec, i: int, j: int, outer: Sequence[Mapping[int, int]], inner: Sequence[Mapping[int, int]],
+    delta: int | Fraction,
+) -> _Terms:
+    """The terms of X(e_i e_j) - delta*(Y(e_i) e_j + e_i Y(e_j)) by output
+    coordinate, for unknown maps X and Y with X(e_c) -> e_q at column
+    ``outer[c][q]`` and Y(e_c) -> e_q at column ``inner[c][q]``."""
+    for k, c in alg.product_on_basis(i, j):
+        for m, col in outer[k].items():
+            yield m, col, c
+    for q, col in inner[i].items():  # Y(e_i) = sum_q Y[q][i] e_q
+        for k, c in alg.product_on_basis(q, j):
+            yield k, col, -delta * c
+    for q, col in inner[j].items():
+        for k, c in alg.product_on_basis(i, q):
+            yield k, col, -delta * c
+
+
+def _cocycle_terms(alg: AlgebraSpec, xi: Sequence[Mapping[int, int | Fraction]], i: int, j: int, k: int) -> _Terms:
+    """The terms of xi(xy, f(z)) + xi(zx, f(y)) + xi(yz, f(x)) at (i, j, k),
+    for the form with sparse rows ``xi`` and an unknown map f with
+    f(e_z) -> e_q at column q*n + z.  With xi the identity pairing (rows
+    {p: 1}) they are those of f(xy, z) + f(zx, y) + f(yz, x), f a form."""
+    n = alg.dim
+    for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
+        for p, c in alg.product_on_basis(x, y):
+            for q, w in xi[p].items():
+                yield 0, q * n + z, c * w
+
+
+def _invariance_terms(alg: AlgebraSpec, i: int, j: int, k: int) -> _Terms:
+    """The terms of f(xy, z) - f(x, yz) at the basis triple (i, j, k), for
+    an unknown form f with f(e_p, e_q) at column p*n + q."""
+    n = alg.dim
+    for p, c in alg.product_on_basis(i, j):
+        yield 0, p * n + k, c
+    for p, c in alg.product_on_basis(j, k):
+        yield 0, i * n + p, -c
 
 
 def make_algebra(
@@ -512,17 +579,13 @@ class BilinearForm:
         return self.matrix == self.matrix.transpose().scale(-1)
 
     def is_invariant(self, alg: AlgebraSpec) -> bool:
-        """f(xy, z) == f(x, yz) on all basis triples."""
+        """f(xy, z) == f(x, yz) on all basis triples: no ``_invariance_terms``
+        row is nonzero at this form."""
         n = alg.dim
-        f = self.matrix.sparse_rows
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = sum(c * f[p].get(k, 0) for p, c in alg.product_on_basis(i, j))
-                    rhs = sum(c * f[i].get(p, 0) for p, c in alg.product_on_basis(j, k))
-                    if lhs != rhs:
-                        return False
-        return True
+        if self.matrix.shape != (n, n):
+            raise ValueError("form shape does not match the algebra")
+        f = self.matrix.sparse_flatten()
+        return not any(_evaluate(_invariance_terms(alg, i, j, k), f) for i, j, k in product(range(n), repeat=3))
 
 
 def _require_lie(alg: AlgebraSpec, op: str) -> None:

@@ -10,25 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Sequence
 
-from .algebra import (
-    AlgebraSpec,
-    BilinearForm,
-    LawViolation,
-    _lie_by_theorem,
-    _require_lie,
-    make_algebra,
-    sparse_product,
-)
-from .linalg import (
-    Matrix,
-    Subspace,
-    Vector,
-    dense_vector,
-    int_if_integral,
-    sparse_lincomb,
-)
+from .algebra import (AlgebraSpec, BilinearForm, LawViolation, _cocycle_terms, _evaluate, _leibniz_pairs,
+                      _leibniz_terms, _lie_by_theorem, _require_lie, make_algebra, sparse_product)
+from .linalg import Matrix, Subspace, Vector, dense_vector, int_if_integral
 
 
 # ---------------------------------------------------------------------------
@@ -53,20 +40,11 @@ class Cocycle2:
         if not self.form.is_skew():
             raise LawViolation("cocycle-skewness", (), ())
         n = alg.dim
-        f = matrix.sparse_rows
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    val = sum(
-                        (
-                            c * f[p].get(z, 0)
-                            for x, y, z in ((i, j, k), (k, i, j), (j, k, i))
-                            for p, c in alg.product_on_basis(x, y)
-                        ),
-                        Fraction(0),
-                    )
-                    if val:
-                        raise LawViolation("cocycle-equation", (i, j, k), (val,))
+        pairing, f = [{p: 1} for p in range(n)], matrix.sparse_flatten()
+        for i, j, k in combinations(range(n), 3):
+            val = _evaluate(_cocycle_terms(alg, pairing, i, j, k), f)
+            if val:
+                raise LawViolation("cocycle-equation", (i, j, k), (Fraction(val[0]),))
 
 
 def cocycle2(alg: AlgebraSpec, matrix: Matrix) -> Cocycle2:
@@ -153,20 +131,17 @@ def tensor_lie(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
 
 
 def derivation_defect(a: AlgebraSpec, d: Matrix) -> tuple[tuple[int, int], Vector] | None:
-    """First basis pair where d(xy) != d(x)y + x d(y), or None."""
+    """First basis pair where d(xy) != d(x)y + x d(y), or None: the first
+    of ``_leibniz_pairs`` where ``_leibniz_terms`` (delta 1) is nonzero at d."""
     n = a.dim
     if d.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
-    cols = d.sparse_cols  # d(e_c)
-    for i in range(n):
-        for j in range(n):
-            defect = sparse_lincomb(
-                *((c, cols[p]) for p, c in a.product_on_basis(i, j)),
-                (-1, sparse_product(a.table, cols[i], {j: 1})),
-                (-1, sparse_product(a.table, {i: 1}, cols[j])),
-            )
-            if defect:
-                return (i, j), dense_vector(defect, n)
+    cols = [{q: q * n + c for q in col} for c, col in enumerate(d.sparse_cols)]  # d(e_c) -> e_q, nonzero only
+    flat = d.sparse_flatten()
+    for i, j in _leibniz_pairs(a):
+        defect = _evaluate(_leibniz_terms(a, i, j, cols, cols, 1), flat)
+        if defect:
+            return (i, j), dense_vector(defect, n)
     return None
 
 
@@ -197,7 +172,7 @@ def adjoin_map(l: AlgebraSpec, d: Matrix) -> AlgebraSpec:
     generic-anticommutative; used to embed delta-derivations as structures
     on a one-generator extension.
 
-    ``derivation_defect`` decides which on the n^2 basis pairs of l, and
+    ``derivation_defect`` decides which on the pairs i < j of l, and
     the Lie result is certified by theorem.  Proof.  The table is
     anticommutative, as l's is and [x, D] = -d(x) is written so.  A Jacobi
     sum over three elements of l is 0, as l is Lie, and one with D twice is
@@ -210,12 +185,10 @@ def adjoin_map(l: AlgebraSpec, d: Matrix) -> AlgebraSpec:
     if d.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
     table: dict = {(i, j): list(l.product_on_basis(i, j)) for i, j in l.table}
-    for i in range(n):
-        img = d.apply(l.basis_vector(i))
-        entry = [(k, c) for k, c in enumerate(img) if c]
-        if entry:
-            table[(n, i)] = entry
-            table[(i, n)] = [(k, -c) for k, c in entry]
+    for i, col in enumerate(d.sparse_cols):  # d(e_i)
+        if col:
+            table[(n, i)] = list(col.items())
+            table[(i, n)] = [(k, -c) for k, c in col.items()]
     names = l.basis_names + ("D",)
     if derivation_defect(l, d) is None:
         return _lie_by_theorem(n + 1, table, names)

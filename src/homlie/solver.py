@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import chain, combinations, product, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import AlgebraSpec, BilinearForm, _require_lie, right_annihilator, sparse_product, structural_subspaces
+from .algebra import (AlgebraSpec, BilinearForm, _cocycle_terms, _invariance_terms, _leibniz_pairs, _leibniz_terms,
+                      _require_lie, _Terms, right_annihilator, sparse_product, structural_subspaces)
 from .linalg import (
     Matrix,
     SparseVector,
@@ -93,14 +94,13 @@ class HomSolution:
         return [Matrix.unflatten(r, n, n) for _, r in self.space.rows]
 
     def contains_map(self, phi: Matrix) -> bool:
+        n = self.algebra.dim
+        if phi.shape != (n, n):
+            raise ValueError("map shape does not match the algebra")
         return self.space.contains(phi.sparse_flatten())
 
 
 # -- row assembly helpers ----------------------------------------------------
-
-# One equation group as (row key, column, coefficient) terms: the terms that
-# share a row key sum to one sparse row.
-_Terms = Iterable[tuple[object, int, Fraction]]
 
 
 def _sparse_rows(groups: Iterable[_Terms]) -> Iterator[dict[int, Fraction]]:
@@ -290,31 +290,11 @@ def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[i
                         yield s, row
 
 
-def _leibniz_terms(
-    alg: AlgebraSpec, i: int, j: int, outer: Sequence[Mapping[int, int]], inner: Sequence[Mapping[int, int]],
-    delta: int | Fraction,
-) -> _Terms:
-    """The terms of X(e_i e_j) - delta*(Y(e_i) e_j + e_i Y(e_j)) by output
-    coordinate, for unknown maps X and Y with X(e_c) -> e_q at column
-    ``outer[c][q]`` and Y(e_c) -> e_q at column ``inner[c][q]``."""
-    for k, c in alg.product_on_basis(i, j):
-        for m, col in outer[k].items():
-            yield m, col, c
-    for q, col in inner[i].items():  # Y(e_i) = sum_q Y[q][i] e_q
-        for k, c in alg.product_on_basis(q, j):
-            yield k, col, -delta * c
-    for q, col in inner[j].items():
-        for k, c in alg.product_on_basis(i, q):
-            yield k, col, -delta * c
-
-
 def _delta_rows(plan: _Plan, delta: Fraction, live: _Open) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
     """(shift, row) for D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs,
     for the maps D of the blocks ``live``, as ``_hom_rows`` does."""
     alg, delta = plan.alg, int_if_integral(delta)
-    n = alg.dim
-    pairs = combinations(range(n), 2) if alg.is_anticommutative() else product(range(n), repeat=2)
-    for i, j in pairs:
+    for i, j in _leibniz_pairs(alg):
         for s in list(live):
             col_of = live.get(s)
             if col_of is not None:
@@ -534,20 +514,8 @@ def _add_product(out: dict[int, int | Fraction], t: Mapping, scale: int | Fracti
 
 def _cocycle_rows(alg: AlgebraSpec, xi: Sequence[Mapping[int, int | Fraction]]) -> Iterator[dict[int, Fraction]]:
     """xi(xy, f(z)) + xi(zx, f(y)) + xi(yz, f(x)) = 0 over i<j<k, for the
-    form xi with sparse rows ``xi`` (xi(e_p, e_q) = xi[p][q]) and an unknown
-    map f with f(e_z) -> e_q at column q*n + z.  With xi the identity pairing
-    (rows {p: 1}) these are the rows of f(xy, z) + f(zx, y) + f(yz, x) = 0
-    for an unknown form f (alternating)."""
-    n = alg.dim
-    return _sparse_rows(
-        (
-            (0, q * n + z, c * w)
-            for x, y, z in ((i, j, k), (k, i, j), (j, k, i))
-            for p, c in alg.product_on_basis(x, y)
-            for q, w in xi[p].items()
-        )
-        for i, j, k in combinations(range(n), 3)
-    )
+    form xi and the unknown f of ``_cocycle_terms``."""
+    return _sparse_rows(_cocycle_terms(alg, xi, i, j, k) for i, j, k in combinations(range(alg.dim), 3))
 
 
 def _symmetry_rows(n: int, sign: int) -> Iterator[dict[int, Fraction]]:
@@ -575,14 +543,7 @@ def _b_space_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:
 
 def _invariance_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:
     """f(xy, z) - f(x, yz) = 0 over all ordered triples."""
-    n = alg.dim
-    return _sparse_rows(
-        chain(
-            ((0, p * n + k, c) for p, c in alg.product_on_basis(i, j)),
-            ((0, i * n + p, -c) for p, c in alg.product_on_basis(j, k)),
-        )
-        for i, j, k in product(range(n), repeat=3)
-    )
+    return _sparse_rows(_invariance_terms(alg, i, j, k) for i, j, k in product(range(alg.dim), repeat=3))
 
 
 def coboundary_space(alg: AlgebraSpec) -> Subspace:
@@ -646,7 +607,7 @@ def _qder_rows(alg: AlgebraSpec, module: str) -> Iterator[dict[int, Fraction]]:
     n2 = n * n
     if module not in ("adjoint", "coadjoint"):
         raise ValueError(f"unknown module {module!r}")
-    pairs = combinations(range(n), 2)
+    pairs = _leibniz_pairs(alg)  # i < j: alg is Lie, and the coadjoint sum below is skew in (i, j) too
     if module == "adjoint":
         # D([e_i,e_j]) - [F(e_i), e_j] - [e_i, F(e_j)] = 0, with D(e_c) -> e_q
         # at column q*n + c and F(e_c) -> e_q at n2 + q*n + c
@@ -727,11 +688,11 @@ def f_t(alg: AlgebraSpec, form: BilinearForm, phi: Matrix, t: Sequence[Fraction]
     if not solve_structures(alg, HOM_LIE).contains_map(phi):
         raise ValueError("phi is not a Hom-Lie structure on this algebra")
     n = alg.dim
-    rows = []
-    for i in range(n):
-        xi_t = alg.multiply(alg.basis_vector(i), tuple(as_scalar(a) for a in t))
-        rows.append(tuple(form(phi.apply(alg.basis_vector(j)), xi_t) for j in range(n)))
-    out = BilinearForm(Matrix(tuple(rows), n))
+    if len(t) != n:
+        raise ValueError("vector dimension mismatch")
+    st = sparse_vector([as_scalar(a) for a in t])
+    brackets = (sparse_product(alg.table, {i: 1}, st) for i in range(n))  # [e_i, t]
+    out = BilinearForm(Matrix(tuple(tuple(form(col, xi_t) for col in phi.sparse_cols) for xi_t in brackets), n))
     if not solve_bilinear(alg, "asym-cocycle").contains(out.matrix.sparse_flatten()):
         raise AssertionError("constructed form violates the cocycle equation")  # pragma: no cover
     return out

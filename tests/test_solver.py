@@ -9,9 +9,9 @@ from functools import cache
 
 import pytest
 
-from homlie.algebra import builtin, killing_form, make_algebra, parse_builtin, right_annihilator
+from homlie.algebra import BilinearForm, builtin, killing_form, make_algebra, parse_builtin, right_annihilator
 from homlie.battery import builtin_battery, random_lie_battery
-from homlie.constructions import central_extension, cocycle2, tensor_lie
+from homlie.constructions import central_extension, cocycle2, km_window, tensor_lie
 from homlie.linalg import Matrix, RowAccumulator, Subspace, nullspace_of_rows
 from homlie.solver import (
     HOM_2NILP,
@@ -519,6 +519,32 @@ def test_f_t_rejects_non_structures():
     assert not solve_structures(sl2, HOM_LIE).contains_map(bad)
     with pytest.raises(ValueError):
         f_t(sl2, killing_form(sl2), bad, sl2.basis_vector(1))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_forms_of_the_wrong_shape_are_refused(size):
+    """A form that is not dim x dim is refused by the invariance check, and
+    so by km_window and f_t: a 4x4 form with sl2's Killing form in its
+    corner is no form on sl2, and a 2x2 one cannot pair its products."""
+    sl2 = builtin("sl", 2)
+    kf = killing_form(sl2).matrix
+    corner = {(i, j): kf.entry(i, j) for i in range(3) for j in range(3) if kf.entry(i, j)}
+    form = BilinearForm(Matrix.from_sparse(4, 4, corner) if size == 4 else Matrix.zeros(2, 2))
+    calls = [
+        lambda: form.is_invariant(sl2),
+        lambda: km_window(sl2, form, 2),
+        lambda: f_t(sl2, form, Matrix.identity(3), sl2.basis_vector(1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="form shape does not match the algebra"):
+            call()
+
+
+def test_contains_map_refuses_a_map_of_the_wrong_shape():
+    sl2 = builtin("sl", 2)
+    flat = Matrix.from_rows([list(Matrix.identity(3).flatten())])  # 1 x 9: the identity's entries
+    with pytest.raises(ValueError, match="map shape does not match the algebra"):
+        solve_structures(sl2, HOM_LIE).contains_map(flat)
 
 
 def test_is_multiplicative():

@@ -19,6 +19,7 @@ from homlie import battery
 from homlie.algebra import (
     ANTICOMMUTATIVE_FLAVORS,
     COMMUTATIVE_FLAVORS,
+    BilinearForm,
     LawViolation,
     builtin,
     killing_form,
@@ -34,6 +35,7 @@ from homlie.solver import (
     MultiplicativityWitness,
     delta_derivation,
     is_multiplicative,
+    solve_bilinear,
     structure_residual,
 )
 from homlie.window import beta_map
@@ -298,16 +300,66 @@ def _dense_cocycle_verdict(alg, matrix):
     return None
 
 
+def _dense_is_invariant(alg, matrix):
+    """f(xy, z) == f(x, yz) on every basis triple, with the products from
+    ``multiply`` on unit vectors."""
+    n = alg.dim
+    basis = [alg.basis_vector(i) for i in range(n)]
+    prod = [[alg.multiply(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    f = [[matrix.entry(p, q) for q in range(n)] for p in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = sum(x * f[p][k] for p, x in enumerate(prod[i][j]))
+                rhs = sum(f[i][p] * x for p, x in enumerate(prod[j][k]))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def _random_symmetric(n, rng):
+    upper = {(i, j): rng.choice((0, 0, 1, -1, F(1, 2))) for i in range(n) for j in range(i, n)}
+    return Matrix.from_sparse(n, n, upper | {(j, i): x for (i, j), x in upper.items()})
+
+
 @pytest.mark.parametrize("name,alg", BATTERY, ids=_ids)
 def test_derivation_defect_and_cocycle_check_match_dense(name, alg):
     n = alg.dim
     rng = random.Random(f"leibniz-{name}")
     for d in _candidate_maps(n, rng) + [alg.left_mul_matrix(alg.basis_vector(n - 1))]:
         assert derivation_defect(alg, d) == _dense_derivation_defect(alg, d)
+    forms = [_random_symmetric(n, rng) for _ in range(2)]
     if alg.flavor == "lie":
+        kf = killing_form(alg).matrix
+        bumps = [(0, 0), (n - 1, 0), (rng.randrange(n), rng.randrange(n))]
+        forms += [kf] + [kf + Matrix.from_sparse(n, n, {pq: 1}) for pq in bumps]
+    for m in forms:
+        assert BilinearForm(m).is_invariant(alg) is _dense_is_invariant(alg, m)
+    if alg.flavor == "lie":
+        assert BilinearForm(kf).is_invariant(alg)
         upper = {(i, j): rng.choice((0, 1, -1, F(1, 2))) for i in range(n) for j in range(i + 1, n)}
         skew = Matrix.from_sparse(n, n, upper | {(j, i): -x for (i, j), x in upper.items()})
         assert _law_verdict(lambda: cocycle2(alg, skew)) == _dense_cocycle_verdict(alg, skew)
+        # skew-cocycle basis forms pass; with one entry pair (p, q), (q, p) changed
+        # they stay skew, and the two checks must name the same witness and residual.
+        # Every pair is bumped up to dim 5 (some bump fails unless every skew form
+        # is a cocycle, as the bumps span the skew forms), four of them above.
+        skew_cocycles = solve_bilinear(alg, "skew-cocycle")
+        pairs = list(itertools.combinations(range(n), 2))
+        if n > 5:
+            pairs = rng.sample(pairs, 4)
+        failing = 0
+        for _, row in skew_cocycles.rows[:2]:
+            base = Matrix.unflatten(row, n, n)
+            assert _law_verdict(lambda: cocycle2(alg, base)) is None
+            for p, q in pairs:
+                bumped = base + Matrix.from_sparse(n, n, {(p, q): 1, (q, p): -1})
+                verdict = _law_verdict(lambda: cocycle2(alg, bumped))
+                assert verdict == _dense_cocycle_verdict(alg, bumped)
+                if verdict is not None:
+                    assert all(type(x) is F for x in verdict[2])
+                    failing += 1
+        assert failing or skew_cocycles.dim in (0, n * (n - 1) // 2)
 
 
 def _dense_structure_residual(alg, phi, kind, triple):

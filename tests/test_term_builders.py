@@ -1,27 +1,30 @@
-"""The Leibniz and cyclic-cocycle term builders against the row compilers
-they replaced, kept here as references: every system gets the same set of
-rows (the order may differ; row order does not change a kernel)."""
+"""The Leibniz, cyclic-cocycle and invariance term builders against the
+row compilers they replaced, kept here as references: every system gets the
+same set of rows (the order may differ; row order does not change a
+kernel).  The validators evaluate the same builders, so every solved basis
+element must pass its validator."""
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 
 from homlie import solver
+from homlie.algebra import BilinearForm
 from homlie.battery import builtin_battery, random_lie_battery
-from homlie.constructions import cocycle2
+from homlie.constructions import cocycle2, derivation_defect
 from homlie.linalg import Matrix, Subspace
 from homlie.solver import (
     BILINEAR_KINDS,
     HOM_LIE,
     _b_space_rows,
     _delta_rows,
-    _invariance_rows,
     _plan,
     _sparse_rows,
     _symmetry_rows,
     central_ext_homlie_decomposed,
     coboundary_space,
+    delta_derivation,
     grading_shifts,
     seq_uv,
     solve_bilinear,
@@ -48,6 +51,18 @@ def ref_cocycle_rows(alg):
     )
 
 
+def ref_invariance_rows(alg):
+    """f(xy, z) - f(x, yz) = 0 over all ordered triples."""
+    n = alg.dim
+    return _sparse_rows(
+        chain(
+            ((0, p * n + k, c) for p, c in alg.product_on_basis(i, j)),
+            ((0, i * n + p, -c) for p, c in alg.product_on_basis(j, k)),
+        )
+        for i, j, k in product(range(n), repeat=3)
+    )
+
+
 def ref_bilinear_rows(alg, kind):
     n = alg.dim
     if kind == "asym-cocycle":
@@ -61,7 +76,7 @@ def ref_bilinear_rows(alg, kind):
     elif kind == "b-space":
         yield from _b_space_rows(alg)
     else:
-        yield from _invariance_rows(alg)
+        yield from ref_invariance_rows(alg)
         yield from _symmetry_rows(n, 1)
 
 
@@ -256,3 +271,19 @@ def test_delta_kinds_compile_the_replaced_rows(delta):
         plan, live = live_blocks(alg)
         new = shift_row_set(_delta_rows(plan, delta, live))
         assert new == shift_row_set(ref_delta_rows(plan, delta, live)), name
+
+
+def test_solved_spaces_pass_the_validators():
+    """Solve and check agree: every delta:1 basis map passes
+    ``derivation_defect``, every skew-cocycle basis form passes ``cocycle2``
+    and every sym-invariant basis form passes ``is_invariant``."""
+    for name, alg in algebras():
+        n = alg.dim
+        for d in solve_structures(alg, delta_derivation(1)).basis_maps():
+            assert derivation_defect(alg, d) is None, name
+        if alg.flavor != "lie":
+            continue
+        for _, row in solve_bilinear(alg, "skew-cocycle").rows:
+            cocycle2(alg, Matrix.unflatten(row, n, n))
+        for _, row in solve_bilinear(alg, "sym-invariant").rows:
+            assert BilinearForm(Matrix.unflatten(row, n, n)).is_invariant(alg), name
