@@ -34,7 +34,7 @@ from .linalg import (
     int_if_integral,
     nullspace_of_rows,
     sparse_lincomb,
-    sparse_vector,
+    sparse_vector_in,
 )
 
 FLAVORS = (
@@ -118,9 +118,8 @@ class AlgebraSpec:
 
     def multiply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         """Bilinear extension of the table to arbitrary vectors."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError("vector dimension mismatch")
-        return dense_vector(sparse_product(self.table, sparse_vector(u), sparse_vector(v)), self.dim)
+        n = self.dim
+        return dense_vector(sparse_product(self.table, sparse_vector_in(u, n), sparse_vector_in(v, n)), n)
 
     def basis_vector(self, i: int) -> Vector:
         return _basis_vector(i, self.dim)
@@ -133,12 +132,12 @@ class AlgebraSpec:
 
     def right_mul_matrix(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> Matrix:
         """Matrix of x -> x*v in the basis."""
-        sv = sparse_vector(v)
+        sv = sparse_vector_in(v, self.dim)
         return self._columns_matrix(sparse_product(self.table, {j: 1}, sv) for j in range(self.dim))
 
     def left_mul_matrix(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> Matrix:
         """Matrix of x -> v*x in the basis (``ad v`` for Lie flavors)."""
-        sv = sparse_vector(v)
+        sv = sparse_vector_in(v, self.dim)
         return self._columns_matrix(sparse_product(self.table, sv, {j: 1}) for j in range(self.dim))
 
     def _columns_matrix(self, cols: Iterable[Mapping[int, Fraction]]) -> Matrix:
@@ -196,7 +195,11 @@ def _check_laws(alg: AlgebraSpec) -> None:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    require("jacobi", (i, j, k), jacobi_residual(table, unit[i], unit[j], unit[k]))
+                    require("jacobi", (i, j, k), sparse_lincomb(
+                        (1, sparse_product(table, e(i, j), unit[k])),
+                        (1, sparse_product(table, e(k, i), unit[j])),
+                        (1, sparse_product(table, e(j, k), unit[i])),
+                    ))
     if alg.flavor == "commutative-associative":
         for i in range(n):
             for j in range(n):
@@ -212,21 +215,6 @@ def _check_laws(alg: AlgebraSpec) -> None:
             for k, _ in terms:
                 if alg.grading[k] != want:
                     require("grading", (i, j, k), e(i, j))
-
-
-def jacobi_residual(
-    t: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]]],
-    x: Mapping[int, Fraction],
-    y: Mapping[int, Fraction],
-    z: Mapping[int, Fraction],
-) -> SparseVector:
-    """(xy)z + (zx)y + (yz)x for sparse vectors over the table ``t``, the
-    Jacobi defect for anticommutative products."""
-    return sparse_lincomb(
-        (1, sparse_product(t, sparse_product(t, x, y), z)),
-        (1, sparse_product(t, sparse_product(t, z, x), y)),
-        (1, sparse_product(t, sparse_product(t, y, z), x)),
-    )
 
 
 # The identities' terms: the solver compiles them into rows, the validators
@@ -569,7 +557,8 @@ class BilinearForm:
     def __call__(self, u: Sequence[Fraction] | Mapping[int, Fraction],
                  v: Sequence[Fraction] | Mapping[int, Fraction]) -> Fraction:
         """f(u, v) for dense vectors or sparse ones (index -> scalar)."""
-        f, su, sv = self.matrix.sparse_rows, sparse_vector(u), sparse_vector(v)
+        m = self.matrix
+        f, su, sv = m.sparse_rows, sparse_vector_in(u, m.rows), sparse_vector_in(v, m.cols)
         return sum((x * c * sv[j] for i, x in su.items() for j, c in f[i].items() if j in sv), Fraction(0))
 
     def is_symmetric(self) -> bool:

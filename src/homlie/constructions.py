@@ -150,7 +150,14 @@ def semidirect_derivation(l: AlgebraSpec, a: AlgebraSpec, d: Matrix) -> AlgebraS
 
     ``d`` must be a derivation of the commutative-associative factor ``a``
     (Leibniz rule verified on all basis pairs); the extra generator D obeys
-    [D, x (x) f] = x (x) d(f).
+    [D, x (x) f] = x (x) d(f).  The result is certified Lie by theorem.
+
+    Proof.  ``tensor_lie`` certifies a (x) l Lie, as a is
+    commutative-associative and l is Lie.  The map d (x) id sends u (x) x to
+    d(u) (x) x, and (d (x) id)(uv (x) [x, y]) = (d(u)v + u d(v)) (x) [x, y]
+    = [d(u) (x) x, v (x) y] + [u (x) x, d(v) (x) y], because d is a
+    derivation of a.  So d (x) id is a derivation of a (x) l, and by the
+    proof in ``adjoin_map`` the table with D adjoined is Lie.
     """
     _require_lie(l, "semidirect_derivation")
     if a.flavor != "commutative-associative":
@@ -159,10 +166,19 @@ def semidirect_derivation(l: AlgebraSpec, a: AlgebraSpec, d: Matrix) -> AlgebraS
     if defect is not None:
         pair, residual = defect
         raise LawViolation("leibniz", pair, residual)
-    ext = adjoin_map(tensor_lie(a, l), d.kron(Matrix.identity(l.dim)))
-    if ext.flavor != "lie":
-        raise AssertionError("a derivation of a adjoined to a (x) l failed the Jacobi validator")  # pragma: no cover
-    return ext
+    tensor = tensor_lie(a, l)
+    return _lie_by_theorem(tensor.dim + 1, *_adjoined_table(tensor, d.kron(Matrix.identity(l.dim))))
+
+
+def _adjoined_table(l: AlgebraSpec, d: Matrix) -> tuple[dict, tuple[str, ...]]:
+    """The table and basis names of l + K.D with [D, x] = d(x) = -[x, D]."""
+    n = l.dim
+    table: dict = {(i, j): list(l.product_on_basis(i, j)) for i, j in l.table}
+    for i, col in enumerate(d.sparse_cols):  # d(e_i)
+        if col:
+            table[(n, i)] = list(col.items())
+            table[(i, n)] = [(k, -c) for k, c in col.items()]
+    return table, l.basis_names + ("D",)
 
 
 def adjoin_map(l: AlgebraSpec, d: Matrix) -> AlgebraSpec:
@@ -181,18 +197,11 @@ def adjoin_map(l: AlgebraSpec, d: Matrix) -> AlgebraSpec:
     (x, y).  So Jacobi holds exactly when d is a derivation.
     """
     _require_lie(l, "adjoin_map")
-    n = l.dim
-    if d.shape != (n, n):
-        raise ValueError("map shape does not match the algebra")
-    table: dict = {(i, j): list(l.product_on_basis(i, j)) for i, j in l.table}
-    for i, col in enumerate(d.sparse_cols):  # d(e_i)
-        if col:
-            table[(n, i)] = list(col.items())
-            table[(i, n)] = [(k, -c) for k, c in col.items()]
-    names = l.basis_names + ("D",)
-    if derivation_defect(l, d) is None:
-        return _lie_by_theorem(n + 1, table, names)
-    return make_algebra(n + 1, table, basis_names=names, flavor="generic-anticommutative")
+    defect = derivation_defect(l, d)  # raises on a map of the wrong shape
+    table, names = _adjoined_table(l, d)
+    if defect is None:
+        return _lie_by_theorem(l.dim + 1, table, names)
+    return make_algebra(l.dim + 1, table, basis_names=names, flavor="generic-anticommutative")
 
 
 # ---------------------------------------------------------------------------

@@ -54,12 +54,12 @@ def sparse_vector(v: Sequence[Fraction] | Mapping[int, Fraction]) -> SparseVecto
     return {j: x for j, x in (v.items() if isinstance(v, Mapping) else enumerate(v)) if x}
 
 
-def _spanning_vector(v: Sequence[Fraction] | Mapping[int, Fraction], ambient: int) -> SparseVector:
-    """``sparse_vector(v)`` for a vector of Q^ambient, checked to have its length or its indices in range."""
-    if isinstance(v, Mapping) and v and not (0 <= min(v) and max(v) < ambient):
-        raise ValueError(f"spanning vector has an index outside range({ambient})")
-    if not isinstance(v, Mapping) and len(v) != ambient:
-        raise ValueError("spanning vector has wrong length")
+def sparse_vector_in(v: Sequence[Fraction] | Mapping[int, Fraction], n: int) -> SparseVector:
+    """``sparse_vector(v)`` for a vector of Q^n, checked to have length n or its indices in range(n)."""
+    if isinstance(v, Mapping) and v and not (0 <= min(v) and max(v) < n):
+        raise ValueError(f"vector dimension mismatch: an index outside range({n})")
+    if not isinstance(v, Mapping) and len(v) != n:
+        raise ValueError(f"vector dimension mismatch: length {len(v)}, not {n}")
     return sparse_vector(v)
 
 
@@ -264,13 +264,33 @@ def _normalize_content(row: IntRow) -> None:
             row[c] //= content
 
 
+def _clear(work: IntRow, piv: IntRow, c: int) -> None:
+    """Clear column c of ``work`` by ``piv`` (both hold c), in integers and
+    in place.  work is kept only up to scale: g takes a's sign so that
+    ca > 0, and ca is 1 whenever the pivot entry divides work's."""
+    a, b = piv[c], work[c]
+    g = gcd(a, b) if a > 0 else -gcd(a, b)
+    ca, cb = a // g, b // g
+    if ca != 1:
+        for j in work:
+            work[j] *= ca
+    for j, v in piv.items():
+        n = work.get(j, 0) - v * cb
+        if n:
+            work[j] = n
+        else:
+            del work[j]
+
+
 class RowAccumulator:
     """Incremental echelon form for a stream of sparse rational rows.
 
-    Rows are kept as integer dicts with the content divided out.  Pivot rows
-    are indexed by their leading column; when a cheaper pivot (smaller
-    leading magnitude) arrives for an occupied column, it replaces the
-    stored one, which keeps coefficient growth down on large systems.
+    Pivot rows are integer dicts with the content divided out, indexed by
+    their leading column; when a cheaper pivot (smaller leading magnitude)
+    arrives for an occupied column, it replaces the stored one, which keeps
+    coefficient growth down on large systems.  A row that repeats the span
+    so far reduces to zero against the pivots, so no other record of the
+    rows seen is kept.
 
     The pivot dicts belong to the accumulator: a row is reduced in place,
     and a pivot that a cheaper one replaces becomes the row being reduced.
@@ -280,7 +300,6 @@ class RowAccumulator:
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivots: dict[int, IntRow] = {}
-        self._seen: set[frozenset] = set()
 
     @property
     def rank(self) -> int:
@@ -290,10 +309,10 @@ class RowAccumulator:
         """Insert one row (never changed); returns True if the rank grew.
 
         A row with one nonzero entry, at c, is e_c up to scale.  A pivot
-        with one entry at c is e_c too, so the pivot at c decides the
-        repeats that ``_seen`` decides for other rows.  A longer pivot at c
-        is e_c plus its tail beyond c; e_c takes its place, and the rank
-        grows exactly when that tail is independent of the other pivots.
+        with one entry at c is e_c too, so such a row repeats it.  A longer
+        pivot at c is e_c plus its tail beyond c; e_c takes its place, and
+        the rank grows exactly when that tail is independent of the other
+        pivots.
         """
         work: IntRow = {c: v for c, v in row.items() if v}
         if len(work) == 1:
@@ -314,11 +333,6 @@ class RowAccumulator:
                 denom = lcm(*[v.denominator for v in work.values()])
                 work = {c: v.numerator * (denom // v.denominator) for c, v in work.items()}
                 break
-        _normalize_content(work)
-        key = frozenset(work.items())
-        if key in self._seen:
-            return False
-        self._seen.add(key)
         return self._insert(work)
 
     def _insert(self, work: IntRow) -> bool:
@@ -332,25 +346,11 @@ class RowAccumulator:
                 _normalize_content(work)
                 pivots[lead] = work
                 return True
-            a, b = piv[lead], work[lead]
-            if abs(b) < abs(a):
+            if abs(work[lead]) < abs(piv[lead]):
                 _normalize_content(work)
                 pivots[lead] = work
                 work, piv = piv, work
-                a, b = piv[lead], work[lead]
-            # work is kept only up to scale: g takes a's sign so that ca > 0,
-            # and ca is 1 whenever the pivot entry divides work's
-            g = gcd(a, b) if a > 0 else -gcd(a, b)
-            ca, cb = a // g, b // g
-            if ca != 1:
-                for c in work:
-                    work[c] *= ca
-            for c, v in piv.items():
-                n = work.get(c, 0) - v * cb
-                if n:
-                    work[c] = n
-                else:
-                    del work[c]
+            _clear(work, piv, lead)
         return False
 
     def _reduced_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
@@ -369,19 +369,7 @@ class RowAccumulator:
             if later:
                 row = dict(row)
                 for q in later:
-                    rq = reduced[q]
-                    a, b = rq[q], row[q]
-                    g = gcd(a, b) if a > 0 else -gcd(a, b)
-                    ca, cb = a // g, b // g
-                    if ca != 1:
-                        for c in row:
-                            row[c] *= ca
-                    for c, v in rq.items():
-                        n = row.get(c, 0) - v * cb
-                        if n:
-                            row[c] = n
-                        else:
-                            del row[c]
+                    _clear(row, reduced[q], q)
                 _normalize_content(row)
             reduced[p] = row
         out = []
@@ -465,7 +453,7 @@ class Subspace:
         """Span of dense vectors or sparse ones (index -> scalar)."""
         acc = RowAccumulator(ambient)
         for v in vectors:
-            acc.add(_spanning_vector(v, ambient))
+            acc.add(sparse_vector_in(v, ambient))
         return cls(ambient, acc._reduced_rows())
 
     @classmethod
@@ -579,7 +567,7 @@ class SpanSolver:
         self.k = len(vectors)
         acc = RowAccumulator(ambient + self.k)
         for i, v in enumerate(vectors):
-            acc.add(_spanning_vector(v, ambient) | {ambient + i: Fraction(1)})
+            acc.add(sparse_vector_in(v, ambient) | {ambient + i: Fraction(1)})
         # a row with its pivot past the ambient coordinates is a relation among the vectors
         self._by_pivot = {p: r for p, r in acc._reduced_rows() if p < ambient}
         self.rank = len(self._by_pivot)

@@ -105,13 +105,13 @@ def _inner_report(pa: AlgebraSpec, space: Subspace, shift: int | None = None) ->
         if shift is None or pa.grading[c] + shift == 0:
             preds.append({z * k + pos[c]: Fraction(1)})
     predicted = Subspace.from_spanning(preds, k * k)
-    included = predicted.is_subspace_of(restricted)
+    # joined contains restricted, so predicted lies in restricted exactly when the dims agree
     joined = restricted.sum(predicted)
     return InnerWindowReport(
         inner_indices=inner,
         dim_full=space.dim,
         dim_restricted=restricted.dim,
         dim_predicted=predicted.dim,
-        predicted_included=included,
+        predicted_included=joined.dim == restricted.dim,
         excess_dim=joined.dim - predicted.dim,
     )

@@ -34,6 +34,29 @@ def test_identity_is_invariant():
     assert act(sl2, sl2.basis_vector(1), Matrix.identity(3)).is_zero()
 
 
+# longer and shorter than sl2's dim 3
+WRONG_LENGTHS = [(0, 1, 0, 7), (0, 1), (1, 0, 0, 9), (1,)]
+
+
+@pytest.mark.parametrize("h", WRONG_LENGTHS)
+def test_act_rejects_a_vector_of_the_wrong_length(h):
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        act(builtin("sl", 2), h, Matrix.identity(3))
+
+
+@pytest.mark.parametrize("x", WRONG_LENGTHS)
+def test_conjugate_rejects_a_vector_of_the_wrong_length(x):
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        conjugate(builtin("sl", 2), Matrix.identity(3), x)
+
+
+@pytest.mark.parametrize("t", WRONG_LENGTHS)
+def test_weight_decompose_rejects_a_torus_vector_of_the_wrong_length(t):
+    sl2 = builtin("sl", 2)
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        weight_decompose(sl2, [t], solve_structures(sl2, HOM_LIE).space)
+
+
 def test_act_weight_of_lowering_to_raising_map():
     # hand expansion: (h.phi)(e-) = [phi(e-), h] - phi([e-, h])
     #               = [e+, h] + phi(e-) = e+ + e+ = 2 phi(e-)

@@ -150,6 +150,28 @@ def test_multiply_is_bilinear():
     assert sl2.multiply((F(0),) * 3, v) == (F(0),) * 3
 
 
+# longer and shorter than sl2's dim 3, and sparse with an index outside range(3)
+WRONG_VECTORS = [(0, 1, 0, 5), (0, 1), {3: 1}, {-1: 1}, {0: 1, 7: F(1, 2)}]
+
+
+@pytest.mark.parametrize("v", WRONG_VECTORS)
+@pytest.mark.parametrize("side", ["left_mul_matrix", "right_mul_matrix"])
+def test_multiplication_matrices_reject_a_vector_outside_the_algebra(side, v):
+    sl2 = builtin("sl", 2)
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        getattr(sl2, side)(v)
+    assert getattr(sl2, side)({1: 1}) == getattr(sl2, side)((0, 1, 0))
+
+
+@pytest.mark.parametrize("v", WRONG_VECTORS)
+def test_bilinear_form_rejects_a_vector_outside_its_space(v):
+    form = killing_form(builtin("sl", 2))
+    for u, w in ((v, (0, 0, 1)), ((1, 0, 0), v)):
+        with pytest.raises(ValueError, match="vector dimension mismatch"):
+            form(u, w)
+    assert form({0: 1}, {2: 1}) == form((1, 0, 0), (0, 0, 1)) != 0
+
+
 def test_structural_subspaces():
     assert structural_subspaces(builtin("sl", 2)) == (
         Subspace.zero(3),

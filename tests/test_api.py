@@ -79,8 +79,8 @@ def test_elimination_runs_only_through_linalg():
 ALGEBRA_BUILDERS = {("algebra.py", "make_algebra"), ("algebra.py", "_lie_by_theorem"), ("constructions.py", "km_window")}
 # The builds certified through _lie_by_theorem, each with a docstring proof.
 CERTIFIED_BUILDS = {("algebra.py", "_from_matrices"), ("constructions.py", "adjoin_map"),
-                    ("constructions.py", "central_extension"), ("constructions.py", "tensor_lie"),
-                    ("constructions.py", "twisted_cyclic")}
+                    ("constructions.py", "central_extension"), ("constructions.py", "semidirect_derivation"),
+                    ("constructions.py", "tensor_lie"), ("constructions.py", "twisted_cyclic")}
 
 
 def test_only_the_law_scan_and_certified_builds_make_algebras():

@@ -329,8 +329,26 @@ def test_a_row_with_one_nonzero_entry_is_a_unit_row():
     acc = RowAccumulator(4)
     assert acc.add({0: 0, 3: 5})
     assert acc.pivots == {3: {3: 1}}
-    assert acc._seen == set()  # unit rows are deduplicated by their pivot
     assert not acc.add({3: 2, 1: 0})
+
+
+@pytest.mark.parametrize("repeat", [
+    {0: 2, 1: 1, 2: 3},  # the first row exactly
+    {0: -6, 1: -3, 2: -9},  # scaled by an int
+    {0: F(4, 5), 1: F(2, 5), 2: F(6, 5)},  # scaled by a Fraction
+    {0: 2, 1: 1, 2: 3, 3: 0, 4: F(0)},  # with zero entries added
+    {0: 6, 1: 5, 2: 11, 3: 8},  # 3 * first + 2 * second
+    {0: 1, 2: 1, 3: -2},  # (first - second) / 2, a cheaper pivot at 0 than the one held
+])
+def test_a_row_in_the_span_reduces_to_zero(repeat):
+    acc = RowAccumulator(5)
+    assert acc.add({0: 2, 1: 1, 2: 3})
+    assert acc.add({1: 1, 2: 1, 3: 4})
+    before = acc._reduced_rows()
+    assert not acc.add(repeat)
+    assert sorted(acc.pivots) == [0, 1]
+    assert acc._reduced_rows() == before
+    assert acc.add({4: 1, 0: 1})
 
 
 @pytest.mark.parametrize("row", [{}, {0: 0}, {0: F(0), 2: 0}])
