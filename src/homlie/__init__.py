@@ -1,122 +1,57 @@
 """Exact-arithmetic computation of Hom-Lie and related twisted structures
-on finite-dimensional structure-constant algebras."""
+on finite-dimensional structure-constant algebras.
 
-from .algebra import (
-    AlgebraSpec,
-    BilinearForm,
-    LawViolation,
-    builtin,
-    builtin_names,
-    killing_form,
-    make_algebra,
-    parse_builtin,
-    structural_subspaces,
-)
-from .actions import (
-    NonSplitAction,
-    NotSubmodule,
-    WeightComponent,
-    act,
-    conjugate,
-    is_submodule,
-    sl2_decompose,
-    weight_decompose,
-)
-from .constructions import (
-    Cocycle2,
-    adjoin_map,
-    central_extension,
-    cocycle2,
-    km_window,
-    semidirect_derivation,
-    tensor_lie,
-    twisted_cyclic,
-)
-from .jordan import (
-    ClosureVerdict,
-    closure_check,
-    counterexample_suite,
-    jordan_product,
-    jordan_structure_constants,
-)
-from .linalg import Matrix, Scalar, Subspace, nullspace, rref, subspace_combine
-from .solver import (
-    HOM_2NILP,
-    HOM_CYCLIC,
-    HOM_LIE,
-    HomSolution,
-    StructureKind,
-    central_ext_homlie_decomposed,
-    coboundary_space,
-    current_formula_span,
-    delta_derivation,
-    f_t,
-    is_multiplicative,
-    seq_uv,
-    solve_bilinear,
-    solve_qder,
-    solve_structures,
-    tensor_formula_span,
-)
-from .window import WindowSolution, beta_map, central_maps, solve_window
+A public name is looked up in its defining module when first read (PEP 562),
+so ``import homlie`` loads no submodule and a program pays only for the
+modules it uses.  The value is not kept here: each read goes to the module,
+so a name patched there is the name read here.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraSpec",
-    "BilinearForm",
-    "ClosureVerdict",
-    "Cocycle2",
-    "HOM_2NILP",
-    "HOM_CYCLIC",
-    "HOM_LIE",
-    "HomSolution",
-    "LawViolation",
-    "Matrix",
-    "NonSplitAction",
-    "NotSubmodule",
-    "Scalar",
-    "StructureKind",
-    "Subspace",
-    "WeightComponent",
-    "WindowSolution",
-    "act",
-    "adjoin_map",
-    "beta_map",
-    "builtin",
-    "builtin_names",
-    "central_ext_homlie_decomposed",
-    "central_extension",
-    "central_maps",
-    "closure_check",
-    "coboundary_space",
-    "cocycle2",
-    "conjugate",
-    "counterexample_suite",
-    "current_formula_span",
-    "delta_derivation",
-    "f_t",
-    "is_multiplicative",
-    "is_submodule",
-    "jordan_product",
-    "jordan_structure_constants",
-    "killing_form",
-    "km_window",
-    "make_algebra",
-    "nullspace",
-    "parse_builtin",
-    "rref",
-    "semidirect_derivation",
-    "seq_uv",
-    "sl2_decompose",
-    "solve_bilinear",
-    "solve_qder",
-    "solve_structures",
-    "solve_window",
-    "structural_subspaces",
-    "subspace_combine",
-    "tensor_formula_span",
-    "tensor_lie",
-    "twisted_cyclic",
-    "weight_decompose",
-]
+_MODULE_OF = {
+    **dict.fromkeys(
+        ("AlgebraSpec", "BilinearForm", "LawViolation", "builtin", "builtin_names", "killing_form",
+         "make_algebra", "parse_builtin", "structural_subspaces"),
+        "algebra",
+    ),
+    **dict.fromkeys(
+        ("NonSplitAction", "NotSubmodule", "WeightComponent", "act", "conjugate", "is_submodule",
+         "sl2_decompose", "weight_decompose"),
+        "actions",
+    ),
+    **dict.fromkeys(
+        ("Cocycle2", "adjoin_map", "central_extension", "cocycle2", "km_window", "semidirect_derivation",
+         "tensor_lie", "twisted_cyclic"),
+        "constructions",
+    ),
+    **dict.fromkeys(
+        ("ClosureVerdict", "closure_check", "counterexample_suite", "jordan_product",
+         "jordan_structure_constants"),
+        "jordan",
+    ),
+    **dict.fromkeys(("Matrix", "Scalar", "Subspace", "nullspace", "rref", "subspace_combine"), "linalg"),
+    **dict.fromkeys(
+        ("HOM_2NILP", "HOM_CYCLIC", "HOM_LIE", "HomSolution", "StructureKind", "central_ext_homlie_decomposed",
+         "coboundary_space", "current_formula_span", "delta_derivation", "f_t", "is_multiplicative", "seq_uv",
+         "solve_bilinear", "solve_qder", "solve_structures", "tensor_formula_span"),
+        "solver",
+    ),
+    **dict.fromkeys(("WindowSolution", "beta_map", "central_maps", "solve_window"), "window"),
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_MODULE_OF])

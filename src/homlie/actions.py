@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, isqrt, lcm
 from typing import Sequence
 
@@ -18,13 +19,14 @@ from .linalg import Matrix, Subspace, Vector, as_scalar, minimal_polynomial, nul
 
 
 class NotSubmodule(ValueError):
-    def __init__(self, generator_index: int, basis_index: int):
+    """An element moves a basis map out of the subspace; ``generator_index``
+    is None when the element is not a basis generator."""
+
+    def __init__(self, generator_index: int | None, basis_index: int):
         self.generator_index = generator_index
         self.basis_index = basis_index
-        super().__init__(
-            f"action of basis generator {generator_index} moves basis map "
-            f"{basis_index} outside the subspace"
-        )
+        actor = "the action" if generator_index is None else f"action of basis generator {generator_index}"
+        super().__init__(f"{actor} moves basis map {basis_index} outside the subspace")
 
 
 class NonSplitAction(ValueError):
@@ -73,7 +75,8 @@ def _basis_maps(alg: AlgebraSpec, s: Subspace) -> list[Matrix]:
 
 def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace, maps: Sequence[Matrix] | None = None) -> Matrix:
     """Matrix of phi -> h . phi on s, in the echelon-basis coordinates;
-    ``maps``, when given, is s's echelon basis as maps (``_basis_maps``)."""
+    ``maps``, when given, is s's echelon basis as maps (``_basis_maps``).
+    Raises NotSubmodule when h moves s out of itself."""
     if s.rows:
         _require_lie(alg, "act")
         right = alg.right_mul_matrix(tuple(as_scalar(a) for a in h))
@@ -81,7 +84,7 @@ def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace, maps: Se
     for phi in _basis_maps(alg, s) if maps is None else maps:
         coords = s.coords((right @ phi - phi @ right).sparse_flatten())
         if coords is None:
-            raise NotSubmodule(-1, len(cols))
+            raise NotSubmodule(None, len(cols))
         cols.append(coords)
     return Matrix.from_sparse(s.dim, s.dim, {(r, k): c for k, col in enumerate(cols) for r, c in enumerate(col) if c})
 
@@ -141,15 +144,26 @@ def _eigen_subspaces(alg: AlgebraSpec, h: Vector, s: Subspace) -> list[tuple[Fra
     return pieces
 
 
+def noncommuting_pair(alg: AlgebraSpec, torus: Sequence[Sequence[Fraction]]) -> tuple[int, int] | None:
+    """The first positions i < j in ``torus`` whose elements do not commute,
+    or None when they all do."""
+    pairs = combinations(enumerate(torus), 2)
+    return next(((i, j) for (i, s), (j, t) in pairs if any(alg.multiply(s, t))), None)
+
+
 def weight_decompose(
     alg: AlgebraSpec, torus: Sequence[Sequence[Fraction]], s: Subspace
 ) -> list[WeightComponent]:
     """Joint eigenspace decomposition of s under commuting torus elements.
 
-    Components direct-sum to s; empty weights are omitted.  The subspace
-    must be a submodule (checked) and the action must split over Q.
+    Components direct-sum to s; empty weights are omitted.  The torus
+    elements must commute and the subspace must be a submodule (both
+    checked), and the action must split over Q.
     """
     _require_lie(alg, "weight_decompose")
+    pair = noncommuting_pair(alg, torus)
+    if pair:
+        raise ValueError(f"torus elements {pair[0]} and {pair[1]} do not commute")
     verdict = is_submodule(alg, s)
     if verdict is not True:
         raise NotSubmodule(verdict.generator_index, verdict.map_index)

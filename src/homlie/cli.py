@@ -4,6 +4,7 @@ Exit codes: 0 on success or pass, 1 when a computed result misses a stated
 expectation, 2 on usage errors (unknown flags, unknown algebra, bad files).
 `--json` switches every subcommand to machine-readable output with sorted
 keys; two runs over the same inputs produce byte-identical documents.
+Each command imports the modules it runs, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -12,32 +13,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .actions import is_sl2_triple, sl2_decompose, weight_decompose
-from .algebra import AlgebraSpec, LawViolation, builtin_names, killing_form, parse_builtin
-from .constructions import km_window
-from .jordan import closure_check, counterexample_suite, jordan_identity_defect, jordan_structure_constants
-from .linalg import Matrix, Subspace
-from .scenarios import run_all, run_scenario, scenario_ids
-from .serialize import (
-    MAX_DIM,
-    algebra_from_json,
-    algebra_to_json,
-    format_scalar,
-    parse_scalar,
-    partial_to_json,
-    solution_to_json,
-    subspace_to_json,
-)
-from .solver import (
-    BILINEAR_KINDS,
-    HOM_LIE,
-    parse_kind,
-    solve_bilinear,
-    solve_qder,
-    solve_structures,
-)
-from .window import solve_window
+if TYPE_CHECKING:
+    from .algebra import AlgebraSpec
+    from .linalg import Subspace
 
 USAGE_ERROR = 2
 EXPECTATION_FAILURE = 1
@@ -57,6 +37,9 @@ def _read_json(path: str, flag: str):
 
 
 def _resolve_algebra(spec: str) -> AlgebraSpec:
+    from .algebra import parse_builtin
+    from .serialize import algebra_from_json
+
     if spec.endswith(".json") or Path(spec).is_file():
         doc = _read_json(spec, "--algebra")
         try:
@@ -84,6 +67,8 @@ def _emit(doc, as_json: bool, human: str) -> None:
 
 
 def _parse_kind(text: str):
+    from .solver import parse_kind
+
     try:
         return parse_kind(text)
     except ValueError as e:
@@ -91,6 +76,9 @@ def _parse_kind(text: str):
 
 
 def _cmd_solve(args) -> int:
+    from .serialize import algebra_to_json, solution_to_json
+    from .solver import solve_structures
+
     alg = _resolve_algebra(args.algebra)
     kind = _parse_kind(args.kind)
     sol = solve_structures(alg, kind)
@@ -100,6 +88,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bilinear(args) -> int:
+    from .serialize import algebra_to_json, solution_to_json
+    from .solver import BILINEAR_KINDS, solve_bilinear
+
     alg = _resolve_lie(args.algebra, "bilinear")
     if args.kind not in BILINEAR_KINDS:
         raise UsageError(f"unknown bilinear kind {args.kind!r}; choose from {', '.join(BILINEAR_KINDS)}")
@@ -110,6 +101,9 @@ def _cmd_bilinear(args) -> int:
 
 
 def _cmd_qder(args) -> int:
+    from .serialize import algebra_to_json, subspace_to_json
+    from .solver import solve_qder
+
     alg = _resolve_lie(args.algebra, "qder")
     sol = solve_qder(alg, args.module)
     d_dim = sol.d_component().dim
@@ -137,12 +131,21 @@ def _parse_indices(flag: str, text: str, dim: int) -> list[int]:
 
 
 def _cmd_decompose(args) -> int:
+    from .actions import is_sl2_triple, noncommuting_pair, sl2_decompose, weight_decompose
+    from .serialize import algebra_to_json, format_scalar
+    from .solver import solve_structures
+
     alg = _resolve_lie(args.algebra, "decompose")
     kind = _parse_kind(args.kind)
-    if args.torus is None and args.triple is None:
-        raise UsageError("decompose needs --torus and/or --triple")
-    if args.torus is not None:
-        torus = [alg.basis_vector(i) for i in _parse_indices("--torus", args.torus, alg.dim)]
+    torus_idx = None if args.torus is None else _parse_indices("--torus", args.torus, alg.dim)
+    if torus_idx == [] or (torus_idx is None and args.triple is None):
+        raise UsageError("decompose needs a nonempty --torus and/or --triple")
+    if torus_idx is not None:
+        torus = [alg.basis_vector(i) for i in torus_idx]
+        pair = noncommuting_pair(alg, torus)
+        if pair:
+            i, j = (torus_idx[k] for k in pair)
+            raise UsageError(f"--torus: basis vectors {i} and {j} do not commute")
     if args.triple is not None:
         idx = _parse_indices("--triple", args.triple, alg.dim)
         if len(idx) != 3:
@@ -156,7 +159,7 @@ def _cmd_decompose(args) -> int:
     sol = solve_structures(alg, kind)
     doc: dict = {"algebra": algebra_to_json(alg), "kind": args.kind, "space_dim": sol.dim}
     lines = [f"{args.kind} space on {args.algebra}: dim {sol.dim}"]
-    if args.torus is not None:
+    if torus_idx is not None:
         comps = weight_decompose(alg, torus, sol.space)
         doc["weights"] = [
             {"weight": [format_scalar(w) for w in c.weight], "dim": c.component.dim} for c in comps
@@ -171,6 +174,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_jordan(args) -> int:
+    from .jordan import closure_check, counterexample_suite, jordan_identity_defect, jordan_structure_constants
+    from .serialize import algebra_to_json, format_scalar
+    from .solver import HOM_LIE, solve_structures
+
     if args.counterexample:
         rep = counterexample_suite()
         ok = rep.phi_member and rep.psi_member and not rep.product_member
@@ -210,6 +217,9 @@ def _cmd_jordan(args) -> int:
 
 
 def _load_twist(path: str, dim: int):
+    from .linalg import Subspace
+    from .serialize import parse_scalar
+
     doc = _read_json(path, "--twist")
     n = doc.get("n") if isinstance(doc, dict) else None
     if type(n) is not int or n < 1:  # bool is a subclass of int
@@ -238,6 +248,12 @@ def _window_dim(dim: int, n_window: int, twist: tuple[list[Subspace], int] | Non
 
 
 def _cmd_window(args) -> int:
+    from .algebra import MAX_DIM, killing_form
+    from .constructions import km_window
+    from .linalg import Matrix
+    from .serialize import partial_to_json
+    from .window import solve_window
+
     if args.window < 2:
         raise UsageError(f"--window must be at least 2, got {args.window}")
     alg = _resolve_lie(args.algebra, "window")
@@ -271,6 +287,8 @@ def _cmd_window(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .scenarios import run_all
+
     if args.all == (args.id is not None):
         raise UsageError("give exactly one of a scenario id or --all")
     results = run_all() if args.all else [run_scenario_checked(args.id)]
@@ -284,6 +302,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def run_scenario_checked(scenario_id: str):
+    from .scenarios import run_scenario
+
     try:
         return run_scenario(scenario_id)
     except KeyError:
@@ -291,6 +311,9 @@ def run_scenario_checked(scenario_id: str):
 
 
 def _cmd_validate(args) -> int:
+    from .algebra import LawViolation
+    from .serialize import algebra_from_json, format_scalar
+
     doc = _read_json(args.algebra, "--algebra")
     try:
         alg = algebra_from_json(doc)
@@ -313,6 +336,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    from .algebra import builtin_names
+    from .scenarios import scenario_ids
+    from .solver import BILINEAR_KINDS
+
     doc = {
         "builtins": builtin_names(),
         "structure_kinds": ["hom-lie", "hom-cyclic", "hom-2nilp", "delta:<p/q>"],
@@ -332,6 +359,8 @@ def _cmd_list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .solver import BILINEAR_KINDS
+
     parser = argparse.ArgumentParser(
         prog="homlie",
         description="Exact computation of twisted-structure spaces on structure-constant algebras.",
@@ -395,6 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .algebra import LawViolation
+
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,7 +12,6 @@ from typing import Any, Mapping
 
 from .algebra import FLAVORS, MAX_DIM, AlgebraSpec, make_algebra
 from .linalg import Subspace, as_scalar
-from .window import window_size
 
 
 def format_scalar(x: Fraction) -> str:
@@ -93,6 +92,8 @@ def _is_table_entry(entry) -> bool:
 def partial_to_json(pa: AlgebraSpec) -> dict:
     """A degree window (``km_window``): each bracket once, the Euler action
     as [d, x], and the undefined pairs i < j listed in ``out_of_window``."""
+    from .window import window_size
+
     kinds = ["euler" if name == "d" else "central" if name == "z" else "loop" for name in pa.basis_names]
     first = [-1 if kind == "euler" else i for i, kind in enumerate(kinds)]  # d is written first
     table = []

@@ -13,6 +13,7 @@ from homlie.actions import (
     action_matrix,
     conjugate,
     is_submodule,
+    noncommuting_pair,
     rational_eigenvalues,
     sl2_decompose,
     weight_decompose,
@@ -294,3 +295,21 @@ def test_sparse_action_matches_the_dense_products(name, alg):
     expected = [hl.coords(_dense_act(alg, h, Matrix.unflatten(v, n, n)).flatten()) for v in hl.basis.data]
     k = hl.dim
     assert action_matrix(alg, h, hl) == Matrix(tuple(tuple(expected[j][i] for j in range(k)) for i in range(k)), k)
+
+
+def test_weight_decompose_rejects_a_non_commuting_torus():
+    gl2 = builtin("gl", 2)
+    space = solve_structures(gl2, HOM_LIE).space
+    torus = [gl2.basis_vector(i) for i in (0, 3, 1)]  # E11 and E22 commute; E12 commutes with neither
+    assert noncommuting_pair(gl2, torus) == (0, 2)
+    assert noncommuting_pair(gl2, torus[:2]) is None
+    with pytest.raises(ValueError, match="torus elements 0 and 2 do not commute"):
+        weight_decompose(gl2, torus, space)
+
+
+def test_action_matrix_names_no_generator():
+    sl2 = builtin("sl", 2)
+    line = Subspace.from_spanning([Matrix.from_sparse(3, 3, {(0, 1): 1}).flatten()], 9)
+    with pytest.raises(NotSubmodule, match="^the action moves basis map 0 outside the subspace$") as e:
+        action_matrix(sl2, sl2.basis_vector(0), line)
+    assert e.value.generator_index is None

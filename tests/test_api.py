@@ -22,6 +22,8 @@ PUBLIC = [
 def test_public_names_are_pinned():
     assert homlie.__all__ == PUBLIC
     assert all(hasattr(homlie, name) for name in PUBLIC)
+    assert set(PUBLIC) <= set(dir(homlie))
+    assert not hasattr(homlie, "no_such_name")
 
 
 # linalg owns the matrix storage; serialize writes the dense rows as JSON.

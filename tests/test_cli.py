@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import homlie
-from homlie import builtin, cli, killing_form, km_window, serialize
+from homlie import builtin, constructions, killing_form, km_window, serialize
 from homlie.cli import _window_dim, main
 from homlie.linalg import Subspace
 from homlie.algebra import FLAVORS
@@ -219,6 +219,9 @@ def test_malformed_field_is_usage_error(capsys, tmp_path, command, field, value)
         (["qder", "--algebra", "trunc_poly:3"], "--algebra"),
         (["decompose", "--algebra", "trunc_poly:3", "--torus", "0"], "--algebra"),
         (["window", "--algebra", "trunc_poly:3", "--window", "2"], "--algebra"),
+        (["decompose", "--algebra", "sl2", "--torus", ""], "--torus"),
+        (["decompose", "--algebra", "sl2", "--torus", ","], "--torus"),
+        (["decompose", "--algebra", "gl2", "--torus", "0,1"], "--torus: basis vectors 0 and 1 do not commute"),
     ],
 )
 def test_bad_argument_is_usage_error(capsys, argv, flag):
@@ -244,7 +247,7 @@ def test_oversized_algebra_is_rejected_before_it_is_built(capsys, monkeypatch, t
 
 @pytest.mark.parametrize("n_window", [42, 100])  # sl2 windows of dim 257 and 605
 def test_oversized_window_is_rejected_before_it_is_built(capsys, monkeypatch, n_window):
-    monkeypatch.setattr(cli, "km_window", _must_not_build)
+    monkeypatch.setattr(constructions, "km_window", _must_not_build)
     code, out, err = run_cli(capsys, "window", "--algebra", "sl2", "--window", str(n_window))
     assert code == 2
     assert err.startswith("error: --window:") and f"dim {3 * (2 * n_window + 1) + 2}" in err
@@ -323,11 +326,46 @@ def test_decompose_and_reproduce_do_not_import_sympy():
         "assert main(['reproduce', 'prop-2.1']) == 0\n"
         "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
     )
-    src = str(Path(homlie.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    result = _python(script)
     assert result.returncode == 0, result.stderr
     assert "irreducible dims: [5, 1]" in result.stdout
+
+
+def _python(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """Runs ``script`` in a fresh interpreter that imports this homlie."""
+    src = str(Path(homlie.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
+
+
+def _loaded(*argv: str) -> tuple[int | None, set[str]]:
+    """The exit code of ``homlie *argv`` (None with no argv: import only) and
+    the homlie modules its fresh process loaded."""
+    script = (
+        "import json, sys\n"
+        "from homlie.cli import main\n"
+        "code = main(sys.argv[1:]) if sys.argv[1:] else None\n"
+        "loaded = sorted(m for m in sys.modules if m == 'homlie' or m.startswith('homlie.'))\n"
+        "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+    )
+    result = _python(script, *argv)
+    assert result.returncode == 0, result.stderr
+    code, loaded = json.loads(result.stderr.splitlines()[-1])
+    return code, set(loaded)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    assert _loaded() == (None, {"homlie", "homlie.cli"})
+    alg_file = tmp_path / "sl2.json"
+    alg_file.write_text(json.dumps(serialize.algebra_to_json(builtin("sl", 2))))
+    unused = {f"homlie.{m}" for m in ("actions", "constructions", "jordan", "scenarios", "battery")}
+    for argv in (["solve", "--algebra", "sl3"], ["bilinear", "--algebra", "sl3"],
+                 ["qder", "--algebra", "sl3", "--module", "coadjoint"], ["validate", "--algebra", str(alg_file)]):
+        code, loaded = _loaded(*argv)
+        assert code == 0 and not loaded & unused, (argv, code, loaded & unused)
+    code, loaded = _loaded("window", "--algebra", "sl2", "--window", "2")
+    assert code == 0 and not loaded & {"homlie.scenarios", "homlie.battery"}, (code, loaded)
+    assert _loaded("reproduce", "--all", "--json")[0] == 1  # the known red, lemma-2.5-sl2
 
 
 def test_reproduce_single(capsys):

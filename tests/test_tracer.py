@@ -4,6 +4,7 @@ that drops one of them must fail here, not in a later traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import homlie
 from homlie import algebra, builtin, killing_form, km_window, linalg, serialize, solver, window
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -34,3 +35,17 @@ def test_tracer_installs_and_uninstalls():
     assert tracer.counts["window.blocks"] == 1
     assert tracer.counts["linalg.rows_in"] > 0
     assert tracer.agg["window.compile"][0] > 0 and "solver.compile" not in tracer.agg
+
+
+def test_package_names_follow_the_patched_modules():
+    """``homlie.<name>`` is read from its module on each use, so the tracer's
+    wrapper shows through the package while installed and is gone after."""
+    original = homlie.solve_structures
+    tracer = _tracer()
+    tracer.install()
+    try:
+        assert homlie.solve_structures is solver.solve_structures is not original
+    finally:
+        tracer.uninstall()
+    assert homlie.solve_structures is solver.solve_structures is original
+    assert "solve_structures" not in vars(homlie)
