@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 _MODULE_OF = {
     **dict.fromkeys(
-        ("AlgebraSpec", "BilinearForm", "LawViolation", "builtin", "builtin_names", "killing_form",
-         "make_algebra", "parse_builtin", "structural_subspaces"),
+        ("AlgebraSpec", "BILINEAR_KINDS", "BilinearForm", "LawViolation", "builtin", "builtin_names",
+         "killing_form", "make_algebra", "parse_builtin", "structural_subspaces"),
         "algebra",
     ),
     **dict.fromkeys(

@@ -262,6 +262,18 @@ def _leibniz_terms(
             yield k, col, -delta * c
 
 
+# The form kinds ``solver.solve_bilinear`` solves from these terms, named
+# here so that the command line lists them without loading the solver.
+BILINEAR_KINDS = (
+    "asym-cocycle",
+    "skew-cocycle",
+    "sym-cocycle",
+    "coboundary",
+    "b-space",
+    "sym-invariant",
+)
+
+
 def _cocycle_terms(alg: AlgebraSpec, xi: Sequence[Mapping[int, int | Fraction]], i: int, j: int, k: int) -> _Terms:
     """The terms of xi(xy, f(z)) + xi(zx, f(y)) + xi(yz, f(x)) at (i, j, k),
     for the form with sparse rows ``xi`` and an unknown map f with

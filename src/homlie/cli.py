@@ -88,8 +88,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bilinear(args) -> int:
+    from .algebra import BILINEAR_KINDS
     from .serialize import algebra_to_json, solution_to_json
-    from .solver import BILINEAR_KINDS, solve_bilinear
+    from .solver import solve_bilinear
 
     alg = _resolve_lie(args.algebra, "bilinear")
     if args.kind not in BILINEAR_KINDS:
@@ -336,9 +337,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    from .algebra import builtin_names
+    from .algebra import BILINEAR_KINDS, builtin_names
     from .scenarios import scenario_ids
-    from .solver import BILINEAR_KINDS
 
     doc = {
         "builtins": builtin_names(),
@@ -359,7 +359,7 @@ def _cmd_list(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .solver import BILINEAR_KINDS
+    from .algebra import BILINEAR_KINDS
 
     parser = argparse.ArgumentParser(
         prog="homlie",

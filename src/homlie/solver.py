@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import chain, combinations, product, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import (AlgebraSpec, BilinearForm, _cocycle_terms, _invariance_terms, _leibniz_pairs, _leibniz_terms,
-                      _require_lie, _Terms, right_annihilator, sparse_product, structural_subspaces)
+from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, _cocycle_terms, _invariance_terms, _leibniz_pairs,
+                      _leibniz_terms, _require_lie, _Terms, right_annihilator, sparse_product, structural_subspaces)
 from .linalg import (
     Matrix,
     SparseVector,
@@ -65,16 +65,6 @@ def parse_kind(text: str) -> StructureKind:
     if text.startswith("delta:"):
         return delta_derivation(text.removeprefix("delta:"))
     raise ValueError(f"unknown structure kind {text!r}")
-
-
-BILINEAR_KINDS = (
-    "asym-cocycle",
-    "skew-cocycle",
-    "sym-cocycle",
-    "coboundary",
-    "b-space",
-    "sym-invariant",
-)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ from pathlib import Path
 import homlie
 
 PUBLIC = [
-    "AlgebraSpec", "BilinearForm", "ClosureVerdict", "Cocycle2", "HOM_2NILP", "HOM_CYCLIC", "HOM_LIE",
-    "HomSolution", "LawViolation", "Matrix", "NonSplitAction", "NotSubmodule", "Scalar", "StructureKind",
+    "AlgebraSpec", "BILINEAR_KINDS", "BilinearForm", "ClosureVerdict", "Cocycle2", "HOM_2NILP", "HOM_CYCLIC",
+    "HOM_LIE", "HomSolution", "LawViolation", "Matrix", "NonSplitAction", "NotSubmodule", "Scalar", "StructureKind",
     "Subspace", "WeightComponent", "WindowSolution", "act", "adjoin_map", "beta_map", "builtin",
     "builtin_names", "central_ext_homlie_decomposed", "central_extension", "central_maps", "closure_check",
     "coboundary_space", "cocycle2", "conjugate", "counterexample_suite", "current_formula_span",

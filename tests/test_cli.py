@@ -368,6 +368,24 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert _loaded("reproduce", "--all", "--json")[0] == 1  # the known red, lemma-2.5-sl2
 
 
+def test_validate_and_usage_errors_do_not_load_the_solver(tmp_path):
+    alg_file = tmp_path / "sl2.json"
+    alg_file.write_text(json.dumps(serialize.algebra_to_json(builtin("sl", 2))))
+    for argv in (["validate", "--algebra", str(alg_file)], ["solve"], ["bilinear", "--algebra"], ["no-such-command"]):
+        code, loaded = _loaded(*argv)
+        assert code == (0 if argv[0] == "validate" else 2) and "homlie.solver" not in loaded, (argv, code, loaded)
+    script = (
+        "import os, sys\n"
+        "os.environ['COLUMNS'] = '200'\n"
+        "from homlie.cli import main\n"
+        "assert main(['bilinear', '--help']) == 0\n"
+        "assert 'homlie.solver' not in sys.modules\n"
+    )
+    result = _python(script)
+    assert result.returncode == 0, result.stderr
+    assert " | ".join(BILINEAR_KINDS) in result.stdout
+
+
 def test_reproduce_single(capsys):
     code, doc = run_json(capsys, "reproduce", "prop-2.1")
     assert code == 0

@@ -7,6 +7,7 @@ import pytest
 
 from homlie.battery import (
     FILIPPOV_DELTAS,
+    _is_hom_lie,
     check_action_intertwines_jacobiator,
     check_conjugation_stability,
     check_f_t_membership,
@@ -17,6 +18,9 @@ from homlie.battery import (
     lie_battery,
     random_lie_battery,
 )
+from homlie.constructions import adjoin_map
+from homlie.linalg import Matrix
+from homlie.solver import HOM_LIE, delta_derivation, solve_structures
 
 F = Fraction
 
@@ -65,3 +69,25 @@ def test_conjugation_stability(name, alg):
 def test_semidirect_delta_embedding(name, alg):
     for delta in FILIPPOV_DELTAS:
         assert check_semidirect_delta_embedding(alg, delta) is None
+
+
+def test_embedding_residual_agrees_with_the_solved_space():
+    """The embedding check evaluates the identity at the structure it
+    tests; on every extension it builds, that verdict equals membership in
+    the solved hom-lie space, for the structure and for two wrong ones."""
+    cases = rejected = 0
+    for name, alg in lie_battery(max_dim=8) + random_lie_battery(count=25):
+        n = alg.dim
+        for delta in FILIPPOV_DELTAS:
+            for d in solve_structures(alg, delta_derivation(delta)).basis_maps():
+                ext = adjoin_map(alg, d)
+                space = solve_structures(ext, HOM_LIE)
+                for last in (1 / delta, delta, 1 + 1 / delta):
+                    entries = {(i, i): F(1) for i in range(n)}
+                    entries[(n, n)] = last
+                    alpha = Matrix.from_sparse(n + 1, n + 1, entries)
+                    verdict = _is_hom_lie(ext, alpha)
+                    assert verdict == space.contains_map(alpha), (name, delta, last)
+                    cases += 1
+                    rejected += not verdict
+    assert cases > 1000 and rejected > 100

@@ -27,7 +27,7 @@ from homlie.algebra import (
 )
 from homlie.battery import builtin_battery, check_action_intertwines_jacobiator, random_lie_battery
 from homlie.constructions import cocycle2, derivation_defect, km_window, twisted_cyclic
-from homlie.linalg import Matrix, Subspace
+from homlie.linalg import Matrix, Subspace, dense_vector
 from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
@@ -389,17 +389,19 @@ def test_structure_residual_matches_dense(name, alg):
 # -- the intertwining check ----------------------------------------------------
 
 
+def _dense_jacobiator(alg, phi, x, y, z):
+    """(xy)phi(z) + (zx)phi(y) + (yz)phi(x), evaluated by ``multiply``."""
+    mul = alg.multiply
+    terms = (mul(mul(x, y), phi.apply(z)), mul(mul(z, x), phi.apply(y)), mul(mul(y, z), phi.apply(x)))
+    return tuple(sum(t) for t in zip(*terms))
+
+
 def _dense_intertwining(alg, rng):
     """The intertwining check with every Jacobiator evaluated by ``multiply``
     on each basis triple."""
     n = alg.dim
     basis = [alg.basis_vector(i) for i in range(n)]
     mul = alg.multiply
-
-    def jacobiator(phi, x, y, z):
-        terms = (mul(mul(x, y), phi.apply(z)), mul(mul(z, x), phi.apply(y)), mul(mul(y, z), phi.apply(x)))
-        return tuple(sum(t) for t in zip(*terms))
-
     for _ in range(3):
         h = tuple(F(rng.randint(-2, 2)) for _ in range(n))
         phi = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
@@ -407,18 +409,32 @@ def _dense_intertwining(alg, rng):
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = jacobiator(hphi, basis[i], basis[j], basis[k])
-                    rhs = mul(jacobiator(phi, basis[i], basis[j], basis[k]), h)
+                    lhs = _dense_jacobiator(alg, hphi, basis[i], basis[j], basis[k])
+                    rhs = mul(_dense_jacobiator(alg, phi, basis[i], basis[j], basis[k]), h)
                     for slot in range(3):
                         args = [basis[i], basis[j], basis[k]]
                         args[slot] = mul(args[slot], h)
-                        rhs = tuple(a - b for a, b in zip(rhs, jacobiator(phi, *args)))
+                        rhs = tuple(a - b for a, b in zip(rhs, _dense_jacobiator(alg, phi, *args)))
                     if lhs != rhs:
                         return f"intertwining fails at triple ({i},{j},{k})"
     return None
 
 
 SMALL_LIE = [(name, alg) for name, alg in LIE_BATTERY if alg.dim <= 5]
+
+
+@pytest.mark.parametrize("name,alg", SMALL_LIE, ids=_ids)
+def test_jacobiator_table_matches_dense(name, alg):
+    """The table filled by alternation from the sorted triples holds the
+    Jacobiator of every ordered triple, repeated indices included."""
+    n, rng = alg.dim, random.Random(f"jacobiator-{name}")
+    basis = [alg.basis_vector(i) for i in range(n)]
+    for _ in range(2):
+        phi = Matrix.from_rows([[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)])
+        table = battery._jacobiator(alg.table, phi)
+        assert set(table) == set(itertools.product(range(n), repeat=3))
+        for i, j, k in table:
+            assert dense_vector(table[(i, j, k)], n) == _dense_jacobiator(alg, phi, basis[i], basis[j], basis[k])
 
 
 @pytest.mark.parametrize("name,alg", SMALL_LIE, ids=_ids)
