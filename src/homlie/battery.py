@@ -16,7 +16,7 @@ from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .actions import _exp_ad, act, is_submodule
-from .algebra import AlgebraSpec, Table, builtin, killing_form, sparse_product
+from .algebra import AlgebraSpec, Table, _evaluate, _hom_terms, builtin, killing_form, sparse_product
 from .constructions import adjoin_map, central_extension, cocycle2, semidirect_derivation
 from .linalg import Matrix, SparseVector, Vector, int_if_integral, sparse_lincomb
 from .solver import (
@@ -139,15 +139,16 @@ def _jacobiator(t: Table, phi: Matrix) -> dict[tuple[int, int, int], SparseVecto
     """J_phi(e_i, e_j, e_k) = (e_i e_j)phi(e_k) + (e_k e_i)phi(e_j) + (e_j e_k)phi(e_i)
     on every ordered basis triple of an anticommutative table t.
 
-    J_phi is evaluated on i < j < k only and the other triples are filled by
-    sign: J_phi changes sign under every swap of two arguments and is 0 when
-    two are equal (the alternation lemma in ``solver._triples``)."""
+    J_phi is evaluated from ``_hom_terms`` on i < j < k only and the other
+    triples are filled by sign: J_phi changes sign under every swap of two
+    arguments and is 0 when two are equal (the alternation lemma in
+    ``algebra._hom_terms``)."""
     n = phi.rows
-    cols = phi.sparse_cols  # phi(e_c)
+    col_of = [{q: q * n + z for q in col} for z, col in enumerate(phi.sparse_cols)]  # phi(e_z) -> e_q at q*n + z
+    flat = phi.sparse_flatten()
     out: dict[tuple[int, int, int], SparseVector] = dict.fromkeys(product(range(n), repeat=3), {})
     for i, j, k in combinations(range(n), 3):
-        v = sparse_lincomb(*((1, sparse_product(t, dict(t.get((x, y), ())), cols[z]))
-                             for x, y, z in ((i, j, k), (k, i, j), (j, k, i))))
+        v = _evaluate(_hom_terms(t, (1, 1, 1), i, j, k, col_of), flat)
         minus = {q: -x for q, x in v.items()}
         out[(i, j, k)] = out[(j, k, i)] = out[(k, i, j)] = v
         out[(j, i, k)] = out[(i, k, j)] = out[(k, j, i)] = minus
@@ -165,15 +166,15 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
     The two sides are compared on the triples i < j < k only, in
     lexicographic order, which decides every ordered triple and names the
     same first failing one.  Proof.  ``act`` requires a Lie algebra, so
-    J_phi and J_{h.phi} are alternating (``_jacobiator``), and so is
-    (h . J)(x,y,z) = [J(x,y,z), h] - J([x,h],y,z) - J(x,[y,h],z) -
-    J(x,y,[z,h]) for an alternating J: swapping x and y negates the first
-    and last terms and trades the middle two for each other's negatives
-    (the other swaps likewise), and with two arguments equal the terms
-    vanish or cancel in pairs.  So the difference of the sides is
-    alternating: it vanishes on a triple with a repeated index, and on any
-    other triple it is plus or minus its value on the sorted triple, which
-    comes no later in lexicographic order."""
+    J_phi and J_{h.phi} are alternating (the alternation lemma in
+    ``algebra._hom_terms``), and so is (h . J)(x,y,z) = [J(x,y,z), h] -
+    J([x,h],y,z) - J(x,[y,h],z) - J(x,y,[z,h]) for an alternating J:
+    swapping x and y negates the first and last terms and trades the
+    middle two for each other's negatives (the other swaps likewise), and
+    with two arguments equal the terms vanish or cancel in pairs.  So the
+    difference of the sides is alternating: it vanishes on a triple with a
+    repeated index, and on any other triple it is plus or minus its value
+    on the sorted triple, which comes no later in lexicographic order."""
     n, table = alg.dim, alg.table
     for _ in range(3):
         h = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
@@ -234,7 +235,7 @@ def _is_hom_lie(alg: AlgebraSpec, phi: Matrix) -> bool:
     """Whether phi satisfies the hom-lie identity on the anticommutative
     algebra ``alg``, every product defined: its residual vanishes on the
     basis triples a < b < c, which decide every ordered triple by the
-    alternation lemma in ``solver._triples``."""
+    alternation lemma in ``algebra._hom_terms``."""
     return not any(any(structure_residual(alg, phi, HOM_LIE, abc)) for abc in combinations(range(alg.dim), 3))
 
 

@@ -294,11 +294,7 @@ def _cmd_reproduce(args) -> int:
         raise UsageError("give exactly one of a scenario id or --all")
     results = run_all() if args.all else [run_scenario_checked(args.id)]
     doc = {"results": [r.to_json() for r in results]}
-    if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        for r in results:
-            print(f"[{r.status.upper():11}] {r.id}: {r.description}")
+    _emit(doc, args.json, "\n".join(f"[{r.status.upper():11}] {r.id}: {r.description}" for r in results))
     return 0 if all(r.status != "fail" for r in results) else EXPECTATION_FAILURE
 
 
@@ -346,15 +342,14 @@ def _cmd_list(args) -> int:
         "bilinear_kinds": list(BILINEAR_KINDS),
         "scenarios": scenario_ids(),
     }
-    if args.json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print("builtin algebras:", ", ".join(doc["builtins"]))
-        print("structure kinds: ", ", ".join(doc["structure_kinds"]))
-        print("bilinear kinds:  ", ", ".join(doc["bilinear_kinds"]))
-        print("scenarios:")
-        for sid in doc["scenarios"]:
-            print(f"  {sid}")
+    human = [
+        f"builtin algebras: {', '.join(doc['builtins'])}",
+        f"structure kinds:  {', '.join(doc['structure_kinds'])}",
+        f"bilinear kinds:   {', '.join(doc['bilinear_kinds'])}",
+        "scenarios:",
+        *(f"  {sid}" for sid in doc["scenarios"]),
+    ]
+    _emit(doc, args.json, "\n".join(human))
     return 0
 
 

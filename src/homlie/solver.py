@@ -14,11 +14,13 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, product, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, _cocycle_terms, _invariance_terms, _leibniz_pairs,
-                      _leibniz_terms, _require_lie, _Terms, right_annihilator, sparse_product, structural_subspaces)
+from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, _cocycle_terms, _evaluate, _hom_terms,
+                      _invariance_terms, _leibniz_pairs, _leibniz_terms, _require_lie, _Terms, right_annihilator,
+                      sparse_product, structural_subspaces)
 from .linalg import (
     Matrix,
     SparseVector,
@@ -117,7 +119,7 @@ def _sparse_rows(groups: Iterable[_Terms]) -> Iterator[dict[int, Fraction]]:
 # hom-2nilp the first alone.
 _SIGNS = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}
 
-_NO_READ: tuple[tuple, frozenset[int]] = ((), frozenset())  # a zero product reads nothing
+_NO_READ: frozenset[int] = frozenset()  # a zero product reads nothing
 
 
 def _kept(alg: AlgebraSpec, key: object, build: Callable[[], object]):
@@ -135,12 +137,11 @@ class _Plan:
 
     - ``components``: each degree's indices, ascending, the degrees in the
       order 0, -1, 1, -2, 2, ...
-    - ``left[p][t]``: the (q, m, coeff) with e_p e_q = sum coeff e_m and
-      deg q = t.
-    - ``reads[(x, y)]``: the terms of e_x e_y and the degrees t at which
-      (e_x e_y)phi(e_z), phi(e_z) of degree t, reads an undefined product;
-      None when e_x e_y is undefined itself, absent when it is zero.
-    - ``annihilator``: the echelon rows of ``right_annihilator``.
+    - ``reads[(x, y)]``: the degrees t at which (e_x e_y)phi(e_z), phi(e_z)
+      of degree t, reads an undefined product; None when e_x e_y is
+      undefined itself, absent when it is zero.
+    - ``annihilator``: the echelon rows of ``right_annihilator``, solved on
+      first use (only the hom kinds read it).
     - ``complete``: whether every product is defined.
     """
 
@@ -152,22 +153,22 @@ class _Plan:
         self.components: dict[int, list[int]] = {d: [] for d in sorted(set(deg), key=lambda d: (abs(d), d))}
         for u, d in enumerate(deg):
             self.components[d].append(u)
-        self.left: list[dict[int, list[tuple[int, int, int | Fraction]]]] = [{} for _ in range(n)]
         gaps: list[set[int]] = [set() for _ in range(n)]  # the degrees of the q with e_p e_q undefined
-        for (p, q), terms in sorted(table.items()):
+        for (p, q), terms in table.items():
             if terms is None:
                 gaps[p].add(deg[q])
-            else:
-                self.left[p].setdefault(deg[q], []).extend((q, m, c) for m, c in terms)
-        self.reads: dict[tuple[int, int], tuple[tuple, frozenset[int]] | None] = {}
+        self.reads: dict[tuple[int, int], frozenset[int] | None] = {}
         shared: dict[frozenset[int], frozenset[int]] = {}  # one copy of each set of degrees
         for pair, terms in table.items():
             if terms is None:
                 self.reads[pair] = None
             else:
                 blocked = frozenset().union(*(gaps[p] for p, _ in terms))
-                self.reads[pair] = terms, shared.setdefault(blocked, blocked)
-        self.annihilator = [z for _, z in right_annihilator(alg).rows]
+                self.reads[pair] = shared.setdefault(blocked, blocked)
+
+    @cached_property
+    def annihilator(self) -> list[Mapping[int, Fraction]]:
+        return [z for _, z in right_annihilator(self.alg).rows]
 
     def block(self, shift: int) -> dict[tuple[int, int], int]:
         """The columns of the maps sending degree d into d + shift: phi(e_c)
@@ -199,17 +200,9 @@ def _triples(plan: _Plan, sorted_only: bool) -> Iterator[tuple[int, int, Sequenc
     does not change a kernel.
 
     On an anticommutative algebra the hom-lie rows come from the triples
-    a < b < c in that basis order only (``sorted_only``), and they span the
-    rows of all ordered triples.  Write J(a, b, c) = (ab)phi(c) +
-    (ca)phi(b) + (bc)phi(a), linear in each argument for a fixed phi.
-    Swapping a and b gives (ba)phi(c) + (cb)phi(a) + (ac)phi(b) =
-    -J(a, b, c) by xy = -yx, and the other transpositions follow the same
-    way, so J changes sign under every swap.  With two equal arguments,
-    J(a, a, c) = (aa)phi(c) + (ca)phi(a) + (ac)phi(a) = 0, because
-    e_i e_i = 0 and e_c e_a = -e_a e_c hold on the basis (``make_algebra``
-    validates both for anticommutative flavors, and ``km_window`` builds
-    both), so the row of any ordered triple is zero or plus or minus the row
-    of its sorted triple.
+    a < b < c in that basis order only (``sorted_only``): by the alternation
+    lemma in ``algebra._hom_terms`` they span the rows of all ordered
+    triples.
     """
     deg, components = plan.deg, plan.components
     basis = sorted(range(len(deg)), key=lambda u: (deg[u] != 0, u))
@@ -235,7 +228,8 @@ _Open = Mapping[int, list[dict[int, int]]]
 def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
     """(shift, row) for the rows of the kind's identity in the blocks
     ``live``, from one pass over ``_triples``; a block that leaves ``live``
-    gets no further rows.
+    gets no further rows.  Each row sums the ``_hom_terms`` of one triple
+    over the block's columns.
 
     The terms of a triple of total degree D for a map of shift s lie in
     degree D + s, so the row of key m belongs to the block deg m - D alone.
@@ -246,37 +240,29 @@ def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[i
     passes or fails it together.
     """
     signs = _SIGNS[kind.tag]
-    left, reads, deg = plan.left, plan.reads, plan.deg
+    table, reads, deg = plan.alg.table, plan.reads, plan.deg
     sorted_only = kind.tag == "hom-lie" and plan.alg.is_anticommutative()
     for a, b, cs in _triples(plan, sorted_only):
         first = reads.get((a, b), _NO_READ)
         if first is None:
             continue
-        shifts = [s for s in live if deg[cs[0]] + s not in first[1]]
+        shifts = [s for s in live if deg[cs[0]] + s not in first]
         if not shifts:
             continue
         for c in cs:
-            terms = [(first[0], c)]
             blocked = []  # (deg z, the degrees where the term reads an undefined product)
-            for (x, y, z), sign in zip(((c, a, b), (b, c, a)), signs[1:]):
+            for (x, y, z), _ in zip(((c, a, b), (b, c, a)), signs[1:]):
                 read = reads.get((x, y), _NO_READ)
                 if read is None:
                     break
-                terms.append((read[0] if sign > 0 else tuple((p, -cw) for p, cw in read[0]), z))
-                if read[1]:
-                    blocked.append((deg[z], read[1]))
+                if read:
+                    blocked.append((deg[z], read))
             else:
                 for s in shifts:
                     col_of = live.get(s)
                     if col_of is None or blocked and any(d + s in gaps for d, gaps in blocked):
                         continue
-                    group = (
-                        (m, col_of[z][q], cw * cpq)
-                        for w, z in terms
-                        for p, cw in w
-                        for q, m, cpq in left[p].get(deg[z] + s, ())
-                    )
-                    for row in _sparse_rows([group]):
+                    for row in _sparse_rows([_hom_terms(table, signs, a, b, c, col_of)]):
                         yield s, row
 
 
@@ -442,61 +428,48 @@ def solve_structures(alg: AlgebraSpec, kind: StructureKind) -> HomSolution:
 def structure_residual(
     alg: AlgebraSpec, phi: Matrix, kind: StructureKind, triple: tuple[int, int, int], shift: int | None = None
 ) -> Vector | None:
-    """Defining-identity defect of ``phi`` at a basis triple, read straight
-    from the table (independent of the row compiler; used to re-verify
-    solver output).  Without a ``shift`` every product must be defined.
-    With one, only the part of phi sending degree d to d + shift is read,
-    and the result is None when the equation reads an undefined product:
-    e_x e_y, or e_p e_q for a p in it and any q of the degree phi sends the
-    other factor to (the equations a degree window does not impose).  For
-    the hom kinds the plan's ``reads`` hold those degrees, so the test is a
-    lookup.
+    """Defining-identity defect of ``phi`` at a basis triple: the algebra's
+    term builders (``_hom_terms``, ``_leibniz_terms``) evaluated at phi,
+    with no row compiled or eliminated (used to re-verify solver output).
+    A delta kind reads the pair (a, b) of the triple only.  Without a
+    ``shift`` every product must be defined.  With one, only the part of
+    phi sending degree d to d + shift is read, and the result is None when
+    the equation reads an undefined product: e_x e_y, or e_p e_q for a p in
+    it and any q of the degree phi sends the other factor to (the equations
+    a degree window does not impose).  For the hom kinds the plan's
+    ``reads`` hold those degrees, so the test is a lookup.
     """
+    n = alg.dim
+    if phi.shape != (n, n):
+        raise ValueError("map shape does not match the algebra")
     plan = _plan(alg)
     if shift is None and not plan.complete:
         raise ValueError("this algebra has undefined products, so a residual needs a degree shift")
-    t, deg, cols = alg.table, plan.deg, phi.sparse_cols
+    t, deg = alg.table, plan.deg
     a, b, c = triple
-    out: dict[int, int | Fraction] = {}
     if kind.tag in _SIGNS:
-        for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), _SIGNS[kind.tag]):
-            read = plan.reads.get((x, y), _NO_READ)
-            if read is None or shift is not None and deg[z] + shift in read[1]:
+        for (x, y, z), _ in zip(((a, b, c), (c, a, b), (b, c, a)), _SIGNS[kind.tag]):
+            blocked = plan.reads.get((x, y), _NO_READ)
+            if blocked is None or shift is not None and deg[z] + shift in blocked:
                 return None
-            _add_product(out, t, sign, read[0], _image(cols, deg, z, shift))
+        read = (a, b, c)
     elif kind.tag == "delta-derivation":
-        assert kind.delta is not None
         if shift is not None and not plan.complete:
             qa, qb = (plan.components.get(deg[z] + shift, ()) for z in (a, b))
             if None in map(t.get, chain([(a, b)], product(qa, [b]), product([a], qb)), repeat(())):
                 return None
-        for k, x in t.get((a, b), ()):  # phi(ab)
-            for q, y in _image(cols, deg, k, shift).items():
-                out[q] = out.get(q, 0) + x * y
-        _add_product(out, t, -kind.delta, _image(cols, deg, a, shift).items(), {b: 1})
-        _add_product(out, t, -kind.delta, ((a, 1),), _image(cols, deg, b, shift))
+        read = (a, b, *(k for k, _ in t.get((a, b), ())))  # phi(e_a), phi(e_b), phi(ab)
     else:
         raise ValueError(kind.tag)
-    return dense_vector(out, alg.dim)
-
-
-def _image(cols: Sequence[Mapping[int, int | Fraction]], deg: Sequence[int], z: int,
-           shift: int | None) -> Mapping[int, int | Fraction]:
-    """phi(e_z) from phi's sparse columns, or its part of degree deg z + shift."""
-    if shift is None:
-        return cols[z]
-    want = deg[z] + shift
-    return {q: x for q, x in cols[z].items() if deg[q] == want}
-
-
-def _add_product(out: dict[int, int | Fraction], t: Mapping, scale: int | Fraction,
-                 u: Iterable[tuple[int, int | Fraction]], v: Mapping[int, int | Fraction]) -> None:
-    """out += scale * uv for u given by its (index, coefficient) pairs, over
-    the table t, whose products the caller has checked to be defined."""
-    for p, up in u:
-        for q, vq in v.items():
-            for m, coeff in t.get((p, q), ()):
-                out[m] = out.get(m, 0) + scale * up * vq * coeff
+    # phi(e_z) -> e_q at column q*n + z, for the z read and the q of degree deg z + shift
+    cols = phi.sparse_cols
+    col_of = {z: {q: q * n + z for q in cols[z] if shift is None or deg[q] == deg[z] + shift} for z in read}
+    x = {col: cols[z][q] for z, image in col_of.items() for q, col in image.items()}
+    if kind.delta is None:
+        terms = _hom_terms(t, _SIGNS[kind.tag], a, b, c, col_of)
+    else:
+        terms = _leibniz_terms(alg, a, b, col_of, col_of, kind.delta)
+    return dense_vector(_evaluate(terms, x), n)
 
 
 # -- bilinear solvers --------------------------------------------------------

@@ -113,28 +113,39 @@ def test_only_the_law_scan_and_certified_builds_make_algebras():
 
 
 # The identities' term builders, their pair domain and the evaluator.
-TERM_BUILDERS = {"_leibniz_terms", "_leibniz_pairs", "_cocycle_terms", "_invariance_terms", "_evaluate"}
+TERM_BUILDERS = {"_hom_terms", "_leibniz_terms", "_leibniz_pairs", "_cocycle_terms", "_invariance_terms", "_evaluate"}
 # The validators, each stated as "every term row vanishes at this map or form".
 VALIDATORS = {("constructions.py", "derivation_defect"), ("constructions.py", "Cocycle2.__post_init__"),
-              ("algebra.py", "BilinearForm.is_invariant")}
+              ("algebra.py", "BilinearForm.is_invariant"), ("solver.py", "structure_residual"),
+              ("battery.py", "_jacobiator"), ("algebra.py", "_check_laws")}
+# The Hom identity (and Jacobi, its case phi = id) is compiled by the row
+# compiler and evaluated by these validators, nowhere else.
+HOM_TERMS_CALLERS = {("solver.py", "_hom_rows"), ("solver.py", "structure_residual"), ("battery.py", "_jacobiator"),
+                     ("algebra.py", "_check_laws")}
 
 
 def test_each_identity_is_stated_once():
     """The term builders are defined only in ``algebra`` (the solver's row
     compilers import them), and each validator calls ``_evaluate`` on their
-    terms instead of restating the identity; nothing else evaluates them."""
-    defined, evaluating = set(), set()
+    terms instead of restating the identity; nothing else evaluates them.
+    ``_hom_terms`` is called only by the row compiler and its validators."""
+    defined, evaluating, hom_callers = set(), set(), set()
     for path in sorted(Path(homlie.__file__).parent.glob("*.py")):
         def visit(node, owner):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if node.name in TERM_BUILDERS:
                     defined.add((path.name, node.name))
                 owner = f"{owner}.{node.name}" if owner else node.name
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_evaluate":
-                evaluating.add((path.name, owner))
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None)
+                if name == "_evaluate":
+                    evaluating.add((path.name, owner))
+                elif name == "_hom_terms":
+                    hom_callers.add((path.name, owner))
             for child in ast.iter_child_nodes(node):
                 visit(child, owner)
 
         visit(ast.parse(path.read_text()), None)
     assert defined == {("algebra.py", name) for name in TERM_BUILDERS}
     assert evaluating == VALIDATORS
+    assert hom_callers == HOM_TERMS_CALLERS

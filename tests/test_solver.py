@@ -99,7 +99,7 @@ def _battery():
 
 
 def test_sorted_triples_solve_the_ordered_hom_jacobi_system():
-    # the proof is in _triples' docstring; the tensor has a Jacobi defect
+    # the proof is in _hom_terms' docstring; the tensor has a Jacobi defect
     defect = make_algebra(
         3,
         {(0, 1): [(2, 1)], (1, 0): [(2, -1)], (1, 2): [(1, 1)], (2, 1): [(1, -1)]},
@@ -215,6 +215,16 @@ def test_shift_residuals_sum_to_the_residual(kind):
     assert nonzero > 30
 
 
+@pytest.mark.parametrize("kind", [HOM_LIE, HOM_2NILP, delta_derivation("2")], ids=str)
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4), (4, 3), (2, 2)], ids=str)
+def test_residual_rejects_a_map_of_another_shape(shape, kind):
+    # the extra rows or columns of a larger map were ignored, and a smaller
+    # map ran out of columns (IndexError)
+    phi = Matrix.from_sparse(*shape, {(i, i): 1 for i in range(min(shape))})
+    with pytest.raises(ValueError, match="map shape does not match the algebra"):
+        structure_residual(builtin("sl", 2), phi, kind, (0, 1, 2))
+
+
 def _regraded(alg, degree_of):
     """``alg`` graded by the degree of each basis name."""
     grading = [degree_of(name) for name in alg.basis_names]
@@ -253,6 +263,17 @@ def test_solves_are_kept_on_the_algebra_and_go_with_it():
     del alg
     gc.collect()
     assert ref() is None
+
+
+def test_only_the_hom_kinds_solve_the_right_annihilator():
+    # the plan's annihilator gives the hom kinds known solutions; a delta
+    # solve or a residual builds the plan without solving it
+    alg = builtin("sl", 3)
+    solve_structures(alg, delta_derivation(2))
+    structure_residual(alg, Matrix.identity(alg.dim), HOM_LIE, (0, 1, 2))
+    assert "annihilator" not in vars(_plan(alg))
+    solve_structures(alg, HOM_LIE)
+    assert "annihilator" in vars(_plan(alg))
 
 
 def test_homlie_abelian_unconstrained():

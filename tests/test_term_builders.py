@@ -1,8 +1,9 @@
-"""The Leibniz, cyclic-cocycle and invariance term builders against the
-row compilers they replaced, kept here as references: every system gets the
-same set of rows (the order may differ; row order does not change a
-kernel).  The validators evaluate the same builders, so every solved basis
-element must pass its validator."""
+"""The Hom, Leibniz, cyclic-cocycle and invariance term builders against
+the row compilers they replaced, kept here as references: every system gets
+the same set of rows (the order may differ; row order does not change a
+kernel), and the Hom compile the very same row stream.  The validators
+evaluate the same builders, so every solved basis element must pass its
+validator."""
 
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -14,13 +15,19 @@ from homlie.algebra import BilinearForm
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import cocycle2, derivation_defect
 from homlie.linalg import Matrix, Subspace
+from test_window import WINDOW_MODELS
 from homlie.solver import (
+    _SIGNS,
     BILINEAR_KINDS,
+    HOM_2NILP,
+    HOM_CYCLIC,
     HOM_LIE,
     _b_space_rows,
     _delta_rows,
+    _hom_rows,
     _plan,
     _sparse_rows,
+    _triples,
     _symmetry_rows,
     central_ext_homlie_decomposed,
     coboundary_space,
@@ -159,6 +166,56 @@ def ref_delta_rows(plan, delta, live):
             yield from ((s, row) for row in _sparse_rows([terms(i, j, col_of)]))
 
 
+def ref_hom_rows(plan, kind, live):
+    """The (shift, row) stream of ``_hom_rows`` as it was compiled from the
+    plan's ``left[p][t]``, the (q, m, coeff) with e_p e_q = sum coeff e_m and
+    deg q = t, and ``reads`` holding each product's terms beside the degrees
+    where reading it fails."""
+    n, table, deg = plan.alg.dim, plan.alg.table, plan.deg
+    left = [{} for _ in range(n)]
+    gaps = [set() for _ in range(n)]
+    for (p, q), terms in sorted(table.items()):
+        if terms is None:
+            gaps[p].add(deg[q])
+        else:
+            left[p].setdefault(deg[q], []).extend((q, m, c) for m, c in terms)
+    reads = {pair: None if terms is None else (terms, frozenset().union(*(gaps[p] for p, _ in terms)))
+             for pair, terms in table.items()}
+    no_read = ((), frozenset())
+    signs = _SIGNS[kind.tag]
+    sorted_only = kind.tag == "hom-lie" and plan.alg.is_anticommutative()
+    for a, b, cs in _triples(plan, sorted_only):
+        first = reads.get((a, b), no_read)
+        if first is None:
+            continue
+        shifts = [s for s in live if deg[cs[0]] + s not in first[1]]
+        if not shifts:
+            continue
+        for c in cs:
+            terms = [(first[0], c)]
+            blocked = []
+            for (x, y, z), sign in zip(((c, a, b), (b, c, a)), signs[1:]):
+                read = reads.get((x, y), no_read)
+                if read is None:
+                    break
+                terms.append((read[0] if sign > 0 else tuple((p, -cw) for p, cw in read[0]), z))
+                if read[1]:
+                    blocked.append((deg[z], read[1]))
+            else:
+                for s in shifts:
+                    col_of = live.get(s)
+                    if col_of is None or blocked and any(d + s in g for d, g in blocked):
+                        continue
+                    group = (
+                        (m, col_of[z][q], cw * cpq)
+                        for w, z in terms
+                        for p, cw in w
+                        for q, m, cpq in left[p].get(deg[z] + s, ())
+                    )
+                    for row in _sparse_rows([group]):
+                        yield s, row
+
+
 # -- helpers ---------------------------------------------------------------------
 
 
@@ -271,6 +328,30 @@ def test_delta_kinds_compile_the_replaced_rows(delta):
         plan, live = live_blocks(alg)
         new = shift_row_set(_delta_rows(plan, delta, live))
         assert new == shift_row_set(ref_delta_rows(plan, delta, live)), name
+
+
+HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
+SL2_WINDOWS = [model for model in WINDOW_MODELS if not model.id.startswith("sl3")]
+
+
+def typed_stream(rows):
+    """The (shift, row) stream with every entry's type, in order."""
+    return [(s, [(col, type(x), x) for col, x in row.items()]) for s, row in rows]
+
+
+@pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
+def test_hom_kinds_compile_the_replaced_row_stream(kind):
+    for name, alg in algebras():
+        plan, live = live_blocks(alg)
+        assert typed_stream(_hom_rows(plan, kind, live)) == typed_stream(ref_hom_rows(plan, kind, live)), name
+
+
+@pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
+@pytest.mark.parametrize("model, size", SL2_WINDOWS)
+def test_window_hom_kinds_compile_the_replaced_row_stream(model, size, kind):
+    plan, live = live_blocks(model(size))
+    new = typed_stream(_hom_rows(plan, kind, live))
+    assert new and new == typed_stream(ref_hom_rows(plan, kind, live))
 
 
 def test_solved_spaces_pass_the_validators():
