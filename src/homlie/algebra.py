@@ -301,16 +301,18 @@ BILINEAR_KINDS = (
 )
 
 
-def _cocycle_terms(alg: AlgebraSpec, xi: Sequence[Mapping[int, int | Fraction]], i: int, j: int, k: int) -> _Terms:
-    """The terms of xi(xy, f(z)) + xi(zx, f(y)) + xi(yz, f(x)) at (i, j, k),
-    for the form with sparse rows ``xi`` and an unknown map f with
-    f(e_z) -> e_q at column q*n + z.  With xi the identity pairing (rows
-    {p: 1}) they are those of f(xy, z) + f(zx, y) + f(yz, x), f a form."""
+def _cocycle_terms(alg: AlgebraSpec, xi: Sequence[Mapping[int, int | Fraction]], signs: Sequence[int],
+                   i: int, j: int, k: int) -> _Terms:
+    """The terms of xi(xy, f(z)) + s1 xi(zx, f(y)) + s2 xi(yz, f(x)) at
+    (i, j, k), one per sign of ``signs`` = (1, s1, s2) or a prefix, for the
+    form with sparse rows ``xi`` and an unknown map f with f(e_z) -> e_q at
+    column q*n + z.  With xi the identity pairing (rows {p: 1}) they are
+    those of f(xy, z) + s1 f(zx, y) + s2 f(yz, x), f a form."""
     n = alg.dim
-    for x, y, z in ((i, j, k), (k, i, j), (j, k, i)):
+    for (x, y, z), sign in zip(((i, j, k), (k, i, j), (j, k, i)), signs):
         for p, c in alg.product_on_basis(x, y):
             for q, w in xi[p].items():
-                yield 0, q * n + z, c * w
+                yield 0, q * n + z, sign * c * w
 
 
 def _invariance_terms(alg: AlgebraSpec, i: int, j: int, k: int) -> _Terms:

@@ -42,7 +42,7 @@ class Cocycle2:
         n = alg.dim
         pairing, f = [{p: 1} for p in range(n)], matrix.sparse_flatten()
         for i, j, k in combinations(range(n), 3):
-            val = _evaluate(_cocycle_terms(alg, pairing, i, j, k), f)
+            val = _evaluate(_cocycle_terms(alg, pairing, (1, 1, 1), i, j, k), f)
             if val:
                 raise LawViolation("cocycle-equation", (i, j, k), (Fraction(val[0]),))
 

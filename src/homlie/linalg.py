@@ -56,11 +56,13 @@ def sparse_vector(v: Sequence[Fraction] | Mapping[int, Fraction]) -> SparseVecto
 
 def sparse_vector_in(v: Sequence[Fraction] | Mapping[int, Fraction], n: int) -> SparseVector:
     """``sparse_vector(v)`` for a vector of Q^n, checked to have length n or its indices in range(n)."""
-    if isinstance(v, Mapping) and v and not (0 <= min(v) and max(v) < n):
-        raise ValueError(f"vector dimension mismatch: an index outside range({n})")
-    if not isinstance(v, Mapping) and len(v) != n:
+    if isinstance(v, Mapping):
+        if v and not (0 <= min(v) and max(v) < n):
+            raise ValueError(f"vector dimension mismatch: an index outside range({n})")
+        return {j: x for j, x in v.items() if x}
+    if len(v) != n:
         raise ValueError(f"vector dimension mismatch: length {len(v)}, not {n}")
-    return sparse_vector(v)
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def dense_vector(v: Mapping[int, Fraction], n: int) -> Vector:
@@ -490,9 +492,7 @@ class Subspace:
         the row with pivot p is v's own entry at p, and only the rows whose
         pivots v holds take part.
         """
-        if not isinstance(v, Mapping) and len(v) != self.ambient:
-            raise ValueError("vector has wrong ambient dimension")
-        residual = sparse_vector(v)
+        residual = sparse_vector_in(v, self.ambient)
         by_pivot = self._by_pivot
         coeffs = {}
         for p in [p for p in residual if p in by_pivot]:
@@ -568,52 +568,44 @@ class SpanSolver:
         acc = RowAccumulator(ambient + self.k)
         for i, v in enumerate(vectors):
             acc.add(sparse_vector_in(v, ambient) | {ambient + i: Fraction(1)})
-        # a row with its pivot past the ambient coordinates is a relation among the vectors
-        self._by_pivot = {p: r for p, r in acc._reduced_rows() if p < ambient}
-        self.rank = len(self._by_pivot)
+        # a reduced row (a | b) has a = sum_i b_i v_i; past the ambient coordinates, a = 0 (a relation)
+        self._space = Subspace(ambient + self.k, [(p, r) for p, r in acc._reduced_rows() if p < ambient])
+        self.rank = self._space.dim
 
     def express(self, target: Sequence[Fraction] | Mapping[int, Fraction]) -> dict[int, Fraction] | None:
         """Coefficients c with sum(c_i * v_i) == target, as the sparse map
         i -> c_i (nonzero only, ascending i), or None; the target is a dense
         vector or a sparse one (index -> scalar).
 
-        The rows are reduced, so the row with pivot p < ambient enters with
-        the target's own entry at p, and only the rows whose pivots the
-        target holds are read.
+        Reducing (target | 0) by the rows (a | b) leaves the residual
+        (target - sum_r c_r a_r | -sum_r c_r b_r).  Its first part is zero at
+        every pivot of the a's, the span's reduced basis, so it is 0 exactly
+        when the target lies in the span, and the second part is then -c.
         """
-        entries = target.items() if isinstance(target, Mapping) else enumerate(target)
-        residual = {j: as_scalar(x) for j, x in entries if x}
-        ambient, by_pivot = self.ambient, self._by_pivot
-        combo: dict[int, Fraction] = {}
-        for p in [p for p in residual if p in by_pivot]:
-            c = residual[p]
-            for j, x in by_pivot[p].items():
-                if j < ambient:
-                    n = residual.get(j, 0) - c * x
-                    if n:
-                        residual[j] = n
-                    else:
-                        del residual[j]
-                else:
-                    combo[j - ambient] = combo.get(j - ambient, 0) + c * x
-        if residual:
+        ambient = self.ambient
+        _, residual = self._space._reduce(sparse_vector_in(target, ambient))
+        if min(residual, default=ambient) < ambient:
             return None
-        return {i: combo[i] for i in sorted(combo) if combo[i]}
+        return {j - ambient: -x for j, x in sorted(residual.items())}
 
 
 def minimal_polynomial(m: Matrix) -> Vector:
     """Coefficients c_0, ..., c_(d-1), 1 of the monic minimal polynomial of
     a square matrix: d is the smallest power with m^d in span(I, ..., m^(d-1)).
+    The rows (m^i | e_i) are reduced in n^2 + n + 1 columns; the first row
+    with its pivot past n^2 is a relation among I, ..., m^d (d <= n by
+    Cayley-Hamilton), and it holds m^d, since the lower powers are independent.
     """
     if m.rows != m.cols:
         raise ValueError("minimal polynomial of a non-square matrix")
-    n = m.rows
-    acc = RowAccumulator(n * n)
-    powers: list[SparseVector] = []
+    n, nn = m.rows, m.rows ** 2
+    acc = RowAccumulator(nn + n + 1)
     power = Matrix.identity(n)
-    while acc.add(power.sparse_flatten()):
-        powers.append(power.sparse_flatten())
+    for d in range(n + 1):
+        acc.add(power.sparse_flatten() | {nn + d: 1})
+        last = max(acc.pivots)
+        if last >= nn:
+            break
         power = power @ m
-    coeffs = SpanSolver(powers, n * n).express(power.sparse_flatten())
-    assert coeffs is not None  # m^d is dependent on the lower powers
-    return tuple(-coeffs.get(i, _ZERO) for i in range(len(powers))) + (Fraction(1),)
+    relation = acc.pivots[last]
+    return tuple(Fraction(relation.get(nn + i, 0), relation[nn + d]) for i in range(d + 1))

@@ -378,8 +378,6 @@ def _solve_shift_blocks(
         if shift in live:
             space = _solve_modulo(known, block_rows(shift), kernel)
             del live[shift], queues[shift]
-        if len(cols) == n * n:  # the block is all of End, in its coordinates
-            return space
         end = [q * n + c for q, c in cols]  # block column -> End coordinate
         rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)
     return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))
@@ -460,7 +458,7 @@ def structure_residual(
                 return None
         read = (a, b, *(k for k, _ in t.get((a, b), ())))  # phi(e_a), phi(e_b), phi(ab)
     else:
-        raise ValueError(kind.tag)
+        raise ValueError(f"structure_residual cannot handle kind {kind.tag!r}")
     # phi(e_z) -> e_q at column q*n + z, for the z read and the q of degree deg z + shift
     cols = phi.sparse_cols
     col_of = {z: {q: q * n + z for q in cols[z] if shift is None or deg[q] == deg[z] + shift} for z in read}
@@ -478,7 +476,7 @@ def structure_residual(
 def _cocycle_rows(alg: AlgebraSpec, xi: Sequence[Mapping[int, int | Fraction]]) -> Iterator[dict[int, Fraction]]:
     """xi(xy, f(z)) + xi(zx, f(y)) + xi(yz, f(x)) = 0 over i<j<k, for the
     form xi and the unknown f of ``_cocycle_terms``."""
-    return _sparse_rows(_cocycle_terms(alg, xi, i, j, k) for i, j, k in combinations(range(alg.dim), 3))
+    return _sparse_rows(_cocycle_terms(alg, xi, (1, 1, 1), i, j, k) for i, j, k in combinations(range(alg.dim), 3))
 
 
 def _symmetry_rows(n: int, sign: int) -> Iterator[dict[int, Fraction]]:
@@ -493,15 +491,10 @@ def _symmetry_rows(n: int, sign: int) -> Iterator[dict[int, Fraction]]:
 
 
 def _b_space_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:
-    """f(xy, z) - f(zx, y) = 0 over all ordered triples."""
-    n = alg.dim
-    return _sparse_rows(
-        chain(
-            ((0, p * n + k, c) for p, c in alg.product_on_basis(i, j)),
-            ((0, p * n + j, -c) for p, c in alg.product_on_basis(k, i)),
-        )
-        for i, j, k in product(range(n), repeat=3)
-    )
+    """f(xy, z) - f(zx, y) = 0 over all ordered triples, for the unknown
+    form f of ``_cocycle_terms`` with the identity pairing."""
+    pairing = [{p: 1} for p in range(alg.dim)]
+    return _sparse_rows(_cocycle_terms(alg, pairing, (1, -1), i, j, k) for i, j, k in product(range(alg.dim), repeat=3))
 
 
 def _invariance_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:

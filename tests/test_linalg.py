@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -312,6 +313,19 @@ def test_sparse_vectors_with_indices_outside_the_space_are_rejected():
     assert SpanSolver([{2: 1}, {0: 1, 1: 1}], 3).express({0: 2, 1: 2, 2: 4}) == {0: F(4), 1: F(2)}
 
 
+@pytest.mark.parametrize("bad", [[1, 2], [1, 2, 3, 4], {0: 1, 7: 1}, {-1: 1}], ids=str)
+def test_vectors_of_another_space_are_refused(bad):
+    # a short dense vector is not read as padded with zeros, and an index
+    # out of range is an error, not a coordinate outside the space
+    space, solver = Subspace.from_spanning([[1, 0, 0], [0, 1, 0]], 3), SpanSolver([[1, 0, 0], [0, 1, 0]], 3)
+    for reads in (solver.express, space.coords, space.contains):
+        with pytest.raises(ValueError, match="vector dimension mismatch"):
+            reads(bad)
+    if isinstance(bad, dict):
+        with pytest.raises(ValueError, match="vector dimension mismatch"):
+            Subspace(3, ((min(bad), bad),)).is_subspace_of(space)
+
+
 def test_accumulator_deduplicates_and_ranks():
     acc = RowAccumulator(3)
     assert acc.add({0: F(1), 1: F(1)})
@@ -330,6 +344,51 @@ def test_minimal_polynomial():
     assert minimal_polynomial(Matrix.from_rows([[0, -1], [1, 0]])) == (F(1), F(0), F(1))
     with pytest.raises(ValueError):
         minimal_polynomial(Matrix.zeros(2, 3))
+
+
+def _block_diagonal(*blocks):
+    entries, at = {}, 0
+    for b in blocks:
+        entries.update({(at + i, at + j): x for i, r in enumerate(b.sparse_rows) for j, x in r.items()})
+        at += b.rows
+    return Matrix.from_sparse(at, at, entries)
+
+
+def _random_matrices(seed=23):
+    """Random rational square matrices of sizes 0..5, and scalar, nilpotent
+    and derogatory block-diagonal ones built from them."""
+    rng = random.Random(seed)
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    def dense(n, keep=lambda i, j: True):
+        return Matrix.from_sparse(n, n, {(i, j): entry() for i in range(n) for j in range(n) if keep(i, j)})
+
+    out = [Matrix.zeros(0, 0)]
+    for n in range(1, 6):
+        out += [dense(n) for _ in range(4)]
+        out.append(Matrix.identity(n).scale(entry()))
+        out.append(dense(n, lambda i, j: i < j))  # strictly upper triangular: nilpotent
+        a = dense(rng.randint(1, 3))
+        out.append(_block_diagonal(a, a, Matrix.identity(n).scale(2)))  # a repeated block: derogatory
+        out.append(_block_diagonal(dense(n, lambda i, j: j == i + 1), Matrix.zeros(n, n)))
+    return out
+
+
+@pytest.mark.parametrize("m", _random_matrices(), ids=lambda m: f"{m.rows}x{m.cols}")
+def test_minimal_polynomial_is_the_monic_relation_of_least_degree(m):
+    poly = minimal_polynomial(m)
+    d, n = len(poly) - 1, m.rows
+    assert poly[-1] == 1 and all(type(c) is Fraction for c in poly)
+    powers = [Matrix.identity(n)]
+    for _ in range(d):
+        powers.append(powers[-1] @ m)
+    value = Matrix.zeros(n, n)
+    for c, power in zip(poly, powers):
+        value = value + power.scale(c)
+    assert value.is_zero()
+    assert Subspace.from_spanning([p.sparse_flatten() for p in powers[:d]], n * n).dim == d
 
 
 # ---------------------------------------------------------------------------

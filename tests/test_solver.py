@@ -318,6 +318,14 @@ def test_multiplicative_kind_is_not_solvable():
         solve_structures(builtin("sl", 2), StructureKind("multiplicative-check-only"))
 
 
+def test_an_unknown_kind_is_named_by_the_solver_and_the_residual():
+    sl2, foo = builtin("sl", 2), StructureKind("foo")
+    with pytest.raises(ValueError, match="solve_structures cannot handle kind 'foo'"):
+        solve_structures(sl2, foo)
+    with pytest.raises(ValueError, match="structure_residual cannot handle kind 'foo'"):
+        structure_residual(sl2, Matrix.identity(3), foo, (0, 1, 2))
+
+
 def test_parse_kind():
     assert parse_kind("hom-lie") == HOM_LIE
     assert parse_kind("delta:1/2").delta == F(1, 2)

@@ -1,9 +1,9 @@
 """The Hom, Leibniz, cyclic-cocycle and invariance term builders against
 the row compilers they replaced, kept here as references: every system gets
 the same set of rows (the order may differ; row order does not change a
-kernel), and the Hom compile the very same row stream.  The validators
-evaluate the same builders, so every solved basis element must pass its
-validator."""
+kernel), and the Hom and b-space compilers the very same row stream.  The
+validators evaluate the same builders, so every solved basis element must
+pass its validator."""
 
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -58,6 +58,18 @@ def ref_cocycle_rows(alg):
     )
 
 
+def ref_b_space_rows(alg):
+    """f(xy, z) - f(zx, y) = 0 over all ordered triples."""
+    n = alg.dim
+    return _sparse_rows(
+        chain(
+            ((0, p * n + k, c) for p, c in alg.product_on_basis(i, j)),
+            ((0, p * n + j, -c) for p, c in alg.product_on_basis(k, i)),
+        )
+        for i, j, k in product(range(n), repeat=3)
+    )
+
+
 def ref_invariance_rows(alg):
     """f(xy, z) - f(x, yz) = 0 over all ordered triples."""
     n = alg.dim
@@ -81,7 +93,7 @@ def ref_bilinear_rows(alg, kind):
         yield from ref_cocycle_rows(alg)
         yield from _symmetry_rows(n, 1)
     elif kind == "b-space":
-        yield from _b_space_rows(alg)
+        yield from ref_b_space_rows(alg)
     else:
         yield from ref_invariance_rows(alg)
         yield from _symmetry_rows(n, 1)
@@ -334,9 +346,19 @@ HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
 SL2_WINDOWS = [model for model in WINDOW_MODELS if not model.id.startswith("sl3")]
 
 
+def typed_row(row):
+    """The row's entries with their types, in order."""
+    return [(col, type(x), x) for col, x in row.items()]
+
+
 def typed_stream(rows):
     """The (shift, row) stream with every entry's type, in order."""
-    return [(s, [(col, type(x), x) for col, x in row.items()]) for s, row in rows]
+    return [(s, typed_row(row)) for s, row in rows]
+
+
+def test_b_space_compiles_the_replaced_row_stream():
+    for name, alg in lie_algebras():
+        assert list(map(typed_row, _b_space_rows(alg))) == list(map(typed_row, ref_b_space_rows(alg))), name
 
 
 @pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
