@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
@@ -238,18 +238,37 @@ def _hom_terms(table: Table, signs: Sequence[int], a: int, b: int, c: int,
     read: each e_x e_y of a term, and e_p e_q for every p in it and q in
     ``col_of[z]``.
 
-    With signs (1, 1, 1) on an anticommutative table the terms sum to the
-    Hom-Jacobiator J(a, b, c) = (ab)phi(c) + (ca)phi(b) + (bc)phi(a), which
-    is alternating (the alternation lemma).  Proof.  J is linear in each
-    argument for a fixed phi.  Swapping a and b gives (ba)phi(c) +
-    (cb)phi(a) + (ac)phi(b) = -J(a, b, c) by xy = -yx, and the other
-    transpositions follow the same way, so J changes sign under every swap.
-    With two equal arguments, J(a, a, c) = (aa)phi(c) + (ca)phi(a) +
-    (ac)phi(a) = 0, because e_i e_i = 0 and e_c e_a = -e_a e_c hold on the
-    basis (``make_algebra`` validates both for anticommutative flavors, and
-    ``km_window`` builds both).  So the forms of any ordered triple are zero
-    or plus or minus those of its sorted triple, and the triples a < b < c
-    decide every ordered triple."""
+    The symmetry lemmas.  Let e_j e_i = sigma e_i e_j on the basis, with
+    sigma = -1 on an anticommutative table and 1 on a commutative one
+    (``make_algebra`` validates the law for those flavors; ``km_window``
+    builds it, undefined products included: e_i e_j and e_j e_i are both
+    None or neither).  Write J, C and N for the forms of the signs (1, 1, 1),
+    (1, -1) and (1,): the Hom-Jacobiator, the Hom-cyclic identity and the
+    Hom-2-nilpotent one.  As forms in phi, output coordinate by coordinate:
+    - J(b, a, c) = (ba)phi(c) + (cb)phi(a) + (ac)phi(b) = sigma J(a, b, c),
+      and every other transposition of (a, b, c) acts the same way, so J is
+      alternating when sigma = -1 (the alternation lemma) and totally
+      symmetric when sigma = 1.
+    - C(a, c, b) = (ac)phi(b) - (ba)phi(c) = -sigma C(a, b, c).
+    - N(b, a, c) = (ba)phi(c) = sigma N(a, b, c).
+    A swap that multiplies the forms by -1 and exchanges two equal arguments
+    fixes the triple, so its forms are their own negatives and vanish: J
+    with two equal arguments when sigma = -1, C(a, b, b) when sigma = 1,
+    and N(a, a, c) when sigma = -1.  So in an orbit of the triple under
+    these swaps, the forms of every triple are plus or minus those of the
+    one whose swapped arguments are in order, and all of them are zero when
+    that one has two equal swapped arguments and the swap changes the sign.
+
+    The window-gate lemma.  Under each of those swaps the terms (x, y, z)
+    of the triple, a product e_x e_y against phi(e_z), go to the terms
+    (y, x, z) or (x, y, z) of the image triple: J(a, b, c)'s (a, b, c),
+    (c, a, b), (b, c, a) become (b, a, c), (a, c, b), (c, b, a), C's
+    (a, b, c), (c, a, b) become (b, a, c), (a, c, b), and N's one term
+    becomes (b, a, c).  e_y e_x is undefined exactly when e_x e_y is, and
+    otherwise it is sigma e_x e_y, with the same basis vectors p.  So every
+    triple of an orbit reads the same products e_x e_y and e_p e_q, with q
+    of the same degree deg z + shift, and a gate on the products read
+    imposes all of the orbit's equations or none of them."""
     get = table.get
     for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), signs):
         image = col_of[z]
@@ -262,13 +281,16 @@ def _hom_terms(table: Table, signs: Sequence[int], a: int, b: int, c: int,
 
 def _leibniz_pairs(alg: AlgebraSpec) -> Iterator[tuple[int, int]]:
     """The basis pairs the Leibniz identity is imposed on: i < j on an
-    anticommutative table, every ordered pair otherwise.  Proof that i < j
-    suffices when e_j e_i = -e_i e_j: every product in the defect
-    X(e_i e_j) - delta (Y(e_i) e_j + e_i Y(e_j)) changes sign when its
-    factors swap, so the defect at (j, i) is minus the one at (i, j), and
-    at (i, i) it is 0.  So the first failing ordered pair has i < j."""
+    anticommutative table, i <= j on a commutative one, every ordered pair
+    otherwise.  Proof, for e_j e_i = sigma e_i e_j on the basis: every
+    product in the defect X(e_i e_j) - delta (Y(e_i) e_j + e_i Y(e_j))
+    changes by sigma when its factors swap, so the defect at (j, i) is
+    sigma times the one at (i, j), and at (i, i) it is 0 when sigma = -1.
+    So the first failing ordered pair has i < j, or i <= j when sigma = 1."""
     n = alg.dim
-    return combinations(range(n), 2) if alg.is_anticommutative() else product(range(n), repeat=2)
+    if alg.is_anticommutative():
+        return combinations(range(n), 2)
+    return combinations_with_replacement(range(n), 2) if alg.is_commutative() else product(range(n), repeat=2)
 
 
 def _leibniz_terms(

@@ -444,6 +444,17 @@ class Subspace:
     rows: tuple[tuple[int, Mapping[int, Fraction]], ...]
 
     def __post_init__(self):
+        """Freeze the rows and check, in time linear in their nonzeros, that
+        they are the reduced basis the class promises: otherwise ``==``
+        would not decide equality.  ValueError names the first bad row."""
+        n, last, pivots = self.ambient, -1, {p for p, _ in self.rows}
+        for p, r in self.rows:
+            if p < 0 or max(r, default=p) >= n:
+                raise ValueError(f"vector dimension mismatch: the row with pivot {p} has an index outside range({n})")
+            if not (last < p == min(r, default=None) and r[p] == 1 and len(pivots.intersection(r)) == 1):
+                raise ValueError(f"the row with pivot {p} is not a reduced echelon row: its pivots must ascend, "
+                                 "and it must start at its pivot with entry 1 and be 0 at every other pivot")
+            last = p
         rows = tuple((p, r if isinstance(r, MappingProxyType) else MappingProxyType(r)) for p, r in self.rows)
         object.__setattr__(self, "rows", rows)
 
@@ -492,7 +503,10 @@ class Subspace:
         the row with pivot p is v's own entry at p, and only the rows whose
         pivots v holds take part.
         """
-        residual = sparse_vector_in(v, self.ambient)
+        return self._reduce_owned(sparse_vector_in(v, self.ambient))
+
+    def _reduce_owned(self, residual: SparseVector) -> tuple[dict[int, Fraction], SparseVector]:
+        """``_reduce`` of a checked sparse copy, which it reduces in place."""
         by_pivot = self._by_pivot
         coeffs = {}
         for p in [p for p in residual if p in by_pivot]:
@@ -581,9 +595,13 @@ class SpanSolver:
         (target - sum_r c_r a_r | -sum_r c_r b_r).  Its first part is zero at
         every pivot of the a's, the span's reduced basis, so it is 0 exactly
         when the target lies in the span, and the second part is then -c.
+        The zero target is sum(0 * v_i), with nothing to reduce.
         """
         ambient = self.ambient
-        _, residual = self._space._reduce(sparse_vector_in(target, ambient))
+        target = sparse_vector_in(target, ambient)
+        if not target:
+            return {}
+        _, residual = self._space._reduce_owned(target)
         if min(residual, default=ambient) < ambient:
             return None
         return {j - ambient: -x for j, x in sorted(residual.items())}

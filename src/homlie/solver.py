@@ -10,7 +10,7 @@ the exact nullspace.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,8 +183,14 @@ def _plan(alg: AlgebraSpec) -> _Plan:
     return _kept(alg, "plan", lambda: _Plan(alg))
 
 
-def _triples(plan: _Plan, sorted_only: bool) -> Iterator[tuple[int, int, Sequence[int]]]:
-    """The basis triples a structure identity is imposed on, as runs
+# The argument swaps of (a, b, c) that change the kind's forms by a sign
+# alone, and that sign on a commutative table; an anticommutative table
+# flips it (the symmetry lemmas in ``algebra._hom_terms``).
+_SWAPS = {"hom-lie": ({"ab", "bc"}, 1), "hom-cyclic": ({"bc"}, -1), "hom-2nilp": ({"ab"}, 1)}
+
+
+def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """The basis triples the kind's identity is imposed on, as runs
     (a, b, cs): the triples (a, b, c) for c in cs, which share deg c.
 
     The basis elements of degree 0 come first, then the others, each part
@@ -199,24 +205,41 @@ def _triples(plan: _Plan, sorted_only: bool) -> Iterator[tuple[int, int, Sequenc
     sorted up front, so a solve stops generating at full rank.  Row order
     does not change a kernel.
 
-    On an anticommutative algebra the hom-lie rows come from the triples
-    a < b < c in that basis order only (``sorted_only``): by the alternation
-    lemma in ``algebra._hom_terms`` they span the rows of all ordered
-    triples.
+    On a commutative or anticommutative table one triple per orbit of the
+    kind's swaps (``_SWAPS``) is kept: the arguments a swap exchanges come
+    in that basis order, and strictly so where the swap changes the sign.
+    By the symmetry lemmas in ``algebra._hom_terms`` the forms of every
+    other triple of the orbit are plus or minus those of the kept one, and
+    zero when a sign-changing swap exchanges two equal arguments; its
+    window-gate lemma shows that ``_hom_rows`` imposes all or none of an
+    orbit.  So the kept triples' rows span the rows of all ordered triples:
+
+    | kind | anticommutative | commutative |
+    |---|---|---|
+    | hom-lie | a < b < c | a <= b <= c |
+    | hom-cyclic | all a, b <= c | all a, b < c |
+    | hom-2nilp | a < b, all c | a <= b, all c |
+
+    A table of any other flavor keeps every ordered triple.
     """
-    deg, components = plan.deg, plan.components
+    alg, deg, components = plan.alg, plan.deg, plan.components
+    swaps, sign = _SWAPS[kind.tag]
+    if not (alg.is_commutative() or alg.is_anticommutative()):
+        swaps = set()
+    strict = sign == (-1 if alg.is_commutative() else 1)  # the swaps change the sign
+    cut = bisect_right if strict else bisect_left
     basis = sorted(range(len(deg)), key=lambda u: (deg[u] != 0, u))
     for i, a in enumerate(basis):
-        for b in basis[i + 1:] if sorted_only else basis:
+        for b in basis[i + strict:] if "ab" in swaps else basis:
             for d, component in components.items():
-                if not sorted_only:
+                if "bc" not in swaps:
                     cs = component
                 elif d == 0 and deg[b] != 0:
                     continue  # every element of degree 0 comes before b
                 elif d != 0 and deg[b] == 0:
                     cs = component  # every element of degree d comes after b
                 else:
-                    cs = component[bisect_right(component, b):]
+                    cs = component[cut(component, b):]
                 if cs:
                     yield a, b, cs
 
@@ -241,8 +264,7 @@ def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[i
     """
     signs = _SIGNS[kind.tag]
     table, reads, deg = plan.alg.table, plan.reads, plan.deg
-    sorted_only = kind.tag == "hom-lie" and plan.alg.is_anticommutative()
-    for a, b, cs in _triples(plan, sorted_only):
+    for a, b, cs in _triples(plan, kind):
         first = reads.get((a, b), _NO_READ)
         if first is None:
             continue

@@ -268,10 +268,37 @@ def test_rows_cannot_be_changed_from_outside():
         s.rows = ()
     assert s.basis == Matrix.from_rows([[1, 2, 0], [0, 0, 1]])
 
-def test_span_solver():
+@pytest.mark.parametrize("rows", [
+    ((0, {0: 1, 7: 1}),),  # an index outside range(3)
+    ((-1, {-1: 1}),),
+    ((1, {0: 1, 1: 1}),),  # the pivot is not the first key
+    ((1, {2: 1}),),  # the pivot is not a key
+    ((0, {}),),
+    ((0, {0: 2}),),  # pivot entry 2
+    ((1, {1: 1}), (0, {0: 1})),  # pivots descend
+    ((0, {0: 1}), (0, {0: 1})),
+    ((0, {0: 1, 1: 1}), (1, {1: 1})),  # row 0 is not 0 at the pivot 1
+], ids=str)
+def test_a_malformed_basis_is_refused(rows):
+    with pytest.raises(ValueError):
+        Subspace(3, rows)
+
+
+def test_a_reduced_basis_is_accepted():
+    space = Subspace(3, ((0, {0: 1, 2: F(1, 2)}), (1, {1: F(1), 2: -1})))
+    assert space == Subspace.from_spanning([[2, 0, 1], [0, 1, -1]], 3)
+    assert Subspace(0, ()).dim == 0
+
+
+def test_span_solver(monkeypatch):
     solver = SpanSolver([[1, 0, 1], [0, 1, 1]], 3)
     assert solver.express([2, 3, 5]) == {0: F(2), 1: F(3)}
     assert solver.express([0, 0, 1]) is None
+    # the zero target is expressed without a reduction
+    monkeypatch.setattr(Subspace, "_reduce_owned", None)
+    assert solver.express([0, 0, 0]) == solver.express({}) == solver.express({1: 0}) == {}
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        solver.express({3: 0})
 
 
 def test_sparse_and_dense_construction_agree():

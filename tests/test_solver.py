@@ -236,8 +236,8 @@ def test_one_pass_compiles_each_triple_at_most_once(monkeypatch):
 
     runs = []
 
-    def counted(plan, sorted_only):
-        for run in triples(plan, sorted_only):
+    def counted(plan, kind):
+        for run in triples(plan, kind):
             runs.append(run)
             yield run
 

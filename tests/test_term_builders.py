@@ -195,8 +195,7 @@ def ref_hom_rows(plan, kind, live):
              for pair, terms in table.items()}
     no_read = ((), frozenset())
     signs = _SIGNS[kind.tag]
-    sorted_only = kind.tag == "hom-lie" and plan.alg.is_anticommutative()
-    for a, b, cs in _triples(plan, sorted_only):
+    for a, b, cs in _triples(plan, kind):
         first = reads.get((a, b), no_read)
         if first is None:
             continue
