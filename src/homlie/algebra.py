@@ -11,8 +11,10 @@ cocycle, ...) is certified by that proof instead of a scan of every basis
 triple.
 
 In a degree window (``constructions.km_window``) the table maps undefined
-products to None; ``product_on_basis`` and ``sparse_product`` raise a
-ValueError naming the pair instead of reading such a product as zero.
+products to None; ``product_on_basis``, ``sparse_product`` and the term
+builders raise a ValueError naming the pair (``UndefinedProduct``) instead
+of reading such a product as zero.  A window imposes an equation exactly
+when evaluating it raises nothing.
 """
 
 from __future__ import annotations
@@ -68,8 +70,12 @@ class LawViolation(ValueError):
 Table = dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...] | None]  # None: undefined
 
 
-def _undefined(i: int, j: int) -> ValueError:
-    return ValueError(f"the basis product ({i}, {j}) is undefined: it leaves the degree window")
+class UndefinedProduct(ValueError):
+    """An undefined (None) basis product was read."""
+
+
+def _undefined(i: int, j: int) -> UndefinedProduct:
+    return UndefinedProduct(f"the basis product ({i}, {j}) is undefined: it leaves the degree window")
 
 
 def sparse_product(table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]] | None], u: Mapping[int, Fraction],
@@ -194,7 +200,7 @@ def _check_laws(alg: AlgebraSpec) -> None:
     if alg.flavor == "lie":
         ident = [{z: z} for z in range(n)]  # Jacobi is Hom-Jacobi at phi = id: e_z -> e_z at column z
         ones = dict.fromkeys(range(n), 1)
-        for i, j, k in combinations(range(n), 3):
+        for i, j, k in _jacobi_triples(alg):
             require("jacobi", (i, j, k), _evaluate(_hom_terms(table, (1, 1, 1), i, j, k, ident), ones))
     if alg.flavor == "commutative-associative":
         for i in range(n):
@@ -234,9 +240,10 @@ def _hom_terms(table: Table, signs: Sequence[int], a: int, b: int, c: int,
     """The terms of (ab)phi(c) + s1 (ca)phi(b) + s2 (bc)phi(a) at the basis
     triple (a, b, c) by output coordinate, one term per sign of ``signs`` =
     (1, s1, s2) or a prefix of it, for an unknown map phi with phi(e_z) ->
-    e_q at column ``col_of[z][q]``.  The caller gates which products may be
-    read: each e_x e_y of a term, and e_p e_q for every p in it and q in
-    ``col_of[z]``.
+    e_q at column ``col_of[z][q]``.  A term reads e_x e_y, and e_p e_q for
+    every p in it and q in ``col_of[z]``; reading an undefined one raises
+    ``UndefinedProduct``, as ``product_on_basis`` does, so a caller imposes
+    the equation exactly when evaluating it raises nothing.
 
     The symmetry lemmas.  Let e_j e_i = sigma e_i e_j on the basis, with
     sigma = -1 on an anticommutative table and 1 on a commutative one
@@ -259,24 +266,45 @@ def _hom_terms(table: Table, signs: Sequence[int], a: int, b: int, c: int,
     one whose swapped arguments are in order, and all of them are zero when
     that one has two equal swapped arguments and the swap changes the sign.
 
-    The window-gate lemma.  Under each of those swaps the terms (x, y, z)
-    of the triple, a product e_x e_y against phi(e_z), go to the terms
-    (y, x, z) or (x, y, z) of the image triple: J(a, b, c)'s (a, b, c),
-    (c, a, b), (b, c, a) become (b, a, c), (a, c, b), (c, b, a), C's
-    (a, b, c), (c, a, b) become (b, a, c), (a, c, b), and N's one term
-    becomes (b, a, c).  e_y e_x is undefined exactly when e_x e_y is, and
-    otherwise it is sigma e_x e_y, with the same basis vectors p.  So every
-    triple of an orbit reads the same products e_x e_y and e_p e_q, with q
-    of the same degree deg z + shift, and a gate on the products read
-    imposes all of the orbit's equations or none of them."""
+    The window lemma.  Under each of those swaps the terms (x, y, z) of the
+    triple, a product e_x e_y against phi(e_z), go to the terms (y, x, z)
+    or (x, y, z) of the image triple: J(a, b, c)'s (a, b, c), (c, a, b),
+    (b, c, a) become (b, a, c), (a, c, b), (c, b, a), C's (a, b, c),
+    (c, a, b) become (b, a, c), (a, c, b), and N's one term becomes
+    (b, a, c).  e_y e_x is undefined exactly when e_x e_y is, and otherwise
+    it is sigma e_x e_y, with the same basis vectors p.  So, when phi(e_z)
+    ranges over the q of degree deg z + shift, every triple of an orbit
+    reads the same products e_x e_y and e_p e_q, and evaluating one raises
+    exactly when evaluating any other does: a window imposes all of the
+    orbit's equations or none of them."""
     get = table.get
     for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), signs):
+        xy = get((x, y), ())
+        if xy is None:
+            raise _undefined(x, y)
         image = col_of[z]
-        for p, w in get((x, y), ()):
+        for p, w in xy:
             w = sign * w
             for q, col in image.items():
-                for m, cpq in get((p, q), ()):
+                pq = get((p, q), ())
+                if pq is None:
+                    raise _undefined(p, q)
+                for m, cpq in pq:
                     yield m, col, w * cpq
+
+
+def _jacobi_triples(alg: AlgebraSpec) -> Iterator[tuple[int, int, int]]:
+    """The basis triples that decide the Hom-Jacobi identity J, in
+    lexicographic order: a < b < c on an anticommutative table, a <= b <= c
+    on a commutative one, every ordered triple otherwise.  Proof: by the
+    symmetry lemmas in ``_hom_terms`` J at any triple is sigma^k times J at
+    its sorted rearrangement, and zero with two equal arguments when sigma
+    = -1.  So J vanishes on every ordered triple exactly when it vanishes
+    on these, and the first failing one is among them."""
+    n = alg.dim
+    if alg.is_anticommutative():
+        return combinations(range(n), 3)
+    return combinations_with_replacement(range(n), 3) if alg.is_commutative() else product(range(n), repeat=3)
 
 
 def _leibniz_pairs(alg: AlgebraSpec) -> Iterator[tuple[int, int]]:

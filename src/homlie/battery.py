@@ -16,7 +16,8 @@ from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .actions import _exp_ad, act, is_submodule
-from .algebra import AlgebraSpec, Table, _evaluate, _hom_terms, builtin, killing_form, sparse_product
+from .algebra import (AlgebraSpec, Table, _evaluate, _hom_terms, _jacobi_triples, builtin, killing_form,
+                      sparse_product)
 from .constructions import adjoin_map, central_extension, cocycle2, semidirect_derivation
 from .linalg import Matrix, SparseVector, Vector, int_if_integral, sparse_lincomb
 from .solver import (
@@ -232,18 +233,17 @@ def check_conjugation_stability(alg: AlgebraSpec) -> str | None:
 
 
 def _is_hom_lie(alg: AlgebraSpec, phi: Matrix) -> bool:
-    """Whether phi satisfies the hom-lie identity on the anticommutative
-    algebra ``alg``, every product defined: its residual vanishes on the
-    basis triples a < b < c, which decide every ordered triple by the
-    alternation lemma in ``algebra._hom_terms``."""
-    return not any(any(structure_residual(alg, phi, HOM_LIE, abc)) for abc in combinations(range(alg.dim), 3))
+    """Whether phi satisfies the hom-lie identity on ``alg``, every product
+    defined: its residual vanishes on the basis triples that decide it
+    (``algebra._jacobi_triples``)."""
+    return not any(any(structure_residual(alg, phi, HOM_LIE, abc)) for abc in _jacobi_triples(alg))
 
 
 def check_semidirect_delta_embedding(alg: AlgebraSpec, delta: Fraction = Fraction(2)) -> str | None:
     """For D solving the delta-derivation identity, the extension l + K.D
-    carries the structure acting as id on l and as 1/delta on D.  The
-    extension is anticommutative (``adjoin_map``), so ``_is_hom_lie``
-    decides it without solving the extension's structure space."""
+    carries the structure acting as id on l and as 1/delta on D;
+    ``_is_hom_lie`` decides it without solving the extension's structure
+    space."""
     if delta == 0:
         raise ValueError("delta must be nonzero")
     sol = solve_structures(alg, delta_derivation(delta))

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .algebra import AlgebraSpec, builtin, make_algebra, sparse_product
+from .algebra import AlgebraSpec, _jacobi_triples, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
 from .linalg import Matrix, Vector, dense_vector, sparse_lincomb
 from .solver import HOM_LIE, HomSolution, grading_shifts, solve_structures, structure_residual
@@ -44,11 +43,12 @@ class ClosureVerdict:
 
 
 def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int], Vector]:
-    """The first triple i < j < k with a nonzero Hom-Jacobi residual; on a
-    table with undefined products (a window), of an imposed equation, the
-    shifts in ascending order.  phi lies outside a solved space, so one exists."""
+    """The first triple of ``_jacobi_triples`` with a nonzero Hom-Jacobi
+    residual; on a table with undefined products (a window), of an imposed
+    equation, the shifts in ascending order.  phi lies outside a solved
+    space, and those triples decide the identity, so one exists."""
     for shift in grading_shifts(alg) if None in alg.table.values() else [None]:
-        for triple in combinations(range(alg.dim), 3):
+        for triple in _jacobi_triples(alg):
             r = structure_residual(alg, phi, HOM_LIE, triple, shift)
             if r is not None and any(r):
                 return triple, r

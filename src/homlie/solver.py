@@ -15,12 +15,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, _cocycle_terms, _evaluate, _hom_terms,
-                      _invariance_terms, _leibniz_pairs, _leibniz_terms, _require_lie, _Terms, right_annihilator,
-                      sparse_product, structural_subspaces)
+from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, UndefinedProduct, _cocycle_terms, _evaluate,
+                      _hom_terms, _invariance_terms, _leibniz_pairs, _leibniz_terms, _require_lie, _Terms,
+                      right_annihilator, sparse_product, structural_subspaces)
 from .linalg import (
     Matrix,
     SparseVector,
@@ -119,8 +119,6 @@ def _sparse_rows(groups: Iterable[_Terms]) -> Iterator[dict[int, Fraction]]:
 # hom-2nilp the first alone.
 _SIGNS = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}
 
-_NO_READ: frozenset[int] = frozenset()  # a zero product reads nothing
-
 
 def _kept(alg: AlgebraSpec, key: object, build: Callable[[], object]):
     """The value kept on ``alg`` under ``key``, built on first use."""
@@ -137,9 +135,6 @@ class _Plan:
 
     - ``components``: each degree's indices, ascending, the degrees in the
       order 0, -1, 1, -2, 2, ...
-    - ``reads[(x, y)]``: the degrees t at which (e_x e_y)phi(e_z), phi(e_z)
-      of degree t, reads an undefined product; None when e_x e_y is
-      undefined itself, absent when it is zero.
     - ``annihilator``: the echelon rows of ``right_annihilator``, solved on
       first use (only the hom kinds read it).
     - ``complete``: whether every product is defined.
@@ -153,18 +148,6 @@ class _Plan:
         self.components: dict[int, list[int]] = {d: [] for d in sorted(set(deg), key=lambda d: (abs(d), d))}
         for u, d in enumerate(deg):
             self.components[d].append(u)
-        gaps: list[set[int]] = [set() for _ in range(n)]  # the degrees of the q with e_p e_q undefined
-        for (p, q), terms in table.items():
-            if terms is None:
-                gaps[p].add(deg[q])
-        self.reads: dict[tuple[int, int], frozenset[int] | None] = {}
-        shared: dict[frozenset[int], frozenset[int]] = {}  # one copy of each set of degrees
-        for pair, terms in table.items():
-            if terms is None:
-                self.reads[pair] = None
-            else:
-                blocked = frozenset().union(*(gaps[p] for p, _ in terms))
-                self.reads[pair] = shared.setdefault(blocked, blocked)
 
     @cached_property
     def annihilator(self) -> list[Mapping[int, Fraction]]:
@@ -211,7 +194,7 @@ def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Seque
     By the symmetry lemmas in ``algebra._hom_terms`` the forms of every
     other triple of the orbit are plus or minus those of the kept one, and
     zero when a sign-changing swap exchanges two equal arguments; its
-    window-gate lemma shows that ``_hom_rows`` imposes all or none of an
+    window lemma shows that ``_hom_rows`` imposes all or none of an
     orbit.  So the kept triples' rows span the rows of all ordered triples:
 
     | kind | anticommutative | commutative |
@@ -248,6 +231,15 @@ def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Seque
 _Open = Mapping[int, list[dict[int, int]]]
 
 
+def _by_source(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, int]]:
+    """col_of[c][q] = cols[(q, c)] for the columns ``cols`` of the block of
+    a shift s: phi(e_c) reaches every e_q of degree deg c + s."""
+    col_of: list[dict[int, int]] = [{} for _ in range(n)]
+    for (q, c), k in cols.items():
+        col_of[c][q] = k
+    return col_of
+
+
 def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
     """(shift, row) for the rows of the kind's identity in the blocks
     ``live``, from one pass over ``_triples``; a block that leaves ``live``
@@ -256,36 +248,24 @@ def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[i
 
     The terms of a triple of total degree D for a map of shift s lie in
     degree D + s, so the row of key m belongs to the block deg m - D alone.
-    The equations at shift s are imposed only when every product they read
-    is defined: a term (xy)phi(e_z) reads e_p e_q for the p in xy and the q
-    of degree deg z + s, and ``reads`` keeps the degrees where that fails.
-    The test of the first term does not depend on c, so a run of triples
-    passes or fails it together.
+    A block's columns give phi(e_z) every q of degree deg z + s, so the
+    triple's equations at shift s are compiled whole or, when evaluating
+    them reads an undefined product, not at all.
     """
-    signs = _SIGNS[kind.tag]
-    table, reads, deg = plan.alg.table, plan.reads, plan.deg
+    signs, table = _SIGNS[kind.tag], plan.alg.table
     for a, b, cs in _triples(plan, kind):
-        first = reads.get((a, b), _NO_READ)
-        if first is None:
-            continue
-        shifts = [s for s in live if deg[cs[0]] + s not in first]
-        if not shifts:
-            continue
+        shifts = list(live)  # blocks leave ``live`` while the pass is suspended
         for c in cs:
-            blocked = []  # (deg z, the degrees where the term reads an undefined product)
-            for (x, y, z), _ in zip(((c, a, b), (b, c, a)), signs[1:]):
-                read = reads.get((x, y), _NO_READ)
-                if read is None:
-                    break
-                if read:
-                    blocked.append((deg[z], read))
-            else:
-                for s in shifts:
-                    col_of = live.get(s)
-                    if col_of is None or blocked and any(d + s in gaps for d, gaps in blocked):
-                        continue
-                    for row in _sparse_rows([_hom_terms(table, signs, a, b, c, col_of)]):
-                        yield s, row
+            for s in shifts:
+                col_of = live.get(s)
+                if col_of is None:
+                    continue
+                try:
+                    rows = list(_sparse_rows([_hom_terms(table, signs, a, b, c, col_of)]))
+                except UndefinedProduct:
+                    continue
+                for row in rows:
+                    yield s, row
 
 
 def _delta_rows(plan: _Plan, delta: Fraction, live: _Open) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
@@ -379,10 +359,7 @@ def _solve_shift_blocks(
             continue
         blocks[shift] = cols, _known_block(alg, kind, shift, cols, annihilator)
         if blocks[shift][1].dim < len(cols):
-            col_of: list[dict[int, int]] = [{} for _ in range(n)]
-            for (q, c), k in cols.items():
-                col_of[c][q] = k
-            live[shift] = col_of
+            live[shift] = _by_source(cols, n)
     queues: dict[int, deque[dict[int, int | Fraction]]] = {shift: deque() for shift in live}
     routed = _delta_rows(plan, kind.delta, live) if kind.delta is not None else _hom_rows(plan, kind, live)
 
@@ -453,11 +430,11 @@ def structure_residual(
     with no row compiled or eliminated (used to re-verify solver output).
     A delta kind reads the pair (a, b) of the triple only.  Without a
     ``shift`` every product must be defined.  With one, only the part of
-    phi sending degree d to d + shift is read, and the result is None when
-    the equation reads an undefined product: e_x e_y, or e_p e_q for a p in
-    it and any q of the degree phi sends the other factor to (the equations
-    a degree window does not impose).  For the hom kinds the plan's
-    ``reads`` hold those degrees, so the test is a lookup.
+    phi sending degree d to d + shift is read, over the shift block's
+    columns (``_by_source``, kept on the algebra per shift) as
+    ``_hom_rows`` reads them, and the result is None when evaluating the
+    equation reads an undefined product (an equation a degree window does
+    not impose).
     """
     n = alg.dim
     if phi.shape != (n, n):
@@ -465,31 +442,26 @@ def structure_residual(
     plan = _plan(alg)
     if shift is None and not plan.complete:
         raise ValueError("this algebra has undefined products, so a residual needs a degree shift")
-    t, deg = alg.table, plan.deg
-    a, b, c = triple
-    if kind.tag in _SIGNS:
-        for (x, y, z), _ in zip(((a, b, c), (c, a, b), (b, c, a)), _SIGNS[kind.tag]):
-            blocked = plan.reads.get((x, y), _NO_READ)
-            if blocked is None or shift is not None and deg[z] + shift in blocked:
-                return None
-        read = (a, b, c)
-    elif kind.tag == "delta-derivation":
-        if shift is not None and not plan.complete:
-            qa, qb = (plan.components.get(deg[z] + shift, ()) for z in (a, b))
-            if None in map(t.get, chain([(a, b)], product(qa, [b]), product([a], qb)), repeat(())):
-                return None
-        read = (a, b, *(k for k, _ in t.get((a, b), ())))  # phi(e_a), phi(e_b), phi(ab)
-    else:
+    if kind.tag not in _SIGNS and kind.tag != "delta-derivation":
         raise ValueError(f"structure_residual cannot handle kind {kind.tag!r}")
-    # phi(e_z) -> e_q at column q*n + z, for the z read and the q of degree deg z + shift
+    a, b, c = triple
     cols = phi.sparse_cols
-    col_of = {z: {q: q * n + z for q in cols[z] if shift is None or deg[q] == deg[z] + shift} for z in read}
-    x = {col: cols[z][q] for z, image in col_of.items() for q, col in image.items()}
-    if kind.delta is None:
-        terms = _hom_terms(t, _SIGNS[kind.tag], a, b, c, col_of)
-    else:
-        terms = _leibniz_terms(alg, a, b, col_of, col_of, kind.delta)
-    return dense_vector(_evaluate(terms, x), n)
+    try:
+        # phi(e_a), phi(e_b), and phi(e_c) or phi(ab)
+        read = (a, b, c) if kind.delta is None else (a, b, *(k for k, _ in alg.product_on_basis(a, b)))
+        # without a shift, phi(e_z) -> e_q at column q*n + z for phi's entries
+        if shift is None:
+            col_of = {z: {q: q * n + z for q in cols[z]} for z in read}
+        else:
+            col_of = _kept(alg, ("columns", shift), lambda: _by_source(plan.block(shift), n))
+        x = {col_of[z][q]: v for z in read for q, v in cols[z].items() if q in col_of[z]}
+        if kind.delta is None:
+            terms = _hom_terms(alg.table, _SIGNS[kind.tag], a, b, c, col_of)
+        else:
+            terms = _leibniz_terms(alg, a, b, col_of, col_of, kind.delta)
+        return dense_vector(_evaluate(terms, x), n)
+    except UndefinedProduct:
+        return None
 
 
 # -- bilinear solvers --------------------------------------------------------
@@ -686,21 +658,20 @@ class MultiplicativityWitness:
 def is_multiplicative(alg: AlgebraSpec, phi: Matrix) -> bool | MultiplicativityWitness:
     """phi(xy) == phi(x)phi(y) on basis pairs; True or a witness pair.
 
-    On a degree window a pair is skipped when its product or the product of
-    its images reads an undefined (None) basis product.
+    On a degree window a pair is skipped when evaluating it, its product or
+    the product of its images, reads an undefined (None) basis product.
     """
     n = alg.dim
     if phi.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
-    table = alg.table
-    undefined = {pair for pair, terms in table.items() if terms is None}
     cols = phi.sparse_cols  # phi(e_c)
     for i in range(n):
         for j in range(n):
-            if undefined and ((i, j) in undefined or any((p, q) in undefined for p in cols[i] for q in cols[j])):
+            try:
+                lhs = sparse_lincomb(*((c, cols[k]) for k, c in alg.product_on_basis(i, j)))
+                rhs = sparse_product(alg.table, cols[i], cols[j])
+            except UndefinedProduct:
                 continue
-            lhs = sparse_lincomb(*((c, cols[k]) for k, c in alg.product_on_basis(i, j)))
-            rhs = sparse_product(table, cols[i], cols[j])
             if lhs != rhs:
                 return MultiplicativityWitness((i, j), dense_vector(lhs, n), dense_vector(rhs, n))
     return True

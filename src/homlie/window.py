@@ -2,9 +2,10 @@
 
 ``solve_window`` solves a window's Hom-Jacobi equations through the
 solver's shift-block path.  An equation is imposed per basis triple and per
-shift only when every product it reads is defined inside the window, so
-solutions supported near the degree boundary are kept; that is why the
-inner-window comparison below is a report, not an assertion.
+shift exactly when evaluating it reads no product that leaves the window
+(``algebra._hom_terms`` raises on one), so solutions supported near the
+degree boundary are kept; that is why the inner-window comparison below is
+a report, not an assertion.
 """
 
 from __future__ import annotations

@@ -112,8 +112,9 @@ def test_only_the_law_scan_and_certified_builds_make_algebras():
     assert CERTIFIED_BUILDS <= proofs
 
 
-# The identities' term builders, their pair domain and the evaluator.
-TERM_BUILDERS = {"_hom_terms", "_leibniz_terms", "_leibniz_pairs", "_cocycle_terms", "_invariance_terms", "_evaluate"}
+# The identities' term builders, their pair and triple domains and the evaluator.
+TERM_BUILDERS = {"_hom_terms", "_leibniz_terms", "_leibniz_pairs", "_jacobi_triples", "_cocycle_terms",
+                 "_invariance_terms", "_evaluate"}
 # The validators, each stated as "every term row vanishes at this map or form".
 VALIDATORS = {("constructions.py", "derivation_defect"), ("constructions.py", "Cocycle2.__post_init__"),
               ("algebra.py", "BilinearForm.is_invariant"), ("solver.py", "structure_residual"),
@@ -149,3 +150,35 @@ def test_each_identity_is_stated_once():
     assert defined == {("algebra.py", name) for name in TERM_BUILDERS}
     assert evaluating == VALIDATORS
     assert hom_callers == HOM_TERMS_CALLERS
+
+
+# Where an undefined product is raised, and the consumers that skip an
+# equation whose evaluation raises it: the rule "a window imposes an
+# equation exactly when evaluating it reads no undefined product".
+UNDEFINED_RAISERS = {("algebra.py", "_undefined")}
+UNDEFINED_CATCHERS = {("solver.py", "_hom_rows"), ("solver.py", "structure_residual"),
+                      ("solver.py", "is_multiplicative")}
+
+
+def test_undefined_products_have_one_rule():
+    """Only ``algebra._undefined`` makes an ``UndefinedProduct``, and only
+    the consumers above catch it by name, so a compiler that starts
+    skipping equations on a window has to be named here."""
+    made, caught = set(), set()
+    for path in sorted(Path(homlie.__file__).parent.glob("*.py")):
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "UndefinedProduct":
+                made.add((path.name, owner))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {getattr(t, "id", getattr(t, "attr", None)) for t in ast.walk(node.type)}
+                if "UndefinedProduct" in names:
+                    caught.add((path.name, owner))
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), None)
+    assert made == UNDEFINED_RAISERS
+    assert caught == UNDEFINED_CATCHERS
+    assert "UndefinedProduct" not in homlie.__all__

@@ -86,6 +86,17 @@ def test_jordan_counterexample(capsys):
     assert doc["counterexample"]["truncation_order"] <= 8
 
 
+def test_jordan_on_a_commutative_table(capsys, tmp_path):
+    # the witness triple repeats an index, which an alternating form never would
+    f = tmp_path / "comm.json"
+    f.write_text(json.dumps({"dim": 3, "flavor": "generic-commutative", "table": [
+        [0, 2, [[1, "1"]]], [2, 0, [[1, "1"]]], [1, 2, [[2, "-1"]]], [2, 1, [[2, "-1"]]]]}))
+    code, doc = run_json(capsys, "jordan", "--algebra", str(f))
+    assert code == 0
+    assert doc["space_dim"] == 1 and doc["closed"] is False
+    assert doc["witness"] == {"pair": [0, 0], "violating_triple": [0, 0, 2], "residual": ["0/1", "0/1", "-2/1"]}
+
+
 def test_window(capsys, tmp_path):
     code, doc = run_json(capsys, "window", "--algebra", "sl2", "--window", "2")
     assert code == 0

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from homlie.algebra import builtin, killing_form
+from homlie.algebra import builtin, killing_form, make_algebra
 from homlie.constructions import km_window, tensor_lie
 from homlie.jordan import (
     closure_check,
@@ -155,3 +156,52 @@ def test_twisted_window_space_is_not_jordan_closed():
     assert w.product == jordan_product(*(sol.basis_maps()[i] for i in (1, 5)))
     residual = structure_residual(pa, w.product, HOM_LIE, w.violating_triple, 0)
     assert residual == w.residual == tuple(F(1, 2) if m == 2 else F(0) for m in range(pa.dim))
+
+
+# e0 e2 = e1 and e1 e2 = -e2, both orders: its Hom-Jacobi form is symmetric,
+# not alternating, so a triple with a repeated index can fail alone
+GENERIC_COMMUTATIVE = {(0, 2): [(1, 1)], (2, 0): [(1, 1)], (1, 2): [(2, -1)], (2, 1): [(2, -1)]}
+
+
+def test_closure_witness_on_a_commutative_table():
+    alg = make_algebra(3, GENERIC_COMMUTATIVE, flavor="generic-commutative")
+    sol = solve_structures(alg, HOM_LIE)
+    verdict = closure_check(sol)
+    assert sol.dim == 1 and not verdict.closed
+    w = verdict.witness
+    assert (w.phi_index, w.psi_index, w.violating_triple, w.residual) == (0, 0, (0, 0, 2), (0, 0, -2))
+    failing = [t for t in product(range(3), repeat=3) if any(structure_residual(alg, w.product, HOM_LIE, t))]
+    assert failing == [(0, 0, 2), (0, 2, 0), (2, 0, 0)]
+
+
+def _random_table(rng, n, flavor):
+    sigma = {"generic-anticommutative": -1, "generic-commutative": 1}.get(flavor)
+    table = {}
+    for i, j in product(range(n), repeat=2):
+        if sigma is not None and (j < i or sigma == -1 and i == j):
+            continue
+        entry = [(k, c) for k in range(n) if rng.random() < 0.3 for c in [rng.choice((-1, 1))]]
+        if entry and rng.random() < 0.5:
+            table[(i, j)] = entry
+            if sigma is not None and i != j:
+                table[(j, i)] = [(k, sigma * c) for k, c in entry]
+    return table
+
+
+@pytest.mark.parametrize("flavor", ["generic-anticommutative", "generic-commutative", "unchecked"])
+def test_closure_witness_is_the_first_failing_ordered_triple(flavor):
+    """On every flavor the witness is the first ordered triple, in
+    lexicographic order, at which the product's residual is nonzero."""
+    rng = random.Random(flavor)
+    witnesses = 0
+    for _ in range(1200):
+        n = rng.randint(2, 3)
+        alg = make_algebra(n, _random_table(rng, n, flavor), flavor=flavor)
+        verdict = closure_check(solve_structures(alg, HOM_LIE))
+        if verdict.closed:
+            continue
+        w = verdict.witness
+        first = next(t for t in product(range(n), repeat=3) if any(structure_residual(alg, w.product, HOM_LIE, t)))
+        assert (w.violating_triple, w.residual) == (first, structure_residual(alg, w.product, HOM_LIE, first))
+        witnesses += 1
+    assert witnesses >= 3

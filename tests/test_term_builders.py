@@ -3,19 +3,26 @@ the row compilers they replaced, kept here as references: every system gets
 the same set of rows (the order may differ; row order does not change a
 kernel), and the Hom and b-space compilers the very same row stream.  The
 validators evaluate the same builders, so every solved basis element must
-pass its validator."""
+pass its validator.
 
+On tables with undefined products the builders raise, and the Hom rows,
+``structure_residual`` and ``is_multiplicative`` skip the equations whose
+evaluation raises; the references keep the degree-table and undefined-set
+gates those consumers used before."""
+
+import random
+import re
 from fractions import Fraction
 from itertools import chain, combinations, product
 
 import pytest
 
 from homlie import solver
-from homlie.algebra import BilinearForm
+from homlie.algebra import AlgebraSpec, BilinearForm, sparse_product
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import cocycle2, derivation_defect
-from homlie.linalg import Matrix, Subspace
-from test_window import WINDOW_MODELS
+from homlie.linalg import Matrix, Subspace, dense_vector, sparse_lincomb
+from test_window import WINDOW_MODELS, _closure_structure_residual, _one_sided_gap, _twisted, _untwisted
 from homlie.solver import (
     _SIGNS,
     BILINEAR_KINDS,
@@ -33,10 +40,12 @@ from homlie.solver import (
     coboundary_space,
     delta_derivation,
     grading_shifts,
+    is_multiplicative,
     seq_uv,
     solve_bilinear,
     solve_qder,
     solve_structures,
+    structure_residual,
 )
 
 F = Fraction
@@ -182,7 +191,8 @@ def ref_hom_rows(plan, kind, live):
     """The (shift, row) stream of ``_hom_rows`` as it was compiled from the
     plan's ``left[p][t]``, the (q, m, coeff) with e_p e_q = sum coeff e_m and
     deg q = t, and ``reads`` holding each product's terms beside the degrees
-    where reading it fails."""
+    where reading it fails: the degree-table gate, run by run and term by
+    term, that the plan kept before ``_hom_terms`` raised."""
     n, table, deg = plan.alg.dim, plan.alg.table, plan.deg
     left = [{} for _ in range(n)]
     gaps = [set() for _ in range(n)]
@@ -225,6 +235,23 @@ def ref_hom_rows(plan, kind, live):
                     )
                     for row in _sparse_rows([group]):
                         yield s, row
+
+
+def ref_is_multiplicative(alg, phi):
+    """``is_multiplicative`` with the gate it had, the set of undefined
+    pairs tested before each pair is evaluated; True or (pair, lhs, rhs)."""
+    n, table = alg.dim, alg.table
+    undefined = {pair for pair, terms in table.items() if terms is None}
+    cols = phi.sparse_cols
+    for i in range(n):
+        for j in range(n):
+            if (i, j) in undefined or any((p, q) in undefined for p in cols[i] for q in cols[j]):
+                continue
+            lhs = sparse_lincomb(*((c, cols[k]) for k, c in table.get((i, j), ())))
+            rhs = sparse_product(table, cols[i], cols[j])
+            if lhs != rhs:
+                return (i, j), dense_vector(lhs, n), dense_vector(rhs, n)
+    return True
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -273,6 +300,43 @@ def live_blocks(alg):
                 col_of[c][q] = k
             live[shift] = col_of
     return plan, live
+
+
+PARTIAL_FLAVORS = ["generic-anticommutative", "generic-commutative", "unchecked"]
+
+
+def random_partial_table(rng, flavor):
+    """A graded table on 3..5 basis vectors of degrees -1..1 whose products
+    are undefined at random: e_i e_j is None with probability 1/4, and
+    otherwise a random combination of the basis vectors of degree
+    deg i + deg j.  A commutative or anticommutative table sets e_j e_i from
+    e_i e_j, None with it, as ``km_window`` does."""
+    n = rng.randint(3, 5)
+    deg = tuple(rng.randint(-1, 1) for _ in range(n))
+    sigma = {"generic-anticommutative": -1, "generic-commutative": 1}.get(flavor)
+    table = {}
+    for i, j in product(range(n), repeat=2):
+        if sigma is not None and j < i:
+            continue
+        if rng.random() < 0.25:
+            entry = None
+        elif sigma == -1 and i == j:
+            continue
+        else:
+            entry = tuple((k, rng.choice((-2, -1, 1, 3))) for k in range(n)
+                          if deg[k] == deg[i] + deg[j] and rng.random() < 0.6)
+            if not entry:
+                continue
+        table[(i, j)] = entry
+        if sigma is not None and i != j:
+            table[(j, i)] = None if entry is None else tuple((k, sigma * c) for k, c in entry)
+    return AlgebraSpec(n, tuple(f"e{u}" for u in range(n)), table, flavor, grading=deg)
+
+
+def partial_tables():
+    """``_one_sided_gap`` and 35 seeded random partial tables of each flavor."""
+    rng = random.Random(25)
+    return [_one_sided_gap()] + [random_partial_table(rng, flavor) for flavor in PARTIAL_FLAVORS for _ in range(35)]
 
 
 # -- the tests ---------------------------------------------------------------------
@@ -389,3 +453,70 @@ def test_solved_spaces_pass_the_validators():
             cocycle2(alg, Matrix.unflatten(row, n, n))
         for _, row in solve_bilinear(alg, "sym-invariant").rows:
             assert BilinearForm(Matrix.unflatten(row, n, n)).is_invariant(alg), name
+
+
+@pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
+def test_partial_tables_compile_the_replaced_row_stream(kind):
+    """The equations whose evaluation raises are exactly those the degree
+    table gated: the same typed stream on every partial table."""
+    tables = partial_tables()
+    compiled = 0
+    for alg in tables:
+        plan, live = live_blocks(alg)
+        new = typed_stream(_hom_rows(plan, kind, live))
+        assert new == typed_stream(ref_hom_rows(plan, kind, live)), alg.table
+        compiled += len(new)
+    assert sum(None in alg.table.values() for alg in tables) > 90 and compiled > 1000
+
+
+def test_partial_tables_residuals_match_the_closure_reference():
+    """Same values and the same None cases as the reference for every kind
+    and shift, at sparse maps: whether an equation is imposed does not
+    depend on which entries of phi are nonzero."""
+    rng = random.Random(26)
+    kinds = HOM_KINDS + [delta_derivation(2), delta_derivation(F(-1, 2))]
+    nones = nonzero = 0
+    for alg in partial_tables():
+        n = alg.dim
+        phi = Matrix.from_sparse(n, n, {(rng.randrange(n), rng.randrange(n)): rng.randint(-2, 2) for _ in range(2 * n)})
+        triples = rng.sample(list(product(range(n), repeat=3)), 12)
+        for kind, shift, tri in product(kinds, grading_shifts(alg), triples):
+            got = structure_residual(alg, phi, kind, tri, shift)
+            assert got == _closure_structure_residual(alg, phi, kind, tri, shift), (alg.table, kind, shift, tri)
+            nones += got is None
+            nonzero += got is not None and any(got)
+    assert nones > 1000 and nonzero > 1000
+
+
+def test_multiplicativity_skips_the_pairs_the_undefined_set_gated():
+    """The same verdict and witness as the undefined-set gate, on the
+    partial tables and two windows, for maps that read few or many
+    products."""
+    rng = random.Random(27)
+    verdicts = []
+    for alg in partial_tables() + [_untwisted(2), _twisted(3)]:
+        n = alg.dim
+        maps = [Matrix.identity(n), Matrix.identity(n).scale(2), Matrix.zeros(n, n)]
+        maps += [Matrix.from_sparse(n, n, {(rng.randrange(n), rng.randrange(n)): 1}) for _ in range(3)]
+        maps.append(Matrix.from_sparse(n, n, {(rng.randrange(n), rng.randrange(n)): rng.randint(-2, 2)
+                                              for _ in range(n)}))
+        for phi in maps:
+            got = is_multiplicative(alg, phi)
+            got = got if got is True else (got.pair, got.lhs, got.rhs)
+            assert got == ref_is_multiplicative(alg, phi), alg.table
+            verdicts.append(got is True)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_a_window_refuses_to_read_an_undefined_product():
+    """``product_on_basis`` and ``sparse_product`` still raise a ValueError
+    naming the pair, and a solve that reads one refuses the window."""
+    pa = _untwisted(2)
+    i, j = next(pair for pair, terms in sorted(pa.table.items()) if terms is None)
+    message = f"^{re.escape(f'the basis product ({i}, {j}) is undefined: it leaves the degree window')}$"
+    with pytest.raises(ValueError, match=message):
+        pa.product_on_basis(i, j)
+    with pytest.raises(ValueError, match=message):
+        sparse_product(pa.table, {i: 1}, {j: 1})
+    with pytest.raises(ValueError, match="is undefined: it leaves the degree window$"):
+        solve_bilinear(pa, "asym-cocycle")

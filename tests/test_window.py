@@ -384,7 +384,8 @@ def test_block_is_the_kernel_of_the_imposable_residuals():
 def _closure_structure_residual(alg, phi, kind, triple, shift):
     """``structure_residual`` as it was written before the plan's ``reads``
     and ``gaps`` held the undefined degrees: definedness read product by
-    product through closures; the reference for the lookup."""
+    product through closures, over each whole target degree; the reference
+    for the residual's None cases, which the term builders now raise."""
     t, plan = alg.table, _plan(alg)
     deg, rows = plan.deg, phi.sparse_rows
 
