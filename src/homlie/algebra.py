@@ -71,11 +71,21 @@ Table = dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...] | None]  # 
 
 
 class UndefinedProduct(ValueError):
-    """An undefined (None) basis product was read."""
+    """An undefined (None) basis product e_i e_j was read; ``pair`` is (i, j).
+    The message is built only when it is shown: a window solve raises and
+    catches one for every equation it does not impose."""
+
+    def __init__(self, i: int, j: int):
+        super().__init__(i, j)
+        self.pair = (i, j)
+
+    def __str__(self) -> str:
+        i, j = self.pair
+        return f"the basis product ({i}, {j}) is undefined: it leaves the degree window"
 
 
 def _undefined(i: int, j: int) -> UndefinedProduct:
-    return UndefinedProduct(f"the basis product ({i}, {j}) is undefined: it leaves the degree window")
+    return UndefinedProduct(i, j)
 
 
 def sparse_product(table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]] | None], u: Mapping[int, Fraction],
@@ -114,6 +124,17 @@ class AlgebraSpec:
         spaces it solved.  An algebra is immutable, so they stay valid, and
         they go with the algebra."""
         return {}
+
+    @cached_property
+    def rows(self) -> list[dict[int, tuple[tuple[int, int | Fraction], ...] | None]]:
+        """The table by left factor: ``rows[p]`` maps each q with an entry
+        (p, q) to ``table[(p, q)]``, the same tuple or None, q ascending.
+        The term builders read products from it, so a row e_p e_* is walked
+        without looking up its zero products."""
+        rows: list[dict] = [{} for _ in range(self.dim)]
+        for p, q in sorted(self.table):
+            rows[p][q] = self.table[p, q]
+        return rows
 
     def product_on_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         """The terms of e_i e_j; ValueError when it is undefined (None)."""
@@ -201,7 +222,7 @@ def _check_laws(alg: AlgebraSpec) -> None:
         ident = [{z: z} for z in range(n)]  # Jacobi is Hom-Jacobi at phi = id: e_z -> e_z at column z
         ones = dict.fromkeys(range(n), 1)
         for i, j, k in _jacobi_triples(alg):
-            require("jacobi", (i, j, k), _evaluate(_hom_terms(table, (1, 1, 1), i, j, k, ident), ones))
+            require("jacobi", (i, j, k), _evaluate(_hom_terms(alg.rows, (1, 1, 1), i, j, k, ident), ones))
     if alg.flavor == "commutative-associative":
         for i in range(n):
             for j in range(n):
@@ -235,15 +256,21 @@ def _evaluate(terms: _Terms, x: Mapping[int, int | Fraction]) -> dict[object, in
     return {key: v for key, v in out.items() if v}
 
 
-def _hom_terms(table: Table, signs: Sequence[int], a: int, b: int, c: int,
-               col_of: Sequence[Mapping[int, int]] | Mapping[int, Mapping[int, int]]) -> _Terms:
+def _hom_terms(rows: Sequence[Mapping[int, Sequence[tuple[int, int | Fraction]] | None]], signs: Sequence[int],
+               a: int, b: int, c: int, col_of: Sequence[Mapping[int, int]] | Mapping[int, Mapping[int, int]]) -> _Terms:
     """The terms of (ab)phi(c) + s1 (ca)phi(b) + s2 (bc)phi(a) at the basis
     triple (a, b, c) by output coordinate, one term per sign of ``signs`` =
     (1, s1, s2) or a prefix of it, for an unknown map phi with phi(e_z) ->
-    e_q at column ``col_of[z][q]``.  A term reads e_x e_y, and e_p e_q for
-    every p in it and q in ``col_of[z]``; reading an undefined one raises
-    ``UndefinedProduct``, as ``product_on_basis`` does, so a caller imposes
-    the equation exactly when evaluating it raises nothing.
+    e_q at column ``col_of[z][q]``, read from the algebra's index ``rows``
+    (``AlgebraSpec.rows``).  A term reads e_x e_y, and e_p e_q for every p
+    in it and q in ``col_of[z]``: it walks the row e_p e_* filtered by
+    ``col_of[z]`` or looks ``col_of[z]`` up in the row, whichever is
+    shorter, so the zero products of a long image are never looked up.
+    Both walks go through q ascending, the order of the row and of every
+    caller's ``col_of[z]``, so the terms come in one order.  Reading an
+    undefined product raises ``UndefinedProduct``, as ``product_on_basis``
+    does (both walks read it exactly when its q is in ``col_of[z]``), so a
+    caller imposes the equation exactly when evaluating it raises nothing.
 
     The symmetry lemmas.  Let e_j e_i = sigma e_i e_j on the basis, with
     sigma = -1 on an anticommutative table and 1 on a commutative one
@@ -266,6 +293,19 @@ def _hom_terms(table: Table, signs: Sequence[int], a: int, b: int, c: int,
     one whose swapped arguments are in order, and all of them are zero when
     that one has two equal swapped arguments and the swap changes the sign.
 
+    The cyclic lemma.  On an anticommutative table, e_b e_b is () where it
+    is defined (``make_algebra`` checks e_i e_i = 0, and ``km_window``
+    writes no diagonal entry).  There C(a, b, b) = (ab)phi(b) - (ba)phi(b)
+    = 2 (ab)phi(b) and C(b, a, b) = (ba)phi(b) - (bb)phi(a) = -(ab)phi(b),
+    that is C(a, b, b) = -2 C(b, a, b), and C(b, a, b) = C(b, b, a) by the
+    swap of its last two arguments.  In a window both triples read e_a e_b
+    or e_b e_a, which are undefined together, and e_p e_q for the same p
+    (those of e_a e_b) and the same q (those phi(e_b) may reach);
+    C(b, a, b) also reads e_b e_b = (), which reads nothing further.  So
+    evaluating C(a, b, b) raises exactly when evaluating C(b, a, b) does,
+    and a window imposes both or neither.  Where e_b e_b is undefined,
+    C(b, a, b) is never imposed and C(a, b, b) may be, so no lemma drops it.
+
     The window lemma.  Under each of those swaps the terms (x, y, z) of the
     triple, a product e_x e_y against phi(e_z), go to the terms (y, x, z)
     or (x, y, z) of the image triple: J(a, b, c)'s (a, b, c), (c, a, b),
@@ -277,20 +317,30 @@ def _hom_terms(table: Table, signs: Sequence[int], a: int, b: int, c: int,
     reads the same products e_x e_y and e_p e_q, and evaluating one raises
     exactly when evaluating any other does: a window imposes all of the
     orbit's equations or none of them."""
-    get = table.get
     for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), signs):
-        xy = get((x, y), ())
+        xy = rows[x].get(y, ())
         if xy is None:
             raise _undefined(x, y)
         image = col_of[z]
         for p, w in xy:
             w = sign * w
-            for q, col in image.items():
-                pq = get((p, q), ())
-                if pq is None:
-                    raise _undefined(p, q)
-                for m, cpq in pq:
-                    yield m, col, w * cpq
+            row = rows[p]
+            if len(row) < len(image):  # the two walks are spelled out: this is the compiler's inner loop
+                for q, pq in row.items():
+                    col = image.get(q)
+                    if col is None:
+                        continue
+                    if pq is None:
+                        raise _undefined(p, q)
+                    for m, cpq in pq:
+                        yield m, col, w * cpq
+            else:
+                for q, col in image.items():
+                    pq = row.get(q, ())
+                    if pq is None:
+                        raise _undefined(p, q)
+                    for m, cpq in pq:
+                        yield m, col, w * cpq
 
 
 def _jacobi_triples(alg: AlgebraSpec) -> Iterator[tuple[int, int, int]]:
@@ -327,15 +377,32 @@ def _leibniz_terms(
 ) -> _Terms:
     """The terms of X(e_i e_j) - delta*(Y(e_i) e_j + e_i Y(e_j)) by output
     coordinate, for unknown maps X and Y with X(e_c) -> e_q at column
-    ``outer[c][q]`` and Y(e_c) -> e_q at column ``inner[c][q]``."""
-    for k, c in alg.product_on_basis(i, j):
+    ``outer[c][q]`` and Y(e_c) -> e_q at column ``inner[c][q]``, read from
+    the index ``alg.rows`` as ``_hom_terms`` reads it: e_i Y(e_j) walks the
+    row e_i e_* filtered by ``inner[j]``, q ascending, so its zero products
+    are never looked up.  Reading an undefined product raises
+    ``UndefinedProduct``."""
+    rows = alg.rows
+    ij = rows[i].get(j, ())
+    if ij is None:
+        raise _undefined(i, j)
+    for k, c in ij:
         for m, col in outer[k].items():
             yield m, col, c
     for q, col in inner[i].items():  # Y(e_i) = sum_q Y[q][i] e_q
-        for k, c in alg.product_on_basis(q, j):
+        qj = rows[q].get(j, ())
+        if qj is None:
+            raise _undefined(q, j)
+        for k, c in qj:
             yield k, col, -delta * c
-    for q, col in inner[j].items():
-        for k, c in alg.product_on_basis(i, q):
+    image = inner[j]
+    for q, iq in rows[i].items():
+        col = image.get(q)
+        if col is None:
+            continue
+        if iq is None:
+            raise _undefined(i, q)
+        for k, c in iq:
             yield k, col, -delta * c
 
 

@@ -16,8 +16,7 @@ from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .actions import _exp_ad, act, is_submodule
-from .algebra import (AlgebraSpec, Table, _evaluate, _hom_terms, _jacobi_triples, builtin, killing_form,
-                      sparse_product)
+from .algebra import AlgebraSpec, _evaluate, _hom_terms, _jacobi_triples, builtin, killing_form, sparse_product
 from .constructions import adjoin_map, central_extension, cocycle2, semidirect_derivation
 from .linalg import Matrix, SparseVector, Vector, int_if_integral, sparse_lincomb
 from .solver import (
@@ -136,9 +135,9 @@ def check_submodule_property(alg: AlgebraSpec) -> str | None:
     return None
 
 
-def _jacobiator(t: Table, phi: Matrix) -> dict[tuple[int, int, int], SparseVector]:
+def _jacobiator(alg: AlgebraSpec, phi: Matrix) -> dict[tuple[int, int, int], SparseVector]:
     """J_phi(e_i, e_j, e_k) = (e_i e_j)phi(e_k) + (e_k e_i)phi(e_j) + (e_j e_k)phi(e_i)
-    on every ordered basis triple of an anticommutative table t.
+    on every ordered basis triple of an anticommutative algebra.
 
     J_phi is evaluated from ``_hom_terms`` on i < j < k only and the other
     triples are filled by sign: J_phi changes sign under every swap of two
@@ -149,7 +148,7 @@ def _jacobiator(t: Table, phi: Matrix) -> dict[tuple[int, int, int], SparseVecto
     flat = phi.sparse_flatten()
     out: dict[tuple[int, int, int], SparseVector] = dict.fromkeys(product(range(n), repeat=3), {})
     for i, j, k in combinations(range(n), 3):
-        v = _evaluate(_hom_terms(t, (1, 1, 1), i, j, k, col_of), flat)
+        v = _evaluate(_hom_terms(alg.rows, (1, 1, 1), i, j, k, col_of), flat)
         minus = {q: -x for q, x in v.items()}
         out[(i, j, k)] = out[(j, k, i)] = out[(k, i, j)] = v
         out[(j, i, k)] = out[(i, k, j)] = out[(k, j, i)] = minus
@@ -181,8 +180,8 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
         h = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
         phi = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
         hphi = act(alg, h, phi)
-        j_hphi = _jacobiator(table, hphi)
-        j_phi = _jacobiator(table, phi)
+        j_hphi = _jacobiator(alg, hphi)
+        j_phi = _jacobiator(alg, phi)
         sh = {q: int_if_integral(x) for q, x in enumerate(h) if x}
         rcols = [list(col.items()) for col in alg.right_mul_matrix(h).sparse_cols]  # [e_s, h]
         for i, j, k in combinations(range(n), 3):

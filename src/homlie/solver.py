@@ -195,12 +195,18 @@ def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Seque
     other triple of the orbit are plus or minus those of the kept one, and
     zero when a sign-changing swap exchanges two equal arguments; its
     window lemma shows that ``_hom_rows`` imposes all or none of an
-    orbit.  So the kept triples' rows span the rows of all ordered triples:
+    orbit.  On an anticommutative table hom-cyclic's swap keeps the sign,
+    and b < c is strict there too wherever e_b e_b is defined: by the
+    cyclic lemma in ``algebra._hom_terms``, C(a, b, b) = -2 C(b, a, b),
+    where (b, a, b) or its orbit mate (b, b, a) is kept when a != b (and
+    C(b, b, b) = 0), and a window imposes C(a, b, b) exactly when it
+    imposes C(b, a, b).  So the kept triples' rows span the rows of all
+    ordered triples:
 
     | kind | anticommutative | commutative |
     |---|---|---|
     | hom-lie | a < b < c | a <= b <= c |
-    | hom-cyclic | all a, b <= c | all a, b < c |
+    | hom-cyclic | all a, b < c (b <= c where e_b e_b is undefined) | all a, b < c |
     | hom-2nilp | a < b, all c | a <= b, all c |
 
     A table of any other flavor keeps every ordered triple.
@@ -210,10 +216,11 @@ def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Seque
     if not (alg.is_commutative() or alg.is_anticommutative()):
         swaps = set()
     strict = sign == (-1 if alg.is_commutative() else 1)  # the swaps change the sign
-    cut = bisect_right if strict else bisect_left
+    drop_bb = kind.tag == "hom-cyclic" and alg.is_anticommutative()  # the cyclic lemma
     basis = sorted(range(len(deg)), key=lambda u: (deg[u] != 0, u))
     for i, a in enumerate(basis):
         for b in basis[i + strict:] if "ab" in swaps else basis:
+            cut = bisect_right if strict or drop_bb and alg.rows[b].get(b, ()) is not None else bisect_left
             for d, component in components.items():
                 if "bc" not in swaps:
                     cs = component
@@ -250,22 +257,25 @@ def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[i
     degree D + s, so the row of key m belongs to the block deg m - D alone.
     A block's columns give phi(e_z) every q of degree deg z + s, so the
     triple's equations at shift s are compiled whole or, when evaluating
-    them reads an undefined product, not at all.
+    them reads an undefined product, not at all.  e_a e_b is the first
+    product every evaluation of the run (a, b, cs) reads, whatever c and
+    s are, so a raise at (a, b) (e_a e_b is undefined) ends the run.
     """
-    signs, table = _SIGNS[kind.tag], plan.alg.table
+    signs, index = _SIGNS[kind.tag], plan.alg.rows
     for a, b, cs in _triples(plan, kind):
         shifts = list(live)  # blocks leave ``live`` while the pass is suspended
-        for c in cs:
-            for s in shifts:
-                col_of = live.get(s)
-                if col_of is None:
-                    continue
-                try:
-                    rows = list(_sparse_rows([_hom_terms(table, signs, a, b, c, col_of)]))
-                except UndefinedProduct:
-                    continue
-                for row in rows:
-                    yield s, row
+        for c, s in product(cs, shifts):
+            col_of = live.get(s)
+            if col_of is None:
+                continue
+            try:
+                rows = list(_sparse_rows([_hom_terms(index, signs, a, b, c, col_of)]))
+            except UndefinedProduct as undefined:
+                if undefined.pair == (a, b):
+                    break
+                continue
+            for row in rows:
+                yield s, row
 
 
 def _delta_rows(plan: _Plan, delta: Fraction, live: _Open) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
@@ -456,7 +466,7 @@ def structure_residual(
             col_of = _kept(alg, ("columns", shift), lambda: _by_source(plan.block(shift), n))
         x = {col_of[z][q]: v for z in read for q, v in cols[z].items() if q in col_of[z]}
         if kind.delta is None:
-            terms = _hom_terms(alg.table, _SIGNS[kind.tag], a, b, c, col_of)
+            terms = _hom_terms(alg.rows, _SIGNS[kind.tag], a, b, c, col_of)
         else:
             terms = _leibniz_terms(alg, a, b, col_of, col_of, kind.delta)
         return dense_vector(_evaluate(terms, x), n)

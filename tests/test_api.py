@@ -182,3 +182,22 @@ def test_undefined_products_have_one_rule():
     assert made == UNDEFINED_RAISERS
     assert caught == UNDEFINED_CATCHERS
     assert "UndefinedProduct" not in homlie.__all__
+
+
+# The term builders that read products from the index ``AlgebraSpec.rows``.
+INDEX_READERS = {"_hom_terms", "_leibniz_terms"}
+
+
+def test_term_builders_read_products_only_through_the_index():
+    """``_hom_terms`` and ``_leibniz_terms`` read products only from the
+    index ``rows``: they read no ``table`` and call no ``product_on_basis``
+    or ``sparse_product``, so a lookup of every product of a row, zeros
+    included, cannot come back unnoticed."""
+    reads = {}
+    for node in ast.walk(ast.parse((Path(homlie.__file__).parent / "algebra.py").read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name in INDEX_READERS:
+            reads[node.name] = sorted(
+                {getattr(sub, "attr", getattr(sub, "id", None)) for sub in ast.walk(node)}
+                & {"rows", "table", "product_on_basis", "sparse_product"}
+            )
+    assert reads == dict.fromkeys(INDEX_READERS, ["rows"])

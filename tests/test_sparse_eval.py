@@ -431,7 +431,7 @@ def test_jacobiator_table_matches_dense(name, alg):
     basis = [alg.basis_vector(i) for i in range(n)]
     for _ in range(2):
         phi = Matrix.from_rows([[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)])
-        table = battery._jacobiator(alg.table, phi)
+        table = battery._jacobiator(alg, phi)
         assert set(table) == set(itertools.product(range(n), repeat=3))
         for i, j, k in table:
             assert dense_vector(table[(i, j, k)], n) == _dense_jacobiator(alg, phi, basis[i], basis[j], basis[k])

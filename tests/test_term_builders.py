@@ -23,6 +23,7 @@ from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import cocycle2, derivation_defect
 from homlie.linalg import Matrix, Subspace, dense_vector, sparse_lincomb
 from test_window import WINDOW_MODELS, _closure_structure_residual, _one_sided_gap, _twisted, _untwisted
+from test_orbit_triples import block_reference
 from homlie.solver import (
     _SIGNS,
     BILINEAR_KINDS,
@@ -467,6 +468,20 @@ def test_partial_tables_compile_the_replaced_row_stream(kind):
         assert new == typed_stream(ref_hom_rows(plan, kind, live)), alg.table
         compiled += len(new)
     assert sum(None in alg.table.values() for alg in tables) > 90 and compiled > 1000
+
+
+@pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
+def test_partial_tables_solve_every_ordered_triple(kind):
+    """Shift by shift, the orbit triples solve what every ordered triple
+    does, also where an anticommutative table leaves e_b e_b undefined,
+    which the cyclic lemma needs defined."""
+    undefined_diagonals = 0
+    for alg in partial_tables():
+        undefined_diagonals += alg.is_anticommutative() and None in (alg.table.get((b, b), ()) for b in range(alg.dim))
+        for shift in grading_shifts(alg):
+            want = block_reference(alg, kind, shift)
+            assert solver._solve_shift_blocks(alg, kind, [shift], solver.nullspace_of_rows) == want, alg.table
+    assert undefined_diagonals > 10
 
 
 def test_partial_tables_residuals_match_the_closure_reference():
