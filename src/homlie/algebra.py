@@ -222,7 +222,7 @@ def _check_laws(alg: AlgebraSpec) -> None:
         ident = [{z: z} for z in range(n)]  # Jacobi is Hom-Jacobi at phi = id: e_z -> e_z at column z
         ones = dict.fromkeys(range(n), 1)
         for i, j, k in _jacobi_triples(alg):
-            require("jacobi", (i, j, k), _evaluate(_hom_terms(alg.rows, (1, 1, 1), i, j, k, ident), ones))
+            require("jacobi", (i, j, k), _evaluate(_hom_terms(alg.rows, alg.rows, (1, 1, 1), i, j, k, ident), ones))
     if alg.flavor == "commutative-associative":
         for i in range(n):
             for j in range(n):
@@ -244,6 +244,7 @@ def _check_laws(alg: AlgebraSpec) -> None:
 # evaluate them.  One equation group is a run of (row key, column, coefficient)
 # terms, and the terms that share a row key sum to one linear form.
 _Terms = Iterable[tuple[object, int, Fraction]]
+_Index = Sequence[Mapping[int, Sequence[tuple[int, int | Fraction]] | None]]  # [p][q]: e_p e_q, None: undefined
 
 
 def _evaluate(terms: _Terms, x: Mapping[int, int | Fraction]) -> dict[object, int | Fraction]:
@@ -256,15 +257,16 @@ def _evaluate(terms: _Terms, x: Mapping[int, int | Fraction]) -> dict[object, in
     return {key: v for key, v in out.items() if v}
 
 
-def _hom_terms(rows: Sequence[Mapping[int, Sequence[tuple[int, int | Fraction]] | None]], signs: Sequence[int],
-               a: int, b: int, c: int, col_of: Sequence[Mapping[int, int]] | Mapping[int, Mapping[int, int]]) -> _Terms:
+def _hom_terms(rows: _Index, second: _Index, signs: Sequence[int], a: int, b: int, c: int,
+               col_of: Sequence[Mapping[int, int]] | Mapping[int, Mapping[int, int]]) -> _Terms:
     """The terms of (ab)phi(c) + s1 (ca)phi(b) + s2 (bc)phi(a) at the basis
     triple (a, b, c) by output coordinate, one term per sign of ``signs`` =
     (1, s1, s2) or a prefix of it, for an unknown map phi with phi(e_z) ->
-    e_q at column ``col_of[z][q]``, read from the algebra's index ``rows``
-    (``AlgebraSpec.rows``).  A term reads e_x e_y, and e_p e_q for every p
-    in it and q in ``col_of[z]``: it walks the row e_p e_* filtered by
-    ``col_of[z]`` or looks ``col_of[z]`` up in the row, whichever is
+    e_q at column ``col_of[z][q]``, e_x e_y read from the index ``rows``
+    (``AlgebraSpec.rows``) and e_p e_q from ``second``: ``rows`` again, or a
+    form's pairing (``_pairing``).  A term reads e_x e_y, and e_p e_q for
+    every p in it and q in ``col_of[z]``: it walks the row e_p e_* filtered
+    by ``col_of[z]`` or looks ``col_of[z]`` up in the row, whichever is
     shorter, so the zero products of a long image are never looked up.
     Both walks go through q ascending, the order of the row and of every
     caller's ``col_of[z]``, so the terms come in one order.  Reading an
@@ -292,6 +294,8 @@ def _hom_terms(rows: Sequence[Mapping[int, Sequence[tuple[int, int | Fraction]] 
     these swaps, the forms of every triple are plus or minus those of the
     one whose swapped arguments are in order, and all of them are zero when
     that one has two equal swapped arguments and the swap changes the sign.
+    These lemmas and the two below use only the law of the first product:
+    e_p e_q is never swapped, so they hold whatever table ``second`` is.
 
     The cyclic lemma.  On an anticommutative table, e_b e_b is () where it
     is defined (``make_algebra`` checks e_i e_i = 0, and ``km_window``
@@ -324,7 +328,7 @@ def _hom_terms(rows: Sequence[Mapping[int, Sequence[tuple[int, int | Fraction]] 
         image = col_of[z]
         for p, w in xy:
             w = sign * w
-            row = rows[p]
+            row = second[p]
             if len(row) < len(image):  # the two walks are spelled out: this is the compiler's inner loop
                 for q, pq in row.items():
                     col = image.get(q)
@@ -371,18 +375,15 @@ def _leibniz_pairs(alg: AlgebraSpec) -> Iterator[tuple[int, int]]:
     return combinations_with_replacement(range(n), 2) if alg.is_commutative() else product(range(n), repeat=2)
 
 
-def _leibniz_terms(
-    alg: AlgebraSpec, i: int, j: int, outer: Sequence[Mapping[int, int]], inner: Sequence[Mapping[int, int]],
-    delta: int | Fraction,
-) -> _Terms:
+def _leibniz_terms(rows: _Index, i: int, j: int, outer: Sequence[Mapping[int, int]], inner: Sequence[Mapping[int, int]],
+                   delta: int | Fraction) -> _Terms:
     """The terms of X(e_i e_j) - delta*(Y(e_i) e_j + e_i Y(e_j)) by output
     coordinate, for unknown maps X and Y with X(e_c) -> e_q at column
     ``outer[c][q]`` and Y(e_c) -> e_q at column ``inner[c][q]``, read from
-    the index ``alg.rows`` as ``_hom_terms`` reads it: e_i Y(e_j) walks the
-    row e_i e_* filtered by ``inner[j]``, q ascending, so its zero products
-    are never looked up.  Reading an undefined product raises
+    the product index ``rows`` as ``_hom_terms`` reads it: e_i Y(e_j) walks
+    the row e_i e_* filtered by ``inner[j]``, q ascending, so its zero
+    products are never looked up.  Reading an undefined product raises
     ``UndefinedProduct``."""
-    rows = alg.rows
     ij = rows[i].get(j, ())
     if ij is None:
         raise _undefined(i, j)
@@ -418,27 +419,24 @@ BILINEAR_KINDS = (
 )
 
 
-def _cocycle_terms(alg: AlgebraSpec, xi: Sequence[Mapping[int, int | Fraction]], signs: Sequence[int],
-                   i: int, j: int, k: int) -> _Terms:
-    """The terms of xi(xy, f(z)) + s1 xi(zx, f(y)) + s2 xi(yz, f(x)) at
-    (i, j, k), one per sign of ``signs`` = (1, s1, s2) or a prefix, for the
-    form with sparse rows ``xi`` and an unknown map f with f(e_z) -> e_q at
-    column q*n + z.  With xi the identity pairing (rows {p: 1}) they are
-    those of f(xy, z) + s1 f(zx, y) + s2 f(yz, x), f a form."""
-    n = alg.dim
-    for (x, y, z), sign in zip(((i, j, k), (k, i, j), (j, k, i)), signs):
-        for p, c in alg.product_on_basis(x, y):
-            for q, w in xi[p].items():
-                yield 0, q * n + z, sign * c * w
+def _pairing(form_rows: Sequence[Mapping[int, int | Fraction]]) -> list[dict[int, tuple[tuple[int, int | Fraction]]]]:
+    """The form xi with sparse rows ``form_rows`` as a product index: e_p e_q
+    = xi(e_p, e_q) e_0.  ``_hom_terms`` with it as ``second`` gives the terms
+    of xi(xy, f(z)) + s1 xi(zx, f(y)) + s2 xi(yz, f(x)) for an unknown map f."""
+    return [{q: ((0, w),) for q, w in sorted(row.items())} for row in form_rows]
 
 
-def _invariance_terms(alg: AlgebraSpec, i: int, j: int, k: int) -> _Terms:
+def _invariance_terms(rows: _Index, i: int, j: int, k: int) -> _Terms:
     """The terms of f(xy, z) - f(x, yz) at the basis triple (i, j, k), for
-    an unknown form f with f(e_p, e_q) at column p*n + q."""
-    n = alg.dim
-    for p, c in alg.product_on_basis(i, j):
+    an unknown form f with f(e_p, e_q) at column p*n + q, read from the
+    index ``rows``; an undefined product raises ``UndefinedProduct``."""
+    n = len(rows)
+    ij, jk = rows[i].get(j, ()), rows[j].get(k, ())
+    if ij is None or jk is None:
+        raise _undefined(*((i, j) if ij is None else (j, k)))
+    for p, c in ij:
         yield 0, p * n + k, c
-    for p, c in alg.product_on_basis(j, k):
+    for p, c in jk:
         yield 0, i * n + p, -c
 
 
@@ -732,7 +730,7 @@ class BilinearForm:
         if self.matrix.shape != (n, n):
             raise ValueError("form shape does not match the algebra")
         f = self.matrix.sparse_flatten()
-        return not any(_evaluate(_invariance_terms(alg, i, j, k), f) for i, j, k in product(range(n), repeat=3))
+        return not any(_evaluate(_invariance_terms(alg.rows, i, j, k), f) for i, j, k in product(range(n), repeat=3))
 
 
 def _require_lie(alg: AlgebraSpec, op: str) -> None:

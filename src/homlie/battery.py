@@ -148,7 +148,7 @@ def _jacobiator(alg: AlgebraSpec, phi: Matrix) -> dict[tuple[int, int, int], Spa
     flat = phi.sparse_flatten()
     out: dict[tuple[int, int, int], SparseVector] = dict.fromkeys(product(range(n), repeat=3), {})
     for i, j, k in combinations(range(n), 3):
-        v = _evaluate(_hom_terms(alg.rows, (1, 1, 1), i, j, k, col_of), flat)
+        v = _evaluate(_hom_terms(alg.rows, alg.rows, (1, 1, 1), i, j, k, col_of), flat)
         minus = {q: -x for q, x in v.items()}
         out[(i, j, k)] = out[(j, k, i)] = out[(k, i, j)] = v
         out[(j, i, k)] = out[(i, k, j)] = out[(k, j, i)] = minus

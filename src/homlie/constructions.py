@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Sequence
 
-from .algebra import (AlgebraSpec, BilinearForm, LawViolation, _cocycle_terms, _evaluate, _leibniz_pairs,
-                      _leibniz_terms, _lie_by_theorem, _require_lie, make_algebra, sparse_product)
+from .algebra import (AlgebraSpec, BilinearForm, LawViolation, _evaluate, _hom_terms, _jacobi_triples, _leibniz_pairs,
+                      _leibniz_terms, _lie_by_theorem, _pairing, _require_lie, make_algebra, sparse_product)
 from .linalg import Matrix, Subspace, Vector, dense_vector, int_if_integral
 
 
@@ -40,9 +39,10 @@ class Cocycle2:
         if not self.form.is_skew():
             raise LawViolation("cocycle-skewness", (), ())
         n = alg.dim
-        pairing, f = [{p: 1} for p in range(n)], matrix.sparse_flatten()
-        for i, j, k in combinations(range(n), 3):
-            val = _evaluate(_cocycle_terms(alg, pairing, (1, 1, 1), i, j, k), f)
+        pairing, f = _pairing([{p: 1} for p in range(n)]), matrix.sparse_flatten()
+        cols = [{q: q * n + z for q in range(n)} for z in range(n)]
+        for i, j, k in _jacobi_triples(alg):
+            val = _evaluate(_hom_terms(alg.rows, pairing, (1, 1, 1), i, j, k, cols), f)
             if val:
                 raise LawViolation("cocycle-equation", (i, j, k), (Fraction(val[0]),))
 
@@ -139,7 +139,7 @@ def derivation_defect(a: AlgebraSpec, d: Matrix) -> tuple[tuple[int, int], Vecto
     cols = [{q: q * n + c for q in col} for c, col in enumerate(d.sparse_cols)]  # d(e_c) -> e_q, nonzero only
     flat = d.sparse_flatten()
     for i, j in _leibniz_pairs(a):
-        defect = _evaluate(_leibniz_terms(a, i, j, cols, cols, 1), flat)
+        defect = _evaluate(_leibniz_terms(a.rows, i, j, cols, cols, 1), flat)
         if defect:
             return (i, j), dense_vector(defect, n)
     return None

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import AlgebraSpec, _jacobi_triples, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
 from .linalg import Matrix, Vector, dense_vector, sparse_lincomb
-from .solver import HOM_LIE, HomSolution, grading_shifts, solve_structures, structure_residual
+from .solver import HOM_LIE, HomSolution, _plan, grading_shifts, solve_structures, structure_residual
 
 
 def jordan_product(phi: Matrix, psi: Matrix) -> Matrix:
@@ -47,7 +47,7 @@ def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int
     residual; on a table with undefined products (a window), of an imposed
     equation, the shifts in ascending order.  phi lies outside a solved
     space, and those triples decide the identity, so one exists."""
-    for shift in grading_shifts(alg) if None in alg.table.values() else [None]:
+    for shift in [None] if _plan(alg).complete else grading_shifts(alg):
         for triple in _jacobi_triples(alg):
             r = structure_residual(alg, phi, HOM_LIE, triple, shift)
             if r is not None and any(r):

@@ -15,11 +15,11 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, UndefinedProduct, _cocycle_terms, _evaluate,
-                      _hom_terms, _invariance_terms, _leibniz_pairs, _leibniz_terms, _require_lie, _Terms,
+from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, UndefinedProduct, _evaluate, _hom_terms, _Index,
+                      _invariance_terms, _leibniz_pairs, _leibniz_terms, _pairing, _require_lie, _Terms, _undefined,
                       right_annihilator, sparse_product, structural_subspaces)
 from .linalg import (
     Matrix,
@@ -166,6 +166,15 @@ def _plan(alg: AlgebraSpec) -> _Plan:
     return _kept(alg, "plan", lambda: _Plan(alg))
 
 
+def _require_defined(alg: AlgebraSpec, what: object) -> None:
+    """Refuse ``what``, a solve that imposes every equation, on a table with
+    undefined products (a degree window), naming the first undefined pair."""
+    if not _plan(alg).complete:
+        pair = min(pair for pair, terms in alg.table.items() if terms is None)
+        raise ValueError(f"{what} needs every product defined; "
+                         f"this algebra has undefined products: {_undefined(*pair)}")
+
+
 # The argument swaps of (a, b, c) that change the kind's forms by a sign
 # alone, and that sign on a commutative table; an anticommutative table
 # flips it (the symmetry lemmas in ``algebra._hom_terms``).
@@ -247,11 +256,13 @@ def _by_source(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, in
     return col_of
 
 
-def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
+def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open,
+              second: _Index) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
     """(shift, row) for the rows of the kind's identity in the blocks
     ``live``, from one pass over ``_triples``; a block that leaves ``live``
     gets no further rows.  Each row sums the ``_hom_terms`` of one triple
-    over the block's columns.
+    over the block's columns, its second products read from ``second``
+    (the algebra's index, or a form's pairing).
 
     The terms of a triple of total degree D for a map of shift s lie in
     degree D + s, so the row of key m belongs to the block deg m - D alone.
@@ -261,7 +272,7 @@ def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[i
     product every evaluation of the run (a, b, cs) reads, whatever c and
     s are, so a raise at (a, b) (e_a e_b is undefined) ends the run.
     """
-    signs, index = _SIGNS[kind.tag], plan.alg.rows
+    signs, first = _SIGNS[kind.tag], plan.alg.rows
     for a, b, cs in _triples(plan, kind):
         shifts = list(live)  # blocks leave ``live`` while the pass is suspended
         for c, s in product(cs, shifts):
@@ -269,7 +280,7 @@ def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open) -> Iterator[tuple[i
             if col_of is None:
                 continue
             try:
-                rows = list(_sparse_rows([_hom_terms(index, signs, a, b, c, col_of)]))
+                rows = list(_sparse_rows([_hom_terms(first, second, signs, a, b, c, col_of)]))
             except UndefinedProduct as undefined:
                 if undefined.pair == (a, b):
                     break
@@ -286,7 +297,7 @@ def _delta_rows(plan: _Plan, delta: Fraction, live: _Open) -> Iterator[tuple[int
         for s in list(live):
             col_of = live.get(s)
             if col_of is not None:
-                yield from ((s, row) for row in _sparse_rows([_leibniz_terms(alg, i, j, col_of, col_of, delta)]))
+                yield from ((s, row) for row in _sparse_rows([_leibniz_terms(alg.rows, i, j, col_of, col_of, delta)]))
 
 
 def _known_block(
@@ -357,9 +368,9 @@ def _solve_shift_blocks(
     n = alg.dim
     if kind.tag not in _SIGNS and kind.tag != "delta-derivation":
         raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
+    if kind.delta is not None:
+        _require_defined(alg, kind)
     plan = _plan(alg)
-    if kind.tag not in _SIGNS and not plan.complete:
-        raise ValueError(f"{kind} needs every product defined; this algebra has undefined products")
     annihilator = plan.annihilator if kind.tag in _SIGNS else ()
     blocks: dict[int, tuple[dict[tuple[int, int], int], Subspace]] = {}
     live: dict[int, list[dict[int, int]]] = {}
@@ -371,7 +382,7 @@ def _solve_shift_blocks(
         if blocks[shift][1].dim < len(cols):
             live[shift] = _by_source(cols, n)
     queues: dict[int, deque[dict[int, int | Fraction]]] = {shift: deque() for shift in live}
-    routed = _delta_rows(plan, kind.delta, live) if kind.delta is not None else _hom_rows(plan, kind, live)
+    routed = _delta_rows(plan, kind.delta, live) if kind.delta is not None else _hom_rows(plan, kind, live, alg.rows)
 
     def block_rows(shift: int) -> Iterator[dict[int, int | Fraction]]:
         yield from queues[shift]  # only rows for other blocks are queued from here on
@@ -449,9 +460,9 @@ def structure_residual(
     n = alg.dim
     if phi.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
+    if shift is None:
+        _require_defined(alg, "a residual without a degree shift")
     plan = _plan(alg)
-    if shift is None and not plan.complete:
-        raise ValueError("this algebra has undefined products, so a residual needs a degree shift")
     if kind.tag not in _SIGNS and kind.tag != "delta-derivation":
         raise ValueError(f"structure_residual cannot handle kind {kind.tag!r}")
     a, b, c = triple
@@ -465,10 +476,8 @@ def structure_residual(
         else:
             col_of = _kept(alg, ("columns", shift), lambda: _by_source(plan.block(shift), n))
         x = {col_of[z][q]: v for z in read for q, v in cols[z].items() if q in col_of[z]}
-        if kind.delta is None:
-            terms = _hom_terms(alg.rows, _SIGNS[kind.tag], a, b, c, col_of)
-        else:
-            terms = _leibniz_terms(alg, a, b, col_of, col_of, kind.delta)
+        terms = (_hom_terms(alg.rows, alg.rows, _SIGNS[kind.tag], a, b, c, col_of) if kind.delta is None
+                 else _leibniz_terms(alg.rows, a, b, col_of, col_of, kind.delta))
         return dense_vector(_evaluate(terms, x), n)
     except UndefinedProduct:
         return None
@@ -477,33 +486,27 @@ def structure_residual(
 # -- bilinear solvers --------------------------------------------------------
 
 
-def _cocycle_rows(alg: AlgebraSpec, xi: Sequence[Mapping[int, int | Fraction]]) -> Iterator[dict[int, Fraction]]:
-    """xi(xy, f(z)) + xi(zx, f(y)) + xi(yz, f(x)) = 0 over i<j<k, for the
-    form xi and the unknown f of ``_cocycle_terms``."""
-    return _sparse_rows(_cocycle_terms(alg, xi, (1, 1, 1), i, j, k) for i, j, k in combinations(range(alg.dim), 3))
+def _form_rows(alg: AlgebraSpec, kind: StructureKind,
+               form_rows: Sequence[Mapping[int, int | Fraction]]) -> Iterator[dict[int, int | Fraction]]:
+    """xi(xy, f(z)) + s1 xi(zx, f(y)) + s2 xi(yz, f(x)) = 0 for the form xi
+    with sparse rows ``form_rows`` and f(e_z) -> e_q at column q*n + z: the
+    hom kind's ``_hom_rows`` in one block of all n^2 columns, reading e_p e_q
+    from ``_pairing(form_rows)`` (its lemmas hold for any such table).  With
+    the identity pairing, f is a form: the 2-cocycle equation f(xy, z) +
+    f(zx, y) + f(yz, x) = 0 for hom-lie, b-space's f(xy, z) = f(zx, y) for
+    hom-cyclic."""
+    n = alg.dim
+    live = {0: [{q: q * n + z for q in range(n)} for z in range(n)]}
+    return (row for _, row in _hom_rows(_plan(alg), kind, live, _pairing(form_rows)))
 
 
 def _symmetry_rows(n: int, sign: int) -> Iterator[dict[int, Fraction]]:
     """f(x,y) - sign*f(y,x) = 0."""
     for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                if sign == -1:
-                    yield {i * n + i: Fraction(1)}
-                continue
+        if sign == -1:
+            yield {i * n + i: Fraction(1)}
+        for j in range(i + 1, n):
             yield {i * n + j: Fraction(1), j * n + i: Fraction(-sign)}
-
-
-def _b_space_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:
-    """f(xy, z) - f(zx, y) = 0 over all ordered triples, for the unknown
-    form f of ``_cocycle_terms`` with the identity pairing."""
-    pairing = [{p: 1} for p in range(alg.dim)]
-    return _sparse_rows(_cocycle_terms(alg, pairing, (1, -1), i, j, k) for i, j, k in product(range(alg.dim), repeat=3))
-
-
-def _invariance_rows(alg: AlgebraSpec) -> Iterator[dict[int, Fraction]]:
-    """f(xy, z) - f(x, yz) = 0 over all ordered triples."""
-    return _sparse_rows(_invariance_terms(alg, i, j, k) for i, j, k in product(range(alg.dim), repeat=3))
 
 
 def coboundary_space(alg: AlgebraSpec) -> Subspace:
@@ -522,18 +525,16 @@ def solve_bilinear(alg: AlgebraSpec, kind: str) -> Subspace:
     _require_lie(alg, "solve_bilinear")
     if kind not in BILINEAR_KINDS:
         raise ValueError(f"unknown bilinear kind {kind!r}")
+    _require_defined(alg, kind)
     n = alg.dim
 
     def rows() -> Iterator[dict[int, Fraction]]:
-        if kind.endswith("-cocycle"):
-            yield from _cocycle_rows(alg, [{p: 1} for p in range(n)])  # the identity pairing
-            if kind != "asym-cocycle":
-                yield from _symmetry_rows(n, -1 if kind == "skew-cocycle" else 1)
-        elif kind == "b-space":
-            yield from _b_space_rows(alg)
-        else:  # sym-invariant
-            yield from _invariance_rows(alg)
-            yield from _symmetry_rows(n, 1)
+        if kind == "sym-invariant":  # f(xy, z) - f(x, yz) = 0 over all ordered triples
+            yield from _sparse_rows(_invariance_terms(alg.rows, i, j, k) for i, j, k in product(range(n), repeat=3))
+        else:  # the identity pairing: the cocycle equation on hom-lie's triples, b-space on hom-cyclic's
+            yield from _form_rows(alg, HOM_CYCLIC if kind == "b-space" else HOM_LIE, [{p: 1} for p in range(n)])
+        if kind.startswith(("skew-", "sym-")):
+            yield from _symmetry_rows(n, -1 if kind == "skew-cocycle" else 1)
 
     def solve() -> Subspace:
         return coboundary_space(alg) if kind == "coboundary" else nullspace_of_rows(n * n, rows())
@@ -562,37 +563,40 @@ class QDerSolution:
         return Subspace.from_spanning(({c: x for c, x in r.items() if c < n2} for _, r in self.space.rows), n2)
 
 
-def _qder_rows(alg: AlgebraSpec, module: str) -> Iterator[dict[int, Fraction]]:
+def _coadjoint_index(alg: AlgebraSpec) -> list[dict[int, tuple[tuple[int, int | Fraction], ...]]]:
+    """The product index of g + g*, g's semidirect product with its
+    coadjoint module, e*_p at index n + p: e_i e_q from ``alg.rows``, and
+    e_i e*_p = sum_m c_mi^p e*_m = -e*_p e_i for e_m e_i = sum_p c_mi^p e_p."""
     n = alg.dim
-    n2 = n * n
-    if module not in ("adjoint", "coadjoint"):
-        raise ValueError(f"unknown module {module!r}")
-    pairs = _leibniz_pairs(alg)  # i < j: alg is Lie, and the coadjoint sum below is skew in (i, j) too
-    if module == "adjoint":
-        # D([e_i,e_j]) - [F(e_i), e_j] - [e_i, F(e_j)] = 0, with D(e_c) -> e_q
-        # at column q*n + c and F(e_c) -> e_q at n2 + q*n + c
-        d_cols = [{q: q * n + c for q in range(n)} for c in range(n)]
-        f_cols = [{q: n2 + q * n + c for q in range(n)} for c in range(n)]
-        return _sparse_rows(_leibniz_terms(alg, i, j, d_cols, f_cols, 1) for i, j in pairs)
+    index: list[dict] = [dict(row) for row in alg.rows] + [{} for _ in range(n)]
+    for m, row in enumerate(alg.rows):
+        for i, mi in row.items():
+            for p, c in mi:
+                index[i].setdefault(n + p, []).append((n + m, c))
+                index[n + p].setdefault(i, []).append((n + m, -c))
+    return [{q: tuple(terms) for q, terms in sorted(row.items())} for row in index]
 
-    def terms(i: int, j: int) -> _Terms:
-        # maps L -> L*; (y.f)(m) = -f([m,y]).  Evaluated at e_m:
-        # D(e_i e_j)(e_m) + F(e_i)([e_m, e_j]) - F(e_j)([e_m, e_i]) = 0
-        for k, c in alg.product_on_basis(i, j):
-            for m in range(n):
-                yield m, k * n + m, c
-        for m in range(n):
-            for p, c in alg.product_on_basis(m, j):
-                yield m, n2 + i * n + p, c
-            for p, c in alg.product_on_basis(m, i):
-                yield m, n2 + j * n + p, -c
 
-    return _sparse_rows(terms(i, j) for i, j in pairs)
+def _qder_rows(alg: AlgebraSpec, module: str) -> Iterator[dict[int, Fraction]]:
+    """D(e_i e_j) - F(e_i) e_j - e_i F(e_j) = 0, ``_leibniz_terms`` with
+    delta 1 on the pairs i < j (g and g + g* are anticommutative): over g's
+    own index for the adjoint module, over ``_coadjoint_index`` for the
+    coadjoint one.  F's columns are D's shifted by n^2."""
+    n = alg.dim
+    if module == "adjoint":  # D(e_c) -> e_q at column q*n + c
+        index, d_cols = alg.rows, [{q: q * n + c for q in range(n)} for c in range(n)]
+    else:  # D(e_c) -> e*_m, at index n + m, at column c*n + m
+        index, d_cols = _coadjoint_index(alg), [{n + m: c * n + m for m in range(n)} for c in range(n)]
+    f_cols = [{q: n * n + col for q, col in image.items()} for image in d_cols]
+    return _sparse_rows(_leibniz_terms(index, i, j, d_cols, f_cols, 1) for i, j in _leibniz_pairs(alg))
 
 
 def solve_qder(alg: AlgebraSpec, module: str = "adjoint") -> QDerSolution:
     """Quasiderivation pairs into the adjoint or coadjoint module."""
     _require_lie(alg, "solve_qder")
+    if module not in ("adjoint", "coadjoint"):
+        raise ValueError(f"unknown module {module!r}")
+    _require_defined(alg, f"the {module} quasiderivations")
     space = nullspace_of_rows(2 * alg.dim ** 2, _qder_rows(alg, module))
     return QDerSolution(alg, module, space)
 
@@ -616,6 +620,7 @@ def seq_uv(alg: AlgebraSpec) -> ExactnessReport:
     F(x)(y) = -f(y,x); v sends (D, F) to the form D(x)(y) + F(y)(x).
     """
     _require_lie(alg, "seq_uv")
+    _require_defined(alg, "seq_uv")
     n = alg.dim
     n2 = n * n
     z2 = solve_bilinear(alg, "asym-cocycle")
@@ -623,15 +628,8 @@ def seq_uv(alg: AlgebraSpec) -> ExactnessReport:
     u_image = Subspace.from_spanning(
         ({**f, **{n2 + (c % n) * n + c // n: -x for c, x in f.items()}} for _, f in z2.rows), 2 * n2
     )
-
-    def kernel_rows() -> Iterator[dict[int, Fraction]]:
-        yield from _qder_rows(alg, "coadjoint")
-        # v(D,F) = 0: D[i][j] + F[j][i] = 0
-        for i in range(n):
-            for j in range(n):
-                yield {i * n + j: Fraction(1), n2 + j * n + i: Fraction(1)}
-
-    v_kernel = nullspace_of_rows(2 * n2, kernel_rows())
+    v_rows = ({i * n + j: 1, n2 + j * n + i: 1} for i in range(n) for j in range(n))  # D[i][j] + F[j][i] = 0
+    v_kernel = nullspace_of_rows(2 * n2, chain(_qder_rows(alg, "coadjoint"), v_rows))
     return ExactnessReport(alg, u_image, v_kernel, u_injective=u_image.dim == z2.dim)
 
 
@@ -710,7 +708,7 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
     hl = solve_structures(l, HOM_LIE)
 
     # xi([x,y], psi(t)) + xi([t,x], psi(y)) + xi([y,t], psi(x)) = 0
-    psi_space = hl.space.intersect(nullspace_of_rows(n * n, _cocycle_rows(l, xi.form.matrix.sparse_rows)))
+    psi_space = hl.space.intersect(nullspace_of_rows(n * n, _form_rows(l, HOM_LIE, xi.form.matrix.sparse_rows)))
 
     _, derived, ann_derived = structural_subspaces(l)
     cocycle_rows = ({q: xi.form(w, {q: 1}) for q in range(n)} for _, w in derived.rows)  # xi(w, .)

@@ -112,17 +112,20 @@ def test_only_the_law_scan_and_certified_builds_make_algebras():
     assert CERTIFIED_BUILDS <= proofs
 
 
-# The identities' term builders, their pair and triple domains and the evaluator.
-TERM_BUILDERS = {"_hom_terms", "_leibniz_terms", "_leibniz_pairs", "_jacobi_triples", "_cocycle_terms",
-                 "_invariance_terms", "_evaluate"}
+# The identities' term builders: every identity the package compiles or
+# evaluates is one of these.
+IDENTITIES = {"_hom_terms", "_leibniz_terms", "_invariance_terms"}
+# The term builders, their pair and triple domains and the evaluator.
+TERM_BUILDERS = IDENTITIES | {"_leibniz_pairs", "_jacobi_triples", "_evaluate"}
 # The validators, each stated as "every term row vanishes at this map or form".
 VALIDATORS = {("constructions.py", "derivation_defect"), ("constructions.py", "Cocycle2.__post_init__"),
               ("algebra.py", "BilinearForm.is_invariant"), ("solver.py", "structure_residual"),
               ("battery.py", "_jacobiator"), ("algebra.py", "_check_laws")}
 # The Hom identity (and Jacobi, its case phi = id) is compiled by the row
 # compiler and evaluated by these validators, nowhere else.
+# The form compilers (``solver._form_rows``) reach it through ``_hom_rows``.
 HOM_TERMS_CALLERS = {("solver.py", "_hom_rows"), ("solver.py", "structure_residual"), ("battery.py", "_jacobiator"),
-                     ("algebra.py", "_check_laws")}
+                     ("algebra.py", "_check_laws"), ("constructions.py", "Cocycle2.__post_init__")}
 
 
 def test_each_identity_is_stated_once():
@@ -184,14 +187,14 @@ def test_undefined_products_have_one_rule():
     assert "UndefinedProduct" not in homlie.__all__
 
 
-# The term builders that read products from the index ``AlgebraSpec.rows``.
-INDEX_READERS = {"_hom_terms", "_leibniz_terms"}
+# The term builders that read products from a product index (``AlgebraSpec.rows``).
+INDEX_READERS = IDENTITIES
 
 
 def test_term_builders_read_products_only_through_the_index():
-    """``_hom_terms`` and ``_leibniz_terms`` read products only from the
-    index ``rows``: they read no ``table`` and call no ``product_on_basis``
-    or ``sparse_product``, so a lookup of every product of a row, zeros
+    """The term builders read products only from the index ``rows`` they
+    are given: they read no ``table`` and call no ``product_on_basis`` or
+    ``sparse_product``, so a lookup of every product of a row, zeros
     included, cannot come back unnoticed."""
     reads = {}
     for node in ast.walk(ast.parse((Path(homlie.__file__).parent / "algebra.py").read_text())):
@@ -201,3 +204,43 @@ def test_term_builders_read_products_only_through_the_index():
                 & {"rows", "table", "product_on_basis", "sparse_product"}
             )
     assert reads == dict.fromkeys(INDEX_READERS, ["rows"])
+
+
+def _built_by_a_term_builder(node, assigned) -> bool:
+    """Whether the expression is a call of a term builder, or a list,
+    generator, conditional or local name made only of such calls."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) in IDENTITIES
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return all(_built_by_a_term_builder(elt, assigned) for elt in node.elts)
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+        return _built_by_a_term_builder(node.elt, assigned)
+    if isinstance(node, ast.IfExp):
+        return all(_built_by_a_term_builder(branch, assigned) for branch in (node.body, node.orelse))
+    if isinstance(node, ast.Name):
+        values = assigned.get(node.id, [])
+        return bool(values) and all(_built_by_a_term_builder(value, assigned) for value in values)
+    return False
+
+
+def test_no_identity_is_written_outside_the_term_builders():
+    """Every terms argument handed to ``_sparse_rows`` or ``_evaluate`` is
+    built by a call of a term builder in ``algebra``, so an identity
+    written as a closure or a loop beside its compiler fails here."""
+    handed, stray = 0, []
+    for path in sorted(Path(homlie.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            assigned: dict[str, list] = {}
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            assigned.setdefault(target.id, []).append(node.value)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_sparse_rows", "_evaluate"):
+                    handed += 1
+                    if not _built_by_a_term_builder(node.args[0], assigned):
+                        stray.append(f"{path.name}:{node.lineno}")
+    assert stray == [] and handed >= 10

@@ -122,7 +122,7 @@ def test_hom_terms_walk_the_rows_as_the_table_lookup_did(family):
             col_of = random_images(rng, n)
             a, b, c = (rng.randrange(n) for _ in range(3))
             for signs in ((1, 1, 1), (1, -1), (1,)):
-                got = terms_or_raise(_hom_terms(alg.rows, signs, a, b, c, col_of))
+                got = terms_or_raise(_hom_terms(alg.rows, alg.rows, signs, a, b, c, col_of))
                 assert got == terms_or_raise(ref_hom_terms(alg.table, signs, a, b, c, col_of)), (name, a, b, c)
                 raised += isinstance(got, tuple)
             for x, y, z in ((a, b, c), (c, a, b), (b, c, a)):
@@ -144,7 +144,7 @@ def test_leibniz_terms_walk_the_rows_as_the_table_lookup_did(family):
             outer, inner = random_images(rng, n), random_images(rng, n)
             i, j = rng.randrange(n), rng.randrange(n)
             delta = rng.choice((1, 2, Fraction(-1, 2)))
-            got = terms_or_raise(_leibniz_terms(alg, i, j, outer, inner, delta))
+            got = terms_or_raise(_leibniz_terms(alg.rows, i, j, outer, inner, delta))
             assert got == terms_or_raise(ref_leibniz_terms(alg, i, j, outer, inner, delta)), (name, i, j)
 
 
@@ -170,7 +170,7 @@ def test_a_window_run_stops_at_its_undefined_first_product(monkeypatch):
 
     monkeypatch.setattr(solver, "_triples", tracked)
     monkeypatch.setattr(algebra, "_undefined", counted)
-    assert sum(1 for _ in _hom_rows(plan, HOM_LIE, live)) > 100_000
+    assert sum(1 for _ in _hom_rows(plan, HOM_LIE, live, alg.rows)) > 100_000
     gaps = Counter((a, b) for a, b, _ in _triples(plan, HOM_LIE) if alg.table.get((a, b), ()) is None)
     assert len(gaps) > 100
     assert +at_first == gaps

@@ -2,6 +2,9 @@
 the row compilers they replaced, kept here as references: every system gets
 the same set of rows (the order may differ; row order does not change a
 kernel), and the Hom and b-space compilers the very same row stream.  The
+b-space rows are compiled on hom-cyclic's orbit triples, so their
+reference is the replaced compiler on those triples, and the space they
+solve is that of every ordered triple.  The
 validators evaluate the same builders, so every solved basis element must
 pass its validator.
 
@@ -18,10 +21,10 @@ from itertools import chain, combinations, product
 import pytest
 
 from homlie import solver
-from homlie.algebra import AlgebraSpec, BilinearForm, sparse_product
+from homlie.algebra import AlgebraSpec, BilinearForm, builtin, sparse_product
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import cocycle2, derivation_defect
-from homlie.linalg import Matrix, Subspace, dense_vector, sparse_lincomb
+from homlie.linalg import Matrix, Subspace, dense_vector, nullspace_of_rows, sparse_lincomb
 from test_window import WINDOW_MODELS, _closure_structure_residual, _one_sided_gap, _twisted, _untwisted
 from test_orbit_triples import block_reference
 from homlie.solver import (
@@ -30,7 +33,6 @@ from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
     HOM_LIE,
-    _b_space_rows,
     _delta_rows,
     _hom_rows,
     _plan,
@@ -68,16 +70,21 @@ def ref_cocycle_rows(alg):
     )
 
 
-def ref_b_space_rows(alg):
-    """f(xy, z) - f(zx, y) = 0 over all ordered triples."""
+def ref_b_space_rows(alg, triples=None):
+    """f(xy, z) - f(zx, y) = 0 over ``triples``, all ordered triples by default."""
     n = alg.dim
     return _sparse_rows(
         chain(
             ((0, p * n + k, c) for p, c in alg.product_on_basis(i, j)),
             ((0, p * n + j, -c) for p, c in alg.product_on_basis(k, i)),
         )
-        for i, j, k in product(range(n), repeat=3)
+        for i, j, k in (product(range(n), repeat=3) if triples is None else triples)
     )
+
+
+def orbit_triples(alg, kind):
+    """The triples ``_triples`` keeps for the kind, in its order."""
+    return [(a, b, c) for a, b, cs in _triples(_plan(alg), kind) for c in cs]
 
 
 def ref_invariance_rows(alg):
@@ -103,7 +110,7 @@ def ref_bilinear_rows(alg, kind):
         yield from ref_cocycle_rows(alg)
         yield from _symmetry_rows(n, 1)
     elif kind == "b-space":
-        yield from ref_b_space_rows(alg)
+        yield from ref_b_space_rows(alg, orbit_triples(alg, HOM_CYCLIC))
     else:
         yield from ref_invariance_rows(alg)
         yield from _symmetry_rows(n, 1)
@@ -367,6 +374,46 @@ def test_qder_modules_compile_the_replaced_rows(captured, module):
         assert row_set(rows) == row_set(ref_qder_rows(alg, module)), name
 
 
+def test_a_changed_pairing_entry_fails_the_cocycle_reference(captured, monkeypatch):
+    """The cocycle rows read their second product from the pairing: with
+    one entry of the identity pairing changed, they are no longer the
+    reference rows."""
+    pairing = solver._pairing
+
+    def changed(form_rows):
+        table = pairing(form_rows)
+        table[1] = {1: ((0, 2),)}
+        return table
+
+    monkeypatch.setattr(solver, "_pairing", changed)
+    for kind in ("asym-cocycle", "skew-cocycle", "sym-cocycle"):
+        alg = builtin("sl", 3)
+        captured.clear()
+        solve_bilinear(alg, kind)
+        [(_, rows)] = captured
+        assert row_set(rows) != row_set(ref_bilinear_rows(alg, kind)), kind
+
+
+def test_a_flipped_action_sign_fails_the_qder_reference(captured, monkeypatch):
+    """The coadjoint rows read g + g*: with the sign of one action e_i e*_p
+    flipped (and not that of e*_p e_i), they are no longer the reference
+    rows."""
+    index_of = solver._coadjoint_index
+
+    def flipped(alg):
+        index = index_of(alg)
+        i, q = next((i, q) for i in range(alg.dim) for q in index[i] if q >= alg.dim)
+        index[i][q] = tuple((k, -c) for k, c in index[i][q])
+        return index
+
+    monkeypatch.setattr(solver, "_coadjoint_index", flipped)
+    alg = builtin("sl", 3)
+    captured.clear()
+    solve_qder(alg, "coadjoint")
+    [(_, rows)] = captured
+    assert row_set(rows) != row_set(ref_qder_rows(alg, "coadjoint"))
+
+
 def test_seq_uv_kernel_compiles_the_replaced_rows(captured):
     for name, alg in lie_algebras():
         solve_bilinear(alg, "asym-cocycle")  # kept on the algebra, so seq_uv's only system is its kernel
@@ -420,23 +467,31 @@ def typed_stream(rows):
     return [(s, typed_row(row)) for s, row in rows]
 
 
-def test_b_space_compiles_the_replaced_row_stream():
+def test_b_space_compiles_the_replaced_row_stream(captured):
+    """The rows of the kept hom-cyclic triples, in order and typed, and the
+    space of every ordered triple's rows."""
     for name, alg in lie_algebras():
-        assert list(map(typed_row, _b_space_rows(alg))) == list(map(typed_row, ref_b_space_rows(alg))), name
+        n = alg.dim
+        captured.clear()
+        space = solve_bilinear(alg, "b-space")
+        [(_, rows)] = captured
+        want = ref_b_space_rows(alg, orbit_triples(alg, HOM_CYCLIC))
+        assert list(map(typed_row, rows)) == list(map(typed_row, want)), name
+        assert space == nullspace_of_rows(n * n, ref_b_space_rows(alg)), name
 
 
 @pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
 def test_hom_kinds_compile_the_replaced_row_stream(kind):
     for name, alg in algebras():
         plan, live = live_blocks(alg)
-        assert typed_stream(_hom_rows(plan, kind, live)) == typed_stream(ref_hom_rows(plan, kind, live)), name
+        assert typed_stream(_hom_rows(plan, kind, live, alg.rows)) == typed_stream(ref_hom_rows(plan, kind, live)), name
 
 
 @pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
 @pytest.mark.parametrize("model, size", SL2_WINDOWS)
 def test_window_hom_kinds_compile_the_replaced_row_stream(model, size, kind):
     plan, live = live_blocks(model(size))
-    new = typed_stream(_hom_rows(plan, kind, live))
+    new = typed_stream(_hom_rows(plan, kind, live, plan.alg.rows))
     assert new and new == typed_stream(ref_hom_rows(plan, kind, live))
 
 
@@ -464,7 +519,7 @@ def test_partial_tables_compile_the_replaced_row_stream(kind):
     compiled = 0
     for alg in tables:
         plan, live = live_blocks(alg)
-        new = typed_stream(_hom_rows(plan, kind, live))
+        new = typed_stream(_hom_rows(plan, kind, live, alg.rows))
         assert new == typed_stream(ref_hom_rows(plan, kind, live)), alg.table
         compiled += len(new)
     assert sum(None in alg.table.values() for alg in tables) > 90 and compiled > 1000

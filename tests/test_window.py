@@ -1,13 +1,15 @@
 import dataclasses
+import functools
 import itertools
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from homlie.algebra import AlgebraSpec, builtin, killing_form, sparse_product
+from homlie.algebra import BILINEAR_KINDS, AlgebraSpec, builtin, killing_form, sparse_product
 from homlie.constructions import km_window
 from homlie.linalg import (
     Matrix,
@@ -29,6 +31,9 @@ from homlie.solver import (
     delta_derivation,
     grading_shifts,
     is_multiplicative,
+    seq_uv,
+    solve_bilinear,
+    solve_qder,
     solve_structures,
     structure_residual,
 )
@@ -83,6 +88,28 @@ def test_window_too_small():
 def test_delta_on_a_window_is_rejected():
     with pytest.raises(ValueError, match="undefined products"):
         solve_structures(_untwisted(2), delta_derivation(1))
+
+
+# The solves that impose every equation, which a window cannot: each is
+# refused before anything is compiled.
+WINDOW_REFUSALS = {
+    **{kind: functools.partial(solve_bilinear, kind=kind) for kind in BILINEAR_KINDS},
+    "qder-adjoint": functools.partial(solve_qder, module="adjoint"),
+    "qder-coadjoint": functools.partial(solve_qder, module="coadjoint"),
+    "seq_uv": seq_uv,
+    "delta:1": functools.partial(solve_structures, kind=delta_derivation(1)),
+}
+
+
+@pytest.mark.parametrize("name", WINDOW_REFUSALS)
+def test_a_window_is_refused_naming_its_first_undefined_pair(name):
+    """A plain ValueError naming the first undefined pair, not an
+    ``UndefinedProduct`` raised from deep in a compile."""
+    pa = _untwisted(2)
+    first = min(pair for pair, terms in pa.table.items() if terms is None)
+    with pytest.raises(ValueError, match=re.escape(f"undefined products: the basis product {first} is undefined")) as err:
+        WINDOW_REFUSALS[name](pa)
+    assert type(err.value) is ValueError
 
 
 def test_window_solve_is_the_graded_structure_solve():
