@@ -1,16 +1,17 @@
 """Finite-dimensional algebras given by structure constants.
 
-An :class:`AlgebraSpec` is a bilinear product on Q^dim recorded as a table
-``(i, j) -> [(k, coefficient), ...]`` for basis products, together with a
-declared flavor.  Construction validates the laws the flavor promises
-(anticommutativity and Jacobi for ``lie``, commutativity and associativity
-for ``commutative-associative``, ...), so downstream code can rely on them.
+An :class:`AlgebraSpec` is a bilinear product on Q^dim recorded as an index
+of its basis products by left factor, ``rows[i][j] = ((k, coefficient),
+...)``, together with a declared flavor.  Construction validates the laws
+the flavor promises (anticommutativity and Jacobi for ``lie``,
+commutativity and associativity for ``commutative-associative``, ...), so
+downstream code can rely on them.
 A build whose laws follow from a theorem about its validated inputs (a span
 of matrices closed under the commutator, a central extension by a verified
 cocycle, ...) is certified by that proof instead of a scan of every basis
 triple.
 
-In a degree window (``constructions.km_window``) the table maps undefined
+In a degree window (``constructions.km_window``) the index maps undefined
 products to None; ``product_on_basis``, ``sparse_product`` and the term
 builders raise a ValueError naming the pair (``UndefinedProduct``) instead
 of reading such a product as zero.  A window imposes an equation exactly
@@ -67,7 +68,7 @@ class LawViolation(ValueError):
         super().__init__(f"{law} fails on basis tuple {witness}: residual ({shown})")
 
 
-Table = dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...] | None]  # None: undefined
+_Index = Sequence[Mapping[int, Sequence[tuple[int, int | Fraction]] | None]]  # [p][q]: e_p e_q, None: undefined
 
 
 class UndefinedProduct(ValueError):
@@ -88,15 +89,14 @@ def _undefined(i: int, j: int) -> UndefinedProduct:
     return UndefinedProduct(i, j)
 
 
-def sparse_product(table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]] | None], u: Mapping[int, Fraction],
-                   v: Mapping[int, Fraction]) -> SparseVector:
-    """u*v for sparse vectors, read straight from a structure table: each
-    pair of nonzero coordinates (i, j) contributes ``table[(i, j)]``.
+def sparse_product(rows: _Index, u: Mapping[int, Fraction], v: Mapping[int, Fraction]) -> SparseVector:
+    """u*v for sparse vectors, read straight from a product index: each
+    pair of nonzero coordinates (i, j) contributes ``rows[i][j]``.
     Reading an undefined product (None) raises ValueError."""
     out: dict[int, Fraction] = {}
     for i, ui in u.items():
         for j, vj in v.items():
-            terms = table.get((i, j), ())
+            terms = rows[i].get(j, ())
             if terms is None:
                 raise _undefined(i, j)
             for k, c in terms:
@@ -107,11 +107,15 @@ def sparse_product(table: Mapping[tuple[int, int], Iterable[tuple[int, Fraction]
 @dataclass(frozen=True, eq=False)
 class AlgebraSpec:
     """A structure-constant algebra, validated by ``make_algebra`` or
-    certified Lie by a theorem (``_lie_by_theorem``, ``km_window``)."""
+    certified Lie by a theorem (``_lie_by_theorem``, ``km_window``).
+
+    ``rows``, the one store of its products, maps q ascending to the terms
+    of e_p e_q at ``rows[p]`` ((k, c), k ascending, integral c as ints), or
+    to None where the product is undefined; a zero product has no entry."""
 
     dim: int
     basis_names: tuple[str, ...]
-    table: Table = field(repr=False)
+    rows: tuple[dict[int, tuple[tuple[int, int | Fraction], ...] | None], ...] = field(repr=False)
     flavor: str
     grading: tuple[int, ...] | None = None
     # present when tensor_lie demotes a would-be Lie algebra: a basis triple
@@ -125,28 +129,22 @@ class AlgebraSpec:
         they go with the algebra."""
         return {}
 
-    @cached_property
-    def rows(self) -> list[dict[int, tuple[tuple[int, int | Fraction], ...] | None]]:
-        """The table by left factor: ``rows[p]`` maps each q with an entry
-        (p, q) to ``table[(p, q)]``, the same tuple or None, q ascending.
-        The term builders read products from it, so a row e_p e_* is walked
-        without looking up its zero products."""
-        rows: list[dict] = [{} for _ in range(self.dim)]
-        for p, q in sorted(self.table):
-            rows[p][q] = self.table[p, q]
-        return rows
+    @property
+    def table(self) -> Mapping[tuple[int, int], tuple[tuple[int, int | Fraction], ...] | None]:
+        """``rows`` read by pair: a read-only view for readers outside the package."""
+        return _Pairs(self.rows)
 
     def product_on_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         """The terms of e_i e_j; ValueError when it is undefined (None)."""
-        terms = self.table.get((i, j), ())
+        terms = self.rows[i].get(j, ())
         if terms is None:
             raise _undefined(i, j)
         return terms
 
     def multiply(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        """Bilinear extension of the table to arbitrary vectors."""
+        """Bilinear extension of the basis products to arbitrary vectors."""
         n = self.dim
-        return dense_vector(sparse_product(self.table, sparse_vector_in(u, n), sparse_vector_in(v, n)), n)
+        return dense_vector(sparse_product(self.rows, sparse_vector_in(u, n), sparse_vector_in(v, n)), n)
 
     def basis_vector(self, i: int) -> Vector:
         return _basis_vector(i, self.dim)
@@ -160,15 +158,32 @@ class AlgebraSpec:
     def right_mul_matrix(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> Matrix:
         """Matrix of x -> x*v in the basis."""
         sv = sparse_vector_in(v, self.dim)
-        return self._columns_matrix(sparse_product(self.table, {j: 1}, sv) for j in range(self.dim))
+        return self._columns_matrix(sparse_product(self.rows, {j: 1}, sv) for j in range(self.dim))
 
     def left_mul_matrix(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> Matrix:
         """Matrix of x -> v*x in the basis (``ad v`` for Lie flavors)."""
         sv = sparse_vector_in(v, self.dim)
-        return self._columns_matrix(sparse_product(self.table, sv, {j: 1}) for j in range(self.dim))
+        return self._columns_matrix(sparse_product(self.rows, sv, {j: 1}) for j in range(self.dim))
 
     def _columns_matrix(self, cols: Iterable[Mapping[int, Fraction]]) -> Matrix:
         return Matrix.from_sparse(self.dim, self.dim, {(i, j): c for j, col in enumerate(cols) for i, c in col.items()})
+
+
+@dataclass(frozen=True, eq=False)
+class _Pairs(Mapping):
+    """A product index read by pair: (p, q) -> rows[p][q], pairs ascending."""
+
+    _rows: _Index
+
+    def __getitem__(self, pair: tuple[int, int]):
+        p, q = pair
+        return (self._rows[p] if 0 <= p < len(self._rows) else {})[q]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((p, q) for p, row in enumerate(self._rows) for q in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows))
 
 
 def _basis_vector(i: int, dim: int) -> Vector:
@@ -177,8 +192,9 @@ def _basis_vector(i: int, dim: int) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
-def _clean_table(dim: int, raw: Mapping[tuple[int, int], Iterable]) -> Table:
-    table: Table = {}
+def _clean_table(dim: int, raw: Mapping[tuple[int, int], Iterable]) -> tuple[dict, ...]:
+    """The product index of the pair-keyed ``raw``: terms summed per k, zeros dropped."""
+    rows: list[dict] = [{} for _ in range(dim)]
     for (i, j), terms in raw.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"table index ({i},{j}) out of range for dim {dim}")
@@ -186,25 +202,22 @@ def _clean_table(dim: int, raw: Mapping[tuple[int, int], Iterable]) -> Table:
         for k, coeff in terms:
             if not (0 <= int(k) < dim):
                 raise ValueError(f"product index {k} out of range for dim {dim}")
-            c = as_scalar(coeff)
-            if c:
-                acc[int(k)] = acc.get(int(k), Fraction(0)) + c
+            c = as_scalar(coeff)  # a sum only for a repeated k: Fraction additions cost
+            acc[int(k)] = acc[int(k)] + c if int(k) in acc else c
         # integral constants as ints, so rows compiled from the table are integral
         entry = tuple(sorted((k, int_if_integral(c)) for k, c in acc.items() if c))
         if entry:
-            table[(i, j)] = entry
-    return table
+            rows[i][j] = entry
+    return tuple(dict(sorted(row.items())) for row in rows)
 
 
 def _check_laws(alg: AlgebraSpec) -> None:
-    """Check the flavor's laws on every basis tuple, walking the table; the
+    """Check the flavor's laws on every basis tuple, walking the index; the
     first failing tuple (in lexicographic order) is the witness."""
-    n, table = alg.dim, alg.table
-    unit = [{i: 1} for i in range(n)]
-    prod = {pair: dict(terms) for pair, terms in table.items()}
+    n, rows = alg.dim, alg.rows
 
     def e(i: int, j: int) -> SparseVector:  # e_i e_j
-        return prod.get((i, j), {})
+        return dict(rows[i].get(j, ()))
 
     def require(law: str, witness: tuple[int, ...], residual: SparseVector) -> None:
         if residual:
@@ -226,25 +239,26 @@ def _check_laws(alg: AlgebraSpec) -> None:
     if alg.flavor == "commutative-associative":
         for i in range(n):
             for j in range(n):
+                ij = e(i, j)
                 for k in range(n):
-                    lhs = sparse_product(table, e(i, j), unit[k])
-                    rhs = sparse_product(table, unit[i], e(j, k))
+                    lhs = sparse_product(rows, ij, {k: 1})
+                    rhs = sparse_product(rows, {i: 1}, e(j, k))
                     require("associativity", (i, j, k), sparse_lincomb((1, lhs), (-1, rhs)))
     if alg.grading is not None:
         if len(alg.grading) != n:
             raise ValueError("grading must assign a degree to every basis vector")
-        for (i, j), terms in table.items():
-            want = alg.grading[i] + alg.grading[j]
-            for k, _ in terms:
-                if alg.grading[k] != want:
-                    require("grading", (i, j, k), e(i, j))
+        for i, row in enumerate(rows):
+            for j, terms in row.items():
+                want = alg.grading[i] + alg.grading[j]
+                for k, _ in terms:
+                    if alg.grading[k] != want:
+                        require("grading", (i, j, k), dict(terms))
 
 
 # The identities' terms: the solver compiles them into rows, the validators
 # evaluate them.  One equation group is a run of (row key, column, coefficient)
 # terms, and the terms that share a row key sum to one linear form.
 _Terms = Iterable[tuple[object, int, Fraction]]
-_Index = Sequence[Mapping[int, Sequence[tuple[int, int | Fraction]] | None]]  # [p][q]: e_p e_q, None: undefined
 
 
 def _evaluate(terms: _Terms, x: Mapping[int, int | Fraction]) -> dict[object, int | Fraction]:
@@ -460,7 +474,7 @@ def make_algebra(
     alg = AlgebraSpec(
         dim=dim,
         basis_names=names,
-        table=_clean_table(dim, table),
+        rows=_clean_table(dim, table),
         flavor=flavor,
         grading=tuple(grading) if grading is not None else None,
         jacobi_witness=jacobi_witness,
@@ -479,7 +493,7 @@ def _lie_by_theorem(dim: int, table: Mapping[tuple[int, int], Iterable], names: 
     keeps that set closed); user tables, hand tables and tensor products
     with a generic factor go through ``make_algebra``.
     """
-    return AlgebraSpec(dim=dim, basis_names=tuple(names), table=_clean_table(dim, table), flavor="lie")
+    return AlgebraSpec(dim=dim, basis_names=tuple(names), rows=_clean_table(dim, table), flavor="lie")
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +522,8 @@ def _from_matrices(mats: Sequence[Matrix], names: Sequence[str]) -> AlgebraSpec:
     if solver.rank < n:
         raise ValueError(f"the {n} matrices are linearly dependent: their span has dim {solver.rank}")
     # E_rk E_kc = E_rc: the matrix product of flattened matrices is the
-    # sparse product over the table of the matrix units
-    units = {
-        (r * size + k, k * size + c): ((r * size + c, 1),)
-        for r in range(size)
-        for k in range(size)
-        for c in range(size)
-    }
+    # sparse product over the index of the matrix units
+    units = tuple({k * size + c: ((r * size + c, 1),) for c in range(size)} for r in range(size) for k in range(size))
     upper: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -526,12 +535,8 @@ def _from_matrices(mats: Sequence[Matrix], names: Sequence[str]) -> AlgebraSpec:
                 raise ValueError(f"matrix span is not closed at pair ({i},{j})")
             if coords:
                 upper[(i, j)] = list(coords.items())
-    # both orders of every pair, listed in lexicographic order
-    table = {
-        (i, j): upper[(i, j)] if i < j else [(k, -c) for k, c in upper[(j, i)]]
-        for i, j in sorted(chain(upper, ((j, i) for i, j in upper)))
-    }
-    return _lie_by_theorem(n, table, names)
+    lower = {(j, i): [(k, -c) for k, c in terms] for (i, j), terms in upper.items()}
+    return _lie_by_theorem(n, {**upper, **lower}, names)
 
 
 def _unit_matrix(size: int, i: int, j: int) -> Matrix:
@@ -687,15 +692,16 @@ def builtin_names() -> list[str]:
 
 
 def parse_builtin(spec: str) -> AlgebraSpec:
-    """Parse compact names like 'sl3', 'sp4', 'trunc_poly:3', 'heisenberg'."""
+    """Parse compact names like 'sl3', 'sp4', 'trunc_poly:3', 'heisenberg';
+    a parameter is [0-9]+ (ASCII digits, no sign or space)."""
     if spec in _BUILTINS and _BUILTINS[spec][1] == 0:
         return builtin(spec)
-    if ":" in spec:
-        name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
+    if not colon:
+        name = next((known for known in _BUILTINS if spec.startswith(known)), spec)
+        arg = spec[len(name):]
+    if arg.isascii() and arg.isdigit():
         return builtin(name, int(arg))
-    for name in _BUILTINS:
-        if spec.startswith(name) and spec[len(name):].isdigit():
-            return builtin(name, int(spec[len(name):]))
     raise ValueError(f"cannot parse algebra name {spec!r}")
 
 
@@ -739,13 +745,13 @@ def _require_lie(alg: AlgebraSpec, op: str) -> None:
 
 
 def right_annihilator(alg: AlgebraSpec) -> Subspace:
-    """{z : e_j z = 0 for every j}, read straight from the product table; a
+    """{z : e_j z = 0 for every j}, read straight from the product index; a
     basis vector e_q with an undefined product e_j e_q is excluded (z_q = 0)."""
-    undefined = {q for (_, q), terms in alg.table.items() if terms is None}
+    undefined = {q for row in alg.rows for q, terms in row.items() if terms is None}
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}  # (j, m) -> coefficients of e_j z at e_m
-    for (j, q), terms in sorted(alg.table.items()):
-        if q not in undefined:
-            for m, c in terms:
+    for j, row in enumerate(alg.rows):
+        for q, terms in row.items():
+            for m, c in terms or ():  # None only where q is undefined, and z_q = 0 is imposed there
                 rows.setdefault((j, m), {})[q] = c
     return nullspace_of_rows(alg.dim, chain(({q: 1} for q in undefined), rows.values()))
 
@@ -755,7 +761,8 @@ def structural_subspaces(alg: AlgebraSpec) -> tuple[Subspace, Subspace, Subspace
     _require_lie(alg, "structural_subspaces")
     n = alg.dim
     center = right_annihilator(alg)  # [e_j, z] = 0 for all j
-    derived = Subspace.from_spanning((dict(alg.product_on_basis(i, j)) for i, j in alg.table), n)
+    products = (alg.product_on_basis(p, q) for p, row in enumerate(alg.rows) for q in row)
+    derived = Subspace.from_spanning(map(dict, products), n)
     ann_derived = nullspace_of_rows(n, (row for _, w in derived.rows for row in alg.left_mul_matrix(w).sparse_rows))
     return center, derived, ann_derived
 
@@ -764,16 +771,10 @@ def killing_form(alg: AlgebraSpec) -> BilinearForm:
     """trace(ad e_i . ad e_j); symmetric and invariant for Lie algebras.
 
     With e_i e_m = sum_k c_im^k e_k, ``ad e_i`` has entry c_im^k at (k, m),
-    so the trace is the sum of c_im^k c_jk^m over m and k.
-    """
+    so the trace sums c_im^k c_jk^m over the nonzero products e_i e_m of the
+    index and their terms e_k; as trace(AB) = trace(BA), only for i <= j."""
     _require_lie(alg, "killing_form")
-    n = alg.dim
-    prod = [[dict(alg.product_on_basis(j, k)) for k in range(n)] for j in range(n)]
-    rows = tuple(
-        tuple(
-            sum((a * prod[j][k].get(m, 0) for m in range(n) for k, a in alg.product_on_basis(i, m)), Fraction(0))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return BilinearForm(Matrix(rows, n))
+    n, e = alg.dim, alg.product_on_basis
+    upper = {(i, j): sum((a * b for m in alg.rows[i] for k, a in e(i, m) for p, b in e(j, k) if p == m), Fraction(0))
+             for i in range(n) for j in range(i, n)}
+    return BilinearForm(Matrix(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n)), n))

@@ -175,7 +175,7 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
     difference of the sides is alternating: it vanishes on a triple with a
     repeated index, and on any other triple it is plus or minus its value
     on the sorted triple, which comes no later in lexicographic order."""
-    n, table = alg.dim, alg.table
+    n = alg.dim
     for _ in range(3):
         h = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
         phi = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
@@ -187,7 +187,7 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
         for i, j, k in combinations(range(n), 3):
             # (h . J)(x,y,z) = [J(x,y,z), h] - J([x,h],y,z) - J(x,[y,h],z) - J(x,y,[z,h])
             rhs = sparse_lincomb(
-                (1, sparse_product(table, j_phi[(i, j, k)], sh)),
+                (1, sparse_product(alg.rows, j_phi[(i, j, k)], sh)),
                 *((-c, j_phi[(t, j, k)]) for t, c in rcols[i]),
                 *((-c, j_phi[(i, t, k)]) for t, c in rcols[j]),
                 *((-c, j_phi[(i, j, t)]) for t, c in rcols[k]),

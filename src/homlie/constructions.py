@@ -64,10 +64,10 @@ def central_extension(l: AlgebraSpec, xi: Cocycle2) -> AlgebraSpec:
     cocycle equation; a Jacobi sum with z in it is 0 term by term.
     """
     _require_lie(l, "central_extension")
-    if xi.algebra is not l and xi.algebra.table != l.table:
+    if xi.algebra is not l and xi.algebra.rows != l.rows:
         raise ValueError("cocycle was verified on a different algebra")
     n = l.dim
-    table: dict = {(i, j): list(l.product_on_basis(i, j)) for i, j in l.table}
+    table: dict = {(i, j): list(l.product_on_basis(i, j)) for i, row in enumerate(l.rows) for j in row}
     for i, row in enumerate(xi.form.matrix.sparse_rows):
         for j, val in row.items():
             table.setdefault((i, j), []).append((n, val))
@@ -106,15 +106,12 @@ def tensor_lie(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
         raise ValueError("second tensor factor must have an anticommutative flavor")
     dim = a.dim * b.dim
     table: dict = {}
-    for i1, i2 in a.table:
-        for j1, j2 in b.table:
-            entry = [
-                (tensor_index(a, b, k1, k2), c1 * c2)
-                for k1, c1 in a.product_on_basis(i1, i2)
-                for k2, c2 in b.product_on_basis(j1, j2)
-            ]
-            if entry:
-                table[(tensor_index(a, b, i1, j1), tensor_index(a, b, i2, j2))] = entry
+    a_products, b_products = ([(i, j, x.product_on_basis(i, j)) for i, row in enumerate(x.rows) for j in row]
+                              for x in (a, b))
+    for i1, i2, a_terms in a_products:  # an entry of the index is never empty
+        for j1, j2, b_terms in b_products:
+            table[(tensor_index(a, b, i1, j1), tensor_index(a, b, i2, j2))] = [
+                (tensor_index(a, b, k1, k2), c1 * c2) for k1, c1 in a_terms for k2, c2 in b_terms]
     names = tuple(
         f"{an}(x){bn}" for an in a.basis_names for bn in b.basis_names
     )
@@ -173,7 +170,7 @@ def semidirect_derivation(l: AlgebraSpec, a: AlgebraSpec, d: Matrix) -> AlgebraS
 def _adjoined_table(l: AlgebraSpec, d: Matrix) -> tuple[dict, tuple[str, ...]]:
     """The table and basis names of l + K.D with [D, x] = d(x) = -[x, D]."""
     n = l.dim
-    table: dict = {(i, j): list(l.product_on_basis(i, j)) for i, j in l.table}
+    table: dict = {(i, j): list(l.product_on_basis(i, j)) for i, row in enumerate(l.rows) for j in row}
     for i, col in enumerate(d.sparse_cols):  # d(e_i)
         if col:
             table[(n, i)] = list(col.items())
@@ -232,7 +229,7 @@ def check_cyclic_grading(g: AlgebraSpec, grading: Sequence[Subspace]) -> dict[tu
             target = grading[(i + j) % n]
             for a, (_, u) in enumerate(si.rows):
                 for b, (_, v) in enumerate(sj.rows):
-                    w = sparse_product(g.table, u, v)
+                    w = sparse_product(g.rows, u, v)
                     coords = target.coords(w)
                     if coords is None:
                         raise LawViolation("grading-compatibility", (i, j), dense_vector(w, g.dim))
@@ -291,9 +288,9 @@ def km_window(
     i * delta_{i+j,0} <x,y> z.  A twist restricts degree-i loop vectors to
     the grading component i mod n.
 
-    The table holds both orders of every bracket, integral constants as
-    ints as ``make_algebra`` stores them, and None for a pair whose degrees
-    leave the window; ``grading`` is the loop degree (d, z: 0).  N
+    The product index holds both orders of every bracket, integral
+    constants as ints as ``make_algebra`` stores them, and None for a pair
+    whose degrees leave the window; ``grading`` is the loop degree (d, z: 0).  N
     is read back as max |grading|, and d and z by their basis names.
 
     The result is certified ``flavor="lie"``.  Every defined product is the
@@ -335,13 +332,14 @@ def km_window(
     loop_count = len(names)
     d_idx, z_idx = loop_count, loop_count + 1
 
-    table: dict[tuple[int, int], tuple[tuple[int, int | Fraction], ...] | None] = {}
+    # q ascends in each row: row p gets its q < p, then its q > p, then d
+    rows: list[dict] = [{} for _ in range(loop_count + 2)]
     for p1 in range(loop_count):
         i = degrees[p1]
         for p2 in range(p1 + 1, loop_count):
             j = degrees[p2]
             if abs(i + j) > n_window:
-                table[(p1, p2)] = table[(p2, p1)] = None
+                rows[p1][p2] = rows[p2][p1] = None
                 continue
             bracket = constants[(i % n_twist, p1 - starts[i], j % n_twist, p2 - starts[j])]
             entry = [(starts[i + j] + s, c) for s, c in bracket]
@@ -350,17 +348,17 @@ def km_window(
                 if central:
                     entry.append((z_idx, int_if_integral(central)))
             if entry:
-                table[(p1, p2)] = tuple(sorted(entry))
-                table[(p2, p1)] = tuple((k, -c) for k, c in table[(p1, p2)])
+                rows[p1][p2] = tuple(sorted(entry))
+                rows[p2][p1] = tuple((k, -c) for k, c in rows[p1][p2])
     # Euler action: [d, x (x) t^i] = i * x (x) t^i
     for p, deg in enumerate(degrees):
         if deg:
-            table[(d_idx, p)] = ((p, deg),)
-            table[(p, d_idx)] = ((p, -deg),)
+            rows[d_idx][p] = ((p, deg),)
+            rows[p][d_idx] = ((p, -deg),)
     return AlgebraSpec(
         dim=loop_count + 2,
         basis_names=(*names, "d", "z"),
-        table=table,
+        rows=tuple(rows),
         flavor="lie",
         grading=(*degrees, 0, 0),
     )

@@ -84,7 +84,7 @@ def jordan_structure_constants(sol: HomSolution, verdict: ClosureVerdict) -> Alg
 
 def jordan_identity_defect(alg: AlgebraSpec) -> tuple[tuple[int, int], Vector] | None:
     """(x^2 o (y o x)) - ((x^2 o y) o x) on basis pairs; None when it holds."""
-    n, t = alg.dim, alg.table
+    n, t = alg.dim, alg.rows
     for i in range(n):
         xx = dict(alg.product_on_basis(i, i))
         for j in range(n):

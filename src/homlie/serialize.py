@@ -26,10 +26,8 @@ def parse_scalar(text) -> Fraction:
 
 
 def algebra_to_json(alg: AlgebraSpec) -> dict:
-    table = []
-    for (i, j) in sorted(alg.table):
-        terms = [[k, format_scalar(c)] for k, c in alg.table[(i, j)]]
-        table.append([i, j, terms])
+    table = [[i, j, [[k, format_scalar(c)] for k, c in terms]]
+             for i, row in enumerate(alg.rows) for j, terms in row.items()]
     return {
         "dim": alg.dim,
         "basis": list(alg.basis_names),
@@ -96,11 +94,9 @@ def partial_to_json(pa: AlgebraSpec) -> dict:
 
     kinds = ["euler" if name == "d" else "central" if name == "z" else "loop" for name in pa.basis_names]
     first = [-1 if kind == "euler" else i for i, kind in enumerate(kinds)]  # d is written first
-    table = []
-    for (i, j) in sorted(pa.table):
-        terms = pa.table[(i, j)]
-        if terms is not None and first[i] < first[j]:
-            table.append([i, j, [[k, format_scalar(c)] for k, c in terms]])
+    pairs = [(i, j, terms) for i, row in enumerate(pa.rows) for j, terms in row.items()]
+    table = [[i, j, [[k, format_scalar(c)] for k, c in terms]] for i, j, terms in pairs
+             if terms is not None and first[i] < first[j]]
     return {
         "dim": pa.dim,
         "basis": list(pa.basis_names),
@@ -110,7 +106,7 @@ def partial_to_json(pa: AlgebraSpec) -> dict:
         "partial": True,
         "window": window_size(pa),
         "kinds": kinds,
-        "out_of_window": [[i, j] for (i, j), terms in sorted(pa.table.items()) if terms is None and i < j],
+        "out_of_window": [[i, j] for i, j, terms in pairs if terms is None and i < j],
     }
 
 

@@ -141,10 +141,9 @@ class _Plan:
     """
 
     def __init__(self, alg: AlgebraSpec):
-        n, table = alg.dim, alg.table
         self.alg = alg
-        self.complete = None not in table.values()
-        self.deg = deg = alg.grading or (0,) * n
+        self.complete = not any(None in row.values() for row in alg.rows)
+        self.deg = deg = alg.grading or (0,) * alg.dim
         self.components: dict[int, list[int]] = {d: [] for d in sorted(set(deg), key=lambda d: (abs(d), d))}
         for u, d in enumerate(deg):
             self.components[d].append(u)
@@ -170,7 +169,7 @@ def _require_defined(alg: AlgebraSpec, what: object) -> None:
     """Refuse ``what``, a solve that imposes every equation, on a table with
     undefined products (a degree window), naming the first undefined pair."""
     if not _plan(alg).complete:
-        pair = min(pair for pair, terms in alg.table.items() if terms is None)
+        pair = next((p, q) for p, row in enumerate(alg.rows) for q, terms in row.items() if terms is None)
         raise ValueError(f"{what} needs every product defined; "
                          f"this algebra has undefined products: {_undefined(*pair)}")
 
@@ -513,9 +512,10 @@ def coboundary_space(alg: AlgebraSpec) -> Subspace:
     """Span of the forms (x, y) -> f(xy) for functionals f."""
     n = alg.dim
     gens: list[dict[int, Fraction]] = [{} for _ in range(n)]  # gens[m][(i, j)]: e_m in e_i e_j
-    for i, j in alg.table:
-        for m, c in alg.product_on_basis(i, j):
-            gens[m][i * n + j] = c
+    for i, row in enumerate(alg.rows):
+        for j in row:
+            for m, c in alg.product_on_basis(i, j):
+                gens[m][i * n + j] = c
     return Subspace.from_spanning(gens, n * n)
 
 
@@ -649,7 +649,7 @@ def f_t(alg: AlgebraSpec, form: BilinearForm, phi: Matrix, t: Sequence[Fraction]
     if len(t) != n:
         raise ValueError("vector dimension mismatch")
     st = sparse_vector([as_scalar(a) for a in t])
-    brackets = (sparse_product(alg.table, {i: 1}, st) for i in range(n))  # [e_i, t]
+    brackets = (sparse_product(alg.rows, {i: 1}, st) for i in range(n))  # [e_i, t]
     out = BilinearForm(Matrix(tuple(tuple(form(col, xi_t) for col in phi.sparse_cols) for xi_t in brackets), n))
     if not solve_bilinear(alg, "asym-cocycle").contains(out.matrix.sparse_flatten()):
         raise AssertionError("constructed form violates the cocycle equation")  # pragma: no cover
@@ -677,7 +677,7 @@ def is_multiplicative(alg: AlgebraSpec, phi: Matrix) -> bool | MultiplicativityW
         for j in range(n):
             try:
                 lhs = sparse_lincomb(*((c, cols[k]) for k, c in alg.product_on_basis(i, j)))
-                rhs = sparse_product(alg.table, cols[i], cols[j])
+                rhs = sparse_product(alg.rows, cols[i], cols[j])
             except UndefinedProduct:
                 continue
             if lhs != rhs:

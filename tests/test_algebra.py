@@ -11,6 +11,7 @@ from homlie.algebra import (
     parse_builtin,
     structural_subspaces,
 )
+from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import km_window
 from homlie.linalg import Matrix, Subspace
 
@@ -61,6 +62,16 @@ def test_associativity_rejected():
     table = {(0, 0): [(1, 1)], (0, 1): [(0, 1)], (1, 0): [(0, 1)]}
     with pytest.raises(LawViolation):
         make_algebra(2, table, flavor="commutative-associative")
+
+
+def test_grading_witness_is_the_first_failing_tuple_in_any_input_order():
+    """The law scan walks the product index, so the grading witness is the
+    lexicographically first failing (i, j, k) however the table is ordered."""
+    entries = [((1, 1), [(0, 1)]), ((0, 1), [(0, 2)]), ((0, 0), [(1, 3)])]  # all three leave their degree
+    for order in (entries, entries[::-1]):
+        with pytest.raises(LawViolation) as info:
+            make_algebra(2, dict(order), grading=(0, 1))
+        assert (info.value.law, info.value.witness, info.value.residual) == ("grading", (0, 0, 1), (0, 3))
 
 
 def test_basis_vector_index_out_of_range():
@@ -230,6 +241,28 @@ def test_killing_symmetry_invariance(name, params):
     kf = killing_form(alg)
     assert kf.is_symmetric()
     assert kf.is_invariant(alg)
+
+
+KILLING_FAMILIES = {
+    "builtin": builtin_battery,
+    "classical": lambda: [(f"{name}{n}", builtin(name, n)) for name, n in (("sl", 5), ("so", 7), ("sp", 6))],
+    "random": lambda: random_lie_battery(25),
+}
+
+
+@pytest.mark.parametrize("family", KILLING_FAMILIES)
+def test_killing_form_is_the_trace_of_ad_products(family):
+    """``killing_form`` walks the nonzero products of the index; the
+    reference multiplies the matrices of left multiplication by e_i and e_j
+    and takes the trace, entry by entry."""
+    for name, alg in KILLING_FAMILIES[family]():
+        if alg.flavor != "lie":
+            with pytest.raises(ValueError, match="killing_form requires a lie-flavor algebra"):
+                killing_form(alg)
+            continue
+        ads = [alg.left_mul_matrix({i: 1}) for i in range(alg.dim)]
+        expected = Matrix.from_rows([[(x @ y).trace() for y in ads] for x in ads], alg.dim)
+        assert killing_form(alg).matrix == expected, name
 
 
 def _constants(alg):

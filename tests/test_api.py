@@ -1,6 +1,7 @@
 """The package's public names, and where dense matrix rows may be read."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import homlie
@@ -204,6 +205,21 @@ def test_term_builders_read_products_only_through_the_index():
                 & {"rows", "table", "product_on_basis", "sparse_product"}
             )
     assert reads == dict.fromkeys(INDEX_READERS, ["rows"])
+
+
+def test_the_package_reads_products_only_through_the_index():
+    """``AlgebraSpec.rows`` is an algebra's one store of products, and
+    ``table`` is a property, its pair-keyed view for readers outside the
+    package, not a field: no module of the package reads ``.table``."""
+    reads = []
+    for path in sorted(Path(homlie.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "table":
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
+    assert "rows" in {f.name for f in fields(homlie.AlgebraSpec)}
+    assert "table" not in {f.name for f in fields(homlie.AlgebraSpec)}
+    assert isinstance(homlie.AlgebraSpec.__dict__["table"], property)
 
 
 def _built_by_a_term_builder(node, assigned) -> bool:

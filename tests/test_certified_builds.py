@@ -37,8 +37,7 @@ def _all_pairs_table(mats):
     size = mats[0].rows
     flat = [m.sparse_flatten() for m in mats]
     solver = SpanSolver(flat, size * size)
-    units = {(r * size + k, k * size + c): ((r * size + c, 1),)
-             for r in range(size) for k in range(size) for c in range(size)}
+    units = tuple({k * size + c: ((r * size + c, 1),) for c in range(size)} for r in range(size) for k in range(size))
     table = {}
     for i, j in itertools.product(range(len(mats)), repeat=2):
         bracket = sparse_lincomb((1, sparse_product(units, flat[i], flat[j])),
@@ -69,7 +68,7 @@ MATRIX_BUILTINS = ([("sl", n) for n in range(3, 9)] + [("so", n) for n in range(
 def test_matrix_builtin_equals_the_all_pairs_build(monkeypatch, name, n):
     alg, mats, names = _matrices(monkeypatch, name, n)
     ref = _all_pairs_table(mats)
-    assert list(alg.table.items()) == list(ref.items())
+    assert [list(row.items()) for row in alg.rows] == [list(row.items()) for row in ref]
     assert alg.basis_names == tuple(names) and alg.flavor == "lie" and alg.grading is None
     _check_laws(alg)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +321,19 @@ def test_largest_builtins_within_the_bound_are_built(monkeypatch):
     for spec, built in (("sl16", ("sl", (16,))), ("gl16", ("gl", (16,))), ("so23", ("so", (23,))),
                         ("sp22", ("sp", (22,))), ("abelian256", ("abelian", (256,)))):
         assert algebra.parse_builtin(spec) == built
+
+
+@pytest.mark.parametrize("spec", ["sl\uff13", "sl:\u0663", "sl: 3", "sl:", "sl:x", "sl:3:4", "sl 3", "sl\u00b2", "sl:-3",
+                                  "sl:+3"])
+def test_a_builtin_parameter_is_ascii_digits(capsys, spec):
+    """A parameter is [0-9]+: other scripts' digits, spaces, signs and a
+    missing or second parameter are refused by name, in the library and by
+    the cli (exit 2), never by Python's own int() message."""
+    message = f"cannot parse algebra name {spec!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        homlie.parse_builtin(spec)
+    code, out, err = run_cli(capsys, "solve", "--algebra", spec)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_window_dim_is_the_built_dim():

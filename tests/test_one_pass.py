@@ -42,7 +42,7 @@ def _reduced_products(g, grading):
         for j, sj in enumerate(grading):
             for a, (_, u) in enumerate(si.rows):
                 for b, (_, v) in enumerate(sj.rows):
-                    coords = grading[(i + j) % n].coords(sparse_product(g.table, u, v))
+                    coords = grading[(i + j) % n].coords(sparse_product(g.rows, u, v))
                     assert coords is not None
                     out[(i, a, j, b)] = tuple((s, c) for s, c in enumerate(coords) if c)
     return out
@@ -62,7 +62,7 @@ def test_twisted_currents_read_the_grading_constants(g, grading):
     table = {}
     for p1, (d1, s1) in enumerate(labels):
         for p2, (d2, s2) in enumerate(labels):
-            w = sparse_product(g.table, grading[d1 % n].rows[s1][1], grading[d2 % n].rows[s2][1])
+            w = sparse_product(g.rows, grading[d1 % n].rows[s1][1], grading[d2 % n].rows[s2][1])
             deg = (d1 + d2) % (2 * n)
             coords = grading[deg % n].coords(w)
             entry = [(labels.index((deg, s)), c) for s, c in enumerate(coords) if c]

@@ -1,15 +1,22 @@
 """The benchmark's oracle reads the package through ``perfbench/workloads.py``
-and compares every ladder and window job with ``perfbench/pinned.json``; a
-change of representation that breaks a job's summary or a pinned answer
-must fail here, not in a later benchmark run."""
+and compares every ladder and window job, and the exit code and stdout of
+every cli command, with ``perfbench/pinned.json``; a change of
+representation that breaks a job's summary or a pinned answer must fail
+here, not in a later benchmark run."""
 
+import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from homlie import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+PINNED_CLI = json.loads((ROOT / "perfbench" / "pinned.json").read_text())["cli"]
 
 
 def _workloads():
@@ -28,3 +35,14 @@ def test_every_job_matches_its_pinned_answer(workload):
     assert got.keys() == pinned.keys()
     for name, summary in got.items():
         assert summary == pinned[name], name
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_CLI))
+def test_every_cli_command_matches_its_pinned_output(capsys, monkeypatch, command):
+    """Each pinned command run in-process from the root of the checkout, as
+    the benchmark runs it in a fresh process: the same exit code and the
+    same stdout, byte for byte."""
+    monkeypatch.chdir(ROOT)
+    code = cli.main(command.split())
+    out = capsys.readouterr().out.encode()
+    assert {"exit": code, "stdout_sha256": hashlib.sha256(out).hexdigest()} == PINNED_CLI[command]

@@ -1,14 +1,16 @@
-"""The table indexed by left factor (``AlgebraSpec.rows``) and the term
-builders that walk it.  The index must hold the table itself, row by row,
-q ascending and undefined (None) entries kept; ``_hom_terms`` and
-``_leibniz_terms`` must give the terms, in their order, and the raises of
-the builders that looked every product up in the table (kept here as
-references), whichever walk they take."""
+"""The product index (``AlgebraSpec.rows``, the one store of an algebra's
+products) and the term builders that walk it.  The pair-keyed ``table`` is
+a read-only view of the index: the index's own entries pair by pair, q
+ascending, undefined (None) entries kept and zero products absent;
+``_hom_terms`` and ``_leibniz_terms`` must give the terms, in their order,
+and the raises of the builders that looked every product up in the table
+(kept here as references), whichever walk they take."""
 
 import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -85,16 +87,23 @@ INDEXED = {
 
 
 @pytest.mark.parametrize("family", INDEXED)
-def test_the_index_is_the_table_by_left_factor(family):
+def test_the_table_is_the_index_read_by_pair(family):
     for name, alg in INDEXED[family]():
-        rows = alg.rows
-        assert len(rows) == alg.dim, name
-        assert {(p, q) for p, row in enumerate(rows) for q in row} == set(alg.table), name
+        rows, table, n = alg.rows, alg.table, alg.dim
+        assert len(rows) == n, name
+        pairs = [(p, q) for p, row in enumerate(rows) for q in row]
+        assert list(table) == pairs and len(table) == len(pairs), name  # the index's pairs, in its order
         for p, row in enumerate(rows):
             assert list(row) == sorted(row), (name, p)
             for q, terms in row.items():
-                assert terms is alg.table[(p, q)], (name, p, q)  # the table's own tuple, or None
-        assert alg.rows is rows, name  # built once and kept
+                assert terms is None or terms, (name, p, q)  # an entry is a nonzero product or undefined
+                assert table[(p, q)] is terms, (name, p, q)  # the index's own tuple, or None
+        for p, q in product(range(-1, n + 1), repeat=2):  # a zero product, or a pair off the basis, is absent
+            assert ((p, q) in table) == (0 <= p < n and q in rows[p]), (name, p, q)
+            assert table.get((p, q), ()) == (rows[p].get(q, ()) if 0 <= p < n else ()), (name, p, q)
+        with pytest.raises(TypeError):
+            table[pairs[0] if pairs else (0, 0)] = ()  # read-only
+        assert alg.rows is rows and table == {(p, q): rows[p][q] for p, q in pairs}, name  # compares as a dict
     if family in ("window", "partial"):
         assert any(None in row.values() for _, alg in INDEXED[family]() for row in alg.rows)
 

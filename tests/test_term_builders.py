@@ -25,7 +25,7 @@ from homlie.algebra import AlgebraSpec, BilinearForm, builtin, sparse_product
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import cocycle2, derivation_defect
 from homlie.linalg import Matrix, Subspace, dense_vector, nullspace_of_rows, sparse_lincomb
-from test_window import WINDOW_MODELS, _closure_structure_residual, _one_sided_gap, _twisted, _untwisted
+from test_window import WINDOW_MODELS, _closure_structure_residual, _one_sided_gap, _twisted, _untwisted, index_of
 from test_orbit_triples import block_reference
 from homlie.solver import (
     _SIGNS,
@@ -256,7 +256,7 @@ def ref_is_multiplicative(alg, phi):
             if (i, j) in undefined or any((p, q) in undefined for p in cols[i] for q in cols[j]):
                 continue
             lhs = sparse_lincomb(*((c, cols[k]) for k, c in table.get((i, j), ())))
-            rhs = sparse_product(table, cols[i], cols[j])
+            rhs = sparse_product(alg.rows, cols[i], cols[j])
             if lhs != rhs:
                 return (i, j), dense_vector(lhs, n), dense_vector(rhs, n)
     return True
@@ -338,7 +338,7 @@ def random_partial_table(rng, flavor):
         table[(i, j)] = entry
         if sigma is not None and i != j:
             table[(j, i)] = None if entry is None else tuple((k, sigma * c) for k, c in entry)
-    return AlgebraSpec(n, tuple(f"e{u}" for u in range(n)), table, flavor, grading=deg)
+    return AlgebraSpec(n, tuple(f"e{u}" for u in range(n)), index_of(n, table), flavor, grading=deg)
 
 
 def partial_tables():
@@ -587,6 +587,6 @@ def test_a_window_refuses_to_read_an_undefined_product():
     with pytest.raises(ValueError, match=message):
         pa.product_on_basis(i, j)
     with pytest.raises(ValueError, match=message):
-        sparse_product(pa.table, {i: 1}, {j: 1})
+        sparse_product(pa.rows, {i: 1}, {j: 1})
     with pytest.raises(ValueError, match="is undefined: it leaves the degree window$"):
         solve_bilinear(pa, "asym-cocycle")

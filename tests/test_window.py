@@ -53,11 +53,18 @@ def _solve_block(pa, shift):
 
 
 def _bracket_table(dim, products):
-    """A full table from one order of each bracket: [e_j, e_i] = -[e_i, e_j]."""
+    """A full product index from one order of each bracket: [e_j, e_i] = -[e_i, e_j]."""
     table = dict(products)
     for (i, j), terms in products.items():
         table[(j, i)] = None if terms is None else tuple((k, -c) for k, c in terms)
-    return table
+    return index_of(dim, table)
+
+
+def index_of(dim, table):
+    """The product index (``AlgebraSpec.rows``) of a pair-keyed table whose
+    entries may be None, as ``km_window`` writes one: rows[p][q] =
+    table[(p, q)], q ascending."""
+    return tuple({q: table[p, q] for p2, q in sorted(table) if p2 == p} for p in range(dim))
 
 
 def _untwisted(n):
@@ -433,15 +440,16 @@ def _closure_structure_residual(alg, phi, kind, triple, shift):
     if kind.tag == "delta-derivation":
         if undefined((a,), (b,)) or undefined(target(a), (b,)) or undefined((a,), target(b)):
             return None
-        terms = [(x, image(k)) for k, x in sparse_product(t, {a: 1}, {b: 1}).items()]
-        terms += [(-kind.delta, sparse_product(t, image(a), {b: 1})), (-kind.delta, sparse_product(t, {a: 1}, image(b)))]
+        terms = [(x, image(k)) for k, x in sparse_product(alg.rows, {a: 1}, {b: 1}).items()]
+        terms += [(-kind.delta, sparse_product(alg.rows, image(a), {b: 1})),
+                  (-kind.delta, sparse_product(alg.rows, {a: 1}, image(b)))]
     else:
         signs = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}[kind.tag]
         for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), signs):
             xy = t.get((x, y), ())
             if xy is None or undefined((p for p, _ in xy), target(z)):
                 return None
-            terms.append((sign, sparse_product(t, dict(xy), image(z))))
+            terms.append((sign, sparse_product(alg.rows, dict(xy), image(z))))
     return dense_vector(sparse_lincomb(*terms), alg.dim)
 
 
@@ -449,7 +457,7 @@ def _one_sided_gap():
     """Undefined e_2 e_3 while e_3 e_2 is defined, and e_0 e_3 undefined, so
     the left and the right undefined degrees of a basis element differ."""
     table = {(0, 1): ((2, 1),), (1, 0): ((2, -1),), (2, 3): None, (3, 2): ((1, 1),), (0, 3): None, (1, 2): ((3, 1),)}
-    return AlgebraSpec(4, ("e0", "e1", "e2", "e3"), table, "unchecked", grading=(0, 1, 1, 2))
+    return AlgebraSpec(4, ("e0", "e1", "e2", "e3"), index_of(4, table), "unchecked", grading=(0, 1, 1, 2))
 
 
 @pytest.mark.parametrize("build", [lambda: _untwisted(2), lambda: _twisted(3), _one_sided_gap],
