@@ -137,12 +137,15 @@ class _Plan:
       order 0, -1, 1, -2, 2, ...
     - ``annihilator``: the echelon rows of ``right_annihilator``, solved on
       first use (only the hom kinds read it).
-    - ``complete``: whether every product is defined.
+    - ``gaps``: the q of every undefined product e_p e_q; the other q are
+      closed.
+    - ``complete``: whether every product is defined (no gaps).
     """
 
     def __init__(self, alg: AlgebraSpec):
         self.alg = alg
-        self.complete = not any(None in row.values() for row in alg.rows)
+        self.gaps = {q for row in alg.rows for q, terms in row.items() if terms is None}
+        self.complete = not self.gaps
         self.deg = deg = alg.grading or (0,) * alg.dim
         self.components: dict[int, list[int]] = {d: [] for d in sorted(set(deg), key=lambda d: (abs(d), d))}
         for u, d in enumerate(deg):
@@ -357,6 +360,19 @@ def _solve_shift_blocks(
     when no block is left in it.  The smallest blocks go first: they reach
     full rank after few rows, so the queues of the others stay short.
 
+    The unit-row lemma.  A routed row of one entry says x_k = 0 for a block
+    column k = cols[(q, c)].  When q is closed (not in ``_Plan.gaps``), the
+    router deletes q from the block's phi(e_c) in ``live``, so no later
+    evaluation for the block walks x_k.  A closed q makes no read of e_p e_q
+    raise (the Leibniz rows, which also read e_q e_j, are solved on complete
+    tables only), so every evaluation raises as before and the block gets
+    rows for the same equations.  A later row of the block reaches
+    ``kernel`` after the unit row, whether it was queued or yielded, and on
+    x_k = 0 it agrees with the same row without its k entry (a row that
+    becomes zero is dropped).  So every prefix of the block's stream has
+    the span and rank it had: the block closes at the same evaluation, with
+    the same kernel.
+
     A block's reduced rows map into End by (q, c) -> q*n + c.  That map is
     increasing on the block's columns, which are numbered by (q, c)
     ascending, so each mapped row keeps its pivot first and stays reduced;
@@ -373,22 +389,29 @@ def _solve_shift_blocks(
     annihilator = plan.annihilator if kind.tag in _SIGNS else ()
     blocks: dict[int, tuple[dict[tuple[int, int], int], Subspace]] = {}
     live: dict[int, list[dict[int, int]]] = {}
+    pairs: dict[int, list[tuple[int, int]]] = {}  # shift -> (q, c) of each block column
     for shift in shifts:
         cols = plan.block(shift)
         if not cols:
             continue
         blocks[shift] = cols, _known_block(alg, kind, shift, cols, annihilator)
         if blocks[shift][1].dim < len(cols):
-            live[shift] = _by_source(cols, n)
+            live[shift], pairs[shift] = _by_source(cols, n), list(cols)
     queues: dict[int, deque[dict[int, int | Fraction]]] = {shift: deque() for shift in live}
     routed = _delta_rows(plan, kind.delta, live) if kind.delta is not None else _hom_rows(plan, kind, live, alg.rows)
 
     def block_rows(shift: int) -> Iterator[dict[int, int | Fraction]]:
         yield from queues[shift]  # only rows for other blocks are queued from here on
         for s, row in routed:
+            if s not in queues:
+                continue  # a block solved while the pass was suspended
+            if len(row) == 1:  # x_k = 0: retire column k (the unit-row lemma)
+                q, c = pairs[s][next(iter(row))]
+                if q not in plan.gaps:
+                    live[s][c].pop(q, None)
             if s == shift:
                 yield row
-            elif s in queues:
+            else:
                 queues[s].append(row)
 
     rows: list[tuple[int, Mapping[int, Fraction]]] = []
@@ -396,7 +419,7 @@ def _solve_shift_blocks(
         space = known
         if shift in live:
             space = _solve_modulo(known, block_rows(shift), kernel)
-            del live[shift], queues[shift]
+            del live[shift], queues[shift], pairs[shift]
         end = [q * n + c for q, c in cols]  # block column -> End coordinate
         rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)
     return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))

@@ -1,12 +1,13 @@
 """The benchmark's oracle reads the package through ``perfbench/workloads.py``
 and compares every ladder and window job, and the exit code and stdout of
 every cli command, with ``perfbench/pinned.json``; a change of
-representation that breaks a job's summary or a pinned answer must fail
-here, not in a later benchmark run."""
+representation that breaks a job's summary or a pinned answer, or the
+oracle itself, must fail here, not in a later benchmark run."""
 
 import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,3 +47,12 @@ def test_every_cli_command_matches_its_pinned_output(capsys, monkeypatch, comman
     code = cli.main(command.split())
     out = capsys.readouterr().out.encode()
     assert {"exit": code, "stdout_sha256": hashlib.sha256(out).hexdigest()} == PINNED_CLI[command]
+
+
+def test_the_benchmark_oracle_passes_its_self_test():
+    """``perfbench/selftest.py`` run as the benchmark runs it, from the root
+    of the checkout: the oracle catches each planted failure and passes the
+    true answers."""
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
