@@ -11,15 +11,14 @@ the exact nullspace.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, UndefinedProduct, _evaluate, _hom_terms, _Index,
-                      _invariance_terms, _leibniz_pairs, _leibniz_terms, _pairing, _require_lie, _Terms, _undefined,
+                      _leibniz_pairs, _leibniz_terms, _pairing, _require_lie, _Terms, _undefined,
                       right_annihilator, sparse_product, structural_subspaces)
 from .linalg import (
     Matrix,
@@ -112,7 +111,7 @@ def _sparse_rows(groups: Iterable[_Terms]) -> Iterator[dict[int, Fraction]]:
                 yield nonzero
 
 
-# -- the compile plan and the one pass over the triples -----------------------
+# -- the compile plan and the pass over the triples ---------------------------
 
 # The kind's identity, one sign per term in the order (ab)phi(c), (ca)phi(b),
 # (bc)phi(a): hom-lie has all three, hom-cyclic the first minus the second,
@@ -194,8 +193,8 @@ def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Seque
     1, -2, 2, ...  Elements of degree 0 act diagonally on the grading (the
     Cartan elements of a principally graded sl_n; the Euler element d and
     the centre z of a window), so the triples that lead with them give
-    every shift block rows early, and one pass reaches full rank in all the
-    blocks about as soon as the ungraded solve would.  Nothing is built or
+    every shift block rows early, and each block's pass reaches full rank
+    after a short prefix of the triples.  Nothing is built or
     sorted up front, so a solve stops generating at full rank.  Row order
     does not change a kernel.
 
@@ -245,10 +244,6 @@ def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Seque
                     yield a, b, cs
 
 
-# An open block: shift -> col_of, col_of[c][q] the column of phi(e_c) -> e_q.
-_Open = Mapping[int, list[dict[int, int]]]
-
-
 def _by_source(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, int]]:
     """col_of[c][q] = cols[(q, c)] for the columns ``cols`` of the block of
     a shift s: phi(e_c) reaches every e_q of degree deg c + s."""
@@ -258,48 +253,39 @@ def _by_source(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, in
     return col_of
 
 
-def _hom_rows(plan: _Plan, kind: StructureKind, live: _Open,
-              second: _Index) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
-    """(shift, row) for the rows of the kind's identity in the blocks
-    ``live``, from one pass over ``_triples``; a block that leaves ``live``
-    gets no further rows.  Each row sums the ``_hom_terms`` of one triple
-    over the block's columns, its second products read from ``second``
-    (the algebra's index, or a form's pairing).
+def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, int]],
+              second: _Index) -> Iterator[dict[int, int | Fraction]]:
+    """The rows of the kind's identity in one block, phi(e_z) -> e_q at
+    column ``col_of[z][q]``, from one pass over ``_triples``.  Each row sums
+    the ``_hom_terms`` of one triple over the block's columns, its second
+    products read from ``second`` (the algebra's index, or a form's
+    pairing).
 
-    The terms of a triple of total degree D for a map of shift s lie in
-    degree D + s, so the row of key m belongs to the block deg m - D alone.
-    A block's columns give phi(e_z) every q of degree deg z + s, so the
-    triple's equations at shift s are compiled whole or, when evaluating
-    them reads an undefined product, not at all.  e_a e_b is the first
-    product every evaluation of the run (a, b, cs) reads, whatever c and
-    s are, so a raise at (a, b) (e_a e_b is undefined) ends the run.
+    A shift block's columns give phi(e_z) every q of degree deg z + s, so
+    the triple's equations at shift s are compiled whole or, when
+    evaluating them reads an undefined product, not at all.  e_a e_b is
+    the first product every evaluation of the run (a, b, cs) reads,
+    whatever c is, so a raise at (a, b) (e_a e_b is undefined) ends the
+    run.
     """
     signs, first = _SIGNS[kind.tag], plan.alg.rows
     for a, b, cs in _triples(plan, kind):
-        shifts = list(live)  # blocks leave ``live`` while the pass is suspended
-        for c, s in product(cs, shifts):
-            col_of = live.get(s)
-            if col_of is None:
-                continue
+        for c in cs:
             try:
                 rows = list(_sparse_rows([_hom_terms(first, second, signs, a, b, c, col_of)]))
             except UndefinedProduct as undefined:
                 if undefined.pair == (a, b):
                     break
                 continue
-            for row in rows:
-                yield s, row
+            yield from rows
 
 
-def _delta_rows(plan: _Plan, delta: Fraction, live: _Open) -> Iterator[tuple[int, dict[int, int | Fraction]]]:
-    """(shift, row) for D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs,
-    for the maps D of the blocks ``live``, as ``_hom_rows`` does."""
+def _delta_rows(plan: _Plan, delta: Fraction,
+                col_of: Sequence[Mapping[int, int]]) -> Iterator[dict[int, int | Fraction]]:
+    """D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs, for the maps D
+    of one block, as ``_hom_rows`` does."""
     alg, delta = plan.alg, int_if_integral(delta)
-    for i, j in _leibniz_pairs(alg):
-        for s in list(live):
-            col_of = live.get(s)
-            if col_of is not None:
-                yield from ((s, row) for row in _sparse_rows([_leibniz_terms(alg.rows, i, j, col_of, col_of, delta)]))
+    return _sparse_rows(_leibniz_terms(alg.rows, i, j, col_of, col_of, delta) for i, j in _leibniz_pairs(alg))
 
 
 def _known_block(
@@ -349,29 +335,22 @@ def _solve_shift_blocks(
     Every term of the kind's identity at basis vectors of total degree D,
     for a map of shift s, lies in degree D + s, so the solution space is the
     direct sum of its shift blocks; ungraded, the one block is all of End.
-    Each block is solved modulo ``_known_block`` with ``kernel``.
+    Each block is solved modulo ``_known_block`` with ``kernel``, reading
+    the rows of the block's own pass (``_hom_rows``, or ``_delta_rows``):
+    at full rank ``kernel`` stops reading, and the pass compiles nothing
+    more.  A block that K already fills is not compiled.
 
-    One pass (``_hom_rows``, or ``_delta_rows``) compiles the rows of every
-    block, each triple once.  ``kernel`` reads one block at a time, and a
-    row the pass makes for a block that is still waiting joins that block's
-    queue.  A block leaves the pass once it is solved: at full rank
-    ``kernel`` stops reading, and the pass compiles nothing more for it.  A
-    block that K already fills never enters the pass, and the pass stops
-    when no block is left in it.  The smallest blocks go first: they reach
-    full rank after few rows, so the queues of the others stay short.
-
-    The unit-row lemma.  A routed row of one entry says x_k = 0 for a block
-    column k = cols[(q, c)].  When q is closed (not in ``_Plan.gaps``), the
-    router deletes q from the block's phi(e_c) in ``live``, so no later
-    evaluation for the block walks x_k.  A closed q makes no read of e_p e_q
-    raise (the Leibniz rows, which also read e_q e_j, are solved on complete
+    The unit-row lemma.  A row of one entry in a block's stream says
+    x_k = 0 for a block column k = cols[(q, c)].  When q is closed (not in
+    ``_Plan.gaps``), the pass deletes q from the block's phi(e_c), so no
+    later evaluation walks x_k.  A closed q makes no read of e_p e_q raise
+    (the Leibniz rows, which also read e_q e_j, are solved on complete
     tables only), so every evaluation raises as before and the block gets
-    rows for the same equations.  A later row of the block reaches
-    ``kernel`` after the unit row, whether it was queued or yielded, and on
-    x_k = 0 it agrees with the same row without its k entry (a row that
-    becomes zero is dropped).  So every prefix of the block's stream has
-    the span and rank it had: the block closes at the same evaluation, with
-    the same kernel.
+    rows for the same equations.  Every later row reaches ``kernel`` after
+    the unit row, and on x_k = 0 it agrees with the same row without its k
+    entry (a row that becomes zero is dropped).  So every prefix of the
+    stream has the span and rank it had: the block reaches full rank at
+    the same evaluation, with the same kernel.
 
     A block's reduced rows map into End by (q, c) -> q*n + c.  That map is
     increasing on the block's columns, which are numbered by (q, c)
@@ -387,39 +366,26 @@ def _solve_shift_blocks(
         _require_defined(alg, kind)
     plan = _plan(alg)
     annihilator = plan.annihilator if kind.tag in _SIGNS else ()
-    blocks: dict[int, tuple[dict[tuple[int, int], int], Subspace]] = {}
-    live: dict[int, list[dict[int, int]]] = {}
-    pairs: dict[int, list[tuple[int, int]]] = {}  # shift -> (q, c) of each block column
+
+    def block_rows(cols: Mapping[tuple[int, int], int]) -> Iterator[dict[int, int | Fraction]]:
+        pairs, col_of = list(cols), _by_source(cols, n)  # pairs[k]: the (q, c) of column k
+        compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None
+                    else _hom_rows(plan, kind, col_of, alg.rows))
+        for row in compiled:
+            if len(row) == 1:  # x_k = 0: retire column k (the unit-row lemma)
+                q, c = pairs[next(iter(row))]
+                if q not in plan.gaps:
+                    col_of[c].pop(q, None)
+            yield row
+
+    rows: list[tuple[int, Mapping[int, Fraction]]] = []
     for shift in shifts:
         cols = plan.block(shift)
         if not cols:
             continue
-        blocks[shift] = cols, _known_block(alg, kind, shift, cols, annihilator)
-        if blocks[shift][1].dim < len(cols):
-            live[shift], pairs[shift] = _by_source(cols, n), list(cols)
-    queues: dict[int, deque[dict[int, int | Fraction]]] = {shift: deque() for shift in live}
-    routed = _delta_rows(plan, kind.delta, live) if kind.delta is not None else _hom_rows(plan, kind, live, alg.rows)
-
-    def block_rows(shift: int) -> Iterator[dict[int, int | Fraction]]:
-        yield from queues[shift]  # only rows for other blocks are queued from here on
-        for s, row in routed:
-            if s not in queues:
-                continue  # a block solved while the pass was suspended
-            if len(row) == 1:  # x_k = 0: retire column k (the unit-row lemma)
-                q, c = pairs[s][next(iter(row))]
-                if q not in plan.gaps:
-                    live[s][c].pop(q, None)
-            if s == shift:
-                yield row
-            else:
-                queues[s].append(row)
-
-    rows: list[tuple[int, Mapping[int, Fraction]]] = []
-    for shift, (cols, known) in sorted(blocks.items(), key=lambda item: len(item[1][0])):
-        space = known
-        if shift in live:
-            space = _solve_modulo(known, block_rows(shift), kernel)
-            del live[shift], queues[shift], pairs[shift]
+        space = _known_block(alg, kind, shift, cols, annihilator)
+        if space.dim < len(cols):
+            space = _solve_modulo(space, block_rows(cols), kernel)
         end = [q * n + c for q, c in cols]  # block column -> End coordinate
         rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)
     return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))
@@ -518,8 +484,7 @@ def _form_rows(alg: AlgebraSpec, kind: StructureKind,
     f(zx, y) + f(yz, x) = 0 for hom-lie, b-space's f(xy, z) = f(zx, y) for
     hom-cyclic."""
     n = alg.dim
-    live = {0: [{q: q * n + z for q in range(n)} for z in range(n)]}
-    return (row for _, row in _hom_rows(_plan(alg), kind, live, _pairing(form_rows)))
+    return _hom_rows(_plan(alg), kind, [{q: q * n + z for q in range(n)} for z in range(n)], _pairing(form_rows))
 
 
 def _symmetry_rows(n: int, sign: int) -> Iterator[dict[int, Fraction]]:
@@ -544,7 +509,24 @@ def coboundary_space(alg: AlgebraSpec) -> Subspace:
 
 def solve_bilinear(alg: AlgebraSpec, kind: str) -> Subspace:
     """Exact space of bilinear forms of the requested kind, solved once per
-    algebra and kept on it."""
+    algebra and kept on it.
+
+    The kinds but coboundary compile through ``_form_rows`` with the
+    identity pairing, plus the symmetry rows of the skew and sym kinds:
+    the cocycle equation on hom-lie's triples, b-space's
+    B(x, y, z) = f(xy, z) - f(zx, y) on hom-cyclic's, and sym-invariant as
+    b-space with the symmetry rows.
+
+    Lemma.  The symmetric forms with B = 0 at every basis triple are the
+    symmetric invariant ones.  Proof.  For a symmetric f,
+    f(ab, c) - f(a, bc) = f(ab, c) - f(bc, a) = -B(b, c, a).  So at a
+    symmetric f the invariance defect at (a, b, c) is minus B at
+    (b, c, a), and the one vanishes at every basis triple exactly when the
+    other does.  By ``_triples`` the rows of hom-cyclic's kept triples span
+    B's rows at every ordered triple, so b-space's rows with the symmetry
+    rows cut out the same space as the invariance rows at every ordered
+    triple with them.
+    """
     _require_lie(alg, "solve_bilinear")
     if kind not in BILINEAR_KINDS:
         raise ValueError(f"unknown bilinear kind {kind!r}")
@@ -552,10 +534,7 @@ def solve_bilinear(alg: AlgebraSpec, kind: str) -> Subspace:
     n = alg.dim
 
     def rows() -> Iterator[dict[int, Fraction]]:
-        if kind == "sym-invariant":  # f(xy, z) - f(x, yz) = 0 over all ordered triples
-            yield from _sparse_rows(_invariance_terms(alg.rows, i, j, k) for i, j, k in product(range(n), repeat=3))
-        else:  # the identity pairing: the cocycle equation on hom-lie's triples, b-space on hom-cyclic's
-            yield from _form_rows(alg, HOM_CYCLIC if kind == "b-space" else HOM_LIE, [{p: 1} for p in range(n)])
+        yield from _form_rows(alg, HOM_LIE if kind.endswith("-cocycle") else HOM_CYCLIC, [{p: 1} for p in range(n)])
         if kind.startswith(("skew-", "sym-")):
             yield from _symmetry_rows(n, -1 if kind == "skew-cocycle" else 1)
 

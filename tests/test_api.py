@@ -239,24 +239,40 @@ def _built_by_a_term_builder(node, assigned) -> bool:
     return False
 
 
+# The functions that hand terms to ``_sparse_rows`` or ``_evaluate``: the
+# validators and the row compilers.
+TERMS_CONSUMERS = VALIDATORS | {("solver.py", "_hom_rows"), ("solver.py", "_delta_rows"), ("solver.py", "_qder_rows")}
+
+
+def _assignments(func) -> dict[str, list]:
+    """The values assigned to each plain name anywhere in ``func``."""
+    assigned: dict[str, list] = {}
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    assigned.setdefault(target.id, []).append(node.value)
+    return assigned
+
+
 def test_no_identity_is_written_outside_the_term_builders():
     """Every terms argument handed to ``_sparse_rows`` or ``_evaluate`` is
     built by a call of a term builder in ``algebra``, so an identity
-    written as a closure or a loop beside its compiler fails here."""
-    handed, stray = 0, []
+    written as a closure or a loop beside its compiler fails here, and only
+    the validators and the row compilers hand any."""
+    handing, stray = set(), []
     for path in sorted(Path(homlie.__file__).parent.glob("*.py")):
-        for func in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            assigned: dict[str, list] = {}
-            for node in ast.walk(func):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            assigned.setdefault(target.id, []).append(node.value)
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_sparse_rows", "_evaluate"):
-                    handed += 1
-                    if not _built_by_a_term_builder(node.args[0], assigned):
-                        stray.append(f"{path.name}:{node.lineno}")
-    assert stray == [] and handed >= 10
+        def visit(node, owner, assigned):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = f"{owner}.{node.name}" if owner else node.name
+                if not isinstance(node, ast.ClassDef):
+                    assigned = _assignments(node)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_sparse_rows", "_evaluate"):
+                handing.add((path.name, owner))
+                if not _built_by_a_term_builder(node.args[0], assigned):
+                    stray.append(f"{path.name}:{node.lineno}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner, assigned)
+
+        visit(ast.parse(path.read_text()), None, {})
+    assert stray == [] and handing == TERMS_CONSUMERS

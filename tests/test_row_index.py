@@ -19,7 +19,7 @@ from homlie.algebra import UndefinedProduct, _hom_terms, _leibniz_terms, _undefi
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.serialize import algebra_from_json, algebra_to_json
 from homlie.solver import HOM_LIE, _hom_rows, _triples
-from test_term_builders import live_blocks, partial_tables
+from test_term_builders import partial_tables, shift_blocks
 from test_window import _sl3, _twisted, _untwisted
 
 
@@ -158,12 +158,12 @@ def test_leibniz_terms_walk_the_rows_as_the_table_lookup_did(family):
 
 
 def test_a_window_run_stops_at_its_undefined_first_product(monkeypatch):
-    """A full pass of ``_hom_rows`` over every shift block of the sl2 window
+    """A full pass of ``_hom_rows`` over each shift block of the sl2 window
     N = 6 raises at a run's first product e_a e_b once per run (a, b, cs)
-    whose e_a e_b is undefined, not once per (c, shift): e_a e_b is the
-    first read of every evaluation of the run."""
+    whose e_a e_b is undefined, not once per c: e_a e_b is the first read
+    of every evaluation of the run."""
     alg = _untwisted(6)
-    plan, live = live_blocks(alg)
+    plan, blocks = shift_blocks(alg)
     current = [None]
     at_first = Counter()
     triples, undefined = solver._triples, algebra._undefined
@@ -179,10 +179,14 @@ def test_a_window_run_stops_at_its_undefined_first_product(monkeypatch):
 
     monkeypatch.setattr(solver, "_triples", tracked)
     monkeypatch.setattr(algebra, "_undefined", counted)
-    assert sum(1 for _ in _hom_rows(plan, HOM_LIE, live, alg.rows)) > 100_000
     gaps = Counter((a, b) for a, b, _ in _triples(plan, HOM_LIE) if alg.table.get((a, b), ()) is None)
-    assert len(gaps) > 100
-    assert +at_first == gaps
+    assert len(gaps) > 100 and len(blocks) > 10
+    compiled = 0
+    for shift, col_of in blocks.items():
+        at_first.clear()
+        compiled += sum(1 for _ in _hom_rows(plan, HOM_LIE, col_of, alg.rows))
+        assert +at_first == gaps, shift
+    assert compiled > 100_000
 
 
 def test_an_undefined_product_keeps_its_pair():

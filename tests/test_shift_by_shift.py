@@ -1,0 +1,244 @@
+"""A solve over several shift blocks does exactly the work of solving them
+one at a time: ``solver._solve_shift_blocks`` compiles each block with a
+pass of its own.  Checked against a test-local copy of the router it
+replaced, which compiled every requested block in one pass over the
+triples and queued the rows of the blocks still waiting: the same
+canonical subspace, and the same rows read by each kernel call.  And the
+undefined products an all-shift solve raises are those of the
+single-shift solves, in order.  On the window models the one-pass router
+raised more, compiling rows for waiting blocks that their kernels never
+read; on the partial tables it raised less, since one raise at a run's
+undefined first product ended the run for every block at once."""
+
+from collections import Counter, deque
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from homlie import algebra
+from homlie.algebra import UndefinedProduct, _hom_terms, _leibniz_pairs, _leibniz_terms, builtin, make_algebra
+from homlie.linalg import Subspace, int_if_integral, nullspace_of_rows
+from homlie.solver import (
+    _SIGNS,
+    HOM_2NILP,
+    HOM_CYCLIC,
+    HOM_LIE,
+    _by_source,
+    _known_block,
+    _plan,
+    _require_defined,
+    _solve_modulo,
+    _solve_shift_blocks,
+    _sparse_rows,
+    _triples,
+    delta_derivation,
+    grading_shifts,
+)
+from test_term_builders import partial_tables
+from test_window import WINDOW_MODELS, _untwisted
+
+F = Fraction
+HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
+DELTA_KINDS = [delta_derivation(d) for d in (F(-1), F(1, 2), F(1), F(2))]
+
+
+# -- the one-pass router ------------------------------------------------------------
+
+
+def one_pass_hom_rows(plan, kind, live, second):
+    """(shift, row) for the rows of the blocks ``live`` (shift -> col_of)
+    from one pass over ``_triples``; a block that leaves ``live`` gets no
+    further rows."""
+    signs, first = _SIGNS[kind.tag], plan.alg.rows
+    for a, b, cs in _triples(plan, kind):
+        shifts = list(live)
+        for c, s in product(cs, shifts):
+            col_of = live.get(s)
+            if col_of is None:
+                continue
+            try:
+                rows = list(_sparse_rows([_hom_terms(first, second, signs, a, b, c, col_of)]))
+            except UndefinedProduct as undefined:
+                if undefined.pair == (a, b):
+                    break
+                continue
+            for row in rows:
+                yield s, row
+
+
+def one_pass_delta_rows(plan, delta, live):
+    alg, delta = plan.alg, int_if_integral(delta)
+    for i, j in _leibniz_pairs(alg):
+        for s in list(live):
+            col_of = live.get(s)
+            if col_of is not None:
+                yield from ((s, row) for row in _sparse_rows([_leibniz_terms(alg.rows, i, j, col_of, col_of, delta)]))
+
+
+def one_pass_router(alg, kind, shifts, kernel):
+    """``_solve_shift_blocks`` as it was: one pass for every block, the
+    smallest block solved first, the rows of waiting blocks queued, and the
+    column of a unit row with a closed q retired."""
+    n = alg.dim
+    if kind.delta is not None:
+        _require_defined(alg, kind)
+    plan = _plan(alg)
+    annihilator = plan.annihilator if kind.tag in _SIGNS else ()
+    blocks, live, pairs = {}, {}, {}
+    for shift in shifts:
+        cols = plan.block(shift)
+        if not cols:
+            continue
+        blocks[shift] = cols, _known_block(alg, kind, shift, cols, annihilator)
+        if blocks[shift][1].dim < len(cols):
+            live[shift], pairs[shift] = _by_source(cols, n), list(cols)
+    queues = {shift: deque() for shift in live}
+    routed = (one_pass_delta_rows(plan, kind.delta, live) if kind.delta is not None
+              else one_pass_hom_rows(plan, kind, live, alg.rows))
+
+    def block_rows(shift):
+        yield from queues[shift]
+        for s, row in routed:
+            if s not in queues:
+                continue
+            if len(row) == 1:
+                q, c = pairs[s][next(iter(row))]
+                if q not in plan.gaps:
+                    live[s][c].pop(q, None)
+            if s == shift:
+                yield row
+            else:
+                queues[s].append(row)
+
+    rows = []
+    for shift, (cols, known) in sorted(blocks.items(), key=lambda item: len(item[1][0])):
+        space = known
+        if shift in live:
+            space = _solve_modulo(known, block_rows(shift), kernel)
+            del live[shift], queues[shift], pairs[shift]
+        end = [q * n + c for q, c in cols]
+        rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)
+    return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))
+
+
+# -- helpers ------------------------------------------------------------------------
+
+
+class Recording:
+    """A kernel that records the rows each of its calls reads."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __call__(self, ncols, rows):
+        read = []
+
+        def recorded():
+            for row in rows:
+                read.append(tuple(row.items()))
+                yield row
+
+        try:
+            return nullspace_of_rows(ncols, recorded())
+        finally:
+            self.calls[ncols, tuple(read)] += 1
+
+
+@pytest.fixture
+def raised(monkeypatch):
+    """The pair of every ``UndefinedProduct`` the term builders make, in order."""
+    pairs = []
+    undefined = algebra._undefined
+
+    def record(i, j):
+        pairs.append((i, j))
+        return undefined(i, j)
+
+    monkeypatch.setattr(algebra, "_undefined", record)
+    return pairs
+
+
+def _regraded(alg, degree_of):
+    grading = [degree_of(name) for name in alg.basis_names]
+    return make_algebra(alg.dim, alg.table, basis_names=alg.basis_names, flavor=alg.flavor, grading=grading)
+
+
+def graded_algebras():
+    """The window models, the partial tables, sl3..sl6 graded principally
+    (deg E_ij = j - i) and sp4, sp6 graded by their blocks."""
+    models = [(f"window{model.__name__}-{size}", model(size)) for model, size in (p.values for p in WINDOW_MODELS)]
+    tables = [(f"partial-{i}", alg) for i, alg in enumerate(partial_tables())]
+    principal = [(f"sl{n}", _regraded(builtin("sl", n), lambda name: int(name[2]) - int(name[1]) if name[0] == "E"
+                                      else 0)) for n in range(3, 7)]
+    blocks = [(f"sp{n}", _regraded(builtin("sp", n), lambda name: {"A": 0, "B": 1, "C": -1}[name[0]])) for n in (4, 6)]
+    return models + tables + principal + blocks
+
+
+def cases():
+    for name, alg in graded_algebras():
+        kinds = HOM_KINDS + (DELTA_KINDS if _plan(alg).complete else [])
+        yield from ((name, alg, kind) for kind in kinds)
+
+
+# -- the tests ----------------------------------------------------------------------
+
+
+def test_each_block_reads_the_rows_the_one_pass_router_gave_it(raised):
+    """Same subspace, and the same rows read by each kernel call; the
+    undefined products raised over all shifts are those raised shift by
+    shift, in order."""
+    checked = raises = saved = 0  # saved: raises the one-pass router made beyond these, on the windows
+    for name, alg, kind in cases():
+        shifts = grading_shifts(alg)
+        _plan(alg).annihilator  # solved once, before any raise is recorded
+        new, old = Recording(), Recording()
+        raised.clear()
+        space = _solve_shift_blocks(alg, kind, shifts, new)
+        all_shifts = list(raised)
+        raised.clear()
+        assert space == one_pass_router(alg, kind, shifts, old), (name, str(kind))
+        if name.startswith("window"):
+            saved += len(raised) - len(all_shifts)
+        assert new.calls == old.calls, (name, str(kind))
+        raised.clear()
+        for shift in shifts:
+            _solve_shift_blocks(alg, kind, [shift], nullspace_of_rows)
+        assert all_shifts == raised, (name, str(kind))
+        checked += len(shifts) > 1
+        raises += len(all_shifts)
+    assert checked > 300 and raises > 10_000 and saved > 1000
+
+
+def test_the_all_shift_window_solve_raises_what_the_shifts_raise(raised):
+    """sl2 N = 6 over all shifts: 1,492 raises, the sum over the shifts
+    solved one by one, where the one-pass router raised 1,812."""
+    alg = _untwisted(6)
+    shifts = grading_shifts(alg)
+    _plan(alg).annihilator
+    counts = []
+    for solve in (_solve_shift_blocks, one_pass_router):
+        raised.clear()
+        solve(alg, HOM_LIE, shifts, nullspace_of_rows)
+        counts.append(len(raised))
+    raised.clear()
+    for shift in shifts:
+        _solve_shift_blocks(alg, HOM_LIE, [shift], nullspace_of_rows)
+    assert counts == [len(raised), 1812] and len(raised) == 1492
+
+
+def test_blocks_are_solved_in_the_order_given():
+    """The blocks are compiled in the order of ``shifts``, one kernel call
+    each, and the answer does not depend on that order."""
+    alg = _untwisted(3)
+    shifts = grading_shifts(alg)
+    sizes = []
+
+    def kernel(ncols, rows):
+        sizes.append(ncols)
+        return nullspace_of_rows(ncols, rows)
+
+    forward = _solve_shift_blocks(alg, HOM_LIE, shifts, kernel)
+    order, sizes[:] = list(sizes), []
+    assert _solve_shift_blocks(alg, HOM_LIE, shifts[::-1], kernel) == forward
+    assert sizes == order[::-1] and sorted(order) != order

@@ -178,7 +178,7 @@ def test_solve_matches_full_consumption(kind):
     ids=str,
 )
 def test_grading_split_is_exact(kind):
-    # a graded solve runs one pass over the shift blocks; the same table
+    # a graded solve runs one pass per shift block; the same table
     # without the grading is one block, all of End.  trunc_poly is graded by
     # degree, sl_n principally (deg E_ij = j - i, the Cartan part in degree
     # 0), and sp_2m by its blocks (A -> 0, B -> 1, C -> -1); make_algebra
@@ -232,24 +232,36 @@ def _regraded(alg, degree_of):
 
 
 def test_one_pass_compiles_each_triple_at_most_once(monkeypatch):
+    """Each block K does not fill is compiled by one ``_triples`` pass of
+    its own, which hands out each triple at most once; a block that K fills
+    makes no pass."""
     from homlie import solver
 
-    runs = []
+    passes = []
 
     def counted(plan, kind):
+        passes.append([])
         for run in triples(plan, kind):
-            runs.append(run)
+            passes[-1].append(run)
             yield run
 
     triples = solver._triples
     monkeypatch.setattr(solver, "_triples", counted)
     sl4 = _regraded(builtin("sl", 4), lambda name: int(name[2]) - int(name[1]) if name[0] == "E" else 0)
+    plan = _plan(sl4)
     for kind in (HOM_LIE, HOM_CYCLIC, HOM_2NILP):
-        runs.clear()
+        passes.clear()
         space = solver._solve_shift_blocks(sl4, kind, grading_shifts(sl4), nullspace_of_rows)
-        compiled = Counter((a, b, c) for a, b, cs in runs for c in cs)
-        assert compiled and max(compiled.values()) == 1, kind
+        open_blocks = [shift for shift in grading_shifts(sl4) if (cols := plan.block(shift))
+                       and solver._known_block(sl4, kind, shift, cols, plan.annihilator).dim < len(cols)]
+        assert len(passes) == len(open_blocks) > 1, kind
+        for runs in passes:
+            compiled = Counter((a, b, c) for a, b, cs in runs for c in cs)
+            assert compiled and max(compiled.values()) == 1, kind
         assert space == _full_consumption(sl4, kind), kind
+    passes.clear()
+    abelian = builtin("abelian", 3)  # K, the maps into the annihilator, is all of End
+    assert solver._solve_shift_blocks(abelian, HOM_LIE, [0], nullspace_of_rows).dim == 9 and passes == []
 
 
 def test_solves_are_kept_on_the_algebra_and_go_with_it():

@@ -4,7 +4,9 @@ the same set of rows (the order may differ; row order does not change a
 kernel), and the Hom and b-space compilers the very same row stream.  The
 b-space rows are compiled on hom-cyclic's orbit triples, so their
 reference is the replaced compiler on those triples, and the space they
-solve is that of every ordered triple.  The
+solve is that of every ordered triple.  The sym-invariant rows are
+b-space's with the symmetry rows, and the space they solve is that of the
+invariance rows at every ordered triple.  The
 validators evaluate the same builders, so every solved basis element must
 pass its validator.
 
@@ -109,11 +111,10 @@ def ref_bilinear_rows(alg, kind):
     elif kind == "sym-cocycle":
         yield from ref_cocycle_rows(alg)
         yield from _symmetry_rows(n, 1)
-    elif kind == "b-space":
+    else:  # b-space, and sym-invariant as b-space with the symmetry rows
         yield from ref_b_space_rows(alg, orbit_triples(alg, HOM_CYCLIC))
-    else:
-        yield from ref_invariance_rows(alg)
-        yield from _symmetry_rows(n, 1)
+        if kind == "sym-invariant":
+            yield from _symmetry_rows(n, 1)
 
 
 def ref_coboundary_space(alg):
@@ -174,7 +175,7 @@ def ref_compat_rows(l, xi):
     return _sparse_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
 
 
-def ref_delta_rows(plan, delta, live):
+def ref_delta_rows(plan, delta, blocks):
     alg = plan.alg
     n = alg.dim
     pairs = combinations(range(n), 2) if alg.is_anticommutative() else product(range(n), repeat=2)
@@ -191,12 +192,13 @@ def ref_delta_rows(plan, delta, live):
                 yield k, col, -delta * c
 
     for i, j in pairs:
-        for s, col_of in live.items():
+        for s, col_of in blocks.items():
             yield from ((s, row) for row in _sparse_rows([terms(i, j, col_of)]))
 
 
-def ref_hom_rows(plan, kind, live):
-    """The (shift, row) stream of ``_hom_rows`` as it was compiled from the
+def ref_hom_rows(plan, kind, blocks):
+    """The (shift, row) stream of the shift blocks ``blocks`` (shift ->
+    col_of) in one pass, as ``_hom_rows`` compiled it from the
     plan's ``left[p][t]``, the (q, m, coeff) with e_p e_q = sum coeff e_m and
     deg q = t, and ``reads`` holding each product's terms beside the degrees
     where reading it fails: the degree-table gate, run by run and term by
@@ -217,7 +219,7 @@ def ref_hom_rows(plan, kind, live):
         first = reads.get((a, b), no_read)
         if first is None:
             continue
-        shifts = [s for s in live if deg[cs[0]] + s not in first[1]]
+        shifts = [s for s in blocks if deg[cs[0]] + s not in first[1]]
         if not shifts:
             continue
         for c in cs:
@@ -232,8 +234,8 @@ def ref_hom_rows(plan, kind, live):
                     blocked.append((deg[z], read[1]))
             else:
                 for s in shifts:
-                    col_of = live.get(s)
-                    if col_of is None or blocked and any(d + s in g for d, g in blocked):
+                    col_of = blocks[s]
+                    if blocked and any(d + s in g for d, g in blocked):
                         continue
                     group = (
                         (m, col_of[z][q], cw * cpq)
@@ -273,6 +275,11 @@ def shift_row_set(rows):
     return {(s, frozenset(row.items())) for s, row in rows}
 
 
+def block_by_block(blocks, compile_block):
+    """The (shift, row) stream of every block's own pass, block after block."""
+    return [(s, row) for s, col_of in blocks.items() for row in compile_block(col_of)]
+
+
 @pytest.fixture
 def captured(monkeypatch):
     """The (ncols, rows) of every system ``solver`` hands to ``nullspace_of_rows``."""
@@ -296,18 +303,19 @@ def lie_algebras():
     return [(name, a) for name, a in algebras() if a.flavor == "lie"]
 
 
-def live_blocks(alg):
-    """Every nonempty shift block as ``_solve_shift_blocks`` opens it."""
+def shift_blocks(alg):
+    """Every nonempty shift block, shift -> col_of, with col_of[c][q] the
+    column of phi(e_c) -> e_q, as ``_solve_shift_blocks`` compiles it."""
     plan = _plan(alg)
-    live = {}
+    blocks = {}
     for shift in grading_shifts(alg):
         cols = plan.block(shift)
         if cols:
             col_of = [{} for _ in range(alg.dim)]
             for (q, c), k in cols.items():
                 col_of[c][q] = k
-            live[shift] = col_of
-    return plan, live
+            blocks[shift] = col_of
+    return plan, blocks
 
 
 PARTIAL_FLAVORS = ["generic-anticommutative", "generic-commutative", "unchecked"]
@@ -362,6 +370,19 @@ def test_bilinear_kinds_compile_the_replaced_rows(captured):
             assert ncols == alg.dim ** 2
             assert row_set(rows) == row_set(ref_bilinear_rows(alg, kind)), (name, kind)
         assert coboundary_space(alg) == ref_coboundary_space(alg), name
+
+
+def test_sym_invariant_solves_the_invariance_rows():
+    """The lemma in ``solve_bilinear``: b-space's rows with the symmetry
+    rows solve what f(xy, z) - f(x, yz) = 0 at every ordered triple does
+    with them."""
+    checked = 0
+    for name, alg in lie_algebras() + [("so7", builtin("so", 7)), ("sp6", builtin("sp", 6))]:
+        n = alg.dim
+        want = nullspace_of_rows(n * n, chain(ref_invariance_rows(alg), _symmetry_rows(n, 1)))
+        assert solve_bilinear(alg, "sym-invariant") == want, name
+        checked += want.dim > 0
+    assert checked > 10
 
 
 @pytest.mark.parametrize("module", ["adjoint", "coadjoint"])
@@ -448,9 +469,9 @@ def test_central_extension_compatibility_compiles_the_replaced_rows(captured):
 @pytest.mark.parametrize("delta", [F(-1), F(1, 2), F(1), F(2)], ids=str)
 def test_delta_kinds_compile_the_replaced_rows(delta):
     for name, alg in algebras():
-        plan, live = live_blocks(alg)
-        new = shift_row_set(_delta_rows(plan, delta, live))
-        assert new == shift_row_set(ref_delta_rows(plan, delta, live)), name
+        plan, blocks = shift_blocks(alg)
+        new = shift_row_set(block_by_block(blocks, lambda col_of: _delta_rows(plan, delta, col_of)))
+        assert new == shift_row_set(ref_delta_rows(plan, delta, blocks)), name
 
 
 HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
@@ -463,8 +484,17 @@ def typed_row(row):
 
 
 def typed_stream(rows):
-    """The (shift, row) stream with every entry's type, in order."""
-    return [(s, typed_row(row)) for s, row in rows]
+    """The (shift, row) stream with every entry's type, block by block,
+    each block's rows in order."""
+    blocks = {}
+    for s, row in rows:
+        blocks.setdefault(s, []).append(typed_row(row))
+    return blocks
+
+
+def hom_block_streams(plan, kind, blocks):
+    """The typed stream of every block's own ``_hom_rows`` pass."""
+    return typed_stream(block_by_block(blocks, lambda col_of: _hom_rows(plan, kind, col_of, plan.alg.rows)))
 
 
 def test_b_space_compiles_the_replaced_row_stream(captured):
@@ -483,16 +513,16 @@ def test_b_space_compiles_the_replaced_row_stream(captured):
 @pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
 def test_hom_kinds_compile_the_replaced_row_stream(kind):
     for name, alg in algebras():
-        plan, live = live_blocks(alg)
-        assert typed_stream(_hom_rows(plan, kind, live, alg.rows)) == typed_stream(ref_hom_rows(plan, kind, live)), name
+        plan, blocks = shift_blocks(alg)
+        assert hom_block_streams(plan, kind, blocks) == typed_stream(ref_hom_rows(plan, kind, blocks)), name
 
 
 @pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
 @pytest.mark.parametrize("model, size", SL2_WINDOWS)
 def test_window_hom_kinds_compile_the_replaced_row_stream(model, size, kind):
-    plan, live = live_blocks(model(size))
-    new = typed_stream(_hom_rows(plan, kind, live, plan.alg.rows))
-    assert new and new == typed_stream(ref_hom_rows(plan, kind, live))
+    plan, blocks = shift_blocks(model(size))
+    new = hom_block_streams(plan, kind, blocks)
+    assert len(new) > 1 and new == typed_stream(ref_hom_rows(plan, kind, blocks))
 
 
 def test_solved_spaces_pass_the_validators():
@@ -518,10 +548,10 @@ def test_partial_tables_compile_the_replaced_row_stream(kind):
     tables = partial_tables()
     compiled = 0
     for alg in tables:
-        plan, live = live_blocks(alg)
-        new = typed_stream(_hom_rows(plan, kind, live, alg.rows))
-        assert new == typed_stream(ref_hom_rows(plan, kind, live)), alg.table
-        compiled += len(new)
+        plan, blocks = shift_blocks(alg)
+        new = hom_block_streams(plan, kind, blocks)
+        assert new == typed_stream(ref_hom_rows(plan, kind, blocks)), alg.table
+        compiled += sum(map(len, new.values()))
     assert sum(None in alg.table.values() for alg in tables) > 90 and compiled > 1000
 
 

@@ -49,3 +49,23 @@ def test_package_names_follow_the_patched_modules():
         tracer.uninstall()
     assert homlie.solve_structures is solver.solve_structures is original
     assert "solve_structures" not in vars(homlie)
+
+
+def test_an_all_shift_window_solve_charges_each_block_to_the_window():
+    """Over all shifts, each block K does not fill is one system, and every
+    row its kernel reads is charged to the window's compiler."""
+    g = builtin("sl", 2)
+    pa = km_window(g, killing_form(g), 3)
+    plan = solver._plan(pa)
+    shifts = solver.grading_shifts(pa)
+    open_blocks = sum(1 for s in shifts if (cols := plan.block(s))
+                      and solver._known_block(pa, solver.HOM_LIE, s, cols, plan.annihilator).dim < len(cols))
+    tracer = _tracer()
+    tracer.install()
+    try:
+        window.solve_window(pa)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["window.blocks"] == tracer.counts["linalg.systems"] == open_blocks > 1
+    assert "solver.compile" not in tracer.agg
+    assert tracer.agg["window.compile"][0] >= tracer.counts["linalg.rows_in"] > 0

@@ -5,7 +5,6 @@ canonical subspaces and the same undefined products raised, in the same
 order, on the builtin and random batteries, the window models and the
 partial tables; and fewer rows read, pinned on four ladder solves."""
 
-from collections import deque
 from fractions import Fraction
 from itertools import chain
 
@@ -40,9 +39,9 @@ DELTA_KINDS = [delta_derivation(d) for d in (F(-1), F(1, 2), F(1), F(2))]
 
 
 def reference_router(alg, kind, shifts, kernel):
-    """``_solve_shift_blocks`` as it was before columns were retired: every
-    routed row goes to its block whole, and every evaluation walks every
-    column of the block."""
+    """``_solve_shift_blocks`` without the retire step: every block's rows
+    reach ``kernel`` whole, and every evaluation walks every column of the
+    block."""
     n = alg.dim
     if kind.tag not in _SIGNS and kind.tag != "delta-derivation":
         raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
@@ -50,32 +49,17 @@ def reference_router(alg, kind, shifts, kernel):
         _require_defined(alg, kind)
     plan = _plan(alg)
     annihilator = plan.annihilator if kind.tag in _SIGNS else ()
-    blocks = {}
-    live = {}
+    rows = []
     for shift in shifts:
         cols = plan.block(shift)
         if not cols:
             continue
-        blocks[shift] = cols, _known_block(alg, kind, shift, cols, annihilator)
-        if blocks[shift][1].dim < len(cols):
-            live[shift] = _by_source(cols, n)
-    queues = {shift: deque() for shift in live}
-    routed = _delta_rows(plan, kind.delta, live) if kind.delta is not None else _hom_rows(plan, kind, live, alg.rows)
-
-    def block_rows(shift):
-        yield from queues[shift]
-        for s, row in routed:
-            if s == shift:
-                yield row
-            elif s in queues:
-                queues[s].append(row)
-
-    rows = []
-    for shift, (cols, known) in sorted(blocks.items(), key=lambda item: len(item[1][0])):
-        space = known
-        if shift in live:
-            space = _solve_modulo(known, block_rows(shift), kernel)
-            del live[shift], queues[shift]
+        space = _known_block(alg, kind, shift, cols, annihilator)
+        if space.dim < len(cols):
+            col_of = _by_source(cols, n)
+            compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None
+                        else _hom_rows(plan, kind, col_of, alg.rows))
+            space = _solve_modulo(space, compiled, kernel)
         end = [q * n + c for q, c in cols]
         rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)
     return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))
