@@ -1,9 +1,12 @@
 """Module structure on spaces of endomorphisms.
 
-A Lie algebra acts on Hom(L, L) by (h . phi)(x) = [phi(x), h] - phi([x, h]);
-the solved structure spaces are submodules, which makes exact weight
-decompositions available.  Torus eigenvalues must be rational: decomposition
-fails loudly (NonSplitAction) instead of silently dropping components.
+A Lie algebra acts on Hom(L, L) by (h . phi)(x) = [phi(x), h] - phi([x, h]),
+and the solved structure spaces are submodules.  One sparse kernel,
+``_sandwich``, forms h . phi and the conjugates on maps flattened as
+``Subspace`` rows are, from the columns of right multiplication or exp(+-ad x)
+read through ``sparse_product``, integral entries as ints.  Torus eigenvalues
+must be rational: decomposition fails loudly (NonSplitAction) instead of
+silently dropping components.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from itertools import combinations
 from math import factorial, isqrt, lcm
 from typing import Sequence
 
-from .algebra import AlgebraSpec, _require_lie
-from .linalg import Matrix, Subspace, Vector, as_scalar, minimal_polynomial, nullspace, sparse_lincomb
+from .algebra import AlgebraSpec, _require_lie, sparse_product
+from .linalg import (Matrix, SparseVector, Subspace, Vector, as_scalar, int_if_integral, minimal_polynomial, nullspace,
+                     sparse_lincomb, sparse_vector_in)
 
 
 class NotSubmodule(ValueError):
@@ -45,44 +49,64 @@ class WeightComponent:
     component: Subspace
 
 
+def _right(alg: AlgebraSpec, h: Sequence[Fraction]) -> list[SparseVector]:
+    """The columns e_c h of right multiplication by h, read as ``right_mul_matrix``
+    reads them, after checking the algebra's flavor and h's length."""
+    _require_lie(alg, "act")
+    sh = {q: int_if_integral(x) for q, x in sparse_vector_in(tuple(map(as_scalar, h)), alg.dim).items()}
+    return [sparse_product(alg.rows, {c: 1}, sh) for c in range(alg.dim)]
+
+
+def _sandwich(left: Sequence[SparseVector], phi: SparseVector, right: Sequence[SparseVector]) -> SparseVector:
+    """left . phi . right for square matrices given by their columns and phi
+    flattened (entry (a, b) at a*n + b), flattened the same way."""
+    n = len(left)
+    phi_cols: list[SparseVector] = [{} for _ in range(n)]
+    for k, x in phi.items():
+        phi_cols[k % n][k // n] = x
+    out: dict[int, int | Fraction] = {}
+    for c, col in enumerate(right):  # right e_c, then phi, then left
+        for b, w in col.items():
+            for a, v in phi_cols[b].items():
+                for q, u in left[a].items():
+                    out[q * n + c] = out.get(q * n + c, 0) + u * v * w
+    return {k: x for k, x in out.items() if x}
+
+
+def _act(right: Sequence[SparseVector], phi: SparseVector) -> SparseVector:
+    """h . phi = R phi - phi R, flattened as phi is, for R's columns ``right`` = ``_right(alg, h)``."""
+    one = [{c: 1} for c in range(len(right))]
+    return sparse_lincomb((1, _sandwich(right, phi, one)), (-1, _sandwich(one, phi, right)))
+
+
 def act(alg: AlgebraSpec, h: Sequence[Fraction], phi: Matrix) -> Matrix:
     """(h . phi)(x) = [phi(x), h] - phi([x, h]), that is R phi - phi R for R
     the right multiplication by h."""
-    _require_lie(alg, "act")
-    right = alg.right_mul_matrix(tuple(as_scalar(a) for a in h))
+    right = _right(alg, h)
     if phi.shape != (alg.dim, alg.dim):
         raise ValueError("map shape does not match the algebra")
-    return right @ phi - phi @ right
+    return Matrix.unflatten(_act(right, phi.sparse_flatten()), alg.dim, alg.dim)
 
 
 def is_submodule(alg: AlgebraSpec, s: Subspace) -> bool | SubmoduleWitness:
     """True iff e_i . phi stays in s for every generator and basis map."""
     if s.ambient != alg.dim ** 2:
         raise ValueError("subspace must live in the endomorphism space")
-    maps = _basis_maps(alg, s)
     for i in range(alg.dim):
-        try:
-            action_matrix(alg, alg.basis_vector(i), s, maps)
-        except NotSubmodule as e:
-            return SubmoduleWitness(i, e.basis_index)
+        right = _right(alg, alg.basis_vector(i))
+        for j, (_, phi) in enumerate(s.int_rows):
+            if not s.contains(_act(right, phi)):
+                return SubmoduleWitness(i, j)
     return True
 
 
-def _basis_maps(alg: AlgebraSpec, s: Subspace) -> list[Matrix]:
-    """The echelon basis of s as maps of the algebra."""
-    return [Matrix.unflatten(r, alg.dim, alg.dim) for _, r in s.rows]
-
-
-def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace, maps: Sequence[Matrix] | None = None) -> Matrix:
-    """Matrix of phi -> h . phi on s, in the echelon-basis coordinates;
-    ``maps``, when given, is s's echelon basis as maps (``_basis_maps``).
+def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace) -> Matrix:
+    """Matrix of phi -> h . phi on s, in the echelon-basis coordinates.
     Raises NotSubmodule when h moves s out of itself."""
-    if s.rows:
-        _require_lie(alg, "act")
-        right = alg.right_mul_matrix(tuple(as_scalar(a) for a in h))
+    right = _right(alg, h)
     cols = []
-    for phi in _basis_maps(alg, s) if maps is None else maps:
-        coords = s.coords((right @ phi - phi @ right).sparse_flatten())
+    for _, phi in s.int_rows:
+        coords = s.coords(_act(right, phi))
         if coords is None:
             raise NotSubmodule(None, len(cols))
         cols.append(coords)
@@ -120,7 +144,7 @@ def rational_eigenvalues(m: Matrix) -> list[Fraction]:
     return sorted(Fraction(x, denom) for x in roots)
 
 
-def _eigen_subspaces(alg: AlgebraSpec, h: Vector, s: Subspace) -> list[tuple[Fraction, Subspace]]:
+def _eigen_subspaces(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace) -> list[tuple[Fraction, Subspace]]:
     """Split s into exact eigenspaces of the h-action; raise if it does not
     split over the rationals."""
     if s.dim == 0:
@@ -169,10 +193,10 @@ def weight_decompose(
         raise NotSubmodule(verdict.generator_index, verdict.map_index)
     components: list[tuple[tuple[Fraction, ...], Subspace]] = [((), s)]
     for t in torus:
-        tv = tuple(as_scalar(a) for a in t)
+        sparse_vector_in(tuple(map(as_scalar, t)), alg.dim)  # checked also where no component is left to split
         refined: list[tuple[tuple[Fraction, ...], Subspace]] = []
         for weight, comp in components:
-            for lam, piece in _eigen_subspaces(alg, tv, comp):
+            for lam, piece in _eigen_subspaces(alg, t, comp):
                 refined.append((weight + (lam,), piece))
         components = refined
     total = sum(c.dim for _, c in components)
@@ -225,25 +249,26 @@ def sl2_decompose(
     return sorted(dims, reverse=True)
 
 
-def _exp_ad(alg: AlgebraSpec, x: Sequence[Fraction]) -> tuple[Matrix, Matrix] | None:
-    """(exp(ad x), exp(-ad x)) as exact finite sums, or None when ad x is not
-    nilpotent (ad x ** dim != 0)."""
-    ad = alg.left_mul_matrix(x)
-    plus = minus = power = Matrix.identity(alg.dim)
-    for k in range(1, alg.dim + 1):
-        power = power @ ad
-        if power.is_zero():
-            return plus, minus
-        term = power.scale(Fraction(1, factorial(k)))
-        plus, minus = plus + term, minus + term.scale(-1 if k % 2 else 1)
-    return None
+def _exp_ad(alg: AlgebraSpec, x: Sequence[Fraction]) -> tuple[list[SparseVector], list[SparseVector]] | None:
+    """The columns of exp(+-ad x), sums of (+-ad x)^k / k!, or None when ad x ** dim != 0; column
+    c of ad x is x e_c, read as ``left_mul_matrix`` reads it, after checking x's length."""
+    sx = {q: int_if_integral(v) for q, v in sparse_vector_in(tuple(map(as_scalar, x)), alg.dim).items()}
+    powers = [[{c: 1} for c in range(alg.dim)]]  # the columns of (ad x)^k, k = 0, 1, ...
+    while any(powers[-1]):
+        if len(powers) > alg.dim:
+            return None
+        powers.append([sparse_product(alg.rows, sx, col) for col in powers[-1]])
+    weights = [int_if_integral(Fraction(1, factorial(k))) for k in range(len(powers))]
+    return tuple([sparse_lincomb(*((sign ** k * w, p[c]) for k, (w, p) in enumerate(zip(weights, powers))))
+                  for c in range(alg.dim)] for sign in (1, -1))
 
 
 def conjugate(alg: AlgebraSpec, phi: Matrix, x: Sequence[Fraction]) -> Matrix:
     """exp(-ad x) . phi . exp(ad x) for ad-nilpotent x (exact finite sums)."""
     _require_lie(alg, "conjugate")
-    pair = _exp_ad(alg, tuple(as_scalar(a) for a in x))
+    pair = _exp_ad(alg, x)
     if pair is None:
         raise ValueError("ad(x) is not nilpotent within dim iterations")
-    alpha, inv = pair
-    return inv @ phi @ alpha
+    if phi.shape != (alg.dim, alg.dim):
+        raise ValueError("map shape does not match the algebra")
+    return Matrix.unflatten(_sandwich(pair[1], phi.sparse_flatten(), pair[0]), alg.dim, alg.dim)

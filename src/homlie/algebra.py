@@ -731,12 +731,14 @@ class BilinearForm:
 
     def is_invariant(self, alg: AlgebraSpec) -> bool:
         """f(xy, z) == f(x, yz) on all basis triples: no ``_invariance_terms``
-        row is nonzero at this form."""
-        n = alg.dim
+        row is nonzero at this form.  A triple with e_i e_j and e_j e_k both
+        zero (no entry in ``rows``; an undefined one has one) has no terms."""
+        n, rows = alg.dim, alg.rows
         if self.matrix.shape != (n, n):
             raise ValueError("form shape does not match the algebra")
         f = self.matrix.sparse_flatten()
-        return not any(_evaluate(_invariance_terms(alg.rows, i, j, k), f) for i, j, k in product(range(n), repeat=3))
+        return not any(_evaluate(_invariance_terms(rows, i, j, k), f)
+                       for i, j, k in product(range(n), repeat=3) if j in rows[i] or k in rows[j])
 
 
 def _require_lie(alg: AlgebraSpec, op: str) -> None:

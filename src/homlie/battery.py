@@ -15,18 +15,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Sequence
 
-from .actions import _exp_ad, act, is_submodule
-from .algebra import AlgebraSpec, _evaluate, _hom_terms, _jacobi_triples, builtin, killing_form, sparse_product
+from .actions import _exp_ad, _right, _sandwich, act, is_submodule
+from .algebra import AlgebraSpec, _evaluate, _hom_terms, builtin, killing_form
 from .constructions import adjoin_map, central_extension, cocycle2, semidirect_derivation
-from .linalg import Matrix, SparseVector, Vector, int_if_integral, sparse_lincomb
-from .solver import (
-    HOM_LIE,
-    delta_derivation,
-    f_t,
-    solve_bilinear,
-    solve_structures,
-    structure_residual,
-)
+from .linalg import Matrix, SparseVector, Vector, sparse_lincomb
+from .solver import HOM_LIE, delta_derivation, f_t, solve_bilinear, solve_structures
 
 FILIPPOV_DELTAS = (Fraction(-1), Fraction(1, 2), Fraction(2))
 
@@ -159,9 +152,9 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
     """J_{h.phi}(x,y,z) == h . J_phi(x,y,z) on all basis triples for random
     h and phi (the invariance computation behind the submodule property).
 
-    The terms of h . J_phi with an argument replaced by [e_s, h] = sum_t
-    R[t][s] e_t (R the matrix of right multiplication by h) follow by
-    linearity in that argument, read from the table of J_phi.
+    The terms of h . J_phi follow by linearity from [e_s, h] = sum_t R[t][s]
+    e_t, the columns of R, the right multiplication by h (``actions._right``),
+    read from the table of J_phi.
 
     The two sides are compared on the triples i < j < k only, in
     lexicographic order, which decides every ordered triple and names the
@@ -182,15 +175,14 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
         hphi = act(alg, h, phi)
         j_hphi = _jacobiator(alg, hphi)
         j_phi = _jacobiator(alg, phi)
-        sh = {q: int_if_integral(x) for q, x in enumerate(h) if x}
-        rcols = [list(col.items()) for col in alg.right_mul_matrix(h).sparse_cols]  # [e_s, h]
+        right = _right(alg, h)  # right[s] = [e_s, h]
         for i, j, k in combinations(range(n), 3):
             # (h . J)(x,y,z) = [J(x,y,z), h] - J([x,h],y,z) - J(x,[y,h],z) - J(x,y,[z,h])
             rhs = sparse_lincomb(
-                (1, sparse_product(alg.rows, j_phi[(i, j, k)], sh)),
-                *((-c, j_phi[(t, j, k)]) for t, c in rcols[i]),
-                *((-c, j_phi[(i, t, k)]) for t, c in rcols[j]),
-                *((-c, j_phi[(i, j, t)]) for t, c in rcols[k]),
+                *((c, right[q]) for q, c in j_phi[(i, j, k)].items()),
+                *((-c, j_phi[(t, j, k)]) for t, c in right[i].items()),
+                *((-c, j_phi[(i, t, k)]) for t, c in right[j].items()),
+                *((-c, j_phi[(i, j, t)]) for t, c in right[k].items()),
             )
             if j_hphi[(i, j, k)] != rhs:
                 return f"intertwining fails at triple ({i},{j},{k})"
@@ -218,24 +210,21 @@ def check_f_t_membership(alg: AlgebraSpec, rng: random.Random) -> str | None:
 
 
 def check_conjugation_stability(alg: AlgebraSpec) -> str | None:
-    sol = solve_structures(alg, HOM_LIE)
-    maps = sol.basis_maps()
+    space = solve_structures(alg, HOM_LIE).space
     for i in range(alg.dim):
         pair = _exp_ad(alg, alg.basis_vector(i))
         if pair is None:
             continue
-        alpha, inv = pair  # conjugate(alg, phi, e_i) is inv @ phi @ alpha
-        for phi in maps:
-            if not sol.contains_map(inv @ phi @ alpha):
+        for _, phi in space.int_rows:  # conjugate(alg, phi, e_i), flattened
+            if not space.contains(_sandwich(pair[1], phi, pair[0])):
                 return f"conjugation by basis vector {i} leaves the space"
     return None
 
 
 def _is_hom_lie(alg: AlgebraSpec, phi: Matrix) -> bool:
-    """Whether phi satisfies the hom-lie identity on ``alg``, every product
-    defined: its residual vanishes on the basis triples that decide it
-    (``algebra._jacobi_triples``)."""
-    return not any(any(structure_residual(alg, phi, HOM_LIE, abc)) for abc in _jacobi_triples(alg))
+    """Whether phi satisfies the hom-lie identity on ``alg``, an
+    anticommutative algebra: its Jacobiator (``_jacobiator``) vanishes."""
+    return not any(_jacobiator(alg, phi).values())
 
 
 def check_semidirect_delta_embedding(alg: AlgebraSpec, delta: Fraction = Fraction(2)) -> str | None:
@@ -247,9 +236,7 @@ def check_semidirect_delta_embedding(alg: AlgebraSpec, delta: Fraction = Fractio
         raise ValueError("delta must be nonzero")
     sol = solve_structures(alg, delta_derivation(delta))
     n = alg.dim
-    entries = {(i, i): Fraction(1) for i in range(n)}
-    entries[(n, n)] = Fraction(1) / delta
-    alpha = Matrix.from_sparse(n + 1, n + 1, entries)
+    alpha = Matrix.from_sparse(n + 1, n + 1, {**{(i, i): 1 for i in range(n)}, (n, n): Fraction(1) / delta})
     for d in sol.basis_maps():
         if not _is_hom_lie(adjoin_map(alg, d), alpha):
             return "embedding structure missing on the extension"

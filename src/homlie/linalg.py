@@ -490,9 +490,14 @@ class Subspace:
         return [p for p, _ in self.rows]
 
     @cached_property
-    def _by_pivot(self) -> dict[int, tuple[int, Mapping[int, Fraction]]]:
-        """Pivot column -> (index of its row, the row)."""
-        return {p: (i, r) for i, (p, r) in enumerate(self.rows)}
+    def int_rows(self) -> tuple[tuple[int, Mapping[int, int | Fraction]], ...]:
+        """``rows`` with integral entries as ints, for ``_reduce``: int arithmetic is far cheaper."""
+        return tuple((p, MappingProxyType({j: int_if_integral(x) for j, x in r.items()})) for p, r in self.rows)
+
+    @cached_property
+    def _by_pivot(self) -> dict[int, tuple[int, Mapping[int, int | Fraction]]]:
+        """Pivot column -> (index of its row, the row as in ``int_rows``)."""
+        return {p: (i, r) for i, (p, r) in enumerate(self.int_rows)}
 
     def _reduce(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> tuple[dict[int, Fraction], SparseVector]:
         """The nonzero coefficients of the rows in v (dense, or sparse as
@@ -604,7 +609,7 @@ class SpanSolver:
         _, residual = self._space._reduce_owned(target)
         if min(residual, default=ambient) < ambient:
             return None
-        return {j - ambient: -x for j, x in sorted(residual.items())}
+        return {j - ambient: Fraction(-x) for j, x in sorted(residual.items())}
 
 
 def minimal_polynomial(m: Matrix) -> Vector:

@@ -18,9 +18,11 @@ from homlie.actions import (
     sl2_decompose,
     weight_decompose,
 )
-from homlie.algebra import builtin
-from homlie.battery import check_conjugation_stability, lie_battery, random_lie_battery
-from homlie.linalg import Matrix, Subspace
+from homlie import battery
+from homlie.algebra import UndefinedProduct, builtin, killing_form
+from homlie.battery import builtin_battery, check_conjugation_stability, lie_battery, random_lie_battery
+from homlie.constructions import km_window
+from homlie.linalg import Matrix, Subspace, sparse_lincomb
 from homlie.solver import HOM_2NILP, HOM_LIE, solve_structures
 
 F = Fraction
@@ -266,9 +268,28 @@ def test_conjugates_and_verdicts_on_the_battery():
         assert check_conjugation_stability(alg) is None, name
 
 
+def _by_columns(cols, n):
+    """The n x n matrix with these dense columns."""
+    return Matrix(cols, n).transpose()
+
+
 def _dense_act(alg, h, phi):
-    rh = alg.right_mul_matrix(h)
+    """R phi - phi R, with R's column c the product e_c h by ``multiply``."""
+    rh = _by_columns([alg.multiply(alg.basis_vector(c), h) for c in range(alg.dim)], alg.dim)
     return (rh @ phi) - (phi @ rh)
+
+
+def _dense_exp_ad(alg, x):
+    """(exp(ad x), exp(-ad x)) as sums of (+-ad x)^k / k! with ad x built by
+    ``multiply``, or None when ad x ** dim != 0."""
+    n = alg.dim
+    ad = _by_columns([alg.multiply(x, alg.basis_vector(c)) for c in range(n)], n)
+    plus = minus = power = Matrix.identity(n)
+    for k in range(1, n + 1):
+        power = power @ ad
+        plus = plus + power.scale(F(1, math.factorial(k)))
+        minus = minus + power.scale(F((-1) ** k, math.factorial(k)))
+    return (plus, minus) if power.is_zero() else None
 
 
 def _dense_is_submodule(alg, s):
@@ -313,3 +334,161 @@ def test_action_matrix_names_no_generator():
     with pytest.raises(NotSubmodule, match="^the action moves basis map 0 outside the subspace$") as e:
         action_matrix(sl2, sl2.basis_vector(0), line)
     assert e.value.generator_index is None
+
+
+def test_action_matrix_checks_h_on_the_zero_subspace():
+    with pytest.raises(ValueError, match="requires a lie-flavor algebra"):
+        action_matrix(builtin("trunc_poly", 2), (1,), Subspace.zero(4))
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        action_matrix(builtin("sl", 2), (1, 2), Subspace.zero(9))
+
+
+def test_weight_decompose_checks_the_torus_on_the_zero_subspace():
+    sl2 = builtin("sl", 2)
+    with pytest.raises(ValueError, match="vector dimension mismatch"):
+        weight_decompose(sl2, [(1, 2)], Subspace.zero(9))
+    with pytest.raises(ValueError, match="requires a lie-flavor algebra"):
+        weight_decompose(builtin("trunc_poly", 2), [(1, 0)], Subspace.zero(4))
+    assert weight_decompose(sl2, [sl2.basis_vector(1)], Subspace.zero(9)) == []
+
+
+def _dense_action_matrix(alg, h, s):
+    """The action matrix on s from ``_dense_act``, or the index of the first
+    basis map it moves out of s."""
+    n, cols = alg.dim, []
+    for _, r in s.rows:
+        coords = s.coords(_dense_act(alg, h, Matrix.unflatten(r, n, n)).sparse_flatten())
+        if coords is None:
+            return len(cols)
+        cols.append(coords)
+    return Matrix.from_sparse(s.dim, s.dim, {(r, k): c for k, col in enumerate(cols) for r, c in enumerate(col) if c})
+
+
+KERNEL_BATTERY = builtin_battery() + random_lie_battery(count=25)
+
+
+@pytest.mark.parametrize("name,alg", KERNEL_BATTERY, ids=lambda v: v if isinstance(v, str) else "")
+def test_action_kernel_matches_the_multiply_references(name, alg):
+    """act, action_matrix, is_submodule and conjugate against R phi - phi R
+    and sums of ad^k / k!, both built from ``multiply``, with Fraction
+    entries in h, x and phi; a non-Lie algebra is refused by every call."""
+    rng = random.Random(f"kernel-{name}")
+    n = alg.dim
+    h = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+    phi = Matrix.from_rows([[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)])
+    full = Subspace.full(n * n)
+    if alg.flavor != "lie":
+        calls = [lambda: act(alg, h, phi), lambda: action_matrix(alg, h, full),
+                 lambda: is_submodule(alg, full), lambda: conjugate(alg, phi, h)]
+        for call in calls:
+            with pytest.raises(ValueError, match="requires a lie-flavor algebra"):
+                call()
+        return
+    assert act(alg, h, phi) == _dense_act(alg, h, phi)
+    line = Subspace.from_spanning([phi.sparse_flatten()], n * n)
+    spaces = [solve_structures(alg, HOM_LIE).space, solve_structures(alg, HOM_2NILP).space, line]
+    for s in spaces + [full] * (n <= 8):
+        assert is_submodule(alg, s) == _dense_is_submodule(alg, s)
+        expected = _dense_action_matrix(alg, h, s)
+        if isinstance(expected, int):
+            with pytest.raises(NotSubmodule) as e:
+                action_matrix(alg, h, s)
+            assert e.value.basis_index == expected
+        else:
+            assert action_matrix(alg, h, s) == expected
+    for x in [alg.basis_vector(i) for i in range(n)] + [h, tuple(a * F(1, 2) for a in alg.basis_vector(n - 1))]:
+        pair = _dense_exp_ad(alg, x)
+        if pair is None:
+            with pytest.raises(ValueError, match="not nilpotent"):
+                conjugate(alg, phi, x)
+            continue
+        plus, minus = pair
+        assert conjugate(alg, phi, x) == minus @ phi @ plus, (name, x)
+
+
+def _raised_pair(call):
+    """The pair of the UndefinedProduct the call raises, or None."""
+    try:
+        call()
+    except UndefinedProduct as e:
+        return e.pair
+    except ValueError:
+        pass
+    return None
+
+
+def test_action_kernel_raises_on_the_undefined_pairs_the_multiplication_matrices_read():
+    """On the sl2 window N = 2 each call reads the products of the right
+    (act, action_matrix, is_submodule) or left (conjugate) multiplication
+    matrix of its element, in their order, so it raises on the same
+    undefined pair as building that matrix, or on none."""
+    sl2 = builtin("sl", 2)
+    pa = km_window(sl2, killing_form(sl2), 2)
+    n = pa.dim
+    phi, full = Matrix.identity(n), Subspace.full(n * n)
+    rights, lefts = [], []
+    for i in range(n):
+        h = pa.basis_vector(i)
+        rights.append(_raised_pair(lambda: pa.right_mul_matrix(h)))
+        lefts.append(_raised_pair(lambda: pa.left_mul_matrix(h)))
+        assert _raised_pair(lambda: act(pa, h, phi)) == rights[i]
+        assert _raised_pair(lambda: action_matrix(pa, h, full)) == rights[i]
+        assert _raised_pair(lambda: conjugate(pa, phi, h)) == lefts[i]
+    assert _raised_pair(lambda: is_submodule(pa, full)) == next(p for p in rights if p)
+    assert None in rights and any(rights) and None in lefts and any(lefts)
+
+
+def _flip_ad_sign(exp_ad):
+    """exp(ad x) with the sign of its ad x term flipped."""
+    def mutant(alg, x):
+        pair = exp_ad(alg, x)
+        if pair is None:
+            return None
+        ad = [dict(enumerate(alg.multiply(x, alg.basis_vector(c)))) for c in range(alg.dim)]
+        return [sparse_lincomb((1, col), (-2, a)) for col, a in zip(pair[0], ad)], pair[1]
+
+    return mutant
+
+
+def _shift_one_entry(exp_ad):
+    """exp(ad x) with 1 added to its entry (0, dim - 1)."""
+    def mutant(alg, x):
+        pair = exp_ad(alg, x)
+        if pair is None:
+            return None
+        cols = [dict(col) for col in pair[0]]
+        cols[-1][0] = cols[-1].get(0, 0) + 1
+        return cols, pair[1]
+
+    return mutant
+
+
+def _dense_conjugation_stability(alg):
+    """The conjugation check with each conjugate formed by Matrix products
+    from the columns of exp(ad x) and exp(-ad x) that ``battery._exp_ad``
+    gives."""
+    sol = solve_structures(alg, HOM_LIE)
+    n = alg.dim
+    for i in range(n):
+        pair = battery._exp_ad(alg, alg.basis_vector(i))
+        if pair is None:
+            continue
+        alpha, inv = (Matrix.from_sparse(n, n, {(q, c): v for c, col in enumerate(m) for q, v in col.items()}) for m in pair)
+        for phi in sol.basis_maps():
+            if not sol.contains_map(inv @ phi @ alpha):
+                return f"conjugation by basis vector {i} leaves the space"
+    return None
+
+
+@pytest.mark.parametrize("mutate", [_flip_ad_sign, _shift_one_entry], ids=["ad-sign", "one-entry"])
+def test_mutated_exponential_fails_the_conjugation_check(monkeypatch, mutate):
+    monkeypatch.setattr(battery, "_exp_ad", mutate(battery._exp_ad))
+    caught = 0
+    for name, alg in KERNEL_BATTERY:
+        if alg.flavor != "lie":
+            continue
+        verdict = check_conjugation_stability(alg)
+        if alg.dim <= 5:
+            assert verdict == _dense_conjugation_stability(alg), name
+        caught += verdict is not None
+    assert caught >= 5

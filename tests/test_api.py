@@ -276,3 +276,36 @@ def test_no_identity_is_written_outside_the_term_builders():
 
         visit(ast.parse(path.read_text()), None, {})
     assert stray == [] and handing == TERMS_CONSUMERS
+
+
+# The module action's public calls; with the battery's check functions they
+# form h . phi, exp(ad x) and conjugates through the sparse kernel in ``actions``.
+ACTION_CALLS = {"act", "action_matrix", "is_submodule", "conjugate"}
+
+
+def test_the_module_action_has_one_route():
+    """No ``@`` product and no ``right_mul_matrix`` or ``left_mul_matrix``
+    call appears in the action calls, the battery's check functions, or any
+    function of ``actions`` or ``battery`` they call, so a Matrix round trip
+    cannot come back beside the sparse kernel."""
+    funcs = {}
+    for name in ("actions.py", "battery.py"):
+        for node in ast.parse((Path(homlie.__file__).parent / name).read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                funcs[node.name] = (name, node)
+    todo = [f for f, (name, _) in funcs.items() if f in ACTION_CALLS or name == "battery.py" and f.startswith("check_")]
+    seen, stray = set(todo), []
+    while todo:
+        name, node = funcs[todo.pop()]
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
+                stray.append(f"{name}:{node.name}:{sub.lineno}")
+            if isinstance(sub, ast.Call):
+                called = getattr(sub.func, "attr", getattr(sub.func, "id", None))
+                if called in ("right_mul_matrix", "left_mul_matrix"):
+                    stray.append(f"{name}:{node.name}:{sub.lineno}")
+                elif called in funcs and called not in seen:
+                    seen.add(called)
+                    todo.append(called)
+    assert ACTION_CALLS | {"_right", "_act", "_sandwich", "_exp_ad", "_jacobiator"} <= seen
+    assert stray == []
