@@ -81,6 +81,11 @@ def sparse_lincomb(*terms: tuple[Fraction | int, Mapping[int, Fraction]]) -> Spa
     return {j: x for j, x in out.items() if x}
 
 
+def _entry(x) -> int | Fraction:
+    """A matrix entry as ``Matrix`` stores it: an int as itself, anything else through ``as_scalar``."""
+    return x if type(x) is int else as_scalar(x)
+
+
 @dataclass(frozen=True, init=False)
 class Matrix:
     """Immutable matrix of exact scalars, stored as sparse rows.
@@ -96,8 +101,8 @@ class Matrix:
     cols: int
 
     def __init__(self, data: Iterable[Iterable], cols: int):
-        """The matrix with dense rows ``data`` of length ``cols``; entries are coerced by ``as_scalar``."""
-        rows = [tuple(map(as_scalar, r)) for r in data]
+        """The matrix with dense rows ``data`` of length ``cols``; entries are coerced by ``_entry``."""
+        rows = [tuple(map(_entry, r)) for r in data]
         if any(len(r) != cols for r in rows):
             raise ValueError(f"ragged rows: a row's length is not {cols}")
         self._store(map(enumerate, rows), cols)
@@ -131,11 +136,11 @@ class Matrix:
 
     @classmethod
     def from_sparse(cls, rows: int, cols: int, entries: Mapping[tuple[int, int], object]) -> "Matrix":
-        table: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+        table: list[dict[int, int | Fraction]] = [{} for _ in range(rows)]
         for (i, j), x in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) out of bounds for {rows}x{cols}")
-            table[i][j] = as_scalar(x)
+            table[i][j] = _entry(x)
         return cls._of(table, cols)
 
     @classmethod

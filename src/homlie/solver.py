@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, UndefinedProduct, _evaluate, _hom_terms, _Index,
                       _leibniz_pairs, _leibniz_terms, _pairing, _require_lie, _Terms, _undefined,
@@ -335,22 +335,11 @@ def _solve_shift_blocks(
     Every term of the kind's identity at basis vectors of total degree D,
     for a map of shift s, lies in degree D + s, so the solution space is the
     direct sum of its shift blocks; ungraded, the one block is all of End.
-    Each block is solved modulo ``_known_block`` with ``kernel``, reading
-    the rows of the block's own pass (``_hom_rows``, or ``_delta_rows``):
-    at full rank ``kernel`` stops reading, and the pass compiles nothing
-    more.  A block that K already fills is not compiled.
-
-    The unit-row lemma.  A row of one entry in a block's stream says
-    x_k = 0 for a block column k = cols[(q, c)].  When q is closed (not in
-    ``_Plan.gaps``), the pass deletes q from the block's phi(e_c), so no
-    later evaluation walks x_k.  A closed q makes no read of e_p e_q raise
-    (the Leibniz rows, which also read e_q e_j, are solved on complete
-    tables only), so every evaluation raises as before and the block gets
-    rows for the same equations.  Every later row reaches ``kernel`` after
-    the unit row, and on x_k = 0 it agrees with the same row without its k
-    entry (a row that becomes zero is dropped).  So every prefix of the
-    stream has the span and rank it had: the block reaches full rank at
-    the same evaluation, with the same kernel.
+    Each block is solved modulo ``_known_block`` by ``_solve_modulo`` with
+    ``kernel``, reading the rows of the block's own pass (``_hom_rows``, or
+    ``_delta_rows``) through its columns ``_by_source``: at full rank
+    ``kernel`` stops reading, and the pass compiles nothing more.  A block
+    that K already fills is not compiled.
 
     A block's reduced rows map into End by (q, c) -> q*n + c.  That map is
     increasing on the block's columns, which are numbered by (q, c)
@@ -366,18 +355,6 @@ def _solve_shift_blocks(
         _require_defined(alg, kind)
     plan = _plan(alg)
     annihilator = plan.annihilator if kind.tag in _SIGNS else ()
-
-    def block_rows(cols: Mapping[tuple[int, int], int]) -> Iterator[dict[int, int | Fraction]]:
-        pairs, col_of = list(cols), _by_source(cols, n)  # pairs[k]: the (q, c) of column k
-        compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None
-                    else _hom_rows(plan, kind, col_of, alg.rows))
-        for row in compiled:
-            if len(row) == 1:  # x_k = 0: retire column k (the unit-row lemma)
-                q, c = pairs[next(iter(row))]
-                if q not in plan.gaps:
-                    col_of[c].pop(q, None)
-            yield row
-
     rows: list[tuple[int, Mapping[int, Fraction]]] = []
     for shift in shifts:
         cols = plan.block(shift)
@@ -385,7 +362,10 @@ def _solve_shift_blocks(
             continue
         space = _known_block(alg, kind, shift, cols, annihilator)
         if space.dim < len(cols):
-            space = _solve_modulo(space, block_rows(cols), kernel)
+            col_of = _by_source(cols, n)
+            compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None
+                        else _hom_rows(plan, kind, col_of, alg.rows))
+            space = _solve_modulo(space, compiled, [col_of], plan.gaps, kernel)
         end = [q * n + c for q, c in cols]  # block column -> End coordinate
         rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)
     return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))
@@ -394,13 +374,15 @@ def _solve_shift_blocks(
 def _solve_modulo(
     known: Subspace,
     rows: Iterable[Mapping[int, Fraction]],
+    col_maps: Iterable[Sequence[dict[int, int]]],
+    gaps: Container[int],
     kernel: Callable[[int, Iterable[Mapping[int, Fraction]]], Subspace],
 ) -> Subspace:
     """Kernel S of ``rows``, given a subspace K of S known without solving.
 
-    One unit row x_p = 0 is put in front of the rows for each pivot column
-    p of K's echelon basis.  W = {x : x_p = 0 for every such p} is a
-    complement of K (K's echelon basis is the identity on its pivot
+    The cut.  One unit row x_p = 0 is put in front of the rows for each
+    pivot column p of K's echelon basis.  W = {x : x_p = 0 for every such
+    p} is a complement of K (K's echelon basis is the identity on its pivot
     columns, so K meet W = 0 and dim W = ncols - dim K).  K lies inside S,
     so every s in S splits as k + w with w = s - k in S meet W:
     S = K + (S meet W) as a direct sum, and the kernel of the cut system is
@@ -408,11 +390,39 @@ def _solve_modulo(
     canonical subspace S as the kernel of the uncut system.  Once the cut
     system has full rank, S meet W = 0 and ``kernel`` stops reading rows.
 
+    The unit-row lemma.  ``rows`` are compiled on demand through the column
+    maps ``col_maps``: an evaluation walks x_k, k = col_of[c][q], with the
+    image of e_c and reads e_p e_q with it, which may raise only for q in
+    ``gaps`` (``_Plan.gaps`` for a block of the algebra's own index; none
+    on a complete table or through a form's pairing).  A row of one entry
+    says x_k = 0.  When q is closed (not in ``gaps``), q is deleted from
+    col_of[c], so no later evaluation walks x_k, and every evaluation
+    raises as before (the Leibniz rows, which also read e_q e_j, are solved
+    on complete tables only): the stream gets rows for the same equations.
+    Every later row reaches ``kernel`` after the unit row, and on x_k = 0
+    it agrees with the same row without its k entry (a row that becomes
+    zero is dropped).  So every prefix of the stream has the span and rank
+    it had: the system reaches full rank at the same evaluation, with the
+    same kernel.  In the cut system x_p = 0 holds, so the lemma lets the
+    cut rows retire their columns too.
+
     ``kernel`` is ``nullspace_of_rows`` as the caller's module names it, so
     that perfbench's tracer charges the rows to the compiler that made them.
     """
-    cuts = ({p: 1} for p in known.pivot_cols())
-    rest = kernel(known.ambient, chain(cuts, rows))
+    image_of, q_of = [None] * known.ambient, [0] * known.ambient  # column k's col_of[c] and q, for a closed q
+    for image in chain.from_iterable(col_maps):
+        for q, k in image.items():
+            if q not in gaps:
+                image_of[k], q_of[k] = image, q
+
+    def retiring(stream: Iterable[Mapping[int, Fraction]]) -> Iterator[Mapping[int, Fraction]]:
+        for row in stream:
+            if len(row) == 1 and image_of[k := next(iter(row))] is not None:  # x_k = 0: the unit-row lemma
+                del image_of[k][q_of[k]]
+                image_of[k] = None
+            yield row
+
+    rest = kernel(known.ambient, retiring(chain(({p: 1} for p in known.pivot_cols()), rows)))
     if not rest.dim:
         return known
     if not known.dim:
@@ -474,19 +484,6 @@ def structure_residual(
 # -- bilinear solvers --------------------------------------------------------
 
 
-def _form_rows(alg: AlgebraSpec, kind: StructureKind,
-               form_rows: Sequence[Mapping[int, int | Fraction]]) -> Iterator[dict[int, int | Fraction]]:
-    """xi(xy, f(z)) + s1 xi(zx, f(y)) + s2 xi(yz, f(x)) = 0 for the form xi
-    with sparse rows ``form_rows`` and f(e_z) -> e_q at column q*n + z: the
-    hom kind's ``_hom_rows`` in one block of all n^2 columns, reading e_p e_q
-    from ``_pairing(form_rows)`` (its lemmas hold for any such table).  With
-    the identity pairing, f is a form: the 2-cocycle equation f(xy, z) +
-    f(zx, y) + f(yz, x) = 0 for hom-lie, b-space's f(xy, z) = f(zx, y) for
-    hom-cyclic."""
-    n = alg.dim
-    return _hom_rows(_plan(alg), kind, [{q: q * n + z for q in range(n)} for z in range(n)], _pairing(form_rows))
-
-
 def _symmetry_rows(n: int, sign: int) -> Iterator[dict[int, Fraction]]:
     """f(x,y) - sign*f(y,x) = 0."""
     for i in range(n):
@@ -511,9 +508,10 @@ def solve_bilinear(alg: AlgebraSpec, kind: str) -> Subspace:
     """Exact space of bilinear forms of the requested kind, solved once per
     algebra and kept on it.
 
-    The kinds but coboundary compile through ``_form_rows`` with the
-    identity pairing, plus the symmetry rows of the skew and sym kinds:
-    the cocycle equation on hom-lie's triples, b-space's
+    The kinds but coboundary compile ``_hom_rows`` over all n^2 columns,
+    f(e_z) -> e_q at column q*n + z, with e_p e_q read from the identity
+    pairing (``_pairing``), so f is a form, plus the symmetry rows of the
+    skew and sym kinds: the cocycle equation on hom-lie's triples, b-space's
     B(x, y, z) = f(xy, z) - f(zx, y) on hom-cyclic's, and sym-invariant as
     b-space with the symmetry rows.
 
@@ -533,13 +531,15 @@ def solve_bilinear(alg: AlgebraSpec, kind: str) -> Subspace:
     _require_defined(alg, kind)
     n = alg.dim
 
-    def rows() -> Iterator[dict[int, Fraction]]:
-        yield from _form_rows(alg, HOM_LIE if kind.endswith("-cocycle") else HOM_CYCLIC, [{p: 1} for p in range(n)])
-        if kind.startswith(("skew-", "sym-")):
-            yield from _symmetry_rows(n, -1 if kind == "skew-cocycle" else 1)
-
     def solve() -> Subspace:
-        return coboundary_space(alg) if kind == "coboundary" else nullspace_of_rows(n * n, rows())
+        if kind == "coboundary":
+            return coboundary_space(alg)
+        col_of = [{q: q * n + z for q in range(n)} for z in range(n)]
+        rows = _hom_rows(_plan(alg), HOM_LIE if kind.endswith("-cocycle") else HOM_CYCLIC, col_of,
+                         _pairing([{p: 1} for p in range(n)]))
+        if kind.startswith(("skew-", "sym-")):
+            rows = chain(rows, _symmetry_rows(n, -1 if kind == "skew-cocycle" else 1))
+        return _solve_modulo(Subspace.zero(n * n), rows, [col_of], (), nullspace_of_rows)
 
     return _kept(alg, ("bilinear", kind), solve)
 
@@ -579,18 +579,20 @@ def _coadjoint_index(alg: AlgebraSpec) -> list[dict[int, tuple[tuple[int, int | 
     return [{q: tuple(terms) for q, terms in sorted(row.items())} for row in index]
 
 
-def _qder_rows(alg: AlgebraSpec, module: str) -> Iterator[dict[int, Fraction]]:
+def _qder_rows(alg: AlgebraSpec, module: str) -> tuple[Iterator[dict[int, Fraction]], list[list[dict[int, int]]]]:
     """D(e_i e_j) - F(e_i) e_j - e_i F(e_j) = 0, ``_leibniz_terms`` with
     delta 1 on the pairs i < j (g and g + g* are anticommutative): over g's
     own index for the adjoint module, over ``_coadjoint_index`` for the
-    coadjoint one.  F's columns are D's shifted by n^2."""
+    coadjoint one.  F's columns are D's shifted by n^2.  Returns the rows
+    and the column maps, D's and F's, they are compiled through."""
     n = alg.dim
     if module == "adjoint":  # D(e_c) -> e_q at column q*n + c
         index, d_cols = alg.rows, [{q: q * n + c for q in range(n)} for c in range(n)]
     else:  # D(e_c) -> e*_m, at index n + m, at column c*n + m
         index, d_cols = _coadjoint_index(alg), [{n + m: c * n + m for m in range(n)} for c in range(n)]
     f_cols = [{q: n * n + col for q, col in image.items()} for image in d_cols]
-    return _sparse_rows(_leibniz_terms(index, i, j, d_cols, f_cols, 1) for i, j in _leibniz_pairs(alg))
+    rows = _sparse_rows(_leibniz_terms(index, i, j, d_cols, f_cols, 1) for i, j in _leibniz_pairs(alg))
+    return rows, [d_cols, f_cols]
 
 
 def solve_qder(alg: AlgebraSpec, module: str = "adjoint") -> QDerSolution:
@@ -599,7 +601,8 @@ def solve_qder(alg: AlgebraSpec, module: str = "adjoint") -> QDerSolution:
     if module not in ("adjoint", "coadjoint"):
         raise ValueError(f"unknown module {module!r}")
     _require_defined(alg, f"the {module} quasiderivations")
-    space = nullspace_of_rows(2 * alg.dim ** 2, _qder_rows(alg, module))
+    rows, col_maps = _qder_rows(alg, module)
+    space = _solve_modulo(Subspace.zero(2 * alg.dim ** 2), rows, col_maps, (), nullspace_of_rows)
     return QDerSolution(alg, module, space)
 
 
@@ -631,7 +634,8 @@ def seq_uv(alg: AlgebraSpec) -> ExactnessReport:
         ({**f, **{n2 + (c % n) * n + c // n: -x for c, x in f.items()}} for _, f in z2.rows), 2 * n2
     )
     v_rows = ({i * n + j: 1, n2 + j * n + i: 1} for i in range(n) for j in range(n))  # D[i][j] + F[j][i] = 0
-    v_kernel = nullspace_of_rows(2 * n2, chain(_qder_rows(alg, "coadjoint"), v_rows))
+    rows, col_maps = _qder_rows(alg, "coadjoint")
+    v_kernel = _solve_modulo(Subspace.zero(2 * n2), chain(rows, v_rows), col_maps, (), nullspace_of_rows)
     return ExactnessReport(alg, u_image, v_kernel, u_injective=u_image.dim == z2.dim)
 
 
@@ -641,7 +645,8 @@ def seq_uv(alg: AlgebraSpec) -> ExactnessReport:
 def f_t(alg: AlgebraSpec, form: BilinearForm, phi: Matrix, t: Sequence[Fraction]) -> BilinearForm:
     """The form (x, y) -> <phi(y), [x,t]> built from an invariant form and a
     solved structure; lands in the asymmetric-cocycle space by construction,
-    and membership is re-checked here."""
+    and membership is re-checked here.  Its matrix is R^T F phi, where R's
+    columns are the brackets [e_i, t] and F = F^T is the form's matrix."""
     _require_lie(alg, "f_t")
     if not (form.is_symmetric() and form.is_invariant(alg)):
         raise ValueError("form must be symmetric and invariant")
@@ -650,9 +655,7 @@ def f_t(alg: AlgebraSpec, form: BilinearForm, phi: Matrix, t: Sequence[Fraction]
     n = alg.dim
     if len(t) != n:
         raise ValueError("vector dimension mismatch")
-    st = sparse_vector([as_scalar(a) for a in t])
-    brackets = (sparse_product(alg.rows, {i: 1}, st) for i in range(n))  # [e_i, t]
-    out = BilinearForm(Matrix(tuple(tuple(form(col, xi_t) for col in phi.sparse_cols) for xi_t in brackets), n))
+    out = BilinearForm(alg.right_mul_matrix([as_scalar(a) for a in t]).transpose() @ form.matrix @ phi)
     if not solve_bilinear(alg, "asym-cocycle").contains(out.matrix.sparse_flatten()):
         raise AssertionError("constructed form violates the cocycle equation")  # pragma: no cover
     return out
@@ -709,8 +712,10 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
 
     hl = solve_structures(l, HOM_LIE)
 
-    # xi([x,y], psi(t)) + xi([t,x], psi(y)) + xi([y,t], psi(x)) = 0
-    psi_space = hl.space.intersect(nullspace_of_rows(n * n, _form_rows(l, HOM_LIE, xi.form.matrix.sparse_rows)))
+    # xi([x,y], psi(t)) + xi([t,x], psi(y)) + xi([y,t], psi(x)) = 0, psi(e_t) -> e_q at column q*n + t
+    col_of = [{q: q * n + t for q in range(n)} for t in range(n)]
+    compat = _hom_rows(_plan(l), HOM_LIE, col_of, _pairing(xi.form.matrix.sparse_rows))
+    psi_space = hl.space.intersect(_solve_modulo(Subspace.zero(n * n), compat, [col_of], (), nullspace_of_rows))
 
     _, derived, ann_derived = structural_subspaces(l)
     cocycle_rows = ({q: xi.form(w, {q: 1}) for q in range(n)} for _, w in derived.rows)  # xi(w, .)

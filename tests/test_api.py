@@ -124,7 +124,8 @@ VALIDATORS = {("constructions.py", "derivation_defect"), ("constructions.py", "C
               ("battery.py", "_jacobiator"), ("algebra.py", "_check_laws")}
 # The Hom identity (and Jacobi, its case phi = id) is compiled by the row
 # compiler and evaluated by these validators, nowhere else.
-# The form compilers (``solver._form_rows``) reach it through ``_hom_rows``.
+# The form solves (``solve_bilinear``, ``central_ext_homlie_decomposed``)
+# reach it through ``_hom_rows``.
 HOM_TERMS_CALLERS = {("solver.py", "_hom_rows"), ("solver.py", "structure_residual"), ("battery.py", "_jacobiator"),
                      ("algebra.py", "_check_laws"), ("constructions.py", "Cocycle2.__post_init__")}
 
@@ -309,3 +310,32 @@ def test_the_module_action_has_one_route():
                     todo.append(called)
     assert ACTION_CALLS | {"_right", "_act", "_sandwich", "_exp_ad", "_jacobiator"} <= seen
     assert stray == []
+
+
+# The one solve path: ``_solve_modulo`` is the only place where ``solver``
+# hands a compiled identity to a kernel, and these are its callers.  The one
+# bare kernel call left is the s-space system of the decomposed
+# central-extension solve (the cocycle's rows on the derived subalgebra,
+# compiled through no column map).
+SOLVE_MODULO_CALLERS = {"_solve_shift_blocks", "solve_bilinear.solve", "solve_qder", "seq_uv",
+                        "central_ext_homlie_decomposed"}
+KERNEL_CALLERS = {"central_ext_homlie_decomposed"}
+
+
+def test_every_compiled_identity_reaches_the_kernel_through_solve_modulo():
+    """Pins the callers of ``_solve_modulo`` and of ``nullspace_of_rows`` in
+    ``solver``, so that a bare kernel call beside the retire step cannot
+    come back as a second solve path."""
+    calls: dict[str, list] = {"_solve_modulo": [], "nullspace_of_rows": []}
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls:
+            calls[node.func.id].append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse((Path(homlie.__file__).parent / "solver.py").read_text()), None)
+    assert set(calls["_solve_modulo"]) == SOLVE_MODULO_CALLERS
+    assert calls["nullspace_of_rows"] == sorted(KERNEL_CALLERS)

@@ -307,6 +307,24 @@ def test_sparse_and_dense_construction_agree():
     assert sparse == dense
 
 
+def test_int_entries_are_kept_as_ints():
+    """Both constructors store an int entry as itself and pass every other
+    entry through ``as_scalar``: matrices built from ints and from the same
+    Fractions are equal and hash equal, ``entry`` and ``data`` read
+    Fractions, strings are parsed and a float is refused."""
+    ints = [[1, 0, -2], [0, 3, 0]]
+    for a, b in ((Matrix.from_rows(ints), Matrix.from_rows([[F(x) for x in r] for r in ints])),
+                 (Matrix.from_sparse(2, 3, {(0, 0): 1, (1, 1): 3}), Matrix.from_sparse(2, 3, {(0, 0): F(1), (1, 1): F(3)}))):
+        assert a == b and hash(a) == hash(b)
+        assert all(type(x) is int for r in a.sparse_rows for x in r.values())
+        assert type(a.entry(0, 0)) is Fraction and all(type(x) is Fraction for r in a.data for x in r)
+    assert Matrix.from_rows([["1/2", "3"]]) == Matrix.from_sparse(1, 2, {(0, 0): "1/2", (0, 1): 3})
+    with pytest.raises(TypeError):
+        Matrix.from_rows([[1, 0.5]])
+    with pytest.raises(TypeError):
+        Matrix.from_sparse(1, 2, {(0, 1): 0.5})
+
+
 def test_matrix_operations():
     a = Matrix.from_rows([[1, 2], [3, 4]])
     b = Matrix.from_rows([[0, 1], [1, 0]])

@@ -28,7 +28,6 @@ from homlie.solver import (
     _known_block,
     _plan,
     _require_defined,
-    _solve_modulo,
     _solve_shift_blocks,
     _sparse_rows,
     _triples,
@@ -36,6 +35,7 @@ from homlie.solver import (
     grading_shifts,
 )
 from test_term_builders import partial_tables
+from test_unit_rows import cut_then_kernel
 from test_window import WINDOW_MODELS, _untwisted
 
 F = Fraction
@@ -79,7 +79,8 @@ def one_pass_delta_rows(plan, delta, live):
 def one_pass_router(alg, kind, shifts, kernel):
     """``_solve_shift_blocks`` as it was: one pass for every block, the
     smallest block solved first, the rows of waiting blocks queued, and the
-    column of a unit row with a closed q retired."""
+    column of a unit row with a closed q retired; K's cut rows retire their
+    columns before the pass, as in ``solver._solve_modulo``."""
     n = alg.dim
     if kind.delta is not None:
         _require_defined(alg, kind)
@@ -93,6 +94,10 @@ def one_pass_router(alg, kind, shifts, kernel):
         blocks[shift] = cols, _known_block(alg, kind, shift, cols, annihilator)
         if blocks[shift][1].dim < len(cols):
             live[shift], pairs[shift] = _by_source(cols, n), list(cols)
+            for p in blocks[shift][1].pivot_cols():
+                q, c = pairs[shift][p]
+                if q not in plan.gaps:
+                    live[shift][c].pop(q, None)
     queues = {shift: deque() for shift in live}
     routed = (one_pass_delta_rows(plan, kind.delta, live) if kind.delta is not None
               else one_pass_hom_rows(plan, kind, live, alg.rows))
@@ -115,7 +120,7 @@ def one_pass_router(alg, kind, shifts, kernel):
     for shift, (cols, known) in sorted(blocks.items(), key=lambda item: len(item[1][0])):
         space = known
         if shift in live:
-            space = _solve_modulo(known, block_rows(shift), kernel)
+            space = cut_then_kernel(known, block_rows(shift), kernel)
             del live[shift], queues[shift], pairs[shift]
         end = [q * n + c for q, c in cols]
         rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)

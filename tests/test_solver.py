@@ -9,7 +9,8 @@ from functools import cache
 
 import pytest
 
-from homlie.algebra import BilinearForm, builtin, killing_form, make_algebra, parse_builtin, right_annihilator
+from homlie.algebra import (BilinearForm, builtin, killing_form, make_algebra, parse_builtin, right_annihilator,
+                            sparse_product)
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import central_extension, cocycle2, km_window, tensor_lie
 from homlie.linalg import Matrix, RowAccumulator, Subspace, nullspace_of_rows
@@ -547,6 +548,25 @@ def test_f_t_produces_cocycles():
     for phi in sol.basis_maps():
         built = f_t(sl2, kf, phi, sl2.basis_vector(2))
         assert cocycles.contains(built.matrix.flatten())
+
+
+def test_f_t_is_the_form_its_pairings_give():
+    """f_t's product B F phi against the form's own ``__call__``, entry by
+    entry: <phi(e_j), [e_i, t]> at (i, j), with the Killing form, a few
+    solved structures and random Fraction t, on the Lie battery."""
+    rng = random.Random(31)
+    checked = 0
+    for name, alg in builtin_battery() + random_lie_battery():
+        if alg.flavor != "lie":
+            continue
+        n, kf = alg.dim, killing_form(alg)
+        for phi in (solve_structures(alg, HOM_LIE).basis_maps() or [Matrix.identity(n)])[:3] * 2:
+            t = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+            brackets = [sparse_product(alg.rows, {i: 1}, dict(enumerate(t))) for i in range(n)]
+            want = Matrix(tuple(tuple(kf(col, xi_t) for col in phi.sparse_cols) for xi_t in brackets), n)
+            assert f_t(alg, kf, phi, t).matrix == want, name
+            checked += 1
+    assert checked > 150
 
 
 def test_f_t_zero_translation():

@@ -282,16 +282,18 @@ def block_by_block(blocks, compile_block):
 
 @pytest.fixture
 def captured(monkeypatch):
-    """The (ncols, rows) of every system ``solver`` hands to ``nullspace_of_rows``."""
+    """The (ncols, rows) of every system ``solver`` hands to ``_solve_modulo``,
+    the compilers' own output: the rows are listed before its unit-row
+    retire step runs, so no column is retired while they compile."""
     systems = []
-    original = solver.nullspace_of_rows
+    original = solver._solve_modulo
 
-    def record(ncols, rows):
+    def record(known, rows, col_maps, gaps, kernel):
         rows = list(rows)
-        systems.append((ncols, rows))
-        return original(ncols, rows)
+        systems.append((known.ambient, rows))
+        return original(known, rows, col_maps, gaps, kernel)
 
-    monkeypatch.setattr(solver, "nullspace_of_rows", record)
+    monkeypatch.setattr(solver, "_solve_modulo", record)
     return systems
 
 
