@@ -94,7 +94,7 @@ def is_submodule(alg: AlgebraSpec, s: Subspace) -> bool | SubmoduleWitness:
         raise ValueError("subspace must live in the endomorphism space")
     for i in range(alg.dim):
         right = _right(alg, alg.basis_vector(i))
-        for j, (_, phi) in enumerate(s.int_rows):
+        for j, (_, phi) in enumerate(s.rows):
             if not s.contains(_act(right, phi)):
                 return SubmoduleWitness(i, j)
     return True
@@ -105,7 +105,7 @@ def action_matrix(alg: AlgebraSpec, h: Sequence[Fraction], s: Subspace) -> Matri
     Raises NotSubmodule when h moves s out of itself."""
     right = _right(alg, h)
     cols = []
-    for _, phi in s.int_rows:
+    for _, phi in s.rows:
         coords = s.coords(_act(right, phi))
         if coords is None:
             raise NotSubmodule(None, len(cols))

@@ -32,7 +32,7 @@ from .linalg import (
     SparseVector,
     Subspace,
     Vector,
-    as_scalar,
+    _entry,
     dense_vector,
     int_if_integral,
     nullspace_of_rows,
@@ -124,9 +124,9 @@ class AlgebraSpec:
 
     @cached_property
     def _solved(self) -> dict:
-        """What the solver keeps for this algebra: its compile plan and the
-        spaces it solved.  An algebra is immutable, so they stay valid, and
-        they go with the algebra."""
+        """What the solver keeps for this algebra: its compile plan, the forms
+        f_t checked and the spaces it solved.  An algebra is immutable, so
+        they stay valid, and they go with the algebra."""
         return {}
 
     @property
@@ -198,11 +198,11 @@ def _clean_table(dim: int, raw: Mapping[tuple[int, int], Iterable]) -> tuple[dic
     for (i, j), terms in raw.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValueError(f"table index ({i},{j}) out of range for dim {dim}")
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for k, coeff in terms:
             if not (0 <= int(k) < dim):
                 raise ValueError(f"product index {k} out of range for dim {dim}")
-            c = as_scalar(coeff)  # a sum only for a repeated k: Fraction additions cost
+            c = _entry(coeff)  # an int stays an int; a sum only for a repeated k
             acc[int(k)] = acc[int(k)] + c if int(k) in acc else c
         # integral constants as ints, so rows compiled from the table are integral
         entry = tuple(sorted((k, int_if_integral(c)) for k, c in acc.items() if c))
@@ -777,6 +777,6 @@ def killing_form(alg: AlgebraSpec) -> BilinearForm:
     index and their terms e_k; as trace(AB) = trace(BA), only for i <= j."""
     _require_lie(alg, "killing_form")
     n, e = alg.dim, alg.product_on_basis
-    upper = {(i, j): sum((a * b for m in alg.rows[i] for k, a in e(i, m) for p, b in e(j, k) if p == m), Fraction(0))
+    upper = {(i, j): sum((a * b for m in alg.rows[i] for k, a in e(i, m) for p, b in e(j, k) if p == m))
              for i in range(n) for j in range(i, n)}
     return BilinearForm(Matrix(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n)), n))

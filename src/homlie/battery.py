@@ -215,7 +215,7 @@ def check_conjugation_stability(alg: AlgebraSpec) -> str | None:
         pair = _exp_ad(alg, alg.basis_vector(i))
         if pair is None:
             continue
-        for _, phi in space.int_rows:  # conjugate(alg, phi, e_i), flattened
+        for _, phi in space.rows:  # conjugate(alg, phi, e_i), flattened
             if not space.contains(_sandwich(pair[1], phi, pair[0])):
                 return f"conjugation by basis vector {i} leaves the space"
     return None

@@ -328,7 +328,7 @@ def km_window(
             unit = len(vec) == 1  # then vec = e_k, k its pivot
             names.append(f"{g.basis_names[k]}(x)t^{deg}" if unit else f"g[{s}](x)t^{deg}")
             degrees.append(deg)
-            vectors.append({k: int_if_integral(x) for k, x in vec.items()})
+            vectors.append(vec)
     loop_count = len(names)
     d_idx, z_idx = loop_count, loop_count + 1
 

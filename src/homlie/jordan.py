@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .algebra import AlgebraSpec, _jacobi_triples, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
@@ -82,17 +83,26 @@ def jordan_structure_constants(sol: HomSolution, verdict: ClosureVerdict) -> Alg
     return make_algebra(sol.dim, table, flavor="generic-commutative")
 
 
-def jordan_identity_defect(alg: AlgebraSpec) -> tuple[tuple[int, int], Vector] | None:
-    """(x^2 o (y o x)) - ((x^2 o y) o x) on basis pairs; None when it holds."""
-    n, t = alg.dim, alg.rows
-    for i in range(n):
-        xx = dict(alg.product_on_basis(i, i))
-        for j in range(n):
-            lhs = sparse_product(t, xx, dict(alg.product_on_basis(j, i)))
-            rhs = sparse_product(t, sparse_product(t, xx, {j: 1}), {i: 1})
-            diff = sparse_lincomb((1, lhs), (-1, rhs))
-            if diff:
-                return (i, j), dense_vector(diff, n)
+def jordan_identity_defect(alg: AlgebraSpec) -> tuple[tuple[int, int, int, int], Vector] | None:
+    """The first basis tuple (a, b, c, y), a <= b <= c, where the linearized
+    Jordan identity fails, with its value there; None when it holds.
+
+    (x^2 y) x = x^2 (y x) is cubic in x, so basis x alone cannot decide
+    it.  Its linearization, the sum over t in {a, b, c} of ((pq)y)t -
+    (pq)(yt) with {p, q} the other two, is symmetric and trilinear in a, b,
+    c and is 3 times the identity's defect at a = b = c = x, so over Q it
+    vanishes on basis tuples exactly when the identity holds."""
+    n, rows = alg.dim, alg.rows
+    for a, b, c in combinations_with_replacement(range(n), 3):
+        for y in range(n):
+            terms = []
+            for p, q, t in ((b, c, a), (a, c, b), (a, b, c)):
+                pq = dict(alg.product_on_basis(p, q))
+                terms += [(1, sparse_product(rows, sparse_product(rows, pq, {y: 1}), {t: 1})),
+                          (-1, sparse_product(rows, pq, dict(alg.product_on_basis(y, t))))]
+            defect = sparse_lincomb(*terms)
+            if defect:
+                return (a, b, c, y), dense_vector(defect, n)
     return None
 
 

@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator, exact arithmetic).  Elimination is performed fraction-free on
+Stored scalars are exact: ints when integral, else ``fractions.Fraction``
+(ints are far cheaper, and the two compare and hash equal); coordinates and
+dense entries are handed out as Fractions.  Elimination is fraction-free on
 integer-scaled sparse rows, and every subspace is kept as a reduced
-row-echelon basis, so equality of subspaces is literal equality of their
-basis matrices.
+row-echelon basis, so equality of subspaces is literal equality of bases.
 """
 
 from __future__ import annotations
@@ -360,13 +360,14 @@ class RowAccumulator:
             _clear(work, piv, lead)
         return False
 
-    def _reduced_rows(self) -> list[tuple[int, dict[int, Fraction]]]:
+    def _reduced_rows(self) -> list[tuple[int, dict[int, int | Fraction]]]:
         """Back-substituted rows with unit pivots, ordered by pivot column.
 
         Row p is cleared at each later pivot column q it holds by the
         already reduced row q, in integers: row q is zero at every other
         pivot column, so no step brings back a pivot column cleared before.
-        Each row is divided by its pivot entry once, at the end.
+        Each row is divided by its pivot entry once, at the end, into ints
+        where it divides.
         """
         pivots = self.pivots
         reduced: dict[int, IntRow] = {}
@@ -382,7 +383,7 @@ class RowAccumulator:
         out = []
         for p in sorted(reduced):
             row, lead = reduced[p], reduced[p][p]
-            out.append((p, {c: Fraction(v, lead) for c, v in row.items()}))
+            out.append((p, {c: Fraction(v, lead) if v % lead else v // lead for c, v in row.items()}))
         return out
 
     def rref_matrix(self, extra_zero_rows: int = 0) -> Matrix:
@@ -390,7 +391,7 @@ class RowAccumulator:
 
     def nullspace(self) -> "Subspace":
         # one kernel vector per free column f: e_f - sum of row_p[f] e_p
-        kernel = {f: {f: Fraction(1)} for f in range(self.ncols) if f not in self.pivots}
+        kernel = {f: {f: 1} for f in range(self.ncols) if f not in self.pivots}
         for p, row in self._reduced_rows():
             for c, v in row.items():
                 if c != p:
@@ -439,14 +440,14 @@ class Subspace:
 
     ``rows`` holds (pivot, row) pairs in ascending pivot order; each row is
     sparse, has entry 1 at its pivot and 0 at every other pivot, and cannot
-    be changed.  The reduced basis is unique, so two subspaces are equal as
-    sets exactly when their rows are equal, which makes ``==`` a decision
-    procedure for equality of spaces.  ``basis`` is the same basis as a
-    dense matrix.
+    be changed (the kernel writes integral entries as ints).  The reduced
+    basis is unique, so two subspaces are equal as sets exactly when their
+    rows are equal, which makes ``==`` a decision procedure for equality of
+    spaces.  ``basis`` is the same basis as a dense matrix.
     """
 
     ambient: int
-    rows: tuple[tuple[int, Mapping[int, Fraction]], ...]
+    rows: tuple[tuple[int, Mapping[int, int | Fraction]], ...]
 
     def __post_init__(self):
         """Freeze the rows and check, in time linear in their nonzeros, that
@@ -480,7 +481,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, tuple((i, {i: Fraction(1)}) for i in range(ambient)))
+        return cls(ambient, tuple((i, {i: 1}) for i in range(ambient)))
 
     @property
     def basis(self) -> Matrix:
@@ -495,14 +496,9 @@ class Subspace:
         return [p for p, _ in self.rows]
 
     @cached_property
-    def int_rows(self) -> tuple[tuple[int, Mapping[int, int | Fraction]], ...]:
-        """``rows`` with integral entries as ints, for ``_reduce``: int arithmetic is far cheaper."""
-        return tuple((p, MappingProxyType({j: int_if_integral(x) for j, x in r.items()})) for p, r in self.rows)
-
-    @cached_property
     def _by_pivot(self) -> dict[int, tuple[int, Mapping[int, int | Fraction]]]:
-        """Pivot column -> (index of its row, the row as in ``int_rows``)."""
-        return {p: (i, r) for i, (p, r) in enumerate(self.int_rows)}
+        """Pivot column -> (index of its row, the row)."""
+        return {p: (i, r) for i, (p, r) in enumerate(self.rows)}
 
     def _reduce(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> tuple[dict[int, Fraction], SparseVector]:
         """The nonzero coefficients of the rows in v (dense, or sparse as
@@ -591,7 +587,7 @@ class SpanSolver:
         self.k = len(vectors)
         acc = RowAccumulator(ambient + self.k)
         for i, v in enumerate(vectors):
-            acc.add(sparse_vector_in(v, ambient) | {ambient + i: Fraction(1)})
+            acc.add(sparse_vector_in(v, ambient) | {ambient + i: 1})
         # a reduced row (a | b) has a = sum_i b_i v_i; past the ambient coordinates, a = 0 (a relation)
         self._space = Subspace(ambient + self.k, [(p, r) for p, r in acc._reduced_rows() if p < ambient])
         self.rank = self._space.dim

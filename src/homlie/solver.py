@@ -488,9 +488,9 @@ def _symmetry_rows(n: int, sign: int) -> Iterator[dict[int, Fraction]]:
     """f(x,y) - sign*f(y,x) = 0."""
     for i in range(n):
         if sign == -1:
-            yield {i * n + i: Fraction(1)}
+            yield {i * n + i: 1}
         for j in range(i + 1, n):
-            yield {i * n + j: Fraction(1), j * n + i: Fraction(-sign)}
+            yield {i * n + j: 1, j * n + i: -sign}
 
 
 def coboundary_space(alg: AlgebraSpec) -> Subspace:
@@ -646,9 +646,10 @@ def f_t(alg: AlgebraSpec, form: BilinearForm, phi: Matrix, t: Sequence[Fraction]
     """The form (x, y) -> <phi(y), [x,t]> built from an invariant form and a
     solved structure; lands in the asymmetric-cocycle space by construction,
     and membership is re-checked here.  Its matrix is R^T F phi, where R's
-    columns are the brackets [e_i, t] and F = F^T is the form's matrix."""
+    columns are the brackets [e_i, t] and F = F^T is the form's matrix.
+    The form's check runs once per (algebra, form) and is kept on the algebra."""
     _require_lie(alg, "f_t")
-    if not (form.is_symmetric() and form.is_invariant(alg)):
+    if not _kept(alg, ("invariant form", form), lambda: form.is_symmetric() and form.is_invariant(alg)):
         raise ValueError("form must be symmetric and invariant")
     if not solve_structures(alg, HOM_LIE).contains_map(phi):
         raise ValueError("phi is not a Hom-Lie structure on this algebra")
@@ -726,7 +727,7 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
     for _, p in psi_space.rows:  # psi in the top-left block
         gens.append({(c // n) * m + c % n: x for c, x in p.items()})
     for j in range(n + 1):  # lambda: row z; then mu
-        gens.append({n * m + j: Fraction(1)})
+        gens.append({n * m + j: 1})
     for _, s in s_space.rows:  # phi(z) = s
         gens.append({i * m + n: v for i, v in s.items()})
     return HomSolution(ext, HOM_LIE, Subspace.from_spanning(gens, m * m))

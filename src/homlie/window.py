@@ -101,10 +101,10 @@ def _inner_report(pa: AlgebraSpec, space: Subspace, shift: int | None = None) ->
     # prediction: identity (shift 0 only) plus central maps of the matching shift
     preds = []
     if shift is None or shift == 0:
-        preds.append({p * k + p: Fraction(1) for p in range(k)})
+        preds.append({p * k + p: 1 for p in range(k)})
     for c in inner:
         if shift is None or pa.grading[c] + shift == 0:
-            preds.append({z * k + pos[c]: Fraction(1)})
+            preds.append({z * k + pos[c]: 1})
     predicted = Subspace.from_spanning(preds, k * k)
     # joined contains restricted, so predicted lies in restricted exactly when the dims agree
     joined = restricted.sum(predicted)

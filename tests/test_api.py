@@ -339,3 +339,31 @@ def test_every_compiled_identity_reaches_the_kernel_through_solve_modulo():
     visit(ast.parse((Path(homlie.__file__).parent / "solver.py").read_text()), None)
     assert set(calls["_solve_modulo"]) == SOLVE_MODULO_CALLERS
     assert calls["nullspace_of_rows"] == sorted(KERNEL_CALLERS)
+
+
+# Where a scalar from outside the kernel enters a store that keeps integral
+# entries as ints: the builder's table, the vectors the module action takes,
+# a grading's coordinates, km_window's central term and the delta of a
+# delta-derivation.  Everything the kernel writes is already an int when
+# integral, so no other Fraction -> int round trip is needed.
+INT_DOORS = {("algebra.py", "_clean_table"), ("actions.py", "_right"), ("actions.py", "_exp_ad"),
+             ("constructions.py", "check_cyclic_grading"), ("constructions.py", "km_window"),
+             ("solver.py", "_delta_rows")}
+
+
+def test_integral_scalars_become_ints_only_at_the_doors():
+    """Pins the callers of ``int_if_integral`` in the package, so that a new
+    Fraction -> int round trip has to be named here."""
+    callers = set()
+    for path in sorted(Path(homlie.__file__).parent.glob("*.py")):
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            if isinstance(node, ast.Call) and "int_if_integral" in (getattr(node.func, "id", None),
+                                                                    getattr(node.func, "attr", None)):
+                callers.add((path.name, owner))
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(ast.parse(path.read_text()), None)
+    assert callers == INT_DOORS

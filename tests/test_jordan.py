@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from homlie.algebra import builtin, killing_form, make_algebra
+from homlie.algebra import builtin, killing_form, make_algebra, sparse_product
 from homlie.constructions import km_window, tensor_lie
 from homlie.jordan import (
     closure_check,
@@ -93,6 +93,22 @@ def test_structure_constants_trivial_and_full_cases():
     jab = jordan_structure_constants(sol_ab, closure_check(sol_ab))
     assert jab.dim == 4
     assert jordan_identity_defect(jab) is None
+
+
+def test_the_jordan_identity_is_checked_beyond_basis_x():
+    """e1 e2 = e2 e1 = -e0 - e1 passes (x^2 y) x = x^2 (y x) at every basis
+    x and y, yet at x = e1 + e2, y = e2 one side is -2e0 - 2e1 and the other
+    is 0; the linearized check finds it at a basis tuple."""
+    alg = make_algebra(3, {(1, 2): [(0, -1), (1, -1)], (2, 1): [(0, -1), (1, -1)]}, flavor="generic-commutative")
+    x, y = {1: 1, 2: 1}, {2: 1}
+    xx = sparse_product(alg.rows, x, x)
+    assert sparse_product(alg.rows, sparse_product(alg.rows, xx, y), x) == {0: -2, 1: -2}
+    assert sparse_product(alg.rows, xx, sparse_product(alg.rows, y, x)) == {}
+    for i, j in product(range(3), repeat=2):  # the identity at basis x and y
+        xx = dict(alg.product_on_basis(i, i))
+        assert sparse_product(alg.rows, sparse_product(alg.rows, xx, {j: 1}), {i: 1}) == \
+            sparse_product(alg.rows, xx, dict(alg.product_on_basis(j, i)))
+    assert jordan_identity_defect(alg) == ((1, 2, 2, 2), (F(-2), F(-2), F(0)))
 
 
 def test_structure_constants_require_closure():

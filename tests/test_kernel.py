@@ -22,6 +22,7 @@ from homlie.battery import builtin_battery, random_lie_battery
 from homlie.linalg import RowAccumulator, SpanSolver, Subspace, nullspace_of_rows, sparse_lincomb
 from homlie.solver import BILINEAR_KINDS, parse_kind, solve_bilinear, solve_qder, solve_structures
 from homlie.window import solve_window
+from test_exact_rows import is_exact_entry
 from test_linalg import naive_rref
 from test_window import WINDOW_MODELS
 
@@ -250,7 +251,7 @@ def _check_stream(ncols, stream):
     assert sorted(new.pivots) == sorted(seed.pivots)
     reduced = new._reduced_rows()
     assert reduced == seed._reduced_rows()
-    assert all(type(x) is Fraction for _, r in reduced for x in r.values())
+    assert all(is_exact_entry(x) for _, r in reduced for x in r.values())
 
     pulled = [0]
     kernel = nullspace_of_rows(ncols, _counted(stream, pulled))
@@ -422,7 +423,7 @@ def test_accumulator_matches_dense_gauss_jordan(data):
     assert [r for _, r in reduced] == oracle
     assert [p for p, _ in reduced] == sorted(acc.pivots) == [min(r) for r in oracle]
     assert all(type(x) is Fraction for r in oracle for x in r.values())
-    assert all(type(x) is Fraction for _, r in reduced for x in r.values())
+    assert all(is_exact_entry(x) for _, r in reduced for x in r.values())
     space = Subspace(NCOLS, reduced)
     for row in stream:
         coords = space.coords(row)

@@ -601,6 +601,34 @@ def test_forms_of_the_wrong_shape_are_refused(size):
             call()
 
 
+def test_f_t_checks_each_form_once_per_algebra(monkeypatch):
+    """The symmetric-and-invariant verdict is kept on the algebra under the
+    form: three calls with one Killing form run one invariance scan, and a
+    form that fails the check, or has the wrong shape, raises on every call."""
+    scans = []
+    is_invariant = BilinearForm.is_invariant
+
+    def counted(form, alg):
+        scans.append(form)
+        return is_invariant(form, alg)
+
+    monkeypatch.setattr(BilinearForm, "is_invariant", counted)
+    sl2 = builtin("sl", 2)
+    kf = killing_form(sl2)
+    for k in range(3):
+        f_t(sl2, kf, Matrix.identity(3), sl2.basis_vector(k))
+    assert scans == [kf]
+    f_t(builtin("sl", 2), kf, Matrix.identity(3), sl2.basis_vector(0))  # another algebra: its own scan
+    assert len(scans) == 2
+    not_invariant = BilinearForm(Matrix.identity(3))
+    assert not_invariant.is_symmetric() and not is_invariant(not_invariant, sl2)
+    wrong_shape = BilinearForm(Matrix.identity(4))
+    for form, match in ((not_invariant, "symmetric and invariant"), (wrong_shape, "form shape")):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                f_t(sl2, form, Matrix.identity(3), sl2.basis_vector(1))
+
+
 def test_contains_map_refuses_a_map_of_the_wrong_shape():
     sl2 = builtin("sl", 2)
     flat = Matrix.from_rows([list(Matrix.identity(3).flatten())])  # 1 x 9: the identity's entries
