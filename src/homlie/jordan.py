@@ -91,14 +91,24 @@ def jordan_identity_defect(alg: AlgebraSpec) -> tuple[tuple[int, int, int, int],
     it.  Its linearization, the sum over t in {a, b, c} of ((pq)y)t -
     (pq)(yt) with {p, q} the other two, is symmetric and trilinear in a, b,
     c and is 3 times the identity's defect at a = b = c = x, so over Q it
-    vanishes on basis tuples exactly when the identity holds."""
+    vanishes on basis tuples exactly when the identity holds.  Each pq is
+    computed once per (p, q), each (pq)y once per (p, q, y), and a zero pq
+    contributes nothing."""
     n, rows = alg.dim, alg.rows
+    pqs: dict[tuple[int, int], dict] = {}
+    pqys: dict[tuple[int, int, int], dict] = {}
     for a, b, c in combinations_with_replacement(range(n), 3):
         for y in range(n):
             terms = []
             for p, q, t in ((b, c, a), (a, c, b), (a, b, c)):
-                pq = dict(alg.product_on_basis(p, q))
-                terms += [(1, sparse_product(rows, sparse_product(rows, pq, {y: 1}), {t: 1})),
+                if (p, q) not in pqs:
+                    pqs[p, q] = dict(alg.product_on_basis(p, q))
+                pq = pqs[p, q]
+                if not pq:
+                    continue  # both terms vanish
+                if (p, q, y) not in pqys:
+                    pqys[p, q, y] = sparse_product(rows, pq, {y: 1})
+                terms += [(1, sparse_product(rows, pqys[p, q, y], {t: 1})),
                           (-1, sparse_product(rows, pq, dict(alg.product_on_basis(y, t))))]
             defect = sparse_lincomb(*terms)
             if defect:

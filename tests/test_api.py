@@ -341,6 +341,38 @@ def test_every_compiled_identity_reaches_the_kernel_through_solve_modulo():
     assert calls["nullspace_of_rows"] == sorted(KERNEL_CALLERS)
 
 
+# The names through which ``window`` could reach a kernel: the solve path's
+# entries and the elimination front-ends that solve a system.
+WINDOW_KERNEL_NAMES = {"_solve_shift_blocks", "_solve_modulo", "solve_structures", "nullspace_of_rows", "nullspace",
+                       "_hom_rows", "_sparse_rows"}
+
+
+def test_the_window_reaches_the_kernel_only_through_solve_shift_blocks():
+    """In ``window`` each of those names is a ``_solve_shift_blocks`` call in
+    ``_block`` or the ``nullspace_of_rows`` it passes as the kernel: a
+    mirrored block is conjugated through ``Subspace.from_spanning``, so no
+    second solve path sits beside the shift-block one."""
+    uses, allowed, callers = [], set(), []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_solve_shift_blocks":
+            callers.append(owner)
+            allowed.add(id(node.func))
+            if isinstance(node.args[-1], ast.Name) and node.args[-1].id == "nullspace_of_rows":
+                allowed.add(id(node.args[-1]))
+        if isinstance(node, ast.Name) and node.id in WINDOW_KERNEL_NAMES or \
+                isinstance(node, ast.Attribute) and node.attr in WINDOW_KERNEL_NAMES:
+            uses.append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse((Path(homlie.__file__).parent / "window.py").read_text()), None)
+    assert callers == ["_block"]
+    assert [f"window.py:{node.lineno}" for node in uses if id(node) not in allowed] == []
+
+
 # Where a scalar from outside the kernel enters a store that keeps integral
 # entries as ints: the builder's table, the vectors the module action takes,
 # a grading's coordinates, km_window's central term and the delta of a

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from homlie import jordan
 from homlie.algebra import builtin, killing_form, make_algebra, sparse_product
 from homlie.constructions import km_window, tensor_lie
 from homlie.jordan import (
@@ -109,6 +110,23 @@ def test_the_jordan_identity_is_checked_beyond_basis_x():
         assert sparse_product(alg.rows, sparse_product(alg.rows, xx, {j: 1}), {i: 1}) == \
             sparse_product(alg.rows, xx, dict(alg.product_on_basis(j, i)))
     assert jordan_identity_defect(alg) == ((1, 2, 2, 2), (F(-2), F(-2), F(0)))
+
+
+def test_the_jordan_identity_check_reuses_its_products(monkeypatch):
+    """On the Jordan algebra of the closed sl2 N = 2 window space, where the
+    identity holds, the check makes one sparse product per (p, q, y) with
+    pq nonzero and two per such (p, q, t) in each tuple: under a fifth of
+    the nine per tuple made when every pq and (pq)y was recomputed."""
+    sol = solve_window(km_window(builtin("sl", 2), killing_form(builtin("sl", 2)), 2)).full
+    jalg = jordan_structure_constants(sol, closure_check(sol))
+    n, calls = jalg.dim, []
+    monkeypatch.setattr(jordan, "sparse_product", lambda *args: calls.append(args) or sparse_product(*args))
+    assert jordan_identity_defect(jalg) is None
+    nonzero = {(p, q) for p in range(n) for q in range(p, n) if jalg.product_on_basis(p, q)}
+    tuples = [(a, b, c) for a in range(n) for b in range(a, n) for c in range(b, n)]
+    per_tuple = sum(2 * ((b, c) in nonzero) + 2 * ((a, c) in nonzero) + 2 * ((a, b) in nonzero) for a, b, c in tuples)
+    assert len(calls) == n * len(nonzero) + n * per_tuple
+    assert 5 * len(calls) < 9 * n * len(tuples)  # 25,092 calls against 184,680
 
 
 def test_structure_constants_require_closure():
