@@ -124,9 +124,10 @@ class AlgebraSpec:
 
     @cached_property
     def _solved(self) -> dict:
-        """What the solver keeps for this algebra: its compile plan, the forms
-        f_t checked and the spaces it solved.  An algebra is immutable, so
-        they stay valid, and they go with the algebra."""
+        """What the solver keeps for this algebra: its compile plan and
+        mirror, the forms f_t checked, and the blocks, spaces and window
+        solutions it solved.  An algebra is immutable, so they stay valid,
+        and they go with the algebra."""
         return {}
 
     @property

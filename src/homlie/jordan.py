@@ -93,19 +93,22 @@ def jordan_identity_defect(alg: AlgebraSpec) -> tuple[tuple[int, int, int, int],
     c and is 3 times the identity's defect at a = b = c = x, so over Q it
     vanishes on basis tuples exactly when the identity holds.  Each pq is
     computed once per (p, q), each (pq)y once per (p, q, y), and a zero pq
-    contributes nothing."""
+    contributes nothing, so a triple whose three pq are zero has no y to
+    walk."""
     n, rows = alg.dim, alg.rows
     pqs: dict[tuple[int, int], dict] = {}
     pqys: dict[tuple[int, int, int], dict] = {}
     for a, b, c in combinations_with_replacement(range(n), 3):
+        for p, q in ((b, c), (a, c), (a, b)):
+            if (p, q) not in pqs:
+                pqs[p, q] = dict(alg.product_on_basis(p, q))
+        nonzero = [(p, q, t) for p, q, t in ((b, c, a), (a, c, b), (a, b, c)) if pqs[p, q]]
+        if not nonzero:
+            continue  # every term vanishes at every y
         for y in range(n):
             terms = []
-            for p, q, t in ((b, c, a), (a, c, b), (a, b, c)):
-                if (p, q) not in pqs:
-                    pqs[p, q] = dict(alg.product_on_basis(p, q))
+            for p, q, t in nonzero:
                 pq = pqs[p, q]
-                if not pq:
-                    continue  # both terms vanish
                 if (p, q, y) not in pqys:
                     pqys[p, q, y] = sparse_product(rows, pq, {y: 1})
                 terms += [(1, sparse_product(rows, pqys[p, q, y], {t: 1})),

@@ -330,45 +330,182 @@ def _solve_shift_blocks(
     shifts: Iterable[int],
     kernel: Callable[[int, Iterable[Mapping[int, Fraction]]], Subspace],
 ) -> Subspace:
-    """The kind's solutions in the shift blocks ``shifts``, in End.
+    """The kind's solutions in the shift blocks ``shifts``, in End.  Each
+    block is solved once per algebra and kept on it under (kind, shift):
+    block s is conjugated from a kept block -s when the table has a
+    ``_mirror``, and solved by ``_solve_block`` with ``kernel`` otherwise.
 
-    Every term of the kind's identity at basis vectors of total degree D,
-    for a map of shift s, lies in degree D + s, so the solution space is the
-    direct sum of its shift blocks; ungraded, the one block is all of End.
-    Each block is solved modulo ``_known_block`` by ``_solve_modulo`` with
-    ``kernel``, reading the rows of the block's own pass (``_hom_rows``, or
-    ``_delta_rows``) through its columns ``_by_source``: at full rank
-    ``kernel`` stops reading, and the pass compiles nothing more.  A block
-    that K already fills is not compiled.
-
-    A block's reduced rows map into End by (q, c) -> q*n + c.  That map is
-    increasing on the block's columns, which are numbered by (q, c)
-    ascending, so each mapped row keeps its pivot first and stays reduced;
-    the blocks have disjoint columns, so a row is zero on every other
-    block's pivots.  The mapped rows, sorted by pivot, are therefore the
+    The direct-sum lemma.  Every term of the kind's identity at basis
+    vectors of total degree D, for a map of shift s, lies in degree D + s,
+    so the solution space is the direct sum of its shift blocks; ungraded,
+    the one block is all of End.  The blocks have disjoint columns, and each
+    block's rows are reduced in End (``_solve_block``), so a row is zero on
+    every other block's pivots: all the rows, sorted by pivot, are the
     reduced basis of the direct sum, with no further elimination.
+
+    The mirror lemma.  Let sigma(e_u) = s_u e_{pi u} be the checked
+    ``_mirror``: a bijection that negates degrees, maps every defined
+    product of basis vectors to the product of the images and every
+    undefined one to an undefined one (on a loop window, x (x) t^i ->
+    x (x) t^-i, d -> -d, z -> -z, Kac, *Infinite-dimensional Lie algebras*,
+    ch. 7-8).  For phi of shift s, phi' = sigma phi sigma^-1 has shift -s,
+    and its entry at (pi q, pi c) is s_q s_c times phi's at (q, c).  Each
+    identity ``_solve_block`` compiles, the three hom identities and
+    D(xy) - delta (D(x)y + xD(y)), is built from products alone.  Its
+    equation at a basis tuple and shift s reads products of basis vectors
+    whose factors are tuple members, members of the support of such a
+    product, or basis vectors of the degree a member's degree plus s; pi
+    maps them onto the products that the equation of the image tuple reads
+    at -s, as it maps supports onto supports and degree d + s onto
+    -d - s.  So one equation is imposed exactly when the other is, and then
+    the form of the image tuple at phi' is sigma of the form at phi, times
+    the product of the tuple's signs: for instance
+    (e_{pi a} e_{pi b}) phi'(e_{pi c}) = s_a s_b s_c sigma((e_a e_b) phi(e_c))
+    and phi'(e_{pi i} e_{pi j}) = s_i s_j sigma(phi(e_i e_j)).  A block's
+    solutions are the common kernel of the equations imposed on every
+    ordered tuple, which ``_solve_block``'s rows span (``_triples``,
+    ``_leibniz_pairs``).  Hence phi solves every equation imposed at s
+    exactly when phi' solves every one imposed at -s: the invertible map
+    phi -> phi' carries the solutions of block s onto those of block -s,
+    and ``Subspace.from_spanning`` of the images of a basis is that block's
+    reduced basis.
     """
-    n = alg.dim
     if kind.tag not in _SIGNS and kind.tag != "delta-derivation":
         raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
     if kind.delta is not None:
         _require_defined(alg, kind)
-    plan = _plan(alg)
-    annihilator = plan.annihilator if kind.tag in _SIGNS else ()
-    rows: list[tuple[int, Mapping[int, Fraction]]] = []
+    n, kept = alg.dim, _kept(alg, "blocks", dict)
+    blocks = []
     for shift in shifts:
-        cols = plan.block(shift)
-        if not cols:
+        if (kind, shift) not in kept:
+            mirror = _mirror(alg) if shift and (kind, -shift) in kept else None
+            if mirror is None:
+                kept[kind, shift] = _solve_block(alg, kind, shift, kernel)
+            else:
+                (perm, sign), partner = mirror, kept[kind, -shift]
+                images = ({perm[j // n] * n + perm[j % n]: sign[j // n] * sign[j % n] * x for j, x in row.items()}
+                          for _, row in partner.rows)
+                kept[kind, shift] = Subspace.from_spanning(images, n * n)
+        blocks.append(kept[kind, shift])
+    if len(blocks) == 1:
+        return blocks[0]
+    return Subspace(n * n, sorted((pr for block in blocks for pr in block.rows), key=lambda pr: pr[0]))
+
+
+def _solve_block(
+    alg: AlgebraSpec,
+    kind: StructureKind,
+    shift: int,
+    kernel: Callable[[int, Iterable[Mapping[int, Fraction]]], Subspace],
+) -> Subspace:
+    """The kind's solutions in the block of ``shift``, in End, compiled and
+    solved directly: the one place a shift block reaches ``_solve_modulo``.
+
+    The block is solved modulo ``_known_block`` by ``_solve_modulo`` with
+    ``kernel``, reading the rows of the block's own pass (``_hom_rows``, or
+    ``_delta_rows``) through its columns ``_by_source``: at full rank
+    ``kernel`` stops reading, and the pass compiles nothing more.  A block
+    that K already fills is not compiled.  The block's reduced rows map into
+    End by (q, c) -> q*n + c.  That map is increasing on the block's
+    columns, which are numbered by (q, c) ascending, so each mapped row keeps
+    its pivot first and stays reduced.
+    """
+    n, plan = alg.dim, _plan(alg)
+    cols = plan.block(shift)
+    space = _known_block(alg, kind, shift, cols, plan.annihilator if kind.tag in _SIGNS else ())
+    if space.dim < len(cols):
+        col_of = _by_source(cols, n)
+        compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None
+                    else _hom_rows(plan, kind, col_of, alg.rows))
+        space = _solve_modulo(space, compiled, [col_of], plan.gaps, kernel)
+    end = [q * n + c for q, c in cols]  # block column -> End coordinate
+    return Subspace(n * n, [(end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows])
+
+
+def _sigma(alg: AlgebraSpec) -> tuple[list[int], list[int]] | None:
+    """The table's candidate mirror, sigma(e_u) = sign[u] e_perm[u], as
+    (perm, sign), found from the grading alone: the k-th basis vector of
+    degree i goes to the k-th of degree -i.  None on an ungraded table,
+    when two opposite degrees hold different numbers of vectors, or when no
+    signs fit.
+
+    With sign[u] = (-1)^x_u, sigma maps e_p e_q = sum c_k e_k to
+    sum c_k s_k e_{perm k}, and sigma(e_p) sigma(e_q) has s_p s_q c'_k
+    there, c'_k the coefficient of e_{perm k} in e_{perm p} e_{perm q}.  So
+    a product-preserving sigma has x_p + x_q + x_k = [c'_k != c_k] over
+    GF(2) for every defined product and every k in its support; on a
+    commutative or anticommutative table e_q e_p = +-e_p e_q gives the
+    equation of e_p e_q, so q >= p suffices.  The equations, each once, are
+    reduced as bit masks to rows that hold their pivot and free variables
+    only; with the free variables 0, each pivot variable is its row's right
+    side.  Any solution will do: the equations are ``_is_mirror``'s
+    conditions on the signs, so one solution passes it exactly when every
+    one does."""
+    if alg.grading is None:
+        return None
+    components, perm = _plan(alg).components, list(range(alg.dim))
+    for d, us in components.items():
+        if len(components.get(-d, ())) != len(us):
+            return None
+        for u, v in zip(us, components[-d]):
+            perm[u] = v
+    equations, swapped = set(), alg.is_commutative() or alg.is_anticommutative()
+    for p, row in enumerate(alg.rows):
+        image = alg.rows[perm[p]]
+        for q, terms in row.items():
+            if terms and not (swapped and q < p):
+                pq, mapped = (1 << p) ^ (1 << q), dict(image.get(perm[q]) or ())
+                for k, c in terms:
+                    equations.add((pq ^ (1 << k), mapped.get(perm[k]) != c))
+    pivots: dict[int, tuple[int, bool]] = {}  # pivot bit -> (its row, its right side)
+    for mask, odd in equations:
+        bits = mask
+        while bits:  # the equation's own variables, as no row holds another row's pivot
+            bit = bits & -bits
+            bits ^= bit
+            if bit in pivots:
+                mask, odd = mask ^ pivots[bit][0], odd ^ pivots[bit][1]
+        if not mask:
+            if odd:
+                return None
             continue
-        space = _known_block(alg, kind, shift, cols, annihilator)
-        if space.dim < len(cols):
-            col_of = _by_source(cols, n)
-            compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None
-                        else _hom_rows(plan, kind, col_of, alg.rows))
-            space = _solve_modulo(space, compiled, [col_of], plan.gaps, kernel)
-        end = [q * n + c for q, c in cols]  # block column -> End coordinate
-        rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)
-    return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))
+        low = mask & -mask
+        for bit, (other, other_odd) in pivots.items():
+            if other & low:
+                pivots[bit] = other ^ mask, other_odd ^ odd
+        pivots[low] = mask, odd
+    return perm, [-1 if pivots.get(1 << u, (0, False))[1] else 1 for u in range(alg.dim)]
+
+
+def _is_mirror(alg: AlgebraSpec, perm: list[int], sign: list[int]) -> bool:
+    """Whether sigma(e_u) = sign[u] e_perm[u] is a bijection that negates
+    degrees, sends each defined product e_p e_q to sigma(e_p) sigma(e_q)
+    and each undefined one to an undefined one.
+
+    Each row of the index is walked once: its entries map injectively into
+    row perm[p], and equal lengths leave that row no other entry, so zero
+    products map to zero products too."""
+    rows, deg = alg.rows, alg.grading
+    if sorted(perm) != list(range(alg.dim)) or any(deg[perm[u]] != -deg[u] for u in range(alg.dim)):
+        return False
+    for p, row in enumerate(rows):
+        image = rows[perm[p]]
+        if len(image) != len(row):
+            return False
+        for q, terms in row.items():
+            mapped = image.get(perm[q], ())
+            if terms is None or mapped is None:
+                if terms is not mapped:
+                    return False
+            elif dict(mapped) != {perm[k]: sign[p] * sign[q] * sign[k] * c for k, c in terms}:
+                return False
+    return True
+
+
+def _mirror(alg: AlgebraSpec) -> tuple[list[int], list[int]] | None:
+    """``_sigma`` once it has passed ``_is_mirror``, found once per algebra
+    and kept on it; None when the table has no such mirror."""
+    return _kept(alg, "mirror", lambda: sigma if (sigma := _sigma(alg)) and _is_mirror(alg, *sigma) else None)
 
 
 def _solve_modulo(

@@ -317,7 +317,7 @@ def test_the_module_action_has_one_route():
 # bare kernel call left is the s-space system of the decomposed
 # central-extension solve (the cocycle's rows on the derived subalgebra,
 # compiled through no column map).
-SOLVE_MODULO_CALLERS = {"_solve_shift_blocks", "solve_bilinear.solve", "solve_qder", "seq_uv",
+SOLVE_MODULO_CALLERS = {"_solve_block", "solve_bilinear.solve", "solve_qder", "seq_uv",
                         "central_ext_homlie_decomposed"}
 KERNEL_CALLERS = {"central_ext_homlie_decomposed"}
 
@@ -348,10 +348,10 @@ WINDOW_KERNEL_NAMES = {"_solve_shift_blocks", "_solve_modulo", "solve_structures
 
 
 def test_the_window_reaches_the_kernel_only_through_solve_shift_blocks():
-    """In ``window`` each of those names is a ``_solve_shift_blocks`` call in
-    ``_block`` or the ``nullspace_of_rows`` it passes as the kernel: a
-    mirrored block is conjugated through ``Subspace.from_spanning``, so no
-    second solve path sits beside the shift-block one."""
+    """In ``window`` each of those names is the ``_solve_shift_blocks`` call
+    in ``solve_window`` or the ``nullspace_of_rows`` it passes as the
+    kernel: the blocks are kept and mirrored inside the solver, so no second
+    solve path or store of blocks sits beside the shift-block one."""
     uses, allowed, callers = [], set(), []
 
     def visit(node, owner):
@@ -369,7 +369,7 @@ def test_the_window_reaches_the_kernel_only_through_solve_shift_blocks():
             visit(child, owner)
 
     visit(ast.parse((Path(homlie.__file__).parent / "window.py").read_text()), None)
-    assert callers == ["_block"]
+    assert callers == ["solve_window"]
     assert [f"window.py:{node.lineno}" for node in uses if id(node) not in allowed] == []
 
 

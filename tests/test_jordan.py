@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from homlie import jordan
 from homlie.algebra import builtin, killing_form, make_algebra, sparse_product
+from homlie.battery import builtin_battery
 from homlie.constructions import km_window, tensor_lie
 from homlie.jordan import (
     closure_check,
@@ -14,7 +15,7 @@ from homlie.jordan import (
     jordan_product,
     jordan_structure_constants,
 )
-from homlie.linalg import Matrix, Subspace
+from homlie.linalg import Matrix, Subspace, dense_vector, sparse_lincomb
 from homlie.solver import HOM_LIE, solve_structures, structure_residual
 from homlie.window import solve_window
 
@@ -127,6 +128,46 @@ def test_the_jordan_identity_check_reuses_its_products(monkeypatch):
     per_tuple = sum(2 * ((b, c) in nonzero) + 2 * ((a, c) in nonzero) + 2 * ((a, b) in nonzero) for a, b, c in tuples)
     assert len(calls) == n * len(nonzero) + n * per_tuple
     assert 5 * len(calls) < 9 * n * len(tuples)  # 25,092 calls against 184,680
+
+
+def _every_y_walk(alg):
+    """``jordan_identity_defect`` as it walked before it skipped a triple
+    whose three pq are zero: every y of every triple."""
+    n, rows = alg.dim, alg.rows
+    pqs, pqys = {}, {}
+    for a, b, c in combinations_with_replacement(range(n), 3):
+        for y in range(n):
+            terms = []
+            for p, q, t in ((b, c, a), (a, c, b), (a, b, c)):
+                if (p, q) not in pqs:
+                    pqs[p, q] = dict(alg.product_on_basis(p, q))
+                pq = pqs[p, q]
+                if not pq:
+                    continue
+                if (p, q, y) not in pqys:
+                    pqys[p, q, y] = sparse_product(rows, pq, {y: 1})
+                terms += [(1, sparse_product(rows, pqys[p, q, y], {t: 1})),
+                          (-1, sparse_product(rows, pq, dict(alg.product_on_basis(y, t))))]
+            defect = sparse_lincomb(*terms)
+            if defect:
+                return (a, b, c, y), dense_vector(defect, n)
+    return None
+
+
+def _window_jordan(n):
+    sol = solve_window(km_window(builtin("sl", 2), killing_form(builtin("sl", 2)), n)).full
+    return jordan_structure_constants(sol, closure_check(sol))
+
+
+def test_skipping_zero_triples_keeps_the_walk():
+    """The same verdict and first witness as the walk over every y, on the
+    builtin battery (where the identity fails), the beyond-basis table and
+    the Jordan algebras of the closed sl2 windows N = 2..4 (where it holds)."""
+    beyond = make_algebra(3, {(1, 2): [(0, -1), (1, -1)], (2, 1): [(0, -1), (1, -1)]}, flavor="generic-commutative")
+    tables = [alg for _, alg in builtin_battery()] + [beyond] + [_window_jordan(n) for n in (2, 3, 4)]
+    verdicts = [jordan_identity_defect(alg) for alg in tables]
+    assert verdicts == [_every_y_walk(alg) for alg in tables]
+    assert verdicts[-3:] == [None] * 3 and sum(v is not None for v in verdicts) > 5
 
 
 def test_structure_constants_require_closure():

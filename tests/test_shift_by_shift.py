@@ -1,14 +1,15 @@
 """A solve over several shift blocks does exactly the work of solving them
-one at a time: ``solver._solve_shift_blocks`` compiles each block with a
-pass of its own.  Checked against a test-local copy of the router it
-replaced, which compiled every requested block in one pass over the
-triples and queued the rows of the blocks still waiting: the same
-canonical subspace, and the same rows read by each kernel call.  And the
-undefined products an all-shift solve raises are those of the
-single-shift solves, in order.  On the window models the one-pass router
-raised more, compiling rows for waiting blocks that their kernels never
-read; on the partial tables it raised less, since one raise at a run's
-undefined first product ended the run for every block at once."""
+one at a time: ``solver._solve_block`` compiles each block with a pass of
+its own.  Checked against a test-local copy of the router it replaced,
+which compiled every requested block in one pass over the triples and
+queued the rows of the blocks still waiting: the same canonical subspace,
+and the same rows read by each kernel call.  An all-shift solve
+(``solver._solve_shift_blocks``) compiles the blocks it does not conjugate
+from a kept mirror block, and the undefined products it raises are those
+of their direct solves, in order.  On the window models the one-pass
+router raised more, compiling rows for waiting blocks that their kernels
+never read; on the partial tables it raised less, since one raise at a
+run's undefined first product ended the run for every block at once."""
 
 from collections import Counter, deque
 from fractions import Fraction
@@ -26,8 +27,10 @@ from homlie.solver import (
     HOM_LIE,
     _by_source,
     _known_block,
+    _mirror,
     _plan,
     _require_defined,
+    _solve_block,
     _solve_shift_blocks,
     _sparse_rows,
     _triples,
@@ -190,60 +193,78 @@ def cases():
 
 
 def test_each_block_reads_the_rows_the_one_pass_router_gave_it(raised):
-    """Same subspace, and the same rows read by each kernel call; the
-    undefined products raised over all shifts are those raised shift by
-    shift, in order."""
-    checked = raises = saved = 0  # saved: raises the one-pass router made beyond these, on the windows
+    """Block by block, the direct solves give the one-pass router's
+    subspace, and each kernel call reads the rows the router gave it.  The
+    all-shift solve, shifts ascending, compiles the blocks of s <= 0, and
+    the others too where the table has no mirror; it gives the same
+    subspace, and raises the undefined products and reads the rows of
+    those blocks' direct solves, in order."""
+    checked = raises = saved = 0  # saved: raises the one-pass router made beyond the direct solves, on the windows
     for name, alg, kind in cases():
         shifts = grading_shifts(alg)
         _plan(alg).annihilator  # solved once, before any raise is recorded
-        new, old = Recording(), Recording()
+        new = Recording()
         raised.clear()
         space = _solve_shift_blocks(alg, kind, shifts, new)
         all_shifts = list(raised)
-        raised.clear()
-        assert space == one_pass_router(alg, kind, shifts, old), (name, str(kind))
-        if name.startswith("window"):
-            saved += len(raised) - len(all_shifts)
-        assert new.calls == old.calls, (name, str(kind))
-        raised.clear()
+        direct, pairs, rows = {}, {}, []
         for shift in shifts:
-            _solve_shift_blocks(alg, kind, [shift], nullspace_of_rows)
-        assert all_shifts == raised, (name, str(kind))
+            direct[shift] = Recording()
+            raised.clear()
+            rows.extend(_solve_block(alg, kind, shift, direct[shift]).rows)
+            pairs[shift] = list(raised)
+        old = Recording()
+        raised.clear()
+        assert space == Subspace(alg.dim ** 2, sorted(rows, key=lambda pr: pr[0])) == \
+            one_pass_router(alg, kind, shifts, old), (name, str(kind))
+        direct_raises = sum(map(len, pairs.values()))
+        if name.startswith("window"):
+            saved += len(raised) - direct_raises
+        assert sum((recording.calls for recording in direct.values()), Counter()) == old.calls, (name, str(kind))
+        compiled = [s for s in shifts if s <= 0 or _mirror(alg) is None]
+        assert all_shifts == [pair for s in compiled for pair in pairs[s]], (name, str(kind))
+        assert new.calls == sum((direct[s].calls for s in compiled), Counter()), (name, str(kind))
         checked += len(shifts) > 1
-        raises += len(all_shifts)
+        raises += direct_raises
     assert checked > 300 and raises > 10_000 and saved > 1000
 
 
 def test_the_all_shift_window_solve_raises_what_the_shifts_raise(raised):
-    """sl2 N = 6 over all shifts: 1,492 raises, the sum over the shifts
-    solved one by one, where the one-pass router raised 1,812."""
+    """sl2 N = 6: the direct solves of its blocks raise 1,492 times, where
+    the one-pass router raised 1,812.  The all-shift solve compiles the
+    blocks of s <= 0, conjugates the others from them, and raises what
+    those blocks' direct solves raise: 837 times."""
     alg = _untwisted(6)
     shifts = grading_shifts(alg)
     _plan(alg).annihilator
+    per_shift = {}
+    for shift in shifts:
+        raised.clear()
+        _solve_block(alg, HOM_LIE, shift, nullspace_of_rows)
+        per_shift[shift] = len(raised)
     counts = []
     for solve in (_solve_shift_blocks, one_pass_router):
         raised.clear()
         solve(alg, HOM_LIE, shifts, nullspace_of_rows)
         counts.append(len(raised))
-    raised.clear()
-    for shift in shifts:
-        _solve_shift_blocks(alg, HOM_LIE, [shift], nullspace_of_rows)
-    assert counts == [len(raised), 1812] and len(raised) == 1492
+    assert sum(per_shift.values()) == 1492
+    assert counts == [sum(per_shift[s] for s in shifts if s <= 0), 1812] and counts[0] == 837
 
 
 def test_blocks_are_solved_in_the_order_given():
     """The blocks are compiled in the order of ``shifts``, one kernel call
-    each, and the answer does not depend on that order."""
-    alg = _untwisted(3)
-    shifts = grading_shifts(alg)
+    each, a block whose mirror block is already kept conjugated instead, and
+    the answer does not depend on that order.  Centre out, the blocks of
+    0, -1, -2, ... are compiled, and in reverse those of ..., 2, 1, 0: the
+    same sizes, in reverse order."""
+    shifts = sorted(grading_shifts(_untwisted(3)), key=lambda s: (abs(s), s))
     sizes = []
 
     def kernel(ncols, rows):
         sizes.append(ncols)
         return nullspace_of_rows(ncols, rows)
 
-    forward = _solve_shift_blocks(alg, HOM_LIE, shifts, kernel)
+    forward = _solve_shift_blocks(_untwisted(3), HOM_LIE, shifts, kernel)
     order, sizes[:] = list(sizes), []
-    assert _solve_shift_blocks(alg, HOM_LIE, shifts[::-1], kernel) == forward
+    assert _solve_shift_blocks(_untwisted(3), HOM_LIE, shifts[::-1], kernel) == forward
     assert sizes == order[::-1] and sorted(order) != order

@@ -36,6 +36,7 @@ from homlie.solver import (
     _plan,
     grading_shifts,
 )
+from test_unit_rows import direct_router
 
 F = Fraction
 
@@ -234,8 +235,8 @@ def _regraded(alg, degree_of):
 
 def test_one_pass_compiles_each_triple_at_most_once(monkeypatch):
     """Each block K does not fill is compiled by one ``_triples`` pass of
-    its own, which hands out each triple at most once; a block that K fills
-    makes no pass."""
+    its own (``_solve_block``, the direct compile of one block), which hands
+    out each triple at most once; a block that K fills makes no pass."""
     from homlie import solver
 
     passes = []
@@ -252,7 +253,7 @@ def test_one_pass_compiles_each_triple_at_most_once(monkeypatch):
     plan = _plan(sl4)
     for kind in (HOM_LIE, HOM_CYCLIC, HOM_2NILP):
         passes.clear()
-        space = solver._solve_shift_blocks(sl4, kind, grading_shifts(sl4), nullspace_of_rows)
+        space = direct_router(sl4, kind, grading_shifts(sl4), nullspace_of_rows)
         open_blocks = [shift for shift in grading_shifts(sl4) if (cols := plan.block(shift))
                        and solver._known_block(sl4, kind, shift, cols, plan.annihilator).dim < len(cols)]
         assert len(passes) == len(open_blocks) > 1, kind
@@ -262,7 +263,7 @@ def test_one_pass_compiles_each_triple_at_most_once(monkeypatch):
         assert space == _full_consumption(sl4, kind), kind
     passes.clear()
     abelian = builtin("abelian", 3)  # K, the maps into the annihilator, is all of End
-    assert solver._solve_shift_blocks(abelian, HOM_LIE, [0], nullspace_of_rows).dim == 9 and passes == []
+    assert solver._solve_block(abelian, HOM_LIE, 0, nullspace_of_rows).dim == 9 and passes == []
 
 
 def test_solves_are_kept_on_the_algebra_and_go_with_it():

@@ -60,7 +60,7 @@ def test_an_all_shift_window_solve_charges_each_block_to_the_window():
     pa = km_window(g, killing_form(g), 3)
     plan = solver._plan(pa)
     shifts = solver.grading_shifts(pa)
-    assert window._mirror(pa) is not None
+    assert solver._mirror(pa) is not None
     kept, open_blocks = set(), 0
     for s in shifts:  # solve_window solves the shifts in this order
         cols = plan.block(s)

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from homlie.algebra import BILINEAR_KINDS, AlgebraSpec, builtin, killing_form, sparse_product
+from homlie.algebra import (BILINEAR_KINDS, AlgebraSpec, UndefinedProduct, _evaluate, _hom_terms, builtin, killing_form,
+                            sparse_product)
 from homlie.constructions import km_window
 from homlie.linalg import (
     Matrix,
@@ -25,8 +26,10 @@ from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
     HOM_LIE,
+    _SIGNS,
+    _by_source,
     _plan,
-    _solve_shift_blocks,
+    _solve_block,
     _triples,
     delta_derivation,
     grading_shifts,
@@ -47,9 +50,10 @@ from homlie.window import (
 F = Fraction
 
 
-def _solve_block(pa, shift):
-    """Basis of the kernel of one shift block, in End coordinates."""
-    return _solve_shift_blocks(pa, HOM_LIE, [shift], nullspace_of_rows).basis.data
+def _block_basis(pa, shift):
+    """Basis of the kernel of one shift block, in End coordinates, compiled
+    directly (``solver._solve_block``)."""
+    return _solve_block(pa, HOM_LIE, shift, nullspace_of_rows).basis.data
 
 
 def _bracket_table(dim, products):
@@ -313,20 +317,30 @@ def test_shift_blocks_sum_to_full(model, n_window):
     full = solve_window(pa)
     total = 0
     for shift in window_shifts(pa):
-        total += len(_solve_block(pa, shift))
+        total += len(_block_basis(pa, shift))
     assert total == full.full.dim
 
 
 @pytest.mark.parametrize("model, n_window", WINDOW_MODELS)
 def test_block_solutions_have_zero_residuals(model, n_window):
+    """Every basis map of every block solves each Hom-Jacobi equation the
+    window imposes at its shift.  Each triple's ``_hom_terms`` are built
+    once per block, over the block's columns as ``structure_residual``
+    reads them, and evaluated at every basis map; a triple whose terms read
+    an undefined product imposes nothing (``structure_residual``'s None)."""
     pa = model(n_window)
     n = pa.dim
     for shift in window_shifts(pa):
-        for vec in _solve_block(pa, shift):
-            phi = Matrix.unflatten(vec, n, n)
-            for tri in itertools.combinations(range(n), 3):
-                r = structure_residual(pa, phi, HOM_LIE, tri, shift)
-                assert r is None or not any(r)
+        cols = _plan(pa).block(shift)
+        col_of, forms = _by_source(cols, n), []
+        for tri in itertools.combinations(range(n), 3):
+            try:
+                forms.append(list(_hom_terms(pa.rows, pa.rows, _SIGNS["hom-lie"], *tri, col_of)))
+            except UndefinedProduct:
+                continue
+        for _, row in _solve_block(pa, HOM_LIE, shift, nullspace_of_rows).rows:
+            x = {cols[divmod(j, n)]: v for j, v in row.items()}
+            assert not any(_evaluate(form, x) for form in forms)
 
 
 def test_residual_reads_the_component_of_the_map_shift():
@@ -386,7 +400,7 @@ def _full_consumption(pa, shift):
 def test_blocks_match_full_consumption(model, n_window):
     pa = model(n_window)
     for shift in window_shifts(pa):
-        assert Subspace.from_spanning(_solve_block(pa, shift), pa.dim ** 2) == _full_consumption(pa, shift)
+        assert _solve_block(pa, HOM_LIE, shift, nullspace_of_rows) == _full_consumption(pa, shift)
 
 
 def test_uncertified_block_does_not_assume_the_identity():
@@ -396,7 +410,7 @@ def test_uncertified_block_does_not_assume_the_identity():
     pa = AlgebraSpec(3, ("e0", "e1", "e2"), _bracket_table(3, products), "unchecked", grading=(0, 0, 0))
     ident = Matrix.identity(3)
     assert structure_residual(pa, ident, HOM_LIE, (0, 1, 2), 0) == (0, 1, 0)
-    block = Subspace.from_spanning(_solve_block(pa, 0), 9)
+    block = Subspace.from_spanning(_block_basis(pa, 0), 9)
     assert not block.contains(ident.flatten())
     assert block == _full_consumption(pa, 0)
 
@@ -415,7 +429,7 @@ def test_block_is_the_kernel_of_the_imposable_residuals():
             continue
         for m in range(n):
             rows.append({u * n + c: r[m] for (u, c), r in zip(units, per_unit) if r[m]})
-    assert Subspace.from_spanning(_solve_block(pa, 0), n * n) == nullspace_of_rows(n * n, rows)
+    assert Subspace.from_spanning(_block_basis(pa, 0), n * n) == nullspace_of_rows(n * n, rows)
 
 
 def _closure_structure_residual(alg, phi, kind, triple, shift):
