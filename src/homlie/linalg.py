@@ -301,7 +301,8 @@ class RowAccumulator:
 
     The pivot dicts belong to the accumulator: a row is reduced in place,
     and a pivot that a cheaper one replaces becomes the row being reduced.
-    Nothing outside this module reads them.
+    Nothing outside this module reads them; other modules ask ``rank`` and
+    ``free_col``.
     """
 
     def __init__(self, ncols: int):
@@ -311,6 +312,15 @@ class RowAccumulator:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def free_col(self, k: int) -> int:
+        """The lowest column >= k that is not a pivot, ``ncols`` when there
+        is none.  A column never stops being a pivot, so a caller that asks
+        again from the last answer never misses one."""
+        pivots = self.pivots
+        while k in pivots:
+            k += 1
+        return k
 
     def add(self, row: Mapping[int, Fraction] | IntRow) -> bool:
         """Insert one row (never changed); returns True if the rank grew.
@@ -416,13 +426,16 @@ def nullspace(m: Matrix) -> "Subspace":
     return nullspace_of_rows(m.cols, m.sparse_rows)
 
 
-def nullspace_of_rows(ncols: int, rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
-    """Kernel of a (possibly huge) system given as a stream of sparse rows.
+def nullspace_of_rows(ncols: "int | RowAccumulator", rows: Iterable[Mapping[int, Fraction]]) -> "Subspace":
+    """Kernel of a (possibly huge) system given as a stream of sparse rows,
+    in ``ncols`` columns, or added to ``ncols`` when it is an accumulator
+    (a caller that reads the accumulator while the stream is produced).
 
-    Stops pulling rows once the rank reaches ``ncols``: a full-rank system
-    has kernel 0 whatever rows remain.
+    Stops pulling rows once the rank reaches the column count: a full-rank
+    system has kernel 0 whatever rows remain.
     """
-    acc = RowAccumulator(ncols)
+    acc = ncols if isinstance(ncols, RowAccumulator) else RowAccumulator(ncols)
+    ncols = acc.ncols
     for r in rows:
         if acc.add(r) and acc.rank == ncols:
             return Subspace.zero(ncols)

@@ -10,7 +10,7 @@ the exact nullspace.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,6 +22,7 @@ from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, UndefinedProduc
                       right_annihilator, sparse_product, structural_subspaces)
 from .linalg import (
     Matrix,
+    RowAccumulator,
     SparseVector,
     Subspace,
     Vector,
@@ -134,8 +135,13 @@ class _Plan:
 
     - ``components``: each degree's indices, ascending, the degrees in the
       order 0, -1, 1, -2, 2, ...
+    - ``basis``: the elements of degree 0, then the others, each part in
+      index order (plain index order with one degree); ``pos[u]`` is u's
+      place in it, and ``order[u]`` its place in the components' order.
     - ``annihilator``: the echelon rows of ``right_annihilator``, solved on
       first use (only the hom kinds read it).
+    - ``orbits(kind)``: the kind's kept triples and their walk
+      (``_Orbits``), built on first use.
     - ``gaps``: the q of every undefined product e_p e_q; the other q are
       closed.
     - ``complete``: whether every product is defined (no gaps).
@@ -149,10 +155,21 @@ class _Plan:
         self.components: dict[int, list[int]] = {d: [] for d in sorted(set(deg), key=lambda d: (abs(d), d))}
         for u, d in enumerate(deg):
             self.components[d].append(u)
+        self.basis = self.components.get(0, []) + [u for u in range(alg.dim) if deg[u] != 0]
+        self.pos, self.order = [0] * alg.dim, [0] * alg.dim
+        for i, (u, v) in enumerate(zip(self.basis, chain.from_iterable(self.components.values()))):
+            self.pos[u], self.order[v] = i, i
+        self._orbits: dict[str, _Orbits] = {}
 
     @cached_property
     def annihilator(self) -> list[Mapping[int, Fraction]]:
         return [z for _, z in right_annihilator(self.alg).rows]
+
+    def orbits(self, kind: StructureKind) -> "_Orbits":
+        """The kind's kept triples (``_Orbits``), built once per kind."""
+        if kind.tag not in self._orbits:
+            self._orbits[kind.tag] = _Orbits(self, kind)
+        return self._orbits[kind.tag]
 
     def block(self, shift: int) -> dict[tuple[int, int], int]:
         """The columns of the maps sending degree d into d + shift: phi(e_c)
@@ -182,36 +199,28 @@ def _require_defined(alg: AlgebraSpec, what: object) -> None:
 _SWAPS = {"hom-lie": ({"ab", "bc"}, 1), "hom-cyclic": ({"bc"}, -1), "hom-2nilp": ({"ab"}, 1)}
 
 
-def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Sequence[int]]]:
-    """The basis triples the kind's identity is imposed on, as runs
-    (a, b, cs): the triples (a, b, c) for c in cs, which share deg c.
+class _Orbits:
+    """The basis triples the kind's identity is imposed on, one per orbit
+    of the kind's swaps (``_SWAPS``), and the order they are walked in.
 
-    The basis elements of degree 0 come first, then the others, each part
-    in index order (plain index order with one degree).  The pairs (a, b)
-    come in the lexicographic order of that basis order, and for each pair
-    the third index runs through the degree components in the order 0, -1,
-    1, -2, 2, ...  Elements of degree 0 act diagonally on the grading (the
-    Cartan elements of a principally graded sl_n; the Euler element d and
-    the centre z of a window), so the triples that lead with them give
-    every shift block rows early, and each block's pass reaches full rank
-    after a short prefix of the triples.  Nothing is built or
-    sorted up front, so a solve stops generating at full rank.  Row order
-    does not change a kernel.
-
-    On a commutative or anticommutative table one triple per orbit of the
-    kind's swaps (``_SWAPS``) is kept: the arguments a swap exchanges come
-    in that basis order, and strictly so where the swap changes the sign.
-    By the symmetry lemmas in ``algebra._hom_terms`` the forms of every
-    other triple of the orbit are plus or minus those of the kept one, and
-    zero when a sign-changing swap exchanges two equal arguments; its
-    window lemma shows that ``_hom_rows`` imposes all or none of an
-    orbit.  On an anticommutative table hom-cyclic's swap keeps the sign,
-    and b < c is strict there too wherever e_b e_b is defined: by the
-    cyclic lemma in ``algebra._hom_terms``, C(a, b, b) = -2 C(b, a, b),
-    where (b, a, b) or its orbit mate (b, b, a) is kept when a != b (and
-    C(b, b, b) = 0), and a window imposes C(a, b, b) exactly when it
-    imposes C(b, a, b).  So the kept triples' rows span the rows of all
-    ordered triples:
+    The orbit rule.  With ``pos`` the places in ``_Plan.basis``, a triple
+    (a, b, c) is kept exactly when ``pos[b] >= first_b[pos[a]]`` and
+    ``pos[c] >= first_c[b]``: on a commutative or anticommutative table the
+    arguments a swap of the
+    kind exchanges come in basis order, strictly where the swap changes the
+    sign (``first_b[i] = i + 1``, ``first_c[b] = pos[b] + 1``; ``+ 0``
+    where it keeps it, and 0 for an argument no swap orders).  By the
+    symmetry lemmas in ``algebra._hom_terms`` the forms of every other
+    triple of the orbit are plus or minus those of the kept one, and zero
+    when a sign-changing swap exchanges two equal arguments (the zero
+    orbits, of which nothing is kept); its window lemma shows that
+    ``_hom_rows`` imposes all or none of an orbit.  On an anticommutative
+    table hom-cyclic's swap keeps the sign, and b < c is strict there too
+    wherever e_b e_b is defined: by the cyclic lemma in
+    ``algebra._hom_terms``, C(a, b, b) = -2 C(b, a, b), where (b, a, b) or
+    its orbit mate (b, b, a) is kept when a != b (and C(b, b, b) = 0), and
+    a window imposes C(a, b, b) exactly when it imposes C(b, a, b).  So the
+    kept triples' rows span the rows of all ordered triples:
 
     | kind | anticommutative | commutative |
     |---|---|---|
@@ -220,28 +229,84 @@ def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Seque
     | hom-2nilp | a < b, all c | a <= b, all c |
 
     A table of any other flavor keeps every ordered triple.
+
+    The natural walk (``_triples``) takes the pairs (a, b) in the
+    lexicographic order of ``basis``, and for each pair the kept c in the
+    degree components' order 0, -1, 1, -2, 2, ..., each ascending, so the
+    triples come in the order of (pos[a], pos[b], order[c]).
     """
-    alg, deg, components = plan.alg, plan.deg, plan.components
-    swaps, sign = _SWAPS[kind.tag]
-    if not (alg.is_commutative() or alg.is_anticommutative()):
-        swaps = set()
-    strict = sign == (-1 if alg.is_commutative() else 1)  # the swaps change the sign
-    drop_bb = kind.tag == "hom-cyclic" and alg.is_anticommutative()  # the cyclic lemma
-    basis = sorted(range(len(deg)), key=lambda u: (deg[u] != 0, u))
-    for i, a in enumerate(basis):
-        for b in basis[i + strict:] if "ab" in swaps else basis:
-            cut = bisect_right if strict or drop_bb and alg.rows[b].get(b, ()) is not None else bisect_left
-            for d, component in components.items():
-                if "bc" not in swaps:
-                    cs = component
-                elif d == 0 and deg[b] != 0:
-                    continue  # every element of degree 0 comes before b
-                elif d != 0 and deg[b] == 0:
-                    cs = component  # every element of degree d comes after b
+
+    def __init__(self, plan: _Plan, kind: StructureKind):
+        alg, n = plan.alg, plan.alg.dim
+        swaps, sign = _SWAPS[kind.tag]
+        if not (alg.is_commutative() or alg.is_anticommutative()):
+            swaps = set()
+        strict = int(sign == (-1 if alg.is_commutative() else 1))  # the swaps change the sign
+        drop_bb = kind.tag == "hom-cyclic" and alg.is_anticommutative()  # the cyclic lemma
+        self.plan, ab, bc = plan, "ab" in swaps, "bc" in swaps
+        self.first_b = [i + strict if ab else 0 for i in range(n)]
+        self.first_c = [plan.pos[b] + (strict or drop_bb and alg.rows[b].get(b, ()) is not None) if bc else 0
+                        for b in range(n)]
+
+    def thirds(self, b: int) -> Iterator[Sequence[int]]:
+        """The kept c of every pair (a, b), one run per degree component in
+        the walk's order: the rule makes them depend on b alone, and a
+        component's places ascend with its indices, so its kept c are a
+        suffix of it."""
+        for component in self.plan.components.values():
+            cs = component[bisect_left(component, self.first_c[b], key=self.plan.pos.__getitem__):]
+            if cs:
+                yield cs
+
+    def holding(self, z: int, start: int) -> Iterator[tuple[int, int, int, int]]:
+        """The kept triples (a, b, c) that hold z, as (place, a, b, c) in the
+        walk's order from the first argument basis[start] on, the place
+        (pos[a] * n + pos[b]) * n + order[c] ascending with the walk.
+
+        For a pair (a, b) that does not hold z, (a, b, z) is kept when
+        pos[z] >= first_c[b]; where the rule orders b and c, that fails for
+        the first b past z and for every later one, so the pairs of a end
+        there."""
+        plan, first_c, thirds = self.plan, self.first_c, self.thirds
+        basis, pos, order, n = plan.basis, plan.pos, plan.order, len(plan.basis)
+        for i in range(start, n):
+            a = basis[i]
+            for j in range(self.first_b[i], n):
+                b, pair = basis[j], (i * n + j) * n
+                if a == z or b == z:
+                    for cs in thirds(b):
+                        for c in cs:
+                            yield pair + order[c], a, b, c
+                elif pos[z] >= first_c[b]:
+                    yield pair + order[z], a, b, z
                 else:
-                    cs = component[cut(component, b):]
-                if cs:
-                    yield a, b, cs
+                    break
+
+
+def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """The natural walk through the kept triples (``_Orbits``), as runs
+    (a, b, cs): the triples (a, b, c) for c in cs, which share deg c.
+
+    Elements of degree 0 act diagonally on the grading (the Cartan
+    elements of a principally graded sl_n; the Euler element d and the
+    centre z of a window), so the triples that lead with them give every
+    shift block rows early.  That is not enough for a block to reach full
+    rank early: block 0 of the sl2 window N = 6 has 133 columns, and in
+    this order its rows reach rank 132 by row 327 but rank 133 only at row
+    1,392, from (h (x) t^0, e+ (x) t^-6, e+ (x) t^6).  sl2's Hom-Lie maps
+    psi extend to the loop part as psi (x) id (Prop. 2.1), and these solve
+    every equation but those that read the central term of
+    [x (x) t^i, y (x) t^-i]; every such triple comes after the 1,065 led by
+    e- (x) t^0.  ``_hom_rows`` therefore leaves this order where the kernel
+    stalls.  Nothing is built or sorted up front, so a solve stops
+    generating at full rank.
+    """
+    orbits = plan.orbits(kind)
+    basis = plan.basis
+    for i, a in enumerate(basis):
+        for b in basis[orbits.first_b[i]:]:
+            for cs in orbits.thirds(b):
+                yield a, b, cs
 
 
 def _by_source(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, int]]:
@@ -253,31 +318,81 @@ def _by_source(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, in
     return col_of
 
 
-def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, int]],
-              second: _Index) -> Iterator[dict[int, int | Fraction]]:
+def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, int]], second: _Index,
+              free: Callable[[], tuple[int, int | None]]) -> Iterator[dict[int, int | Fraction]]:
     """The rows of the kind's identity in one block, phi(e_z) -> e_q at
-    column ``col_of[z][q]``, from one pass over ``_triples``.  Each row sums
-    the ``_hom_terms`` of one triple over the block's columns, its second
-    products read from ``second`` (the algebra's index, or a form's
-    pairing).
+    column ``col_of[z][q]``, one triple of each orbit (``_Orbits``) at a
+    time.  Each row sums the ``_hom_terms`` of one triple over the block's
+    columns, its second products read from ``second`` (the algebra's index,
+    or a form's pairing).  ``free()`` is the kernel's state after the rows
+    so far: its rank, and the source z of its lowest column that is not a
+    pivot (column phi(e_z) -> e_q), None when every column is one.
+
+    The directed rule.  The triples come from the natural walk
+    (``_triples``) until one raises no rank: its rows add nothing, or
+    evaluating it reads an undefined product.  The next triple is then a
+    pick: the first kept triple of the walk that holds z, that the walk
+    has not reached and that was not picked before
+    (``_Orbits.holding``).  Picks go on while they raise no rank and z has
+    one left; then the walk goes on, past the picked triples.  So every
+    kept triple is evaluated at most once, and a stream read to its end
+    has evaluated every one.  A pick holds z, so its rows are the
+    equations that read phi(e_z), the unknowns the kernel has not pinned.
+
+    The row-order lemma.  The kernel of the kept triples' rows does not
+    depend on the order they come in, and a prefix of full rank already
+    has kernel 0: a stream stopped at full rank leaves the same kernel as
+    all the rows.  So the directed stream solves what the natural walk
+    solves, with the same canonical subspace.
 
     A shift block's columns give phi(e_z) every q of degree deg z + s, so
     the triple's equations at shift s are compiled whole or, when
     evaluating them reads an undefined product, not at all.  e_a e_b is
     the first product every evaluation of the run (a, b, cs) reads,
     whatever c is, so a raise at (a, b) (e_a e_b is undefined) ends the
-    run.
+    run.  The run break.  It stays sound when some c of the run were
+    picked before: they were evaluated once already (and raised at (a, b)
+    too), and the rest of the run raises, so leaving the run loses no row.
+    The walk counts such a run as reached, and picks nothing from it.
     """
     signs, first = _SIGNS[kind.tag], plan.alg.rows
+    orbits = plan.orbits(kind)
+    pos, order, n = plan.pos, plan.order, len(plan.pos)
+    picked: dict[tuple[int, int], set[int]] = {}  # (a, b) -> the c picked
+    holding: dict[int, Iterator] = {}  # z -> its kept triples, from where the walk stood when z was first free
+    rank = free()[0]
     for a, b, cs in _triples(plan, kind):
+        skip = picked.get((a, b))
         for c in cs:
-            try:
-                rows = list(_sparse_rows([_hom_terms(first, second, signs, a, b, c, col_of)]))
-            except UndefinedProduct as undefined:
-                if undefined.pair == (a, b):
-                    break
+            if skip and c in skip:
                 continue
-            yield from rows
+            try:
+                yield from list(_sparse_rows([_hom_terms(first, second, signs, a, b, c, col_of)]))
+                ends = False
+            except UndefinedProduct as undefined:
+                ends = undefined.pair == (a, b)
+            now, z = free()
+            if now == rank and z is not None:  # a stall: pick while they stall too
+                here = (pos[a] * n + pos[b]) * n + order[cs[-1] if ends else c]  # the walk's place, past an ended run
+                while now == rank and z is not None:
+                    candidates = holding.get(z)
+                    if candidates is None:
+                        candidates = holding[z] = orbits.holding(z, pos[a])
+                    for place, x, y, w in candidates:
+                        if place > here and w not in picked.get((x, y), ()):
+                            break
+                    else:
+                        break
+                    picked.setdefault((x, y), set()).add(w)
+                    try:
+                        yield from list(_sparse_rows([_hom_terms(first, second, signs, x, y, w, col_of)]))
+                    except UndefinedProduct:
+                        pass
+                    now, z = free()
+                skip = picked.get((a, b))
+            rank = now
+            if ends:
+                break
 
 
 def _delta_rows(plan: _Plan, delta: Fraction,
@@ -328,7 +443,7 @@ def _solve_shift_blocks(
     alg: AlgebraSpec,
     kind: StructureKind,
     shifts: Iterable[int],
-    kernel: Callable[[int, Iterable[Mapping[int, Fraction]]], Subspace],
+    kernel: Callable[[RowAccumulator, Iterable[Mapping[int, Fraction]]], Subspace],
 ) -> Subspace:
     """The kind's solutions in the shift blocks ``shifts``, in End.  Each
     block is solved once per algebra and kept on it under (kind, shift):
@@ -396,7 +511,7 @@ def _solve_block(
     alg: AlgebraSpec,
     kind: StructureKind,
     shift: int,
-    kernel: Callable[[int, Iterable[Mapping[int, Fraction]]], Subspace],
+    kernel: Callable[[RowAccumulator, Iterable[Mapping[int, Fraction]]], Subspace],
 ) -> Subspace:
     """The kind's solutions in the block of ``shift``, in End, compiled and
     solved directly: the one place a shift block reaches ``_solve_modulo``.
@@ -415,9 +530,9 @@ def _solve_block(
     space = _known_block(alg, kind, shift, cols, plan.annihilator if kind.tag in _SIGNS else ())
     if space.dim < len(cols):
         col_of = _by_source(cols, n)
-        compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None
-                    else _hom_rows(plan, kind, col_of, alg.rows))
-        space = _solve_modulo(space, compiled, [col_of], plan.gaps, kernel)
+        stream = ((lambda free: _delta_rows(plan, kind.delta, col_of)) if kind.delta is not None
+                  else (lambda free: _hom_rows(plan, kind, col_of, alg.rows, free)))
+        space = _solve_modulo(space, stream, [col_of], plan.gaps, kernel)
     end = [q * n + c for q, c in cols]  # block column -> End coordinate
     return Subspace(n * n, [(end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows])
 
@@ -510,12 +625,23 @@ def _mirror(alg: AlgebraSpec) -> tuple[list[int], list[int]] | None:
 
 def _solve_modulo(
     known: Subspace,
-    rows: Iterable[Mapping[int, Fraction]],
+    stream: Callable[[Callable[[], tuple[int, int | None]]], Iterable[Mapping[int, Fraction]]],
     col_maps: Iterable[Sequence[dict[int, int]]],
     gaps: Container[int],
-    kernel: Callable[[int, Iterable[Mapping[int, Fraction]]], Subspace],
+    kernel: Callable[[RowAccumulator, Iterable[Mapping[int, Fraction]]], Subspace],
 ) -> Subspace:
-    """Kernel S of ``rows``, given a subspace K of S known without solving.
+    """Kernel S of the rows ``stream(free)`` compiles, given a subspace K of
+    S known without solving.
+
+    The kernel.  ``_solve_modulo`` owns the system's ``RowAccumulator`` and
+    hands it to ``kernel`` (``nullspace_of_rows``, which adds the rows to
+    it).  ``free()`` reads it while the rows are compiled: the rank so far,
+    and the source c of its lowest column that is not a pivot, column k
+    being col_of[c][q] for one of ``col_maps`` (None when every column is a
+    pivot, or that column has no source).  A column never stops being a
+    pivot, so the lowest free column is looked for from the last one found.
+    ``_hom_rows`` directs its stream by it; a stream that ignores it is
+    read in its own order.
 
     The cut.  One unit row x_p = 0 is put in front of the rows for each
     pivot column p of K's echelon basis.  W = {x : x_p = 0 for every such
@@ -526,31 +652,49 @@ def _solve_modulo(
     exactly S meet W.  The result K + (S meet W) is therefore the same
     canonical subspace S as the kernel of the uncut system.  Once the cut
     system has full rank, S meet W = 0 and ``kernel`` stops reading rows.
+    Row order does not change a kernel, so this holds for the rows in
+    whatever order ``stream`` makes them (the row-order lemma in
+    ``_hom_rows``).
 
-    The unit-row lemma.  ``rows`` are compiled on demand through the column
-    maps ``col_maps``: an evaluation walks x_k, k = col_of[c][q], with the
-    image of e_c and reads e_p e_q with it, which may raise only for q in
-    ``gaps`` (``_Plan.gaps`` for a block of the algebra's own index; none
-    on a complete table or through a form's pairing).  A row of one entry
-    says x_k = 0.  When q is closed (not in ``gaps``), q is deleted from
-    col_of[c], so no later evaluation walks x_k, and every evaluation
-    raises as before (the Leibniz rows, which also read e_q e_j, are solved
-    on complete tables only): the stream gets rows for the same equations.
-    Every later row reaches ``kernel`` after the unit row, and on x_k = 0
-    it agrees with the same row without its k entry (a row that becomes
-    zero is dropped).  So every prefix of the stream has the span and rank
-    it had: the system reaches full rank at the same evaluation, with the
-    same kernel.  In the cut system x_p = 0 holds, so the lemma lets the
-    cut rows retire their columns too.
+    The unit-row lemma.  It is stated per stream, in the order the stream
+    is produced, whatever decided that order.  The rows are compiled on
+    demand through the column maps ``col_maps``: an evaluation walks x_k,
+    k = col_of[c][q], with the image of e_c and reads e_p e_q with it,
+    which may raise only for q in ``gaps`` (``_Plan.gaps`` for a block of
+    the algebra's own index; none on a complete table or through a form's
+    pairing).  A row of one entry says x_k = 0.  When q is closed (not in
+    ``gaps``), q is deleted from col_of[c], so no later evaluation walks
+    x_k, and every evaluation raises as before (the Leibniz rows, which
+    also read e_q e_j, are solved on complete tables only): the stream gets
+    rows for the same equations.  Every later row reaches ``kernel`` after
+    the unit row, and on x_k = 0 it agrees with the same row without its k
+    entry (a row that becomes zero is dropped).  So every prefix of the
+    stream has the span and rank it had: the system reaches full rank at
+    the same evaluation, with the same kernel.  The span fixes the pivot
+    columns, so ``free()`` reads the same at every point, and a directed
+    stream makes the same picks.  In the cut system x_p = 0 holds, so the
+    lemma lets the cut rows retire their columns too.
 
     ``kernel`` is ``nullspace_of_rows`` as the caller's module names it, so
     that perfbench's tracer charges the rows to the compiler that made them.
     """
-    image_of, q_of = [None] * known.ambient, [0] * known.ambient  # column k's col_of[c] and q, for a closed q
-    for image in chain.from_iterable(col_maps):
-        for q, k in image.items():
-            if q not in gaps:
-                image_of[k], q_of[k] = image, q
+    ncols = known.ambient
+    acc, low = RowAccumulator(ncols), 0
+    source: list[int | None] = [None] * (ncols + 1)  # column k's c; None past the last column
+    image_of, q_of = [None] * ncols, [0] * ncols  # column k's col_of[c] and q, for a closed q
+    for col_map in col_maps:
+        for c, image in enumerate(col_map):
+            for q, k in image.items():
+                source[k] = c
+                if q not in gaps:
+                    image_of[k], q_of[k] = image, q
+
+    free_col = acc.free_col
+
+    def free() -> tuple[int, int | None]:
+        nonlocal low
+        low = free_col(low)
+        return acc.rank, source[low]
 
     def retiring(stream: Iterable[Mapping[int, Fraction]]) -> Iterator[Mapping[int, Fraction]]:
         for row in stream:
@@ -559,7 +703,7 @@ def _solve_modulo(
                 image_of[k] = None
             yield row
 
-    rest = kernel(known.ambient, retiring(chain(({p: 1} for p in known.pivot_cols()), rows)))
+    rest = kernel(acc, retiring(chain(({p: 1} for p in known.pivot_cols()), stream(free))))
     if not rest.dim:
         return known
     if not known.dim:
@@ -672,11 +816,15 @@ def solve_bilinear(alg: AlgebraSpec, kind: str) -> Subspace:
         if kind == "coboundary":
             return coboundary_space(alg)
         col_of = [{q: q * n + z for q in range(n)} for z in range(n)]
-        rows = _hom_rows(_plan(alg), HOM_LIE if kind.endswith("-cocycle") else HOM_CYCLIC, col_of,
-                         _pairing([{p: 1} for p in range(n)]))
-        if kind.startswith(("skew-", "sym-")):
-            rows = chain(rows, _symmetry_rows(n, -1 if kind == "skew-cocycle" else 1))
-        return _solve_modulo(Subspace.zero(n * n), rows, [col_of], (), nullspace_of_rows)
+
+        def stream(free):
+            rows = _hom_rows(_plan(alg), HOM_LIE if kind.endswith("-cocycle") else HOM_CYCLIC, col_of,
+                             _pairing([{p: 1} for p in range(n)]), free)
+            if kind.startswith(("skew-", "sym-")):
+                rows = chain(rows, _symmetry_rows(n, -1 if kind == "skew-cocycle" else 1))
+            return rows
+
+        return _solve_modulo(Subspace.zero(n * n), stream, [col_of], (), nullspace_of_rows)
 
     return _kept(alg, ("bilinear", kind), solve)
 
@@ -739,7 +887,7 @@ def solve_qder(alg: AlgebraSpec, module: str = "adjoint") -> QDerSolution:
         raise ValueError(f"unknown module {module!r}")
     _require_defined(alg, f"the {module} quasiderivations")
     rows, col_maps = _qder_rows(alg, module)
-    space = _solve_modulo(Subspace.zero(2 * alg.dim ** 2), rows, col_maps, (), nullspace_of_rows)
+    space = _solve_modulo(Subspace.zero(2 * alg.dim ** 2), lambda free: rows, col_maps, (), nullspace_of_rows)
     return QDerSolution(alg, module, space)
 
 
@@ -772,7 +920,7 @@ def seq_uv(alg: AlgebraSpec) -> ExactnessReport:
     )
     v_rows = ({i * n + j: 1, n2 + j * n + i: 1} for i in range(n) for j in range(n))  # D[i][j] + F[j][i] = 0
     rows, col_maps = _qder_rows(alg, "coadjoint")
-    v_kernel = _solve_modulo(Subspace.zero(2 * n2), chain(rows, v_rows), col_maps, (), nullspace_of_rows)
+    v_kernel = _solve_modulo(Subspace.zero(2 * n2), lambda free: chain(rows, v_rows), col_maps, (), nullspace_of_rows)
     return ExactnessReport(alg, u_image, v_kernel, u_injective=u_image.dim == z2.dim)
 
 
@@ -852,8 +1000,10 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
 
     # xi([x,y], psi(t)) + xi([t,x], psi(y)) + xi([y,t], psi(x)) = 0, psi(e_t) -> e_q at column q*n + t
     col_of = [{q: q * n + t for q in range(n)} for t in range(n)]
-    compat = _hom_rows(_plan(l), HOM_LIE, col_of, _pairing(xi.form.matrix.sparse_rows))
-    psi_space = hl.space.intersect(_solve_modulo(Subspace.zero(n * n), compat, [col_of], (), nullspace_of_rows))
+    pairing = _pairing(xi.form.matrix.sparse_rows)
+    compat = _solve_modulo(Subspace.zero(n * n), lambda free: _hom_rows(_plan(l), HOM_LIE, col_of, pairing, free),
+                           [col_of], (), nullspace_of_rows)
+    psi_space = hl.space.intersect(compat)
 
     _, derived, ann_derived = structural_subspaces(l)
     cocycle_rows = ({q: xi.form(w, {q: 1}) for q in range(n)} for _, w in derived.rows)  # xi(w, .)

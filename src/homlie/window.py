@@ -89,7 +89,8 @@ def beta_map(pa: AlgebraSpec) -> Matrix:
 
 
 def _inner_report(pa: AlgebraSpec, space: Subspace, shift: int | None = None) -> InnerWindowReport:
-    inner = tuple(i for i, d in enumerate(pa.grading) if abs(d) <= window_size(pa) - 2)
+    reach = window_size(pa) - 2
+    inner = tuple(i for i, d in enumerate(pa.grading) if abs(d) <= reach)
     k = len(inner)
     pos = {i: p for p, i in enumerate(inner)}
     n = pa.dim

@@ -1,0 +1,151 @@
+"""The directed stream of ``solver._hom_rows``: after a triple that raises
+no rank, the next triple is a pick that holds the source of the kernel's
+lowest free column.  Checked against the natural walk alone
+(``test_unit_rows.natural_hom_rows``, the order before the rule): the same
+subspaces for the three hom kinds on the builtin and random batteries,
+on every window model at every shift, on both order-3 twists and on
+principally graded sl3..sl6, and for the asym-cocycles on the builtin
+battery.  Each kept triple is evaluated at most once per block.  Two
+mutants of the rule must fail these checks: a pick whose rows are
+dropped, and a natural walk that evaluates a picked triple again."""
+
+import inspect
+import textwrap
+from collections import Counter
+
+import pytest
+
+from homlie import solver
+from homlie.battery import builtin_battery, random_lie_battery
+from homlie.linalg import RowAccumulator, nullspace_of_rows
+from homlie.solver import HOM_2NILP, HOM_CYCLIC, HOM_LIE, _plan, _solve_block, _triples, grading_shifts, solve_bilinear
+from test_unit_rows import natural_hom_rows
+from test_window import WINDOW_MODELS
+from test_window_mirror import ORDER3, PRINCIPAL
+
+HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
+FAMILIES = {
+    "builtin": lambda: builtin_battery(),
+    "random": lambda: random_lie_battery(),
+    "windows": lambda: [(f"{model.__name__}-{size}", model(size)) for model, size in (p.values for p in WINDOW_MODELS)],
+    "order3": lambda: [(name, build()) for name, build in ORDER3.items()],
+    "principal": lambda: [(name, build()) for name, build in PRINCIPAL.items()],
+}
+
+
+def natural(monkeypatch):
+    """Hold ``solver._hom_rows`` to the natural walk."""
+    monkeypatch.setattr(solver, "_hom_rows", lambda plan, kind, col_of, second, free:
+                        natural_hom_rows(plan, kind, col_of, second))
+
+
+def blocks(alg, kind):
+    """Each shift's block, solved directly."""
+    return {shift: _solve_block(alg, kind, shift, nullspace_of_rows) for shift in grading_shifts(alg)}
+
+
+def mutant(monkeypatch, old, new):
+    """``_hom_rows`` with ``old`` in its source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(solver._hom_rows))
+    assert source.count(old) == 1
+    namespace = dict(vars(solver))
+    exec(compile("from __future__ import annotations\n" + source.replace(old, new), solver.__file__, "exec"), namespace)
+    monkeypatch.setattr(solver, "_hom_rows", namespace["_hom_rows"])
+
+
+# A pick marked visited and evaluated, its rows dropped.
+DROPPED_PICK = ("yield from list(_sparse_rows([_hom_terms(first, second, signs, x, y, w, col_of)]))",
+                "list(_sparse_rows([_hom_terms(first, second, signs, x, y, w, col_of)]))")
+# A walk that does not skip the picked triples.
+REVISITING_WALK = ("if skip and c in skip:", "if False:")
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The ``_hom_terms`` calls of each block, as (its col_of, a Counter of
+    triples in the order they were first evaluated)."""
+    counts: list[tuple[object, Counter]] = []
+    hom_terms = solver._hom_terms
+
+    def counted(first, second, signs, a, b, c, col_of):
+        if not counts or counts[-1][0] is not col_of:
+            counts.append((col_of, Counter()))
+        counts[-1][1][a, b, c] += 1
+        return hom_terms(first, second, signs, a, b, c, col_of)
+
+    monkeypatch.setattr(solver, "_hom_terms", counted)
+    return counts
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
+def test_the_directed_stream_solves_what_the_natural_walk_solves(family, kind, monkeypatch):
+    directed = {name: blocks(alg, kind) for name, alg in FAMILIES[family]()}
+    natural(monkeypatch)
+    for name, alg in FAMILIES[family]():
+        assert blocks(alg, kind) == directed[name], name
+
+
+def test_asym_cocycles_are_the_natural_walks(monkeypatch):
+    lie = lambda: [(name, alg) for name, alg in builtin_battery() if alg.flavor == "lie"]  # noqa: E731
+    directed = {name: solve_bilinear(alg, "asym-cocycle") for name, alg in lie()}
+    natural(monkeypatch)
+    checked = 0
+    for name, alg in lie():
+        assert solve_bilinear(alg, "asym-cocycle") == directed[name], name
+        checked += directed[name].dim > 0
+    assert checked > 5
+
+
+def at_most_once(family, kind, evaluations):
+    """Solve every block of the family's algebras; every evaluated triple is
+    a kept one.  Returns the largest count of one triple in one block and
+    the number of evaluations out of the natural walk's order."""
+    most = out_of_order = 0
+    for _, alg in FAMILIES[family]():
+        kept = [(a, b, c) for a, b, cs in _triples(_plan(alg), kind) for c in cs]
+        place = {t: i for i, t in enumerate(kept)}
+        for shift in grading_shifts(alg):
+            evaluations.clear()
+            _solve_block(alg, kind, shift, nullspace_of_rows)
+            for _, block in evaluations:
+                assert set(block) <= set(place)
+                most = max(most, *block.values())
+                order = list(block)
+                out_of_order += sum(place[s] > place[t] for s, t in zip(order, order[1:]))
+    return most, out_of_order
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
+def test_each_kept_triple_is_evaluated_at_most_once(family, kind, evaluations):
+    most, out_of_order = at_most_once(family, kind, evaluations)
+    assert most == 1
+    if family == "windows":
+        assert out_of_order > 100  # the picks leave the walk's order
+
+
+def test_a_walk_that_revisits_picks_fails_the_count(monkeypatch, evaluations):
+    mutant(monkeypatch, *REVISITING_WALK)
+    assert at_most_once("windows", HOM_LIE, evaluations)[0] > 1
+
+
+def test_a_pick_that_drops_its_rows_changes_a_window(monkeypatch):
+    models = FAMILIES["windows"]()
+    want = {name: blocks(alg, HOM_LIE) for name, alg in models}
+    mutant(monkeypatch, *DROPPED_PICK)
+    changed = [(name, shift) for name, alg in models for shift, block in blocks(alg, HOM_LIE).items()
+               if block != want[name][shift]]
+    assert changed
+
+
+def test_the_accumulator_reports_its_lowest_free_column():
+    """``free_col(k)`` is the lowest non-pivot column >= k, ``ncols`` when
+    none is left; ``nullspace_of_rows`` adds to an accumulator it is given."""
+    rows = [{0: 1, 2: 1}, {1: 2, 2: 1}, {0: 1, 1: 1, 2: 1}, {3: 1}]
+    acc = RowAccumulator(4)
+    assert acc.free_col(0) == 0
+    assert nullspace_of_rows(acc, rows[:2]) == nullspace_of_rows(4, rows[:2])
+    assert (acc.rank, acc.free_col(0), acc.free_col(3)) == (2, 2, 3)
+    assert nullspace_of_rows(acc, rows[2:]).dim == 0
+    assert (acc.rank, acc.free_col(0)) == (4, 4)

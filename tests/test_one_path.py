@@ -30,8 +30,8 @@ from homlie.solver import (
     solve_bilinear,
     solve_qder,
 )
-from test_term_builders import ref_coboundary_space
-from test_unit_rows import cut_then_kernel
+from test_term_builders import ref_coboundary_space, unsteered
+from test_unit_rows import unretired_solve_modulo
 
 
 def lie_algebras():
@@ -47,7 +47,7 @@ def ref_bilinear(alg, kind):
         return ref_coboundary_space(alg)
     col_of = [{q: q * n + z for q in range(n)} for z in range(n)]  # f(e_z) -> e_q at column q*n + z
     rows = _hom_rows(_plan(alg), HOM_LIE if kind.endswith("-cocycle") else HOM_CYCLIC, col_of,
-                     _pairing([{p: 1} for p in range(n)]))
+                     _pairing([{p: 1} for p in range(n)]), unsteered)
     if kind.startswith(("skew-", "sym-")):
         rows = chain(rows, _symmetry_rows(n, -1 if kind == "skew-cocycle" else 1))
     return nullspace_of_rows(n * n, rows)
@@ -100,12 +100,11 @@ def cocycles(alg, count):
 
 def test_central_extension_matches_the_unretired_compatibility_rows(monkeypatch):
     """The decomposed route with its compatibility system solved as
-    compiled: the reference swaps ``_solve_modulo`` for a cut-then-kernel
-    call with no column retired, on the same cocycles."""
+    compiled: the reference swaps ``_solve_modulo`` for its copy with no
+    column retired, on the same cocycles."""
     cases = [(name, l, xi) for name, l in lie_algebras() for xi in cocycles(l, 2 if l.dim <= 5 else 1)]
     one_path = [central_ext_homlie_decomposed(l, xi).space for _, l, xi in cases]
-    monkeypatch.setattr(solver, "_solve_modulo", lambda known, rows, col_maps, gaps, kernel:
-                        cut_then_kernel(known, rows, kernel))
+    monkeypatch.setattr(solver, "_solve_modulo", unretired_solve_modulo)
     for (name, l, xi), space in zip(cases, one_path):
         assert space == central_ext_homlie_decomposed(l, xi).space, name
     assert len(cases) >= 20
@@ -118,18 +117,18 @@ def test_a_d_column_retired_from_fs_map_changes_a_qder_space(monkeypatch):
     algebras = lie_algebras()[:12]  # built first: the random battery solves skew cocycles
     real = solver._solve_modulo
 
-    def misowned(known, rows, col_maps, gaps, kernel):
+    def misowned(known, stream, col_maps, gaps, kernel):
         d_cols, f_cols = col_maps
         source = {k: (c, q) for c, image in enumerate(d_cols) for q, k in image.items()}
 
-        def retiring_from_f():
+        def retiring_from_f(rows):
             for row in rows:
                 if len(row) == 1 and next(iter(row)) in source:
                     c, q = source[next(iter(row))]
                     f_cols[c].pop(q, None)
                 yield row
 
-        return real(known, retiring_from_f(), [f_cols], gaps, kernel)
+        return real(known, lambda free: retiring_from_f(stream(free)), [f_cols], gaps, kernel)
 
     monkeypatch.setattr(solver, "_solve_modulo", misowned)
     changed = [(name, module) for name, alg in algebras for module in ("adjoint", "coadjoint")

@@ -19,7 +19,7 @@ from homlie.algebra import UndefinedProduct, _hom_terms, _leibniz_terms, _undefi
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.serialize import algebra_from_json, algebra_to_json
 from homlie.solver import HOM_LIE, _hom_rows, _triples
-from test_term_builders import partial_tables, shift_blocks
+from test_term_builders import partial_tables, shift_blocks, unsteered
 from test_window import _sl3, _twisted, _untwisted
 
 
@@ -158,10 +158,10 @@ def test_leibniz_terms_walk_the_rows_as_the_table_lookup_did(family):
 
 
 def test_a_window_run_stops_at_its_undefined_first_product(monkeypatch):
-    """A full pass of ``_hom_rows`` over each shift block of the sl2 window
-    N = 6 raises at a run's first product e_a e_b once per run (a, b, cs)
-    whose e_a e_b is undefined, not once per c: e_a e_b is the first read
-    of every evaluation of the run."""
+    """A full pass of ``_hom_rows``, read with no kernel, over each shift
+    block of the sl2 window N = 6 raises at a run's first product e_a e_b
+    once per run (a, b, cs) whose e_a e_b is undefined, not once per c:
+    e_a e_b is the first read of every evaluation of the run."""
     alg = _untwisted(6)
     plan, blocks = shift_blocks(alg)
     current = [None]
@@ -184,7 +184,7 @@ def test_a_window_run_stops_at_its_undefined_first_product(monkeypatch):
     compiled = 0
     for shift, col_of in blocks.items():
         at_first.clear()
-        compiled += sum(1 for _ in _hom_rows(plan, HOM_LIE, col_of, alg.rows))
+        compiled += sum(1 for _ in _hom_rows(plan, HOM_LIE, col_of, alg.rows, unsteered))
         assert +at_first == gaps, shift
     assert compiled > 100_000
 

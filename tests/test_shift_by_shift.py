@@ -3,7 +3,8 @@ one at a time: ``solver._solve_block`` compiles each block with a pass of
 its own.  Checked against a test-local copy of the router it replaced,
 which compiled every requested block in one pass over the triples and
 queued the rows of the blocks still waiting: the same canonical subspace,
-and the same rows read by each kernel call.  An all-shift solve
+and, with each block's pass held to the natural walk the router compiled
+in, the same rows read by each kernel call.  An all-shift solve
 (``solver._solve_shift_blocks``) compiles the blocks it does not conjugate
 from a kept mirror block, and the undefined products it raises are those
 of their direct solves, in order.  On the window models the one-pass
@@ -17,7 +18,7 @@ from itertools import product
 
 import pytest
 
-from homlie import algebra
+from homlie import algebra, solver
 from homlie.algebra import UndefinedProduct, _hom_terms, _leibniz_pairs, _leibniz_terms, builtin, make_algebra
 from homlie.linalg import Subspace, int_if_integral, nullspace_of_rows
 from homlie.solver import (
@@ -38,7 +39,7 @@ from homlie.solver import (
     grading_shifts,
 )
 from test_term_builders import partial_tables
-from test_unit_rows import cut_then_kernel
+from test_unit_rows import cut_then_kernel, natural_hom_rows
 from test_window import WINDOW_MODELS, _untwisted
 
 F = Fraction
@@ -139,7 +140,7 @@ class Recording:
     def __init__(self):
         self.calls = Counter()
 
-    def __call__(self, ncols, rows):
+    def __call__(self, acc, rows):
         read = []
 
         def recorded():
@@ -148,9 +149,9 @@ class Recording:
                 yield row
 
         try:
-            return nullspace_of_rows(ncols, recorded())
+            return nullspace_of_rows(acc, recorded())
         finally:
-            self.calls[ncols, tuple(read)] += 1
+            self.calls[acc.ncols, tuple(read)] += 1
 
 
 @pytest.fixture
@@ -192,9 +193,22 @@ def cases():
 # -- the tests ----------------------------------------------------------------------
 
 
-def test_each_block_reads_the_rows_the_one_pass_router_gave_it(raised):
+def direct_solves(alg, kind, shifts, raised):
+    """Each block's direct solve: its recording kernel, the undefined
+    products it raised, and the subspace of all of them."""
+    direct, pairs, rows = {}, {}, []
+    for shift in shifts:
+        direct[shift] = Recording()
+        raised.clear()
+        rows.extend(_solve_block(alg, kind, shift, direct[shift]).rows)
+        pairs[shift] = list(raised)
+    return direct, pairs, Subspace(alg.dim ** 2, sorted(rows, key=lambda pr: pr[0]))
+
+
+def test_each_block_reads_the_rows_the_one_pass_router_gave_it(raised, monkeypatch):
     """Block by block, the direct solves give the one-pass router's
-    subspace, and each kernel call reads the rows the router gave it.  The
+    subspace, and, with ``_hom_rows`` held to the natural walk the router
+    compiled in, each kernel call reads the rows the router gave it.  The
     all-shift solve, shifts ascending, compiles the blocks of s <= 0, and
     the others too where the table has no mirror; it gives the same
     subspace, and raises the undefined products and reads the rows of
@@ -207,33 +221,34 @@ def test_each_block_reads_the_rows_the_one_pass_router_gave_it(raised):
         raised.clear()
         space = _solve_shift_blocks(alg, kind, shifts, new)
         all_shifts = list(raised)
-        direct, pairs, rows = {}, {}, []
-        for shift in shifts:
-            direct[shift] = Recording()
-            raised.clear()
-            rows.extend(_solve_block(alg, kind, shift, direct[shift]).rows)
-            pairs[shift] = list(raised)
+        direct, pairs, space_direct = direct_solves(alg, kind, shifts, raised)
         old = Recording()
         raised.clear()
-        assert space == Subspace(alg.dim ** 2, sorted(rows, key=lambda pr: pr[0])) == \
-            one_pass_router(alg, kind, shifts, old), (name, str(kind))
-        direct_raises = sum(map(len, pairs.values()))
-        if name.startswith("window"):
-            saved += len(raised) - direct_raises
-        assert sum((recording.calls for recording in direct.values()), Counter()) == old.calls, (name, str(kind))
+        assert space == space_direct == one_pass_router(alg, kind, shifts, old), (name, str(kind))
+        router_raises = len(raised)
         compiled = [s for s in shifts if s <= 0 or _mirror(alg) is None]
         assert all_shifts == [pair for s in compiled for pair in pairs[s]], (name, str(kind))
         assert new.calls == sum((direct[s].calls for s in compiled), Counter()), (name, str(kind))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_hom_rows", lambda plan, kind, col_of, second, free:
+                          natural_hom_rows(plan, kind, col_of, second))
+            natural, natural_pairs, _ = direct_solves(alg, kind, shifts, raised)
+        assert sum((recording.calls for recording in natural.values()), Counter()) == old.calls, (name, str(kind))
+        if name.startswith("window"):
+            saved += router_raises - sum(map(len, natural_pairs.values()))
         checked += len(shifts) > 1
-        raises += direct_raises
+        raises += sum(map(len, pairs.values()))
     assert checked > 300 and raises > 10_000 and saved > 1000
 
 
 def test_the_all_shift_window_solve_raises_what_the_shifts_raise(raised):
-    """sl2 N = 6: the direct solves of its blocks raise 1,492 times, where
-    the one-pass router raised 1,812.  The all-shift solve compiles the
-    blocks of s <= 0, conjugates the others from them, and raises what
-    those blocks' direct solves raise: 837 times."""
+    """sl2 N = 6: the direct solves of its blocks raise 384 times, where
+    the one-pass router raised 1,812 (and the direct solves 1,492 while
+    they walked the triples in the natural order alone: the directed
+    stream reaches full rank in fewer evaluations, so fewer of them read
+    an undefined product).  The all-shift solve compiles the blocks of
+    s <= 0, conjugates the others from them, and raises what those blocks'
+    direct solves raise: 170 times."""
     alg = _untwisted(6)
     shifts = grading_shifts(alg)
     _plan(alg).annihilator
@@ -247,8 +262,8 @@ def test_the_all_shift_window_solve_raises_what_the_shifts_raise(raised):
         raised.clear()
         solve(alg, HOM_LIE, shifts, nullspace_of_rows)
         counts.append(len(raised))
-    assert sum(per_shift.values()) == 1492
-    assert counts == [sum(per_shift[s] for s in shifts if s <= 0), 1812] and counts[0] == 837
+    assert sum(per_shift.values()) == 384
+    assert counts == [sum(per_shift[s] for s in shifts if s <= 0), 1812] and counts[0] == 170
 
 
 def test_blocks_are_solved_in_the_order_given():
@@ -260,9 +275,9 @@ def test_blocks_are_solved_in_the_order_given():
     shifts = sorted(grading_shifts(_untwisted(3)), key=lambda s: (abs(s), s))
     sizes = []
 
-    def kernel(ncols, rows):
-        sizes.append(ncols)
-        return nullspace_of_rows(ncols, rows)
+    def kernel(acc, rows):
+        sizes.append(acc.ncols)
+        return nullspace_of_rows(acc, rows)
 
     forward = _solve_shift_blocks(_untwisted(3), HOM_LIE, shifts, kernel)
     order, sizes[:] = list(sizes), []

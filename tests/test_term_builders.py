@@ -280,18 +280,25 @@ def block_by_block(blocks, compile_block):
     return [(s, row) for s, col_of in blocks.items() for row in compile_block(col_of)]
 
 
+def unsteered():
+    """``free`` for a stream read with no kernel behind it: no column is
+    reported free, so ``_hom_rows`` keeps to the natural walk."""
+    return 0, None
+
+
 @pytest.fixture
 def captured(monkeypatch):
     """The (ncols, rows) of every system ``solver`` hands to ``_solve_modulo``,
-    the compilers' own output: the rows are listed before its unit-row
-    retire step runs, so no column is retired while they compile."""
+    the compilers' own output in the natural walk's order: the rows are
+    listed before its unit-row retire step runs, so no column is retired
+    while they compile."""
     systems = []
     original = solver._solve_modulo
 
-    def record(known, rows, col_maps, gaps, kernel):
-        rows = list(rows)
+    def record(known, stream, col_maps, gaps, kernel):
+        rows = list(stream(unsteered))
         systems.append((known.ambient, rows))
-        return original(known, rows, col_maps, gaps, kernel)
+        return original(known, lambda free: rows, col_maps, gaps, kernel)
 
     monkeypatch.setattr(solver, "_solve_modulo", record)
     return systems
@@ -495,8 +502,8 @@ def typed_stream(rows):
 
 
 def hom_block_streams(plan, kind, blocks):
-    """The typed stream of every block's own ``_hom_rows`` pass."""
-    return typed_stream(block_by_block(blocks, lambda col_of: _hom_rows(plan, kind, col_of, plan.alg.rows)))
+    """The typed stream of every block's own ``_hom_rows`` pass, read with no kernel."""
+    return typed_stream(block_by_block(blocks, lambda col_of: _hom_rows(plan, kind, col_of, plan.alg.rows, unsteered)))
 
 
 def test_b_space_compiles_the_replaced_row_stream(captured):
