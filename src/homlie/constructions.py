@@ -291,7 +291,8 @@ def km_window(
     The product index holds both orders of every bracket, integral
     constants as ints as ``make_algebra`` stores them, and None for a pair
     whose degrees leave the window; ``grading`` is the loop degree (d, z: 0).  N
-    is read back as max |grading|, and d and z by their basis names.
+    is read back as max |grading|; only ``window.beta_map`` and
+    ``serialize.partial_to_json`` read d and z, by their basis names.
 
     The result is certified ``flavor="lie"``.  Every defined product is the
     bracket of the affine algebra L(g) + Kz + Kd (of its twisted subalgebra

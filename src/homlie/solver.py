@@ -31,7 +31,6 @@ from .linalg import (
     int_if_integral,
     nullspace_of_rows,
     sparse_lincomb,
-    sparse_vector,
 )
 
 # -- structure kinds --------------------------------------------------------
@@ -403,29 +402,25 @@ def _delta_rows(plan: _Plan, delta: Fraction,
     return _sparse_rows(_leibniz_terms(alg.rows, i, j, col_of, col_of, delta) for i, j in _leibniz_pairs(alg))
 
 
-def _known_block(
-    alg: AlgebraSpec,
-    kind: StructureKind,
-    shift: int,
-    cols: Mapping[tuple[int, int], int],
-    annihilator: Iterable[Vector | Mapping[int, Fraction]],
-) -> Subspace:
+def _known_block(alg: AlgebraSpec, kind: StructureKind, shift: int, cols: Mapping[tuple[int, int], int]) -> Subspace:
     """A subspace K of the solutions in the shift block with columns
-    ``cols`` (``_Plan.block``), known without solving.
+    ``cols`` (``_Plan.block``), known without solving: the one statement
+    of them, which the solver cuts in front of a block and the window's
+    inner report predicts with.
 
     For hom-lie, hom-cyclic and hom-2nilp, K holds the block's maps e_c -> z
-    for z in the echelon basis ``annihilator`` of the right annihilator,
-    given as dense or sparse vectors (homogeneous, as the annihilator is
-    graded): every term of those identities has the form (xy)phi(w), which
-    vanishes when phi(w) lies in it.  For hom-lie on a lie-flavor algebra K
-    also holds the identity at shift 0: its Hom-Jacobi identity is the
-    Jacobi identity that ``make_algebra`` validated (``km_window``
-    certifies each imposed one).
+    for z in the echelon basis ``_Plan.annihilator`` of the right
+    annihilator (homogeneous, as the annihilator is graded): every term of
+    those identities has the form (xy)phi(w), which vanishes when phi(w)
+    lies in it.  For hom-lie on a lie-flavor algebra K also holds the
+    identity at shift 0: its Hom-Jacobi identity is the Jacobi identity
+    that ``make_algebra`` validated (``km_window`` certifies each imposed
+    one).
     """
     n = alg.dim
     gens = []
     if kind.tag in _SIGNS:
-        for z in map(sparse_vector, annihilator):
+        for z in _plan(alg).annihilator:
             pivot = min(z)
             gens.extend({cols[(q, c)]: x for q, x in z.items()} for c in range(n) if (pivot, c) in cols)
     if kind.tag == "hom-lie" and alg.flavor == "lie" and shift == 0:
@@ -527,7 +522,7 @@ def _solve_block(
     """
     n, plan = alg.dim, _plan(alg)
     cols = plan.block(shift)
-    space = _known_block(alg, kind, shift, cols, plan.annihilator if kind.tag in _SIGNS else ())
+    space = _known_block(alg, kind, shift, cols)
     if space.dim < len(cols):
         col_of = _by_source(cols, n)
         stream = ((lambda free: _delta_rows(plan, kind.delta, col_of)) if kind.delta is not None

@@ -15,19 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable
 
 from .algebra import AlgebraSpec
 from .linalg import Matrix, Subspace, nullspace_of_rows
-from .solver import HOM_LIE, HomSolution, _kept, _solve_shift_blocks
+from .solver import HOM_LIE, HomSolution, _kept, _known_block, _plan, _solve_shift_blocks
 from .solver import grading_shifts as window_shifts
 
 
 @dataclass(frozen=True)
 class InnerWindowReport:
     """Comparison of the solution span, restricted to degrees |d| <= N-2,
-    against the predicted span (restricted identity + all maps into the
-    center)."""
+    against the predicted span: the solver's known solutions K
+    (``solver._known_block``) of the report's shifts, restricted alike."""
 
     inner_indices: tuple[int, ...]
     dim_full: int
@@ -78,13 +78,16 @@ def solve_window(pa: AlgebraSpec, degree_shift: int | None = None) -> WindowSolu
 
 
 def central_maps(pa: AlgebraSpec) -> list[Matrix]:
-    """All unit maps into the central line; always solutions."""
-    z = pa.basis_names.index("z")
-    return [Matrix.from_sparse(pa.dim, pa.dim, {(z, c): 1}) for c in range(pa.dim)]
+    """The maps e_c -> z, c ascending, for each z in the echelon basis of the
+    table's centre, the rows ``solver._known_block`` reads; always solutions."""
+    return [Matrix.from_sparse(pa.dim, pa.dim, {(q, c): x for q, x in z.items()})
+            for z in _plan(pa).annihilator for c in range(pa.dim)]
 
 
 def beta_map(pa: AlgebraSpec) -> Matrix:
-    """The map sending the Euler generator to the central one, zero elsewhere."""
+    """The map sending the Euler element d of a ``km_window`` to its central z, zero elsewhere."""
+    if not {"d", "z"} <= set(pa.basis_names):
+        raise ValueError("beta_map needs a km_window's Euler element d and central z (basis names 'd' and 'z')")
     return Matrix.from_sparse(pa.dim, pa.dim, {(pa.basis_names.index("z"), pa.basis_names.index("d")): 1})
 
 
@@ -95,23 +98,16 @@ def _inner_report(pa: AlgebraSpec, space: Subspace, shift: int | None = None) ->
     pos = {i: p for p, i in enumerate(inner)}
     n = pa.dim
 
-    def restrict(row: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out = {}
-        for j, x in row.items():
-            u, c = divmod(j, n)
-            if u in pos and c in pos:
-                out[pos[u] * k + pos[c]] = x
-        return out
+    def restrict(entries: Iterable[tuple[tuple[int, int], Fraction]]) -> dict[int, Fraction]:
+        """The inner part of a map given by its entries ((u, c), x): phi(e_c) has x at e_u."""
+        return {pos[u] * k + pos[c]: x for (u, c), x in entries if u in pos and c in pos}
 
-    restricted = Subspace.from_spanning((restrict(r) for _, r in space.rows), k * k)
-    z = pos[pa.basis_names.index("z")]
-    # prediction: identity (shift 0 only) plus central maps of the matching shift
-    preds = []
-    if shift is None or shift == 0:
-        preds.append({p * k + p: 1 for p in range(k)})
-    for c in inner:
-        if shift is None or pa.grading[c] + shift == 0:
-            preds.append({z * k + pos[c]: 1})
+    restricted = Subspace.from_spanning((restrict((divmod(j, n), x) for j, x in r.items()) for _, r in space.rows),
+                                        k * k)
+    preds, plan = [], _plan(pa)
+    for s in window_shifts(pa) if shift is None else [shift]:
+        pairs = list(cols := plan.block(s))  # block column -> (u, c), as _solve_block maps it into End
+        preds.extend(restrict((pairs[j], x) for j, x in r.items()) for _, r in _known_block(pa, HOM_LIE, s, cols).rows)
     predicted = Subspace.from_spanning(preds, k * k)
     # joined contains restricted, so predicted lies in restricted exactly when the dims agree
     joined = restricted.sum(predicted)

@@ -89,13 +89,12 @@ def one_pass_router(alg, kind, shifts, kernel):
     if kind.delta is not None:
         _require_defined(alg, kind)
     plan = _plan(alg)
-    annihilator = plan.annihilator if kind.tag in _SIGNS else ()
     blocks, live, pairs = {}, {}, {}
     for shift in shifts:
         cols = plan.block(shift)
         if not cols:
             continue
-        blocks[shift] = cols, _known_block(alg, kind, shift, cols, annihilator)
+        blocks[shift] = cols, _known_block(alg, kind, shift, cols)
         if blocks[shift][1].dim < len(cols):
             live[shift], pairs[shift] = _by_source(cols, n), list(cols)
             for p in blocks[shift][1].pivot_cols():

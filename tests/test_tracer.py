@@ -64,7 +64,7 @@ def test_an_all_shift_window_solve_charges_each_block_to_the_window():
     kept, open_blocks = set(), 0
     for s in shifts:  # solve_window solves the shifts in this order
         cols = plan.block(s)
-        if cols and solver._known_block(pa, solver.HOM_LIE, s, cols, plan.annihilator).dim < len(cols):
+        if cols and solver._known_block(pa, solver.HOM_LIE, s, cols).dim < len(cols):
             open_blocks += -s not in kept
         kept.add(s)
     tracer = _tracer()

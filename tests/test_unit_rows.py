@@ -96,13 +96,12 @@ def reference_router(alg, kind, shifts, kernel):
     if kind.delta is not None:
         _require_defined(alg, kind)
     plan = _plan(alg)
-    annihilator = plan.annihilator if kind.tag in _SIGNS else ()
     rows = []
     for shift in shifts:
         cols = plan.block(shift)
         if not cols:
             continue
-        space = _known_block(alg, kind, shift, cols, annihilator)
+        space = _known_block(alg, kind, shift, cols)
         if space.dim < len(cols):
             col_of = _by_source(cols, n)
             compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None

@@ -11,6 +11,7 @@ import pytest
 
 from homlie.algebra import (BILINEAR_KINDS, AlgebraSpec, UndefinedProduct, _evaluate, _hom_terms, builtin, killing_form,
                             sparse_product)
+from homlie import solver, window
 from homlie.constructions import km_window
 from homlie.linalg import (
     Matrix,
@@ -28,6 +29,7 @@ from homlie.solver import (
     HOM_LIE,
     _SIGNS,
     _by_source,
+    _known_block,
     _plan,
     _solve_block,
     _triples,
@@ -526,3 +528,103 @@ def test_multiplicative_scalars_zero_and_one_pass():
     pa = _untwisted(2)
     assert is_multiplicative(pa, Matrix.identity(pa.dim)) is True
     assert is_multiplicative(pa, Matrix.zeros(pa.dim, pa.dim)) is True
+
+
+def _witt(n, central=False):
+    """The Witt window W_N: L_m for |m| <= N, [L_a, L_b] = (a - b) L_{a+b},
+    undefined where |a + b| > N; with ``central``, the Virasoro window,
+    whose last basis vector c, of degree 0, adds (a^3 - a) delta_{a+b,0} c
+    (Kac and Raina, *Bombay Lectures*, Lecture 1).  Certified lie as
+    ``km_window`` is: every defined product is a bracket of W or Vir, which
+    are Lie.  Neither has basis vectors named d and z."""
+    degrees = range(-n, n + 1)
+    table = {}
+    for a, b in itertools.product(degrees, repeat=2):
+        if abs(a + b) > n:
+            table[a + n, b + n] = None
+            continue
+        terms = [(a + b + n, a - b)] if a != b else []
+        if central and a + b == 0 and a ** 3 != a:
+            terms.append((2 * n + 1, a ** 3 - a))
+        if terms:
+            table[a + n, b + n] = tuple(terms)
+    names = [f"L{a}" for a in degrees] + ["c"] * central
+    return AlgebraSpec(len(names), tuple(names), index_of(len(names), table), "lie",
+                       grading=(*degrees, *[0] * central))
+
+
+@pytest.mark.parametrize("central", [False, True], ids=["witt", "virasoro"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_witt_and_virasoro_windows(n, central):
+    """W_N: the identity plus boundary maps (dim 3 from N = 3, L_-N -> L_N
+    and back at shifts +-2N); Vir_N: also the maps into Kc, the untwisted
+    loop pattern.  The report predicts with K and counts no excess, and
+    ``central_maps`` are the maps into the table's centre, none for W."""
+    pa = _witt(n, central)
+    sol = solve_window(pa)
+    assert sol.full.dim == ((16 if n == 2 else 2 * n + 5) if central else (10 if n == 2 else 3))
+    assert sol.full.space.contains(Matrix.identity(pa.dim).flatten())
+    assert sol.inner.predicted_included
+    assert sol.inner.excess_dim == 0
+    c = pa.dim - 1
+    assert central_maps(pa) == [Matrix.from_sparse(pa.dim, pa.dim, {(c, x): 1}) for x in range(pa.dim) if central]
+
+
+def test_beta_map_names_what_it_needs():
+    with pytest.raises(ValueError, match="Euler element d and central z"):
+        beta_map(_witt(3))
+
+
+@pytest.mark.parametrize("name, inner_dim", [("gl", 6), ("abelian", 4)])
+def test_a_centre_of_g_is_predicted(name, inner_dim):
+    """With a centre of g the window's centre holds I (x) t^0 (gl2), or
+    all of g (x) t^0 (abelian2), beside z, and K holds the maps into it:
+    the N = 2 report predicts all 13 restricted solutions, with no excess.
+    ``_solve_modulo`` adds K to every answer, so a membership test cannot
+    see a wrong K; every basis map of each shift's K is evaluated on every
+    equation imposed at that shift instead."""
+    g = builtin(name, 2)
+    pa = km_window(g, killing_form(g), 2)
+    report = solve_window(pa).inner
+    assert report.to_json() == {"inner_dim": inner_dim, "dim_full": 133, "dim_restricted": 13,
+                                "dim_predicted": 13, "predicted_included": True, "excess_dim": 0}
+    n, triples = pa.dim, list(itertools.combinations(range(pa.dim), 3))
+    for s in window_shifts(pa):
+        pairs = list(cols := _plan(pa).block(s))
+        for _, row in _known_block(pa, HOM_LIE, s, cols).rows:
+            phi = Matrix.from_sparse(n, n, {pairs[j]: x for j, x in row.items()})
+            for tri in triples:
+                assert not any(structure_residual(pa, phi, HOM_LIE, tri, s) or ()), (s, tri)
+
+
+def test_the_report_predicts_with_k(monkeypatch):
+    """With the identity taken out of K every solved space stays, as the
+    cut needs only K inside the solutions, while the reports that cover
+    shift 0 predict one map fewer and count it as excess: the report reads
+    K.  K gets the identity only on a lie-flavor table, so the mutant reads
+    the same table as unchecked."""
+    models = [(_untwisted, 2), (_untwisted, 3), (_twisted, 3)]
+
+    def solves():
+        out = []
+        for model, n in models:
+            pa = model(n)
+            out.append({None: solve_window(model(n)), **{s: solve_window(pa, s) for s in window_shifts(pa)}})
+        return out
+
+    before = solves()
+    known = solver._known_block
+
+    def no_identity(alg, kind, shift, cols):
+        return known(dataclasses.replace(alg, flavor="unchecked"), kind, shift, cols)
+
+    monkeypatch.setattr(solver, "_known_block", no_identity)
+    monkeypatch.setattr(window, "_known_block", no_identity)
+    for old, new in zip(before, solves()):
+        for s, sol in old.items():
+            assert new[s].full.space == sol.full.space, s
+            if s in (None, 0):
+                assert new[s].inner.dim_predicted == sol.inner.dim_predicted - 1
+                assert new[s].inner.excess_dim == sol.inner.excess_dim + 1
+            else:
+                assert new[s].inner == sol.inner

@@ -7,10 +7,11 @@ x (x) t^i -> x (x) t^-i, d -> -d, z -> -z.
 per kind, and conjugates block -s from a kept block s (the mirror lemma in
 its docstring), for every kind it solves.  Checked against the direct
 solve of each block, ``solver._solve_block``, on a fresh model: the three
-hom kinds on the untwisted, order-2 and order-3 twisted and A2(2)
-windows, and the hom and delta kinds on principally graded sl3..sl6.  A
-sigma that is not an automorphism fails ``solver._is_mirror``, and the
-table is then solved block by block, with the same answers."""
+hom kinds on the untwisted, order-2 and order-3 twisted, A2(2), Witt and
+Virasoro windows, and the hom and delta kinds on principally graded
+sl3..sl6.  A sigma that is not an automorphism fails
+``solver._is_mirror``, and the table is then solved block by block, with
+the same answers."""
 
 import random
 from itertools import combinations
@@ -25,7 +26,7 @@ from homlie.solver import (HOM_2NILP, HOM_CYCLIC, HOM_LIE, _kept, _mirror, _solv
                            delta_derivation, grading_shifts, solve_structures)
 from homlie.window import solve_window
 from test_unit_rows import Counting, direct_router
-from test_window import _sl3, _sl3_twisted, _twisted, _untwisted
+from test_window import _sl3, _sl3_twisted, _twisted, _untwisted, _witt
 
 
 def _affine(name, rank, n):
@@ -99,6 +100,10 @@ ORDER3 = {f"sl2-order3-{n}": (lambda n=n: _order3(n)) for n in (2, 3)}
 PRINCIPAL = {f"sl{n}-principal": (lambda n=n: _principal(n)) for n in range(3, 7)}
 BLOCK_GRADED = {f"sp{n}-blocks": (lambda n=n: _block_graded(n)) for n in (4, 6)}
 MIRRORED = {f"mirrored-{seed}": (lambda seed=seed: _mirrored_table(seed)) for seed in range(8)}
+# no d or z: sigma is L_m -> +-L_-m (and c -> -c), found from the table alone
+WITT = {**{f"witt-{n}": (lambda n=n: _witt(n)) for n in (2, 3, 5, 8)},
+        **{f"virasoro-{n}": (lambda n=n: _witt(n, central=True)) for n in (2, 3, 6, 8)}}
+WINDOWS = {**MODELS, **WITT}
 HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
 DELTA_KINDS = [delta_derivation(d) for d in (1, "1/2", -1)]
 
@@ -146,10 +151,10 @@ def test_the_grading_finds_the_loop_mirror(name):
     assert _mirror(pa) == _name_sigma(pa)
 
 
-DIFFERENTIAL = [(name, kind) for name in [*MODELS, *ORDER3] for kind in HOM_KINDS] + \
+DIFFERENTIAL = [(name, kind) for name in [*MODELS, *ORDER3, *WITT] for kind in HOM_KINDS] + \
     [(name, kind) for name in [*PRINCIPAL, *MIRRORED] for kind in HOM_KINDS + DELTA_KINDS] + \
     [(name, kind) for name in BLOCK_GRADED for kind in [HOM_LIE, DELTA_KINDS[0]]]
-FACTORIES = {**MODELS, **ORDER3, **PRINCIPAL, **MIRRORED, **BLOCK_GRADED}
+FACTORIES = {**MODELS, **ORDER3, **WITT, **PRINCIPAL, **MIRRORED, **BLOCK_GRADED}
 IDS = [name if name in MODELS and kind == HOM_LIE else f"{name}-{kind}" for name, kind in DIFFERENTIAL]
 
 
@@ -165,7 +170,7 @@ def test_mirrored_blocks_are_the_direct_blocks(name, kind, direct_solves, monkey
     shifts = grading_shifts(pa)
     mirrored = name not in BLOCK_GRADED
     assert (_mirror(pa) is not None) == mirrored
-    if name in MODELS and kind == HOM_LIE:
+    if name in WINDOWS and kind == HOM_LIE:
         for s in shifts:
             solve_window(pa, s)
     else:
@@ -174,7 +179,7 @@ def test_mirrored_blocks_are_the_direct_blocks(name, kind, direct_solves, monkey
     kept = _kept(pa, "blocks", dict)
     for s in shifts:
         assert kept[kind, s] == _solve_block(fresh, kind, s, nullspace_of_rows), s
-    if name in MODELS and kind == HOM_LIE:
+    if name in WINDOWS and kind == HOM_LIE:
         kernel = Counting()
         monkeypatch.setattr(solver, "nullspace_of_rows", kernel)
         assert solve_structures(pa, HOM_LIE).space == solve_window(pa).full.space == _direct(fresh, shifts)
