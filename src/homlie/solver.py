@@ -172,9 +172,9 @@ class _Plan:
 
     def block(self, shift: int) -> dict[tuple[int, int], int]:
         """The columns of the maps sending degree d into d + shift: phi(e_c)
-        -> e_q at column cols[(q, c)], numbered by (q, c) ascending; with
-        one degree and shift 0, all of End with phi(e_c) -> e_q at column
-        q*dim + c."""
+        -> e_q at column cols[(q, c)], numbered by (q, c) ascending (all of
+        End, at q*dim + c, with one degree and shift 0).  Read by the solver
+        alone, which returns and keeps End rows (``_solve_block``)."""
         pairs = ((q, c) for q, d in enumerate(self.deg) for c in self.components.get(d - shift, ()))
         return {pair: k for k, pair in enumerate(pairs)}
 
@@ -402,30 +402,30 @@ def _delta_rows(plan: _Plan, delta: Fraction,
     return _sparse_rows(_leibniz_terms(alg.rows, i, j, col_of, col_of, delta) for i, j in _leibniz_pairs(alg))
 
 
-def _known_block(alg: AlgebraSpec, kind: StructureKind, shift: int, cols: Mapping[tuple[int, int], int]) -> Subspace:
-    """A subspace K of the solutions in the shift block with columns
-    ``cols`` (``_Plan.block``), known without solving: the one statement
-    of them, which the solver cuts in front of a block and the window's
-    inner report predicts with.
+def _known_block(alg: AlgebraSpec, kind: StructureKind, shift: int) -> Subspace:
+    """A subspace K of the kind's solutions in the block of ``shift``, known
+    without solving, in End (phi(e_c) -> e_q at column q*n + c) and kept on
+    the algebra: the one statement of them, which the solver cuts in front
+    of a block and the window's inner report predicts with.
 
-    For hom-lie, hom-cyclic and hom-2nilp, K holds the block's maps e_c -> z
-    for z in the echelon basis ``_Plan.annihilator`` of the right
-    annihilator (homogeneous, as the annihilator is graded): every term of
-    those identities has the form (xy)phi(w), which vanishes when phi(w)
-    lies in it.  For hom-lie on a lie-flavor algebra K also holds the
-    identity at shift 0: its Hom-Jacobi identity is the Jacobi identity
-    that ``make_algebra`` validated (``km_window`` certifies each imposed
-    one).
+    For hom-lie, hom-cyclic and hom-2nilp, K holds the maps e_c -> z for z in
+    the echelon basis ``_Plan.annihilator`` of the right annihilator and c of
+    degree deg z - shift (z is homogeneous, as the annihilator is graded):
+    every term of those identities has the form (xy)phi(w), which vanishes
+    when phi(w) lies in it.  For hom-lie on a lie-flavor algebra K also holds
+    the identity at shift 0: its Hom-Jacobi identity is the Jacobi identity
+    that ``make_algebra`` validated (``km_window`` certifies each imposed one).
     """
-    n = alg.dim
-    gens = []
-    if kind.tag in _SIGNS:
-        for z in _plan(alg).annihilator:
-            pivot = min(z)
-            gens.extend({cols[(q, c)]: x for q, x in z.items()} for c in range(n) if (pivot, c) in cols)
-    if kind.tag == "hom-lie" and alg.flavor == "lie" and shift == 0:
-        gens.append({cols[(c, c)]: 1 for c in range(n)})
-    return Subspace.from_spanning(gens, len(cols))
+    def build() -> Subspace:
+        n, plan = alg.dim, _plan(alg)
+        gens = []
+        for z in plan.annihilator if kind.tag in _SIGNS else ():
+            gens.extend({q * n + c: x for q, x in z.items()} for c in plan.components.get(plan.deg[min(z)] - shift, ()))
+        if kind.tag == "hom-lie" and alg.flavor == "lie" and shift == 0:
+            gens.append({c * n + c: 1 for c in range(n)})
+        return Subspace.from_spanning(gens, n * n)
+
+    return _kept(alg, ("known", kind, shift), build)
 
 
 def grading_shifts(alg: AlgebraSpec) -> list[int]:
@@ -509,25 +509,29 @@ def _solve_block(
     kernel: Callable[[RowAccumulator, Iterable[Mapping[int, Fraction]]], Subspace],
 ) -> Subspace:
     """The kind's solutions in the block of ``shift``, in End, compiled and
-    solved directly: the one place a shift block reaches ``_solve_modulo``.
+    solved directly: the one place a shift block reaches ``_solve_modulo``,
+    modulo ``_known_block`` and with ``kernel``, reading the rows of the
+    block's own pass (``_hom_rows``, or ``_delta_rows``) through its columns
+    ``_by_source``: at full rank ``kernel`` stops reading, and the pass
+    compiles nothing more.  A block that K fills is K, and is not compiled.
 
-    The block is solved modulo ``_known_block`` by ``_solve_modulo`` with
-    ``kernel``, reading the rows of the block's own pass (``_hom_rows``, or
-    ``_delta_rows``) through its columns ``_by_source``: at full rank
-    ``kernel`` stops reading, and the pass compiles nothing more.  A block
-    that K already fills is not compiled.  The block's reduced rows map into
-    End by (q, c) -> q*n + c.  That map is increasing on the block's
-    columns, which are numbered by (q, c) ascending, so each mapped row keeps
-    its pivot first and stays reduced.
+    The increasing-map lemma.  The block's columns are numbered by (q, c)
+    ascending (``_Plan.block``), so (q, c) -> q*n + c maps them increasingly
+    into End, and its inverse maps the block's End columns increasingly
+    back.  An increasing map keeps each row's pivot first and the pivots in
+    order, so it carries a reduced basis to a reduced basis: K, whose maps
+    have this shift, into the block, and the block's answer into End.
     """
     n, plan = alg.dim, _plan(alg)
-    cols = plan.block(shift)
-    space = _known_block(alg, kind, shift, cols)
-    if space.dim < len(cols):
-        col_of = _by_source(cols, n)
-        stream = ((lambda free: _delta_rows(plan, kind.delta, col_of)) if kind.delta is not None
-                  else (lambda free: _hom_rows(plan, kind, col_of, alg.rows, free)))
-        space = _solve_modulo(space, stream, [col_of], plan.gaps, kernel)
+    cols, known = plan.block(shift), _known_block(alg, kind, shift)
+    if known.dim == len(cols):
+        return known
+    space = Subspace(len(cols), [(cols[divmod(p, n)], {cols[divmod(j, n)]: x for j, x in r.items()})
+                                 for p, r in known.rows])
+    col_of = _by_source(cols, n)
+    stream = ((lambda free: _delta_rows(plan, kind.delta, col_of)) if kind.delta is not None
+              else (lambda free: _hom_rows(plan, kind, col_of, alg.rows, free)))
+    space = _solve_modulo(space, stream, [col_of], plan.gaps, kernel)
     end = [q * n + c for q, c in cols]  # block column -> End coordinate
     return Subspace(n * n, [(end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows])
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .algebra import AlgebraSpec
 from .linalg import Matrix, Subspace, nullspace_of_rows
@@ -26,8 +26,8 @@ from .solver import grading_shifts as window_shifts
 @dataclass(frozen=True)
 class InnerWindowReport:
     """Comparison of the solution span, restricted to degrees |d| <= N-2,
-    against the predicted span: the solver's known solutions K
-    (``solver._known_block``) of the report's shifts, restricted alike."""
+    against the predicted span: the solver's known solutions K of the
+    report's shifts (``solver._known_block``, read in End), restricted alike."""
 
     inner_indices: tuple[int, ...]
     dim_full: int
@@ -79,7 +79,8 @@ def solve_window(pa: AlgebraSpec, degree_shift: int | None = None) -> WindowSolu
 
 def central_maps(pa: AlgebraSpec) -> list[Matrix]:
     """The maps e_c -> z, c ascending, for each z in the echelon basis of the
-    table's centre, the rows ``solver._known_block`` reads; always solutions."""
+    table's centre: always solutions, and over every shift the maps into the
+    centre that K (``solver._known_block``) holds."""
     return [Matrix.from_sparse(pa.dim, pa.dim, {(q, c): x for q, x in z.items()})
             for z in _plan(pa).annihilator for c in range(pa.dim)]
 
@@ -94,21 +95,16 @@ def beta_map(pa: AlgebraSpec) -> Matrix:
 def _inner_report(pa: AlgebraSpec, space: Subspace, shift: int | None = None) -> InnerWindowReport:
     reach = window_size(pa) - 2
     inner = tuple(i for i, d in enumerate(pa.grading) if abs(d) <= reach)
-    k = len(inner)
-    pos = {i: p for p, i in enumerate(inner)}
-    n = pa.dim
+    k, n = len(inner), pa.dim
+    pos = {i: p for p, i in enumerate(inner)}  # End's column u*n + c -> the inner part's pos[u]*k + pos[c]
 
-    def restrict(entries: Iterable[tuple[tuple[int, int], Fraction]]) -> dict[int, Fraction]:
-        """The inner part of a map given by its entries ((u, c), x): phi(e_c) has x at e_u."""
-        return {pos[u] * k + pos[c]: x for (u, c), x in entries if u in pos and c in pos}
+    def restrict(rows: Iterable[Mapping[int, Fraction]]) -> Subspace:
+        return Subspace.from_spanning(({pos[u] * k + pos[c]: x for j, x in r.items()
+                                        if (u := j // n) in pos and (c := j % n) in pos} for r in rows), k * k)
 
-    restricted = Subspace.from_spanning((restrict((divmod(j, n), x) for j, x in r.items()) for _, r in space.rows),
-                                        k * k)
-    preds, plan = [], _plan(pa)
-    for s in window_shifts(pa) if shift is None else [shift]:
-        pairs = list(cols := plan.block(s))  # block column -> (u, c), as _solve_block maps it into End
-        preds.extend(restrict((pairs[j], x) for j, x in r.items()) for _, r in _known_block(pa, HOM_LIE, s, cols).rows)
-    predicted = Subspace.from_spanning(preds, k * k)
+    restricted = restrict(r for _, r in space.rows)
+    shifts = window_shifts(pa) if shift is None else [shift]
+    predicted = restrict(r for s in shifts for _, r in _known_block(pa, HOM_LIE, s).rows)
     # joined contains restricted, so predicted lies in restricted exactly when the dims agree
     joined = restricted.sum(predicted)
     return InnerWindowReport(

@@ -390,6 +390,23 @@ def test_the_window_reaches_the_kernel_only_through_solve_shift_blocks():
     assert [f"window.py:{node.lineno}" for node in uses if id(node) not in allowed] == []
 
 
+# The names that number a shift block's columns: ``_Plan.block`` and the
+# per-source table ``_by_source`` built from it.
+BLOCK_COLUMN_NAMES = {"block", "_by_source"}
+
+
+def test_the_window_numbers_no_block_columns():
+    """``window`` reads the solver's K and solutions in End and names neither
+    ``.block`` nor ``_by_source``, so a block's column numbering is known
+    only to ``solver``."""
+    tree = ast.parse((Path(homlie.__file__).parent / "window.py").read_text())
+    uses = [f"window.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in BLOCK_COLUMN_NAMES
+            or isinstance(node, ast.Name) and node.id in BLOCK_COLUMN_NAMES
+            or isinstance(node, ast.alias) and node.name in BLOCK_COLUMN_NAMES]
+    assert uses == []
+
+
 # Where a scalar from outside the kernel enters a store that keeps integral
 # entries as ints: the builder's table, the vectors the module action takes,
 # a grading's coordinates, km_window's central term and the delta of a

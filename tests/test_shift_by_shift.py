@@ -27,7 +27,6 @@ from homlie.solver import (
     HOM_CYCLIC,
     HOM_LIE,
     _by_source,
-    _known_block,
     _mirror,
     _plan,
     _require_defined,
@@ -39,7 +38,7 @@ from homlie.solver import (
     grading_shifts,
 )
 from test_term_builders import partial_tables
-from test_unit_rows import cut_then_kernel, natural_hom_rows
+from test_unit_rows import cut_then_kernel, known_in_block, natural_hom_rows
 from test_window import WINDOW_MODELS, _untwisted
 
 F = Fraction
@@ -94,7 +93,7 @@ def one_pass_router(alg, kind, shifts, kernel):
         cols = plan.block(shift)
         if not cols:
             continue
-        blocks[shift] = cols, _known_block(alg, kind, shift, cols)
+        blocks[shift] = cols, known_in_block(alg, kind, shift, cols)
         if blocks[shift][1].dim < len(cols):
             live[shift], pairs[shift] = _by_source(cols, n), list(cols)
             for p in blocks[shift][1].pivot_cols():

@@ -86,6 +86,14 @@ def unretired_solve_modulo(known, stream, col_maps, gaps, kernel):
     return known.sum(rest) if known.dim else rest
 
 
+def known_in_block(alg, kind, shift, cols):
+    """The kept K (``solver._known_block``, in End) in the block's columns
+    ``cols``, by the increasing map (q, c) -> cols[(q, c)]."""
+    n = alg.dim
+    return Subspace(len(cols), [(cols[divmod(p, n)], {cols[divmod(j, n)]: x for j, x in r.items()})
+                                for p, r in _known_block(alg, kind, shift).rows])
+
+
 def reference_router(alg, kind, shifts, kernel):
     """``_solve_shift_blocks`` without the retire step and the directed
     stream: every block's rows reach ``kernel`` whole in the natural walk's
@@ -101,7 +109,7 @@ def reference_router(alg, kind, shifts, kernel):
         cols = plan.block(shift)
         if not cols:
             continue
-        space = _known_block(alg, kind, shift, cols)
+        space = known_in_block(alg, kind, shift, cols)
         if space.dim < len(cols):
             col_of = _by_source(cols, n)
             compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None

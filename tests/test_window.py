@@ -3,6 +3,7 @@ import functools
 import itertools
 import random
 import re
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -590,9 +591,8 @@ def test_a_centre_of_g_is_predicted(name, inner_dim):
                                 "dim_predicted": 13, "predicted_included": True, "excess_dim": 0}
     n, triples = pa.dim, list(itertools.combinations(range(pa.dim), 3))
     for s in window_shifts(pa):
-        pairs = list(cols := _plan(pa).block(s))
-        for _, row in _known_block(pa, HOM_LIE, s, cols).rows:
-            phi = Matrix.from_sparse(n, n, {pairs[j]: x for j, x in row.items()})
+        for _, row in _known_block(pa, HOM_LIE, s).rows:  # in End: phi(e_c) -> e_q at q*n + c
+            phi = Matrix.from_sparse(n, n, {divmod(j, n): x for j, x in row.items()})
             for tri in triples:
                 assert not any(structure_residual(pa, phi, HOM_LIE, tri, s) or ()), (s, tri)
 
@@ -615,8 +615,8 @@ def test_the_report_predicts_with_k(monkeypatch):
     before = solves()
     known = solver._known_block
 
-    def no_identity(alg, kind, shift, cols):
-        return known(dataclasses.replace(alg, flavor="unchecked"), kind, shift, cols)
+    def no_identity(alg, kind, shift):
+        return known(dataclasses.replace(alg, flavor="unchecked"), kind, shift)
 
     monkeypatch.setattr(solver, "_known_block", no_identity)
     monkeypatch.setattr(window, "_known_block", no_identity)
@@ -628,3 +628,38 @@ def test_the_report_predicts_with_k(monkeypatch):
                 assert new[s].inner.excess_dim == sol.inner.excess_dim + 1
             else:
                 assert new[s].inner == sol.inner
+
+
+def test_k_is_built_once_per_shift_and_the_window_numbers_no_block(monkeypatch):
+    """K is kept on the window: each shift's solve and report, the
+    all-shift solve and report and a residual at every shift build it once
+    per shift (13 times on sl2 N = 3), though the report reads K at every
+    shift of each call and the mirrored blocks are never compiled.  Only
+    the solver numbers a block's columns (``_Plan.block``)."""
+    pa = _untwisted(3)
+    shifts = window_shifts(pa)
+    built, callers = [], []
+    kept, block = solver._kept, solver._Plan.block
+
+    def counted(alg, key, build):
+        def counted_build():
+            built.append(key)
+            return build()
+        return kept(alg, key, counted_build)
+
+    def numbered(plan, shift):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return block(plan, shift)
+
+    monkeypatch.setattr(solver, "_kept", counted)
+    monkeypatch.setattr(solver._Plan, "block", numbered)
+    for s in shifts:
+        solve_window(pa, s)
+    solve_window(pa)
+    identity = Matrix.identity(pa.dim)
+    for s in shifts:
+        structure_residual(pa, identity, HOM_LIE, (0, 1, 2), s)
+    known = [key for key in built if isinstance(key, tuple) and key[0] == "known"]
+    assert len(shifts) == 13
+    assert Counter(known) == {("known", HOM_LIE, s): 1 for s in shifts}
+    assert callers and set(callers) == {"homlie.solver"}
