@@ -49,13 +49,8 @@ def int_if_integral(x: Fraction) -> int | Fraction:
 SparseVector = dict[int, Fraction]
 
 
-def sparse_vector(v: Sequence[Fraction] | Mapping[int, Fraction]) -> SparseVector:
-    """The nonzero entries of a dense vector or of a sparse one."""
-    return {j: x for j, x in (v.items() if isinstance(v, Mapping) else enumerate(v)) if x}
-
-
 def sparse_vector_in(v: Sequence[Fraction] | Mapping[int, Fraction], n: int) -> SparseVector:
-    """``sparse_vector(v)`` for a vector of Q^n, checked to have length n or its indices in range(n)."""
+    """The nonzero entries of a vector of Q^n, dense or sparse, checked to have length n or its indices in range(n)."""
     if isinstance(v, Mapping):
         if v and not (0 <= min(v) and max(v) < n):
             raise ValueError(f"vector dimension mismatch: an index outside range({n})")
@@ -183,7 +178,7 @@ class Matrix:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        sv = sparse_vector(v)
+        sv = sparse_vector_in(v, self.cols)
         return tuple(Fraction(sum(x * sv[j] for j, x in r.items() if j in sv)) for r in self.sparse_rows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -273,14 +268,17 @@ def _normalize_content(row: IntRow) -> None:
 
 def _clear(work: IntRow, piv: IntRow, c: int) -> None:
     """Clear column c of ``work`` by ``piv`` (both hold c), in integers and
-    in place.  work is kept only up to scale: g takes a's sign so that
-    ca > 0, and ca is 1 whenever the pivot entry divides work's."""
+    in place: the one integer elimination step.  work is kept up to scale:
+    g takes a's sign so that ca > 0, and ca is 1 when a divides b (a = 1: no gcd)."""
     a, b = piv[c], work[c]
-    g = gcd(a, b) if a > 0 else -gcd(a, b)
-    ca, cb = a // g, b // g
-    if ca != 1:
-        for j in work:
-            work[j] *= ca
+    if a == 1:
+        cb = b
+    else:
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        ca, cb = a // g, b // g
+        if ca != 1:
+            for j in work:
+                work[j] *= ca
     for j, v in piv.items():
         n = work.get(j, 0) - v * cb
         if n:
@@ -324,6 +322,7 @@ class RowAccumulator:
 
     def add(self, row: Mapping[int, Fraction] | IntRow) -> bool:
         """Insert one row (never changed); returns True if the rank grew.
+        A one-entry row is read in place, a longer one copied (zeros dropped).
 
         A row with one nonzero entry, at c, is e_c up to scale.  A pivot
         with one entry at c is e_c too, so such a row repeats it.  A longer
@@ -331,41 +330,41 @@ class RowAccumulator:
         the rank grows exactly when that tail is independent of the other
         pivots.
         """
-        work: IntRow = {c: v for c, v in row.items() if v}
-        if len(work) == 1:
-            (c,) = work
-            piv = self.pivots.get(c)
-            if piv is not None and len(piv) == 1:
-                return False
-            self.pivots[c] = {c: 1}
-            if piv is None:
-                return True
-            del piv[c]
-            return self._insert(piv)
-        if not work:
+        work = row
+        if len(row) != 1 or 0 in row.values():
+            work = dict(row)
+            if 0 in work.values():
+                work = {c: v for c, v in work.items() if v}
+        if len(work) != 1:
+            for v in work.values():
+                if type(v) is not int:
+                    # an int's denominator is 1, so one expression clears both kinds of entry
+                    denom = lcm(*[v.denominator for v in work.values()])
+                    work = {c: v.numerator * (denom // v.denominator) for c, v in work.items()}
+                    break
+            return self._insert(work)
+        (c,) = work
+        piv = self.pivots.get(c)
+        if piv is not None and len(piv) == 1:
             return False
-        for v in work.values():
-            if type(v) is not int:
-                # an int's denominator is 1, so one expression clears both kinds of entry
-                denom = lcm(*[v.denominator for v in work.values()])
-                work = {c: v.numerator * (denom // v.denominator) for c, v in work.items()}
-                break
-        return self._insert(work)
+        self.pivots[c] = {c: 1}
+        if piv is None:
+            return True
+        del piv[c]
+        return self._insert(piv)
 
     def _insert(self, work: IntRow) -> bool:
-        """Reduce ``work``, a nonzero integer row this accumulator owns, in
-        place by the pivots; True if it ends as a new pivot."""
+        """Reduce ``work``, an integer row this accumulator owns, in place by
+        the pivots; True if it ends as a new pivot."""
         pivots = self.pivots
         while work:
             lead = min(work)
             piv = pivots.get(lead)
-            if piv is None:
+            if piv is None or abs(work[lead]) < abs(piv[lead]):
                 _normalize_content(work)
                 pivots[lead] = work
-                return True
-            if abs(work[lead]) < abs(piv[lead]):
-                _normalize_content(work)
-                pivots[lead] = work
+                if piv is None:
+                    return True
                 work, piv = piv, work
             _clear(work, piv, lead)
         return False
@@ -432,12 +431,12 @@ def nullspace_of_rows(ncols: "int | RowAccumulator", rows: Iterable[Mapping[int,
     (a caller that reads the accumulator while the stream is produced).
 
     Stops pulling rows once the rank reaches the column count: a full-rank
-    system has kernel 0 whatever rows remain.
+    system has kernel 0 whatever rows remain (read as the pivots' count).
     """
     acc = ncols if isinstance(ncols, RowAccumulator) else RowAccumulator(ncols)
-    ncols = acc.ncols
+    ncols, add, pivots = acc.ncols, acc.add, acc.pivots
     for r in rows:
-        if acc.add(r) and acc.rank == ncols:
+        if add(r) and len(pivots) == ncols:
             return Subspace.zero(ncols)
     return acc.nullspace()
 

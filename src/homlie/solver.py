@@ -94,21 +94,20 @@ class HomSolution:
 # -- row assembly helpers ----------------------------------------------------
 
 
-def _sparse_rows(groups: Iterable[_Terms]) -> Iterator[dict[int, Fraction]]:
-    """Sum each group's terms by row key; yield the nonzero rows of every
-    group in the order their keys were first touched."""
-    for terms in groups:
-        rows: dict[object, dict[int, Fraction]] = {}
-        for key, col, val in terms:
-            row = rows.setdefault(key, {})
-            if col in row:
-                row[col] += val
-            else:
-                row[col] = val
-        for row in rows.values():
-            nonzero = {col: val for col, val in row.items() if val}
-            if nonzero:
-                yield nonzero
+def _sparse_rows(terms: _Terms) -> list[dict[int, Fraction]]:
+    """One group's terms summed by row key, its nonzero rows listed in the
+    order their keys were first touched; only a row holding a zero (terms
+    that cancel) is filtered.  All terms are read before a row is returned,
+    so a builder that raises gives none: a group is compiled whole or not."""
+    rows: dict[object, dict[int, Fraction]] = {}
+    for key, col, val in terms:
+        row = rows.get(key)
+        if row is None:
+            rows[key] = {col: val}
+        else:
+            row[col] = row[col] + val if col in row else val
+    out = [row if 0 not in row.values() else {col: val for col, val in row.items() if val} for row in rows.values()]
+    return out if all(out) else [row for row in out if row]
 
 
 # -- the compile plan and the pass over the triples ---------------------------
@@ -366,7 +365,7 @@ def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, in
             if skip and c in skip:
                 continue
             try:
-                yield from list(_sparse_rows([_hom_terms(first, second, signs, a, b, c, col_of)]))
+                yield from _sparse_rows(_hom_terms(first, second, signs, a, b, c, col_of))
                 ends = False
             except UndefinedProduct as undefined:
                 ends = undefined.pair == (a, b)
@@ -384,7 +383,7 @@ def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, in
                         break
                     picked.setdefault((x, y), set()).add(w)
                     try:
-                        yield from list(_sparse_rows([_hom_terms(first, second, signs, x, y, w, col_of)]))
+                        yield from _sparse_rows(_hom_terms(first, second, signs, x, y, w, col_of))
                     except UndefinedProduct:
                         pass
                     now, z = free()
@@ -399,7 +398,8 @@ def _delta_rows(plan: _Plan, delta: Fraction,
     """D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs, for the maps D
     of one block, as ``_hom_rows`` does."""
     alg, delta = plan.alg, int_if_integral(delta)
-    return _sparse_rows(_leibniz_terms(alg.rows, i, j, col_of, col_of, delta) for i, j in _leibniz_pairs(alg))
+    return chain.from_iterable(_sparse_rows(_leibniz_terms(alg.rows, i, j, col_of, col_of, delta))
+                                for i, j in _leibniz_pairs(alg))
 
 
 def _known_block(alg: AlgebraSpec, kind: StructureKind, shift: int) -> Subspace:
@@ -875,7 +875,8 @@ def _qder_rows(alg: AlgebraSpec, module: str) -> tuple[Iterator[dict[int, Fracti
     else:  # D(e_c) -> e*_m, at index n + m, at column c*n + m
         index, d_cols = _coadjoint_index(alg), [{n + m: c * n + m for m in range(n)} for c in range(n)]
     f_cols = [{q: n * n + col for q, col in image.items()} for image in d_cols]
-    rows = _sparse_rows(_leibniz_terms(index, i, j, d_cols, f_cols, 1) for i, j in _leibniz_pairs(alg))
+    rows = chain.from_iterable(_sparse_rows(_leibniz_terms(index, i, j, d_cols, f_cols, 1))
+                               for i, j in _leibniz_pairs(alg))
     return rows, [d_cols, f_cols]
 
 

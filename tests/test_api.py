@@ -94,6 +94,29 @@ def test_elimination_runs_only_through_linalg():
     assert private == []
 
 
+# The one integer elimination step: ``_clear`` and the content division it
+# leaves to ``_normalize_content``, which ``_insert`` and ``_reduced_rows`` call.
+GCD_CALLERS = {"_clear", "_normalize_content"}
+
+
+def test_linalg_states_the_integer_step_once():
+    """In ``linalg`` a gcd is taken only in ``_clear`` and
+    ``_normalize_content``, so an inlined second copy of the elimination
+    step (in ``_insert``, say) fails here."""
+    callers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "gcd":
+            callers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse((Path(homlie.__file__).parent / "linalg.py").read_text()), None)
+    assert callers == GCD_CALLERS
+
+
 # The builds that may make an AlgebraSpec: make_algebra scans the laws, and
 # the others prove them in their docstrings.
 ALGEBRA_BUILDERS = {("algebra.py", "make_algebra"), ("algebra.py", "_lie_by_theorem"), ("constructions.py", "km_window")}

@@ -54,8 +54,8 @@ def mutant(monkeypatch, old, new):
 
 
 # A pick marked visited and evaluated, its rows dropped.
-DROPPED_PICK = ("yield from list(_sparse_rows([_hom_terms(first, second, signs, x, y, w, col_of)]))",
-                "list(_sparse_rows([_hom_terms(first, second, signs, x, y, w, col_of)]))")
+DROPPED_PICK = ("yield from _sparse_rows(_hom_terms(first, second, signs, x, y, w, col_of))",
+                "_sparse_rows(_hom_terms(first, second, signs, x, y, w, col_of))")
 # A walk that does not skip the picked triples.
 REVISITING_WALK = ("if skip and c in skip:", "if False:")
 

@@ -61,7 +61,7 @@ def one_pass_hom_rows(plan, kind, live, second):
             if col_of is None:
                 continue
             try:
-                rows = list(_sparse_rows([_hom_terms(first, second, signs, a, b, c, col_of)]))
+                rows = _sparse_rows(_hom_terms(first, second, signs, a, b, c, col_of))
             except UndefinedProduct as undefined:
                 if undefined.pair == (a, b):
                     break
@@ -76,7 +76,7 @@ def one_pass_delta_rows(plan, delta, live):
         for s in list(live):
             col_of = live.get(s)
             if col_of is not None:
-                yield from ((s, row) for row in _sparse_rows([_leibniz_terms(alg.rows, i, j, col_of, col_of, delta)]))
+                yield from ((s, row) for row in _sparse_rows(_leibniz_terms(alg.rows, i, j, col_of, col_of, delta)))
 
 
 def one_pass_router(alg, kind, shifts, kernel):

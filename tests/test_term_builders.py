@@ -59,10 +59,15 @@ F = Fraction
 # -- the replaced compilers ---------------------------------------------------
 
 
+def grouped_rows(groups):
+    """The rows of each group of terms in turn, as the compilers chain ``_sparse_rows``."""
+    return chain.from_iterable(map(_sparse_rows, groups))
+
+
 def ref_cocycle_rows(alg):
     """f(xy, z) + f(zx, y) + f(yz, x) = 0 over i<j<k."""
     n = alg.dim
-    return _sparse_rows(
+    return grouped_rows(
         (
             (0, p * n + z, c)
             for x, y, z in ((i, j, k), (k, i, j), (j, k, i))
@@ -75,7 +80,7 @@ def ref_cocycle_rows(alg):
 def ref_b_space_rows(alg, triples=None):
     """f(xy, z) - f(zx, y) = 0 over ``triples``, all ordered triples by default."""
     n = alg.dim
-    return _sparse_rows(
+    return grouped_rows(
         chain(
             ((0, p * n + k, c) for p, c in alg.product_on_basis(i, j)),
             ((0, p * n + j, -c) for p, c in alg.product_on_basis(k, i)),
@@ -92,7 +97,7 @@ def orbit_triples(alg, kind):
 def ref_invariance_rows(alg):
     """f(xy, z) - f(x, yz) = 0 over all ordered triples."""
     n = alg.dim
-    return _sparse_rows(
+    return grouped_rows(
         chain(
             ((0, p * n + k, c) for p, c in alg.product_on_basis(i, j)),
             ((0, i * n + p, -c) for p, c in alg.product_on_basis(j, k)),
@@ -150,7 +155,7 @@ def ref_qder_rows(alg, module):
                 for p, c in alg.product_on_basis(m, i):
                     yield m, n2 + j * n + p, -c
 
-    return _sparse_rows(terms(i, j) for i, j in combinations(range(n), 2))
+    return grouped_rows(terms(i, j) for i, j in combinations(range(n), 2))
 
 
 def ref_seq_kernel_rows(alg):
@@ -172,7 +177,7 @@ def ref_compat_rows(l, xi):
                 for q, x in f[p].items():
                     yield 0, q * n + t, c * x
 
-    return _sparse_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
+    return grouped_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
 
 
 def ref_delta_rows(plan, delta, blocks):
@@ -193,7 +198,7 @@ def ref_delta_rows(plan, delta, blocks):
 
     for i, j in pairs:
         for s, col_of in blocks.items():
-            yield from ((s, row) for row in _sparse_rows([terms(i, j, col_of)]))
+            yield from ((s, row) for row in _sparse_rows(terms(i, j, col_of)))
 
 
 def ref_hom_rows(plan, kind, blocks):
@@ -243,7 +248,7 @@ def ref_hom_rows(plan, kind, blocks):
                         for p, cw in w
                         for q, m, cpq in left[p].get(deg[z] + s, ())
                     )
-                    for row in _sparse_rows([group]):
+                    for row in _sparse_rows(group):
                         yield s, row
 
 
