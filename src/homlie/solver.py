@@ -10,7 +10,6 @@ the exact nullspace.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -131,11 +130,10 @@ class _Plan:
     depend on the algebra alone, so ``_plan`` builds them once per algebra
     and keeps them on it.
 
-    - ``components``: each degree's indices, ascending, the degrees in the
-      order 0, -1, 1, -2, 2, ...
+    - ``components``: each degree's indices, ascending.
     - ``basis``: the elements of degree 0, then the others, each part in
       index order (plain index order with one degree); ``pos[u]`` is u's
-      place in it, and ``order[u]`` its place in the components' order.
+      place in it.  It is the one order the triples are walked in.
     - ``annihilator``: the echelon rows of ``right_annihilator``, solved on
       first use (only the hom kinds read it).
     - ``orbits(kind)``: the kind's kept triples and their walk
@@ -150,13 +148,13 @@ class _Plan:
         self.gaps = {q for row in alg.rows for q, terms in row.items() if terms is None}
         self.complete = not self.gaps
         self.deg = deg = alg.grading or (0,) * alg.dim
-        self.components: dict[int, list[int]] = {d: [] for d in sorted(set(deg), key=lambda d: (abs(d), d))}
+        self.components: dict[int, list[int]] = {}
         for u, d in enumerate(deg):
-            self.components[d].append(u)
+            self.components.setdefault(d, []).append(u)
         self.basis = self.components.get(0, []) + [u for u in range(alg.dim) if deg[u] != 0]
-        self.pos, self.order = [0] * alg.dim, [0] * alg.dim
-        for i, (u, v) in enumerate(zip(self.basis, chain.from_iterable(self.components.values()))):
-            self.pos[u], self.order[v] = i, i
+        self.pos = [0] * alg.dim
+        for i, u in enumerate(self.basis):
+            self.pos[u] = i
         self._orbits: dict[str, _Orbits] = {}
 
     @cached_property
@@ -201,13 +199,13 @@ class _Orbits:
     """The basis triples the kind's identity is imposed on, one per orbit
     of the kind's swaps (``_SWAPS``), and the order they are walked in.
 
-    The orbit rule.  With ``pos`` the places in ``_Plan.basis``, a triple
-    (a, b, c) is kept exactly when ``pos[b] >= first_b[pos[a]]`` and
-    ``pos[c] >= first_c[b]``: on a commutative or anticommutative table the
-    arguments a swap of the
-    kind exchanges come in basis order, strictly where the swap changes the
-    sign (``first_b[i] = i + 1``, ``first_c[b] = pos[b] + 1``; ``+ 0``
-    where it keeps it, and 0 for an argument no swap orders).  By the
+    The orbit rule.  The triple at places (i, j, k) of ``_Plan.basis``,
+    (a, b, c) = (basis[i], basis[j], basis[k]), is kept exactly when
+    ``j >= first_b[i]`` and ``k >= first_c[j]``: on a commutative or
+    anticommutative table the arguments a swap of the kind exchanges come
+    in basis order, strictly where the swap changes the sign
+    (``first_b[i] = i + 1``, ``first_c[j] = j + 1``; ``+ 0`` where it keeps
+    it, and 0 for an argument no swap orders).  By the
     symmetry lemmas in ``algebra._hom_terms`` the forms of every other
     triple of the orbit are plus or minus those of the kept one, and zero
     when a sign-changing swap exchanges two equal arguments (the zero
@@ -228,10 +226,9 @@ class _Orbits:
 
     A table of any other flavor keeps every ordered triple.
 
-    The natural walk (``_triples``) takes the pairs (a, b) in the
-    lexicographic order of ``basis``, and for each pair the kept c in the
-    degree components' order 0, -1, 1, -2, 2, ..., each ascending, so the
-    triples come in the order of (pos[a], pos[b], order[c]).
+    The natural walk (``_triples``) takes the kept triples in the
+    lexicographic order of their places (i, j, k), one run per pair: the
+    kept c of a pair depend on j alone, as the suffix basis[first_c[j]:].
     """
 
     def __init__(self, plan: _Plan, kind: StructureKind):
@@ -243,47 +240,38 @@ class _Orbits:
         drop_bb = kind.tag == "hom-cyclic" and alg.is_anticommutative()  # the cyclic lemma
         self.plan, ab, bc = plan, "ab" in swaps, "bc" in swaps
         self.first_b = [i + strict if ab else 0 for i in range(n)]
-        self.first_c = [plan.pos[b] + (strict or drop_bb and alg.rows[b].get(b, ()) is not None) if bc else 0
-                        for b in range(n)]
-
-    def thirds(self, b: int) -> Iterator[Sequence[int]]:
-        """The kept c of every pair (a, b), one run per degree component in
-        the walk's order: the rule makes them depend on b alone, and a
-        component's places ascend with its indices, so its kept c are a
-        suffix of it."""
-        for component in self.plan.components.values():
-            cs = component[bisect_left(component, self.first_c[b], key=self.plan.pos.__getitem__):]
-            if cs:
-                yield cs
+        self.first_c = [j + (strict or drop_bb and alg.rows[b].get(b, ()) is not None) if bc else 0
+                        for j, b in enumerate(plan.basis)]
 
     def holding(self, z: int, start: int) -> Iterator[tuple[int, int, int, int]]:
         """The kept triples (a, b, c) that hold z, as (place, a, b, c) in the
-        walk's order from the first argument basis[start] on, the place
-        (pos[a] * n + pos[b]) * n + order[c] ascending with the walk.
+        walk's order from the places (i, j, k) with i >= start on, the place
+        (i * n + j) * n + k ascending with the walk.
 
         For a pair (a, b) that does not hold z, (a, b, z) is kept when
-        pos[z] >= first_c[b]; where the rule orders b and c, that fails for
-        the first b past z and for every later one, so the pairs of a end
-        there."""
-        plan, first_c, thirds = self.plan, self.first_c, self.thirds
-        basis, pos, order, n = plan.basis, plan.pos, plan.order, len(plan.basis)
+        pos[z] >= first_c[j]; where the rule orders b and c, first_c[j] is
+        j or j + 1, so that fails exactly for the b past z, and the pairs of
+        a end at the first of them."""
+        basis, first_c, n = self.plan.basis, self.first_c, len(self.plan.basis)
+        k = self.plan.pos[z]
         for i in range(start, n):
             a = basis[i]
             for j in range(self.first_b[i], n):
                 b, pair = basis[j], (i * n + j) * n
                 if a == z or b == z:
-                    for cs in thirds(b):
-                        for c in cs:
-                            yield pair + order[c], a, b, c
-                elif pos[z] >= first_c[b]:
-                    yield pair + order[z], a, b, z
+                    for m in range(first_c[j], n):
+                        yield pair + m, a, b, basis[m]
+                elif k >= first_c[j]:
+                    yield pair + k, a, b, z
                 else:
                     break
 
 
 def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Sequence[int]]]:
     """The natural walk through the kept triples (``_Orbits``), as runs
-    (a, b, cs): the triples (a, b, c) for c in cs, which share deg c.
+    (a, b, cs), one per pair that keeps a triple: the triples (a, b, c)
+    for c in cs, in the lexicographic order of their places in
+    ``_Plan.basis``.
 
     Elements of degree 0 act diagonally on the grading (the Cartan
     elements of a principally graded sl_n; the Euler element d and the
@@ -294,17 +282,19 @@ def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Seque
     1,392, from (h (x) t^0, e+ (x) t^-6, e+ (x) t^6).  sl2's Hom-Lie maps
     psi extend to the loop part as psi (x) id (Prop. 2.1), and these solve
     every equation but those that read the central term of
-    [x (x) t^i, y (x) t^-i]; every such triple comes after the 1,065 led by
-    e- (x) t^0.  ``_hom_rows`` therefore leaves this order where the kernel
+    [x (x) t^i, y (x) t^-i]: the rank stays 132 for 1,065 rows, through the
+    rest of the 1,160 led by e- (x) t^0, until such a triple led by
+    h (x) t^0.  ``_hom_rows`` therefore leaves this order where the kernel
     stalls.  Nothing is built or sorted up front, so a solve stops
     generating at full rank.
     """
     orbits = plan.orbits(kind)
     basis = plan.basis
     for i, a in enumerate(basis):
-        for b in basis[orbits.first_b[i]:]:
-            for cs in orbits.thirds(b):
-                yield a, b, cs
+        for j in range(orbits.first_b[i], len(basis)):
+            cs = basis[orbits.first_c[j]:]
+            if cs:
+                yield a, basis[j], cs
 
 
 def _by_source(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, int]]:
@@ -355,7 +345,7 @@ def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, in
     """
     signs, first = _SIGNS[kind.tag], plan.alg.rows
     orbits = plan.orbits(kind)
-    pos, order, n = plan.pos, plan.order, len(plan.pos)
+    pos, n = plan.pos, len(plan.pos)
     picked: dict[tuple[int, int], set[int]] = {}  # (a, b) -> the c picked
     holding: dict[int, Iterator] = {}  # z -> its kept triples, from where the walk stood when z was first free
     rank = free()[0]
@@ -371,7 +361,7 @@ def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, in
                 ends = undefined.pair == (a, b)
             now, z = free()
             if now == rank and z is not None:  # a stall: pick while they stall too
-                here = (pos[a] * n + pos[b]) * n + order[cs[-1] if ends else c]  # the walk's place, past an ended run
+                here = (pos[a] * n + pos[b]) * n + pos[cs[-1] if ends else c]  # the walk's place, past an ended run
                 while now == rank and z is not None:
                     candidates = holding.get(z)
                     if candidates is None:
@@ -730,10 +720,10 @@ def structure_residual(
     A delta kind reads the pair (a, b) of the triple only.  Without a
     ``shift`` every product must be defined.  With one, only the part of
     phi sending degree d to d + shift is read, over the shift block's
-    columns (``_by_source``, kept on the algebra per shift) as
+    columns phi(e_z) -> e_q for every q of degree deg z + shift, as
     ``_hom_rows`` reads them, and the result is None when evaluating the
     equation reads an undefined product (an equation a degree window does
-    not impose).
+    not impose; whether it is imposed does not depend on phi).
     """
     n = alg.dim
     if phi.shape != (n, n):
@@ -748,11 +738,10 @@ def structure_residual(
     try:
         # phi(e_a), phi(e_b), and phi(e_c) or phi(ab)
         read = (a, b, c) if kind.delta is None else (a, b, *(k for k, _ in alg.product_on_basis(a, b)))
-        # without a shift, phi(e_z) -> e_q at column q*n + z for phi's entries
-        if shift is None:
-            col_of = {z: {q: q * n + z for q in cols[z]} for z in read}
-        else:
-            col_of = _kept(alg, ("columns", shift), lambda: _by_source(plan.block(shift), n))
+        # phi(e_z) -> e_q at column q*n + z: for phi's entries without a shift, every q of degree deg z + shift with one
+        col_of = {z: {q: q * n + z
+                      for q in (cols[z] if shift is None else plan.components.get(plan.deg[z] + shift, ()))}
+                  for z in read}
         x = {col_of[z][q]: v for z in read for q, v in cols[z].items() if q in col_of[z]}
         terms = (_hom_terms(alg.rows, alg.rows, _SIGNS[kind.tag], a, b, c, col_of) if kind.delta is None
                  else _leibniz_terms(alg.rows, a, b, col_of, col_of, kind.delta))

@@ -117,6 +117,35 @@ def test_linalg_states_the_integer_step_once():
     assert callers == GCD_CALLERS
 
 
+# The one walk order: the places of ``_Plan.basis`` (degree 0 first, then
+# index order) for all three arguments of a triple.  The names a second
+# order would come back under: places in the degree components' order, and
+# the kept c of a pair split by component (found by ``bisect``).
+SECOND_ORDER = {("_Plan", "order"), ("_Orbits", "thirds")}
+
+
+def test_the_walk_has_one_order():
+    """``_Plan`` keeps no ``order`` and ``_Orbits`` no ``thirds``, as an
+    attribute, a class name or a method, and ``solver`` imports no
+    ``bisect``."""
+    tree = ast.parse((Path(homlie.__file__).parent / "solver.py").read_text())
+    names = set()
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add((cls.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {(cls.name, t.id) for t in targets if isinstance(t, ast.Name)}
+        names |= {(cls.name, node.attr) for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self"}
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    assert {("_Plan", "basis"), ("_Plan", "pos"), ("_Orbits", "holding")} <= names
+    assert names & SECOND_ORDER == set()
+    assert "bisect" not in {m.split(".")[0] for m in modules}
+
+
 # The builds that may make an AlgebraSpec: make_algebra scans the laws, and
 # the others prove them in their docstrings.
 ALGEBRA_BUILDERS = {("algebra.py", "make_algebra"), ("algebra.py", "_lie_by_theorem"), ("constructions.py", "km_window")}

@@ -7,11 +7,15 @@ on every window model at every shift, on both order-3 twists and on
 principally graded sl3..sl6, and for the asym-cocycles on the builtin
 battery.  Each kept triple is evaluated at most once per block.  Two
 mutants of the rule must fail these checks: a pick whose rows are
-dropped, and a natural walk that evaluates a picked triple again."""
+dropped, and a natural walk that evaluates a picked triple again.  The
+walk and the picks' candidates themselves (``_triples``,
+``_Orbits.holding``) are checked against every ordered triple the orbit
+table keeps, and a ``holding`` that skips a kept c fails that check."""
 
 import inspect
 import textwrap
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -19,8 +23,9 @@ from homlie import solver
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.linalg import RowAccumulator, nullspace_of_rows
 from homlie.solver import HOM_2NILP, HOM_CYCLIC, HOM_LIE, _plan, _solve_block, _triples, grading_shifts, solve_bilinear
+from test_term_builders import partial_tables
 from test_unit_rows import natural_hom_rows
-from test_window import WINDOW_MODELS
+from test_window import WINDOW_MODELS, _untwisted
 from test_window_mirror import ORDER3, PRINCIPAL
 
 HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
@@ -44,13 +49,13 @@ def blocks(alg, kind):
     return {shift: _solve_block(alg, kind, shift, nullspace_of_rows) for shift in grading_shifts(alg)}
 
 
-def mutant(monkeypatch, old, new):
-    """``_hom_rows`` with ``old`` in its source replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(solver._hom_rows))
+def mutant(monkeypatch, old, new, owner=solver, name="_hom_rows"):
+    """``owner.name`` (``solver._hom_rows``) with ``old`` in its source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == 1
     namespace = dict(vars(solver))
     exec(compile("from __future__ import annotations\n" + source.replace(old, new), solver.__file__, "exec"), namespace)
-    monkeypatch.setattr(solver, "_hom_rows", namespace["_hom_rows"])
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 # A pick marked visited and evaluated, its rows dropped.
@@ -149,3 +154,62 @@ def test_the_accumulator_reports_its_lowest_free_column():
     assert (acc.rank, acc.free_col(0), acc.free_col(3)) == (2, 2, 3)
     assert nullspace_of_rows(acc, rows[2:]).dim == 0
     assert (acc.rank, acc.free_col(0)) == (4, 4)
+
+
+# -- the walk and the picks' candidates, by brute force ---------------------------------
+
+
+def table_rule(alg, kind):
+    """The orbit table of ``solver._Orbits``: whether the kind keeps the
+    triple at places (i, j, k) of the basis, b = basis[j] (< is the
+    basis order)."""
+    if alg.is_commutative():
+        return {"hom-lie": lambda i, j, k, b: i <= j <= k,
+                "hom-cyclic": lambda i, j, k, b: j < k,
+                "hom-2nilp": lambda i, j, k, b: i <= j}[kind.tag]
+    if alg.is_anticommutative():
+        return {"hom-lie": lambda i, j, k, b: i < j < k,
+                "hom-cyclic": lambda i, j, k, b: j < k or j == k and alg.table.get((b, b), ()) is None,
+                "hom-2nilp": lambda i, j, k, b: i < j}[kind.tag]
+    return lambda i, j, k, b: True
+
+
+def check_walk_and_picks(alg, kind):
+    """The natural walk is every ordered triple the orbit table keeps, in
+    the lexicographic order of its places in the basis with degree 0 first,
+    and ``holding(z, start)`` is the part of it that holds z from the first
+    argument basis[start] on, each triple with its place (i * n + j) * n + k."""
+    n, deg = alg.dim, alg.grading or (0,) * alg.dim
+    basis = sorted(range(n), key=lambda u: (deg[u] != 0, u))
+    keeps = table_rule(alg, kind)
+    places = [p for p in product(range(n), repeat=3) if keeps(*p, basis[p[1]])]
+    triples = [tuple(basis[x] for x in p) for p in places]
+    plan = _plan(alg)
+    assert [(a, b, c) for a, b, cs in _triples(plan, kind) for c in cs] == triples
+    orbits = plan.orbits(kind)
+    for z in range(n):
+        holding = [((i * n + j) * n + k, *t) for (i, j, k), t in zip(places, triples) if z in t]
+        for start in range(n):
+            assert list(orbits.holding(z, start)) == [h for h in holding if h[0] >= start * n * n], (z, start)
+
+
+WALKED = {
+    "windows": FAMILIES["windows"],
+    "order3": FAMILIES["order3"],
+    "principal": lambda: [(name, PRINCIPAL[name]()) for name in ("sl3-principal", "sl4-principal", "sl5-principal")],
+    "partial": lambda: [(f"partial-{i}", alg) for i, alg in enumerate(partial_tables())],
+    "builtin": FAMILIES["builtin"],
+}
+
+
+@pytest.mark.parametrize("family", WALKED)
+@pytest.mark.parametrize("kind", HOM_KINDS, ids=str)
+def test_the_walk_and_the_picks_are_the_kept_triples_in_basis_order(family, kind):
+    for name, alg in WALKED[family]():
+        check_walk_and_picks(alg, kind)
+
+
+def test_a_holding_that_skips_a_kept_c_fails_the_brute_force_walk(monkeypatch):
+    mutant(monkeypatch, "range(first_c[j], n)", "range(first_c[j] + 1, n)", solver._Orbits, "holding")
+    with pytest.raises(AssertionError):
+        check_walk_and_picks(_untwisted(2), HOM_LIE)

@@ -224,10 +224,10 @@ def ref_hom_rows(plan, kind, blocks):
         first = reads.get((a, b), no_read)
         if first is None:
             continue
-        shifts = [s for s in blocks if deg[cs[0]] + s not in first[1]]
-        if not shifts:
-            continue
         for c in cs:
+            shifts = [s for s in blocks if deg[c] + s not in first[1]]
+            if not shifts:
+                continue
             terms = [(first[0], c)]
             blocked = []
             for (x, y, z), sign in zip(((c, a, b), (b, c, a)), signs[1:]):

@@ -290,10 +290,10 @@ def _orbits(kind, sigma, n):
 def test_lazy_triples_are_every_triple_once_centre_out(model, size, kind):
     # one triple per orbit of the kind's swaps whose forms do not vanish,
     # its swapped arguments in basis order, and no hom-cyclic (a, b, b) on
-    # an anticommutative table (C(a, b, b) = -2 C(b, a, b) there); degree 0
-    # leads: the pairs come in the order of a basis with the elements of
-    # degree 0 first, and each pair's third index runs through the degrees
-    # 0, -1, 1, -2, 2, ... one component per run
+    # an anticommutative table (C(a, b, b) = -2 C(b, a, b) there); the walk
+    # starts at the centre, degree 0: the triples come strictly increasing
+    # in the places of a basis with the elements of degree 0 first, all
+    # three arguments alike, one run per pair (a, b)
     alg = model(size)
     n, deg = alg.dim, alg.grading
     assert alg.is_anticommutative() or alg.is_commutative()
@@ -304,14 +304,13 @@ def test_lazy_triples_are_every_triple_once_centre_out(model, size, kind):
         null |= {(a, b, b) for a in range(n) for b in range(n)}  # each its own orbit
     assert sorted(orbit_of[t] for t in triples) == sorted(set(orbit_of.values()) - null)
     position = {u: i for i, u in enumerate(sorted(range(n), key=lambda u: (deg[u] != 0, u)))}
-    pairs = [(position[a], position[b]) for a, b, _ in runs]
-    assert pairs == sorted(pairs)
-    for a, b, cs in runs:
-        assert len({deg[c] for c in cs}) == 1
-        for c in cs:
-            assert all(position[(a, b, c)[i]] <= position[(a, b, c)[j]] for (i, j), _ in KIND_SWAPS[kind])
-    degrees = [(abs(deg[cs[0]]), deg[cs[0]]) for a, b, cs in runs if (a, b) == runs[0][:2]]
-    assert degrees == sorted(degrees)
+    assert deg[triples[0][0]] == 0
+    places = [tuple(position[u] for u in t) for t in triples]
+    assert all(s < t for s, t in zip(places, places[1:]))
+    pairs = [(a, b) for a, b, cs in runs if cs]
+    assert len(pairs) == len(runs) == len(set(pairs))
+    for t in triples:
+        assert all(position[t[i]] <= position[t[j]] for (i, j), _ in KIND_SWAPS[kind])
 
 
 @pytest.mark.parametrize("model, n_window", WINDOW_MODELS)
