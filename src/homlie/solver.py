@@ -197,26 +197,32 @@ _SWAPS = {"hom-lie": ({"ab", "bc"}, 1), "hom-cyclic": ({"bc"}, -1), "hom-2nilp":
 
 class _Orbits:
     """The basis triples the kind's identity is imposed on, one per orbit
-    of the kind's swaps (``_SWAPS``), and the order they are walked in.
+    of the kind's swaps (``_SWAPS``) with a defined first product, and the
+    order they are walked in.
 
-    The orbit rule.  The triple at places (i, j, k) of ``_Plan.basis``,
-    (a, b, c) = (basis[i], basis[j], basis[k]), is kept exactly when
-    ``j >= first_b[i]`` and ``k >= first_c[j]``: on a commutative or
-    anticommutative table the arguments a swap of the kind exchanges come
-    in basis order, strictly where the swap changes the sign
-    (``first_b[i] = i + 1``, ``first_c[j] = j + 1``; ``+ 0`` where it keeps
-    it, and 0 for an argument no swap orders).  By the
-    symmetry lemmas in ``algebra._hom_terms`` the forms of every other
-    triple of the orbit are plus or minus those of the kept one, and zero
-    when a sign-changing swap exchanges two equal arguments (the zero
-    orbits, of which nothing is kept); its window lemma shows that
-    ``_hom_rows`` imposes all or none of an orbit.  On an anticommutative
+    The kept-triple rule.  The triple at places (i, j, k) of ``_Plan.basis``,
+    (a, b, c) = (basis[i], basis[j], basis[k]), is kept exactly when j is
+    in ``seconds[i]`` and ``k >= first_c[j]``: it is its orbit's one kept
+    triple, and its first product e_a e_b is defined.  The first-product
+    rule: ``_hom_terms`` reads e_a e_b first, so a triple where it is
+    undefined imposes nothing, nor (by the window lemma in
+    ``algebra._hom_terms``) does any triple of its orbit.  The orbit rule:
+    on a commutative or anticommutative table the arguments a swap of the
+    kind exchanges come in basis order, strictly where the swap changes
+    the sign (j >= i + 1, ``first_c[j] = j + 1``; + 0 where it keeps it,
+    and 0 for an argument no swap orders).  By the symmetry lemmas in
+    ``algebra._hom_terms`` the forms of every other triple of the orbit
+    are plus or minus those of the kept one, and zero when a
+    sign-changing swap exchanges two equal arguments (the zero orbits, of
+    which nothing is kept); its window lemma shows that ``_hom_rows``
+    imposes all or none of an orbit.  On an anticommutative
     table hom-cyclic's swap keeps the sign, and b < c is strict there too
     wherever e_b e_b is defined: by the cyclic lemma in
     ``algebra._hom_terms``, C(a, b, b) = -2 C(b, a, b), where (b, a, b) or
     its orbit mate (b, b, a) is kept when a != b (and C(b, b, b) = 0), and
     a window imposes C(a, b, b) exactly when it imposes C(b, a, b).  So the
-    kept triples' rows span the rows of all ordered triples:
+    kept triples' rows span the rows of all ordered triples (the table
+    states the orbit rule):
 
     | kind | anticommutative | commutative |
     |---|---|---|
@@ -225,38 +231,35 @@ class _Orbits:
     | hom-2nilp | a < b, all c | a <= b, all c |
 
     A table of any other flavor keeps every ordered triple.
-
-    The natural walk (``_triples``) takes the kept triples in the
-    lexicographic order of their places (i, j, k), one run per pair: the
-    kept c of a pair depend on j alone, as the suffix basis[first_c[j]:].
     """
 
     def __init__(self, plan: _Plan, kind: StructureKind):
-        alg, n = plan.alg, plan.alg.dim
+        alg, basis = plan.alg, plan.basis
         swaps, sign = _SWAPS[kind.tag]
         if not (alg.is_commutative() or alg.is_anticommutative()):
             swaps = set()
         strict = int(sign == (-1 if alg.is_commutative() else 1))  # the swaps change the sign
         drop_bb = kind.tag == "hom-cyclic" and alg.is_anticommutative()  # the cyclic lemma
         self.plan, ab, bc = plan, "ab" in swaps, "bc" in swaps
-        self.first_b = [i + strict if ab else 0 for i in range(n)]
+        self.seconds = [[j for j in range(i + strict if ab else 0, len(basis))
+                         if alg.rows[a].get(basis[j], ()) is not None] for i, a in enumerate(basis)]
         self.first_c = [j + (strict or drop_bb and alg.rows[b].get(b, ()) is not None) if bc else 0
-                        for j, b in enumerate(plan.basis)]
+                        for j, b in enumerate(basis)]
 
     def holding(self, z: int, start: int) -> Iterator[tuple[int, int, int, int]]:
         """The kept triples (a, b, c) that hold z, as (place, a, b, c) in the
         walk's order from the places (i, j, k) with i >= start on, the place
         (i * n + j) * n + k ascending with the walk.
 
-        For a pair (a, b) that does not hold z, (a, b, z) is kept when
+        For a kept pair (a, b) that does not hold z, (a, b, z) is kept when
         pos[z] >= first_c[j]; where the rule orders b and c, first_c[j] is
         j or j + 1, so that fails exactly for the b past z, and the pairs of
-        a end at the first of them."""
+        a (``seconds[i]``, ascending) end at the first of them."""
         basis, first_c, n = self.plan.basis, self.first_c, len(self.plan.basis)
         k = self.plan.pos[z]
         for i in range(start, n):
             a = basis[i]
-            for j in range(self.first_b[i], n):
+            for j in self.seconds[i]:
                 b, pair = basis[j], (i * n + j) * n
                 if a == z or b == z:
                     for m in range(first_c[j], n):
@@ -270,8 +273,8 @@ class _Orbits:
 def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Sequence[int]]]:
     """The natural walk through the kept triples (``_Orbits``), as runs
     (a, b, cs), one per pair that keeps a triple: the triples (a, b, c)
-    for c in cs, in the lexicographic order of their places in
-    ``_Plan.basis``.
+    for c in cs = basis[first_c[j]:] (the kept c of a pair depend on j
+    alone), in the lexicographic order of their places in ``_Plan.basis``.
 
     Elements of degree 0 act diagonally on the grading (the Cartan
     elements of a principally graded sl_n; the Euler element d and the
@@ -284,14 +287,14 @@ def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Seque
     every equation but those that read the central term of
     [x (x) t^i, y (x) t^-i]: the rank stays 132 for 1,065 rows, through the
     rest of the 1,160 led by e- (x) t^0, until such a triple led by
-    h (x) t^0.  ``_hom_rows`` therefore leaves this order where the kernel
-    stalls.  Nothing is built or sorted up front, so a solve stops
+    h (x) t^0.  ``_directed`` therefore leaves this order where the kernel
+    stalls.  No triple is listed or sorted up front, so a solve stops
     generating at full rank.
     """
     orbits = plan.orbits(kind)
     basis = plan.basis
     for i, a in enumerate(basis):
-        for j in range(orbits.first_b[i], len(basis)):
+        for j in orbits.seconds[i]:
             cs = basis[orbits.first_c[j]:]
             if cs:
                 yield a, basis[j], cs
@@ -306,44 +309,30 @@ def _by_source(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, in
     return col_of
 
 
-def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, int]], second: _Index,
-              free: Callable[[], tuple[int, int | None]]) -> Iterator[dict[int, int | Fraction]]:
-    """The rows of the kind's identity in one block, phi(e_z) -> e_q at
-    column ``col_of[z][q]``, one triple of each orbit (``_Orbits``) at a
-    time.  Each row sums the ``_hom_terms`` of one triple over the block's
-    columns, its second products read from ``second`` (the algebra's index,
-    or a form's pairing).  ``free()`` is the kernel's state after the rows
-    so far: its rank, and the source z of its lowest column that is not a
-    pivot (column phi(e_z) -> e_q), None when every column is one.
+def _directed(plan: _Plan, kind: StructureKind,
+              free: Callable[[], tuple[int, int | None]]) -> Iterator[tuple[int, int, int]]:
+    """The kept triples (``_Orbits``) in the directed order.  ``free()`` is
+    the kernel's state after the rows of the triples so far: its rank, and
+    the source z of its lowest column that is not a pivot (column
+    phi(e_z) -> e_q), None when every column is one.
 
     The directed rule.  The triples come from the natural walk
     (``_triples``) until one raises no rank: its rows add nothing, or
     evaluating it reads an undefined product.  The next triple is then a
     pick: the first kept triple of the walk that holds z, that the walk
-    has not reached and that was not picked before
-    (``_Orbits.holding``).  Picks go on while they raise no rank and z has
-    one left; then the walk goes on, past the picked triples.  So every
-    kept triple is evaluated at most once, and a stream read to its end
-    has evaluated every one.  A pick holds z, so its rows are the
-    equations that read phi(e_z), the unknowns the kernel has not pinned.
+    has not reached and that was not picked before (``_Orbits.holding``).
+    Picks go on while they raise no rank and z has one left; then the walk
+    goes on, past the picked triples.  So every kept triple is yielded at
+    most once, and a stream read to its end has yielded every one.  A pick
+    holds z, so its rows are the equations that read phi(e_z), the
+    unknowns the kernel has not pinned.
 
     The row-order lemma.  The kernel of the kept triples' rows does not
     depend on the order they come in, and a prefix of full rank already
     has kernel 0: a stream stopped at full rank leaves the same kernel as
     all the rows.  So the directed stream solves what the natural walk
     solves, with the same canonical subspace.
-
-    A shift block's columns give phi(e_z) every q of degree deg z + s, so
-    the triple's equations at shift s are compiled whole or, when
-    evaluating them reads an undefined product, not at all.  e_a e_b is
-    the first product every evaluation of the run (a, b, cs) reads,
-    whatever c is, so a raise at (a, b) (e_a e_b is undefined) ends the
-    run.  The run break.  It stays sound when some c of the run were
-    picked before: they were evaluated once already (and raised at (a, b)
-    too), and the rest of the run raises, so leaving the run loses no row.
-    The walk counts such a run as reached, and picks nothing from it.
     """
-    signs, first = _SIGNS[kind.tag], plan.alg.rows
     orbits = plan.orbits(kind)
     pos, n = plan.pos, len(plan.pos)
     picked: dict[tuple[int, int], set[int]] = {}  # (a, b) -> the c picked
@@ -354,14 +343,10 @@ def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, in
         for c in cs:
             if skip and c in skip:
                 continue
-            try:
-                yield from _sparse_rows(_hom_terms(first, second, signs, a, b, c, col_of))
-                ends = False
-            except UndefinedProduct as undefined:
-                ends = undefined.pair == (a, b)
+            yield a, b, c
             now, z = free()
             if now == rank and z is not None:  # a stall: pick while they stall too
-                here = (pos[a] * n + pos[b]) * n + pos[cs[-1] if ends else c]  # the walk's place, past an ended run
+                here = (pos[a] * n + pos[b]) * n + pos[c]  # the walk's place
                 while now == rank and z is not None:
                     candidates = holding.get(z)
                     if candidates is None:
@@ -372,15 +357,28 @@ def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, in
                     else:
                         break
                     picked.setdefault((x, y), set()).add(w)
-                    try:
-                        yield from _sparse_rows(_hom_terms(first, second, signs, x, y, w, col_of))
-                    except UndefinedProduct:
-                        pass
+                    yield x, y, w
                     now, z = free()
                 skip = picked.get((a, b))
             rank = now
-            if ends:
-                break
+
+
+def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, int]], second: _Index,
+              free: Callable[[], tuple[int, int | None]]) -> Iterator[dict[int, int | Fraction]]:
+    """The rows of the kind's identity in one block, phi(e_z) -> e_q at
+    column ``col_of[z][q]``, for the kept triples in the order
+    ``_directed`` gives them.  Each row sums the ``_hom_terms`` of one
+    triple over the block's columns, its second products read from
+    ``second`` (the algebra's index, or a form's pairing).  A shift block's
+    columns give phi(e_z) every q of degree deg z + s, so the triple's
+    equations at shift s are compiled whole or, when evaluating them reads
+    an undefined product, not at all."""
+    signs, first = _SIGNS[kind.tag], plan.alg.rows
+    for a, b, c in _directed(plan, kind, free):
+        try:
+            yield from _sparse_rows(_hom_terms(first, second, signs, a, b, c, col_of))
+        except UndefinedProduct:
+            pass
 
 
 def _delta_rows(plan: _Plan, delta: Fraction,

@@ -146,6 +146,24 @@ def test_the_walk_has_one_order():
     assert "bisect" not in {m.split(".")[0] for m in modules}
 
 
+def test_a_triple_is_evaluated_in_one_place():
+    """``solver._hom_rows`` calls ``_hom_terms`` once and catches
+    ``UndefinedProduct`` once, and ``_directed``, which orders the walk and
+    the picks, does neither: every triple of the stream is evaluated at one
+    site."""
+    tree = ast.parse((Path(homlie.__file__).parent / "solver.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def sites(name):
+        nodes = list(ast.walk(functions[name]))
+        calls = [n for n in nodes if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_hom_terms"]
+        catches = [n for n in nodes if isinstance(n, ast.ExceptHandler) and getattr(n.type, "id", None) == "UndefinedProduct"]
+        return len(calls), len(catches)
+
+    assert sites("_hom_rows") == (1, 1)
+    assert sites("_directed") == (0, 0)
+
+
 # The builds that may make an AlgebraSpec: make_algebra scans the laws, and
 # the others prove them in their docstrings.
 ALGEBRA_BUILDERS = {("algebra.py", "make_algebra"), ("algebra.py", "_lie_by_theorem"), ("constructions.py", "km_window")}

@@ -1,16 +1,18 @@
 """The directed stream of ``solver._hom_rows``: after a triple that raises
 no rank, the next triple is a pick that holds the source of the kernel's
-lowest free column.  Checked against the natural walk alone
-(``test_unit_rows.natural_hom_rows``, the order before the rule): the same
-subspaces for the three hom kinds on the builtin and random batteries,
-on every window model at every shift, on both order-3 twists and on
-principally graded sl3..sl6, and for the asym-cocycles on the builtin
-battery.  Each kept triple is evaluated at most once per block.  Two
-mutants of the rule must fail these checks: a pick whose rows are
-dropped, and a natural walk that evaluates a picked triple again.  The
-walk and the picks' candidates themselves (``_triples``,
-``_Orbits.holding``) are checked against every ordered triple the orbit
-table keeps, and a ``holding`` that skips a kept c fails that check."""
+lowest free column (``solver._directed``).  Checked against the natural
+walk alone (``test_unit_rows.natural_hom_rows``, the order before the
+rule): the same subspaces for the three hom kinds on the builtin and
+random batteries, on every window model at every shift, on both order-3
+twists and on principally graded sl3..sl6, and for the asym-cocycles on
+the builtin battery.  Each kept triple is evaluated at most once per
+block.  Two mutants of the rule must fail these checks: a pick marked
+visited but never yielded, and a natural walk that yields a picked
+triple again.  The walk and the picks' candidates themselves
+(``_triples``, ``_Orbits.holding``) are checked against every ordered
+triple the orbit table keeps with a defined first product e_a e_b, every
+triple the table keeps but the walk drops raising in every shift block,
+and a ``holding`` that skips a kept c fails that check."""
 
 import inspect
 import textwrap
@@ -25,7 +27,7 @@ from homlie.linalg import RowAccumulator, nullspace_of_rows
 from homlie.solver import HOM_2NILP, HOM_CYCLIC, HOM_LIE, _plan, _solve_block, _triples, grading_shifts, solve_bilinear
 from test_term_builders import partial_tables
 from test_unit_rows import natural_hom_rows
-from test_window import WINDOW_MODELS, _untwisted
+from test_window import WINDOW_MODELS, _untwisted, raises_in_every_block
 from test_window_mirror import ORDER3, PRINCIPAL
 
 HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
@@ -49,8 +51,8 @@ def blocks(alg, kind):
     return {shift: _solve_block(alg, kind, shift, nullspace_of_rows) for shift in grading_shifts(alg)}
 
 
-def mutant(monkeypatch, old, new, owner=solver, name="_hom_rows"):
-    """``owner.name`` (``solver._hom_rows``) with ``old`` in its source replaced by ``new``."""
+def mutant(monkeypatch, old, new, owner=solver, name="_directed"):
+    """``owner.name`` (``solver._directed``) with ``old`` in its source replaced by ``new``."""
     source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == 1
     namespace = dict(vars(solver))
@@ -58,9 +60,8 @@ def mutant(monkeypatch, old, new, owner=solver, name="_hom_rows"):
     monkeypatch.setattr(owner, name, namespace[name])
 
 
-# A pick marked visited and evaluated, its rows dropped.
-DROPPED_PICK = ("yield from _sparse_rows(_hom_terms(first, second, signs, x, y, w, col_of))",
-                "_sparse_rows(_hom_terms(first, second, signs, x, y, w, col_of))")
+# A pick marked visited but never yielded, so its rows are never compiled.
+DROPPED_PICK = ("yield x, y, w", "pass")
 # A walk that does not skip the picked triples.
 REVISITING_WALK = ("if skip and c in skip:", "if False:")
 
@@ -175,14 +176,20 @@ def table_rule(alg, kind):
 
 
 def check_walk_and_picks(alg, kind):
-    """The natural walk is every ordered triple the orbit table keeps, in
-    the lexicographic order of its places in the basis with degree 0 first,
-    and ``holding(z, start)`` is the part of it that holds z from the first
-    argument basis[start] on, each triple with its place (i * n + j) * n + k."""
+    """The natural walk is every ordered triple the orbit table keeps whose
+    first product e_a e_b is defined, in the lexicographic order of its
+    places in the basis with degree 0 first, and ``holding(z, start)`` is
+    the part of it that holds z from the first argument basis[start] on,
+    each triple with its place (i * n + j) * n + k.  Every triple the table
+    keeps and the walk drops raises ``UndefinedProduct`` in every shift
+    block, so the walk loses no imposed equation."""
     n, deg = alg.dim, alg.grading or (0,) * alg.dim
     basis = sorted(range(n), key=lambda u: (deg[u] != 0, u))
     keeps = table_rule(alg, kind)
-    places = [p for p in product(range(n), repeat=3) if keeps(*p, basis[p[1]])]
+    table = [p for p in product(range(n), repeat=3) if keeps(*p, basis[p[1]])]
+    defined = [alg.table.get((basis[i], basis[j]), ()) is not None for i, j, _ in table]
+    places = [p for p, kept in zip(table, defined) if kept]
+    assert raises_in_every_block(alg, kind, [tuple(basis[x] for x in p) for p, kept in zip(table, defined) if not kept])
     triples = [tuple(basis[x] for x in p) for p in places]
     plan = _plan(alg)
     assert [(a, b, c) for a, b, cs in _triples(plan, kind) for c in cs] == triples

@@ -8,17 +8,17 @@ and the raises of the builders that looked every product up in the table
 
 import json
 import random
-from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, cycle, islice, product
 
 import pytest
 
-from homlie import algebra, solver
+from homlie import solver
 from homlie.algebra import UndefinedProduct, _hom_terms, _leibniz_terms, _undefined
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.serialize import algebra_from_json, algebra_to_json
-from homlie.solver import HOM_LIE, _hom_rows, _triples
+from homlie.solver import HOM_2NILP, HOM_CYCLIC, HOM_LIE, _hom_rows, _triples
+from test_directed_rows import mutant
 from test_term_builders import partial_tables, shift_blocks, unsteered
 from test_window import _sl3, _twisted, _untwisted
 
@@ -157,36 +157,81 @@ def test_leibniz_terms_walk_the_rows_as_the_table_lookup_did(family):
             assert got == terms_or_raise(ref_leibniz_terms(alg, i, j, outer, inner, delta)), (name, i, j)
 
 
-def test_a_window_run_stops_at_its_undefined_first_product(monkeypatch):
-    """A full pass of ``_hom_rows``, read with no kernel, over each shift
-    block of the sl2 window N = 6 raises at a run's first product e_a e_b
-    once per run (a, b, cs) whose e_a e_b is undefined, not once per c:
-    e_a e_b is the first read of every evaluation of the run."""
-    alg = _untwisted(6)
-    plan, blocks = shift_blocks(alg)
-    current = [None]
-    at_first = Counter()
-    triples, undefined = solver._triples, algebra._undefined
+@pytest.fixture
+def at_first(monkeypatch):
+    """The triples (a, b, c) whose evaluation by ``solver._hom_rows`` raised
+    at its first product e_a e_b, and the number of evaluations."""
+    raised, evaluated = [], [0]
+    hom_terms = solver._hom_terms
 
-    def tracked(plan, kind):
-        for run in triples(plan, kind):
-            current[0] = run[:2]
-            yield run
+    def tracked(first, second, signs, a, b, c, col_of):
+        evaluated[0] += 1
+        terms = hom_terms(first, second, signs, a, b, c, col_of)
+        try:
+            head = list(islice(terms, 1))  # e_a e_b is read before any term
+        except UndefinedProduct as undefined:
+            if undefined.pair == (a, b):
+                raised.append((a, b, c))
+            raise
+        return chain(head, terms)
 
-    def counted(i, j):
-        at_first[i, j] += (i, j) == current[0]
-        return undefined(i, j)
+    monkeypatch.setattr(solver, "_hom_terms", tracked)
+    return raised, evaluated
 
-    monkeypatch.setattr(solver, "_triples", tracked)
-    monkeypatch.setattr(algebra, "_undefined", counted)
-    gaps = Counter((a, b) for a, b, _ in _triples(plan, HOM_LIE) if alg.table.get((a, b), ()) is None)
-    assert len(gaps) > 100 and len(blocks) > 10
-    compiled = 0
-    for shift, col_of in blocks.items():
-        at_first.clear()
-        compiled += sum(1 for _ in _hom_rows(plan, HOM_LIE, col_of, alg.rows, unsteered))
-        assert +at_first == gaps, shift
-    assert compiled > 100_000
+
+def stalling(n):
+    """``free`` for a kernel that never gains rank and reports the sources
+    z = 0, 1, ..., n - 1 free in turn: after every walked triple,
+    ``_hom_rows`` picks from the kept triples of each z (``holding``) until
+    one z has none left."""
+    zs = cycle(range(n))
+    return lambda: (0, next(zs))
+
+
+def check_first_products(models, kinds, at_first, stall=True):
+    """Full passes of ``_hom_rows`` over every shift block of ``models``,
+    read with no kernel behind them (``unsteered``) and, with ``stall``,
+    with a kernel that stalls at every triple (``stalling``), evaluate no
+    triple whose first product e_a e_b is undefined; each pass evaluates
+    every kept triple."""
+    raised, evaluated = at_first
+    for alg in models:
+        _, blocks = shift_blocks(alg)
+        plan = solver._Plan(alg)  # its own orbits, built by the code under test
+        frees = (unsteered, stalling(alg.dim)) if stall else (unsteered,)
+        for kind, (shift, col_of), free in product(kinds, blocks.items(), frees):
+            evaluated[0] = 0
+            for _ in _hom_rows(plan, kind, col_of, alg.rows, free):
+                pass
+            assert raised == [], (kind, shift, free)
+            assert evaluated[0] == sum(len(cs) for _, _, cs in _triples(plan, kind)), (kind, shift, free)
+
+
+def test_no_evaluation_raises_at_its_first_product(at_first):
+    """The walk and the picks skip each pair (a, b) whose e_a e_b leaves
+    the window (``solver._Orbits``), so no evaluation of a triple raises at
+    its first product: read unsteered on the sl2 window N = 6, and also
+    stalled on the window N = 2 and on the partial tables, whose products
+    are undefined at random."""
+    window = _untwisted(6)
+    assert not solver._Plan(window).complete
+    check_first_products([window], [HOM_LIE], at_first, stall=False)
+    check_first_products([_untwisted(2)] + partial_tables(), [HOM_LIE, HOM_CYCLIC, HOM_2NILP], at_first)
+
+
+# The orbit rule of hom-lie on an anticommutative table, without the
+# first-product rule: in the natural walk, and in the picks.
+UNFILTERED = {"walk": ("for j in orbits.seconds[i]:", "for j in range(i + 1, len(basis)):", solver, "_triples"),
+              "picks": ("for j in self.seconds[i]:", "for j in range(i + 1, n):", solver._Orbits, "holding")}
+
+
+@pytest.mark.parametrize("where", UNFILTERED)
+def test_a_walk_or_picks_without_the_first_product_rule_fail_the_check(where, monkeypatch, at_first):
+    old, new, owner, name = UNFILTERED[where]
+    mutant(monkeypatch, old, new, owner, name)
+    with pytest.raises(AssertionError):
+        check_first_products([_untwisted(2)], [HOM_LIE], at_first)
+    assert at_first[0]  # some evaluation raised at its first product
 
 
 def test_an_undefined_product_keeps_its_pair():

@@ -7,10 +7,8 @@ and, with each block's pass held to the natural walk the router compiled
 in, the same rows read by each kernel call.  An all-shift solve
 (``solver._solve_shift_blocks``) compiles the blocks it does not conjugate
 from a kept mirror block, and the undefined products it raises are those
-of their direct solves, in order.  On the window models the one-pass
-router raised more, compiling rows for waiting blocks that their kernels
-never read; on the partial tables it raised less, since one raise at a
-run's undefined first product ended the run for every block at once."""
+of their direct solves, in order.  The one-pass router raised more,
+compiling rows for waiting blocks that their kernels never read."""
 
 from collections import Counter, deque
 from fractions import Fraction
@@ -62,9 +60,7 @@ def one_pass_hom_rows(plan, kind, live, second):
                 continue
             try:
                 rows = _sparse_rows(_hom_terms(first, second, signs, a, b, c, col_of))
-            except UndefinedProduct as undefined:
-                if undefined.pair == (a, b):
-                    break
+            except UndefinedProduct:
                 continue
             for row in rows:
                 yield s, row

@@ -52,12 +52,9 @@ def natural_hom_rows(plan, kind, col_of, second):
     for a, b, cs in _triples(plan, kind):
         for c in cs:
             try:
-                rows = _sparse_rows(_hom_terms(first, second, signs, a, b, c, col_of))
-            except UndefinedProduct as undefined:
-                if undefined.pair == (a, b):
-                    break
-                continue
-            yield from rows
+                yield from _sparse_rows(_hom_terms(first, second, signs, a, b, c, col_of))
+            except UndefinedProduct:
+                pass
 
 
 def cut_then_kernel(known, rows, kernel):
