@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Sequence
 
 from .actions import _exp_ad, _right, _sandwich, act, is_submodule
-from .algebra import AlgebraSpec, _evaluate, _hom_terms, builtin, killing_form
+from .algebra import AlgebraSpec, _evaluate, _hom_terms, _jacobi_triples, builtin, killing_form
 from .constructions import adjoin_map, central_extension, cocycle2, semidirect_derivation
 from .linalg import Matrix, SparseVector, Vector, sparse_lincomb
 from .solver import HOM_LIE, delta_derivation, f_t, solve_bilinear, solve_structures
@@ -132,15 +132,15 @@ def _jacobiator(alg: AlgebraSpec, phi: Matrix) -> dict[tuple[int, int, int], Spa
     """J_phi(e_i, e_j, e_k) = (e_i e_j)phi(e_k) + (e_k e_i)phi(e_j) + (e_j e_k)phi(e_i)
     on every ordered basis triple of an anticommutative algebra.
 
-    J_phi is evaluated from ``_hom_terms`` on i < j < k only and the other
-    triples are filled by sign: J_phi changes sign under every swap of two
-    arguments and is 0 when two are equal (the alternation lemma in
-    ``algebra._hom_terms``)."""
+    J_phi is evaluated from ``_hom_terms`` on the triples that decide it
+    (``algebra._jacobi_triples``) and the other triples are filled by sign:
+    J_phi changes sign under every swap of two arguments and is 0 when two
+    are equal (the alternation lemma in ``algebra._hom_terms``)."""
     n = phi.rows
     col_of = [{q: q * n + z for q in col} for z, col in enumerate(phi.sparse_cols)]  # phi(e_z) -> e_q at q*n + z
     flat = phi.sparse_flatten()
     out: dict[tuple[int, int, int], SparseVector] = dict.fromkeys(product(range(n), repeat=3), {})
-    for i, j, k in combinations(range(n), 3):
+    for i, j, k in _jacobi_triples(alg):
         v = _evaluate(_hom_terms(alg.rows, alg.rows, (1, 1, 1), i, j, k, col_of), flat)
         minus = {q: -x for q, x in v.items()}
         out[(i, j, k)] = out[(j, k, i)] = out[(k, i, j)] = v
@@ -156,18 +156,16 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
     e_t, the columns of R, the right multiplication by h (``actions._right``),
     read from the table of J_phi.
 
-    The two sides are compared on the triples i < j < k only, in
-    lexicographic order, which decides every ordered triple and names the
-    same first failing one.  Proof.  ``act`` requires a Lie algebra, so
-    J_phi and J_{h.phi} are alternating (the alternation lemma in
-    ``algebra._hom_terms``), and so is (h . J)(x,y,z) = [J(x,y,z), h] -
-    J([x,h],y,z) - J(x,[y,h],z) - J(x,y,[z,h]) for an alternating J:
-    swapping x and y negates the first and last terms and trades the
-    middle two for each other's negatives (the other swaps likewise), and
-    with two arguments equal the terms vanish or cancel in pairs.  So the
-    difference of the sides is alternating: it vanishes on a triple with a
-    repeated index, and on any other triple it is plus or minus its value
-    on the sorted triple, which comes no later in lexicographic order."""
+    The two sides are compared on ``algebra._jacobi_triples``, which decide
+    an alternating identity on every ordered triple and name its first
+    failing one.  The difference of the sides is alternating: ``act``
+    requires a Lie algebra, so J_phi and J_{h.phi} are alternating (the
+    alternation lemma in ``algebra._hom_terms``), and so is
+    (h . J)(x,y,z) = [J(x,y,z), h] - J([x,h],y,z) - J(x,[y,h],z) -
+    J(x,y,[z,h]) for an alternating J: swapping x and y negates the first
+    and last terms and trades the middle two for each other's negatives
+    (the other swaps likewise), and with two arguments equal the terms
+    vanish or cancel in pairs."""
     n = alg.dim
     for _ in range(3):
         h = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
@@ -176,7 +174,7 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
         j_hphi = _jacobiator(alg, hphi)
         j_phi = _jacobiator(alg, phi)
         right = _right(alg, h)  # right[s] = [e_s, h]
-        for i, j, k in combinations(range(n), 3):
+        for i, j, k in _jacobi_triples(alg):
             # (h . J)(x,y,z) = [J(x,y,z), h] - J([x,h],y,z) - J(x,[y,h],z) - J(x,y,[z,h])
             rhs = sparse_lincomb(
                 *((c, right[q]) for q, c in j_phi[(i, j, k)].items()),

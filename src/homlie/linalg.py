@@ -301,10 +301,16 @@ class RowAccumulator:
     and a pivot that a cheaper one replaces becomes the row being reduced.
     Nothing outside this module reads them; other modules ask ``rank`` and
     ``free_col``.
+
+    ``columns``, ascending, are the unknowns of the system: the rows added
+    hold no other column.  The full-rank count, ``free_col`` and
+    ``nullspace`` read only them; a vector of the kernel is 0 on every other
+    column of Q^ncols.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, columns: Sequence[int] | None = None):
         self.ncols = ncols
+        self.columns = range(ncols) if columns is None else columns
         self.pivots: dict[int, IntRow] = {}
 
     @property
@@ -312,11 +318,12 @@ class RowAccumulator:
         return len(self.pivots)
 
     def free_col(self, k: int) -> int:
-        """The lowest column >= k that is not a pivot, ``ncols`` when there
-        is none.  A column never stops being a pivot, so a caller that asks
-        again from the last answer never misses one."""
-        pivots = self.pivots
-        while k in pivots:
+        """The lowest place >= k in ``columns`` whose column is not a pivot,
+        ``len(columns)`` when there is none (with every column listed, place
+        and column are one).  A column never stops being a pivot, so a
+        caller that asks again from the last answer never misses one."""
+        pivots, columns, end = self.pivots, self.columns, len(self.columns)
+        while k < end and columns[k] in pivots:
             k += 1
         return k
 
@@ -400,7 +407,7 @@ class RowAccumulator:
 
     def nullspace(self) -> "Subspace":
         # one kernel vector per free column f: e_f - sum of row_p[f] e_p
-        kernel = {f: {f: 1} for f in range(self.ncols) if f not in self.pivots}
+        kernel = {f: {f: 1} for f in self.columns if f not in self.pivots}
         for p, row in self._reduced_rows():
             for c, v in row.items():
                 if c != p:
@@ -430,14 +437,15 @@ def nullspace_of_rows(ncols: "int | RowAccumulator", rows: Iterable[Mapping[int,
     in ``ncols`` columns, or added to ``ncols`` when it is an accumulator
     (a caller that reads the accumulator while the stream is produced).
 
-    Stops pulling rows once the rank reaches the column count: a full-rank
-    system has kernel 0 whatever rows remain (read as the pivots' count).
+    Stops pulling rows once the rank reaches the count of the accumulator's
+    ``columns``: a full-rank system has kernel 0 whatever rows remain (read
+    as the pivots' count).
     """
     acc = ncols if isinstance(ncols, RowAccumulator) else RowAccumulator(ncols)
-    ncols, add, pivots = acc.ncols, acc.add, acc.pivots
+    full, add, pivots = len(acc.columns), acc.add, acc.pivots
     for r in rows:
-        if add(r) and len(pivots) == ncols:
-            return Subspace.zero(ncols)
+        if add(r) and len(pivots) == full:
+            return Subspace.zero(acc.ncols)
     return acc.nullspace()
 
 

@@ -141,6 +141,7 @@ class _Plan:
     - ``gaps``: the q of every undefined product e_p e_q; the other q are
       closed.
     - ``complete``: whether every product is defined (no gaps).
+    - ``col_of(c, shift)``: the columns of the block of ``shift`` with source c.
     """
 
     def __init__(self, alg: AlgebraSpec):
@@ -167,13 +168,12 @@ class _Plan:
             self._orbits[kind.tag] = _Orbits(self, kind)
         return self._orbits[kind.tag]
 
-    def block(self, shift: int) -> dict[tuple[int, int], int]:
-        """The columns of the maps sending degree d into d + shift: phi(e_c)
-        -> e_q at column cols[(q, c)], numbered by (q, c) ascending (all of
-        End, at q*dim + c, with one degree and shift 0).  Read by the solver
-        alone, which returns and keeps End rows (``_solve_block``)."""
-        pairs = ((q, c) for q, d in enumerate(self.deg) for c in self.components.get(d - shift, ()))
-        return {pair: k for k, pair in enumerate(pairs)}
+    def col_of(self, c: int, shift: int) -> dict[int, int]:
+        """phi(e_c) -> e_q at End's column q*n + c, for every q of degree
+        deg c + shift: the maps of the block of ``shift`` send degree d into
+        d + shift (all of End with one degree and shift 0)."""
+        n = self.alg.dim
+        return {q: q * n + c for q in self.components.get(self.deg[c] + shift, ())}
 
 
 def _plan(alg: AlgebraSpec) -> _Plan:
@@ -298,15 +298,6 @@ def _triples(plan: _Plan, kind: StructureKind) -> Iterator[tuple[int, int, Seque
             cs = basis[orbits.first_c[j]:]
             if cs:
                 yield a, basis[j], cs
-
-
-def _by_source(cols: Mapping[tuple[int, int], int], n: int) -> list[dict[int, int]]:
-    """col_of[c][q] = cols[(q, c)] for the columns ``cols`` of the block of
-    a shift s: phi(e_c) reaches every e_q of degree deg c + s."""
-    col_of: list[dict[int, int]] = [{} for _ in range(n)]
-    for (q, c), k in cols.items():
-        col_of[c][q] = k
-    return col_of
 
 
 def _directed(plan: _Plan, kind: StructureKind,
@@ -499,29 +490,18 @@ def _solve_block(
     """The kind's solutions in the block of ``shift``, in End, compiled and
     solved directly: the one place a shift block reaches ``_solve_modulo``,
     modulo ``_known_block`` and with ``kernel``, reading the rows of the
-    block's own pass (``_hom_rows``, or ``_delta_rows``) through its columns
-    ``_by_source``: at full rank ``kernel`` stops reading, and the pass
-    compiles nothing more.  A block that K fills is K, and is not compiled.
-
-    The increasing-map lemma.  The block's columns are numbered by (q, c)
-    ascending (``_Plan.block``), so (q, c) -> q*n + c maps them increasingly
-    into End, and its inverse maps the block's End columns increasingly
-    back.  An increasing map keeps each row's pivot first and the pivots in
-    order, so it carries a reduced basis to a reduced basis: K, whose maps
-    have this shift, into the block, and the block's answer into End.
+    block's own pass (``_hom_rows``, or ``_delta_rows``) through its End
+    columns ``_Plan.col_of``: at full rank ``kernel`` stops reading, and the
+    pass compiles nothing more.  A block that K fills is K, and is not
+    compiled.
     """
     n, plan = alg.dim, _plan(alg)
-    cols, known = plan.block(shift), _known_block(alg, kind, shift)
-    if known.dim == len(cols):
+    col_of, known = [plan.col_of(c, shift) for c in range(n)], _known_block(alg, kind, shift)
+    if known.dim == sum(map(len, col_of)):
         return known
-    space = Subspace(len(cols), [(cols[divmod(p, n)], {cols[divmod(j, n)]: x for j, x in r.items()})
-                                 for p, r in known.rows])
-    col_of = _by_source(cols, n)
     stream = ((lambda free: _delta_rows(plan, kind.delta, col_of)) if kind.delta is not None
               else (lambda free: _hom_rows(plan, kind, col_of, alg.rows, free)))
-    space = _solve_modulo(space, stream, [col_of], plan.gaps, kernel)
-    end = [q * n + c for q, c in cols]  # block column -> End coordinate
-    return Subspace(n * n, [(end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows])
+    return _solve_modulo(known, stream, [col_of], plan.gaps, kernel)
 
 
 def _sigma(alg: AlgebraSpec) -> tuple[list[int], list[int]] | None:
@@ -618,23 +598,25 @@ def _solve_modulo(
     kernel: Callable[[RowAccumulator, Iterable[Mapping[int, Fraction]]], Subspace],
 ) -> Subspace:
     """Kernel S of the rows ``stream(free)`` compiles, given a subspace K of
-    S known without solving.
+    S known without solving, in K's ambient space.
 
-    The kernel.  ``_solve_modulo`` owns the system's ``RowAccumulator`` and
-    hands it to ``kernel`` (``nullspace_of_rows``, which adds the rows to
-    it).  ``free()`` reads it while the rows are compiled: the rank so far,
-    and the source c of its lowest column that is not a pivot, column k
-    being col_of[c][q] for one of ``col_maps`` (None when every column is a
-    pivot, or that column has no source).  A column never stops being a
+    The kernel.  The system's unknowns are the columns of ``col_maps``
+    (col_of[c][q] for each of them), and K and every row lie in them.
+    ``_solve_modulo`` owns the system's ``RowAccumulator`` over those
+    columns, ascending, and hands it to ``kernel`` (``nullspace_of_rows``,
+    which adds the rows to it).  ``free()`` reads it while the rows are
+    compiled: the rank so far, and the source c of its lowest unknown that
+    is not a pivot (None when every one is).  A column never stops being a
     pivot, so the lowest free column is looked for from the last one found.
     ``_hom_rows`` directs its stream by it; a stream that ignores it is
     read in its own order.
 
     The cut.  One unit row x_p = 0 is put in front of the rows for each
     pivot column p of K's echelon basis.  W = {x : x_p = 0 for every such
-    p} is a complement of K (K's echelon basis is the identity on its pivot
-    columns, so K meet W = 0 and dim W = ncols - dim K).  K lies inside S,
-    so every s in S splits as k + w with w = s - k in S meet W:
+    p}, in the unknowns' span, is a complement of K there (K's echelon
+    basis is the identity on its pivot columns, so K meet W = 0 and dim W
+    is the unknowns' count less dim K).  K lies inside S, so every s in S
+    splits as k + w with w = s - k in S meet W:
     S = K + (S meet W) as a direct sum, and the kernel of the cut system is
     exactly S meet W.  The result K + (S meet W) is therefore the same
     canonical subspace S as the kernel of the uncut system.  Once the cut
@@ -665,16 +647,16 @@ def _solve_modulo(
     ``kernel`` is ``nullspace_of_rows`` as the caller's module names it, so
     that perfbench's tracer charges the rows to the compiler that made them.
     """
-    ncols = known.ambient
-    acc, low = RowAccumulator(ncols), 0
-    source: list[int | None] = [None] * (ncols + 1)  # column k's c; None past the last column
-    image_of, q_of = [None] * ncols, [0] * ncols  # column k's col_of[c] and q, for a closed q
+    source_of, closed = {}, {}  # column k's c; k's col_of[c] and q, for a closed q
     for col_map in col_maps:
         for c, image in enumerate(col_map):
             for q, k in image.items():
-                source[k] = c
+                source_of[k] = c
                 if q not in gaps:
-                    image_of[k], q_of[k] = image, q
+                    closed[k] = image, q
+    columns = sorted(source_of)
+    acc, low = RowAccumulator(known.ambient, columns), 0
+    source = [source_of[k] for k in columns] + [None]  # the c of each unknown, by place; None past the last
 
     free_col = acc.free_col
 
@@ -685,9 +667,9 @@ def _solve_modulo(
 
     def retiring(stream: Iterable[Mapping[int, Fraction]]) -> Iterator[Mapping[int, Fraction]]:
         for row in stream:
-            if len(row) == 1 and image_of[k := next(iter(row))] is not None:  # x_k = 0: the unit-row lemma
-                del image_of[k][q_of[k]]
-                image_of[k] = None
+            if len(row) == 1 and (k := next(iter(row))) in closed:  # x_k = 0: the unit-row lemma
+                image, q = closed.pop(k)
+                del image[q]
             yield row
 
     rest = kernel(acc, retiring(chain(({p: 1} for p in known.pivot_cols()), stream(free))))
@@ -736,10 +718,8 @@ def structure_residual(
     try:
         # phi(e_a), phi(e_b), and phi(e_c) or phi(ab)
         read = (a, b, c) if kind.delta is None else (a, b, *(k for k, _ in alg.product_on_basis(a, b)))
-        # phi(e_z) -> e_q at column q*n + z: for phi's entries without a shift, every q of degree deg z + shift with one
-        col_of = {z: {q: q * n + z
-                      for q in (cols[z] if shift is None else plan.components.get(plan.deg[z] + shift, ()))}
-                  for z in read}
+        # phi(e_z) -> e_q at column q*n + z: for phi's entries without a shift, the block's columns with one
+        col_of = {z: {q: q * n + z for q in cols[z]} if shift is None else plan.col_of(z, shift) for z in read}
         x = {col_of[z][q]: v for z in read for q, v in cols[z].items() if q in col_of[z]}
         terms = (_hom_terms(alg.rows, alg.rows, _SIGNS[kind.tag], a, b, c, col_of) if kind.delta is None
                  else _leibniz_terms(alg.rows, a, b, col_of, col_of, kind.delta))

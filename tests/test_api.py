@@ -460,21 +460,38 @@ def test_the_window_reaches_the_kernel_only_through_solve_shift_blocks():
     assert [f"window.py:{node.lineno}" for node in uses if id(node) not in allowed] == []
 
 
-# The names that number a shift block's columns: ``_Plan.block`` and the
-# per-source table ``_by_source`` built from it.
-BLOCK_COLUMN_NAMES = {"block", "_by_source"}
+# A shift block is solved in End's own columns, phi(e_c) -> e_q at q*n + c
+# (``solver._Plan.col_of``).  The block numbering it replaced: ``_Plan.block``
+# numbered a block's columns from 0, ``_by_source`` built the column maps
+# from that, and ``_solve_block`` converted K into the block and the
+# answer back into End.
+BLOCK_NUMBERING = {"block", "_by_source"}
+COLUMN_CONVERSIONS = {"Subspace", "divmod"}
 
 
-def test_the_window_numbers_no_block_columns():
-    """``window`` reads the solver's K and solutions in End and names neither
-    ``.block`` nor ``_by_source``, so a block's column numbering is known
-    only to ``solver``."""
-    tree = ast.parse((Path(homlie.__file__).parent / "window.py").read_text())
-    uses = [f"window.py:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in BLOCK_COLUMN_NAMES
-            or isinstance(node, ast.Name) and node.id in BLOCK_COLUMN_NAMES
-            or isinstance(node, ast.alias) and node.name in BLOCK_COLUMN_NAMES]
-    assert uses == []
+def test_no_module_numbers_a_blocks_columns():
+    """Package-wide: no module defines or names ``_by_source``, or reads an
+    attribute ``block``; ``solver._Plan`` defines no ``block``; and
+    ``solver._solve_block`` converts no columns: it builds no ``Subspace``
+    and calls no ``divmod``, returning K or ``_solve_modulo``'s End
+    subspace as they are."""
+    uses, members, conversions = [], [], []
+    for path in sorted(Path(homlie.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_by_source" \
+                    or isinstance(node, ast.Name) and node.id == "_by_source" \
+                    or isinstance(node, ast.alias) and node.name == "_by_source" \
+                    or isinstance(node, ast.Attribute) and node.attr in BLOCK_NUMBERING:
+                uses.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and node.name == "_Plan":
+                members.extend(child.name for child in node.body
+                               if isinstance(child, ast.FunctionDef) and child.name in BLOCK_NUMBERING)
+            if isinstance(node, ast.FunctionDef) and node.name == "_solve_block":
+                conversions.extend(
+                    f"{path.name}:{call.lineno}" for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and {getattr(call.func, "id", None), getattr(call.func, "attr", None)} & COLUMN_CONVERSIONS)
+    assert uses == [] and members == [] and conversions == []
 
 
 # Where a scalar from outside the kernel enters a store that keeps integral

@@ -394,6 +394,48 @@ def test_a_row_shared_by_two_accumulators_is_not_changed():
     assert first._reduced_rows() == second._reduced_rows()
 
 
+# -- an accumulator over a subset of columns -----------------------------------
+
+SUBSET = [1, 3, 4, 6]  # the unknowns of a system in Q^8
+
+
+def test_free_col_skips_the_columns_not_listed():
+    """``free_col`` answers a place in ``columns``: the first listed column
+    that is not a pivot, ``len(columns)`` when every listed one is."""
+    acc = RowAccumulator(8, SUBSET)
+    assert acc.free_col(0) == 0  # column 1
+    assert acc.add({1: 1})
+    assert acc.free_col(0) == 1  # column 3; column 0, not listed, is never free
+    assert acc.add({3: 2, 6: 1}) and acc.add({4: 1})
+    assert (acc.free_col(1), acc.free_col(3)) == (3, 3)  # column 6
+    assert acc.add({6: 5})
+    assert acc.free_col(0) == len(SUBSET) == 4
+
+
+def test_nullspace_spans_only_the_listed_free_columns():
+    """A kernel vector per listed free column, in Q^ncols: 0 on every
+    column not listed."""
+    acc = RowAccumulator(8, SUBSET)
+    assert acc.add({1: 1, 4: -1}) and acc.add({3: 1, 6: 2})
+    want = Subspace.from_spanning([{4: 1, 1: 1}, {6: 1, 3: -2}], 8)
+    assert acc.nullspace() == want
+    assert nullspace_of_rows(RowAccumulator(8, SUBSET), [{1: 1, 4: -1}, {3: 1, 6: 2}]) == want
+
+
+def test_nullspace_of_rows_stops_when_the_rank_reaches_the_listed_count():
+    """Full rank is ``len(columns)``: no row after the one that reaches it
+    is pulled, though the rank is below ``ncols``."""
+    pulled = []
+
+    def rows():
+        for row in ({1: 1}, {3: 1, 4: 1}, {4: 2}, {6: -1}, {1: 1, 6: 1}, {3: 7}):
+            pulled.append(row)
+            yield row
+
+    assert nullspace_of_rows(RowAccumulator(8, SUBSET), rows()) == Subspace.zero(8)
+    assert len(pulled) == 4
+
+
 # -- against a dense Gauss-Jordan oracle --------------------------------------
 
 NCOLS = 6

@@ -112,8 +112,9 @@ def test_central_extension_matches_the_unretired_compatibility_rows(monkeypatch)
 
 def test_a_d_column_retired_from_fs_map_changes_a_qder_space(monkeypatch):
     """The mutant: each unit row on a D column deletes the same (c, q) from
-    F's map, and F's own unit rows retire as before.  The differential
-    check above must see it."""
+    F's map instead of D's, and F's own unit rows retire as before.  D's
+    columns stay unknowns of the system, through a copy of D's map that no
+    evaluation reads.  The differential check above must see it."""
     algebras = lie_algebras()[:12]  # built first: the random battery solves skew cocycles
     real = solver._solve_modulo
 
@@ -128,7 +129,8 @@ def test_a_d_column_retired_from_fs_map_changes_a_qder_space(monkeypatch):
                     f_cols[c].pop(q, None)
                 yield row
 
-        return real(known, lambda free: retiring_from_f(stream(free)), [f_cols], gaps, kernel)
+        unread = [dict(image) for image in d_cols]
+        return real(known, lambda free: retiring_from_f(stream(free)), [unread, f_cols], gaps, kernel)
 
     monkeypatch.setattr(solver, "_solve_modulo", misowned)
     changed = [(name, module) for name, alg in algebras for module in ("adjoint", "coadjoint")

@@ -24,7 +24,7 @@ from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
     HOM_LIE,
-    _by_source,
+    _known_block,
     _mirror,
     _plan,
     _require_defined,
@@ -36,7 +36,7 @@ from homlie.solver import (
     grading_shifts,
 )
 from test_term_builders import partial_tables
-from test_unit_rows import cut_then_kernel, known_in_block, natural_hom_rows
+from test_unit_rows import block_col_of, columns_of, cut_then_kernel, natural_hom_rows
 from test_window import WINDOW_MODELS, _untwisted
 
 F = Fraction
@@ -79,21 +79,23 @@ def one_pass_router(alg, kind, shifts, kernel):
     """``_solve_shift_blocks`` as it was: one pass for every block, the
     smallest block solved first, the rows of waiting blocks queued, and the
     column of a unit row with a closed q retired; K's cut rows retire their
-    columns before the pass, as in ``solver._solve_modulo``."""
+    columns before the pass, as in ``solver._solve_modulo``.  A block's
+    columns are End's, phi(e_c) -> e_q at q*n + c."""
     n = alg.dim
     if kind.delta is not None:
         _require_defined(alg, kind)
     plan = _plan(alg)
-    blocks, live, pairs = {}, {}, {}
+    blocks, live = {}, {}
     for shift in shifts:
-        cols = plan.block(shift)
-        if not cols:
+        col_of = block_col_of(alg, shift)
+        columns = columns_of(col_of)
+        if not columns:
             continue
-        blocks[shift] = cols, known_in_block(alg, kind, shift, cols)
-        if blocks[shift][1].dim < len(cols):
-            live[shift], pairs[shift] = _by_source(cols, n), list(cols)
+        blocks[shift] = columns, _known_block(alg, kind, shift)
+        if blocks[shift][1].dim < len(columns):
+            live[shift] = col_of
             for p in blocks[shift][1].pivot_cols():
-                q, c = pairs[shift][p]
+                q, c = divmod(p, n)
                 if q not in plan.gaps:
                     live[shift][c].pop(q, None)
     queues = {shift: deque() for shift in live}
@@ -106,7 +108,7 @@ def one_pass_router(alg, kind, shifts, kernel):
             if s not in queues:
                 continue
             if len(row) == 1:
-                q, c = pairs[s][next(iter(row))]
+                q, c = divmod(next(iter(row)), n)
                 if q not in plan.gaps:
                     live[s][c].pop(q, None)
             if s == shift:
@@ -115,13 +117,12 @@ def one_pass_router(alg, kind, shifts, kernel):
                 queues[s].append(row)
 
     rows = []
-    for shift, (cols, known) in sorted(blocks.items(), key=lambda item: len(item[1][0])):
+    for shift, (columns, known) in sorted(blocks.items(), key=lambda item: len(item[1][0])):
         space = known
         if shift in live:
-            space = cut_then_kernel(known, block_rows(shift), kernel)
-            del live[shift], queues[shift], pairs[shift]
-        end = [q * n + c for q, c in cols]
-        rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)
+            space = cut_then_kernel(known, block_rows(shift), kernel, columns)
+            del live[shift], queues[shift]
+        rows.extend(space.rows)
     return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))
 
 
@@ -129,7 +130,8 @@ def one_pass_router(alg, kind, shifts, kernel):
 
 
 class Recording:
-    """A kernel that records the rows each of its calls reads."""
+    """A kernel that records the rows each of its calls reads, with the
+    unknowns of its accumulator."""
 
     def __init__(self):
         self.calls = Counter()
@@ -145,7 +147,7 @@ class Recording:
         try:
             return nullspace_of_rows(acc, recorded())
         finally:
-            self.calls[acc.ncols, tuple(read)] += 1
+            self.calls[acc.ncols, tuple(acc.columns), tuple(read)] += 1
 
 
 @pytest.fixture
@@ -267,12 +269,13 @@ def test_blocks_are_solved_in_the_order_given():
     each, a block whose mirror block is already kept conjugated instead, and
     the answer does not depend on that order.  Centre out, the blocks of
     0, -1, -2, ... are compiled, and in reverse those of ..., 2, 1, 0: the
-    same sizes, in reverse order."""
+    same sizes, in reverse order (a block's size is its accumulator's
+    count of unknowns)."""
     shifts = sorted(grading_shifts(_untwisted(3)), key=lambda s: (abs(s), s))
     sizes = []
 
     def kernel(acc, rows):
-        sizes.append(acc.ncols)
+        sizes.append(len(acc.columns))
         return nullspace_of_rows(acc, rows)
 
     forward = _solve_shift_blocks(_untwisted(3), HOM_LIE, shifts, kernel)

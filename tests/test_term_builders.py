@@ -319,17 +319,15 @@ def lie_algebras():
 
 def shift_blocks(alg):
     """Every nonempty shift block, shift -> col_of, with col_of[c][q] the
-    column of phi(e_c) -> e_q, as ``_solve_shift_blocks`` compiles it."""
-    plan = _plan(alg)
+    End column q*n + c of phi(e_c) -> e_q for every q of degree
+    deg c + shift, as ``_solve_shift_blocks`` compiles it."""
+    n, deg = alg.dim, alg.grading or (0,) * alg.dim
     blocks = {}
     for shift in grading_shifts(alg):
-        cols = plan.block(shift)
-        if cols:
-            col_of = [{} for _ in range(alg.dim)]
-            for (q, c), k in cols.items():
-                col_of[c][q] = k
+        col_of = [{q: q * n + c for q in range(n) if deg[q] == deg[c] + shift} for c in range(n)]
+        if any(col_of):
             blocks[shift] = col_of
-    return plan, blocks
+    return _plan(alg), blocks
 
 
 PARTIAL_FLAVORS = ["generic-anticommutative", "generic-commutative", "unchecked"]

@@ -23,7 +23,6 @@ from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
     HOM_LIE,
-    _by_source,
     _delta_rows,
     _known_block,
     _plan,
@@ -57,11 +56,26 @@ def natural_hom_rows(plan, kind, col_of, second):
                 pass
 
 
-def cut_then_kernel(known, rows, kernel):
+def block_col_of(alg, shift):
+    """col_of[c][q] = q*n + c for every q of degree deg c + shift: the End
+    columns of the block of ``shift``, stated here apart from the solver's
+    ``_Plan.col_of``."""
+    n, deg = alg.dim, alg.grading or (0,) * alg.dim
+    return [{q: q * n + c for q in range(n) if deg[q] == deg[c] + shift} for c in range(n)]
+
+
+def columns_of(col_of):
+    """The End columns of a block's ``col_of``, ascending."""
+    return sorted(k for image in col_of for k in image.values())
+
+
+def cut_then_kernel(known, rows, kernel, columns):
     """A stream ``rows`` with no feedback, solved as ``solver._solve_modulo``
     solves without the retire step: K's cut rows in front, every row handed
-    to ``kernel`` as compiled, into an accumulator of its own."""
-    rest = kernel(RowAccumulator(known.ambient), chain(({p: 1} for p in known.pivot_cols()), rows))
+    to ``kernel`` as compiled, into an accumulator of its own over the
+    system's unknowns ``columns``."""
+    acc = RowAccumulator(known.ambient, columns)
+    rest = kernel(acc, chain(({p: 1} for p in known.pivot_cols()), rows))
     if not rest.dim:
         return known
     return known.sum(rest) if known.dim else rest
@@ -69,26 +83,20 @@ def cut_then_kernel(known, rows, kernel):
 
 def unretired_solve_modulo(known, stream, col_maps, gaps, kernel):
     """``solver._solve_modulo`` without the retire step: the stream gets
-    the same kernel feedback, and every row reaches ``kernel`` as compiled."""
-    acc, low = RowAccumulator(known.ambient), [0]
+    the same kernel feedback, over the same unknowns (the columns of
+    ``col_maps``, ascending), and every row reaches ``kernel`` as compiled."""
     source = {k: c for col_map in col_maps for c, image in enumerate(col_map) for k in image.values()}
+    columns = sorted(source)
+    acc, low = RowAccumulator(known.ambient, columns), [0]
 
     def free():
         low[0] = acc.free_col(low[0])
-        return acc.rank, source.get(low[0])
+        return acc.rank, source[columns[low[0]]] if low[0] < len(columns) else None
 
     rest = kernel(acc, chain(({p: 1} for p in known.pivot_cols()), stream(free)))
     if not rest.dim:
         return known
     return known.sum(rest) if known.dim else rest
-
-
-def known_in_block(alg, kind, shift, cols):
-    """The kept K (``solver._known_block``, in End) in the block's columns
-    ``cols``, by the increasing map (q, c) -> cols[(q, c)]."""
-    n = alg.dim
-    return Subspace(len(cols), [(cols[divmod(p, n)], {cols[divmod(j, n)]: x for j, x in r.items()})
-                                for p, r in _known_block(alg, kind, shift).rows])
 
 
 def reference_router(alg, kind, shifts, kernel):
@@ -103,17 +111,13 @@ def reference_router(alg, kind, shifts, kernel):
     plan = _plan(alg)
     rows = []
     for shift in shifts:
-        cols = plan.block(shift)
-        if not cols:
-            continue
-        space = known_in_block(alg, kind, shift, cols)
-        if space.dim < len(cols):
-            col_of = _by_source(cols, n)
+        col_of = block_col_of(alg, shift)
+        columns, space = columns_of(col_of), _known_block(alg, kind, shift)
+        if space.dim < len(columns):
             compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None
                         else natural_hom_rows(plan, kind, col_of, alg.rows))
-            space = cut_then_kernel(space, compiled, kernel)
-        end = [q * n + c for q, c in cols]
-        rows.extend((end[p], {end[j]: x for j, x in r.items()}) for p, r in space.rows)
+            space = cut_then_kernel(space, compiled, kernel, columns)
+        rows.extend(space.rows)
     return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))
 
 

@@ -29,7 +29,6 @@ from homlie.solver import (
     HOM_CYCLIC,
     HOM_LIE,
     _SIGNS,
-    _by_source,
     _known_block,
     _plan,
     _solve_block,
@@ -291,7 +290,7 @@ def raises_in_every_block(alg, kind, triples):
     every shift block: the window imposes none of their equations."""
     plan, signs = _plan(alg), _SIGNS[kind.tag]
     for shift in grading_shifts(alg):
-        col_of = _by_source(plan.block(shift), alg.dim)
+        col_of = [plan.col_of(c, shift) for c in range(alg.dim)]
         for t in triples:
             try:
                 list(_hom_terms(alg.rows, alg.rows, signs, *t, col_of))
@@ -359,16 +358,14 @@ def test_block_solutions_have_zero_residuals(model, n_window):
     pa = model(n_window)
     n = pa.dim
     for shift in window_shifts(pa):
-        cols = _plan(pa).block(shift)
-        col_of, forms = _by_source(cols, n), []
+        col_of, forms = [_plan(pa).col_of(c, shift) for c in range(n)], []
         for tri in itertools.combinations(range(n), 3):
             try:
                 forms.append(list(_hom_terms(pa.rows, pa.rows, _SIGNS["hom-lie"], *tri, col_of)))
             except UndefinedProduct:
                 continue
         for _, row in _solve_block(pa, HOM_LIE, shift, nullspace_of_rows).rows:
-            x = {cols[divmod(j, n)]: v for j, v in row.items()}
-            assert not any(_evaluate(form, x) for form in forms)
+            assert not any(_evaluate(form, row) for form in forms)
 
 
 def test_residual_reads_the_component_of_the_map_shift():
@@ -660,11 +657,11 @@ def test_k_is_built_once_per_shift_and_the_window_numbers_no_block(monkeypatch):
     all-shift solve and report and a residual at every shift build it once
     per shift (13 times on sl2 N = 3), though the report reads K at every
     shift of each call and the mirrored blocks are never compiled.  Only
-    the solver numbers a block's columns (``_Plan.block``)."""
+    the solver reads a block's columns (``_Plan.col_of``)."""
     pa = _untwisted(3)
     shifts = window_shifts(pa)
     built, callers = [], []
-    kept, block = solver._kept, solver._Plan.block
+    kept, col_of = solver._kept, solver._Plan.col_of
 
     def counted(alg, key, build):
         def counted_build():
@@ -672,12 +669,12 @@ def test_k_is_built_once_per_shift_and_the_window_numbers_no_block(monkeypatch):
             return build()
         return kept(alg, key, counted_build)
 
-    def numbered(plan, shift):
+    def numbered(plan, c, shift):
         callers.append(sys._getframe(1).f_globals["__name__"])
-        return block(plan, shift)
+        return col_of(plan, c, shift)
 
     monkeypatch.setattr(solver, "_kept", counted)
-    monkeypatch.setattr(solver._Plan, "block", numbered)
+    monkeypatch.setattr(solver._Plan, "col_of", numbered)
     for s in shifts:
         solve_window(pa, s)
     solve_window(pa)
