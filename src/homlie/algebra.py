@@ -235,7 +235,7 @@ def _check_laws(alg: AlgebraSpec) -> None:
     if alg.flavor == "lie":
         ident = [{z: z} for z in range(n)]  # Jacobi is Hom-Jacobi at phi = id: e_z -> e_z at column z
         ones = dict.fromkeys(range(n), 1)
-        for i, j, k in _jacobi_triples(alg):
+        for i, j, k in _sorted_tuples(alg, 3):
             require("jacobi", (i, j, k), _evaluate(_hom_terms(alg.rows, alg.rows, (1, 1, 1), i, j, k, ident), ones))
     if alg.flavor == "commutative-associative":
         for i in range(n):
@@ -362,32 +362,27 @@ def _hom_terms(rows: _Index, second: _Index, signs: Sequence[int], a: int, b: in
                         yield m, col, w * cpq
 
 
-def _jacobi_triples(alg: AlgebraSpec) -> Iterator[tuple[int, int, int]]:
-    """The basis triples that decide the Hom-Jacobi identity J, in
-    lexicographic order: a < b < c on an anticommutative table, a <= b <= c
-    on a commutative one, every ordered triple otherwise.  Proof: by the
-    symmetry lemmas in ``_hom_terms`` J at any triple is sigma^k times J at
-    its sorted rearrangement, and zero with two equal arguments when sigma
-    = -1.  So J vanishes on every ordered triple exactly when it vanishes
-    on these, and the first failing one is among them."""
-    n = alg.dim
-    if alg.is_anticommutative():
-        return combinations(range(n), 3)
-    return combinations_with_replacement(range(n), 3) if alg.is_commutative() else product(range(n), repeat=3)
+def _sorted_tuples(alg: AlgebraSpec, r: int) -> Iterator[tuple[int, ...]]:
+    """The basis r-tuples that decide an identity, in lexicographic order:
+    the strictly increasing ones on an anticommutative table, the
+    increasing ones on a commutative one, every ordered one otherwise.  The
+    Hom-Jacobi identity J reads them with r = 3, the Leibniz identity
+    X(e_i e_j) - delta (Y(e_i) e_j + e_i Y(e_j)) with r = 2.
 
-
-def _leibniz_pairs(alg: AlgebraSpec) -> Iterator[tuple[int, int]]:
-    """The basis pairs the Leibniz identity is imposed on: i < j on an
-    anticommutative table, i <= j on a commutative one, every ordered pair
-    otherwise.  Proof, for e_j e_i = sigma e_i e_j on the basis: every
-    product in the defect X(e_i e_j) - delta (Y(e_i) e_j + e_i Y(e_j))
-    changes by sigma when its factors swap, so the defect at (j, i) is
-    sigma times the one at (i, j), and at (i, i) it is 0 when sigma = -1.
-    So the first failing ordered pair has i < j, or i <= j when sigma = 1."""
-    n = alg.dim
+    The swap lemma.  Let e_j e_i = sigma e_i e_j on the basis.  Swapping
+    two arguments multiplies the defect by sigma: for J by the symmetry
+    lemmas in ``_hom_terms``, and for the Leibniz defect because each of
+    its products changes by sigma when its factors swap.  So the defect at
+    any tuple is sigma^k times the defect at its sorted rearrangement, for
+    k swaps that sort it, and it is zero at a tuple with two equal
+    arguments when sigma = -1 (their swap fixes the tuple and negates its
+    defect).  The defect therefore vanishes on every ordered tuple exactly
+    when it vanishes on these, and the first failing ordered tuple, which
+    is at least its sorted rearrangement, is among them."""
+    basis = range(alg.dim)
     if alg.is_anticommutative():
-        return combinations(range(n), 2)
-    return combinations_with_replacement(range(n), 2) if alg.is_commutative() else product(range(n), repeat=2)
+        return combinations(basis, r)
+    return combinations_with_replacement(basis, r) if alg.is_commutative() else product(basis, repeat=r)
 
 
 def _leibniz_terms(rows: _Index, i: int, j: int, outer: Sequence[Mapping[int, int]], inner: Sequence[Mapping[int, int]],

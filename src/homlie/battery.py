@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .actions import _exp_ad, _right, _sandwich, act, is_submodule
-from .algebra import AlgebraSpec, _evaluate, _hom_terms, _jacobi_triples, builtin, killing_form
+from .algebra import AlgebraSpec, _evaluate, _hom_terms, _sorted_tuples, builtin, killing_form
 from .constructions import adjoin_map, central_extension, cocycle2, semidirect_derivation
 from .linalg import Matrix, SparseVector, Vector, sparse_lincomb
 from .solver import HOM_LIE, delta_derivation, f_t, solve_bilinear, solve_structures
@@ -133,14 +133,14 @@ def _jacobiator(alg: AlgebraSpec, phi: Matrix) -> dict[tuple[int, int, int], Spa
     on every ordered basis triple of an anticommutative algebra.
 
     J_phi is evaluated from ``_hom_terms`` on the triples that decide it
-    (``algebra._jacobi_triples``) and the other triples are filled by sign:
-    J_phi changes sign under every swap of two arguments and is 0 when two
-    are equal (the alternation lemma in ``algebra._hom_terms``)."""
+    (``algebra._sorted_tuples(alg, 3)``) and the other triples are filled
+    by sign: J_phi changes sign under every swap of two arguments and is 0
+    when two are equal (the alternation lemma in ``algebra._hom_terms``)."""
     n = phi.rows
     col_of = [{q: q * n + z for q in col} for z, col in enumerate(phi.sparse_cols)]  # phi(e_z) -> e_q at q*n + z
     flat = phi.sparse_flatten()
     out: dict[tuple[int, int, int], SparseVector] = dict.fromkeys(product(range(n), repeat=3), {})
-    for i, j, k in _jacobi_triples(alg):
+    for i, j, k in _sorted_tuples(alg, 3):
         v = _evaluate(_hom_terms(alg.rows, alg.rows, (1, 1, 1), i, j, k, col_of), flat)
         minus = {q: -x for q, x in v.items()}
         out[(i, j, k)] = out[(j, k, i)] = out[(k, i, j)] = v
@@ -156,11 +156,11 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
     e_t, the columns of R, the right multiplication by h (``actions._right``),
     read from the table of J_phi.
 
-    The two sides are compared on ``algebra._jacobi_triples``, which decide
-    an alternating identity on every ordered triple and name its first
-    failing one.  The difference of the sides is alternating: ``act``
-    requires a Lie algebra, so J_phi and J_{h.phi} are alternating (the
-    alternation lemma in ``algebra._hom_terms``), and so is
+    The two sides are compared on ``algebra._sorted_tuples(alg, 3)``,
+    which decide an alternating identity on every ordered triple and name
+    its first failing one.  The difference of the sides is alternating:
+    ``act`` requires a Lie algebra, so J_phi and J_{h.phi} are alternating
+    (the alternation lemma in ``algebra._hom_terms``), and so is
     (h . J)(x,y,z) = [J(x,y,z), h] - J([x,h],y,z) - J(x,[y,h],z) -
     J(x,y,[z,h]) for an alternating J: swapping x and y negates the first
     and last terms and trades the middle two for each other's negatives
@@ -174,7 +174,7 @@ def check_action_intertwines_jacobiator(alg: AlgebraSpec, rng: random.Random) ->
         j_hphi = _jacobiator(alg, hphi)
         j_phi = _jacobiator(alg, phi)
         right = _right(alg, h)  # right[s] = [e_s, h]
-        for i, j, k in _jacobi_triples(alg):
+        for i, j, k in _sorted_tuples(alg, 3):
             # (h . J)(x,y,z) = [J(x,y,z), h] - J([x,h],y,z) - J(x,[y,h],z) - J(x,y,[z,h])
             rhs = sparse_lincomb(
                 *((c, right[q]) for q, c in j_phi[(i, j, k)].items()),

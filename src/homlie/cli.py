@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .algebra import AlgebraSpec
-    from .linalg import Subspace
 
 USAGE_ERROR = 2
 EXPECTATION_FAILURE = 1
@@ -238,19 +237,9 @@ def _load_twist(path: str, dim: int):
         raise UsageError(f"--twist: cannot read twist file {path}: {e}")
 
 
-def _window_dim(dim: int, n_window: int, twist: tuple[list[Subspace], int] | None) -> int:
-    """The dim of ``km_window``'s window, without building it: d and z, plus
-    for each degree i in -N..N the twist component of degree i mod n (all
-    of g untwisted), of which -N..N holds (N - r) // n - (-N - 1 - r) // n
-    copies of residue r."""
-    dims = [c.dim for c in twist[0]] if twist else [dim]
-    n = len(dims)
-    return 2 + sum(d * ((n_window - r) // n - (-n_window - 1 - r) // n) for r, d in enumerate(dims))
-
-
 def _cmd_window(args) -> int:
     from .algebra import MAX_DIM, killing_form
-    from .constructions import km_window
+    from .constructions import _window_dim, km_window
     from .linalg import Matrix
     from .serialize import partial_to_json
     from .window import solve_window
@@ -362,9 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=True):
-        if algebra:
-            p.add_argument("--algebra", required=True, help="builtin name (sl2, trunc_poly:3, ...) or JSON file")
+    def common(p):
+        p.add_argument("--algebra", required=True, help="builtin name (sl2, trunc_poly:3, ...) or JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("solve", help="solve a structure-kind identity")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import (AlgebraSpec, BilinearForm, LawViolation, _evaluate, _hom_terms, _jacobi_triples, _leibniz_pairs,
-                      _leibniz_terms, _lie_by_theorem, _pairing, _require_lie, make_algebra, sparse_product)
+from .algebra import (MAX_DIM, AlgebraSpec, BilinearForm, LawViolation, _evaluate, _hom_terms, _leibniz_terms,
+                      _lie_by_theorem, _pairing, _require_lie, _sorted_tuples, make_algebra, sparse_product)
 from .linalg import Matrix, Subspace, Vector, dense_vector, int_if_integral
 
 
@@ -41,7 +41,7 @@ class Cocycle2:
         n = alg.dim
         pairing, f = _pairing([{p: 1} for p in range(n)]), matrix.sparse_flatten()
         cols = [{q: q * n + z for q in range(n)} for z in range(n)]
-        for i, j, k in _jacobi_triples(alg):
+        for i, j, k in _sorted_tuples(alg, 3):
             val = _evaluate(_hom_terms(alg.rows, pairing, (1, 1, 1), i, j, k, cols), f)
             if val:
                 raise LawViolation("cocycle-equation", (i, j, k), (Fraction(val[0]),))
@@ -129,13 +129,13 @@ def tensor_lie(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
 
 def derivation_defect(a: AlgebraSpec, d: Matrix) -> tuple[tuple[int, int], Vector] | None:
     """First basis pair where d(xy) != d(x)y + x d(y), or None: the first
-    of ``_leibniz_pairs`` where ``_leibniz_terms`` (delta 1) is nonzero at d."""
+    of ``_sorted_tuples(a, 2)`` where ``_leibniz_terms`` (delta 1) is nonzero at d."""
     n = a.dim
     if d.shape != (n, n):
         raise ValueError("map shape does not match the algebra")
     cols = [{q: q * n + c for q in col} for c, col in enumerate(d.sparse_cols)]  # d(e_c) -> e_q, nonzero only
     flat = d.sparse_flatten()
-    for i, j in _leibniz_pairs(a):
+    for i, j in _sorted_tuples(a, 2):
         defect = _evaluate(_leibniz_terms(a.rows, i, j, cols, cols, 1), flat)
         if defect:
             return (i, j), dense_vector(defect, n)
@@ -274,6 +274,16 @@ def twisted_cyclic(g: AlgebraSpec, grading: Sequence[Subspace], m: int) -> Algeb
 # ---------------------------------------------------------------------------
 
 
+def _window_dim(dim: int, n_window: int, twist: tuple[Sequence[Subspace], int] | None) -> int:
+    """The dim of ``km_window``'s window, without building it: d and z, plus
+    for each degree i in -N..N the twist component of degree i mod n (all
+    of g untwisted), of which -N..N holds (N - r) // n - (-N - 1 - r) // n
+    copies of residue r."""
+    dims = [c.dim for c in twist[0]] if twist else [dim]
+    n = len(dims)
+    return 2 + sum(d * ((n_window - r) // n - (-n_window - 1 - r) // n) for r, d in enumerate(dims))
+
+
 def km_window(
     g: AlgebraSpec,
     invariant_form: BilinearForm,
@@ -292,7 +302,9 @@ def km_window(
     constants as ints as ``make_algebra`` stores them, and None for a pair
     whose degrees leave the window; ``grading`` is the loop degree (d, z: 0).  N
     is read back as max |grading|; only ``window.beta_map`` and
-    ``serialize.partial_to_json`` read d and z, by their basis names.
+    ``serialize.partial_to_json`` read d and z, by their basis names.  A
+    window whose dim (``_window_dim``) is above ``MAX_DIM`` is refused
+    before anything is built.
 
     The result is certified ``flavor="lie"``.  Every defined product is the
     bracket of the affine algebra L(g) + Kz + Kd (of its twisted subalgebra
@@ -315,6 +327,8 @@ def km_window(
             raise ValueError("twist grading must have one component per residue")
     else:
         grading, n_twist = [Subspace.full(g.dim)], 1
+    if (dim := _window_dim(g.dim, n_window, twist)) > MAX_DIM:
+        raise ValueError(f"the window has dim {dim}, above the bound of {MAX_DIM}")
     constants = check_cyclic_grading(g, grading)
     if not (grading[n_window % n_twist].dim or grading[-n_window % n_twist].dim):
         raise ValueError("degrees -N and N of the window are empty, so N cannot be read back from it")

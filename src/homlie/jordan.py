@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebra import AlgebraSpec, _jacobi_triples, builtin, make_algebra, sparse_product
+from .algebra import AlgebraSpec, _sorted_tuples, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
 from .linalg import Matrix, Vector, dense_vector, sparse_lincomb
 from .solver import HOM_LIE, HomSolution, _plan, grading_shifts, solve_structures, structure_residual
@@ -44,12 +44,12 @@ class ClosureVerdict:
 
 
 def _first_violation(alg: AlgebraSpec, phi: Matrix) -> tuple[tuple[int, int, int], Vector]:
-    """The first triple of ``_jacobi_triples`` with a nonzero Hom-Jacobi
+    """The first triple of ``_sorted_tuples(alg, 3)`` with a nonzero Hom-Jacobi
     residual; on a table with undefined products (a window), of an imposed
     equation, the shifts in ascending order.  phi lies outside a solved
     space, and those triples decide the identity, so one exists."""
     for shift in [None] if _plan(alg).complete else grading_shifts(alg):
-        for triple in _jacobi_triples(alg):
+        for triple in _sorted_tuples(alg, 3):
             r = structure_residual(alg, phi, HOM_LIE, triple, shift)
             if r is not None and any(r):
                 return triple, r

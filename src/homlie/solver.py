@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, UndefinedProduct, _evaluate, _hom_terms, _Index,
-                      _leibniz_pairs, _leibniz_terms, _pairing, _require_lie, _Terms, _undefined,
+                      _leibniz_terms, _pairing, _require_lie, _sorted_tuples, _Terms, _undefined,
                       right_annihilator, sparse_product, structural_subspaces)
 from .linalg import (
     Matrix,
@@ -34,13 +34,22 @@ from .linalg import (
 
 # -- structure kinds --------------------------------------------------------
 
+# The kind's identity, one sign per term in the order (ab)phi(c), (ca)phi(b),
+# (bc)phi(a): hom-lie has all three, hom-cyclic the first minus the second,
+# hom-2nilp the first alone.
+_SIGNS = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}
+
 
 @dataclass(frozen=True)
 class StructureKind:
+    """A hom kind of ``_SIGNS`` or a delta-derivation; any other tag is refused."""
+
     tag: str
     delta: Fraction | None = None
 
     def __post_init__(self):
+        if self.tag not in _SIGNS and self.tag != "delta-derivation":
+            raise ValueError(f"unknown structure kind {self.tag!r}")
         if (self.tag == "delta-derivation") != (self.delta is not None):
             raise ValueError("delta is given exactly for delta-derivation kinds")
 
@@ -110,11 +119,6 @@ def _sparse_rows(terms: _Terms) -> list[dict[int, Fraction]]:
 
 
 # -- the compile plan and the pass over the triples ---------------------------
-
-# The kind's identity, one sign per term in the order (ab)phi(c), (ca)phi(b),
-# (bc)phi(a): hom-lie has all three, hom-cyclic the first minus the second,
-# hom-2nilp the first alone.
-_SIGNS = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}
 
 
 def _kept(alg: AlgebraSpec, key: object, build: Callable[[], object]):
@@ -372,13 +376,15 @@ def _hom_rows(plan: _Plan, kind: StructureKind, col_of: Sequence[Mapping[int, in
             pass
 
 
-def _delta_rows(plan: _Plan, delta: Fraction,
-                col_of: Sequence[Mapping[int, int]]) -> Iterator[dict[int, int | Fraction]]:
-    """D(xy) - delta*(D(x)y + x D(y)) = 0 over basis pairs, for the maps D
-    of one block, as ``_hom_rows`` does."""
-    alg, delta = plan.alg, int_if_integral(delta)
-    return chain.from_iterable(_sparse_rows(_leibniz_terms(alg.rows, i, j, col_of, col_of, delta))
-                                for i, j in _leibniz_pairs(alg))
+def _leibniz_rows(alg: AlgebraSpec, index: _Index, outer: Sequence[Mapping[int, int]],
+                  inner: Sequence[Mapping[int, int]], delta: int | Fraction) -> Iterator[dict[int, int | Fraction]]:
+    """X(e_i e_j) - delta (Y(e_i) e_j + e_i Y(e_j)) = 0 as rows, one group of
+    ``_leibniz_terms`` per pair of ``_sorted_tuples(alg, 2)`` in its order,
+    read from ``index`` through the column maps ``outer`` of X and ``inner``
+    of Y; delta enters the rows as an int when it is integral."""
+    delta = int_if_integral(delta)
+    return chain.from_iterable(_sparse_rows(_leibniz_terms(index, i, j, outer, inner, delta))
+                               for i, j in _sorted_tuples(alg, 2))
 
 
 def _known_block(alg: AlgebraSpec, kind: StructureKind, shift: int) -> Subspace:
@@ -453,14 +459,12 @@ def _solve_shift_blocks(
     and phi'(e_{pi i} e_{pi j}) = s_i s_j sigma(phi(e_i e_j)).  A block's
     solutions are the common kernel of the equations imposed on every
     ordered tuple, which ``_solve_block``'s rows span (``_triples``,
-    ``_leibniz_pairs``).  Hence phi solves every equation imposed at s
+    ``_sorted_tuples``).  Hence phi solves every equation imposed at s
     exactly when phi' solves every one imposed at -s: the invertible map
     phi -> phi' carries the solutions of block s onto those of block -s,
     and ``Subspace.from_spanning`` of the images of a basis is that block's
     reduced basis.
     """
-    if kind.tag not in _SIGNS and kind.tag != "delta-derivation":
-        raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
     if kind.delta is not None:
         _require_defined(alg, kind)
     n, kept = alg.dim, _kept(alg, "blocks", dict)
@@ -490,7 +494,7 @@ def _solve_block(
     """The kind's solutions in the block of ``shift``, in End, compiled and
     solved directly: the one place a shift block reaches ``_solve_modulo``,
     modulo ``_known_block`` and with ``kernel``, reading the rows of the
-    block's own pass (``_hom_rows``, or ``_delta_rows``) through its End
+    block's own pass (``_hom_rows``, or ``_leibniz_rows``) through its End
     columns ``_Plan.col_of``: at full rank ``kernel`` stops reading, and the
     pass compiles nothing more.  A block that K fills is K, and is not
     compiled.
@@ -499,7 +503,7 @@ def _solve_block(
     col_of, known = [plan.col_of(c, shift) for c in range(n)], _known_block(alg, kind, shift)
     if known.dim == sum(map(len, col_of)):
         return known
-    stream = ((lambda free: _delta_rows(plan, kind.delta, col_of)) if kind.delta is not None
+    stream = ((lambda free: _leibniz_rows(alg, alg.rows, col_of, col_of, kind.delta)) if kind.delta is not None
               else (lambda free: _hom_rows(plan, kind, col_of, alg.rows, free)))
     return _solve_modulo(known, stream, [col_of], plan.gaps, kernel)
 
@@ -711,8 +715,6 @@ def structure_residual(
     if shift is None:
         _require_defined(alg, "a residual without a degree shift")
     plan = _plan(alg)
-    if kind.tag not in _SIGNS and kind.tag != "delta-derivation":
-        raise ValueError(f"structure_residual cannot handle kind {kind.tag!r}")
     a, b, c = triple
     cols = phi.sparse_cols
     try:
@@ -831,8 +833,8 @@ def _coadjoint_index(alg: AlgebraSpec) -> list[dict[int, tuple[tuple[int, int | 
 
 
 def _qder_rows(alg: AlgebraSpec, module: str) -> tuple[Iterator[dict[int, Fraction]], list[list[dict[int, int]]]]:
-    """D(e_i e_j) - F(e_i) e_j - e_i F(e_j) = 0, ``_leibniz_terms`` with
-    delta 1 on the pairs i < j (g and g + g* are anticommutative): over g's
+    """D(e_i e_j) - F(e_i) e_j - e_i F(e_j) = 0, ``_leibniz_rows`` with
+    delta 1 on g's pairs i < j (g and g + g* are anticommutative): over g's
     own index for the adjoint module, over ``_coadjoint_index`` for the
     coadjoint one.  F's columns are D's shifted by n^2.  Returns the rows
     and the column maps, D's and F's, they are compiled through."""
@@ -842,9 +844,7 @@ def _qder_rows(alg: AlgebraSpec, module: str) -> tuple[Iterator[dict[int, Fracti
     else:  # D(e_c) -> e*_m, at index n + m, at column c*n + m
         index, d_cols = _coadjoint_index(alg), [{n + m: c * n + m for m in range(n)} for c in range(n)]
     f_cols = [{q: n * n + col for q, col in image.items()} for image in d_cols]
-    rows = chain.from_iterable(_sparse_rows(_leibniz_terms(index, i, j, d_cols, f_cols, 1))
-                               for i, j in _leibniz_pairs(alg))
-    return rows, [d_cols, f_cols]
+    return _leibniz_rows(alg, index, d_cols, f_cols, 1), [d_cols, f_cols]
 
 
 def solve_qder(alg: AlgebraSpec, module: str = "adjoint") -> QDerSolution:

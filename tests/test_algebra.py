@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from homlie.algebra import (
+    FLAVORS,
     LawViolation,
+    _sorted_tuples,
     builtin,
     builtin_names,
     killing_form,
@@ -301,3 +304,49 @@ def test_half_constant_from_json_stays_a_fraction():
     (_, half), (_, two) = alg.table[(0, 1)]
     assert (type(half), half) == (Fraction, F(1, 2))
     assert (type(two), two) == (int, 2)
+
+
+def ref_jacobi_triples(alg):
+    """The triples the Hom-Jacobi identity was decided on before one rule
+    gave them for every arity."""
+    n = alg.dim
+    if alg.is_anticommutative():
+        return combinations(range(n), 3)
+    return combinations_with_replacement(range(n), 3) if alg.is_commutative() else product(range(n), repeat=3)
+
+
+def ref_leibniz_pairs(alg):
+    """The pairs the Leibniz identity was imposed on before one rule gave
+    them for every arity."""
+    n = alg.dim
+    if alg.is_anticommutative():
+        return combinations(range(n), 2)
+    return combinations_with_replacement(range(n), 2) if alg.is_commutative() else product(range(n), repeat=2)
+
+
+def tuple_rule_algebras():
+    """Lie, commutative, generic-anticommutative, generic-commutative and
+    unchecked tables, one of them a window."""
+    sl2 = builtin("sl", 2)
+    yield from (builtin("sl", 3), builtin("heisenberg"), builtin("nonabelian2"), builtin("abelian", 2), sl2)
+    yield km_window(sl2, killing_form(sl2), 2)
+    yield from (builtin("trunc_poly", 4), builtin("cyclic_group_alg", 3), builtin("trunc_poly", 1))
+    yield make_algebra(3, {(0, 1): [(2, 1)], (1, 0): [(2, -1)], (1, 2): [(1, 1)], (2, 1): [(1, -1)]},
+                       flavor="generic-anticommutative")
+    yield make_algebra(2, {(0, 1): [(0, 1)], (1, 0): [(0, 1)], (1, 1): [(1, 1)]}, flavor="generic-commutative")
+    yield make_algebra(3, {(0, 1): [(2, 1)], (2, 2): [(0, 1)]})  # unchecked
+    yield make_algebra(0, {}, flavor="unchecked")
+
+
+def test_sorted_tuples_are_the_triples_and_pairs_each_identity_was_decided_on():
+    """``_sorted_tuples`` at r = 3 and r = 2 gives the triples and pairs of
+    the two rules it replaced, in the same order, on every flavor."""
+    flavors = set()
+    for alg in tuple_rule_algebras():
+        flavors.add(alg.flavor)
+        assert list(_sorted_tuples(alg, 3)) == list(ref_jacobi_triples(alg)), alg.basis_names
+        assert list(_sorted_tuples(alg, 2)) == list(ref_leibniz_pairs(alg)), alg.basis_names
+    assert flavors == set(FLAVORS)
+    trunc3 = builtin("trunc_poly", 3)
+    assert list(_sorted_tuples(trunc3, 2)) == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    assert list(_sorted_tuples(builtin("sl", 2), 3)) == [(0, 1, 2)]

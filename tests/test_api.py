@@ -203,8 +203,8 @@ def test_only_the_law_scan_and_certified_builds_make_algebras():
 # The identities' term builders: every identity the package compiles or
 # evaluates is one of these.
 IDENTITIES = {"_hom_terms", "_leibniz_terms", "_invariance_terms"}
-# The term builders, their pair and triple domains and the evaluator.
-TERM_BUILDERS = IDENTITIES | {"_leibniz_pairs", "_jacobi_triples", "_evaluate"}
+# The term builders, the one rule for the tuples they are imposed on, and the evaluator.
+TERM_BUILDERS = IDENTITIES | {"_sorted_tuples", "_evaluate"}
 # The validators, each stated as "every term row vanishes at this map or form".
 VALIDATORS = {("constructions.py", "derivation_defect"), ("constructions.py", "Cocycle2.__post_init__"),
               ("algebra.py", "BilinearForm.is_invariant"), ("solver.py", "structure_residual"),
@@ -329,7 +329,7 @@ def _built_by_a_term_builder(node, assigned) -> bool:
 
 # The functions that hand terms to ``_sparse_rows`` or ``_evaluate``: the
 # validators and the row compilers.
-TERMS_CONSUMERS = VALIDATORS | {("solver.py", "_hom_rows"), ("solver.py", "_delta_rows"), ("solver.py", "_qder_rows")}
+TERMS_CONSUMERS = VALIDATORS | {("solver.py", "_hom_rows"), ("solver.py", "_leibniz_rows")}
 
 
 def _assignments(func) -> dict[str, list]:
@@ -501,7 +501,7 @@ def test_no_module_numbers_a_blocks_columns():
 # integral, so no other Fraction -> int round trip is needed.
 INT_DOORS = {("algebra.py", "_clean_table"), ("actions.py", "_right"), ("actions.py", "_exp_ad"),
              ("constructions.py", "check_cyclic_grading"), ("constructions.py", "km_window"),
-             ("solver.py", "_delta_rows")}
+             ("solver.py", "_leibniz_rows")}
 
 
 def test_integral_scalars_become_ints_only_at_the_doors():

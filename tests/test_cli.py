@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import homlie
 from homlie import builtin, constructions, killing_form, km_window, serialize
-from homlie.cli import _window_dim, main
+from homlie.cli import main
+from homlie.constructions import _window_dim
 from homlie.linalg import Subspace
 from homlie.algebra import FLAVORS
 from homlie.serialize import MAX_DIM

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from homlie.algebra import BilinearForm, LawViolation, builtin, killing_form, make_algebra
+from homlie.algebra import MAX_DIM, BilinearForm, LawViolation, builtin, killing_form, make_algebra
 from homlie.battery import _random_derivation
+from homlie import constructions
 from homlie.constructions import (
     adjoin_map,
     central_extension,
@@ -331,6 +332,30 @@ def test_km_window_rejects_bad_inputs():
     zero = builtin("abelian", 0)
     with pytest.raises(ValueError, match="cannot be read back"):
         km_window(zero, killing_form(zero), 2)
+
+
+def test_km_window_refuses_a_window_above_the_bound_before_building_it(monkeypatch):
+    """A window above ``MAX_DIM`` is refused from its dim formula alone,
+    before the grading check that starts a build (made to fail here, so a
+    lost bound fails fast instead of building a window of N = 10^9); the
+    message names the dim and the bound.  The sl2 window N = 41 (dim 251)
+    is the largest that is built."""
+    sl2 = builtin("sl", 2)
+    form = killing_form(sl2)
+    assert km_window(sl2, form, 41).dim == 251 <= MAX_DIM
+    monkeypatch.setattr(constructions, "check_cyclic_grading", _must_not_build)
+    for n_window in (10**9, 42):
+        dim = 3 * (2 * n_window + 1) + 2
+        with pytest.raises(ValueError, match=f"^the window has dim {dim}, above the bound of {MAX_DIM}$"):
+            km_window(sl2, form, n_window)
+    g0, g1 = _cartan_grading()
+    n = 10**9 + 1  # -N..N of an odd N: N even degrees (g0, dim 1) and N + 1 odd ones (g1, dim 2)
+    with pytest.raises(ValueError, match=f"dim {n + 2 * (n + 1) + 2}, above the bound of {MAX_DIM}$"):
+        km_window(sl2, form, n, twist=([g0, g1], 2))
+
+
+def _must_not_build(*args):
+    raise AssertionError("the window was built")
 
 
 def test_adjoin_map_rejects_a_map_of_the_wrong_shape():

@@ -18,9 +18,9 @@ from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
     HOM_LIE,
-    _delta_rows,
     _hom_rows,
     _known_block,
+    _leibniz_rows,
     _plan,
     _solve_block,
     delta_derivation,
@@ -88,7 +88,7 @@ def numbered_solve_block(alg, kind, shift, kernel):
     col_of = [{} for _ in range(n)]
     for (q, c), k in cols.items():
         col_of[c][q] = k
-    stream = ((lambda free: _delta_rows(plan, kind.delta, col_of)) if kind.delta is not None
+    stream = ((lambda free: _leibniz_rows(alg, alg.rows, col_of, col_of, kind.delta)) if kind.delta is not None
               else (lambda free: _hom_rows(plan, kind, col_of, alg.rows, free)))
     space = numbered_solve_modulo(space, stream, [col_of], plan.gaps, kernel)
     end = [q * n + c for q, c in cols]

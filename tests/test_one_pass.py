@@ -173,7 +173,7 @@ SPAN_CASES = [
         ("tensor-trunc_poly:3-nonabelian2", builtin("trunc_poly", 3), builtin("nonabelian2")),
         ("tensor-cyclic_group_alg:2-heisenberg", builtin("cyclic_group_alg", 2), builtin("heisenberg")),
     ]
-    + [(f"tensor-random#{k}", a, b) for k, (a, b) in enumerate(_random_comm_anticomm_pairs(10))]
+    + [(f"tensor-random#{k}", a, b) for k, (a, b) in enumerate(_random_comm_anticomm_pairs())]
 ]
 
 

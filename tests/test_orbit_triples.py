@@ -59,7 +59,7 @@ def _commutative_builtins():
 
 def _tensor_pairs():
     out = []
-    for i, (a, b) in enumerate(_random_comm_anticomm_pairs(10)):
+    for i, (a, b) in enumerate(_random_comm_anticomm_pairs()):
         out += [(f"random-{i}-a", a), (f"random-{i}-b", b), (f"random-{i}-tensor", tensor_lie(a, b))]
     out.append(("trunc_poly2 (x) sl2", tensor_lie(builtin("trunc_poly", 2), builtin("sl", 2))))
     return out

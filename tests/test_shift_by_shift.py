@@ -16,8 +16,8 @@ from itertools import product
 
 import pytest
 
-from homlie import algebra, solver
-from homlie.algebra import UndefinedProduct, _hom_terms, _leibniz_pairs, _leibniz_terms, builtin, make_algebra
+from homlie import solver
+from homlie.algebra import UndefinedProduct, _hom_terms, _leibniz_terms, _sorted_tuples, builtin, make_algebra
 from homlie.linalg import Subspace, int_if_integral, nullspace_of_rows
 from homlie.solver import (
     _SIGNS,
@@ -68,7 +68,7 @@ def one_pass_hom_rows(plan, kind, live, second):
 
 def one_pass_delta_rows(plan, delta, live):
     alg, delta = plan.alg, int_if_integral(delta)
-    for i, j in _leibniz_pairs(alg):
+    for i, j in _sorted_tuples(alg, 2):
         for s in list(live):
             col_of = live.get(s)
             if col_of is not None:
@@ -148,20 +148,6 @@ class Recording:
             return nullspace_of_rows(acc, recorded())
         finally:
             self.calls[acc.ncols, tuple(acc.columns), tuple(read)] += 1
-
-
-@pytest.fixture
-def raised(monkeypatch):
-    """The pair of every ``UndefinedProduct`` the term builders make, in order."""
-    pairs = []
-    undefined = algebra._undefined
-
-    def record(i, j):
-        pairs.append((i, j))
-        return undefined(i, j)
-
-    monkeypatch.setattr(algebra, "_undefined", record)
-    return pairs
 
 
 def _regraded(alg, degree_of):

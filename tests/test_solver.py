@@ -329,16 +329,16 @@ def test_delta_derivations():
 
 
 def test_multiplicative_kind_is_not_solvable():
-    with pytest.raises(ValueError):
-        solve_structures(builtin("sl", 2), StructureKind("multiplicative-check-only"))
+    with pytest.raises(ValueError, match="unknown structure kind 'multiplicative-check-only'"):
+        StructureKind("multiplicative-check-only")
 
 
-def test_an_unknown_kind_is_named_by_the_solver_and_the_residual():
-    sl2, foo = builtin("sl", 2), StructureKind("foo")
-    with pytest.raises(ValueError, match="solve_structures cannot handle kind 'foo'"):
-        solve_structures(sl2, foo)
-    with pytest.raises(ValueError, match="structure_residual cannot handle kind 'foo'"):
-        structure_residual(sl2, Matrix.identity(3), foo, (0, 1, 2))
+def test_an_unknown_kind_is_named_when_it_is_made():
+    with pytest.raises(ValueError, match="unknown structure kind 'foo'"):
+        StructureKind("foo")
+    with pytest.raises(ValueError, match="unknown structure kind 'foo'"):
+        StructureKind("foo", F(1))
+    assert StructureKind("hom-cyclic") == HOM_CYCLIC and StructureKind("delta-derivation", F(2)) == delta_derivation(2)
 
 
 def test_parse_kind():

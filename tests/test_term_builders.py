@@ -35,8 +35,8 @@ from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
     HOM_LIE,
-    _delta_rows,
     _hom_rows,
+    _leibniz_rows,
     _plan,
     _sparse_rows,
     _triples,
@@ -132,6 +132,8 @@ def ref_coboundary_space(alg):
 
 
 def ref_qder_rows(alg, module):
+    """The quasiderivation rows ``_leibniz_rows`` compiles through D's and
+    F's columns (delta 1), written out from ``product_on_basis``."""
     n = alg.dim
     n2 = n * n
 
@@ -180,8 +182,9 @@ def ref_compat_rows(l, xi):
     return grouped_rows(compat_terms(i, j, k) for i, j, k in combinations(range(n), 3))
 
 
-def ref_delta_rows(plan, delta, blocks):
-    alg = plan.alg
+def ref_delta_rows(alg, delta, blocks):
+    """The delta-derivation rows ``_leibniz_rows`` compiles in each shift
+    block, as (shift, row), written out from ``product_on_basis``."""
     n = alg.dim
     pairs = combinations(range(n), 2) if alg.is_anticommutative() else product(range(n), repeat=2)
 
@@ -481,9 +484,9 @@ def test_central_extension_compatibility_compiles_the_replaced_rows(captured):
 @pytest.mark.parametrize("delta", [F(-1), F(1, 2), F(1), F(2)], ids=str)
 def test_delta_kinds_compile_the_replaced_rows(delta):
     for name, alg in algebras():
-        plan, blocks = shift_blocks(alg)
-        new = shift_row_set(block_by_block(blocks, lambda col_of: _delta_rows(plan, delta, col_of)))
-        assert new == shift_row_set(ref_delta_rows(plan, delta, blocks)), name
+        _, blocks = shift_blocks(alg)
+        new = shift_row_set(block_by_block(blocks, lambda col_of: _leibniz_rows(alg, alg.rows, col_of, col_of, delta)))
+        assert new == shift_row_set(ref_delta_rows(alg, delta, blocks)), name
 
 
 HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]

@@ -14,7 +14,7 @@ from itertools import chain
 
 import pytest
 
-from homlie import algebra, parse_builtin, solver
+from homlie import parse_builtin, solver
 from homlie.algebra import UndefinedProduct, _hom_terms
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.linalg import RowAccumulator, Subspace, nullspace_of_rows
@@ -23,8 +23,8 @@ from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
     HOM_LIE,
-    _delta_rows,
     _known_block,
+    _leibniz_rows,
     _plan,
     _require_defined,
     _solve_block,
@@ -104,8 +104,6 @@ def reference_router(alg, kind, shifts, kernel):
     stream: every block's rows reach ``kernel`` whole in the natural walk's
     order, and every evaluation walks every column of the block."""
     n = alg.dim
-    if kind.tag not in _SIGNS and kind.tag != "delta-derivation":
-        raise ValueError(f"solve_structures cannot handle kind {kind.tag!r}")
     if kind.delta is not None:
         _require_defined(alg, kind)
     plan = _plan(alg)
@@ -114,7 +112,7 @@ def reference_router(alg, kind, shifts, kernel):
         col_of = block_col_of(alg, shift)
         columns, space = columns_of(col_of), _known_block(alg, kind, shift)
         if space.dim < len(columns):
-            compiled = (_delta_rows(plan, kind.delta, col_of) if kind.delta is not None
+            compiled = (_leibniz_rows(alg, alg.rows, col_of, col_of, kind.delta) if kind.delta is not None
                         else natural_hom_rows(plan, kind, col_of, alg.rows))
             space = cut_then_kernel(space, compiled, kernel, columns)
         rows.extend(space.rows)
@@ -141,20 +139,6 @@ class Counting:
                 yield row
 
         return nullspace_of_rows(acc, counted())
-
-
-@pytest.fixture
-def raised(monkeypatch):
-    """The pair of every ``UndefinedProduct`` the term builders make, in order."""
-    pairs = []
-    undefined = algebra._undefined
-
-    def record(i, j):
-        pairs.append((i, j))
-        return undefined(i, j)
-
-    monkeypatch.setattr(algebra, "_undefined", record)
-    return pairs
 
 
 def cases():
