@@ -2,7 +2,8 @@
 
 import pytest
 
-from homlie import algebra
+import oracle
+from homlie import algebra, solver
 
 
 @pytest.fixture
@@ -17,3 +18,33 @@ def raised(monkeypatch):
 
     monkeypatch.setattr(algebra, "_undefined", record)
     return pairs
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """``oracle.<what>(alg, *args)`` for the model named ``name``, solved once
+    per test session (a name stands for one algebra in every module): the
+    oracle reads no solver code, so a test that patches the solver shares
+    it too."""
+    solved = {}
+
+    def answer(name, alg, what, *args):
+        if (name, what, *args) not in solved:
+            solved[name, what, *args] = getattr(oracle, what)(alg, *args)
+        return solved[name, what, *args]
+
+    return answer
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The subspace of every system ``solver._solve_modulo`` solves, in order."""
+    spaces = []
+    solve_modulo = solver._solve_modulo
+
+    def recorded(known, stream, col_maps, gaps, kernel):
+        spaces.append(solve_modulo(known, stream, col_maps, gaps, kernel))
+        return spaces[-1]
+
+    monkeypatch.setattr(solver, "_solve_modulo", recorded)
+    return spaces

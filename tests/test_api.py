@@ -520,3 +520,39 @@ def test_integral_scalars_become_ints_only_at_the_doors():
 
         visit(ast.parse(path.read_text()), None)
     assert callers == INT_DOORS
+
+
+# The solver's own routes to a row, which the reference must not share.
+SOLVER_ROUTES = {"_hom_terms", "_leibniz_terms", "_sorted_tuples", "_pairing", "_Orbits", "_triples", "RowAccumulator"}
+
+
+def test_the_oracle_is_independent_of_the_solver():
+    """``tests/oracle.py`` writes every equation from the definition: it
+    imports nothing from ``homlie.solver`` and names none of the solver's
+    term builders, tuple rules, orbits or its accumulator."""
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    imported, named = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            named.add(node.id if isinstance(node, ast.Name) else node.attr)
+    assert [module for module in imported if module == "homlie.solver" or module.startswith("homlie.solver.")] == []
+    assert named & SOLVER_ROUTES == set()
+
+
+def test_no_test_module_imports_another():
+    """The models, kinds and kernels several test modules read live in
+    ``tests/shared.py``, and the reference in ``tests/oracle.py``."""
+    crossing = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for module in ([node.module] if isinstance(node, ast.ImportFrom) else
+                       [alias.name for alias in node.names] if isinstance(node, ast.Import) else [])
+        if module and module.startswith("test_")
+    ]
+    assert crossing == []

@@ -1,7 +1,7 @@
 """The directed stream of ``solver._hom_rows``: after a triple that raises
 no rank, the next triple is a pick that holds the source of the kernel's
 lowest free column (``solver._directed``).  Checked against the natural
-walk alone (``test_unit_rows.natural_hom_rows``, the order before the
+walk alone (``shared.natural_hom_rows``, the order before the
 rule): the same subspaces for the three hom kinds on the builtin and
 random batteries, on every window model at every shift, on both order-3
 twists and on principally graded sl3..sl6, and for the asym-cocycles on
@@ -14,8 +14,6 @@ triple the orbit table keeps with a defined first product e_a e_b, every
 triple the table keeps but the walk drops raising in every shift block,
 and a ``holding`` that skips a kept c fails that check."""
 
-import inspect
-import textwrap
 from collections import Counter
 from itertools import product
 
@@ -24,17 +22,14 @@ import pytest
 from homlie import solver
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.linalg import RowAccumulator, nullspace_of_rows
-from homlie.solver import HOM_2NILP, HOM_CYCLIC, HOM_LIE, _plan, _solve_block, _triples, grading_shifts, solve_bilinear
-from test_term_builders import partial_tables
-from test_unit_rows import natural_hom_rows
-from test_window import WINDOW_MODELS, _untwisted, raises_in_every_block
-from test_window_mirror import ORDER3, PRINCIPAL
+from homlie.solver import HOM_LIE, _plan, _solve_block, _triples, grading_shifts, solve_bilinear
+from shared import (HOM_KINDS, ORDER3, PRINCIPAL, mutant, natural_hom_rows, partial_tables, raises_in_every_block,
+                    untwisted, window_models)
 
-HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
 FAMILIES = {
     "builtin": lambda: builtin_battery(),
     "random": lambda: random_lie_battery(),
-    "windows": lambda: [(f"{model.__name__}-{size}", model(size)) for model, size in (p.values for p in WINDOW_MODELS)],
+    "windows": window_models,
     "order3": lambda: [(name, build()) for name, build in ORDER3.items()],
     "principal": lambda: [(name, build()) for name, build in PRINCIPAL.items()],
 }
@@ -49,15 +44,6 @@ def natural(monkeypatch):
 def blocks(alg, kind):
     """Each shift's block, solved directly."""
     return {shift: _solve_block(alg, kind, shift, nullspace_of_rows) for shift in grading_shifts(alg)}
-
-
-def mutant(monkeypatch, old, new, owner=solver, name="_directed"):
-    """``owner.name`` (``solver._directed``) with ``old`` in its source replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
-    assert source.count(old) == 1
-    namespace = dict(vars(solver))
-    exec(compile("from __future__ import annotations\n" + source.replace(old, new), solver.__file__, "exec"), namespace)
-    monkeypatch.setattr(owner, name, namespace[name])
 
 
 # A pick marked visited but never yielded, so its rows are never compiled.
@@ -219,4 +205,4 @@ def test_the_walk_and_the_picks_are_the_kept_triples_in_basis_order(family, kind
 def test_a_holding_that_skips_a_kept_c_fails_the_brute_force_walk(monkeypatch):
     mutant(monkeypatch, "range(first_c[j], n)", "range(first_c[j] + 1, n)", solver._Orbits, "holding")
     with pytest.raises(AssertionError):
-        check_walk_and_picks(_untwisted(2), HOM_LIE)
+        check_walk_and_picks(untwisted(2), HOM_LIE)

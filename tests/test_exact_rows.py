@@ -16,18 +16,13 @@ from homlie.battery import builtin_battery, random_lie_battery
 from homlie.linalg import Subspace
 from homlie.solver import BILINEAR_KINDS, parse_kind, seq_uv, solve_bilinear, solve_qder, solve_structures
 from homlie.window import solve_window, window_shifts
-from test_window import WINDOW_MODELS
+from shared import WINDOW_MODELS, is_exact_entry
 
 F = Fraction
 KINDS = ("hom-lie", "hom-cyclic", "hom-2nilp", "delta:1", "delta:1/2", "delta:2")
 # The rows a check reads, spread over the space, and the scales its probes use.
 PROBE_ROWS = 8
 SCALES = (1, -2, F(1, 3), F(-5, 2))
-
-
-def is_exact_entry(x):
-    """Whether x is an entry as the kernel stores it: an int when integral, else a Fraction."""
-    return type(x) is (int if x.denominator == 1 else Fraction)
 
 
 def _fraction_copy(s: Subspace) -> Subspace:

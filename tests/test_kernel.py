@@ -22,9 +22,7 @@ from homlie.battery import builtin_battery, random_lie_battery
 from homlie.linalg import RowAccumulator, SpanSolver, Subspace, nullspace_of_rows, sparse_lincomb
 from homlie.solver import BILINEAR_KINDS, parse_kind, solve_bilinear, solve_qder, solve_structures
 from homlie.window import solve_window
-from test_exact_rows import is_exact_entry
-from test_linalg import naive_rref
-from test_window import WINDOW_MODELS
+from shared import WINDOW_MODELS, is_exact_entry, naive_rref
 
 F = Fraction
 

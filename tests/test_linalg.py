@@ -16,32 +16,9 @@ from homlie.linalg import (
     rref,
     subspace_combine,
 )
+from shared import naive_rref
 
 F = Fraction
-
-
-def naive_rref(rows):
-    """Textbook dense elimination, independent of the production kernel."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return m, 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        scale = m[rank][col]
-        m[rank] = [x / scale for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                c = m[r][col]
-                m[r] = [a - c * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return m, rank
 
 
 small_entries = st.integers(min_value=-4, max_value=4)

@@ -16,7 +16,7 @@ from homlie.scenarios import _current_grid, _random_comm_anticomm_pairs
 from homlie.serialize import algebra_to_json
 from homlie.solver import HOM_LIE, current_formula_span, solve_structures, tensor_formula_span
 from homlie.window import solve_window
-from test_window import _a22_grading
+from shared import a22_grading
 
 
 def _units(dim, *indices):
@@ -26,7 +26,7 @@ def _units(dim, *indices):
 # sl3's basis is H1, H2, E12, E13, E21, E23, E31, E32; deg E_ij = j - i mod 4
 GRADINGS = [
     pytest.param(builtin("sl", 2), [_units(3, 1), _units(3, 0, 2)], id="sl2-cartan-z2"),
-    pytest.param(builtin("sl", 3), list(_a22_grading()), id="sl3-a22-z2"),
+    pytest.param(builtin("sl", 3), list(a22_grading()), id="sl3-a22-z2"),
     pytest.param(
         builtin("sl", 3), [_units(8, 0, 1), _units(8, 2, 5), _units(8, 3, 6), _units(8, 4, 7)], id="sl3-principal-z4"
     ),

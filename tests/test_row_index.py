@@ -17,10 +17,19 @@ from homlie import solver
 from homlie.algebra import UndefinedProduct, _hom_terms, _leibniz_terms, _undefined
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.serialize import algebra_from_json, algebra_to_json
-from homlie.solver import HOM_2NILP, HOM_CYCLIC, HOM_LIE, _hom_rows, _triples
-from test_directed_rows import mutant
-from test_term_builders import partial_tables, shift_blocks, unsteered
-from test_window import _sl3, _twisted, _untwisted
+from homlie.solver import HOM_2NILP, HOM_CYCLIC, HOM_LIE, _hom_rows, _triples, grading_shifts
+from shared import block_col_of, mutant, partial_tables, sl3_loop, twisted, untwisted
+
+
+def shift_blocks(alg):
+    """Every nonempty shift block, shift -> ``block_col_of``."""
+    return {shift: col_of for shift in grading_shifts(alg) if any(col_of := block_col_of(alg, shift))}
+
+
+def unsteered():
+    """``free`` for a stream read with no kernel behind it: no column is
+    reported free, so ``_hom_rows`` keeps to the natural walk."""
+    return 0, None
 
 
 def ref_hom_terms(table, signs, a, b, c, col_of):
@@ -73,8 +82,8 @@ def json_loaded():
 
 
 def windows():
-    return [("untwisted-2", _untwisted(2)), ("untwisted-4", _untwisted(4)), ("twisted-3", _twisted(3)),
-            ("sl3-2", _sl3(2))]
+    return [("untwisted-2", untwisted(2)), ("untwisted-4", untwisted(4)), ("twisted-3", twisted(3)),
+            ("sl3-2", sl3_loop(2))]
 
 
 INDEXED = {
@@ -196,7 +205,7 @@ def check_first_products(models, kinds, at_first, stall=True):
     every kept triple."""
     raised, evaluated = at_first
     for alg in models:
-        _, blocks = shift_blocks(alg)
+        blocks = shift_blocks(alg)
         plan = solver._Plan(alg)  # its own orbits, built by the code under test
         frees = (unsteered, stalling(alg.dim)) if stall else (unsteered,)
         for kind, (shift, col_of), free in product(kinds, blocks.items(), frees):
@@ -213,10 +222,10 @@ def test_no_evaluation_raises_at_its_first_product(at_first):
     its first product: read unsteered on the sl2 window N = 6, and also
     stalled on the window N = 2 and on the partial tables, whose products
     are undefined at random."""
-    window = _untwisted(6)
+    window = untwisted(6)
     assert not solver._Plan(window).complete
     check_first_products([window], [HOM_LIE], at_first, stall=False)
-    check_first_products([_untwisted(2)] + partial_tables(), [HOM_LIE, HOM_CYCLIC, HOM_2NILP], at_first)
+    check_first_products([untwisted(2)] + partial_tables(), [HOM_LIE, HOM_CYCLIC, HOM_2NILP], at_first)
 
 
 # The orbit rule of hom-lie on an anticommutative table, without the
@@ -230,7 +239,7 @@ def test_a_walk_or_picks_without_the_first_product_rule_fail_the_check(where, mo
     old, new, owner, name = UNFILTERED[where]
     mutant(monkeypatch, old, new, owner, name)
     with pytest.raises(AssertionError):
-        check_first_products([_untwisted(2)], [HOM_LIE], at_first)
+        check_first_products([untwisted(2)], [HOM_LIE], at_first)
     assert at_first[0]  # some evaluation raised at its first product
 
 

@@ -1,15 +1,15 @@
 """The row path from the term builders to the exact kernel.
 
 ``solver._sparse_rows`` compiles one group of terms (one evaluated tuple)
-into a list of rows.  ``reference_sparse_rows`` is a copy of the compiler
-it replaced, which took a stream of groups and yielded each group's nonzero
-rows.  Every compiled stream is run with each group handed to both: the
-three hom kinds and the delta kinds block by block, the six bilinear kinds,
+into a list of rows: the terms summed by row key, in the order the keys
+were first touched, with no zero entry and no zero row.  Every compiled
+stream is run with each group checked against that contract: the three
+hom kinds and the delta kinds block by block, the six bilinear kinds,
 both quasiderivation modules and ``seq_uv``, on the builtin and random
-batteries, the window models at every shift and the partial tables.  The
-rows must agree in their values, their order and the order of their
-entries.  The kernel's side: ``RowAccumulator.add`` reads a row with zero
-entries as the row without them, and changes no row it is given."""
+batteries, the window models at every shift and the partial tables, and
+every space they solve is ``oracle``'s.  The kernel's side:
+``RowAccumulator.add`` reads a row with zero entries as the row without
+them, and changes no row it is given."""
 
 from collections import Counter
 from fractions import Fraction
@@ -19,43 +19,10 @@ import pytest
 from homlie import solver
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.linalg import RowAccumulator, nullspace_of_rows
-from homlie.solver import (
-    BILINEAR_KINDS,
-    HOM_2NILP,
-    HOM_CYCLIC,
-    HOM_LIE,
-    _plan,
-    _solve_block,
-    _sparse_rows,
-    delta_derivation,
-    grading_shifts,
-    seq_uv,
-    solve_bilinear,
-    solve_qder,
-)
-from test_term_builders import partial_tables
-from test_window import WINDOW_MODELS
+from homlie.solver import BILINEAR_KINDS, _plan, _solve_block, _sparse_rows, grading_shifts, seq_uv, solve_bilinear, solve_qder
+from shared import DELTA_KINDS, HOM_KINDS, partial_tables, window_models
 
 F = Fraction
-HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
-DELTA_KINDS = [delta_derivation(d) for d in (F(-1), F(1, 2), F(1), F(2))]
-
-
-def reference_sparse_rows(groups):
-    """The replaced compiler: sum each group's terms by row key; yield the
-    nonzero rows of every group in the order their keys were first touched."""
-    for terms in groups:
-        rows = {}
-        for key, col, val in terms:
-            row = rows.setdefault(key, {})
-            if col in row:
-                row[col] += val
-            else:
-                row[col] = val
-        for row in rows.values():
-            nonzero = {col: val for col, val in row.items() if val}
-            if nonzero:
-                yield nonzero
 
 
 def entries(rows):
@@ -64,74 +31,77 @@ def entries(rows):
 
 
 def cancelled(terms):
-    """The zero entries kept rows drop, and the rows that cancel whole."""
+    """The row keys, the zero entries kept rows drop, and the rows that cancel whole."""
     rows = {}
     for key, col, val in terms:
         rows.setdefault(key, Counter())[col] += val
     values = [list(row.values()) for row in rows.values()]
-    return sum(v.count(0) for v in values if any(v)), sum(not any(v) for v in values)
+    return len(rows), sum(v.count(0) for v in values if any(v)), sum(not any(v) for v in values)
 
 
 @pytest.fixture
 def compared(monkeypatch):
-    """Hand every group ``solver`` compiles to both compilers, assert their
-    rows agree, and count groups and what cancelling terms dropped."""
+    """Check every group ``solver`` compiles against the compiler's
+    contract, and count groups and what cancelling terms dropped."""
     tally = Counter()
 
-    def both(terms):
+    def checked(terms):
         terms = list(terms)  # a builder that raises raises here, as in the compiler
         rows = _sparse_rows(iter(terms))
-        assert isinstance(rows, list)
-        assert entries(rows) == entries(reference_sparse_rows([terms]))
-        zero_entries, zero_rows = cancelled(terms)
+        keys, zero_entries, zero_rows = cancelled(terms)
+        assert isinstance(rows, list) and len(rows) == keys - zero_rows
+        assert all(row and 0 not in row.values() for row in rows)
         tally.update(groups=1, rows=len(rows), zero_entries=zero_entries, zero_rows=zero_rows)
         return rows
 
-    monkeypatch.setattr(solver, "_sparse_rows", both)
+    monkeypatch.setattr(solver, "_sparse_rows", checked)
     return tally
 
 
-def compile_every_stream(alg):
+def compile_every_stream(name, alg, reference):
     """Solve each shift block of the hom and delta kinds, and on a complete
-    Lie table the bilinear kinds, both qder modules and ``seq_uv``."""
+    Lie table the bilinear kinds, both qder modules and ``seq_uv``, each
+    against the oracle."""
     complete = _plan(alg).complete
     for kind in HOM_KINDS + (DELTA_KINDS if complete else []):
+        want = reference(name, alg, "blocks", kind)
         for shift in grading_shifts(alg):
-            _solve_block(alg, kind, shift, nullspace_of_rows)
+            assert _solve_block(alg, kind, shift, nullspace_of_rows) == want[shift], (name, str(kind), shift)
     if complete and alg.flavor == "lie":
         for kind in BILINEAR_KINDS:
-            solve_bilinear(alg, kind)
+            assert solve_bilinear(alg, kind) == reference(name, alg, "form_space", kind), (name, kind)
         for module in ("adjoint", "coadjoint"):
-            solve_qder(alg, module)
-        seq_uv(alg)
+            assert solve_qder(alg, module).space == reference(name, alg, "qder_space", module), (name, module)
+        report = seq_uv(alg)
+        assert (report.u_image, report.v_kernel, report.u_injective) == reference(name, alg, "seq_uv"), name
 
 
 FAMILIES = {
     "builtin": builtin_battery,
     "random": random_lie_battery,
-    "windows": lambda: [(f"{model.__name__}-{size}", model(size)) for model, size in (p.values for p in WINDOW_MODELS)],
+    "windows": window_models,
     "partial": lambda: [(f"partial-{i}", alg) for i, alg in enumerate(partial_tables())],
 }
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_each_group_compiles_the_replaced_rows(family, compared):
-    for _, alg in FAMILIES[family]():
-        compile_every_stream(alg)
+def test_each_group_compiles_the_replaced_rows(family, compared, reference):
+    for name, alg in FAMILIES[family]():
+        compile_every_stream(name, alg, reference)
     assert compared["groups"] > 0 and compared["rows"] > 0
 
 
-def test_the_battery_streams_hold_cancelling_terms(compared):
+def test_the_battery_streams_hold_cancelling_terms(compared, reference):
     """The zero filter is on the path: terms cancel in the builtin battery's
     streams, both to a zero entry of a kept row and to a whole zero row."""
-    for _, alg in builtin_battery():
-        compile_every_stream(alg)
+    for name, alg in builtin_battery():
+        compile_every_stream(name, alg, reference)
     assert compared["zero_entries"] > 0 and compared["zero_rows"] > 0
 
 
 def test_cancelling_terms_in_one_group():
     terms = [(0, 4, 2), (1, 2, F(1, 2)), (0, 1, 3), (0, 4, -2), (2, 5, 1), (1, 2, F(-1, 2)), (2, 3, 1), (0, 1, 1)]
-    assert entries(_sparse_rows(iter(terms))) == entries(reference_sparse_rows([terms]))
+    assert entries(_sparse_rows(iter(terms))) == [[(1, 4, int)], [(5, 1, int), (3, 1, int)]]
     assert _sparse_rows(iter(terms)) == [{1: 4}, {5: 1, 3: 1}]
     assert list(_sparse_rows(iter(terms))[1]) == [5, 3]
     assert _sparse_rows(iter([(0, 1, 1), (0, 1, -1)])) == [] == _sparse_rows(iter([]))

@@ -9,10 +9,11 @@ from functools import cache
 
 import pytest
 
+import oracle
 from homlie.algebra import BilinearForm, builtin, killing_form, make_algebra, parse_builtin, sparse_product
 from homlie.battery import builtin_battery, random_lie_battery
 from homlie.constructions import central_extension, cocycle2, km_window, tensor_lie
-from homlie.linalg import Matrix, RowAccumulator, Subspace, nullspace_of_rows
+from homlie.linalg import Matrix, Subspace, nullspace_of_rows
 from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
@@ -35,57 +36,9 @@ from homlie.solver import (
     _plan,
     grading_shifts,
 )
-from test_unit_rows import block_col_of, direct_router
+from shared import block_col_of, block_graded, direct_router, principal, regraded
 
 F = Fraction
-
-
-_SIGNS = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}
-
-
-def _reference_rows(alg, kind, triples=None):
-    """The rows of the kind's identity on all of End (phi(e_c) -> e_q at
-    column q*n + c), compiled term by term from the table, independently of
-    the solver's plan and pass.  Hom kinds run over ``triples``, by default
-    the sorted ones for hom-lie on an anticommutative algebra and the
-    ordered ones otherwise; delta-derivations over every ordered pair."""
-    n, table = alg.dim, alg.table
-    left = [[] for _ in range(n)]  # left[p] = [(q, m, c)]: e_p e_q = sum c e_m
-    for (p, q), terms in table.items():
-        left[p].extend((q, m, c) for m, c in terms)
-    if kind.tag == "delta-derivation":
-        for i, j in itertools.product(range(n), repeat=2):
-            rows = {}  # output coordinate k -> row
-            for m, c in table.get((i, j), ()):  # D(e_i e_j)
-                for k in range(n):
-                    rows.setdefault(k, Counter())[k * n + m] += c
-            for q in range(n):  # - delta * (D(e_i) e_j + e_i D(e_j))
-                for k, c in table.get((q, j), ()):
-                    rows.setdefault(k, Counter())[q * n + i] -= kind.delta * c
-                for k, c in table.get((i, q), ()):
-                    rows.setdefault(k, Counter())[q * n + j] -= kind.delta * c
-            yield from rows.values()
-        return
-    if triples is None:
-        if kind == HOM_LIE and alg.is_anticommutative():
-            triples = itertools.combinations(range(n), 3)
-        else:
-            triples = itertools.product(range(n), repeat=3)
-    for a, b, c in triples:
-        rows = {}  # key m -> row
-        for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), _SIGNS[kind.tag]):
-            for p, cw in table.get((x, y), ()):
-                for q, m, cpq in left[p]:  # phi(e_z) -> e_q, then e_p e_q
-                    rows.setdefault(m, Counter())[q * n + z] += sign * cw * cpq
-        yield from rows.values()
-
-
-def _full_consumption(alg, kind, triples=None):
-    """Reference solve: eliminate every reference row, with no known solutions."""
-    acc = RowAccumulator(alg.dim ** 2)
-    for row in _reference_rows(alg, kind, triples):
-        acc.add({col: x for col, x in row.items() if x})
-    return acc.nullspace()
 
 
 @cache
@@ -99,7 +52,7 @@ def _battery():
 # -- structure solves ---------------------------------------------------------
 
 
-def test_sorted_triples_solve_the_ordered_hom_jacobi_system():
+def test_sorted_triples_solve_the_ordered_hom_jacobi_system(reference):
     # the proof is in _hom_terms' docstring; the tensor has a Jacobi defect
     defect = make_algebra(
         3,
@@ -110,8 +63,7 @@ def test_sorted_triples_solve_the_ordered_hom_jacobi_system():
     assert tensor.jacobi_witness is not None
     algebras = [(name, alg) for name, alg in _battery() if alg.is_anticommutative()]
     for name, alg in algebras + [("trunc_poly:2 (x) defect", tensor)]:
-        ordered = _full_consumption(alg, HOM_LIE, itertools.product(range(alg.dim), repeat=3))
-        assert solve_structures(alg, HOM_LIE).space == _full_consumption(alg, HOM_LIE) == ordered, name
+        assert solve_structures(alg, HOM_LIE).space == reference(name, alg, "space", HOM_LIE), name
 
 
 @pytest.mark.parametrize("name, kinds", [("sl3", {int, Fraction}), ("so5", {Fraction}), ("trunc_poly:3", {Fraction})])
@@ -146,7 +98,7 @@ def test_homlie_trivial_on_larger_classical(name, param):
     sol = solve_structures(alg, HOM_LIE)
     assert sol.dim == 1
     assert sol.contains_map(Matrix.identity(alg.dim))
-    assert sol.space == _full_consumption(alg, HOM_LIE)
+    assert sol.space == oracle.space(alg, HOM_LIE)
 
 
 @pytest.mark.parametrize("kind", [HOM_LIE, HOM_CYCLIC, HOM_2NILP], ids=str)
@@ -154,8 +106,8 @@ def test_known_solutions_have_zero_residual_everywhere(kind):
     # the certificate is checked by the independent evaluator, not assumed;
     # K is read in End, and on the graded tables with a centre each row must
     # lie in its own shift's block
-    graded = [("heisenberg-graded", _regraded(builtin("heisenberg"), {"x": 1, "y": 1, "z": 2}.get)),
-              ("gl2-graded", _regraded(builtin("gl", 2), lambda name: int(name[1]) - int(name[2])))]
+    graded = [("heisenberg-graded", regraded(builtin("heisenberg"), {"x": 1, "y": 1, "z": 2}.get)),
+              ("gl2-graded", regraded(builtin("gl", 2), lambda name: int(name[1]) - int(name[2])))]
     for name, alg in _battery() + graded:
         n, deg = alg.dim, alg.grading or (0,) * alg.dim
         for shift in grading_shifts(alg):
@@ -171,9 +123,9 @@ def test_known_solutions_have_zero_residual_everywhere(kind):
     [HOM_LIE, HOM_CYCLIC, HOM_2NILP] + [delta_derivation(d) for d in ("-1", "1/2", "1", "2")],
     ids=str,
 )
-def test_solve_matches_full_consumption(kind):
+def test_solve_matches_full_consumption(kind, reference):
     for name, alg in _battery():
-        assert solve_structures(alg, kind).space == _full_consumption(alg, kind), name
+        assert solve_structures(alg, kind).space == reference(name, alg, "space", kind), name
 
 
 @pytest.mark.parametrize(
@@ -190,9 +142,9 @@ def test_grading_split_is_exact(kind):
     graded = [builtin("trunc_poly", m) for m in range(2, 6)]
     assert [alg.grading for alg in graded] == [tuple(range(m)) for m in range(2, 6)]
     for n in range(3, 7):
-        graded.append(_regraded(builtin("sl", n), lambda name: int(name[2]) - int(name[1]) if name[0] == "E" else 0))
+        graded.append(principal(n))
     for n in (4, 6):
-        graded.append(_regraded(builtin("sp", n), lambda name: {"A": 0, "B": 1, "C": -1}[name[0]]))
+        graded.append(block_graded(n))
     for alg in graded:
         ungraded = dataclasses.replace(alg, grading=None)
         assert solve_structures(alg, kind).space == solve_structures(ungraded, kind).space, alg.basis_names
@@ -202,7 +154,7 @@ def test_grading_split_is_exact(kind):
 def test_shift_residuals_sum_to_the_residual(kind):
     # on principal-graded sl4 each shift's residual is the residual of the
     # part of phi of that shift, and phi is the sum of its parts
-    alg = _regraded(builtin("sl", 4), lambda name: int(name[2]) - int(name[1]) if name[0] == "E" else 0)
+    alg = principal(4)
     n, deg, rng = alg.dim, alg.grading, random.Random(13)
     entries = {(rng.randrange(n), rng.randrange(n)): F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(40)}
     phi = Matrix.from_sparse(n, n, entries)
@@ -229,12 +181,6 @@ def test_residual_rejects_a_map_of_another_shape(shape, kind):
         structure_residual(builtin("sl", 2), phi, kind, (0, 1, 2))
 
 
-def _regraded(alg, degree_of):
-    """``alg`` graded by the degree of each basis name."""
-    grading = [degree_of(name) for name in alg.basis_names]
-    return make_algebra(alg.dim, alg.table, basis_names=alg.basis_names, flavor=alg.flavor, grading=grading)
-
-
 def test_one_pass_compiles_each_triple_at_most_once(monkeypatch):
     """Each block K does not fill is compiled by one ``_triples`` pass of
     its own (``_solve_block``, the direct compile of one block), which hands
@@ -251,7 +197,7 @@ def test_one_pass_compiles_each_triple_at_most_once(monkeypatch):
 
     triples = solver._triples
     monkeypatch.setattr(solver, "_triples", counted)
-    sl4 = _regraded(builtin("sl", 4), lambda name: int(name[2]) - int(name[1]) if name[0] == "E" else 0)
+    sl4 = principal(4)
     for kind in (HOM_LIE, HOM_CYCLIC, HOM_2NILP):
         passes.clear()
         space = direct_router(sl4, kind, grading_shifts(sl4), nullspace_of_rows)
@@ -261,7 +207,7 @@ def test_one_pass_compiles_each_triple_at_most_once(monkeypatch):
         for runs in passes:
             compiled = Counter((a, b, c) for a, b, cs in runs for c in cs)
             assert compiled and max(compiled.values()) == 1, kind
-        assert space == _full_consumption(sl4, kind), kind
+        assert space == oracle.space(sl4, kind), kind
     passes.clear()
     abelian = builtin("abelian", 3)  # K, the maps into the annihilator, is all of End
     assert solver._solve_block(abelian, HOM_LIE, 0, nullspace_of_rows).dim == 9 and passes == []

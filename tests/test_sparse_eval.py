@@ -32,13 +32,13 @@ from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
     HOM_LIE,
-    MultiplicativityWitness,
     delta_derivation,
     is_multiplicative,
     solve_bilinear,
     structure_residual,
 )
 from homlie.window import beta_map
+from shared import dense_is_multiplicative
 
 F = Fraction
 
@@ -227,29 +227,6 @@ def test_multiplication_matrices_and_killing_form_match_dense(name, alg):
         assert killing_form(alg).matrix == dense
 
 
-def _dense_multiply(alg, u, v):
-    """``alg.multiply``, or None when the product reads an undefined basis
-    product of a window."""
-    support_u, support_v = [i for i, x in enumerate(u) if x], [j for j, x in enumerate(v) if x]
-    if any(alg.table.get((i, j), ()) is None for i in support_u for j in support_v):
-        return None
-    return alg.multiply(u, v)
-
-
-def _dense_is_multiplicative(alg, phi):
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            xy = _dense_multiply(alg, alg.basis_vector(i), alg.basis_vector(j))
-            rhs = _dense_multiply(alg, phi.apply(alg.basis_vector(i)), phi.apply(alg.basis_vector(j)))
-            if xy is None or rhs is None:
-                continue
-            lhs = phi.apply(xy)
-            if lhs != rhs:
-                return MultiplicativityWitness((i, j), lhs, rhs)
-    return True
-
-
 def _candidate_maps(n, rng):
     ident = Matrix.identity(n)
     return [ident, ident.scale(2), Matrix.zeros(n, n)] + [
@@ -260,7 +237,7 @@ def _candidate_maps(n, rng):
 @pytest.mark.parametrize("name,alg", BATTERY, ids=_ids)
 def test_is_multiplicative_matches_dense(name, alg):
     for phi in _candidate_maps(alg.dim, random.Random(f"mult-{name}")):
-        assert is_multiplicative(alg, phi) == _dense_is_multiplicative(alg, phi)
+        assert is_multiplicative(alg, phi) == dense_is_multiplicative(alg, phi)
 
 
 @pytest.mark.parametrize("n_window", [2, 3])
@@ -270,7 +247,7 @@ def test_is_multiplicative_on_windows_matches_dense(n_window):
     ident, beta = Matrix.identity(pa.dim), beta_map(pa)
     maps = [ident + beta.scale(3), beta, ident.scale(3)] + _candidate_maps(pa.dim, random.Random(f"window-{n_window}"))
     verdicts = [is_multiplicative(pa, phi) for phi in maps]
-    assert verdicts == [_dense_is_multiplicative(pa, phi) for phi in maps]
+    assert verdicts == [dense_is_multiplicative(pa, phi) for phi in maps]
     assert verdicts[:2] == [True, True] and verdicts[2] is not True
 
 

@@ -6,62 +6,27 @@ kernel feedback: the same canonical subspaces and the same undefined
 products raised, in the same order, on the builtin and random batteries,
 the window models and the partial tables; and fewer rows read.  A
 reference router with neither the retire step nor the directed stream
-(``_hom_rows``'s natural walk, copied here) gives the same subspaces, and
+(``_hom_rows``'s natural walk, ``shared.natural_hom_rows``) gives the same subspaces, and
 the rows it reads are pinned beside the router's on four ladder solves."""
 
-from fractions import Fraction
 from itertools import chain
 
 import pytest
 
 from homlie import parse_builtin, solver
-from homlie.algebra import UndefinedProduct, _hom_terms
 from homlie.battery import builtin_battery, random_lie_battery
-from homlie.linalg import RowAccumulator, Subspace, nullspace_of_rows
+from homlie.linalg import RowAccumulator, Subspace
 from homlie.solver import (
-    _SIGNS,
-    HOM_2NILP,
-    HOM_CYCLIC,
-    HOM_LIE,
     _known_block,
     _leibniz_rows,
     _plan,
     _require_defined,
-    _solve_block,
     _solve_shift_blocks,
-    _sparse_rows,
-    _triples,
-    delta_derivation,
     grading_shifts,
     parse_kind,
 )
-from test_term_builders import partial_tables
-from test_window import WINDOW_MODELS
-
-F = Fraction
-HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
-DELTA_KINDS = [delta_derivation(d) for d in (F(-1), F(1, 2), F(1), F(2))]
-
-
-def natural_hom_rows(plan, kind, col_of, second):
-    """``solver._hom_rows`` without the directed rule: every kept triple in
-    the natural walk's order (``_triples``), whatever the kernel has
-    pinned."""
-    signs, first = _SIGNS[kind.tag], plan.alg.rows
-    for a, b, cs in _triples(plan, kind):
-        for c in cs:
-            try:
-                yield from _sparse_rows(_hom_terms(first, second, signs, a, b, c, col_of))
-            except UndefinedProduct:
-                pass
-
-
-def block_col_of(alg, shift):
-    """col_of[c][q] = q*n + c for every q of degree deg c + shift: the End
-    columns of the block of ``shift``, stated here apart from the solver's
-    ``_Plan.col_of``."""
-    n, deg = alg.dim, alg.grading or (0,) * alg.dim
-    return [{q: q * n + c for q in range(n) if deg[q] == deg[c] + shift} for c in range(n)]
+from shared import (DELTA_KINDS, HOM_KINDS, Counting, block_col_of, direct_router, natural_hom_rows, partial_tables,
+                    window_models)
 
 
 def columns_of(col_of):
@@ -119,33 +84,11 @@ def reference_router(alg, kind, shifts, kernel):
     return Subspace(n * n, sorted(rows, key=lambda pr: pr[0]))
 
 
-def direct_router(alg, kind, shifts, kernel):
-    """The router with the retire step, without the blocks it keeps and
-    mirrors: every block of ``shifts`` compiled by ``_solve_block``."""
-    rows = [pr for shift in shifts for pr in _solve_block(alg, kind, shift, kernel).rows]
-    return Subspace(alg.dim ** 2, sorted(rows, key=lambda pr: pr[0]))
-
-
-class Counting:
-    """A kernel that counts the rows it reads before handing them on."""
-
-    def __init__(self):
-        self.rows = 0
-
-    def __call__(self, acc, rows):
-        def counted():
-            for row in rows:
-                self.rows += 1
-                yield row
-
-        return nullspace_of_rows(acc, counted())
-
-
 def cases():
     """(name, algebra, kind, shifts): the hom kinds at every shift and over
     all shifts at once, and the delta kinds over all shifts of a complete
     table."""
-    models = [(f"{model.__name__}-{size}", model(size)) for model, size in (p.values for p in WINDOW_MODELS)]
+    models = window_models()
     tables = [(f"partial-{i}", alg) for i, alg in enumerate(partial_tables())]
     for name, alg in chain(builtin_battery(), random_lie_battery(), models, tables):
         shifts = grading_shifts(alg)

@@ -10,20 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from homlie.algebra import (BILINEAR_KINDS, AlgebraSpec, UndefinedProduct, _evaluate, _hom_terms, builtin, killing_form,
-                            sparse_product)
+import oracle
+from homlie.algebra import (BILINEAR_KINDS, AlgebraSpec, UndefinedProduct, _evaluate, _hom_terms, builtin,
+                            killing_form)
 from homlie import solver, window
 from homlie.constructions import km_window
-from homlie.linalg import (
-    Matrix,
-    RowAccumulator,
-    SpanSolver,
-    Subspace,
-    dense_vector,
-    nullspace,
-    nullspace_of_rows,
-    sparse_lincomb,
-)
+from homlie.linalg import Matrix, Subspace, nullspace_of_rows
 from homlie.solver import (
     HOM_2NILP,
     HOM_CYCLIC,
@@ -48,6 +40,8 @@ from homlie.window import (
     solve_window,
     window_shifts,
 )
+from shared import (WINDOW_MODELS, a22, a22_grading, index_of, one_sided_gap, raises_in_every_block, twisted, untwisted,
+                    witt)
 
 F = Fraction
 
@@ -66,33 +60,9 @@ def _bracket_table(dim, products):
     return index_of(dim, table)
 
 
-def index_of(dim, table):
-    """The product index (``AlgebraSpec.rows``) of a pair-keyed table whose
-    entries may be None, as ``km_window`` writes one: rows[p][q] =
-    table[(p, q)], q ascending."""
-    return tuple({q: table[p, q] for p2, q in sorted(table) if p2 == p} for p in range(dim))
-
-
-def _untwisted(n):
-    g = builtin("sl", 2)
-    return km_window(g, killing_form(g), n)
-
-
-def _sl3(n):
-    g = builtin("sl", 3)
-    return km_window(g, killing_form(g), n)
-
-
-def _twisted(n):
-    g = builtin("sl", 2)
-    g0 = Subspace.from_spanning([[0, 1, 0]], 3)
-    g1 = Subspace.from_spanning([[1, 0, 0], [0, 0, 1]], 3)
-    return km_window(g, killing_form(g), n, twist=([g0, g1], 2))
-
-
 def test_window_too_small():
     # N is read back as max |grading|: clamp the degrees of an N=2 window to N=1
-    pa = _untwisted(2)
+    pa = untwisted(2)
     pa = dataclasses.replace(pa, grading=tuple(max(-1, min(1, d)) for d in pa.grading))
     with pytest.raises(ValueError, match="at least 2"):
         solve_window(pa)
@@ -100,7 +70,7 @@ def test_window_too_small():
 
 def test_delta_on_a_window_is_rejected():
     with pytest.raises(ValueError, match="undefined products"):
-        solve_structures(_untwisted(2), delta_derivation(1))
+        solve_structures(untwisted(2), delta_derivation(1))
 
 
 # The solves that impose every equation, which a window cannot: each is
@@ -118,7 +88,7 @@ WINDOW_REFUSALS = {
 def test_a_window_is_refused_naming_its_first_undefined_pair(name):
     """A plain ValueError naming the first undefined pair, not an
     ``UndefinedProduct`` raised from deep in a compile."""
-    pa = _untwisted(2)
+    pa = untwisted(2)
     first = min(pair for pair, terms in pa.table.items() if terms is None)
     with pytest.raises(ValueError, match=re.escape(f"undefined products: the basis product {first} is undefined")) as err:
         WINDOW_REFUSALS[name](pa)
@@ -126,18 +96,18 @@ def test_a_window_is_refused_naming_its_first_undefined_pair(name):
 
 
 def test_window_solve_is_the_graded_structure_solve():
-    pa = _twisted(3)
+    pa = twisted(3)
     assert solve_structures(pa, HOM_LIE).space == solve_window(pa).full.space
 
 
 @pytest.mark.parametrize("shift", [-5, 5, 100])
 def test_shift_outside_the_window_is_rejected(shift):
     with pytest.raises(ValueError, match=r"-4\.\.4"):
-        solve_window(_untwisted(2), degree_shift=shift)
+        solve_window(untwisted(2), degree_shift=shift)
 
 
 def test_untwisted_solution_is_central_plus_identity():
-    pa = _untwisted(2)
+    pa = untwisted(2)
     sol = solve_window(pa)
     predicted = Subspace.from_spanning(
         [Matrix.identity(pa.dim).flatten()] + [c.flatten() for c in central_maps(pa)],
@@ -166,34 +136,14 @@ def test_affine_window_is_identity_plus_central(name, rank, n_window):
     assert sol.inner.excess_dim == 0
 
 
-def _a22_grading():
-    """The eigenspaces of the involution x -> -J x^T J^-1 of sl3, with
-    J = antidiag(1, -1, 1) = J^-1, in the basis H1, H2, E12, E13, E21,
-    E23, E31, E32 of ``builtin("sl", 3)``: fixed (eigenvalue 1) and negated."""
-    units = [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
-    units += [{(i, j): 1} for i in range(3) for j in range(3) if i != j]
-    basis = [Matrix.from_sparse(3, 3, u) for u in units]
-    j = Matrix.from_sparse(3, 3, {(0, 2): 1, (1, 1): -1, (2, 0): 1})
-    coords = SpanSolver([b.flatten() for b in basis], 9)
-    images = [coords.express((j @ b.transpose() @ j).scale(-1).flatten()) for b in basis]
-    sigma = Matrix(tuple(tuple(images[c].get(r, 0) for c in range(8)) for r in range(8)), 8)
-    return nullspace(sigma - Matrix.identity(8)), nullspace(sigma + Matrix.identity(8))
-
-
-def _sl3_twisted(n):
-    """The twisted A2(2) window."""
-    g = builtin("sl", 3)
-    return km_window(g, killing_form(g), n, twist=(list(_a22_grading()), 2))
-
-
 def test_a22_grading_splits_sl3_into_3_plus_5():
-    fixed, negated = _a22_grading()
+    fixed, negated = a22_grading()
     assert (fixed.dim, negated.dim) == (3, 5)
 
 
 @pytest.mark.parametrize("n_window, dim", [(2, 21), (3, 31)])
 def test_twisted_a22_window_is_identity_plus_central(n_window, dim):
-    pa = _sl3_twisted(n_window)
+    pa = a22(n_window)
     assert pa.dim == dim
     start = time.perf_counter()
     sol = solve_window(pa)
@@ -210,7 +160,7 @@ def test_twisted_a22_window_is_identity_plus_central(n_window, dim):
 
 
 def test_untwisted_n3_members_and_report():
-    pa = _untwisted(3)
+    pa = untwisted(3)
     sol = solve_window(pa)
     assert sol.full.space.contains(Matrix.identity(pa.dim).flatten())
     for c in central_maps(pa):
@@ -221,7 +171,7 @@ def test_untwisted_n3_members_and_report():
 
 
 def test_twisted_solution_contains_predictions_boundary_excess_vanishes_inside():
-    pa = _twisted(3)
+    pa = twisted(3)
     sol = solve_window(pa)
     assert sol.full.space.contains(Matrix.identity(pa.dim).flatten())
     for c in central_maps(pa):
@@ -233,19 +183,11 @@ def test_twisted_solution_contains_predictions_boundary_excess_vanishes_inside()
 
 
 def test_shifted_solve_is_a_block_of_the_full_solve():
-    pa = _untwisted(2)
+    pa = untwisted(2)
     full = solve_window(pa)
     for shift in (-1, 0, 1, 2):
         block = solve_window(pa, degree_shift=shift)
         assert block.full.space.is_subspace_of(full.full.space)
-
-
-WINDOW_MODELS = [
-    pytest.param(_untwisted, 2, id="untwisted-2"),
-    pytest.param(_untwisted, 3, id="untwisted-3"),
-    pytest.param(_twisted, 3, id="twisted-3"),
-    pytest.param(_sl3, 2, id="sl3-2"),
-]
 
 
 TRIPLE_MODELS = WINDOW_MODELS + [
@@ -282,22 +224,6 @@ def _orbits(kind, sigma, n):
         if any(len(v) == 2 for v in signs.values()):
             null.add(start)
     return orbit_of, null
-
-
-def raises_in_every_block(alg, kind, triples):
-    """Whether evaluating each of ``triples`` (``_hom_terms`` over a shift
-    block's columns, as ``_hom_rows`` does) raises ``UndefinedProduct`` in
-    every shift block: the window imposes none of their equations."""
-    plan, signs = _plan(alg), _SIGNS[kind.tag]
-    for shift in grading_shifts(alg):
-        col_of = [plan.col_of(c, shift) for c in range(alg.dim)]
-        for t in triples:
-            try:
-                list(_hom_terms(alg.rows, alg.rows, signs, *t, col_of))
-            except UndefinedProduct:
-                continue
-            return False
-    return True
 
 
 @pytest.mark.parametrize("kind", [HOM_LIE, HOM_CYCLIC, HOM_2NILP], ids=str)
@@ -371,7 +297,7 @@ def test_block_solutions_have_zero_residuals(model, n_window):
 def test_residual_reads_the_component_of_the_map_shift():
     # phi = e_c -> e_u raises degrees by 1 and is not a solution: the shift-1
     # equations see it, the shift -1 equations read only zero entries of phi
-    pa = _untwisted(2)
+    pa = untwisted(2)
     n = pa.dim
     c, u = pa.grading.index(0), pa.grading.index(1)
     phi = Matrix.from_sparse(n, n, {(u, c): 1})
@@ -381,51 +307,12 @@ def test_residual_reads_the_component_of_the_map_shift():
     assert all(r is None or not any(r) for r in residuals[-1])
 
 
-def _reference_rows(pa, shift, cols):
-    """The block's Hom-Jacobi rows over the triples i < j < k, compiled term
-    by term from the table, independently of the solver's plan and pass:
-    phi(e_c) -> e_u at column cols[(u, c)], and a triple imposes nothing
-    when a product it reads, e_x e_y or e_p e_u for the u of the target
-    degree, is undefined."""
-    n, deg, table = pa.dim, pa.grading, pa.table
-    for i, j, k in itertools.combinations(range(n), 3):
-        reads = [(table.get((x, y), ()), z) for x, y, z in ((i, j, k), (k, i, j), (j, k, i))]
-        targets = [[u for u in range(n) if deg[u] == deg[z] + shift] for _, z in reads]
-        if any(w is None or any(table.get((p, u), ()) is None for p, _ in w for u in us)
-               for (w, _), us in zip(reads, targets)):
-            continue
-        rows = {}  # key m -> row
-        for (w, z), us in zip(reads, targets):
-            for p, cw in w:
-                for u in us:
-                    for m, c in table.get((p, u), ()):
-                        row = rows.setdefault(m, Counter())
-                        row[cols[(u, z)]] += cw * c
-        yield from ({col: x for col, x in row.items() if x} for row in rows.values())
-
-
-def _full_consumption(pa, shift):
-    """The block's kernel with every reference row eliminated in index order:
-    no known solutions, no cut rows, no early exit."""
-    n = pa.dim
-    cols = [(u, c) for u in range(n) for c in range(n) if pa.grading[u] == pa.grading[c] + shift]
-    acc = RowAccumulator(len(cols))
-    for row in _reference_rows(pa, shift, {uc: i for i, uc in enumerate(cols)}):
-        acc.add(row)
-    embedded = []
-    for v in acc.nullspace().basis.data:
-        dense = [F(0)] * (n * n)
-        for (u, c), x in zip(cols, v):
-            dense[u * n + c] = x
-        embedded.append(dense)
-    return Subspace.from_spanning(embedded, n * n)
-
-
 @pytest.mark.parametrize("model, n_window", WINDOW_MODELS)
-def test_blocks_match_full_consumption(model, n_window):
+def test_blocks_match_full_consumption(model, n_window, reference):
     pa = model(n_window)
+    want = reference(f"{model.__name__}-{n_window}", pa, "blocks", HOM_LIE)
     for shift in window_shifts(pa):
-        assert _solve_block(pa, HOM_LIE, shift, nullspace_of_rows) == _full_consumption(pa, shift)
+        assert _solve_block(pa, HOM_LIE, shift, nullspace_of_rows) == want[shift]
 
 
 def test_uncertified_block_does_not_assume_the_identity():
@@ -437,7 +324,7 @@ def test_uncertified_block_does_not_assume_the_identity():
     assert structure_residual(pa, ident, HOM_LIE, (0, 1, 2), 0) == (0, 1, 0)
     block = Subspace.from_spanning(_block_basis(pa, 0), 9)
     assert not block.contains(ident.flatten())
-    assert block == _full_consumption(pa, 0)
+    assert block == oracle.blocks(pa, HOM_LIE)[0]
 
 
 def test_block_is_the_kernel_of_the_imposable_residuals():
@@ -457,53 +344,12 @@ def test_block_is_the_kernel_of_the_imposable_residuals():
     assert Subspace.from_spanning(_block_basis(pa, 0), n * n) == nullspace_of_rows(n * n, rows)
 
 
-def _closure_structure_residual(alg, phi, kind, triple, shift):
-    """``structure_residual`` as it was written before the plan's ``reads``
-    and ``gaps`` held the undefined degrees: definedness read product by
-    product through closures, over each whole target degree; the reference
-    for the residual's None cases, which the term builders now raise."""
-    t, plan = alg.table, _plan(alg)
-    deg, rows = plan.deg, phi.sparse_rows
-
-    def target(z):
-        return range(alg.dim) if shift is None else plan.components.get(deg[z] + shift, ())
-
-    def image(z):
-        return {q: rows[q][z] for q in target(z) if z in rows[q]}
-
-    def undefined(us, vs):
-        return not plan.complete and None in map(t.get, itertools.product(us, vs), itertools.repeat(()))
-
-    a, b, c = triple
-    terms = []
-    if kind.tag == "delta-derivation":
-        if undefined((a,), (b,)) or undefined(target(a), (b,)) or undefined((a,), target(b)):
-            return None
-        terms = [(x, image(k)) for k, x in sparse_product(alg.rows, {a: 1}, {b: 1}).items()]
-        terms += [(-kind.delta, sparse_product(alg.rows, image(a), {b: 1})),
-                  (-kind.delta, sparse_product(alg.rows, {a: 1}, image(b)))]
-    else:
-        signs = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}[kind.tag]
-        for (x, y, z), sign in zip(((a, b, c), (c, a, b), (b, c, a)), signs):
-            xy = t.get((x, y), ())
-            if xy is None or undefined((p for p, _ in xy), target(z)):
-                return None
-            terms.append((sign, sparse_product(alg.rows, dict(xy), image(z))))
-    return dense_vector(sparse_lincomb(*terms), alg.dim)
-
-
-def _one_sided_gap():
-    """Undefined e_2 e_3 while e_3 e_2 is defined, and e_0 e_3 undefined, so
-    the left and the right undefined degrees of a basis element differ."""
-    table = {(0, 1): ((2, 1),), (1, 0): ((2, -1),), (2, 3): None, (3, 2): ((1, 1),), (0, 3): None, (1, 2): ((3, 1),)}
-    return AlgebraSpec(4, ("e0", "e1", "e2", "e3"), index_of(4, table), "unchecked", grading=(0, 1, 1, 2))
-
-
-@pytest.mark.parametrize("build", [lambda: _untwisted(2), lambda: _twisted(3), _one_sided_gap],
+@pytest.mark.parametrize("build", [lambda: untwisted(2), lambda: twisted(3), one_sided_gap],
                          ids=["untwisted-2", "twisted-3", "one-sided-gap"])
 def test_residual_lookup_matches_the_closure_reference(build):
-    """Same values and the same None cases as the reference, for every kind,
-    every shift, and maps whose parts reach every shift."""
+    """Same values and the same None cases as the oracle's equations
+    evaluated at phi, for every kind, every shift, and maps whose parts
+    reach every shift."""
     pa = build()
     n, rng = pa.dim, random.Random(29)
     maps = [Matrix.identity(n), Matrix.from_sparse(n, n, {(rng.randrange(n), rng.randrange(n)): rng.randint(-2, 2)
@@ -511,16 +357,19 @@ def test_residual_lookup_matches_the_closure_reference(build):
     triples = list(itertools.permutations(range(n), 3) if n < 6 else itertools.combinations(range(n), 3))
     kinds = [HOM_LIE, HOM_CYCLIC, HOM_2NILP, delta_derivation(2), delta_derivation(-1)]
     nones = 0
-    for phi, kind, shift, tri in itertools.product(maps, kinds, sorted(set(grading_shifts(pa))), triples):
-        got = structure_residual(pa, phi, kind, tri, shift)
-        assert got == _closure_structure_residual(pa, phi, kind, tri, shift), (kind, shift, tri)
-        nones += got is None
+    for phi, kind, tri in itertools.product(maps, kinds, triples):
+        want = oracle.residuals(pa, phi, kind, tri)
+        assert list(want) == grading_shifts(pa)
+        for shift, residual in want.items():
+            got = structure_residual(pa, phi, kind, tri, shift)
+            assert got == residual, (kind, shift, tri)
+            nones += got is None
     assert 0 < nones < len(maps) * len(kinds) * len(set(grading_shifts(pa))) * len(triples)
 
 
 def test_unshifted_residual_on_a_window_is_refused():
     # a window's table has undefined products, so only a shift's equations can be read
-    pa = _untwisted(2)
+    pa = untwisted(2)
     n = pa.dim
     ident, triple = Matrix.identity(n), (0, n - 2, n - 1)  # e_0 of degree -2, d, z
     with pytest.raises(ValueError, match="shift"):
@@ -529,14 +378,14 @@ def test_unshifted_residual_on_a_window_is_refused():
 
 
 def test_central_maps_always_solve():
-    for pa in (_untwisted(2), _twisted(3)):
+    for pa in (untwisted(2), twisted(3)):
         sol = solve_window(pa)
         for c in central_maps(pa):
             assert sol.full.space.contains(c.flatten())
 
 
 def test_multiplicative_family_on_window():
-    pa = _untwisted(2)
+    pa = untwisted(2)
     ident = Matrix.identity(pa.dim)
     beta = beta_map(pa)
     for lam in (F(1), F(-3), F(5, 7)):
@@ -548,32 +397,9 @@ def test_multiplicative_family_on_window():
 
 
 def test_multiplicative_scalars_zero_and_one_pass():
-    pa = _untwisted(2)
+    pa = untwisted(2)
     assert is_multiplicative(pa, Matrix.identity(pa.dim)) is True
     assert is_multiplicative(pa, Matrix.zeros(pa.dim, pa.dim)) is True
-
-
-def _witt(n, central=False):
-    """The Witt window W_N: L_m for |m| <= N, [L_a, L_b] = (a - b) L_{a+b},
-    undefined where |a + b| > N; with ``central``, the Virasoro window,
-    whose last basis vector c, of degree 0, adds (a^3 - a) delta_{a+b,0} c
-    (Kac and Raina, *Bombay Lectures*, Lecture 1).  Certified lie as
-    ``km_window`` is: every defined product is a bracket of W or Vir, which
-    are Lie.  Neither has basis vectors named d and z."""
-    degrees = range(-n, n + 1)
-    table = {}
-    for a, b in itertools.product(degrees, repeat=2):
-        if abs(a + b) > n:
-            table[a + n, b + n] = None
-            continue
-        terms = [(a + b + n, a - b)] if a != b else []
-        if central and a + b == 0 and a ** 3 != a:
-            terms.append((2 * n + 1, a ** 3 - a))
-        if terms:
-            table[a + n, b + n] = tuple(terms)
-    names = [f"L{a}" for a in degrees] + ["c"] * central
-    return AlgebraSpec(len(names), tuple(names), index_of(len(names), table), "lie",
-                       grading=(*degrees, *[0] * central))
 
 
 @pytest.mark.parametrize("central", [False, True], ids=["witt", "virasoro"])
@@ -583,7 +409,7 @@ def test_witt_and_virasoro_windows(n, central):
     and back at shifts +-2N); Vir_N: also the maps into Kc, the untwisted
     loop pattern.  The report predicts with K and counts no excess, and
     ``central_maps`` are the maps into the table's centre, none for W."""
-    pa = _witt(n, central)
+    pa = witt(n, central)
     sol = solve_window(pa)
     assert sol.full.dim == ((16 if n == 2 else 2 * n + 5) if central else (10 if n == 2 else 3))
     assert sol.full.space.contains(Matrix.identity(pa.dim).flatten())
@@ -595,7 +421,7 @@ def test_witt_and_virasoro_windows(n, central):
 
 def test_beta_map_names_what_it_needs():
     with pytest.raises(ValueError, match="Euler element d and central z"):
-        beta_map(_witt(3))
+        beta_map(witt(3))
 
 
 @pytest.mark.parametrize("name, inner_dim", [("gl", 6), ("abelian", 4)])
@@ -625,7 +451,7 @@ def test_the_report_predicts_with_k(monkeypatch):
     shift 0 predict one map fewer and count it as excess: the report reads
     K.  K gets the identity only on a lie-flavor table, so the mutant reads
     the same table as unchecked."""
-    models = [(_untwisted, 2), (_untwisted, 3), (_twisted, 3)]
+    models = [(untwisted, 2), (untwisted, 3), (twisted, 3)]
 
     def solves():
         out = []
@@ -658,7 +484,7 @@ def test_k_is_built_once_per_shift_and_the_window_numbers_no_block(monkeypatch):
     per shift (13 times on sl2 N = 3), though the report reads K at every
     shift of each call and the mirrored blocks are never compiled.  Only
     the solver reads a block's columns (``_Plan.col_of``)."""
-    pa = _untwisted(3)
+    pa = untwisted(3)
     shifts = window_shifts(pa)
     built, callers = [], []
     kept, col_of = solver._kept, solver._Plan.col_of

@@ -21,43 +21,17 @@ import pytest
 from homlie import solver
 from homlie.algebra import builtin, killing_form, make_algebra
 from homlie.constructions import km_window
-from homlie.linalg import Subspace, nullspace_of_rows
-from homlie.solver import (HOM_2NILP, HOM_CYCLIC, HOM_LIE, _kept, _mirror, _solve_block, _solve_shift_blocks,
+from homlie.linalg import nullspace_of_rows
+from homlie.solver import (HOM_LIE, _kept, _mirror, _solve_block, _solve_shift_blocks,
                            delta_derivation, grading_shifts, solve_structures)
 from homlie.window import solve_window
-from test_unit_rows import Counting, direct_router
-from test_window import _sl3, _sl3_twisted, _twisted, _untwisted, _witt
+from shared import (HOM_KINDS, ORDER3, PRINCIPAL, Counting, a22, block_graded, direct_router, order3, sl3_loop,
+                    twisted, untwisted, witt)
 
 
 def _affine(name, rank, n):
     g = builtin(name, rank)
     return km_window(g, killing_form(g), n)
-
-
-def _order3(n):
-    """sl2 twisted by the Z/3-grading g0 = <h>, g1 = <e+>, g2 = <e->: the
-    k-th loop vector of degree i and of degree -i lie in different
-    components, so sigma is the Chevalley involution composed with
-    t -> t^-1, with signs no name lookup gives."""
-    g = builtin("sl", 2)
-    parts = [Subspace.from_spanning([v], 3) for v in ([0, 1, 0], [0, 0, 1], [1, 0, 0])]
-    return km_window(g, killing_form(g), n, twist=(parts, 3))
-
-
-def _regraded(name, rank, degree_of):
-    alg = builtin(name, rank)
-    grading = [degree_of(basis_name) for basis_name in alg.basis_names]
-    return make_algebra(alg.dim, alg.table, basis_names=alg.basis_names, flavor=alg.flavor, grading=grading)
-
-
-def _principal(n):
-    """sl_n graded principally, deg E_ij = j - i: its mirror is E_ij -> +-E_ji, H -> -H."""
-    return _regraded("sl", n, lambda name: int(name[2]) - int(name[1]) if name[0] == "E" else 0)
-
-
-def _block_graded(n):
-    """sp_n graded by its blocks, A in degree 0, B in 1, C in -1: no mirror."""
-    return _regraded("sp", n, lambda name: {"A": 0, "B": 1, "C": -1}[name[0]])
 
 
 def _mirrored_table(seed):
@@ -87,24 +61,21 @@ def _mirrored_table(seed):
 
 
 MODELS = {
-    **{f"sl2-{n}": (lambda n=n: _untwisted(n)) for n in range(2, 7)},
-    "sl2-twisted-3": lambda: _twisted(3),
-    "sl3-2": lambda: _sl3(2),
-    "sl3-3": lambda: _sl3(3),
+    **{f"sl2-{n}": (lambda n=n: untwisted(n)) for n in range(2, 7)},
+    "sl2-twisted-3": lambda: twisted(3),
+    "sl3-2": lambda: sl3_loop(2),
+    "sl3-3": lambda: sl3_loop(3),
     "so5-2": lambda: _affine("so", 5, 2),
     "sp4-2": lambda: _affine("sp", 4, 2),
-    "a22-2": lambda: _sl3_twisted(2),
-    "a22-3": lambda: _sl3_twisted(3),
+    "a22-2": lambda: a22(2),
+    "a22-3": lambda: a22(3),
 }
-ORDER3 = {f"sl2-order3-{n}": (lambda n=n: _order3(n)) for n in (2, 3)}
-PRINCIPAL = {f"sl{n}-principal": (lambda n=n: _principal(n)) for n in range(3, 7)}
-BLOCK_GRADED = {f"sp{n}-blocks": (lambda n=n: _block_graded(n)) for n in (4, 6)}
+BLOCK_GRADED = {f"sp{n}-blocks": (lambda n=n: block_graded(n)) for n in (4, 6)}
 MIRRORED = {f"mirrored-{seed}": (lambda seed=seed: _mirrored_table(seed)) for seed in range(8)}
 # no d or z: sigma is L_m -> +-L_-m (and c -> -c), found from the table alone
-WITT = {**{f"witt-{n}": (lambda n=n: _witt(n)) for n in (2, 3, 5, 8)},
-        **{f"virasoro-{n}": (lambda n=n: _witt(n, central=True)) for n in (2, 3, 6, 8)}}
+WITT = {**{f"witt-{n}": (lambda n=n: witt(n)) for n in (2, 3, 5, 8)},
+        **{f"virasoro-{n}": (lambda n=n: witt(n, central=True)) for n in (2, 3, 6, 8)}}
 WINDOWS = {**MODELS, **WITT}
-HOM_KINDS = [HOM_LIE, HOM_CYCLIC, HOM_2NILP]
 DELTA_KINDS = [delta_derivation(d) for d in (1, "1/2", -1)]
 
 
@@ -263,13 +234,13 @@ def test_a_mutated_mirror_fails_the_check_and_the_window_is_solved_directly(name
 def test_an_order_3_twist_gets_the_direct_answer(n):
     """Its mirror passes the check, and every block and the whole space
     are the direct ones, in either order of a mirror pair."""
-    pa = _order3(n)
+    pa = order3(n)
     sigma = solver._sigma(pa)
     assert sigma != _name_sigma(pa) and _mirror(pa) == sigma
     shifts = grading_shifts(pa)
     for s in shifts[::-1]:
         assert solve_window(pa, s).full.space == _direct(pa, [s]), s
-    assert solve_window(_order3(n)).full.space == _direct(pa, shifts) == solve_structures(pa, HOM_LIE).space
+    assert solve_window(order3(n)).full.space == _direct(pa, shifts) == solve_structures(pa, HOM_LIE).space
 
 
 def test_window_solutions_are_kept_with_their_report(monkeypatch):
@@ -280,7 +251,7 @@ def test_window_solutions_are_kept_with_their_report(monkeypatch):
     calls = []
     report = window._inner_report
     monkeypatch.setattr(window, "_inner_report", lambda *args: calls.append(args[2]) or report(*args))
-    pa = _untwisted(3)
+    pa = untwisted(3)
     for shift in (None, 1, -1, None, 1):
         first = solve_window(pa, shift)
         assert solve_window(pa, shift) is first
