@@ -11,11 +11,10 @@ silently dropping components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, isqrt, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraSpec, _require_lie, sparse_product
 from .linalg import (Matrix, SparseVector, Subspace, Vector, as_scalar, int_if_integral, minimal_polynomial, nullspace,
@@ -37,14 +36,12 @@ class NonSplitAction(ValueError):
     """The action has non-rational eigenvalues or is not diagonalizable."""
 
 
-@dataclass(frozen=True)
-class SubmoduleWitness:
+class SubmoduleWitness(NamedTuple):
     generator_index: int
     map_index: int
 
 
-@dataclass(frozen=True)
-class WeightComponent:
+class WeightComponent(NamedTuple):
     weight: tuple[Fraction, ...]
     component: Subspace
 

@@ -20,13 +20,12 @@ when evaluating it raises nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .linalg import (
+    Frozen,
     Matrix,
     SpanSolver,
     SparseVector,
@@ -104,31 +103,27 @@ def sparse_product(rows: _Index, u: Mapping[int, Fraction], v: Mapping[int, Frac
     return {k: c for k, c in out.items() if c}
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraSpec:
+class AlgebraSpec(Frozen):
     """A structure-constant algebra, validated by ``make_algebra`` or
     certified Lie by a theorem (``_lie_by_theorem``, ``km_window``).
 
     ``rows``, the one store of its products, maps q ascending to the terms
     of e_p e_q at ``rows[p]`` ((k, c), k ascending, integral c as ints), or
-    to None where the product is undefined; a zero product has no entry."""
+    to None where the product is undefined; a zero product has no entry.
+    ``jacobi_witness`` is present when tensor_lie demotes a would-be Lie
+    algebra: a basis triple with nonzero Jacobi residual.  Two algebras are
+    equal only when they are one object.
 
-    dim: int
-    basis_names: tuple[str, ...]
-    rows: tuple[dict[int, tuple[tuple[int, int | Fraction], ...] | None], ...] = field(repr=False)
-    flavor: str
-    grading: tuple[int, ...] | None = None
-    # present when tensor_lie demotes a would-be Lie algebra: a basis triple
-    # with nonzero Jacobi residual
-    jacobi_witness: tuple[int, int, int] | None = None
+    ``_solved`` is what the solver keeps for this algebra: its compile plan
+    and mirror, the forms f_t checked, and the blocks, spaces and window
+    solutions it solved.  An algebra is immutable, so they stay valid, and
+    they go with the algebra."""
 
-    @cached_property
-    def _solved(self) -> dict:
-        """What the solver keeps for this algebra: its compile plan and
-        mirror, the forms f_t checked, and the blocks, spaces and window
-        solutions it solved.  An algebra is immutable, so they stay valid,
-        and they go with the algebra."""
-        return {}
+    def __init__(self, dim: int, basis_names: tuple[str, ...],
+                 rows: tuple[dict[int, tuple[tuple[int, int | Fraction], ...] | None], ...], flavor: str,
+                 grading: tuple[int, ...] | None = None, jacobi_witness: tuple[int, int, int] | None = None):
+        vars(self).update(dim=dim, basis_names=basis_names, rows=rows, flavor=flavor, grading=grading,
+                          jacobi_witness=jacobi_witness, _solved={})
 
     @property
     def table(self) -> Mapping[tuple[int, int], tuple[tuple[int, int | Fraction], ...] | None]:
@@ -170,11 +165,11 @@ class AlgebraSpec:
         return Matrix.from_sparse(self.dim, self.dim, {(i, j): c for j, col in enumerate(cols) for i, c in col.items()})
 
 
-@dataclass(frozen=True, eq=False)
-class _Pairs(Mapping):
+class _Pairs(Frozen, Mapping):
     """A product index read by pair: (p, q) -> rows[p][q], pairs ascending."""
 
-    _rows: _Index
+    def __init__(self, rows: _Index):
+        vars(self)["_rows"] = rows
 
     def __getitem__(self, pair: tuple[int, int]):
         p, q = pair
@@ -706,8 +701,7 @@ def parse_builtin(spec: str) -> AlgebraSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(NamedTuple):
     """A bilinear scalar form; matrix[i][j] = f(e_i, e_j)."""
 
     matrix: Matrix

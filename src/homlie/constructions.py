@@ -8,13 +8,12 @@ window are marked undefined (None) rather than wrongly set to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import (MAX_DIM, AlgebraSpec, BilinearForm, LawViolation, _evaluate, _hom_terms, _leibniz_terms,
                       _lie_by_theorem, _pairing, _require_lie, _sorted_tuples, make_algebra, sparse_product)
-from .linalg import Matrix, Subspace, Vector, dense_vector, int_if_integral
+from .linalg import Frozen, Matrix, Subspace, Vector, dense_vector, int_if_integral
 
 
 # ---------------------------------------------------------------------------
@@ -22,21 +21,17 @@ from .linalg import Matrix, Subspace, Vector, dense_vector, int_if_integral
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cocycle2:
+class Cocycle2(Frozen):
     """A skew-symmetric 2-cocycle on a Lie algebra, verified on construction:
     xi is skew and xi(xy, z) + xi(zx, y) + xi(yz, x) = 0 on the basis
     triples i < j < k (skewness and anticommutativity give the rest)."""
 
-    algebra: AlgebraSpec
-    form: BilinearForm
-
-    def __post_init__(self):
-        alg, matrix = self.algebra, self.form.matrix
+    def __init__(self, algebra: AlgebraSpec, form: BilinearForm):
+        alg, matrix = algebra, form.matrix
         _require_lie(alg, "cocycle2")
         if matrix.shape != (alg.dim, alg.dim):
             raise ValueError("cocycle matrix shape mismatch")
-        if not self.form.is_skew():
+        if not form.is_skew():
             raise LawViolation("cocycle-skewness", (), ())
         n = alg.dim
         pairing, f = _pairing([{p: 1} for p in range(n)]), matrix.sparse_flatten()
@@ -45,6 +40,7 @@ class Cocycle2:
             val = _evaluate(_hom_terms(alg.rows, pairing, (1, 1, 1), i, j, k, cols), f)
             if val:
                 raise LawViolation("cocycle-equation", (i, j, k), (Fraction(val[0]),))
+        vars(self).update(algebra=algebra, form=form)
 
 
 def cocycle2(alg: AlgebraSpec, matrix: Matrix) -> Cocycle2:

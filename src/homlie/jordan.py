@@ -10,9 +10,9 @@ nonabelian algebra tensored with a truncated polynomial ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec, _sorted_tuples, builtin, make_algebra, sparse_product
 from .constructions import tensor_lie
@@ -27,8 +27,7 @@ def jordan_product(phi: Matrix, psi: Matrix) -> Matrix:
     return (phi @ psi + psi @ phi).scale(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class ClosureWitness:
+class ClosureWitness(NamedTuple):
     phi_index: int
     psi_index: int
     product: Matrix
@@ -36,8 +35,7 @@ class ClosureWitness:
     residual: Vector
 
 
-@dataclass(frozen=True)
-class ClosureVerdict:
+class ClosureVerdict(NamedTuple):
     closed: bool
     witness: ClosureWitness | None = None
     constants: dict[tuple[int, int], Vector] | None = None  # when closed, at i <= j: coordinates of map i o map j
@@ -124,8 +122,7 @@ def jordan_identity_defect(alg: AlgebraSpec) -> tuple[tuple[int, int, int, int],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     truncation_order: int
     alpha_monomial: tuple[int, int]  # alpha sends t^source to t^target
     phi_member: bool

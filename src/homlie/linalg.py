@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -81,8 +80,20 @@ def _entry(x) -> int | Fraction:
     return x if type(x) is int else as_scalar(x)
 
 
-@dataclass(frozen=True, init=False)
-class Matrix:
+class Frozen:
+    """A record that keeps what it validated or computed: its constructor
+    sets the fields once, through ``vars(self)``, and assigning or deleting
+    an attribute afterwards raises AttributeError, as on a tuple.  A
+    ``cached_property`` still fills on first use: it writes ``vars(self)``."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+
+class Matrix(Frozen):
     """Immutable matrix of exact scalars, stored as sparse rows.
 
     ``sparse_rows[i]`` maps a column to the nonzero entry of row i, an int
@@ -105,8 +116,7 @@ class Matrix:
     def _store(self, rows: Iterable[Iterable[tuple[int, int | Fraction]]], cols: int) -> None:
         """Set the fields from (column, entry) pairs per row, zeros dropped."""
         frozen = tuple(MappingProxyType({j: x.numerator if x.denominator == 1 else x for j, x in r if x}) for r in rows)
-        object.__setattr__(self, "sparse_rows", frozen)
-        object.__setattr__(self, "cols", cols)
+        vars(self).update(sparse_rows=frozen, cols=cols)
 
     @classmethod
     def _of(cls, rows: Iterable[Mapping[int, int | Fraction]], cols: int) -> "Matrix":
@@ -114,6 +124,9 @@ class Matrix:
         m = cls.__new__(cls)
         m._store((r.items() for r in rows), cols)
         return m
+
+    def __eq__(self, other) -> bool:
+        return (self.sparse_rows, self.cols) == (other.sparse_rows, other.cols) if type(other) is Matrix else NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.cols, tuple(frozenset(r.items()) for r in self.sparse_rows)))
@@ -454,8 +467,7 @@ def nullspace_of_rows(ncols: "int | RowAccumulator", rows: Iterable[Mapping[int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Frozen):
     """A subspace of Q^ambient stored by its reduced row-echelon basis.
 
     ``rows`` holds (pivot, row) pairs in ascending pivot order; each row is
@@ -466,23 +478,23 @@ class Subspace:
     spaces.  ``basis`` is the same basis as a dense matrix.
     """
 
-    ambient: int
-    rows: tuple[tuple[int, Mapping[int, int | Fraction]], ...]
-
-    def __post_init__(self):
+    def __init__(self, ambient: int, rows: Sequence[tuple[int, Mapping[int, int | Fraction]]]):
         """Freeze the rows and check, in time linear in their nonzeros, that
         they are the reduced basis the class promises: otherwise ``==``
         would not decide equality.  ValueError names the first bad row."""
-        n, last, pivots = self.ambient, -1, {p for p, _ in self.rows}
-        for p, r in self.rows:
+        n, last, pivots = ambient, -1, {p for p, _ in rows}
+        for p, r in rows:
             if p < 0 or max(r, default=p) >= n:
                 raise ValueError(f"vector dimension mismatch: the row with pivot {p} has an index outside range({n})")
             if not (last < p == min(r, default=None) and r[p] == 1 and len(pivots.intersection(r)) == 1):
                 raise ValueError(f"the row with pivot {p} is not a reduced echelon row: its pivots must ascend, "
                                  "and it must start at its pivot with entry 1 and be 0 at every other pivot")
             last = p
-        rows = tuple((p, r if isinstance(r, MappingProxyType) else MappingProxyType(r)) for p, r in self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = tuple((p, r if isinstance(r, MappingProxyType) else MappingProxyType(r)) for p, r in rows)
+        vars(self).update(ambient=ambient, rows=rows)
+
+    def __eq__(self, other) -> bool:
+        return (self.ambient, self.rows) == (other.ambient, other.rows) if type(other) is Subspace else NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.ambient, tuple((p, frozenset(r.items())) for p, r in self.rows)))

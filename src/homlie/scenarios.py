@@ -9,9 +9,8 @@ diagnostic report numbers without asserting them (status 'report-only').
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .actions import sl2_decompose
 from .algebra import builtin, killing_form, make_algebra
@@ -41,24 +40,17 @@ from .solver import (
 from .window import beta_map, central_maps, solve_window
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     id: str
     description: str
     status: str  # 'pass' | 'fail' | 'report-only'
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "status": self.status,
-            "details": self.details,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     id: str
     description: str
     run: Callable[[], tuple[bool | None, dict]]

@@ -10,16 +10,16 @@ the exact nullspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import (BILINEAR_KINDS, AlgebraSpec, BilinearForm, UndefinedProduct, _evaluate, _hom_terms, _Index,
                       _leibniz_terms, _pairing, _require_lie, _sorted_tuples, _Terms, _undefined,
                       right_annihilator, sparse_product, structural_subspaces)
 from .linalg import (
+    Frozen,
     Matrix,
     RowAccumulator,
     SparseVector,
@@ -40,18 +40,22 @@ from .linalg import (
 _SIGNS = {"hom-lie": (1, 1, 1), "hom-cyclic": (1, -1), "hom-2nilp": (1,)}
 
 
-@dataclass(frozen=True)
-class StructureKind:
-    """A hom kind of ``_SIGNS`` or a delta-derivation; any other tag is refused."""
+class StructureKind(Frozen):
+    """A hom kind of ``_SIGNS`` or a delta-derivation; any other tag is refused.
+    Two kinds are equal, and hash alike, when their tags and deltas are."""
 
-    tag: str
-    delta: Fraction | None = None
-
-    def __post_init__(self):
-        if self.tag not in _SIGNS and self.tag != "delta-derivation":
-            raise ValueError(f"unknown structure kind {self.tag!r}")
-        if (self.tag == "delta-derivation") != (self.delta is not None):
+    def __init__(self, tag: str, delta: Fraction | None = None):
+        if tag not in _SIGNS and tag != "delta-derivation":
+            raise ValueError(f"unknown structure kind {tag!r}")
+        if (tag == "delta-derivation") != (delta is not None):
             raise ValueError("delta is given exactly for delta-derivation kinds")
+        vars(self).update(tag=tag, delta=delta)
+
+    def __eq__(self, other) -> bool:
+        return (self.tag, self.delta) == (other.tag, other.delta) if type(other) is StructureKind else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.delta))
 
     def __str__(self) -> str:
         if self.delta is not None:
@@ -76,8 +80,7 @@ def parse_kind(text: str) -> StructureKind:
     raise ValueError(f"unknown structure kind {text!r}")
 
 
-@dataclass(frozen=True)
-class HomSolution:
+class HomSolution(NamedTuple):
     """Exact solution space of one structure kind on one algebra."""
 
     algebra: AlgebraSpec
@@ -800,8 +803,7 @@ def solve_bilinear(alg: AlgebraSpec, kind: str) -> Subspace:
 # -- quasiderivations and the cocycle/quasiderivation sequence ---------------
 
 
-@dataclass(frozen=True)
-class QDerSolution:
+class QDerSolution(NamedTuple):
     """Pairs (D, F) with D(xy) = y.F(x) - x.F(y); coordinates are the
     row-major D matrix followed by the row-major F matrix."""
 
@@ -858,8 +860,7 @@ def solve_qder(alg: AlgebraSpec, module: str = "adjoint") -> QDerSolution:
     return QDerSolution(alg, module, space)
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
+class ExactnessReport(NamedTuple):
     algebra: AlgebraSpec
     u_image: Subspace
     v_kernel: Subspace
@@ -914,8 +915,7 @@ def f_t(alg: AlgebraSpec, form: BilinearForm, phi: Matrix, t: Sequence[Fraction]
     return out
 
 
-@dataclass(frozen=True)
-class MultiplicativityWitness:
+class MultiplicativityWitness(NamedTuple):
     pair: tuple[int, int]
     lhs: Vector
     rhs: Vector
@@ -990,8 +990,7 @@ def central_ext_homlie_decomposed(l: AlgebraSpec, xi) -> HomSolution:
 # -- tensor-product span assemblies -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanAssembly:
+class SpanAssembly(NamedTuple):
     """A sum of tensor-product blocks with dimension bookkeeping."""
 
     space: Subspace

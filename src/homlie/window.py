@@ -13,9 +13,8 @@ solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .algebra import AlgebraSpec
 from .linalg import Matrix, Subspace, nullspace_of_rows
@@ -23,8 +22,7 @@ from .solver import HOM_LIE, HomSolution, _kept, _known_block, _plan, _solve_shi
 from .solver import grading_shifts as window_shifts
 
 
-@dataclass(frozen=True)
-class InnerWindowReport:
+class InnerWindowReport(NamedTuple):
     """Comparison of the solution span, restricted to degrees |d| <= N-2,
     against the predicted span: the solver's known solutions K of the
     report's shifts (``solver._known_block``, read in End), restricted alike."""
@@ -47,8 +45,7 @@ class InnerWindowReport:
         }
 
 
-@dataclass(frozen=True)
-class WindowSolution:
+class WindowSolution(NamedTuple):
     window: AlgebraSpec
     shift: int | None
     full: HomSolution

@@ -133,6 +133,14 @@ def raises_in_every_block(alg, kind, triples):
 # -- graded tables -----------------------------------------------------------------
 
 
+def replaced(alg, **changes):
+    """``alg`` made again through ``AlgebraSpec(...)`` with ``changes`` to its
+    fields: no law is checked, and the copy keeps none of ``alg``'s solves."""
+    fields = {"dim": alg.dim, "basis_names": alg.basis_names, "rows": alg.rows, "flavor": alg.flavor,
+              "grading": alg.grading, "jacobi_witness": alg.jacobi_witness}
+    return AlgebraSpec(**{**fields, **changes})
+
+
 def regraded(alg, degree_of):
     """``alg`` graded by the degree of each basis name."""
     grading = [degree_of(name) for name in alg.basis_names]

@@ -9,7 +9,6 @@ entry and in order, the scan must pass on each certified algebra, and
 inputs that break a theorem's hypothesis must still be refused.
 """
 
-import dataclasses
 import itertools
 import pytest
 
@@ -19,6 +18,7 @@ from homlie.battery import builtin_battery, lie_battery, random_lie_battery
 from homlie.constructions import Cocycle2, adjoin_map, central_extension, cocycle2, tensor_lie, twisted_cyclic
 from homlie.linalg import Matrix, SpanSolver, Subspace, sparse_lincomb
 from homlie.solver import delta_derivation, solve_bilinear, solve_structures
+from shared import replaced
 
 LIE = lie_battery()
 RANDOM = random_lie_battery(count=25)
@@ -171,7 +171,7 @@ def test_adjoin_map_is_lie_exactly_when_the_scan_says_so(monkeypatch, name, alg)
     maps.append(Matrix.identity(n))
     for d in maps:
         ext = _same_as_scanned(monkeypatch, lambda: adjoin_map(alg, d))
-        scanned = dataclasses.replace(ext, flavor="lie")
+        scanned = replaced(ext, flavor="lie")
         if ext.flavor == "lie":
             _check_laws(scanned)
         else:
@@ -187,7 +187,7 @@ def test_a_non_derivation_falls_back_to_generic(name):
     ext = adjoin_map(alg, Matrix.identity(alg.dim))  # id(xy) != 2 xy when xy != 0
     assert ext.flavor == "generic-anticommutative"
     with pytest.raises(LawViolation, match="jacobi"):
-        _check_laws(dataclasses.replace(ext, flavor="lie"))
+        _check_laws(replaced(ext, flavor="lie"))
 
 
 def test_a_cocycle_is_verified_however_it_is_made():

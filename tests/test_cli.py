@@ -364,14 +364,18 @@ def _python(script: str, *argv: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env)
 
 
+# Modules no command needs: ``dataclasses`` loads ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``.
+UNNEEDED_STDLIB = {"dataclasses", "inspect"}
+
+
 def _loaded(*argv: str) -> tuple[int | None, set[str]]:
     """The exit code of ``homlie *argv`` (None with no argv: import only) and
-    the homlie modules its fresh process loaded."""
+    the homlie modules, and those of ``UNNEEDED_STDLIB``, its fresh process loaded."""
     script = (
         "import json, sys\n"
         "from homlie.cli import main\n"
         "code = main(sys.argv[1:]) if sys.argv[1:] else None\n"
-        "loaded = sorted(m for m in sys.modules if m == 'homlie' or m.startswith('homlie.'))\n"
+        f"loaded = sorted(m for m in sys.modules if m == 'homlie' or m.startswith('homlie.') or m in {UNNEEDED_STDLIB})\n"
         "print(json.dumps([code, loaded]), file=sys.stderr)\n"
     )
     result = _python(script, *argv)
@@ -384,14 +388,16 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert _loaded() == (None, {"homlie", "homlie.cli"})
     alg_file = tmp_path / "sl2.json"
     alg_file.write_text(json.dumps(serialize.algebra_to_json(builtin("sl", 2))))
-    unused = {f"homlie.{m}" for m in ("actions", "constructions", "jordan", "scenarios", "battery")}
+    unused = {f"homlie.{m}" for m in ("actions", "constructions", "jordan", "scenarios", "battery")} | UNNEEDED_STDLIB
     for argv in (["solve", "--algebra", "sl3"], ["bilinear", "--algebra", "sl3"],
                  ["qder", "--algebra", "sl3", "--module", "coadjoint"], ["validate", "--algebra", str(alg_file)]):
         code, loaded = _loaded(*argv)
         assert code == 0 and not loaded & unused, (argv, code, loaded & unused)
     code, loaded = _loaded("window", "--algebra", "sl2", "--window", "2")
-    assert code == 0 and not loaded & {"homlie.scenarios", "homlie.battery"}, (code, loaded)
-    assert _loaded("reproduce", "--all", "--json")[0] == 1  # the known red, lemma-2.5-sl2
+    assert code == 0 and not loaded & {"homlie.scenarios", "homlie.battery", *UNNEEDED_STDLIB}, (code, loaded)
+    # every module of the package runs here
+    code, loaded = _loaded("reproduce", "--all", "--json")
+    assert code == 1 and not loaded & UNNEEDED_STDLIB, loaded  # exit 1: the known red, lemma-2.5-sl2
 
 
 def test_validate_and_usage_errors_do_not_load_the_solver(tmp_path):

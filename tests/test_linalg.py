@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -241,7 +240,7 @@ def test_rows_cannot_be_changed_from_outside():
         del s.rows[1][1][2]
     with pytest.raises(TypeError):
         s.rows[0] = (0, {0: F(1)})
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         s.rows = ()
     assert s.basis == Matrix.from_rows([[1, 2, 0], [0, 0, 1]])
 
@@ -493,8 +492,9 @@ def test_matrix_value_contract():
         Matrix.unflatten({4: 1}, 2, 2)
     with pytest.raises(TypeError):
         plain.sparse_rows[0][1] = F(5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         plain.cols = 3
+    assert plain.cols == 2 and plain.shape == (2, 2)
 
 
 def test_sparse_matrix_builds_no_dense_rows_until_read():

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import random
@@ -36,7 +35,7 @@ from homlie.solver import (
     _plan,
     grading_shifts,
 )
-from shared import block_col_of, block_graded, direct_router, principal, regraded
+from shared import block_col_of, block_graded, direct_router, principal, regraded, replaced
 
 F = Fraction
 
@@ -146,7 +145,7 @@ def test_grading_split_is_exact(kind):
     for n in (4, 6):
         graded.append(block_graded(n))
     for alg in graded:
-        ungraded = dataclasses.replace(alg, grading=None)
+        ungraded = replaced(alg, grading=None)
         assert solve_structures(alg, kind).space == solve_structures(ungraded, kind).space, alg.basis_names
 
 

@@ -7,7 +7,6 @@ exactly: tables, law witnesses and residuals, forms, matrices, witnesses
 and failure messages.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -38,7 +37,7 @@ from homlie.solver import (
     structure_residual,
 )
 from homlie.window import beta_map
-from shared import dense_is_multiplicative
+from shared import dense_is_multiplicative, replaced
 
 F = Fraction
 
@@ -196,7 +195,7 @@ def test_law_violations_match_dense_checks(flavor):
         table = _random_table(rng, n, flavor)
         grading = [rng.randint(0, 2) for _ in range(n)] if rng.random() < 0.3 else None
         unchecked = make_algebra(n, table, flavor="unchecked")
-        spec = dataclasses.replace(unchecked, flavor=flavor, grading=None if grading is None else tuple(grading))
+        spec = replaced(unchecked, flavor=flavor, grading=None if grading is None else tuple(grading))
         dense = _law_verdict(lambda: _dense_check_laws(spec))
         sparse = _law_verdict(lambda: make_algebra(n, table, flavor=flavor, grading=grading))
         assert sparse == dense, (n, table, grading)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import random
@@ -40,8 +39,8 @@ from homlie.window import (
     solve_window,
     window_shifts,
 )
-from shared import (WINDOW_MODELS, a22, a22_grading, index_of, one_sided_gap, raises_in_every_block, twisted, untwisted,
-                    witt)
+from shared import (WINDOW_MODELS, a22, a22_grading, index_of, one_sided_gap, raises_in_every_block, replaced, twisted,
+                    untwisted, witt)
 
 F = Fraction
 
@@ -63,7 +62,7 @@ def _bracket_table(dim, products):
 def test_window_too_small():
     # N is read back as max |grading|: clamp the degrees of an N=2 window to N=1
     pa = untwisted(2)
-    pa = dataclasses.replace(pa, grading=tuple(max(-1, min(1, d)) for d in pa.grading))
+    pa = replaced(pa, grading=tuple(max(-1, min(1, d)) for d in pa.grading))
     with pytest.raises(ValueError, match="at least 2"):
         solve_window(pa)
 
@@ -464,7 +463,7 @@ def test_the_report_predicts_with_k(monkeypatch):
     known = solver._known_block
 
     def no_identity(alg, kind, shift):
-        return known(dataclasses.replace(alg, flavor="unchecked"), kind, shift)
+        return known(replaced(alg, flavor="unchecked"), kind, shift)
 
     monkeypatch.setattr(solver, "_known_block", no_identity)
     monkeypatch.setattr(window, "_known_block", no_identity)
